@@ -1,9 +1,22 @@
 # Tier-1 verification and the race gate for the concurrent kv/tree paths.
 GO ?= go
 
-.PHONY: check build vet test lint lint-fixtures race bench-kv bench-server bench-obj bench-heap faultcheck faultshort servercheck replcheck heapcheck objcheck fuzz-wire
+.PHONY: check build vet test lint lint-fixtures race bench-kv bench-server bench-obj bench-heap faultcheck faultshort servercheck replcheck heapcheck objcheck benchcheck fuzz-wire
 
-check: build vet lint test faultshort servercheck replcheck heapcheck objcheck
+check: build vet lint test faultshort servercheck replcheck heapcheck objcheck benchcheck
+
+# $(call run-tests,<go test flags>,<package>,<alt1|alt2|...>) is `go test
+# -run` that fails when any alternative of the pattern selects no test:
+# `go test` itself only warns "no tests to run" and exits 0, so a renamed or
+# deleted test would silently drop out of its gate.
+define run-tests
+	@names=$$($(GO) test -list . $(2) | grep -E '^(Test|Fuzz|Example)') || exit 1; \
+	for alt in $(subst |, ,$(3)); do \
+		echo "$$names" | grep -Eq "$$alt" || \
+			{ echo "$(2): -run alternative '$$alt' selects no test"; exit 1; }; \
+	done
+	$(GO) test $(1) $(2) -run '$(3)'
+endef
 
 build:
 	$(GO) build ./...
@@ -65,20 +78,20 @@ servercheck:
 # the target fails.
 replcheck:
 	$(GO) test -race ./internal/repl/...
-	$(GO) test ./kv -run 'Repl|CommitHook'
-	$(GO) test -race ./internal/server -run 'Repl|Durable|Drain|Failover'
-	$(GO) test ./internal/fault -run 'Repl|Failover|PrimaryKill|ReplicaKill|Promotion'
+	$(call run-tests,,./kv,Repl|CommitHook)
+	$(call run-tests,-race,./internal/server,Repl|Durable|Drain|Failover)
+	$(call run-tests,,./internal/fault,Repl|Failover|PrimaryKill|ReplicaKill|Promotion)
 
 # Heap gate: the persistent allocator's crash matrix (every allocator-
-# metadata persist site, including the segment-append cutover, plus the
-# v3->v4 superblock upgrade), the heap/swizzle unit tests, the kv growth
-# and OOM-retry tests, and the rnvet undolog fixture that machine-checks
-# the UndoBegin/MetaWrite8/UndoCommit protocol.
+# metadata persist site, including the segment-append cutover, plus a
+# crash inside the kv reopen of a remapped image), the heap/swizzle unit
+# tests, the kv growth and OOM-retry tests, and the rnvet undolog fixture
+# that machine-checks the UndoBegin/MetaWrite8/UndoCommit protocol.
 heapcheck:
-	$(GO) test ./internal/fault -run 'ExploreHeap|ExploreKVV3Upgrade'
-	$(GO) test ./internal/pmem -run 'Heap|Swizzle|Grow|Undo|Free'
-	$(GO) test ./kv -run 'Grow|Swizzle|V3ImageUpgrade|OOM'
-	$(GO) test ./internal/analysis -run 'UndoLog'
+	$(call run-tests,,./internal/fault,ExploreHeap|ExploreKVReopen)
+	$(call run-tests,,./internal/pmem,Heap|Swizzle|Grow|Undo|Free)
+	$(call run-tests,,./kv,Grow|Swizzle|OOM)
+	$(call run-tests,,./internal/analysis,UndoLog)
 
 # Typed-object gate: the obj layer's unit tests (intent commit, TTL
 # masking, expirer-vs-compaction) under the race detector, the obj
@@ -87,9 +100,16 @@ heapcheck:
 # smoke of the object request decoding on the committed seeds.
 objcheck:
 	$(GO) test -race ./internal/obj/...
-	$(GO) test ./internal/fault -run 'ExploreObj'
-	$(GO) test -race ./internal/server -run 'Obj'
+	$(call run-tests,,./internal/fault,ExploreObj)
+	$(call run-tests,-race,./internal/server,Obj)
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=3s
+
+# The gating benchmark is a Go module of its own (benchmark/go.mod), so
+# build/vet/test/lint above never see it: vet, test and rnvet it through
+# its own script, which is what catches a kv/forest/pmem API it calls
+# changing under it.
+benchcheck:
+	bash benchmark/run.sh --check
 
 # Typed-object throughput vs flat durable PUT at 8 threads; merges an
 # obj_ops section into BENCH_server.json.

@@ -97,6 +97,13 @@ func (c Config) normalized() Config {
 	return c
 }
 
+// collectArenas runs a collection at the end of a sweep point. The point's
+// arenas (two images each, reserved at full capacity) are unreachable by
+// then; left to the pacer, two or three points' worth pile up before a cycle
+// starts — inside a later point's measurement window, and several GiB over
+// what any one point needs.
+func collectArenas() { runtime.GC() }
+
 // arenaFor sizes an arena generously for scale records plus churn.
 func arenaFor(c Config, scale uint64) *pmem.Arena {
 	size := scale*256 + (64 << 20)

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +20,9 @@ func quickCfg() Config {
 		Threads:  []int{1, 2},
 		Latency:  pmem.LatencyModel{FlushPerLine: 50 * time.Nanosecond, Fence: 20 * time.Nanosecond},
 		Seed:     1,
+		// The exhaustive matrix is internal/fault's own TestExplore* suite;
+		// here the experiment only has to run end to end.
+		FaultMaxSites: 20,
 	}
 }
 
@@ -106,6 +111,28 @@ func TestExperimentsSmoke(t *testing.T) {
 			}
 		})
 	}
+	// The suite once peaked at ~15 GiB — experiments reserving GiB-scale
+	// arenas per point, collected late — and was OOM-killed on a 16 GiB
+	// host. Hold the process's high-water mark well under that.
+	if hwm, ok := peakRSS(); ok && hwm > 4<<30 {
+		t.Fatalf("peak RSS %d MiB exceeds the 4 GiB smoke budget", hwm>>20)
+	}
+}
+
+// peakRSS reads the process's resident-set high-water mark (VmHWM) in
+// bytes; ok is false where /proc does not provide it.
+func peakRSS() (bytes uint64, ok bool) {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(status), "\n") {
+		if f := strings.Fields(line); len(f) == 3 && f[0] == "VmHWM:" && f[2] == "kB" {
+			kb, err := strconv.ParseUint(f[1], 10, 64)
+			return kb << 10, err == nil
+		}
+	}
+	return 0, false
 }
 
 func TestResultCSV(t *testing.T) {

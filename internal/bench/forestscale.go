@@ -57,6 +57,8 @@ func ForestScale(c Config) []Result {
 			base = mops
 		}
 		st := f.Stats()
+		f.Close()
+		collectArenas()
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%d", p), f3(mops), f2(mops / base),
 			fmt.Sprintf("%d", st.Persists),
@@ -92,9 +94,13 @@ func ForestScale(c Config) []Result {
 func newWarmForest(c Config, p int) *forest.Forest {
 	f, err := forest.New(forest.Options{
 		Partitions: p,
-		ArenaSize:  c.Scale*256/uint64(p) + (64 << 20),
-		Latency:    pmem.ProfileOptaneDIMM,
-		Tree:       core.Options{DualSlot: true},
+		// The warm set plus 256 MiB of insert slack, split across the
+		// partitions, and one growth segment each: the forest reserves the
+		// same total at every point of the sweep instead of p times as much.
+		ArenaSize:   (c.Scale*256 + (256 << 20)) / uint64(p),
+		MaxSegments: 2,
+		Latency:     pmem.ProfileOptaneDIMM,
+		Tree:        core.Options{DualSlot: true},
 	})
 	if err != nil {
 		panic(err)

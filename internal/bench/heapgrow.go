@@ -49,6 +49,7 @@ func HeapGrow(c Config) []Result {
 	if err != nil {
 		panic(err)
 	}
+	defer s.Close()
 	arena := s.Arenas()[0]
 	val := make([]byte, heapGrowValSize)
 	key := make([]byte, 0, 32)

@@ -59,7 +59,11 @@ func mustF(s string) float64 {
 // default sharding.
 func kvPutThroughput(c Config, shards, threads int) float64 {
 	s, err := kv.New(kv.Options{
-		ArenaSize:    256 << 20,
+		ArenaSize: 256 << 20,
+		// No growth: a writer that exhausts the arena stops and the point
+		// counts what completed, so reserving seven more segments per image
+		// only inflates the footprint.
+		MaxSegments:  1,
 		ChunkSize:    1 << 20,
 		Shards:       shards,
 		FlushLatency: c.Latency,
@@ -67,6 +71,8 @@ func kvPutThroughput(c Config, shards, threads int) float64 {
 	if err != nil {
 		panic(err)
 	}
+	defer collectArenas()
+	defer s.Close()
 	val := make([]byte, 256)
 	counters := make([]opsCounter, threads)
 	var start, stop sync.WaitGroup

@@ -138,12 +138,22 @@ const netParts = 8
 const netValSize = 2048
 
 func runNetPointP(c Config, pt netPoint, parts int) (float64, *hist.Histogram, uint64) {
+	// Hold each point's window open for at least netMinWindow: GC cycles
+	// and kernel page management land unevenly on sub-second windows and
+	// swing the measured rate by tens of percent run to run.
+	window := c.Duration
+	if window < netMinWindow {
+		window = netMinWindow
+	}
 	st, err := kv.New(kv.Options{
-		// 256 MiB per partition bounds the touched image pages; the sweep
-		// writes well under that per point even at multi-second windows.
-		ArenaSize:  256 << 20,
-		ChunkSize:  1 << 20,
-		Partitions: parts,
+		// 256 MiB across the partitions, plus one more 256 MiB of growth
+		// per second the workers run: the sweep's best point lays down
+		// ~130 MiB/s of records on the reference host, so the reservation
+		// (both images, at full capacity) tracks the window with 2x headroom.
+		ArenaSize:   256 << 20,
+		MaxSegments: 2 + int((netWarmup+window)/time.Second),
+		ChunkSize:   1 << 20,
+		Partitions:  parts,
 		// One value-log head per partition: with the group committer doing
 		// the writing, a batch's records land back-to-back in one chunk and
 		// persist as a single contiguous run — the design point the sharded
@@ -224,13 +234,6 @@ func runNetPointP(c Config, pt netPoint, parts int) (float64, *hist.Histogram, u
 	h.Reset()
 	ops.Store(0)
 	start := time.Now()
-	// Hold each point's window open for at least netMinWindow: GC cycles
-	// and kernel page management land unevenly on sub-second windows and
-	// swing the measured rate by tens of percent run to run.
-	window := c.Duration
-	if window < netMinWindow {
-		window = netMinWindow
-	}
 	time.Sleep(window)
 	close(stop)
 	wg.Wait()
@@ -244,6 +247,7 @@ func runNetPointP(c Config, pt netPoint, parts int) (float64, *hist.Histogram, u
 	cancel()
 	<-serveDone
 	st.Close()
+	collectArenas()
 
 	return float64(ops.Load()) / elapsed.Seconds() / 1e3, h, errs.Load()
 }

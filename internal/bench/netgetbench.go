@@ -124,7 +124,11 @@ func runNetGetPoint(c Config, pt netGetPoint) (float64, *hist.Histogram, float64
 	lat := pmem.ProfileOptaneDIMM
 	lat.ReadPerLine = 300 * time.Nanosecond
 	st, err := kv.New(kv.Options{
+		// The preload is ~10 MiB and the PUT share adds a few MiB/s: the
+		// initial arenas outlast a minute-long window, so no growth segments
+		// are reserved.
 		ArenaSize:    256 << 20,
+		MaxSegments:  1,
 		ChunkSize:    1 << 20,
 		Partitions:   netParts,
 		Shards:       1,
@@ -240,6 +244,7 @@ func runNetGetPoint(c Config, pt netGetPoint) (float64, *hist.Histogram, float64
 	cancel()
 	<-serveDone
 	st.Close()
+	collectArenas()
 
 	return float64(gets.Load()) / elapsed.Seconds() / 1e3, h, hitPct, errs.Load()
 }

@@ -198,6 +198,7 @@ func runObjPhase(c Config, ph objPhase) (float64, *hist.Histogram, uint64) {
 		// window even at full rate, and smaller arenas keep the per-phase
 		// setup/teardown (zeroing both crash images) cheap.
 		ArenaSize:    64 << 20,
+		MaxSegments:  2,
 		ChunkSize:    1 << 20,
 		Partitions:   netParts,
 		Shards:       1,
@@ -292,6 +293,7 @@ func runObjPhase(c Config, ph objPhase) (float64, *hist.Histogram, uint64) {
 	<-serveDone
 	o.Close()
 	st.Close()
+	collectArenas()
 
 	return float64(ops.Load()) / elapsed.Seconds() / 1e3, h, errs.Load()
 }

@@ -88,19 +88,6 @@ func TestExploreObjAllSites(t *testing.T) {
 	t.Logf("obj: %d sites, %d images, hash %#x", rep.Sites, rep.Images, rep.ImageHash)
 }
 
-// Crashing inside the v1→v2 migration (which runs inside Open) must always
-// leave an image that reopens to exactly the pre-migration contents.
-func TestExploreKVV1Migration(t *testing.T) {
-	rep := mustExplore(t, &KVV1Target{}, KVV1Workload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
-	if rep.Sites < 20 {
-		t.Fatalf("only %d sites — migration not exercised", rep.Sites)
-	}
-	if !rep.Ok() {
-		t.Fatalf("%d violations, first: %s", len(rep.Violations), rep.Violations[0])
-	}
-	t.Logf("kv-v1: %d sites, %d images, hash %#x", rep.Sites, rep.Images, rep.ImageHash)
-}
-
 // The forest workload spreads splits/updates/deletes over two partition
 // arenas; every crash site — counted globally across both — must recover
 // to a consistent forest, in both slot-array modes.
@@ -122,10 +109,10 @@ func TestExploreForestAllSites(t *testing.T) {
 }
 
 // The partitioned kv store: record appends, index updates and compaction
-// cuts now interleave across two arenas, and v3 recovery must rebuild both
+// cuts now interleave across two arenas, and recovery must rebuild both
 // partitions from any machine-wide crash image set.
-func TestExploreKVV3AllSites(t *testing.T) {
-	rep := mustExplore(t, &KVV3Target{}, KVWorkload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
+func TestExploreKVPartsAllSites(t *testing.T) {
+	rep := mustExplore(t, &KVPartsTarget{}, KVWorkload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
 	if rep.Sites < 60 {
 		t.Fatalf("only %d sites — workload too shallow", rep.Sites)
 	}
@@ -135,7 +122,7 @@ func TestExploreKVV3AllSites(t *testing.T) {
 	if !rep.Ok() {
 		t.Fatalf("%d violations, first: %s", len(rep.Violations), rep.Violations[0])
 	}
-	t.Logf("kv-v3: %d sites, %d images, hash %#x", rep.Sites, rep.Images, rep.ImageHash)
+	t.Logf("kv-parts: %d sites, %d images, hash %#x", rep.Sites, rep.Images, rep.ImageHash)
 }
 
 // The heap allocator driven directly: every allocator-metadata persist
@@ -157,19 +144,19 @@ func TestExploreHeapAllSites(t *testing.T) {
 	t.Logf("heap: %d sites, %d images, hash %#x", rep.Sites, rep.Images, rep.ImageHash)
 }
 
-// Crashing inside the v3→v4 superblock upgrade (which runs inside Open, in
-// each partition) must always leave an image that reopens to exactly the
-// pre-upgrade contents — before the root flip as a v3 store that reruns
-// the upgrade, after it as a finished v4 store.
-func TestExploreKVV3Upgrade(t *testing.T) {
-	rep := mustExplore(t, &KVV3UpTarget{}, KVV3UpWorkload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
+// Crashing inside recovery itself (Open of a remapped two-partition image)
+// must always leave an image that reopens to exactly the pre-loaded
+// contents: mid-swizzle through the previous base, after the retire as a
+// clean store.
+func TestExploreKVReopen(t *testing.T) {
+	rep := mustExplore(t, &KVReopenTarget{}, KVReopenWorkload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
 	if rep.Sites < 20 {
-		t.Fatalf("only %d sites — upgrade not exercised", rep.Sites)
+		t.Fatalf("only %d sites — recovery not exercised", rep.Sites)
 	}
 	if !rep.Ok() {
 		t.Fatalf("%d violations, first: %s", len(rep.Violations), rep.Violations[0])
 	}
-	t.Logf("kv-v3up: %d sites, %d images, hash %#x", rep.Sites, rep.Images, rep.ImageHash)
+	t.Logf("kv-reopen: %d sites, %d images, hash %#x", rep.Sites, rep.Images, rep.ImageHash)
 }
 
 // Same seed ⇒ byte-identical crash images (same ImageHash); a different

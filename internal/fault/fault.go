@@ -11,8 +11,8 @@
 //
 // NV-Tree and FPTree argue their failure-atomicity windows by hand-listing
 // them; this package lists ours mechanically, for every layer from pmem up
-// through the kv store (including value-log compaction and v1-image
-// migration, whose crash windows live inside recovery itself).
+// through the kv store (including value-log compaction and the reopen of
+// a remapped image, whose crash windows live inside recovery itself).
 //
 // Everything is seeded: the same Config against the same Target replays the
 // same crash images byte for byte (Report.ImageHash), so a violation found
@@ -41,8 +41,8 @@ const (
 	OpDelete
 	// OpCompact runs value-log compaction (kv only) — semantically a no-op.
 	OpCompact
-	// OpOpen opens/migrates a pre-loaded image (kv v1-migration target) —
-	// semantically a no-op; its persist sites are the migration itself.
+	// OpOpen opens a pre-loaded image (kv reopen target) — semantically a
+	// no-op; its persist sites are recovery's own.
 	OpOpen
 )
 
@@ -86,8 +86,8 @@ type Target interface {
 	// Reset builds a fresh instance and returns its arenas (one per
 	// partition for forest-backed targets, a single-element slice
 	// otherwise) plus the model of contents already durable at reset time
-	// (non-empty only for targets that pre-load state, e.g. the
-	// v1-migration target). The explorer installs its hooks *after* Reset
+	// (non-empty only for targets that pre-load state, e.g. the kv reopen
+	// target). The explorer installs its hooks *after* Reset
 	// returns, so format-time persists are not crash sites.
 	Reset() ([]*pmem.Arena, Model, error)
 	// Apply executes op against the live instance.

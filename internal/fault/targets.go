@@ -360,106 +360,6 @@ func (t *CachedKVTarget) Recover(imgs [][]uint64) (Model, error) {
 }
 
 // ---------------------------------------------------------------------------
-// kv v1-image migration target
-
-// KVV1Target pre-loads a legacy v1 (single chunk chain, no persisted
-// geometry) store image; the workload's first op is OpOpen, so the v1→v2
-// migration's own persist sites — shard-table setup, record re-appends,
-// superblock swap, legacy-chain teardown — become crash points. A crash
-// image taken mid-migration must reopen to exactly the pre-migration
-// contents.
-type KVV1Target struct {
-	arena *pmem.Arena
-	store *kv.Store
-}
-
-func (t *KVV1Target) Name() string { return "kv-v1" }
-
-// kvV1OpenOpts are the options for opening/migrating the v1 image. A v1
-// superblock never persisted its geometry, so ChunkSize must match the
-// creating store; Shards is the post-migration shard count.
-func kvV1OpenOpts() kv.Options {
-	return kv.Options{ArenaSize: 4 << 20, ChunkSize: 512, Shards: 2}
-}
-
-func (t *KVV1Target) Reset() ([]*pmem.Arena, Model, error) {
-	s, err := kv.New(kv.Options{ArenaSize: 4 << 20, ChunkSize: 512, Shards: 1})
-	if err != nil {
-		return nil, nil, err
-	}
-	base := Model{}
-	for i := uint64(0); i < 10; i++ {
-		k, v := kvKey(i), kvValue(i, 100+i)
-		if err := s.Put([]byte(k), []byte(v)); err != nil {
-			return nil, nil, err
-		}
-		base[k] = v
-	}
-	// One tombstone and one overwrite, so migration carries dead records.
-	if err := s.Delete([]byte(kvKey(9))); err != nil {
-		return nil, nil, err
-	}
-	delete(base, kvKey(9))
-	k, v := kvKey(0), kvValue(0, 150)
-	if err := s.Put([]byte(k), []byte(v)); err != nil {
-		return nil, nil, err
-	}
-	base[k] = v
-	if err := s.DowngradeV1(); err != nil {
-		return nil, nil, err
-	}
-	// Reopen the durable image on a fresh arena, as a real restart would:
-	// cache == nvm == the v1 image, with no transient leftovers.
-	t.arena = pmem.Recover(s.Arenas()[0].CrashImage(nil, 0), pmem.Config{})
-	t.store = nil
-	return []*pmem.Arena{t.arena}, base, nil
-}
-
-func (t *KVV1Target) Apply(op Op) error {
-	if op.Kind == OpOpen {
-		s, err := kv.OpenArenas([]*pmem.Arena{t.arena}, kvV1OpenOpts())
-		if err != nil {
-			return err
-		}
-		t.store = s
-		return nil
-	}
-	if t.store == nil {
-		return fmt.Errorf("kv-v1 target: %s before OpOpen", op.Kind)
-	}
-	switch op.Kind {
-	case OpInsert, OpUpdate:
-		return t.store.Put([]byte(kvKey(op.K)), []byte(kvValue(op.K, op.V)))
-	case OpDelete:
-		return t.store.Delete([]byte(kvKey(op.K)))
-	case OpCompact:
-		return t.store.Compact()
-	}
-	return fmt.Errorf("kv-v1 target: unsupported op %s", op.Kind)
-}
-
-func (t *KVV1Target) ApplyModel(m Model, op Op) { kvApplyModel(m, op) }
-
-func (t *KVV1Target) Recover(imgs [][]uint64) (Model, error) {
-	return kvRecover(imgs, kvV1OpenOpts())
-}
-
-// KVV1Workload migrates the pre-loaded v1 image, then keeps using the
-// migrated store: fresh inserts, overwrites of migrated keys, and a delete
-// of a migrated key.
-func KVV1Workload() []Op {
-	return []Op{
-		{Kind: OpOpen},
-		{OpInsert, 30, 500},
-		{OpInsert, 31, 501},
-		{OpInsert, 32, 502},
-		{OpUpdate, 1, 600},
-		{OpUpdate, 2, 601},
-		{OpDelete, 3, 0},
-	}
-}
-
-// ---------------------------------------------------------------------------
 // forest target
 
 // ForestTarget drives a two-partition forest.Forest with a small leaf
@@ -555,17 +455,17 @@ func ForestWorkload() []Op {
 }
 
 // ---------------------------------------------------------------------------
-// kv v3 partitioned target
+// kv partitioned target
 
-// KVV3Target drives a two-partition kv.Store: crash sites land inside one
-// partition's record append, index update, chunk link or compaction cut,
-// and the v3 recovery path must rebuild both partitions from their own
+// KVPartsTarget drives a two-partition kv.Store: crash sites land inside
+// one partition's record append, index update, chunk link or compaction
+// cut, and recovery must rebuild both partitions from their own
 // superblocks and reject nothing from a legitimate machine-wide crash.
-type KVV3Target struct {
+type KVPartsTarget struct {
 	store *kv.Store
 }
 
-func kvV3Opts() kv.Options {
+func kvPartsOpts() kv.Options {
 	return kv.Options{
 		ArenaSize:  8 << 20,
 		ChunkSize:  512,
@@ -574,10 +474,10 @@ func kvV3Opts() kv.Options {
 	}
 }
 
-func (t *KVV3Target) Name() string { return "kv-v3" }
+func (t *KVPartsTarget) Name() string { return "kv-parts" }
 
-func (t *KVV3Target) Reset() ([]*pmem.Arena, Model, error) {
-	s, err := kv.New(kvV3Opts())
+func (t *KVPartsTarget) Reset() ([]*pmem.Arena, Model, error) {
+	s, err := kv.New(kvPartsOpts())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -585,7 +485,7 @@ func (t *KVV3Target) Reset() ([]*pmem.Arena, Model, error) {
 	return s.Arenas(), Model{}, nil
 }
 
-func (t *KVV3Target) Apply(op Op) error {
+func (t *KVPartsTarget) Apply(op Op) error {
 	switch op.Kind {
 	case OpInsert, OpUpdate:
 		return t.store.Put([]byte(kvKey(op.K)), []byte(kvValue(op.K, op.V)))
@@ -594,13 +494,13 @@ func (t *KVV3Target) Apply(op Op) error {
 	case OpCompact:
 		return t.store.Compact()
 	}
-	return fmt.Errorf("kv-v3 target: unsupported op %s", op.Kind)
+	return fmt.Errorf("kv-parts target: unsupported op %s", op.Kind)
 }
 
-func (t *KVV3Target) ApplyModel(m Model, op Op) { kvApplyModel(m, op) }
+func (t *KVPartsTarget) ApplyModel(m Model, op Op) { kvApplyModel(m, op) }
 
-func (t *KVV3Target) Recover(imgs [][]uint64) (Model, error) {
-	return kvRecover(imgs, kvV3Opts())
+func (t *KVPartsTarget) Recover(imgs [][]uint64) (Model, error) {
+	return kvRecover(imgs, kvPartsOpts())
 }
 
 // ---------------------------------------------------------------------------
@@ -771,22 +671,23 @@ func HeapWorkload() []Op {
 }
 
 // ---------------------------------------------------------------------------
-// kv v3→v4 superblock upgrade target
+// kv reopen target
 
-// KVV3UpTarget pre-loads a two-partition v3 image (one-line superblocks,
-// no heap record); the workload's first op is OpOpen, so the v3→v4
-// upgrade's persist sites — new superblock build, root-word flip, old
-// superblock free — become crash points, per partition. A crash image from
-// any of them must reopen to exactly the pre-upgrade contents.
-type KVV3UpTarget struct {
-	arenas []*pmem.Arena
-	store  *kv.Store
+// KVReopenTarget pre-loads a two-partition store and remaps its durable
+// images at a different simulated base; the workload's first op is OpOpen,
+// so recovery's own persist sites — the shard-table pointer's re-encode and
+// the swizzle retire, a fresh chunk link per shard, the heap-record refresh
+// — become crash points, per partition. A crash image from any of them must
+// reopen to exactly the pre-loaded contents.
+type KVReopenTarget struct {
+	KVPartsTarget // store is nil until OpOpen
+	arenas        []*pmem.Arena
 }
 
-func (t *KVV3UpTarget) Name() string { return "kv-v3up" }
+func (t *KVReopenTarget) Name() string { return "kv-reopen" }
 
-func (t *KVV3UpTarget) Reset() ([]*pmem.Arena, Model, error) {
-	s, err := kv.New(kvV3Opts())
+func (t *KVReopenTarget) Reset() ([]*pmem.Arena, Model, error) {
+	s, err := kv.New(kvPartsOpts())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -807,51 +708,35 @@ func (t *KVV3UpTarget) Reset() ([]*pmem.Arena, Model, error) {
 		return nil, nil, err
 	}
 	base[k] = v
-	if err := s.DowngradeV3(); err != nil {
-		return nil, nil, err
-	}
-	// Reopen the durable images on fresh arenas, as a real restart would.
+	// Reboot the durable images on fresh arenas mapped somewhere else, as a
+	// restart under address-space randomisation would.
 	srcs := s.Arenas()
 	t.arenas = make([]*pmem.Arena, len(srcs))
 	for i, a := range srcs {
-		t.arenas[i] = pmem.Recover(a.CrashImage(nil, 0), pmem.Config{})
+		t.arenas[i], err = pmem.RecoverSegments(a.SnapshotSegments(), pmem.Config{SimBase: 0x0000_6100_0000_0000})
+		if err != nil {
+			return nil, nil, err
+		}
 	}
 	t.store = nil
 	return t.arenas, base, nil
 }
 
-func (t *KVV3UpTarget) Apply(op Op) error {
+func (t *KVReopenTarget) Apply(op Op) error {
 	if op.Kind == OpOpen {
-		s, err := kv.OpenArenas(t.arenas, kvV3Opts())
-		if err != nil {
-			return err
-		}
+		s, err := kv.OpenArenas(t.arenas, kvPartsOpts())
 		t.store = s
-		return nil
+		return err
 	}
 	if t.store == nil {
-		return fmt.Errorf("kv-v3up target: %s before OpOpen", op.Kind)
+		return fmt.Errorf("kv-reopen target: %s before OpOpen", op.Kind)
 	}
-	switch op.Kind {
-	case OpInsert, OpUpdate:
-		return t.store.Put([]byte(kvKey(op.K)), []byte(kvValue(op.K, op.V)))
-	case OpDelete:
-		return t.store.Delete([]byte(kvKey(op.K)))
-	case OpCompact:
-		return t.store.Compact()
-	}
-	return fmt.Errorf("kv-v3up target: unsupported op %s", op.Kind)
+	return t.KVPartsTarget.Apply(op)
 }
 
-func (t *KVV3UpTarget) ApplyModel(m Model, op Op) { kvApplyModel(m, op) }
-
-func (t *KVV3UpTarget) Recover(imgs [][]uint64) (Model, error) {
-	return kvRecover(imgs, kvV3Opts())
-}
-
-// KVV3UpWorkload upgrades the pre-loaded v3 images, then keeps using the
-// upgraded store across both partitions.
-func KVV3UpWorkload() []Op {
+// KVReopenWorkload opens the pre-loaded images, then keeps using the
+// reopened store across both partitions.
+func KVReopenWorkload() []Op {
 	return []Op{
 		{Kind: OpOpen},
 		{OpInsert, 30, 500},
@@ -1107,9 +992,8 @@ func Targets() []struct {
 		{&ForestTarget{DualSlot: true}, ForestWorkload()},
 		{&KVTarget{}, KVWorkload()},
 		{&CachedKVTarget{}, KVWorkload()},
-		{&KVV1Target{}, KVV1Workload()},
-		{&KVV3Target{}, KVWorkload()},
-		{&KVV3UpTarget{}, KVV3UpWorkload()},
+		{&KVPartsTarget{}, KVWorkload()},
+		{&KVReopenTarget{}, KVReopenWorkload()},
 		{&ReplTarget{}, KVWorkload()},
 		{&ObjTarget{}, ObjWorkload()},
 	}

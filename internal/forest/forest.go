@@ -279,40 +279,6 @@ func OpenArenas(arenas []*pmem.Arena, opts Options) (*Forest, error) {
 	return f, nil
 }
 
-// Attach wraps an already-recovered single tree as a 1-partition forest,
-// allocating and stamping a fresh forest superblock. It exists for layered
-// recovery of pre-forest images (the kv store's legacy migration): the
-// caller has already opened the tree with an injected region and extended
-// the arena's allocator past every structure it owns, so allocating the
-// superblock here is safe. Any prior superblock pointer is simply
-// overwritten (a crashed earlier Attach leaks at most one line, like any
-// unreferenced block under the volatile allocator).
-func Attach(a *pmem.Arena, region *htm.Region, t *core.Tree) (*Forest, error) {
-	sbOff, err := a.Alloc(pmem.LineSize)
-	if err != nil {
-		return nil, tree.ErrFull
-	}
-	a.Write8(sbOff+sbMagicOff, forestMagic)
-	a.Write8(sbOff+sbCountOff, 1)
-	a.Write8(sbOff+sbIndexOff, 0)
-	a.Persist(sbOff, pmem.LineSize)
-	a.Write8(rootForestOff, sbOff)
-	a.Persist(0, pmem.RootSize)
-	return &Forest{
-		parts: []*Partition{{arena: a, region: region, tree: t, sbOff: sbOff}},
-		mask:  0,
-	}, nil
-}
-
-// Detach clears the arena's forest superblock pointer, turning it back
-// into a faithful pre-forest image (the kv store's v1 downgrade uses this
-// to fabricate legacy images for migration testing). The superblock line
-// itself is leaked, exactly as a pre-forest writer would have left it.
-func Detach(a *pmem.Arena) {
-	a.Write8(rootForestOff, pmem.NullOff)
-	a.Persist(0, pmem.RootSize)
-}
-
 // Insert routes to the owning partition; it fails with ErrKeyExists if the
 // key is present.
 func (f *Forest) Insert(key, value uint64) error {

@@ -27,7 +27,7 @@ func TestGracefulDrainZeroLostAcks(t *testing.T) {
 			name = "batched"
 		}
 		t.Run(name, func(t *testing.T) {
-			st, err := kv.New(kv.Options{ArenaSize: 64 << 20, ChunkSize: 1 << 16, Partitions: 4})
+			st, err := kv.New(kv.Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 16, Partitions: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +121,7 @@ func TestGracefulDrainZeroLostAcks(t *testing.T) {
 // TestShutdownFinishesInflight: requests already read when the drain
 // starts are executed and answered before their connection closes.
 func TestShutdownFinishesInflight(t *testing.T) {
-	st, err := kv.New(kv.Options{ArenaSize: 64 << 20, ChunkSize: 1 << 16})
+	st, err := kv.New(kv.Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestShutdownFinishesInflight(t *testing.T) {
 // TestShutdownDeadline: a wedged client cannot hold the drain hostage —
 // the context deadline forces teardown.
 func TestShutdownDeadline(t *testing.T) {
-	st, err := kv.New(kv.Options{ArenaSize: 64 << 20, ChunkSize: 1 << 16})
+	st, err := kv.New(kv.Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 func startServer(t *testing.T, scfg Config, kopts kv.Options) (*Server, *kv.Store, string) {
 	t.Helper()
 	if kopts.ArenaSize == 0 {
-		kopts = kv.Options{ArenaSize: 128 << 20, ChunkSize: 1 << 16, Partitions: 2}
+		kopts = kv.Options{ArenaSize: 128 << 20, MaxSegments: 1, ChunkSize: 1 << 16, Partitions: 2}
 	}
 	st, err := kv.New(kopts)
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 // clean ErrClosed errors — never panic core.Close's quiescence assertion —
 // and every Put that returned nil before Close must survive reopen.
 func TestCloseDuringConcurrentPuts(t *testing.T) {
-	s, err := New(Options{ArenaSize: 128 << 20, ChunkSize: 1 << 16, Partitions: 2})
+	s, err := New(Options{ArenaSize: 128 << 20, MaxSegments: 1, ChunkSize: 1 << 16, Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestCloseDuringConcurrentPuts(t *testing.T) {
 }
 
 func TestCheckpointReopens(t *testing.T) {
-	s, err := New(Options{ArenaSize: 64 << 20, ChunkSize: 1 << 16, Partitions: 2})
+	s, err := New(Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 16, Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestPutBatchBasic(t *testing.T) {
 // point of batching).
 func TestPutBatchMatchesSequential(t *testing.T) {
 	mk := func() *Store {
-		s, err := New(Options{ArenaSize: 128 << 20, ChunkSize: 1 << 16, Shards: 8, Partitions: 2})
+		s, err := New(Options{ArenaSize: 128 << 20, MaxSegments: 1, ChunkSize: 1 << 16, Shards: 8, Partitions: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestPutBatchMatchesSequential(t *testing.T) {
 // TestPutBatchDurable crash-tests the batch path: after PutBatch returns,
 // a zero-eviction crash image must contain every pair.
 func TestPutBatchDurable(t *testing.T) {
-	s, err := New(Options{ArenaSize: 64 << 20, ChunkSize: 1 << 14, Partitions: 2})
+	s, err := New(Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 14, Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestPutBatchDurable(t *testing.T) {
 // TestPutBatchConcurrent races batches against individual writers and
 // Close, under -race.
 func TestPutBatchConcurrent(t *testing.T) {
-	s, err := New(Options{ArenaSize: 128 << 20, ChunkSize: 1 << 16, Shards: 8, Partitions: 2})
+	s, err := New(Options{ArenaSize: 128 << 20, MaxSegments: 1, ChunkSize: 1 << 16, Shards: 8, Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

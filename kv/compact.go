@@ -2,7 +2,7 @@ package kv
 
 import "rntree/internal/pmem"
 
-// liveRec is one record Compact or migration carries over. Kind and LSN are
+// liveRec is one record Compact carries over. Kind and LSN are
 // preserved verbatim: a rewritten record is the same logical commit, so its
 // replication identity (and the recovered LSN watermark) must survive
 // compaction.

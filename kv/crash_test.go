@@ -15,7 +15,7 @@ import (
 // linearizability because records are persisted before they become
 // reachable.
 func TestCrashFuzzDurableStore(t *testing.T) {
-	crashFuzzStore(t, Options{ArenaSize: 64 << 20, ChunkSize: 1 << 14}, nil)
+	crashFuzzStore(t, Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 14}, nil)
 }
 
 // TestCrashFuzzCollisionChains re-runs the crash fuzzer with a degenerate
@@ -23,7 +23,7 @@ func TestCrashFuzzDurableStore(t *testing.T) {
 // inside multi-key hash-chain updates, and with tiny chunks so they also
 // land inside newChunk's chunk-link and shard-table persists.
 func TestCrashFuzzCollisionChains(t *testing.T) {
-	crashFuzzStore(t, Options{ArenaSize: 64 << 20, ChunkSize: 1 << 12, Shards: 4}, collide(7))
+	crashFuzzStore(t, Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 12, Shards: 4}, collide(7))
 }
 
 // TestCrashFuzzPartitioned runs the crash fuzzer over a four-partition
@@ -31,7 +31,7 @@ func TestCrashFuzzCollisionChains(t *testing.T) {
 // instant, so recovery must reassemble a consistent store from the whole
 // set even though only one partition holds the in-flight operation.
 func TestCrashFuzzPartitioned(t *testing.T) {
-	crashFuzzStore(t, Options{ArenaSize: 64 << 20, ChunkSize: 1 << 13, Shards: 2, Partitions: 4}, nil)
+	crashFuzzStore(t, Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 13, Shards: 2, Partitions: 4}, nil)
 }
 
 func crashFuzzStore(t *testing.T, opts Options, hash func([]byte) uint64) {
@@ -114,7 +114,7 @@ func crashFuzzStore(t *testing.T, opts Options, hash func([]byte) uint64) {
 			before, after = committed, committed
 		}
 
-		// opts.ChunkSize deliberately not forwarded: v3 recovery reads the
+		// opts.ChunkSize deliberately not forwarded: recovery reads the
 		// geometry from the persisted superblocks.
 		s2, err := Open(imgs, Options{})
 		if err != nil {

@@ -70,51 +70,6 @@ func TestStoreGrowsPastInitialArena(t *testing.T) {
 	}
 }
 
-// TestV3ImageUpgrade: a v3 image (no heap record) opens through the
-// crash-atomic v3→v4 superblock migration — same data, v4 magic, heap
-// record populated.
-func TestV3ImageUpgrade(t *testing.T) {
-	s, err := New(Options{ArenaSize: 8 << 20, ChunkSize: 1 << 14, Partitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]string{}
-	for i := 0; i < 300; i++ {
-		k, v := fmt.Sprintf("k%03d", i), fmt.Sprintf("v%d", i)
-		if err := s.Put([]byte(k), []byte(v)); err != nil {
-			t.Fatal(err)
-		}
-		want[k] = v
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DowngradeV3(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(s.Snapshot(), Options{})
-	if err != nil {
-		t.Fatalf("v3 open: %v", err)
-	}
-	for i := range s2.parts {
-		p := &s2.parts[i]
-		if got := p.arena.Read8(p.sbOff + sbMagicOff); got != storeMagicV4 {
-			t.Fatalf("partition %d: upgraded magic = %#x, want v4", i, got)
-		}
-		if p.arena.HeapFormatted() != (p.arena.Read8(p.sbOff+sbHeapOff) == 1) {
-			t.Fatalf("partition %d: heap record flag disagrees with arena", i)
-		}
-	}
-	got := map[string]string{}
-	s2.Range(func(k, v []byte) bool { got[string(k)] = string(v); return true })
-	if !strMapsEqual(got, want) {
-		t.Fatalf("after upgrade: got %d keys, want %d", len(got), len(want))
-	}
-	if err := s2.Put([]byte("post"), []byte("upgrade")); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSwizzledReopenAtDifferentBase: per-segment images reassembled at a
 // different simulated mapping base must open cleanly — the superblock's
 // absolute shard-table pointer resolves through the mid-swizzle previous
@@ -160,7 +115,20 @@ func TestSwizzledReopenAtDifferentBase(t *testing.T) {
 	if !h.Swizzling() {
 		t.Fatal("recovery at a new base did not enter the swizzling state")
 	}
+	// Record, at each persist Open issues, whether the heap is still
+	// mid-swizzle: the table pointer's re-encode must be durable before the
+	// first persist of the retire, or a crash between them strands a pointer
+	// encoded against a base the clean header no longer remembers.
+	type persist struct {
+		off       uint64
+		swizzling bool
+	}
+	var trace []persist
+	h.SetHooks(&pmem.Hooks{BeforePersist: func(off, _ uint64) {
+		trace = append(trace, persist{off, h.Swizzling()})
+	}})
 	s2, err := OpenArenas([]*pmem.Arena{h}, Options{})
+	h.SetHooks(nil)
 	if err != nil {
 		t.Fatalf("swizzled open: %v", err)
 	}
@@ -168,6 +136,15 @@ func TestSwizzledReopenAtDifferentBase(t *testing.T) {
 		t.Fatal("open did not retire the swizzle state")
 	}
 	p := &s2.parts[0]
+	reencode := -1
+	for i, e := range trace {
+		if e.off == p.sbOff+sbTableSimOff {
+			reencode = i
+		}
+	}
+	if reencode < 0 || reencode+1 >= len(trace) || !trace[reencode+1].swizzling {
+		t.Fatalf("no persist site between the table-pointer re-encode (persist #%d of %d) and the swizzle retire", reencode, len(trace))
+	}
 	table := h.Read8(p.sbOff + sbTableOff)
 	if sim := h.Read8(p.sbOff + sbTableSimOff); sim != h.SimAddr(table) {
 		t.Fatalf("table pointer not re-encoded: sb holds %#x, current mapping is %#x", sim, h.SimAddr(table))

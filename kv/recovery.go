@@ -3,26 +3,24 @@ package kv
 import (
 	"fmt"
 
-	"rntree/internal/core"
 	"rntree/internal/forest"
-	"rntree/internal/htm"
 	"rntree/internal/pmem"
 )
 
 // Open recovers a store from a snapshot (one image per partition arena, in
 // partition order): every partition's tree index is rebuilt via crash
-// recovery, its shard chunk chains are re-registered with the allocator,
-// and appends continue in fresh chunks (the tails of the pre-crash chunks
-// are sacrificed, as in any bump-allocated log).
+// recovery, its superblock, shard table and chunk chains are validated, and
+// appends continue in fresh chunks (the tails of the pre-crash chunks are
+// sacrificed, as in any bump-allocated log).
 //
 // The store geometry — chunk size, shard count, partition count — is read
 // from the persisted superblocks, not from opts, so opening with different
-// Options than the store was created with is safe. Legacy single-arena v1
-// and v2 images are migrated to the v3 partitioned format in place; v1
-// images (which did not persist their geometry) additionally need
-// opts.ChunkSize to match the creating store. Setting opts.Partitions to a
-// different count than the images hold rebuilds the store into fresh
-// arenas with the requested geometry.
+// Options than the store was created with is safe. Setting opts.Partitions
+// to a different count than the images hold rebuilds the store into fresh
+// arenas with the requested geometry. An image whose superblock magic is
+// not the current format's fails with ErrUnsupportedFormat; one whose
+// persisted pointers or geometry cannot belong to a store fails with
+// ErrCorrupt. Open never repairs.
 func Open(imgs [][]uint64, opts Options) (*Store, error) {
 	opts.normalize()
 	arenas := make([]*pmem.Arena, len(imgs))
@@ -34,27 +32,18 @@ func Open(imgs [][]uint64, opts Options) (*Store, error) {
 
 // OpenArenas is Open on already-recovered arenas: the caller keeps
 // ownership of the arenas, so persist hooks installed on them observe the
-// recovery (and migration) persists — the entry point the fault-injection
-// explorer uses to crash *inside* recovery.
+// recovery persists — the entry point the fault-injection explorer uses to
+// crash *inside* recovery.
 func OpenArenas(arenas []*pmem.Arena, opts Options) (*Store, error) {
 	opts.normalize()
 	return openArenas(arenas, opts)
 }
 
-// openArenas dispatches on the image generation. A single arena whose
-// superblock carries a v1/v2 magic takes the legacy upgrade path; anything
-// else must be a partition-complete v3/v4 set.
 func openArenas(arenas []*pmem.Arena, opts Options) (*Store, error) {
 	if len(arenas) == 0 {
 		return nil, fmt.Errorf("kv: no arenas to open")
 	}
-	var s *Store
-	var err error
-	if len(arenas) == 1 && legacyMagic(arenas[0]) {
-		s, err = openLegacy(arenas[0], opts)
-	} else {
-		s, err = openPartitioned(arenas, opts)
-	}
+	s, err := openPartitioned(arenas, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -69,23 +58,16 @@ func openArenas(arenas []*pmem.Arena, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// legacyMagic reports whether the arena's store superblock carries a
-// pre-partitioning (v1/v2) magic.
-func legacyMagic(a *pmem.Arena) bool {
-	sb := a.Read8(rootStoreOff)
-	if sb == pmem.NullOff {
-		return false
-	}
-	m := a.Read8(sb + sbMagicOff)
-	return m == storeMagicV1 || m == storeMagicV2
-}
-
-// openPartitioned recovers a partition-complete v3/v4 store: the forest
-// layer verifies the arena set (count, order, per-partition forest
-// superblocks), then each partition's value-log state is rebuilt
-// independently from its own kv superblock. v3 partitions are upgraded to
-// the v4 two-line superblock in place.
+// openPartitioned recovers a partition-complete store: the forest layer
+// verifies the arena set (count, order, per-partition forest superblocks),
+// then each partition's value-log state is rebuilt independently from its
+// own kv superblock.
 func openPartitioned(arenas []*pmem.Arena, opts Options) (*Store, error) {
+	for i, a := range arenas {
+		if err := requireHeap(a, i); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+	}
 	fopts := opts.forestOpts(len(arenas))
 	f, err := forest.OpenArenas(arenas, fopts)
 	if err != nil {
@@ -105,93 +87,84 @@ func openPartitioned(arenas []*pmem.Arena, opts Options) (*Store, error) {
 }
 
 // openPart rebuilds one partition's value-log state from its persisted
-// v3/v4 superblock and re-registers every log chunk with the allocator.
+// superblock. Every offset read from the media is checked before it is
+// dereferenced — line-aligned, past the root line, and ending at or below
+// the heap's persisted allocation mark, which bounds every block the
+// allocator ever handed out — so a hostile image yields ErrCorrupt, never a
+// panic or a hang.
 func openPart(p *kvPart, idx, parts int) error {
 	a := p.arena
-	sb := a.Read8(rootStoreOff)
-	if sb == pmem.NullOff {
-		return fmt.Errorf("kv: partition %d: arena does not contain a store superblock", idx)
+	corrupt := func(format string, args ...any) error {
+		return fmt.Errorf("%w: partition %d: %s", ErrCorrupt, idx, fmt.Sprintf(format, args...))
 	}
-	magic := a.Read8(sb + sbMagicOff)
-	if magic != storeMagicV3 && magic != storeMagicV4 {
-		return fmt.Errorf("kv: partition %d: bad superblock magic %#x", idx, magic)
+	if err := a.CheckHeap(); err != nil {
+		return corrupt("%v", err)
+	}
+	limit := a.Bump()
+	allocated := func(off, size uint64) bool {
+		return off%pmem.LineSize == 0 && off >= pmem.RootSize && size <= limit && off <= limit-size
+	}
+	sb := a.Read8(rootStoreOff)
+	if !allocated(sb, sbSizeV4) {
+		return corrupt("store superblock pointer %#x", sb)
+	}
+	if magic := a.Read8(sb + sbMagicOff); magic != storeMagic {
+		if magic>>16 == storeMagic>>16 {
+			return fmt.Errorf("%w: partition %d: superblock magic %#x, this build reads only %#x",
+				ErrUnsupportedFormat, idx, magic, uint64(storeMagic))
+		}
+		return corrupt("bad superblock magic %#x", magic)
 	}
 	chunkSz := a.Read8(sb + sbChunkSzOff)
 	nShards := a.Read8(sb + sbShardsOff)
 	table := a.Read8(sb + sbTableOff)
 	if nShards == 0 || nShards > MaxShards || nShards&(nShards-1) != 0 {
-		return fmt.Errorf("kv: partition %d: corrupt superblock: shard count %d", idx, nShards)
+		return corrupt("shard count %d", nShards)
 	}
-	if chunkSz < 2*pmem.LineSize || chunkSz%pmem.LineSize != 0 {
-		return fmt.Errorf("kv: partition %d: corrupt superblock: chunk size %d", idx, chunkSz)
+	if chunkSz < 2*pmem.LineSize || chunkSz%pmem.LineSize != 0 || chunkSz > limit {
+		return corrupt("chunk size %d", chunkSz)
 	}
-	if table == pmem.NullOff {
-		return fmt.Errorf("kv: partition %d: corrupt superblock: null shard table", idx)
+	if !allocated(table, nShards*pmem.LineSize) {
+		return corrupt("shard table pointer %#x", table)
+	}
+	if r0, r1 := a.Read8(sb+sbReserved0Off), a.Read8(sb+sbReserved1Off); r0 != 0 || r1 != 0 {
+		return corrupt("reserved superblock words %#x, %#x not null", r0, r1)
 	}
 	if got := a.Read8(sb + sbPartsOff); got != uint64(parts) {
-		return fmt.Errorf("kv: partition %d: superblock says %d partitions, opening %d", idx, got, parts)
+		return corrupt("superblock says %d partitions, opening %d", got, parts)
 	}
 	if got := a.Read8(sb + sbPartIdxOff); got != uint64(idx) {
-		return fmt.Errorf("kv: partition %d: arena belongs at position %d", idx, got)
+		return corrupt("arena belongs at position %d", got)
+	}
+	// The replication-state line (kv/repl.go) hangs off the root line too.
+	if r := a.Read8(rootReplOff); r != pmem.NullOff && !allocated(r, pmem.LineSize) {
+		return corrupt("replication-state pointer %#x", r)
 	}
 	p.sbOff = sb
 	p.initShards(chunkSz, int(nShards), table)
-	if magic == storeMagicV4 {
-		if err := p.checkHeapRecord(idx); err != nil {
-			return err
-		}
-	}
-
-	// Recovery below the kv layer reset the allocator to cover only tree
-	// and forest state; extend it past the superblock, the shard table and
-	// every log chunk of every chain (including a legacy chain
-	// mid-migration) so the allocator cannot hand out offsets overlapping
-	// live log data.
-	maxOff := a.Bump()
-	grow := func(end uint64) {
-		if end > maxOff {
-			maxOff = end
-		}
-	}
-	if magic == storeMagicV4 {
-		grow(sb + sbSizeV4)
-	} else {
-		grow(sb + sbSizeV3)
-	}
-	grow(table + nShards*pmem.LineSize)
+	// Chunks are disjoint, so all chains together hold at most limit/chunkSz
+	// of them; a walk that outlasts that budget is a cycle.
+	budget := limit / chunkSz
 	for i := range p.shards {
 		for c := a.Read8(p.shards[i].tabOff); c != pmem.NullOff; c = a.Read8(c + chunkNextOff) {
-			grow(c + chunkSz)
+			if !allocated(c, chunkSz) {
+				return corrupt("shard %d: chunk pointer %#x", i, c)
+			}
+			if budget == 0 {
+				return corrupt("shard %d: chunk chain does not terminate", i)
+			}
+			budget--
 		}
 	}
-	legacy := a.Read8(sb + sbLegacyOff)
-	legacySz := a.Read8(sb + sbLegacySzOff)
-	if legacy != pmem.NullOff {
-		for c := legacy; c != pmem.NullOff; c = a.Read8(c + chunkNextOff) {
-			grow(c + legacySz)
-		}
+	// Checked last: a passing heap record ends in Open's first writes (the
+	// table pointer's re-encode and the swizzle retire).
+	if err := p.checkHeapRecord(); err != nil {
+		return corrupt("%v", err)
 	}
-	// The replication-state line (epoch/role, kv/repl.go) is rooted in the
-	// arena root line; keep the allocator clear of it too.
-	if r := a.Read8(rootReplOff); r != pmem.NullOff {
-		grow(r + pmem.LineSize)
-	}
-	a.SetBump(maxOff)
 	for i := range p.shards {
 		if err := p.newShardChunk(&p.shards[i]); err != nil {
 			return err
 		}
-	}
-	// A non-null legacy chain means a v1 migration was interrupted by a
-	// crash after the upgrade committed; finish it (idempotent) before the
-	// store is published.
-	if legacy != pmem.NullOff {
-		if err := p.finishMigration(legacy, legacySz); err != nil {
-			return err
-		}
-	}
-	if magic == storeMagicV3 {
-		return p.upgradeV4()
 	}
 	// The heap record may be stale relative to the heap headers (growth
 	// after the last clean Close, or a fresh remap); bring it current.
@@ -199,7 +172,7 @@ func openPart(p *kvPart, idx, parts int) error {
 	return nil
 }
 
-// checkHeapRecord validates a v4 superblock's heap record against the
+// checkHeapRecord validates the superblock's heap record against the
 // arena's authoritative segment headers, then resolves the shard table's
 // absolute (simulated mapped) pointer. When the image was recovered at a
 // different mapping base the partition arrives mid-swizzle: the stored
@@ -207,35 +180,28 @@ func openPart(p *kvPart, idx, parts int) error {
 // re-encoded against the current one, and the swizzle state is retired —
 // the store-level consumer of the pmem layer's position-independent
 // recovery.
-func (p *kvPart) checkHeapRecord(idx int) error {
+func (p *kvPart) checkHeapRecord() error {
 	a := p.arena
 	sb := p.sbOff
-	heap := a.Read8(sb + sbHeapOff)
-	if (heap == 1) != a.HeapFormatted() {
-		return fmt.Errorf("kv: partition %d: superblock heap flag %d does not match arena (heap-formatted=%v)",
-			idx, heap, a.HeapFormatted())
+	if heap := a.Read8(sb + sbHeapOff); heap != 1 {
+		return fmt.Errorf("superblock heap flag %d, want 1", heap)
+	}
+	if rec := a.Read8(sb + sbSeg0SzOff); rec != a.Seg0Size() {
+		return fmt.Errorf("superblock records segment-0 size %d, heap has %d", rec, a.Seg0Size())
+	}
+	if rec := a.Read8(sb + sbGrowSzOff); rec != a.GrowSize() {
+		return fmt.Errorf("superblock records grow size %d, heap has %d", rec, a.GrowSize())
+	}
+	// The heap can only have grown since the record was written (a grow
+	// that crashed before its cutover is truncated by recovery).
+	if rec := a.Read8(sb + sbNsegsOff); rec > uint64(a.Segments()) {
+		return fmt.Errorf("superblock records %d segments, heap committed only %d", rec, a.Segments())
 	}
 	table := a.Read8(sb + sbTableOff)
-	if heap == 1 {
-		if err := a.CheckHeap(); err != nil {
-			return fmt.Errorf("kv: partition %d: %w", idx, err)
-		}
-		if rec := a.Read8(sb + sbSeg0SzOff); rec != a.Seg0Size() {
-			return fmt.Errorf("kv: partition %d: superblock records segment-0 size %d, heap has %d", idx, rec, a.Seg0Size())
-		}
-		if rec := a.Read8(sb + sbGrowSzOff); rec != a.GrowSize() {
-			return fmt.Errorf("kv: partition %d: superblock records grow size %d, heap has %d", idx, rec, a.GrowSize())
-		}
-		// The heap can only have grown since the record was written (a
-		// grow that crashed before its cutover is truncated by recovery).
-		if rec := a.Read8(sb + sbNsegsOff); rec > uint64(a.Segments()) {
-			return fmt.Errorf("kv: partition %d: superblock records %d segments, heap committed only %d", idx, rec, a.Segments())
-		}
-	}
 	sim := a.Read8(sb + sbTableSimOff)
 	off, ok := a.FromSimAddr(sim)
 	if !ok || off != table {
-		return fmt.Errorf("kv: partition %d: shard-table pointer %#x does not resolve to table offset %#x", idx, sim, table)
+		return fmt.Errorf("shard-table pointer %#x does not resolve to table offset %#x", sim, table)
 	}
 	if cur := a.SimAddr(table); cur != sim {
 		a.Write8(sb+sbTableSimOff, cur)
@@ -243,210 +209,6 @@ func (p *kvPart) checkHeapRecord(idx int) error {
 	}
 	a.FinishSwizzle()
 	return nil
-}
-
-// upgradeV4 migrates a recovered v3 partition to the v4 two-line
-// superblock, reusing the v1 migration's two-step commit: the new
-// superblock is fully persisted first — v3 words copied, magic flipped to
-// v4, heap record appended — and then a single root-word flip commits it.
-// Before the flip the image still reopens as v3 and the upgrade reruns
-// from scratch; after it the image is v4 and the old superblock line
-// returns to the allocator (a crash between flip and free leaks that one
-// line, the same bounded window every allocator handout has).
-func (p *kvPart) upgradeV4() error {
-	a := p.arena
-	sb4, err := a.Alloc(sbSizeV4)
-	if err != nil {
-		return mapFull(err)
-	}
-	for w := uint64(sbChunkSzOff); w < sbSizeV3; w += 8 {
-		a.Write8(sb4+w, a.Read8(p.sbOff+w))
-	}
-	a.Write8(sb4+sbMagicOff, storeMagicV4)
-	old := p.sbOff
-	p.sbOff = sb4
-	p.writeHeapLine()
-	a.Persist(sb4, sbSizeV4)
-	a.Write8(rootStoreOff, sb4)
-	a.Persist(rootStoreOff, 8)
-	a.Free(old, sbSizeV3)
-	return nil
-}
-
-// openLegacy recovers a pre-partitioning single-arena image and upgrades it
-// to v3 in place. The arena has no forest superblock, so the tree is opened
-// directly (with an explicitly owned HTM region, as the forest layer would)
-// and the old v1/v2 machinery rebuilds the value log. The upgrade then runs
-// in two persisted steps:
-//
-//  1. forest.Attach writes a single-partition forest superblock and flips
-//     the forest root word. A crash after this leaves a v2 store with a
-//     dangling forest superblock — harmless, since the v2 reopen path never
-//     reads it and the next upgrade attempt overwrites the root word.
-//  2. The kv superblock gains its partition words and the magic flips to
-//     v3, all within one line persist — the commit point. Before it the
-//     image reopens as v2 and the upgrade reruns; after it the image is a
-//     complete one-partition v3 set, and the chained v3→v4 step (its own
-//     root-flip commit, see upgradeV4) finishes the job.
-func openLegacy(arena *pmem.Arena, opts Options) (*Store, error) {
-	region := htm.NewRegion(arena, htm.Config{})
-	t, err := core.Open(arena, core.Options{DualSlot: opts.DualSlotArray, Region: region})
-	if err != nil {
-		return nil, err
-	}
-	sb := arena.Read8(rootStoreOff)
-	// The partition is built in place in its final slice slot: kvPart holds
-	// atomics and a mutex, so it must never be copied.
-	parts := make([]kvPart, 1)
-	p := &parts[0]
-	p.arena, p.tree = arena, t
-	switch arena.Read8(sb + sbMagicOff) {
-	case storeMagicV2:
-		err = openV2(p, sb)
-	case storeMagicV1:
-		err = openV1(p, sb, opts)
-	default:
-		err = fmt.Errorf("kv: arena does not contain a store superblock")
-	}
-	if err != nil {
-		return nil, err
-	}
-	f, err := forest.Attach(arena, region, t)
-	if err != nil {
-		return nil, err
-	}
-	arena.Write8(p.sbOff+sbPartsOff, 1)
-	arena.Write8(p.sbOff+sbPartIdxOff, 0)
-	arena.Write8(p.sbOff+sbMagicOff, storeMagicV3)
-	arena.Persist(p.sbOff, pmem.LineSize)
-	// Chain the v3→v4 step onto the legacy upgrade so every open lands on
-	// the current format.
-	if err := p.upgradeV4(); err != nil {
-		return nil, err
-	}
-	p.recount()
-	return &Store{f: f, hash: Hash, parts: parts}, nil
-}
-
-// openV2 recovers a sharded single-arena store from its persisted v2
-// superblock.
-func openV2(p *kvPart, sb uint64) error {
-	a := p.arena
-	chunkSz := a.Read8(sb + sbChunkSzOff)
-	nShards := a.Read8(sb + sbShardsOff)
-	table := a.Read8(sb + sbTableOff)
-	if nShards == 0 || nShards > MaxShards || nShards&(nShards-1) != 0 {
-		return fmt.Errorf("kv: corrupt superblock: shard count %d", nShards)
-	}
-	if chunkSz < 2*pmem.LineSize || chunkSz%pmem.LineSize != 0 {
-		return fmt.Errorf("kv: corrupt superblock: chunk size %d", chunkSz)
-	}
-	if table == pmem.NullOff {
-		return fmt.Errorf("kv: corrupt superblock: null shard table")
-	}
-	p.sbOff = sb
-	p.initShards(chunkSz, int(nShards), table)
-
-	// The tree's recovery reset the allocator to cover only tree state;
-	// extend it past the superblock, the shard table and every log chunk
-	// of every chain (including a legacy chain mid-migration) so the
-	// allocator cannot hand out offsets overlapping live log data.
-	maxOff := a.Bump()
-	grow := func(end uint64) {
-		if end > maxOff {
-			maxOff = end
-		}
-	}
-	grow(sb + pmem.LineSize)
-	grow(table + nShards*pmem.LineSize)
-	for i := range p.shards {
-		for c := a.Read8(p.shards[i].tabOff); c != pmem.NullOff; c = a.Read8(c + chunkNextOff) {
-			grow(c + chunkSz)
-		}
-	}
-	legacy := a.Read8(sb + sbLegacyOff)
-	legacySz := a.Read8(sb + sbLegacySzOff)
-	if legacy != pmem.NullOff {
-		for c := legacy; c != pmem.NullOff; c = a.Read8(c + chunkNextOff) {
-			grow(c + legacySz)
-		}
-	}
-	if r := a.Read8(rootReplOff); r != pmem.NullOff {
-		grow(r + pmem.LineSize)
-	}
-	a.SetBump(maxOff)
-	for i := range p.shards {
-		if err := p.newShardChunk(&p.shards[i]); err != nil {
-			return err
-		}
-	}
-	// A non-null legacy chain means a v1→v2 migration was interrupted by a
-	// crash; finish it (idempotent) before the store is published.
-	if legacy != pmem.NullOff {
-		if err := p.finishMigration(legacy, legacySz); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// openV1 migrates a legacy single-chain store to the sharded v2 format: it
-// builds a fresh v2 superblock whose legacy slot references the old chain,
-// flips the root pointer (the commit point — before it the image is still
-// v1, after it openV2 can always finish the job), then rewrites every
-// record into its hash shard and frees the old chunks. (The caller then
-// stamps the v3 partition words on top.)
-//
-// v1 never persisted its geometry, so walking the old chain must trust
-// opts.ChunkSize — the historical footgun the v2 format removed.
-func openV1(p *kvPart, sb uint64, opts Options) error {
-	a := p.arena
-	chunkSz := opts.ChunkSize
-	oldHead := a.Read8(sb + sbV1ChunkOff)
-	maxOff := a.Bump()
-	if sb+pmem.LineSize > maxOff {
-		maxOff = sb + pmem.LineSize
-	}
-	for c := oldHead; c != pmem.NullOff; c = a.Read8(c + chunkNextOff) {
-		if c+chunkSz > maxOff {
-			maxOff = c + chunkSz
-		}
-	}
-	if r := a.Read8(rootReplOff); r != pmem.NullOff && r+pmem.LineSize > maxOff {
-		maxOff = r + pmem.LineSize
-	}
-	a.SetBump(maxOff)
-
-	sb2, err := a.Alloc(pmem.LineSize)
-	if err != nil {
-		return err
-	}
-	table, err := a.Alloc(uint64(opts.Shards) * pmem.LineSize)
-	if err != nil {
-		return err
-	}
-	p.sbOff = sb2
-	p.initShards(chunkSz, opts.Shards, table)
-	for i := range p.shards {
-		a.Write8(p.shards[i].tabOff, pmem.NullOff)
-	}
-	a.Persist(table, uint64(opts.Shards)*pmem.LineSize)
-	for i := range p.shards {
-		if err := p.newShardChunk(&p.shards[i]); err != nil {
-			return err
-		}
-	}
-	a.Write8(sb2+sbMagicOff, storeMagicV2)
-	a.Write8(sb2+sbChunkSzOff, chunkSz)
-	a.Write8(sb2+sbShardsOff, uint64(opts.Shards))
-	a.Write8(sb2+sbTableOff, table)
-	a.Write8(sb2+sbLegacyOff, oldHead)
-	a.Write8(sb2+sbLegacySzOff, chunkSz)
-	a.Persist(sb2, pmem.LineSize)
-	a.Write8(rootStoreOff, sb2)
-	a.Persist(rootStoreOff, 8)
-
-	return p.finishMigration(oldHead, chunkSz)
 }
 
 // rebuild migrates a recovered store into a fresh one with the requested
@@ -470,44 +232,6 @@ func rebuild(src *Store, opts Options) (*Store, error) {
 		return nil, fail
 	}
 	return dst, nil
-}
-
-// finishMigration rewrites every indexed record into its hash shard's
-// chain, then unlinks and frees the legacy chunks. Runs single-threaded
-// inside Open before the store is published. Crash-safe: records are
-// persisted into (persistently linked) shard chunks before the index is
-// repointed, and the legacy chain stays allocator-protected until the
-// legacy slot is cleared; if a crash interrupts it, the next Open reruns
-// it, and any re-appended duplicates are invisible behind the newest chain
-// entries and reclaimed by the next Compact.
-func (p *kvPart) finishMigration(legacyHead, legacySz uint64) error {
-	var fail error
-	p.tree.Scan(0, 0, func(hash, off uint64) bool {
-		live := p.collectLive(off, false)
-		if len(live) == 0 {
-			if err := p.tree.Remove(hash); err != nil {
-				fail = err
-				return false
-			}
-			return true
-		}
-		if err := p.rewriteChain(p.shardFor(hash), hash, live); err != nil {
-			fail = err
-			return false
-		}
-		return true
-	})
-	if fail != nil {
-		return fail
-	}
-	p.arena.Write8(p.sbOff+sbLegacyOff, pmem.NullOff)
-	p.arena.Persist(p.sbOff+sbLegacyOff, 8)
-	for c := legacyHead; c != pmem.NullOff; {
-		nxt := p.arena.Read8(c + chunkNextOff)
-		p.arena.Free(c, legacySz)
-		c = nxt
-	}
-	return nil
 }
 
 // recount rebuilds the partition's per-shard live counters exactly by

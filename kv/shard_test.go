@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"rntree/internal/pmem"
 )
 
 // collide makes every key hash into one of n buckets, forcing deep hash
@@ -144,7 +142,7 @@ func TestAccountingWithCollidingKeys(t *testing.T) {
 // handed out overlapping live log data. v2 persists the geometry, so the
 // value passed to Open must not matter.
 func TestOpenUsesPersistedChunkSize(t *testing.T) {
-	s, err := New(Options{ArenaSize: 128 << 20, ChunkSize: 1 << 16})
+	s, err := New(Options{ArenaSize: 128 << 20, MaxSegments: 1, ChunkSize: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +236,7 @@ func TestStatsRaceWithWriters(t *testing.T) {
 // periodic Compact and Range) across every shard; run with -race it is the
 // acceptance stress for the sharded write path.
 func TestConcurrentStress(t *testing.T) {
-	s, err := New(Options{ArenaSize: 256 << 20, ChunkSize: 1 << 16, Shards: 8})
+	s, err := New(Options{ArenaSize: 256 << 20, MaxSegments: 1, ChunkSize: 1 << 16, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +313,7 @@ func TestConcurrentStress(t *testing.T) {
 // TestParallelWritersAllShards checks plain correctness of fully parallel
 // writers: every write lands, nothing tears, accounting stays exact.
 func TestParallelWritersAllShards(t *testing.T) {
-	s, err := New(Options{ArenaSize: 256 << 20, ChunkSize: 1 << 16, Shards: 16})
+	s, err := New(Options{ArenaSize: 256 << 20, MaxSegments: 1, ChunkSize: 1 << 16, Shards: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,163 +361,5 @@ func TestParallelWritersAllShards(t *testing.T) {
 	}
 	if got := s2.Len(); got != writers*per {
 		t.Fatalf("recovered Len = %d, want %d", got, writers*per)
-	}
-}
-
-// makeV1Image rewrites a single-shard store's superblock into the legacy
-// v1 format (magic v1, one chunk-chain head, no persisted geometry) and
-// returns the crash image — a faithful pre-sharding snapshot.
-func makeV1Image(t *testing.T, s *Store) []uint64 {
-	t.Helper()
-	if err := s.DowngradeV1(); err != nil {
-		t.Fatal(err)
-	}
-	return s.Arenas()[0].CrashImage(nil, 0)
-}
-
-// TestV1ImageMigration: opening a legacy v1 image must migrate it all the
-// way to the current sharded, partitioned v4 format without losing a byte,
-// and the migrated image must be a normal v4 store from then on.
-func TestV1ImageMigration(t *testing.T) {
-	s, err := New(Options{ArenaSize: 64 << 20, ChunkSize: 1 << 14, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]string{}
-	for i := 0; i < 500; i++ {
-		k, v := fmt.Sprintf("k%03d", i%200), fmt.Sprintf("v%d", i)
-		if err := s.Put([]byte(k), []byte(v)); err != nil {
-			t.Fatal(err)
-		}
-		want[k] = v
-	}
-	for i := 0; i < 200; i += 3 {
-		k := fmt.Sprintf("k%03d", i)
-		if err := s.Delete([]byte(k)); err != nil {
-			t.Fatal(err)
-		}
-		delete(want, k)
-	}
-	img := makeV1Image(t, s)
-
-	s2, err := Open([][]uint64{img}, Options{ChunkSize: 1 << 14, Shards: 8})
-	if err != nil {
-		t.Fatalf("v1 open: %v", err)
-	}
-	p := &s2.parts[0]
-	if got := p.arena.Read8(p.sbOff + sbMagicOff); got != storeMagicV4 {
-		t.Fatalf("migrated magic = %#x, want v4", got)
-	}
-	if got := p.arena.Read8(p.sbOff + sbLegacyOff); got != pmem.NullOff {
-		t.Fatal("legacy chain not cleared after migration")
-	}
-	if len(p.shards) != 8 {
-		t.Fatalf("migrated shard count = %d, want 8", len(p.shards))
-	}
-	check := func(s *Store, tag string) {
-		t.Helper()
-		got := map[string]string{}
-		s.Range(func(k, v []byte) bool { got[string(k)] = string(v); return true })
-		if !strMapsEqual(got, want) {
-			t.Fatalf("%s: got %d keys, want %d", tag, len(got), len(want))
-		}
-	}
-	check(s2, "after migration")
-	if got := s2.Stats().LiveKeys; got != len(want) {
-		t.Fatalf("migrated LiveKeys = %d, want %d", got, len(want))
-	}
-
-	// The migrated store is a normal v3 store: it takes writes, compacts
-	// per shard, and round-trips through another crash.
-	if err := s2.Put([]byte("post-migration"), []byte("yes")); err != nil {
-		t.Fatal(err)
-	}
-	want["post-migration"] = "yes"
-	if err := s2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	check(s2, "after migration+compact")
-	s3, err := Open(s2.Snapshot(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(s3, "after migration+crash")
-}
-
-// TestMigrationCrashMatrix crashes the v1→v2 migration at every persist
-// boundary (sampled) and verifies that reopening the crash image always
-// yields exactly the pre-migration contents — before the root flip the
-// image is still v1, after it the v2 legacy slot lets recovery finish the
-// job, and no window in between may lose or corrupt data.
-func TestMigrationCrashMatrix(t *testing.T) {
-	s, err := New(Options{ArenaSize: 16 << 20, ChunkSize: 1 << 13, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]string{}
-	for i := 0; i < 120; i++ {
-		k, v := fmt.Sprintf("k%02d", i%40), fmt.Sprintf("v%d", i)
-		if err := s.Put([]byte(k), []byte(v)); err != nil {
-			t.Fatal(err)
-		}
-		want[k] = v
-	}
-	for i := 0; i < 40; i += 4 {
-		k := fmt.Sprintf("k%02d", i)
-		if err := s.Delete([]byte(k)); err != nil {
-			t.Fatal(err)
-		}
-		delete(want, k)
-	}
-	img := makeV1Image(t, s)
-	opts := Options{ChunkSize: 1 << 13, Shards: 4}
-
-	// Count the persists a clean migration performs.
-	total := 0
-	{
-		a := pmem.Recover(img, pmem.Config{})
-		a.SetHooks(&pmem.Hooks{AfterPersist: func(_, _ uint64) { total++ }})
-		if _, err := OpenArenas([]*pmem.Arena{a}, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if total == 0 {
-		t.Fatal("migration performed no persists")
-	}
-
-	rng := rand.New(rand.NewSource(99))
-	for k := 0; k < total; k += 1 + rng.Intn(4) {
-		a := pmem.Recover(img, pmem.Config{})
-		var crash []uint64
-		n := 0
-		a.SetHooks(&pmem.Hooks{BeforePersist: func(_, _ uint64) {
-			if n == k {
-				// Half the samples also evict random dirty lines.
-				if k%2 == 0 {
-					crash = a.CrashImage(nil, 0)
-				} else {
-					crash = a.CrashImage(rng, 0.5)
-				}
-			}
-			n++
-		}})
-		if _, err := OpenArenas([]*pmem.Arena{a}, opts); err != nil {
-			t.Fatalf("crash point %d: clean open failed: %v", k, err)
-		}
-		if crash == nil {
-			t.Fatalf("crash point %d never reached (total %d)", k, total)
-		}
-		s2, err := Open([][]uint64{crash}, opts)
-		if err != nil {
-			t.Fatalf("crash point %d: reopen: %v", k, err)
-		}
-		got := map[string]string{}
-		s2.Range(func(k, v []byte) bool { got[string(k)] = string(v); return true })
-		if !strMapsEqual(got, want) {
-			t.Fatalf("crash point %d/%d: recovered %d keys, want %d", k, total, len(got), len(want))
-		}
-		if err := s2.Put([]byte("post"), []byte("crash")); err != nil {
-			t.Fatalf("crash point %d: post-crash put: %v", k, err)
-		}
 	}
 }

@@ -18,7 +18,7 @@
 // Within a partition the value log is sharded (Bitcask-style per-writer
 // log heads): the partition superblock roots a persisted shard table whose
 // entries each head an independent chunk chain with its own volatile
-// append cursor and lock. The v3 superblock binds the value-log shards to
+// append cursor and lock. The superblock binds the value-log shards to
 // their index partition — geometry, partition count and partition index
 // are all persisted per arena — so recovery can rebuild every partition
 // independently and verify a set of crash images really is one store.
@@ -60,6 +60,15 @@ var (
 	// mutation was not applied, and retrying fails identically until space
 	// is reclaimed by Delete+Compact), and never corrupts the store.
 	ErrFull = errors.New("kv: store is full")
+	// ErrCorrupt is returned by Open when an image is not a store this
+	// package could have written: a superblock, shard-table or chunk-chain
+	// word that is out of bounds, misaligned, cyclic or inconsistent with
+	// the heap. It wraps the detail. Open rejects such an image untouched;
+	// there is no repair.
+	ErrCorrupt = errors.New("kv: corrupt store image")
+	// ErrUnsupportedFormat is returned by Open for an image written in a
+	// superblock format other than the current one.
+	ErrUnsupportedFormat = errors.New("kv: unsupported store format")
 )
 
 // mapFull tags allocation-exhaustion errors from the layers below with the
@@ -76,30 +85,23 @@ const (
 	// tree for layers above it) holding the store superblock offset.
 	rootStoreOff = 40
 
-	// Superblock magics. v1 stored a single chunk-chain head and no
-	// geometry; v2 persists the chunk size, the shard count and the shard
-	// table; v3 additionally binds the arena to an index partition
-	// (partition count + index), one superblock per partition arena; v4
-	// grows the superblock to two lines, the second recording the
-	// partition heap's segment geometry and the shard table's simulated
-	// mapped address (the store's one absolute pointer, re-encoded by the
-	// swizzle pass when an image is recovered at a different base).
-	storeMagicV1 = 0x524e_4b56_0001 // "RNKV" v1
-	storeMagicV2 = 0x524e_4b56_0002 // "RNKV" v2 (sharded value log)
-	storeMagicV3 = 0x524e_4b56_0003 // "RNKV" v3 (partitioned forest)
-	storeMagicV4 = 0x524e_4b56_0004 // "RNKV" v4 (growable heap + swizzling)
+	// storeMagic identifies the one superblock format: two lines, the first
+	// holding the value-log geometry and the arena's partition binding, the
+	// second the heap record. Any other magic is rejected by Open.
+	storeMagic = 0x524e_4b56_0004 // "RNKV" v4
 
-	// v2/v3 superblock layout (one line). v3 adds the last two words.
-	sbMagicOff    = 0
-	sbChunkSzOff  = 8  // persisted log chunk size
-	sbShardsOff   = 16 // shard count per partition (power of two)
-	sbTableOff    = 24 // offset of the shard table (one line per shard)
-	sbLegacyOff   = 32 // head of a not-yet-migrated v1 chunk chain, or null
-	sbLegacySzOff = 40 // chunk size of the legacy chain
-	sbPartsOff    = 48 // v3: total partitions in the store
-	sbPartIdxOff  = 56 // v3: this arena's partition index
+	// Superblock first line. Words 32 and 40 are reserved: written null,
+	// and a non-null value is a format error.
+	sbMagicOff     = 0
+	sbChunkSzOff   = 8  // persisted log chunk size
+	sbShardsOff    = 16 // shard count per partition (power of two)
+	sbTableOff     = 24 // offset of the shard table (one line per shard)
+	sbReserved0Off = 32 // reserved, null
+	sbReserved1Off = 40 // reserved, null
+	sbPartsOff     = 48 // total partitions in the store
+	sbPartIdxOff   = 56 // this arena's partition index
 
-	// v4 superblock second line: the heap record. The segment headers
+	// Superblock second line: the heap record. The segment headers
 	// (internal/pmem) stay authoritative — recovery reads geometry from
 	// them before any kv code runs — so these words are a cross-check plus
 	// the swizzle consumer's state. nsegs is refreshed on clean Close and
@@ -108,18 +110,13 @@ const (
 	// a simulated mapped address via pmem.SimAddr; Open resolves it with
 	// FromSimAddr against the plain offset and rewrites it when the image
 	// was recovered at a different base.
-	sbHeapOff     = 64 // 1 = partition arena is heap-formatted, 0 = legacy
+	sbHeapOff     = 64 // always 1: the partition arena is heap-formatted
 	sbSeg0SzOff   = 72 // heap segment-0 size in bytes
 	sbGrowSzOff   = 80 // heap grow-segment size in bytes
 	sbNsegsOff    = 88 // committed segments when the line was last written
 	sbTableSimOff = 96 // shard table as a simulated mapped address
 
-	// Superblock sizes: v1-v3 are one line, v4 is two.
-	sbSizeV3 = pmem.LineSize
 	sbSizeV4 = 2 * pmem.LineSize
-
-	// v1 superblock layout.
-	sbV1ChunkOff = 8 // head of the single chunk chain
 
 	// chunk header (one line); records start at chunkHdrSize
 	chunkNextOff = 0
@@ -177,9 +174,7 @@ type Options struct {
 	MaxSegments int
 	// ChunkSize is the value-log chunk size (default 1 MiB). Persisted in
 	// the superblock at creation; Open always uses the persisted value, so
-	// a mismatched ChunkSize can no longer corrupt the allocator. (The
-	// only exception is opening a legacy v1 image, which never persisted
-	// its geometry — there ChunkSize must match the creating store.)
+	// a mismatched ChunkSize can no longer corrupt the allocator.
 	ChunkSize uint64
 	// Shards is the number of value-log shards per partition (default:
 	// GOMAXPROCS, floored at 8 because persist stalls are wall-clock and
@@ -393,10 +388,23 @@ func New(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// initPart formats partition i's kv state: shard table, v4 superblock,
-// root pointer, and one fresh chunk per shard.
+// requireHeap rejects a partition arena without the persistent heap format:
+// the superblock's heap record and Open's bounds checks both lean on the
+// heap's persisted allocation mark.
+func requireHeap(a *pmem.Arena, idx int) error {
+	if !a.HeapFormatted() {
+		return fmt.Errorf("kv: partition %d: arena must be heap-formatted (at least 64 KiB per partition, GrowSize at least 4 KiB)", idx)
+	}
+	return nil
+}
+
+// initPart formats partition i's kv state: shard table, superblock, root
+// pointer, and one fresh chunk per shard.
 func (s *Store) initPart(p *kvPart, idx int, opts Options) error {
 	a := p.arena
+	if err := requireHeap(a, idx); err != nil {
+		return err
+	}
 	sb, err := a.Alloc(sbSizeV4)
 	if err != nil {
 		return err
@@ -411,12 +419,12 @@ func (s *Store) initPart(p *kvPart, idx int, opts Options) error {
 		a.Write8(p.shards[i].tabOff, pmem.NullOff)
 	}
 	a.Persist(table, uint64(opts.Shards)*pmem.LineSize)
-	a.Write8(sb+sbMagicOff, storeMagicV4)
+	a.Write8(sb+sbMagicOff, storeMagic)
 	a.Write8(sb+sbChunkSzOff, opts.ChunkSize)
 	a.Write8(sb+sbShardsOff, uint64(opts.Shards))
 	a.Write8(sb+sbTableOff, table)
-	a.Write8(sb+sbLegacyOff, pmem.NullOff)
-	a.Write8(sb+sbLegacySzOff, 0)
+	a.Write8(sb+sbReserved0Off, pmem.NullOff)
+	a.Write8(sb+sbReserved1Off, pmem.NullOff)
 	a.Write8(sb+sbPartsOff, uint64(len(s.parts)))
 	a.Write8(sb+sbPartIdxOff, uint64(idx))
 	p.writeHeapLine()
@@ -437,15 +445,11 @@ func (s *Store) initPart(p *kvPart, idx int, opts Options) error {
 // shutdown and after recovery, when the heap may have grown or been
 // remapped since the line was last written.
 //
-//pmem:volatile every caller persists the line: initPart/upgradeV4 persist the whole fresh superblock before the root flip, refreshHeapLine persists immediately
+//pmem:volatile every caller persists the line: initPart persists the whole fresh superblock before the root flip, refreshHeapLine persists immediately
 func (p *kvPart) writeHeapLine() {
 	a := p.arena
 	sb := p.sbOff
-	heap := uint64(0)
-	if a.HeapFormatted() {
-		heap = 1
-	}
-	a.Write8(sb+sbHeapOff, heap)
+	a.Write8(sb+sbHeapOff, 1)
 	a.Write8(sb+sbSeg0SzOff, a.Seg0Size())
 	a.Write8(sb+sbGrowSzOff, a.GrowSize())
 	a.Write8(sb+sbNsegsOff, uint64(a.Segments()))
@@ -476,59 +480,6 @@ func (s *Store) Arenas() []*pmem.Arena {
 
 // Partitions returns the number of partitions.
 func (s *Store) Partitions() int { return len(s.parts) }
-
-// DowngradeV1 rewrites the superblock into the legacy v1 format — magic v1,
-// a single chunk-chain head, no persisted geometry, no forest superblock —
-// turning the arena into a faithful pre-sharding image. The next Open
-// migrates it back up. It exists so migration crash-points can be exercised
-// by the fault-injection explorer; the store must be single-partition,
-// single-shard and quiescent, and must not be used again after the
-// downgrade.
-func (s *Store) DowngradeV1() error {
-	if len(s.parts) != 1 {
-		return fmt.Errorf("kv: DowngradeV1 needs a single-partition store (have %d)", len(s.parts))
-	}
-	p := &s.parts[0]
-	if len(p.shards) != 1 {
-		return fmt.Errorf("kv: DowngradeV1 needs a single-shard store (have %d)", len(p.shards))
-	}
-	p.arena.Write8(p.sbOff+sbMagicOff, storeMagicV1)
-	p.arena.Write8(p.sbOff+sbV1ChunkOff, p.arena.Read8(p.shards[0].tabOff))
-	p.arena.Persist(p.sbOff, pmem.LineSize)
-	forest.Detach(p.arena)
-	return nil
-}
-
-// DowngradeV3 rewrites every partition's superblock into the v3 format — a
-// freshly allocated one-line superblock without the heap record, committed
-// by the same root-word flip the upgrade uses — turning the image into a
-// faithful pre-heap v3 store. The next Open migrates it back up to v4, so
-// the upgrade's crash points can be exercised by the fault-injection
-// explorer. The store must be quiescent and must not be used again after
-// the downgrade.
-func (s *Store) DowngradeV3() error {
-	for i := range s.parts {
-		p := &s.parts[i]
-		a := p.arena
-		if a.Read8(p.sbOff+sbMagicOff) != storeMagicV4 {
-			return fmt.Errorf("kv: DowngradeV3 needs a v4 store (partition %d)", i)
-		}
-		sb3, err := a.Alloc(sbSizeV3)
-		if err != nil {
-			return err
-		}
-		for w := uint64(sbChunkSzOff); w < sbSizeV3; w += 8 {
-			a.Write8(sb3+w, a.Read8(p.sbOff+w))
-		}
-		a.Write8(sb3+sbMagicOff, storeMagicV3)
-		a.Persist(sb3, sbSizeV3)
-		a.Write8(rootStoreOff, sb3)
-		a.Persist(rootStoreOff, 8)
-		a.Free(p.sbOff, sbSizeV4)
-		p.sbOff = sb3
-	}
-	return nil
-}
 
 // newShardChunk links a fresh log chunk at the head of sh's persistent
 // chain. The chunk's next pointer is persisted before the head references
@@ -917,10 +868,7 @@ func (s *Store) Close() error {
 	// written; refresh it so a clean image carries the current segment
 	// count and table address.
 	for i := range s.parts {
-		p := &s.parts[i]
-		if p.arena.Read8(p.sbOff+sbMagicOff) == storeMagicV4 {
-			p.refreshHeapLine()
-		}
+		s.parts[i].refreshHeapLine()
 	}
 	s.f.Close()
 	return nil

@@ -9,7 +9,7 @@ import (
 
 func newStore(t testing.TB) *Store {
 	t.Helper()
-	s, err := New(Options{ArenaSize: 128 << 20, ChunkSize: 1 << 16})
+	s, err := New(Options{ArenaSize: 128 << 20, MaxSegments: 1, ChunkSize: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestCrashRecoveryDurability(t *testing.T) {
 		}
 	}
 	img := s.Snapshot()
-	s2, err := Open(img, Options{ArenaSize: 128 << 20, ChunkSize: 1 << 16})
+	s2, err := Open(img, Options{ArenaSize: 128 << 20, MaxSegments: 1, ChunkSize: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +215,11 @@ func TestCompactReclaimsAndPreserves(t *testing.T) {
 	}
 }
 
-// TestPartitionedStore drives the full CRUD surface over a v3 multi-
+// TestPartitionedStore drives the full CRUD surface over a multi-
 // partition store and round-trips it through a snapshot: every partition
 // arena must come back, in order, with the geometry it persisted.
 func TestPartitionedStore(t *testing.T) {
-	s, err := New(Options{ArenaSize: 256 << 20, ChunkSize: 1 << 14, Shards: 2, Partitions: 4})
+	s, err := New(Options{ArenaSize: 256 << 20, MaxSegments: 1, ChunkSize: 1 << 14, Shards: 2, Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestPartitionedStore(t *testing.T) {
 // the persisted count migrates the store into fresh arenas with the
 // requested geometry, preserving every live pair.
 func TestPartitionRebuild(t *testing.T) {
-	s, err := New(Options{ArenaSize: 64 << 20, ChunkSize: 1 << 14, Shards: 2})
+	s, err := New(Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 14, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestPartitionRebuild(t *testing.T) {
 		}
 	}
 	// 1 → 4 partitions.
-	s4, err := Open(s.Snapshot(), Options{ArenaSize: 128 << 20, ChunkSize: 1 << 14, Partitions: 4})
+	s4, err := Open(s.Snapshot(), Options{ArenaSize: 128 << 20, MaxSegments: 1, ChunkSize: 1 << 14, Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestPartitionRebuild(t *testing.T) {
 	}
 	check(s4b, 4, "reopen keeps 4")
 	// 4 → 2 partitions.
-	s2, err := Open(s4.Snapshot(), Options{ArenaSize: 128 << 20, ChunkSize: 1 << 14, Partitions: 2})
+	s2, err := Open(s4.Snapshot(), Options{ArenaSize: 128 << 20, MaxSegments: 1, ChunkSize: 1 << 14, Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestPublicAPICRUD(t *testing.T) {
 }
 
 func TestCrashRecoverPublic(t *testing.T) {
-	tr, err := New(Options{Seed: 99})
+	tr, err := New(Options{ArenaSize: 16 << 20, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestCrashRecoverPublic(t *testing.T) {
 }
 
 func TestCheckpointPublic(t *testing.T) {
-	tr, err := New(Options{LeafCapacity: 32})
+	tr, err := New(Options{ArenaSize: 16 << 20, LeafCapacity: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestBulkLoadPartitioned(t *testing.T) {
 }
 
 func TestLatencyOptionsApplied(t *testing.T) {
-	tr, err := New(Options{FlushLatency: 200 * time.Microsecond, FenceLatency: 100 * time.Microsecond})
+	tr, err := New(Options{ArenaSize: 16 << 20, FlushLatency: 200 * time.Microsecond, FenceLatency: 100 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
