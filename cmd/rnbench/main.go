@@ -242,11 +242,11 @@ func writeServerJSON(path string, cfg bench.Config, r bench.Result) error {
 		rep.DurationMS = cfg.Duration.Milliseconds()
 		rep.Seed = cfg.Seed
 		rep.Header, rep.Rows, rep.Notes = r.Header, r.Rows, r.Notes
-		// The acceptance cell is the batched 8×16 row; its last column is
-		// the throughput ratio against the (batched) 1×1 baseline row.
+		// The acceptance cell is the 8×16 row; its last column is the
+		// throughput ratio against the 1×1 baseline row.
 		for _, row := range r.Rows {
-			if len(row) >= 8 && row[0] == "8" && row[1] == "16" && row[2] == "on" {
-				if v, err := strconv.ParseFloat(row[7], 64); err == nil {
+			if len(row) >= 7 && row[0] == "8" && row[1] == "16" {
+				if v, err := strconv.ParseFloat(row[6], 64); err == nil {
 					rep.SpeedupVs1x1 = v
 					rep.PassedBar = v >= 4.0
 				}

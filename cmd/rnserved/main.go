@@ -9,7 +9,7 @@
 // Usage:
 //
 //	rnserved [-addr :4410] [-partitions 4] [-arena-mb 512] [-dualslot]
-//	         [-batch] [-batch-max 64] [-batch-delay 200us]
+//	         [-batch-max 64]
 //	         [-cache] [-cache-entries 65536] [-cache-two-touch]
 //	         [-obj] [-obj-expire-interval 1s]
 //	         [-repl] [-replica-of addr] [-repl-durable-timeout 5s] [-repl-fence-lease 0]
@@ -43,9 +43,7 @@ type config struct {
 	arenaMB    uint64
 	dualslot   bool
 
-	batch      bool
-	batchMax   int
-	batchDelay time.Duration
+	batchMax int
 
 	cache         bool
 	cacheEntries  int
@@ -79,9 +77,7 @@ func parseFlags(args []string, errw io.Writer) (config, error) {
 	fs.IntVar(&c.partitions, "partitions", 4, "hash partitions (power of two)")
 	fs.Uint64Var(&c.arenaMB, "arena-mb", 512, "total simulated NVM capacity in MiB")
 	fs.BoolVar(&c.dualslot, "dualslot", true, "use the RNTree+DS index variant")
-	fs.BoolVar(&c.batch, "batch", false, "coalesce PUTs across connections to amortize persist fences")
-	fs.IntVar(&c.batchMax, "batch-max", 64, "max PUTs per coalesced batch")
-	fs.DurationVar(&c.batchDelay, "batch-delay", 200*time.Microsecond, "max time a PUT waits for batch-mates")
+	fs.IntVar(&c.batchMax, "batch-max", 64, "max PUTs and DELs a partition's group committer coalesces into one commit")
 	fs.BoolVar(&c.cache, "cache", false, "front GETs with the epoch-validated DRAM hot-key cache")
 	fs.IntVar(&c.cacheEntries, "cache-entries", 65536, "hot-key cache capacity (size to the GET working set; an undersized cache thrashes)")
 	fs.BoolVar(&c.cacheTwoTouch, "cache-two-touch", false, "admit a key into the hot-key cache only on its second touch within an epoch window (scan-resistant)")
@@ -194,11 +190,7 @@ func serve(cfg config, w *drain.Watcher, out io.Writer) error {
 		MaxInflight:       cfg.maxInflight,
 		MaxGlobalInflight: cfg.maxGlobal,
 		IdleTimeout:       cfg.idleTimeout,
-		Batch: server.BatchConfig{
-			Puts:     cfg.batch,
-			MaxBatch: cfg.batchMax,
-			MaxDelay: cfg.batchDelay,
-		},
+		Batch:             server.BatchConfig{MaxBatch: cfg.batchMax},
 		Cache: server.CacheConfig{
 			Enable:     cfg.cache,
 			MaxEntries: cfg.cacheEntries,
@@ -218,8 +210,8 @@ func serve(cfg config, w *drain.Watcher, out io.Writer) error {
 	if node != nil {
 		replDesc = fmt.Sprintf("role=%d epoch=%d", node.Role(), node.Epoch())
 	}
-	fmt.Fprintf(out, "rnserved: serving on %s (partitions=%d arena=%dMiB batch=%v cache=%v obj=%v repl=%s)\n",
-		ln.Addr(), cfg.partitions, cfg.arenaMB, cfg.batch, cfg.cache, cfg.obj, replDesc)
+	fmt.Fprintf(out, "rnserved: serving on %s (partitions=%d arena=%dMiB batch-max=%d cache=%v obj=%v repl=%s)\n",
+		ln.Addr(), cfg.partitions, cfg.arenaMB, cfg.batchMax, cfg.cache, cfg.obj, replDesc)
 
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()

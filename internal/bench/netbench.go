@@ -19,7 +19,6 @@ import (
 // netPoint is one cell of the connections × pipeline-depth sweep.
 type netPoint struct {
 	conns, depth int
-	batch        bool
 }
 
 // netWarmup is the per-point settle time before the measurement window
@@ -30,16 +29,12 @@ const netWarmup = 400 * time.Millisecond
 // warmup/measure block in runNetPointP.
 const netMinWindow = 1500 * time.Millisecond
 
-// netSweep walks both axes under the greedy write batcher: pipelining on
-// one connection (1×1 → 1×16), connections at fixed depth (1×16 → 8×16),
-// and connections without pipelining (8×1) to separate the two effects.
-// The 8×16 corner is the acceptance point: ≥ 4x the 1×1 rate. Two
-// batcher-off contrast rows bracket the sweep so the group-commit
-// contribution is visible on its own.
+// netSweep walks both axes: pipelining on one connection (1×1 → 1×16),
+// connections at fixed depth (1×16 → 8×16), and connections without
+// pipelining (8×1) to separate the two effects. The 8×16 corner is the
+// acceptance point: ≥ 4x the 1×1 rate.
 var netSweep = []netPoint{
-	{1, 1, true}, {1, 8, true}, {1, 16, true}, {2, 16, true},
-	{4, 16, true}, {8, 1, true}, {8, 16, true},
-	{1, 1, false}, {8, 16, false},
+	{1, 1}, {1, 8}, {1, 16}, {2, 16}, {4, 16}, {8, 1}, {8, 16},
 }
 
 // NetBench measures the serving layer end to end over loopback TCP:
@@ -57,20 +52,19 @@ var netSweep = []netPoint{
 // §6 story, surfaced at the network layer: the B+tree is no longer the
 // bottleneck, the fabric in front of it is.
 //
-// The sweep runs with the cross-connection write batcher in greedy mode
-// (MaxDelay < 0): a batch takes whatever PUTs have queued behind the
-// previous batch's persist and goes, never waiting for company. A solo
-// unpipelined client therefore commits in batches of one — the identical
-// persist path an individual Put takes — while concurrent clients get
-// their fences amortized and their value-log records laid down in
-// contiguous runs. The batcher-off contrast rows quantify that effect.
+// Every PUT commits through its partition's group committer: a batch takes
+// whatever PUTs have queued behind the previous batch's persist and goes,
+// never waiting for company. A solo unpipelined client therefore commits in
+// batches of one — the identical persist path an individual Put takes —
+// while concurrent clients get their fences amortized and their value-log
+// records laid down in contiguous runs.
 func NetBench(c Config) []Result {
 	c = c.normalized()
 	res := Result{
 		ID:    "netbench",
 		Title: "network serving throughput (kops/s durable PUTs, loopback) vs connections x pipeline depth",
 		Header: []string{
-			"conns", "depth", "batch", "kops", "mean_us", "p50_us", "p99_us", "vs-1x1",
+			"conns", "depth", "kops", "mean_us", "p50_us", "p99_us", "vs-1x1",
 		},
 	}
 	base := -1.0
@@ -80,16 +74,12 @@ func NetBench(c Config) []Result {
 		if base < 0 {
 			base = kops
 		}
-		onOff := "off"
-		if pt.batch {
-			onOff = "on"
-		}
 		ratio := f2(kops / base)
-		if pt.conns == 8 && pt.depth == 16 && pt.batch {
+		if pt.conns == 8 && pt.depth == 16 {
 			barRatio = ratio
 		}
 		res.Rows = append(res.Rows, []string{
-			fmt.Sprintf("%d", pt.conns), fmt.Sprintf("%d", pt.depth), onOff,
+			fmt.Sprintf("%d", pt.conns), fmt.Sprintf("%d", pt.depth),
 			f2(kops),
 			fmt.Sprintf("%d", h.Mean().Microseconds()),
 			fmt.Sprintf("%d", h.Percentile(50).Microseconds()),
@@ -105,8 +95,8 @@ func NetBench(c Config) []Result {
 		fmt.Sprintf("latency profile: Optane DCPMM with per-DIMM drain (flush %v/line, fence %v, drain %v/line), %d partition arenas",
 			pmem.ProfileOptaneDIMM.FlushPerLine, pmem.ProfileOptaneDIMM.Fence, pmem.ProfileOptaneDIMM.DrainPerLine, netParts),
 		"one pipelined client per connection; depth = concurrent callers sharing it (client MaxInflight)",
-		"batch=on is the greedy group committer (no added delay: a batch takes only what queued behind the previous persist); a solo unpipelined client commits in batches of one",
-		"store geometry: one value-log head per partition (the group-commit design point); vs-1x1 is relative to the batched 1x1 row",
+		"every PUT commits through its partition's group committer (no added delay: a batch takes only what queued behind the previous persist); a solo unpipelined client commits in batches of one",
+		"store geometry: one value-log head per partition (the group-commit design point); vs-1x1 is relative to the 1x1 row",
 		fmt.Sprintf("each point warms up for %v (fresh-arena page faults, tree growth, pipeline ramp) before its measurement window opens", netWarmup),
 	)
 	if barRatio != "" {
@@ -168,9 +158,7 @@ func runNetPointP(c Config, pt netPoint, parts int) (float64, *hist.Histogram, u
 	if err != nil {
 		panic(fmt.Sprintf("netbench: store: %v", err))
 	}
-	srv := server.New(st, server.Config{
-		Batch: server.BatchConfig{Puts: pt.batch, MaxDelay: -1},
-	})
+	srv := server.New(st, server.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(fmt.Sprintf("netbench: listen: %v", err))

@@ -211,10 +211,7 @@ func runObjPhase(c Config, ph objPhase) (float64, *hist.Histogram, uint64) {
 	if err != nil {
 		panic(fmt.Sprintf("objbench: obj: %v", err))
 	}
-	srv := server.New(st, server.Config{
-		Obj:   o,
-		Batch: server.BatchConfig{Puts: true, MaxDelay: -1},
-	})
+	srv := server.New(st, server.Config{Obj: o})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(fmt.Sprintf("objbench: listen: %v", err))

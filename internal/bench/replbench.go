@@ -230,9 +230,7 @@ func (h *replPairHarness) stop() {
 
 // runReplWindow measures replicated PUT throughput for one ack mode.
 func runReplWindow(c Config, durable bool) (float64, *hist.Histogram, error) {
-	h, err := startReplHarness(c, server.Config{
-		Batch: server.BatchConfig{Puts: true, MaxDelay: -1},
-	}, server.Config{})
+	h, err := startReplHarness(c, server.Config{}, server.Config{})
 	if err != nil {
 		return 0, nil, err
 	}

@@ -1,46 +1,46 @@
 package server
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rntree/internal/wire"
 	"rntree/kv"
 )
 
-// BatchConfig tunes the opt-in cross-connection write batcher. When
-// enabled, PUTs from every connection are routed by key to a per-partition
-// committer (one bounded queue and one goroutine per store partition) and
-// applied with kv.Store.PutBatch, which persists each batch's records with
-// one fence per contiguous run — the persist-fence amortization that
-// individual Puts cannot get. Each PUT is acknowledged only after its
-// batch returns, so the durability contract is unchanged; what batching
-// trades is a little added latency (at most MaxDelay) for fence cost
-// spread over MaxBatch writers.
+// Group commit: the one route a flat mutation (PUT, durable PUT, DEL) takes
+// from its decoded frame to its ack. The connection's reader gates it and
+// queues it on its key's partition committer — one bounded queue and one
+// goroutine per store partition — and the committer takes whatever has
+// queued (up to MaxBatch), commits it with one kv.Store.Commit, which
+// persists the batch's records with one fence per contiguous run,
+// invalidates the hot-key cache, and acknowledges. Nothing is acknowledged
+// before its batch returns, so the durability contract is that of an
+// individual Put; and nothing waits for company: an idle committer commits a
+// batch of one, and under load the queue that builds behind the previous
+// batch's persist becomes the next batch.
 //
-// Sharding the committer by partition does two things. It preserves
-// per-key ordering — a key always hashes to the same partition, so two
-// pipelined PUTs to one key pass through the same queue and commit in
-// arrival order — and it lets one partition's persist stall overlap every
-// other partition's CPU work (encoding acks, reading the next requests),
-// instead of a single committer alternating between draining the NVM
-// write queue and doing CPU work while the drain engines sit idle.
+// Sharding the committer by partition does two things. It preserves per-key
+// ordering across verbs — a key always hashes to the same partition, so a
+// PUT and a DEL of one key pipelined on one connection pass through the same
+// queue and commit in arrival order — and it lets one partition's persist
+// stall overlap every other partition's CPU work (encoding acks, reading the
+// next requests), instead of a single committer alternating between draining
+// the NVM write queue and doing CPU work while the drain engines sit idle.
+
+// BatchConfig tunes the partition committers.
 type BatchConfig struct {
-	// Puts enables the batcher.
+	// Puts is ignored: every flat mutation commits through its partition's
+	// committer. The field is still declared only because benchmark/ sets
+	// it, and a change may not edit benchmark/ alongside other code; the
+	// benchmark-only PR that stops setting it deletes it (ROADMAP item 4).
 	Puts bool
-	// MaxBatch is the most PUTs coalesced into one PutBatch (default 64).
+	// MaxBatch is the most mutations coalesced into one commit (default 64).
 	MaxBatch int
-	// MaxDelay bounds how long the first PUT of a batch waits for company
-	// (default 200µs; subject to the host's timer granularity, which can
-	// be a millisecond or more). A NEGATIVE MaxDelay selects greedy group
-	// commit: a batch takes whatever is already queued and goes — a solo
-	// writer is never delayed waiting for company, while under load the
-	// queue that builds behind the previous batch's persist becomes the
-	// next batch. This is the recommended mode for throughput serving.
+	// MaxDelay is ignored, like Puts and with the same removal plan: a
+	// committer never waits for company.
 	MaxDelay time.Duration
 	// QueueCap bounds each partition committer's intake queue (default
-	// 4×MaxBatch); when full, PUTs are rejected with StatusOverloaded
+	// 4×MaxBatch); when full, mutations are rejected with StatusOverloaded
 	// rather than buffered.
 	QueueCap int
 }
@@ -49,185 +49,172 @@ func (c *BatchConfig) normalize() {
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 64
 	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 200 * time.Microsecond
-	}
 	if c.QueueCap == 0 {
 		c.QueueCap = 4 * c.MaxBatch
 	}
 }
 
-// batchedPut is one enqueued PUT with its completion route. raw is the
-// frame payload req's key/value slices alias; apply returns it to
-// payloadPool once PutBatch has copied the value out.
-type batchedPut struct {
-	cn  *conn
-	req wire.Request
-	raw []byte
+// mutation is one queued PUT or DEL with its completion route. raw is the
+// frame payload key and val alias, box the pool box it came out of (if any);
+// the committer returns them to payloadPool once Commit has copied key and
+// val into the log.
+type mutation struct {
+	cn       *conn
+	id       uint64
+	op       uint8
+	durable  bool // hold the ack until a replica's watermark covers the record
+	key, val []byte
+	raw      []byte
+	box      *[]byte
 }
 
-// batcher drains the PUT queues into PutBatch calls, one committer
-// goroutine per store partition.
-type batcher struct {
-	st    *kv.Store
-	cfg   BatchConfig
-	cache *Cache            // hot-key cache to invalidate on commit; nil when disabled
-	qs    []chan batchedPut // one intake queue per partition
-	stopc chan struct{}
-	wg    sync.WaitGroup
-
-	batches atomic.Uint64
-	puts    atomic.Uint64
+// committer is one partition's commit loop. Everything but q is scratch
+// owned by the loop's goroutine and reused across batches, so a commit
+// allocates nothing of its own.
+type committer struct {
+	s     *Server
+	part  int
+	q     chan mutation
+	batch []mutation
+	muts  []kv.Mutation
+	resps []wire.Response
 }
 
-func newBatcher(st *kv.Store, cfg BatchConfig, cache *Cache) *batcher {
-	qs := make([]chan batchedPut, st.Partitions())
-	for i := range qs {
-		qs[i] = make(chan batchedPut, cfg.QueueCap)
+func (s *Server) newCommitters() []*committer {
+	cs := make([]*committer, s.st.Partitions())
+	for i := range cs {
+		cs[i] = &committer{s: s, part: i, q: make(chan mutation, s.cfg.Batch.QueueCap)}
 	}
-	return &batcher{
-		st:    st,
-		cfg:   cfg,
-		cache: cache,
-		qs:    qs,
-		stopc: make(chan struct{}),
-	}
+	return cs
 }
 
-func (b *batcher) start() {
-	for _, q := range b.qs {
-		b.wg.Add(1)
-		go b.run(q)
-	}
-}
-
-// stop shuts the batcher down. Callers must guarantee no further enqueues
-// (the server stops all connections first); anything still queued is
-// flushed before stop returns.
-func (b *batcher) stop() {
-	close(b.stopc)
-	b.wg.Wait()
-}
-
-// enqueue queues one PUT on its key's partition committer, or reports
-// false when that queue is full (backpressure: the caller rejects with
-// StatusOverloaded).
-func (b *batcher) enqueue(cn *conn, req wire.Request, raw []byte) bool {
-	select {
-	case b.qs[b.st.PartitionOf(req.Key)] <- batchedPut{cn: cn, req: req, raw: raw}:
-		return true
-	default:
-		return false
-	}
-}
-
-// run is one partition's committer: wait for one PUT, then gather more
-// until MaxBatch or MaxDelay, apply them in one PutBatch, and complete
-// each request. While this committer sits in its batch's persist stall,
-// the other partitions' committers (and the readers and responders) own
-// the CPU — the drain engines of all partitions stay busy concurrently.
-func (b *batcher) run(q chan batchedPut) {
-	defer b.wg.Done()
+// run commits batches until the server stops. While this committer sits in
+// its batch's persist stall, the other partitions' committers (and the
+// readers and responders) own the CPU — the drain engines of all partitions
+// stay busy concurrently.
+func (c *committer) run() {
+	defer c.s.commitWG.Done()
 	for {
-		var first batchedPut
 		select {
-		case first = <-q:
-		case <-b.stopc:
-			// Flush whatever raced in before the last connection left.
-			for {
-				select {
-				case p := <-q:
-					b.apply([]batchedPut{p})
-				default:
-					return
-				}
-			}
+		case first := <-c.q:
+			c.commit(first)
+		case <-c.s.commitStop:
+			// Every connection is gone (Shutdown waits for them first), so
+			// nothing is queued and nothing more will be.
+			return
 		}
-		batch := append(make([]batchedPut, 0, b.cfg.MaxBatch), first)
-		if b.cfg.MaxDelay < 0 {
-			// Greedy group commit: drain what has already queued, never wait.
-		greedy:
-			for len(batch) < b.cfg.MaxBatch {
-				select {
-				case p := <-q:
-					batch = append(batch, p)
-				default:
-					break greedy
-				}
-			}
-		} else {
-			timer := time.NewTimer(b.cfg.MaxDelay)
-		gather:
-			for len(batch) < b.cfg.MaxBatch {
-				select {
-				case p := <-q:
-					batch = append(batch, p)
-				case <-timer.C:
-					break gather
-				case <-b.stopc:
-					break gather
-				}
-			}
-			timer.Stop()
-		}
-		b.apply(batch)
 	}
 }
 
-// apply runs one PutBatch and acknowledges every entry. Acks are grouped
-// by connection and delivered with one respondBatch per connection, so a
-// batch's worth of acknowledgements to the same client leaves in one
-// buffered write instead of one flush per response.
-func (b *batcher) apply(batch []batchedPut) {
-	keys := make([][]byte, len(batch))
-	vals := make([][]byte, len(batch))
-	for i, p := range batch {
-		keys[i] = p.req.Key
-		vals[i] = p.req.Val
-	}
-	errs := b.st.PutBatch(keys, vals)
-	// Invalidate the hot-key cache after the batch commit and before the
-	// acks (cache.go rule 1) — and before the payload recycling below,
-	// which kills the buffers the key slices alias.
-	if b.cache != nil {
-		for _, k := range keys {
-			b.cache.Invalidate(k)
+// commit takes first and whatever has queued behind it (never waiting),
+// commits the batch, and completes each request: invalidate, recycle the
+// payloads, ack. An entry that asked for a replica-durable ack is handed to
+// the batch's waiter instead of being acked here, so it holds up neither its
+// batch-mates nor the next batch.
+func (c *committer) commit(first mutation) {
+	s := c.s
+	batch := append(c.batch[:0], first)
+gather:
+	for len(batch) < s.cfg.Batch.MaxBatch {
+		select {
+		case m := <-c.q:
+			batch = append(batch, m)
+		default:
+			break gather
 		}
 	}
-	// PutBatch copied every key and value into the store, so the frame
-	// payloads the request slices alias are dead — recycle them before the
-	// acks go out (the responses carry only IDs and statuses).
+	muts := c.muts[:0]
 	for i := range batch {
-		keys[i], vals[i] = nil, nil
-		if batch[i].raw != nil {
-			payloadPool.Put(batch[i].raw[:0]) //nolint:staticcheck // []byte pooling is deliberate
-			batch[i].raw = nil
+		muts = append(muts, kv.Mutation{Key: batch[i].key, Val: batch[i].val, Delete: batch[i].op == wire.OpDel})
+	}
+	s.st.Commit(muts)
+	s.batches.Add(1)
+	s.batchedPuts.Add(uint64(len(batch)))
+
+	var waiting []durableAck
+	var waitLSN uint64
+	for i := range batch {
+		m, res := &batch[i], &muts[i]
+		// After commit, before ack (cache.go rule 1), and before the payload
+		// the key aliases is recycled. Failed entries invalidate too: it is
+		// always safe and spares reasoning about which failures might have
+		// touched the store.
+		if s.cache != nil {
+			s.cache.Invalidate(m.key)
+		}
+		putPayload(m.box, m.raw)
+		if m.durable && res.Err == nil {
+			waiting = append(waiting, durableAck{cn: m.cn, id: m.id, lsn: res.LSN})
+			waitLSN = max(waitLSN, res.LSN)
+			m.cn = nil
 		}
 	}
-	b.batches.Add(1)
-	b.puts.Add(uint64(len(batch)))
-	var (
-		order  []*conn
-		byConn map[*conn][]wire.Response
-	)
-	for i, p := range batch {
-		resp := wire.Response{ID: p.req.ID, Op: wire.OpPut, Status: wire.StatusOK}
-		if errs != nil && errs[i] != nil {
-			if errs[i] == kv.ErrClosed {
-				resp.Status = wire.StatusClosing
-			} else {
-				resp.Status, resp.Msg = wire.StatusErr, errs[i].Error()
+	if waiting != nil {
+		go s.ackDurable(c.part, waitLSN, waiting)
+	}
+	// Acks are grouped by connection, so a batch's worth of acknowledgements
+	// to the same client leaves in one buffered write.
+	for i := range batch {
+		cn := batch[i].cn
+		if cn == nil {
+			continue
+		}
+		resps := c.resps[:0]
+		for j := i; j < len(batch); j++ {
+			if batch[j].cn != cn {
+				continue
 			}
+			batch[j].cn = nil
+			resp := wire.Response{ID: batch[j].id, Op: batch[j].op}
+			resp.Status, resp.Msg = statusOf(muts[j].Err)
+			resps = append(resps, resp)
 		}
-		if byConn == nil {
-			byConn = map[*conn][]wire.Response{}
-		}
-		if _, seen := byConn[p.cn]; !seen {
-			order = append(order, p.cn)
-		}
-		byConn[p.cn] = append(byConn[p.cn], resp)
+		cn.respond(resps...)
+		c.resps = resps
 	}
-	for _, cn := range order {
-		cn.respondBatch(byConn[cn])
+	c.batch, c.muts = batch, muts
+}
+
+// durableAck is one committed durable PUT whose ack awaits the replica.
+type durableAck struct {
+	cn  *conn
+	id  uint64
+	lsn uint64
+}
+
+// ackDurable is a batch's waiter: it holds the batch's durable acks until a
+// replica has persisted them. Watermarks are cumulative, so one wait for the
+// batch's highest LSN covers every entry. On timeout the writes ARE
+// committed locally — the error tells the client replication lag, not data
+// loss, exactly like an acks=all produce timeout — and an entry the
+// watermark did reach in the meantime is still acknowledged.
+func (s *Server) ackDurable(part int, lsn uint64, acks []durableAck) {
+	s.replWaits.Add(uint64(len(acks)))
+	var covered uint64
+	err := s.repl.WaitDurable(part, lsn, s.cfg.ReplDurableTimeout)
+	if err != nil {
+		covered = s.repl.Durable()[part]
 	}
+	for _, a := range acks {
+		resp := wire.Response{ID: a.id, Op: wire.OpPut, Status: wire.StatusOK}
+		if err != nil && a.lsn > covered {
+			s.replWaitFails.Add(1)
+			resp.Status, resp.Msg = wire.StatusErr, err.Error()
+		}
+		a.cn.respond(resp)
+	}
+}
+
+// statusOf maps a store or object-layer error to the wire status (and, for
+// the catch-all, message) that reports it.
+func statusOf(err error) (uint8, string) {
+	switch err {
+	case nil:
+		return wire.StatusOK, ""
+	case kv.ErrNotFound:
+		return wire.StatusNotFound, ""
+	case kv.ErrClosed:
+		return wire.StatusClosing, ""
+	}
+	return wire.StatusErr, err.Error()
 }

@@ -109,107 +109,95 @@ func TestCacheBounded(t *testing.T) {
 // serialized writers PUT monotonically stamped values while readers GET
 // through the cache; a GET must never return a stamp older than the last
 // ack the reader observed before issuing it (a stale cache hit surviving a
-// committed, acknowledged PUT), nor a stamp never issued. Runs with and
-// without the write batcher so both invalidation paths (handle and
-// batcher.apply) are exercised.
+// committed, acknowledged PUT), nor a stamp never issued. Every PUT is
+// invalidated by its partition's committer (committer.commit).
 func TestCacheCoherence(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		name := "direct"
-		if batched {
-			name = "batched"
-		}
-		t.Run(name, func(t *testing.T) {
-			cfg := Config{
-				// Small cache with few shards: evictions and shared-shard
-				// epoch traffic happen constantly.
-				Cache: CacheConfig{Enable: true, MaxEntries: 64, Shards: 2},
-			}
-			if batched {
-				cfg.Batch = BatchConfig{Puts: true, MaxDelay: -1}
-			}
-			_, _, addr := startServer(t, cfg, kv.Options{})
+	cfg := Config{
+		// Small cache with few shards: evictions and shared-shard
+		// epoch traffic happen constantly.
+		Cache: CacheConfig{Enable: true, MaxEntries: 64, Shards: 2},
+	}
+	_, _, addr := startServer(t, cfg, kv.Options{})
 
-			const (
-				nKeys     = 16
-				nWriters  = 4 // each owns nKeys/nWriters keys
-				nReaders  = 4
-				perWriter = 400
-				perReader = 800
-			)
-			keys := make([][]byte, nKeys)
-			for i := range keys {
-				keys[i] = []byte(fmt.Sprintf("hot%02d", i))
-			}
-			var lastAcked [nKeys]atomic.Uint64  // highest stamp acked per key
-			var lastIssued [nKeys]atomic.Uint64 // highest stamp PUT per key
-			var stamp atomic.Uint64
+	const (
+		nKeys     = 16
+		nWriters  = 4 // each owns nKeys/nWriters keys
+		nReaders  = 4
+		perWriter = 400
+		perReader = 800
+	)
+	keys := make([][]byte, nKeys)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("hot%02d", i))
+	}
+	var lastAcked [nKeys]atomic.Uint64  // highest stamp acked per key
+	var lastIssued [nKeys]atomic.Uint64 // highest stamp PUT per key
+	var stamp atomic.Uint64
 
-			var wg sync.WaitGroup
-			errs := make(chan error, nWriters+nReaders)
-			clients := make([]*client.Client, nWriters+nReaders)
-			for i := range clients {
-				clients[i] = dial(t, addr, client.Options{})
+	var wg sync.WaitGroup
+	errs := make(chan error, nWriters+nReaders)
+	clients := make([]*client.Client, nWriters+nReaders)
+	for i := range clients {
+		clients[i] = dial(t, addr, client.Options{})
+	}
+	for w := 0; w < nWriters; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c := clients[w]
+			for i := 0; i < perWriter; i++ {
+				k := w*(nKeys/nWriters) + i%(nKeys/nWriters)
+				s := stamp.Add(1)
+				lastIssued[k].Store(s) // per-key writes are serialized here
+				if err := c.Put(keys[k], []byte(strconv.FormatUint(s, 10))); err != nil {
+					errs <- fmt.Errorf("put: %w", err)
+					return
+				}
+				lastAcked[k].Store(s)
 			}
-			for w := 0; w < nWriters; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					c := clients[w]
-					for i := 0; i < perWriter; i++ {
-						k := w*(nKeys/nWriters) + i%(nKeys/nWriters)
-						s := stamp.Add(1)
-						lastIssued[k].Store(s) // per-key writes are serialized here
-						if err := c.Put(keys[k], []byte(strconv.FormatUint(s, 10))); err != nil {
-							errs <- fmt.Errorf("put: %w", err)
-							return
-						}
-						lastAcked[k].Store(s)
+		}(w)
+	}
+	for r := 0; r < nReaders; r++ {
+		wg.Add(1)
+		go func(r int, seed int64) {
+			defer wg.Done()
+			c := clients[nWriters+r]
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < perReader; i++ {
+				k := rng.Intn(nKeys)
+				floor := lastAcked[k].Load() // before the GET
+				v, err := c.Get(keys[k])
+				if err == client.ErrNotFound {
+					if floor != 0 {
+						errs <- fmt.Errorf("key %d vanished after stamp %d was acked", k, floor)
+						return
 					}
-				}(w)
+					continue
+				}
+				if err != nil {
+					errs <- fmt.Errorf("get: %w", err)
+					return
+				}
+				got, err := strconv.ParseUint(string(v), 10, 64)
+				if err != nil {
+					errs <- fmt.Errorf("undecodable value %q", v)
+					return
+				}
+				if got < floor {
+					errs <- fmt.Errorf("key %d: GET returned stamp %d after stamp %d was acked (stale cache hit)", k, got, floor)
+					return
+				}
+				if ceil := lastIssued[k].Load(); got > ceil {
+					errs <- fmt.Errorf("key %d: GET returned stamp %d, never issued (<=%d)", k, got, ceil)
+					return
+				}
 			}
-			for r := 0; r < nReaders; r++ {
-				wg.Add(1)
-				go func(r int, seed int64) {
-					defer wg.Done()
-					c := clients[nWriters+r]
-					rng := rand.New(rand.NewSource(seed))
-					for i := 0; i < perReader; i++ {
-						k := rng.Intn(nKeys)
-						floor := lastAcked[k].Load() // before the GET
-						v, err := c.Get(keys[k])
-						if err == client.ErrNotFound {
-							if floor != 0 {
-								errs <- fmt.Errorf("key %d vanished after stamp %d was acked", k, floor)
-								return
-							}
-							continue
-						}
-						if err != nil {
-							errs <- fmt.Errorf("get: %w", err)
-							return
-						}
-						got, err := strconv.ParseUint(string(v), 10, 64)
-						if err != nil {
-							errs <- fmt.Errorf("undecodable value %q", v)
-							return
-						}
-						if got < floor {
-							errs <- fmt.Errorf("key %d: GET returned stamp %d after stamp %d was acked (stale cache hit)", k, got, floor)
-							return
-						}
-						if ceil := lastIssued[k].Load(); got > ceil {
-							errs <- fmt.Errorf("key %d: GET returned stamp %d, never issued (<=%d)", k, got, ceil)
-							return
-						}
-					}
-				}(r, int64(r+1))
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Error(err)
-			}
-		})
+		}(r, int64(r+1))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

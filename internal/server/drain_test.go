@@ -21,101 +21,93 @@ import (
 // with connection/closing errors — those were never acknowledged and carry
 // no promise.
 func TestGracefulDrainZeroLostAcks(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		name := "unbatched"
-		if batched {
-			name = "batched"
-		}
-		t.Run(name, func(t *testing.T) {
-			st, err := kv.New(kv.Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 16, Partitions: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := New(st, Config{Batch: BatchConfig{Puts: batched, MaxBatch: 32, MaxDelay: 200 * time.Microsecond}})
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			serveDone := make(chan error, 1)
-			go func() { serveDone <- srv.Serve(ln) }()
-			addr := ln.Addr().String()
-
-			const writers = 12
-			acked := make([]map[string]string, writers)
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			for w := 0; w < writers; w++ {
-				acked[w] = map[string]string{}
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					c, err := client.Dial(addr, client.Options{ReconnectAttempts: 1, Timeout: 10 * time.Second})
-					if err != nil {
-						t.Errorf("dial: %v", err)
-						return
-					}
-					defer c.Close()
-					for i := 0; ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						k := fmt.Sprintf("w%d-%d", w, i)
-						v := fmt.Sprintf("v%d-%d-%d", w, i, i*7)
-						if err := c.Put([]byte(k), []byte(v)); err != nil {
-							// Acceptable only while the server goes away.
-							return
-						}
-						acked[w][k] = v
-					}
-				}(w)
-			}
-
-			// Let traffic build, then pull the trigger mid-flight.
-			time.Sleep(100 * time.Millisecond)
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(ctx); err != nil {
-				t.Fatalf("Shutdown: %v", err)
-			}
-			if err := <-serveDone; err != nil {
-				t.Fatalf("Serve: %v", err)
-			}
-			close(stop)
-			wg.Wait()
-
-			// The rnserved signal path: checkpoint after drain. It must
-			// succeed — the drain guaranteed quiescence.
-			imgs, err := st.Checkpoint()
-			if err != nil {
-				t.Fatalf("Checkpoint after drain: %v", err)
-			}
-
-			s2, err := kv.Open(imgs, kv.Options{})
-			if err != nil {
-				t.Fatalf("recovery: %v", err)
-			}
-			total, lost := 0, 0
-			for w := range acked {
-				for k, v := range acked[w] {
-					total++
-					got, err := s2.Get([]byte(k))
-					if err != nil || !bytes.Equal(got, []byte(v)) {
-						lost++
-						t.Errorf("acked write lost: %s (%v)", k, err)
-					}
-				}
-			}
-			if total == 0 {
-				t.Fatal("no writes were acknowledged before the drain; test proved nothing")
-			}
-			if lost != 0 {
-				t.Fatalf("%d of %d acknowledged writes lost across drain+recovery", lost, total)
-			}
-			t.Logf("%d acknowledged writes, 0 lost", total)
-		})
+	st, err := kv.New(kv.Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 16, Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
+	srv := New(st, Config{Batch: BatchConfig{MaxBatch: 32}})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(ln) }()
+	addr := ln.Addr().String()
+
+	const writers = 12
+	acked := make([]map[string]string, writers)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		acked[w] = map[string]string{}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c, err := client.Dial(addr, client.Options{ReconnectAttempts: 1, Timeout: 10 * time.Second})
+			if err != nil {
+				t.Errorf("dial: %v", err)
+				return
+			}
+			defer c.Close()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := fmt.Sprintf("w%d-%d", w, i)
+				v := fmt.Sprintf("v%d-%d-%d", w, i, i*7)
+				if err := c.Put([]byte(k), []byte(v)); err != nil {
+					// Acceptable only while the server goes away.
+					return
+				}
+				acked[w][k] = v
+			}
+		}(w)
+	}
+
+	// Let traffic build, then pull the trigger mid-flight.
+	time.Sleep(100 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := <-serveDone; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	close(stop)
+	wg.Wait()
+
+	// The rnserved signal path: checkpoint after drain. It must
+	// succeed — the drain guaranteed quiescence.
+	imgs, err := st.Checkpoint()
+	if err != nil {
+		t.Fatalf("Checkpoint after drain: %v", err)
+	}
+
+	s2, err := kv.Open(imgs, kv.Options{})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	total, lost := 0, 0
+	for w := range acked {
+		for k, v := range acked[w] {
+			total++
+			got, err := s2.Get([]byte(k))
+			if err != nil || !bytes.Equal(got, []byte(v)) {
+				lost++
+				t.Errorf("acked write lost: %s (%v)", k, err)
+			}
+		}
+	}
+	if total == 0 {
+		t.Fatal("no writes were acknowledged before the drain; test proved nothing")
+	}
+	if lost != 0 {
+		t.Fatalf("%d of %d acknowledged writes lost across drain+recovery", lost, total)
+	}
+	t.Logf("%d acknowledged writes, 0 lost", total)
 }
 
 // TestShutdownFinishesInflight: requests already read when the drain

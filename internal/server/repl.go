@@ -6,7 +6,6 @@ import (
 
 	"rntree/internal/repl"
 	"rntree/internal/wire"
-	"rntree/kv"
 )
 
 // Replication serving (DESIGN.md §13). A replica's applier connects like
@@ -95,33 +94,6 @@ func (cn *conn) handlePromote(req wire.Request, resp *wire.Response) {
 	resp.ReplEpoch = epoch
 }
 
-// handleDurablePut is the wait-for-replica-durable PUT: commit locally,
-// then hold the ack until a replica has persisted the record. On timeout
-// the write IS committed locally — the error tells the client replication
-// lag, not data loss, exactly like an acks=all produce timeout.
-func (cn *conn) handleDurablePut(req wire.Request, resp *wire.Response) {
-	part, lsn, err := cn.s.st.PutEx(req.Key, req.Val)
-	if c := cn.s.cache; c != nil {
-		c.Invalidate(req.Key)
-	}
-	switch err {
-	case nil:
-	case kv.ErrClosed:
-		resp.Status = wire.StatusClosing
-		return
-	default:
-		resp.Status, resp.Msg = wire.StatusErr, err.Error()
-		return
-	}
-	cn.s.replWaits.Add(1)
-	if err := cn.s.repl.WaitDurable(part, lsn, cn.s.cfg.ReplDurableTimeout); err != nil {
-		cn.s.replWaitFails.Add(1)
-		resp.Status, resp.Msg = wire.StatusErr, err.Error()
-		return
-	}
-	resp.Status = wire.StatusOK
-}
-
 // readOnly reports whether replication currently forbids local mutations:
 // replica role, or a fenced primary — one whose replicas have all been gone
 // longer than Config.ReplFenceLease, where an async ack could be stranded
@@ -140,18 +112,6 @@ func (s *Server) readOnly() bool {
 		return true
 	}
 	return false
-}
-
-// batchablePut reports whether a PUT may take the batcher path: durable-ack
-// PUTs must hold their own ack until the replica's watermark covers their
-// LSN (handle's job), and a non-primary or fenced node rejects writes in
-// handle instead of batching them.
-func (cn *conn) batchablePut(req wire.Request) bool {
-	node := cn.s.repl
-	if node == nil {
-		return true
-	}
-	return !req.Durable && node.Role() == repl.Primary && !node.Fenced()
 }
 
 // sendRecord is the subscriber's transport: encode one record as an

@@ -3,10 +3,13 @@
 // (GET/PUT/DEL/SCAN/STATS/PING) with per-connection request pipelining.
 //
 // Concurrency model. Each connection runs a reader goroutine that decodes
-// frames and dispatches every request to a pool of handler workers,
-// bounded by a per-connection inflight semaphore — requests on one
-// connection complete out of order, exactly what a pipelining client
-// wants, and responses carry the request ID so the client can match them.
+// frames and dispatches every request, bounded by a per-connection inflight
+// semaphore: a flat mutation (PUT, DEL) to its key's partition committer
+// (batch.go — the only route a flat write takes to the store), everything
+// else to a pool of handler workers. Requests on one connection complete out
+// of order, exactly what a pipelining client wants, and responses carry the
+// request ID so the client can match them; two writes to one key commit in
+// the order they were sent.
 // Responders hand their frames to a per-connection writer goroutine that
 // coalesces everything queued behind the in-flight write, so a pipeline of
 // responses shares one syscall. The paper's core claim is that slow NVM persists
@@ -18,7 +21,7 @@
 // Backpressure is explicit and bounded everywhere: the per-connection
 // semaphore stalls the reader (TCP pushes back on the client), a global
 // inflight limit rejects excess requests with StatusOverloaded rather than
-// queueing them, the write batcher's queue is bounded the same way, and
+// queueing them, each committer's queue is bounded the same way, and
 // connections beyond MaxConns are refused at accept. Idle connections are
 // reaped by read deadlines.
 //
@@ -65,7 +68,8 @@ type Config struct {
 	IdleTimeout time.Duration
 	// WriteTimeout bounds one response write (default 10s).
 	WriteTimeout time.Duration
-	// Batch configures the opt-in cross-connection write batcher.
+	// Batch tunes the per-partition group committers every flat mutation
+	// commits through.
 	Batch BatchConfig
 	// Cache configures the opt-in DRAM hot-key cache fronting GETs.
 	Cache CacheConfig
@@ -119,12 +123,16 @@ func (c *Config) normalize() {
 
 // Server serves a kv.Store over TCP.
 type Server struct {
-	cfg     Config
-	st      *kv.Store
-	batcher *batcher
+	cfg Config
+	st  *kv.Store
+	// committers holds one group committer per store partition (batch.go),
+	// started by Serve and stopped by Shutdown through commitStop/commitWG.
+	committers []*committer
+	commitStop chan struct{}
+	commitWG   sync.WaitGroup
 	// cache is the optional DRAM hot-key cache (cache.go); nil when
-	// disabled. Every mutation path (handle's PUT/DEL and the batcher's
-	// commit) invalidates through it before acknowledging the client.
+	// disabled. Every mutation path (the committers and handleObj)
+	// invalidates through it before acknowledging the client.
 	cache *Cache
 	// repl is the optional replication node (repl.go); nil when disabled.
 	repl *repl.Node
@@ -151,6 +159,8 @@ type Server struct {
 	active        atomic.Int64
 	requests      atomic.Uint64
 	overloads     atomic.Uint64
+	batches       atomic.Uint64 // group commits
+	batchedPuts   atomic.Uint64 // mutations committed by them
 	replWaits     atomic.Uint64 // durable-ack PUTs that waited for a replica
 	replWaitFails atomic.Uint64 // ...that timed out waiting
 	fenceRejects  atomic.Uint64 // writes rejected because the primary is fenced
@@ -160,15 +170,14 @@ type Server struct {
 func New(st *kv.Store, cfg Config) *Server {
 	cfg.normalize()
 	s := &Server{
-		cfg:   cfg,
-		st:    st,
-		conns: map[*conn]struct{}{},
+		cfg:        cfg,
+		st:         st,
+		conns:      map[*conn]struct{}{},
+		commitStop: make(chan struct{}),
 	}
+	s.committers = s.newCommitters()
 	if cfg.Cache.Enable {
 		s.cache = NewCache(cfg.Cache)
-	}
-	if cfg.Batch.Puts {
-		s.batcher = newBatcher(st, cfg.Batch, s.cache)
 	}
 	s.repl = cfg.Repl
 	s.obj = cfg.Obj
@@ -210,8 +219,9 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.served.Add(1)
 	s.mu.Unlock()
 	defer s.served.Done()
-	if s.batcher != nil {
-		s.batcher.start()
+	for _, c := range s.committers {
+		s.commitWG.Add(1)
+		go c.run()
 	}
 	for {
 		c, err := ln.Accept()
@@ -269,7 +279,7 @@ func (s *Server) unregister(cn *conn) {
 
 // Shutdown gracefully drains the server: stop accepting, stop reading new
 // frames, finish and acknowledge every request already read, flush and
-// close every connection, stop the batcher. If ctx expires first the
+// close every connection, stop the committers. If ctx expires first the
 // remaining connections are torn down hard and ctx.Err is returned. The
 // store itself is left open — the caller owns the checkpoint.
 //
@@ -346,15 +356,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		<-done
 	}
-	if s.batcher != nil {
-		// All connections are gone, so the queue is empty and stays so.
-		s.batcher.stop()
-	}
+	// All connections are gone, so every committer's queue is empty and
+	// stays so.
+	close(s.commitStop)
+	s.commitWG.Wait()
 	return err
 }
 
-// Stats is a consistent snapshot of the serving counters. HasBatcher and
-// HasCache gate which of the optional counters are meaningful.
+// Stats is a consistent snapshot of the serving counters. The Has* fields
+// gate which of the optional counters are meaningful.
 type Stats struct {
 	ConnsActive   int64
 	ConnsAccepted uint64
@@ -363,9 +373,8 @@ type Stats struct {
 	Requests      uint64
 	Overloads     uint64
 
-	HasBatcher  bool
-	Batches     uint64
-	BatchedPuts uint64
+	Batches     uint64 // group commits
+	BatchedPuts uint64 // flat mutations (PUT and DEL) committed by them
 
 	HasCache bool
 	Cache    CacheStats
@@ -414,11 +423,8 @@ func (s *Server) loadStats() Stats {
 		ConnsRefused:  s.refused.Load(),
 		ConnsReaped:   s.reaped.Load(),
 		Overloads:     s.overloads.Load(),
-	}
-	if s.batcher != nil {
-		st.HasBatcher = true
-		st.Batches = s.batcher.batches.Load()
-		st.BatchedPuts = s.batcher.puts.Load()
+		Batches:       s.batches.Load(),
+		BatchedPuts:   s.batchedPuts.Load(),
 	}
 	if s.cache != nil {
 		st.HasCache = true
@@ -455,12 +461,8 @@ func (s *Server) counters() []wire.Counter {
 		{Name: "conns_reaped", Val: sv.ConnsReaped},
 		{Name: "requests", Val: sv.Requests},
 		{Name: "overloads", Val: sv.Overloads},
-	}
-	if sv.HasBatcher {
-		out = append(out,
-			wire.Counter{Name: "batches", Val: sv.Batches},
-			wire.Counter{Name: "batched_puts", Val: sv.BatchedPuts},
-		)
+		{Name: "batches", Val: sv.Batches},
+		{Name: "batched_puts", Val: sv.BatchedPuts},
 	}
 	if sv.HasRepl {
 		out = append(out,
@@ -658,35 +660,21 @@ func (cn *conn) writeLoop() {
 	}
 }
 
-// respond encodes and sends a response, then releases the request's
-// tokens. It is the single completion point for every dispatched request.
-func (cn *conn) respond(r wire.Response) {
-	fbuf, _ := framePool.Get().([]byte)
-	frame, err := wire.AppendResponse(fbuf[:0], r)
-	if err != nil {
-		// Response construction bugs must not wedge the pipeline; drop
-		// to an encodable error instead.
-		frame, _ = wire.AppendResponse(frame[:0], wire.Response{
-			ID: r.ID, Status: wire.StatusErr, Op: r.Op, Msg: "server: unencodable response",
-		})
+// respond encodes the responses back-to-back, sends them as one write burst
+// (usually one syscall), then releases each request's tokens. It is the
+// single completion point for every dispatched request; a committer passes
+// one connection's whole slice of a batch.
+func (cn *conn) respond(rs ...wire.Response) {
+	fp, _ := framePool.Get().(*[]byte)
+	if fp == nil {
+		fp = new([]byte)
 	}
-	cn.send(frame)
-	framePool.Put(frame[:0]) //nolint:staticcheck // []byte pooling is deliberate
-	cn.s.globalInflight.Add(-1)
-	<-cn.sem
-	cn.inflight.Done()
-}
-
-// respondBatch encodes several responses back-to-back and sends them as
-// one write burst, then releases every request's tokens. The batcher uses
-// it to acknowledge one connection's slice of a batch with a single
-// buffered write (usually one syscall) instead of a flush per response.
-func (cn *conn) respondBatch(rs []wire.Response) {
-	fbuf, _ := framePool.Get().([]byte)
-	frame := fbuf[:0]
+	frame := (*fp)[:0]
 	for _, r := range rs {
 		next, err := wire.AppendResponse(frame, r)
 		if err != nil {
+			// Response construction bugs must not wedge the pipeline; drop
+			// to an encodable error instead.
 			next, _ = wire.AppendResponse(frame, wire.Response{
 				ID: r.ID, Status: wire.StatusErr, Op: r.Op, Msg: "server: unencodable response",
 			})
@@ -694,7 +682,8 @@ func (cn *conn) respondBatch(rs []wire.Response) {
 		frame = next
 	}
 	cn.send(frame)
-	framePool.Put(frame[:0]) //nolint:staticcheck // []byte pooling is deliberate
+	*fp = frame
+	framePool.Put(fp)
 	cn.s.globalInflight.Add(-int64(len(rs)))
 	for range rs {
 		<-cn.sem
@@ -702,19 +691,31 @@ func (cn *conn) respondBatch(rs []wire.Response) {
 	}
 }
 
-// framePool recycles response-frame buffers: send copies the frame into
-// the connection's write buffer before returning, so the buffer is dead by
-// the time send comes back.
+// framePool recycles response-frame buffers (as *[]byte, so a round trip
+// through the pool allocates nothing): send copies the frame into the
+// connection's write buffer before returning, so the buffer is dead by the
+// time send comes back.
 var framePool sync.Pool
 
-// payloadPool recycles request-payload buffers on the batched-PUT path. A
-// decoded request's key/value slices alias its frame payload, so the
-// buffer lives exactly as long as the request does; the batcher returns it
-// once PutBatch has copied the value into the log. At a couple of KiB per
-// durable PUT this is the server's dominant allocation, and recycling it
-// keeps the GC out of the steady-state serving loop. Requests that take
-// the non-batched path just let the GC have the buffer.
+// payloadPool recycles request-payload buffers, as *[]byte like framePool. A
+// decoded request's key/value slices alias its frame payload, so the buffer
+// lives exactly as long as the request does; a committer returns it once
+// Commit has copied key and value into the log, and every flat mutation's
+// payload comes back that way. At a couple of KiB per PUT this is the
+// server's dominant allocation, and recycling it keeps the GC out of the
+// steady-state serving loop. Requests that go to the handler workers just
+// let the GC have the buffer.
 var payloadPool sync.Pool
+
+// putPayload returns a dead payload to payloadPool, in the box it was taken
+// out with (or a fresh one if the pool was empty then).
+func putPayload(box *[]byte, payload []byte) {
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = payload[:0]
+	payloadPool.Put(box)
+}
 
 // run owns the connection lifecycle: pump the reader, drain inflight
 // handlers, let the writer flush their final acks, then close.
@@ -764,13 +765,17 @@ func (cn *conn) readLoop() {
 				return
 			}
 		}
-		// Each frame gets its own payload buffer (pooled when a previous
-		// batched PUT has retired one) so the decoded request's key/value
+		// Each frame gets its own payload buffer (pooled when a committed
+		// mutation has retired one) so the decoded request's key/value
 		// slices can alias it for the request's whole lifetime — the
 		// dispatch paths are asynchronous, and handing the payload over
 		// outright is one 2-KiB memmove cheaper per PUT than reusing the
 		// buffer and cloning the slices out of it.
-		pbuf, _ := payloadPool.Get().([]byte)
+		var pbuf []byte
+		box, _ := payloadPool.Get().(*[]byte)
+		if box != nil {
+			pbuf = *box
+		}
 		payload, err := wire.ReadFrame(br, pbuf)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() && !cn.drainF.Load() {
@@ -787,7 +792,7 @@ func (cn *conn) readLoop() {
 			// report and keep the connection. dispatchReject copies what it
 			// needs, so the payload can go straight back to the pool.
 			cn.dispatchReject(wire.Request{ID: reqIDBestEffort(payload), Op: wire.OpPing}, wire.StatusErr, err.Error())
-			payloadPool.Put(payload[:0]) //nolint:staticcheck // []byte pooling is deliberate
+			putPayload(box, payload)
 			continue
 		}
 		if req.Op == wire.OpReplAck {
@@ -797,10 +802,10 @@ func (cn *conn) readLoop() {
 			if sub := cn.sub.Load(); sub != nil {
 				sub.Ack(req.ReplLSNs)
 			}
-			payloadPool.Put(payload[:0]) //nolint:staticcheck // []byte pooling is deliberate
+			putPayload(box, payload)
 			continue
 		}
-		cn.dispatch(req, payload)
+		cn.dispatch(req, payload, box)
 	}
 }
 
@@ -826,10 +831,12 @@ func cloneBytes(b []byte) []byte {
 
 // dispatch routes one request: acquire the per-connection token (blocking:
 // this is the pipelining depth limit), try the global token (rejecting:
-// this is overload protection), then hand off to a handler goroutine or
-// the batcher. payload is the frame buffer req's slices alias; the batcher
-// recycles it after commit, every other route leaves it to the GC.
-func (cn *conn) dispatch(req wire.Request, payload []byte) {
+// this is overload protection), then hand off to the key's committer (PUT,
+// DEL) or a handler goroutine (everything else). payload is the frame buffer
+// req's slices alias and box the pool box it came out of, if any; a
+// committer recycles them after commit, the handler route leaves them to
+// the GC.
+func (cn *conn) dispatch(req wire.Request, payload []byte, box *[]byte) {
 	cn.s.requests.Add(1)
 	cn.sem <- struct{}{}
 	cn.inflight.Add(1)
@@ -846,11 +853,8 @@ func (cn *conn) dispatch(req wire.Request, payload []byte) {
 		}()
 		return
 	}
-	if req.Op == wire.OpPut && cn.s.batcher != nil && cn.batchablePut(req) {
-		if !cn.s.batcher.enqueue(cn, req, payload) {
-			cn.s.overloads.Add(1)
-			go cn.respond(wire.Response{ID: req.ID, Status: wire.StatusOverloaded, Op: req.Op})
-		}
+	if req.Op == wire.OpPut || req.Op == wire.OpDel {
+		cn.submit(req, payload, box)
 		return
 	}
 	// The reqs queue has one slot per sem token, so this send never blocks.
@@ -863,6 +867,35 @@ func (cn *conn) dispatch(req wire.Request, payload []byte) {
 			go cn.workerLoop()
 		}
 	}
+}
+
+// submit gates one flat mutation, here on the reader and nowhere else, and
+// queues it on its key's partition committer: a replica or fenced primary
+// rejects it, the object layer's reserved keys are off limits, and a full
+// queue is backpressure (StatusOverloaded), never buffering.
+func (cn *conn) submit(req wire.Request, payload []byte, box *[]byte) {
+	s := cn.s
+	resp := wire.Response{ID: req.ID, Op: req.Op}
+	switch {
+	case s.readOnly():
+		resp.Status = wire.StatusReadOnly
+	case s.obj != nil && obj.IsInternalKey(req.Key):
+		resp.Status, resp.Msg = wire.StatusErr, errReservedKey
+	default:
+		m := mutation{
+			cn: cn, id: req.ID, op: req.Op, key: req.Key, val: req.Val, raw: payload, box: box,
+			// Without a replication node a durable PUT is a PUT.
+			durable: req.Durable && s.repl != nil,
+		}
+		select {
+		case s.committers[s.st.PartitionOf(req.Key)].q <- m:
+			return
+		default:
+			s.overloads.Add(1)
+			resp.Status = wire.StatusOverloaded
+		}
+	}
+	cn.respond(resp)
 }
 
 // workerLoop handles requests until the conn's reader closes the feed.
@@ -878,7 +911,8 @@ func (cn *conn) dispatchReject(req wire.Request, status uint8, msg string) {
 	cn.send(frame)
 }
 
-// handle executes one request against the store and responds.
+// handle executes one request against the store and responds. PUT and DEL
+// never get here: dispatch hands them to their committer.
 func (cn *conn) handle(req wire.Request) {
 	resp := wire.Response{ID: req.ID, Op: req.Op}
 	switch req.Op {
@@ -908,79 +942,16 @@ func (cn *conn) handle(req wire.Request) {
 			// landing between the read and the install aborts the fill.
 			epoch := c.FillEpoch(req.Key)
 			val, err := cn.s.st.Get(req.Key)
-			switch err {
-			case nil:
-				resp.Status = wire.StatusOK
-				resp.Val = val
+			if err == nil {
 				c.CommitFill(req.Key, val, epoch)
-			case kv.ErrNotFound:
-				resp.Status = wire.StatusNotFound
-			default:
-				resp.Status, resp.Msg = wire.StatusErr, err.Error()
 			}
-			break
-		}
-		val, err := cn.s.st.Get(req.Key)
-		switch err {
-		case nil:
-			resp.Status = wire.StatusOK
 			resp.Val = val
-		case kv.ErrNotFound:
-			resp.Status = wire.StatusNotFound
-		default:
-			resp.Status, resp.Msg = wire.StatusErr, err.Error()
-		}
-	case wire.OpPut:
-		if cn.s.readOnly() {
-			resp.Status = wire.StatusReadOnly
+			resp.Status, resp.Msg = statusOf(err)
 			break
 		}
-		if cn.s.obj != nil && obj.IsInternalKey(req.Key) {
-			resp.Status, resp.Msg = wire.StatusErr, errReservedKey
-			break
-		}
-		if req.Durable && cn.s.repl != nil {
-			cn.handleDurablePut(req, &resp)
-			break
-		}
-		err := cn.s.st.Put(req.Key, req.Val)
-		if c := cn.s.cache; c != nil {
-			// After commit, before ack (cache.go rule 1). Error paths
-			// invalidate too: it is always safe and spares reasoning about
-			// which failures might have touched the store.
-			c.Invalidate(req.Key)
-		}
-		switch err {
-		case nil:
-			resp.Status = wire.StatusOK
-		case kv.ErrClosed:
-			resp.Status = wire.StatusClosing
-		default:
-			resp.Status, resp.Msg = wire.StatusErr, err.Error()
-		}
-	case wire.OpDel:
-		if cn.s.readOnly() {
-			resp.Status = wire.StatusReadOnly
-			break
-		}
-		if cn.s.obj != nil && obj.IsInternalKey(req.Key) {
-			resp.Status, resp.Msg = wire.StatusErr, errReservedKey
-			break
-		}
-		err := cn.s.st.Delete(req.Key)
-		if c := cn.s.cache; c != nil {
-			c.Invalidate(req.Key)
-		}
-		switch err {
-		case nil:
-			resp.Status = wire.StatusOK
-		case kv.ErrNotFound:
-			resp.Status = wire.StatusNotFound
-		case kv.ErrClosed:
-			resp.Status = wire.StatusClosing
-		default:
-			resp.Status, resp.Msg = wire.StatusErr, err.Error()
-		}
+		var err error
+		resp.Val, err = cn.s.st.Get(req.Key)
+		resp.Status, resp.Msg = statusOf(err)
 	case wire.OpScan:
 		resp.Status = wire.StatusOK
 		resp.Pairs = cn.scan(req)
@@ -1069,16 +1040,7 @@ func (cn *conn) handleObj(req wire.Request, resp *wire.Response) {
 			c.Invalidate(req.Key)
 		}
 	}
-	switch err {
-	case nil:
-		resp.Status = wire.StatusOK
-	case kv.ErrNotFound:
-		resp.Status = wire.StatusNotFound
-	case kv.ErrClosed:
-		resp.Status = wire.StatusClosing
-	default:
-		resp.Status, resp.Msg = wire.StatusErr, err.Error()
-	}
+	resp.Status, resp.Msg = statusOf(err)
 }
 
 // scan collects up to ScanMax live pairs with the given key prefix. The

@@ -137,10 +137,10 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBatchedPuts drives the cross-connection write batcher and checks
-// both correctness and that batches actually formed.
+// TestBatchedPuts drives the partition committers from several connections
+// and checks both correctness and that batches actually formed.
 func TestBatchedPuts(t *testing.T) {
-	srv, st, addr := startServer(t, Config{Batch: BatchConfig{Puts: true, MaxBatch: 32, MaxDelay: time.Millisecond}}, kv.Options{})
+	srv, st, addr := startServer(t, Config{Batch: BatchConfig{MaxBatch: 32}}, kv.Options{})
 	var wg sync.WaitGroup
 	for conn := 0; conn < 4; conn++ {
 		c := dial(t, addr, client.Options{})
@@ -162,7 +162,7 @@ func TestBatchedPuts(t *testing.T) {
 	if n := st.Stats().LiveKeys; n != 4*8*25 {
 		t.Fatalf("LiveKeys = %d, want %d", n, 4*8*25)
 	}
-	batches, puts := srv.batcher.batches.Load(), srv.batcher.puts.Load()
+	batches, puts := srv.batches.Load(), srv.batchedPuts.Load()
 	if puts != 4*8*25 {
 		t.Fatalf("batched_puts = %d, want %d", puts, 4*8*25)
 	}
@@ -180,7 +180,7 @@ func TestOverloadRejection(t *testing.T) {
 	srv, _, addr := startServer(t, Config{
 		MaxInflight:       64,
 		MaxGlobalInflight: 2,
-		Batch:             BatchConfig{Puts: true, MaxBatch: 4, MaxDelay: 5 * time.Millisecond, QueueCap: 4},
+		Batch:             BatchConfig{MaxBatch: 4, QueueCap: 4},
 	}, kv.Options{})
 	c := dial(t, addr, client.Options{MaxInflight: 64})
 	var wg sync.WaitGroup

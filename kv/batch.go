@@ -1,19 +1,19 @@
 package kv
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
-// Batched writes. PutBatch is the fence-amortization entry point the
-// network server's cross-connection write batcher uses: where N separate
-// Puts to one shard cost N ranged persists (one fence each) for their log
-// records, a batch groups the pairs by shard, holds each shard's lock
-// once, lays the records down back-to-back and persists every contiguous
-// run with a single call — one fence per chunk-run instead of one per
-// record. The commit point is unchanged: records are durable in the value
-// log before any tree slot points at them, so an acknowledged batch entry
-// has exactly the durable-linearizability story of an individual Put.
+// The commit path. Every mutation of the store — Put, Delete, a PutBatch
+// pair, an entry of a server group commit, a shipped replication record —
+// commits through commitShard below, and nothing else appends a record and
+// repoints the index (compaction's rewriteChain moves records that are
+// already committed). Where N separate commits to one shard cost N ranged
+// persists (one fence each) for their log records, a batch holds the shard
+// lock once, lays the records down back-to-back and persists every
+// contiguous run with a single call — one fence per chunk-run instead of one
+// per record. The commit point is the same for a batch of one and a batch of
+// many: records are durable in the value log before any tree slot points at
+// them, so an acknowledged batch entry has exactly the durable-
+// linearizability story of an individual Put.
 
 // persistSpan accumulates the contiguous byte range of records appended to
 // the current chunk and flushes it with one ranged persist.
@@ -40,8 +40,10 @@ func (sp *persistSpan) flush(p *kvPart) {
 	}
 }
 
-// appendRecordDeferred is appendRecord with the persist folded into span:
-// the caller must flush the span before making any record of it reachable.
+// appendRecordDeferred writes one immutable record to sh's log with its
+// persist folded into sp: the caller must flush the span before making any
+// record of it reachable. Caller holds sh.mu (or the store is not yet
+// published). Returns the record offset.
 func (p *kvPart) appendRecordDeferred(sh *shard, sp *persistSpan, kind int, lsn uint64, key, val []byte, next uint64) (uint64, error) {
 	size := recSize(len(key), len(val))
 	if size > p.chunkSz-chunkHdrSize {
@@ -59,8 +61,10 @@ func (p *kvPart) appendRecordDeferred(sh *shard, sp *persistSpan, kind int, lsn 
 	off := sh.chunk + sh.used
 	sh.used += size
 	hdr := uint64(kind) | uint64(len(key))<<8 | uint64(len(val))<<32
-	// Streaming stores, as in appendRecord: the span's PersistStream
-	// fences before putGroup publishes any tree pointer to these bytes.
+	// Records are laid down with streaming (write-through) stores: nothing
+	// reads them until the tree points at them, and that pointer update
+	// happens after the span's PersistStream fence — so the log append pays
+	// one pass over the bytes instead of a store pass plus a flush copy.
 	p.arena.Write8Stream(off, hdr)
 	p.arena.Write8Stream(off+8, next)
 	p.arena.Write8Stream(off+recLSNOff, lsn)
@@ -70,86 +74,84 @@ func (p *kvPart) appendRecordDeferred(sh *shard, sp *persistSpan, kind int, lsn 
 	return off, nil
 }
 
-// PutBatch stores every keys[i] → vals[i] pair (len(vals) must equal
-// len(keys); insert or overwrite, duplicates within the batch allowed and
-// applied in order). It returns nil if every pair was stored, otherwise a
-// slice with one error per pair (nil entries succeeded). When PutBatch
-// returns, every pair without an error is durable.
+// appendRecord is appendRecordDeferred with the persist done before it
+// returns: compaction's shape, one fence per rewritten record.
+func (p *kvPart) appendRecord(sh *shard, kind int, lsn uint64, key, val []byte, next uint64) (uint64, error) {
+	var sp persistSpan
+	off, err := p.appendRecordDeferred(sh, &sp, kind, lsn, key, val, next)
+	sp.flush(p)
+	return off, err
+}
+
+// Mutation is one entry of a Commit batch. The caller fills Key, Val and
+// Delete; Commit fills Part and Err, and LSN when Err is nil. Key and Val are
+// borrowed for the duration of the call only.
+type Mutation struct {
+	Key, Val []byte
+	Delete   bool // remove Key (Val is ignored) instead of storing Val
+
+	Part int    // index of the partition that owns Key
+	LSN  uint64 // the committed record's log sequence number
+	Err  error  // nil, or why this entry was not applied
+
+	hash    uint64
+	sh      *shard // destination shard; nil when the entry failed routing
+	shipped bool   // a replicated record: LSN is given, not assigned
+}
+
+// route resolves m's hash, partition and shard, or fails it with
+// ErrEmptyKey.
+func (s *Store) route(m *Mutation) {
+	m.sh, m.Err = nil, nil
+	if len(m.Key) == 0 {
+		m.Err = ErrEmptyKey
+		return
+	}
+	m.hash = s.hash(m.Key)
+	m.Part = s.f.PartitionFor(m.hash)
+	m.sh = s.parts[m.Part].shardFor(m.hash)
+}
+
+// Commit applies every entry of muts — stores and removals, in slice order
+// for entries that share a key — and reports each entry's outcome through
+// the slice itself: a failed entry carries its error (ErrNotFound for the
+// removal of an absent key, which writes nothing), and every entry without
+// one is durable when Commit returns. A batch of one costs what Put costs.
 //
-// Pairs are grouped by value-log shard; each shard's records are persisted
-// in contiguous runs (one fence per run) before its tree slots are
-// updated. Batches therefore interleave arbitrarily with concurrent Puts
-// on other shards, and hold each shard lock no longer than the same pairs
-// written individually would in aggregate.
-func (s *Store) PutBatch(keys, vals [][]byte) []error {
-	return s.putBatch(keys, vals, nil, nil)
-}
-
-// PutBatchEx is PutBatch additionally reporting, for every pair that
-// succeeded, its partition index and committed LSN into parts/lsns (each
-// must have len(keys) entries; failed pairs are left untouched). The
-// replicating server's batcher uses it to wait for durable-ack PUTs.
-func (s *Store) PutBatchEx(keys, vals [][]byte, parts []int, lsns []uint64) []error {
-	if len(parts) != len(keys) || len(lsns) != len(keys) {
-		panic("kv: PutBatchEx parts/lsns length mismatch")
-	}
-	return s.putBatch(keys, vals, parts, lsns)
-}
-
-func (s *Store) putBatch(keys, vals [][]byte, partsOut []int, lsnsOut []uint64) []error {
-	if len(keys) != len(vals) {
-		panic("kv: PutBatch keys/vals length mismatch")
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	var (
-		errMu sync.Mutex
-		errs  []error
-	)
-	fail := func(i int, err error) {
-		errMu.Lock()
-		if errs == nil {
-			errs = make([]error, len(keys))
-		}
-		errs[i] = err
-		errMu.Unlock()
-	}
+// Entries are grouped by value-log shard; each shard's records are
+// persisted in contiguous runs (one fence per run) before its tree slots are
+// updated. Batches therefore interleave arbitrarily with concurrent
+// mutations on other shards, and hold each shard lock no longer than the
+// same entries committed individually would in aggregate.
+func (s *Store) Commit(muts []Mutation) {
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
 	if s.closed.Load() {
-		for i := range keys {
-			fail(i, ErrClosed)
+		for i := range muts {
+			muts[i].Err = ErrClosed
 		}
-		return errs
+		return
 	}
-
-	// Group pair indices by destination shard, preserving batch order
-	// within each group (order matters for duplicate keys).
-	hashes := make([]uint64, len(keys))
-	groups := map[*shard][]int{}
-	partOf := map[*shard]int{}
-	for i, k := range keys {
-		if len(k) == 0 {
-			fail(i, ErrEmptyKey)
-			continue
+	first, oneShard := -1, true
+	for i := range muts {
+		s.route(&muts[i])
+		switch {
+		case muts[i].sh == nil:
+		case first < 0:
+			first = i
+		case muts[i].sh != muts[first].sh:
+			oneShard = false
 		}
-		h := s.hash(k)
-		hashes[i] = h
-		pi := s.f.PartitionFor(h)
-		sh := s.parts[pi].shardFor(h)
-		groups[sh] = append(groups[sh], i)
-		partOf[sh] = pi
 	}
-	// The commit hook needs each record's LSN to ship it; allocate the
-	// shared per-pair LSN table if the caller didn't provide one. Groups
-	// write disjoint indices, so sharing it across goroutines is safe. The
-	// hook is read exactly once and passed down: putGroup re-reading it
-	// could observe a hook installed after this nil check and index a nil
-	// lsnsOut.
+	if first < 0 {
+		return
+	}
+	// The hook is read exactly once for the whole batch, so every group
+	// ships (or doesn't) consistently.
 	hook := s.commitHook()
-	if lsnsOut == nil && hook != nil {
-		lsnsOut = make([]uint64, len(keys))
+	if oneShard {
+		s.commitLocal(muts[first].Part, muts[first].sh, muts[first:], hook)
+		return
 	}
 	// Apply the groups concurrently: every group holds a different shard
 	// lock and persists its records into its own contiguous run, so the
@@ -157,61 +159,121 @@ func (s *Store) putBatch(keys, vals [][]byte, partsOut []int, lsnsOut []uint64) 
 	// drain engine per arena) instead of queueing behind one another on
 	// the calling goroutine. This is where a cross-connection batch beats
 	// the same writes issued serially: the fences amortize within a group
-	// AND the media occupancy overlaps across groups.
-	if len(groups) == 1 {
-		for sh, idxs := range groups {
-			s.putGroup(partOf[sh], sh, idxs, keys, vals, hashes, partsOut, lsnsOut, hook, fail)
-		}
-		return errs
-	}
+	// AND the media occupancy overlaps across groups. A group is launched
+	// at its first entry and picks its later ones out of the tail itself.
 	var wg sync.WaitGroup
-	for sh, idxs := range groups {
+	for i := first; i < len(muts); i++ {
+		sh := muts[i].sh
+		leads := sh != nil
+		for j := first; leads && j < i; j++ {
+			leads = muts[j].sh != sh
+		}
+		if !leads {
+			continue
+		}
 		wg.Add(1)
-		go func(pi int, sh *shard, idxs []int) {
+		go func() {
 			defer wg.Done()
-			s.putGroup(pi, sh, idxs, keys, vals, hashes, partsOut, lsnsOut, hook, fail)
-		}(partOf[sh], sh, idxs)
+			s.commitLocal(muts[i].Part, sh, muts[i:], hook)
+		}()
 	}
 	wg.Wait()
+}
+
+// PutBatch stores every keys[i] → vals[i] pair (len(vals) must equal
+// len(keys); insert or overwrite, duplicates within the batch allowed and
+// applied in order) with one Commit. It returns nil if every pair was
+// stored, otherwise a slice with one error per pair (nil entries succeeded).
+// When PutBatch returns, every pair without an error is durable.
+func (s *Store) PutBatch(keys, vals [][]byte) []error {
+	if len(keys) != len(vals) {
+		panic("kv: PutBatch keys/vals length mismatch")
+	}
+	if len(keys) == 0 {
+		return nil
+	}
+	muts := make([]Mutation, len(keys))
+	for i := range muts {
+		muts[i].Key, muts[i].Val = keys[i], vals[i]
+	}
+	s.Commit(muts)
+	var errs []error
+	for i := range muts {
+		if muts[i].Err == nil {
+			continue
+		}
+		if errs == nil {
+			errs = make([]error, len(muts))
+		}
+		errs[i] = muts[i].Err
+	}
 	return errs
 }
 
-// batchEntry is putGroup's per-unique-hash state: the newest record this
-// batch appended for the hash, the batch indices that fed it (for Upsert
-// failure reporting), and the hash's live/dead accounting delta. Batches
-// are small (bounded by the server batcher's MaxBatch), so entries are
-// found by linear scan instead of a map — cheaper and allocation-free.
+// commitOne is Commit for a single entry, without the cross-shard fan-out,
+// so the entry can live on the caller's stack: Put and Delete allocate
+// nothing of their own.
+func (s *Store) commitOne(m []Mutation) {
+	s.route(&m[0])
+	if m[0].sh == nil {
+		return
+	}
+	s.closeMu.RLock()
+	defer s.closeMu.RUnlock()
+	if s.closed.Load() {
+		m[0].Err = ErrClosed
+		return
+	}
+	s.commitLocal(m[0].Part, m[0].sh, m, s.commitHook())
+}
+
+// commitLocal is commitShard for mutations that originate here. While a
+// commit hook is installed, ship order must equal LSN order, so the
+// partition's replication lock is held across the group's whole
+// assign→append→publish→hook (lock order: replMu, then the shard mu inside
+// commitShard); with none, writers on different shards stay parallel.
+func (s *Store) commitLocal(pi int, sh *shard, muts []Mutation, hook CommitHook) {
+	if hook != nil {
+		p := &s.parts[pi]
+		p.replMu.Lock()
+		defer p.replMu.Unlock()
+	}
+	s.commitShard(pi, sh, muts, hook)
+}
+
+// batchEntry is commitShard's per-unique-hash state: the newest record this
+// batch appended for the hash and the hash's live/dead accounting delta.
+// Batches are small (bounded by the server committer's MaxBatch), so entries
+// are found by linear scan instead of a map — cheaper and allocation-free.
 type batchEntry struct {
 	hash       uint64
 	head       uint64
 	live, dead int64
-	idxs       []int
 }
 
 // batchKeyKind records the kind of the newest record appended for an exact
 // key within the current batch (hashes can collide; kinds cannot be keyed
 // by hash alone). The key slice is borrowed from the caller and only valid
-// during the putGroup call that wrote it.
+// during the commitShard call that wrote it.
 type batchKeyKind struct {
 	key  []byte
 	kind int
 }
 
-// putGroup applies one shard's slice of a batch under that shard's lock:
-// append all records (deferring persists into contiguous spans), flush,
-// then repoint each touched hash at its newest record. partsOut/lsnsOut,
-// when non-nil, receive each successful pair's partition and LSN (groups
-// write disjoint indices). hook is putBatch's one read of the commit hook,
-// consistent with its lsnsOut allocation.
-func (s *Store) putGroup(pi int, sh *shard, idxs []int, keys, vals [][]byte, hashes []uint64, partsOut []int, lsnsOut []uint64, hook CommitHook, fail func(int, error)) {
+// commitShard is the store's one commit routine. Under sh's lock it commits,
+// in order, the entries of muts routed to sh (the others are skipped): find
+// the hash's current chain head and the kind of the key's newest record
+// (this batch's own records first), take an LSN, append the record with its
+// persist deferred into a contiguous span, flush the span, repoint each
+// touched hash at its newest record, settle the live/dead accounting, and
+// fire hook in LSN order. A local removal of an absent key fails with
+// ErrNotFound before an LSN is taken; a shipped entry keeps the LSN it
+// arrived with, and a shipped tombstone is appended whether or not the key
+// is present here. Callers hold the partition's replMu when order matters:
+// commitLocal while a hook is installed, ReplApply (the one caller with
+// shipped entries, and no hook) always.
+func (s *Store) commitShard(pi int, sh *shard, muts []Mutation, hook CommitHook) {
 	p := &s.parts[pi]
-	if hook != nil {
-		// Same lock order as PutEx: replMu, then the shard mu, held across
-		// the whole group so the hook sees this partition's commits in LSN
-		// order.
-		p.replMu.Lock()
-		defer p.replMu.Unlock()
-	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
@@ -219,112 +281,122 @@ func (s *Store) putGroup(pi int, sh *shard, idxs []int, keys, vals [][]byte, has
 	ents := sh.batchEnts[:0]
 	kinds := sh.batchKinds[:0]
 
-	for _, i := range idxs {
-		h, key, val := hashes[i], keys[i], vals[i]
+	for i := range muts {
+		m := &muts[i]
+		if m.sh != sh {
+			continue
+		}
 		var e *batchEntry
+		var known *batchKeyKind
 		for j := range ents {
-			if ents[j].hash == h {
+			if ents[j].hash == m.hash {
 				e = &ents[j]
 				break
 			}
 		}
-		var next uint64
+		var head uint64
 		var prevKind int
 		if e != nil {
-			// The chain head is a record we just appended; its kind chain
-			// covers both batch-local and pre-existing records (the
-			// appended records are readable from the cache before their
-			// persist).
-			next = e.head
-			known := false
+			// The chain head is a record this batch appended; walking from it
+			// covers both batch-local and pre-existing records (the appended
+			// records are readable from the cache before their persist).
+			head = e.head
 			for j := range kinds {
-				if string(kinds[j].key) == string(key) {
-					prevKind, known = kinds[j].kind, true
+				if string(kinds[j].key) == string(m.Key) {
+					known = &kinds[j]
 					break
 				}
 			}
-			if !known {
-				prevKind = p.chainFindKind(next, key)
+			if known != nil {
+				prevKind = known.kind
+			} else {
+				prevKind = p.chainFindKind(head, m.Key)
 			}
-		} else if oldHead, existed := p.tree.Find(h); existed {
-			next = oldHead
-			prevKind = p.chainFindKind(oldHead, key)
+		} else if oldHead, existed := p.tree.Find(m.hash); existed {
+			// The newest record for this key — not whatever sits at the chain
+			// head, which may belong to a colliding key — is what the append
+			// shadows.
+			head = oldHead
+			prevKind = p.chainFindKind(oldHead, m.Key)
 		}
-		lsn := p.lsn.Add(1)
-		off, err := p.appendRecordDeferred(sh, &sp, recPut, lsn, key, val, next)
+		kind, val := recPut, m.Val
+		if m.Delete {
+			if !m.shipped && prevKind != recPut {
+				m.Err = ErrNotFound
+				continue
+			}
+			kind, val = recDelete, nil
+		}
+		if !m.shipped {
+			m.LSN = p.lsn.Add(1)
+		}
+		off, err := p.appendRecordDeferred(sh, &sp, kind, m.LSN, m.Key, val, head)
 		if err != nil {
-			fail(i, err)
+			m.Err = err
 			continue
 		}
-		if lsnsOut != nil {
-			lsnsOut[i] = lsn
-		}
 		if e == nil {
-			if len(ents) < cap(ents) {
-				ents = ents[:len(ents)+1]
-				e = &ents[len(ents)-1]
-				e.live, e.dead = 0, 0
-				e.idxs = e.idxs[:0]
-			} else {
-				ents = append(ents, batchEntry{})
-				e = &ents[len(ents)-1]
-			}
-			e.hash = h
+			ents = append(ents, batchEntry{hash: m.hash})
+			e = &ents[len(ents)-1]
 		}
 		e.head = off
-		e.idxs = append(e.idxs, i)
-		set := false
-		for j := range kinds {
-			if string(kinds[j].key) == string(key) {
-				kinds[j].kind, set = recPut, true
-				break
-			}
-		}
-		if !set {
-			kinds = append(kinds, batchKeyKind{key: key, kind: recPut})
-		}
-		if prevKind == recPut {
-			e.dead++ // overwrite: the shadowed value record is garbage
+		if known != nil {
+			known.kind = kind
 		} else {
-			e.live++ // fresh key, or reinsert over a tombstone
+			kinds = append(kinds, batchKeyKind{key: m.Key, kind: kind})
+		}
+		switch {
+		case kind == recPut && prevKind == recPut:
+			e.dead++ // overwrite: the shadowed value record is garbage
+		case kind == recPut:
+			// Fresh key, or reinsert over a tombstone (which was counted dead
+			// when it was appended).
+			e.live++
+		case prevKind == recPut:
+			// Exactly two records die: the key's newest Put and the
+			// tombstone itself.
+			e.live--
+			e.dead += 2
+		default:
+			// Shipped tombstone for a key with no live record here (the
+			// matching Put was compacted away upstream, or never existed):
+			// the tombstone itself is the only garbage.
+			e.dead++
 		}
 	}
 	// Records must be durable before they become reachable.
 	sp.flush(p)
 	var liveDelta, deadDelta int64
-	var shipped []int
 	for j := range ents {
 		e := &ents[j]
 		if err := p.tree.Upsert(e.hash, e.head); err != nil {
-			// The appended records are durable but unreachable (leaked
-			// until the next compaction); surface the failure on every
-			// pair that fed this hash and drop the hash's accounting
-			// deltas with it.
-			for _, i := range e.idxs {
-				fail(i, mapFull(err))
+			// The appended records are durable but unreachable (leaked until
+			// the next compaction); surface the failure on every entry that
+			// fed this hash and drop the hash's accounting deltas with it.
+			for i := range muts {
+				if m := &muts[i]; m.sh == sh && m.hash == e.hash && m.Err == nil {
+					m.Err = mapFull(err)
+				}
 			}
 			continue
 		}
 		liveDelta += e.live
 		deadDelta += e.dead
-		for _, i := range e.idxs {
-			if partsOut != nil {
-				partsOut[i] = pi
-			}
-			if hook != nil {
-				shipped = append(shipped, i)
-			}
-		}
 	}
 	sh.live.Add(liveDelta)
 	sh.dead.Add(deadDelta)
 	if hook != nil {
-		// Hashes were published in entry order, not LSN order; re-sort the
-		// committed pairs so the hook's per-partition LSN stream stays
-		// monotonic (the shipping cursor treats it as a watermark).
-		sort.Slice(shipped, func(a, b int) bool { return lsnsOut[shipped[a]] < lsnsOut[shipped[b]] })
-		for _, i := range shipped {
-			hook(pi, lsnsOut[i], ReplPut, keys[i], vals[i])
+		// LSNs were assigned in slice order under the caller's replMu, so
+		// walking the slice ships this partition's commits in LSN order.
+		for i := range muts {
+			m := &muts[i]
+			switch {
+			case m.sh != sh || m.Err != nil:
+			case m.Delete:
+				hook(pi, m.LSN, ReplDelete, m.Key, nil)
+			default:
+				hook(pi, m.LSN, ReplPut, m.Key, m.Val)
+			}
 		}
 	}
 	// Drop borrowed key references before the caller recycles its payload

@@ -1,0 +1,178 @@
+package kv
+
+import (
+	"encoding/binary"
+	"fmt"
+	"sync"
+	"testing"
+
+	"rntree/internal/race"
+)
+
+// TestCommitMixedBatch drives stores and removals through one Commit and
+// cross-checks it against the same mutations issued one by one: equal
+// per-entry errors, equal contents and accounting, LSNs taken only by the
+// entries that appended a record, and the commit hook fired once per
+// committed entry in LSN order.
+func TestCommitMixedBatch(t *testing.T) {
+	mk := func() (*Store, *[]uint64) {
+		s, err := New(Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 14, Shards: 2, Partitions: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex    // the hook is serialized per partition, not across them
+		var shipped []uint64 // part<<32 | lsn, in hook order
+		s.SetCommitHook(func(part int, lsn uint64, kind uint8, key, val []byte) {
+			mu.Lock()
+			shipped = append(shipped, uint64(part)<<32|lsn)
+			mu.Unlock()
+		})
+		for i := 0; i < 8; i++ {
+			if err := s.Put([]byte(fmt.Sprintf("old%d", i)), []byte("o")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		shipped = shipped[:0]
+		return s, &shipped
+	}
+	var muts []Mutation
+	add := func(del bool, key, val string) {
+		muts = append(muts, Mutation{Key: []byte(key), Val: []byte(val), Delete: del})
+	}
+	add(false, "a", "1")
+	add(true, "a", "") // PUT k; DEL k in one batch: gone
+	add(true, "b", "") // absent: ErrNotFound, no record, no LSN
+	add(false, "b", "2")
+	add(true, "old0", "")
+	add(false, "old0", "again") // DEL k; PUT k: present
+	add(false, "", "empty")
+	add(true, "old1", "")
+	add(true, "old1", "") // second removal of the same key: absent by then
+	for i := 0; i < 24; i++ {
+		add(false, fmt.Sprintf("n%02d", i), "v")
+		add(i%3 == 0, fmt.Sprintf("old%d", 2+i%6), "w")
+	}
+
+	seq, _ := mk()
+	want := make([]error, len(muts))
+	for i, m := range muts {
+		if m.Delete {
+			want[i] = seq.Delete(m.Key)
+		} else {
+			want[i] = seq.Put(m.Key, m.Val)
+		}
+	}
+
+	bat, shipped := mk()
+	before := bat.ReplLSNs()
+	bat.Commit(muts)
+	committed := 0
+	lastLSN := map[int]uint64{}
+	for i, m := range muts {
+		if m.Err != want[i] {
+			t.Errorf("entry %d (%q del=%v): err %v, one-by-one gave %v", i, m.Key, m.Delete, m.Err, want[i])
+		}
+		if m.Err == nil {
+			committed++
+			if m.LSN <= before[m.Part] {
+				t.Errorf("entry %d: LSN %d not above the partition's prior %d", i, m.LSN, before[m.Part])
+			}
+		}
+	}
+	for part, b := range before {
+		lastLSN[part] = b
+	}
+	for _, x := range *shipped {
+		part, lsn := int(x>>32), x&(1<<32-1)
+		if lsn <= lastLSN[part] {
+			t.Errorf("hook out of LSN order on partition %d: %d after %d", part, lsn, lastLSN[part])
+		}
+		lastLSN[part] = lsn
+	}
+	if len(*shipped) != committed {
+		t.Errorf("hook fired %d times for %d committed entries", len(*shipped), committed)
+	}
+	// No LSN burnt by the failed entries: each partition advanced by exactly
+	// the records it committed.
+	adv := 0
+	for part, b := range before {
+		adv += int(bat.ReplLSN(part) - b)
+	}
+	if adv != committed {
+		t.Errorf("partitions advanced %d LSNs for %d committed entries", adv, committed)
+	}
+	if a, b := seq.Stats(), bat.Stats(); a.LiveKeys != b.LiveKeys || a.DeadRecords != b.DeadRecords {
+		t.Errorf("accounting diverged: one-by-one live=%d dead=%d, batch live=%d dead=%d", a.LiveKeys, a.DeadRecords, b.LiveKeys, b.DeadRecords)
+	}
+	n := 0
+	seq.Range(func(k, v []byte) bool {
+		n++
+		if got, err := bat.Get(k); err != nil || string(got) != string(v) {
+			t.Errorf("batch store Get(%s) = %q, %v; want %q", k, got, err, v)
+		}
+		return true
+	})
+	if bat.Len() != n {
+		t.Errorf("batch store holds %d keys, one-by-one %d", bat.Len(), n)
+	}
+	if bat.Has([]byte("a")) || !bat.Has([]byte("b")) || !bat.Has([]byte("old0")) || bat.Has([]byte("old1")) {
+		t.Error("same-key order within the batch not honoured")
+	}
+}
+
+// TestCommitAllocs pins the commit path's allocation counts — deterministic
+// where wall-clock benchmarks on a shared host are not. Put and Delete must
+// stay where they were before every mutation moved onto the one commit
+// routine (0 and 1 allocs/op; Delete's one is the key copy its chain walk
+// makes), with and without a commit hook, and a one-entry Commit on a reused
+// slice — the server committer's call — must cost what Put costs. Keys and
+// values are multiples of 8 bytes (others pay one padding copy per record)
+// and fresh per run (an overwrite pays the chain walk's key copy).
+func TestCommitAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const runs = 200
+	for _, hooked := range []bool{false, true} {
+		s, err := New(Options{ArenaSize: 64 << 20, MaxSegments: 1, Partitions: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hooked {
+			s.SetCommitHook(func(int, uint64, uint8, []byte, []byte) {})
+		}
+		key, val := make([]byte, 16), make([]byte, 104)
+		seq := uint64(0)
+		fresh := func() []byte {
+			seq++
+			binary.BigEndian.PutUint64(key, seq)
+			return key
+		}
+		check := func(name string, want float64, f func()) {
+			t.Helper()
+			if got := testing.AllocsPerRun(runs, f); got > want {
+				t.Errorf("hook=%v %s: %v allocs/op, want <= %v", hooked, name, got, want)
+			}
+		}
+		check("Put", 0, func() {
+			if err := s.Put(fresh(), val); err != nil {
+				t.Fatal(err)
+			}
+		})
+		del := uint64(0)
+		check("Delete", 1, func() {
+			del++
+			binary.BigEndian.PutUint64(key, del)
+			if err := s.Delete(key); err != nil {
+				t.Fatal(err)
+			}
+		})
+		muts := make([]Mutation, 1)
+		check("Commit of one", 0, func() {
+			muts[0] = Mutation{Key: fresh(), Val: val}
+			if s.Commit(muts); muts[0].Err != nil {
+				t.Fatal(muts[0].Err)
+			}
+		})
+	}
+}

@@ -28,13 +28,14 @@ func (s *Store) ReplLSNs() []uint64 {
 	return out
 }
 
-// ReplApply applies one shipped record to a replica store and persists it
-// exactly like a local mutation (record append + persist, then tree
-// publish). It is idempotent: an LSN at or below the partition's watermark
-// has already been applied — possibly before a crash the shipper doesn't
-// know about — and is skipped, which is what makes duplicate shipping
-// across reconnects and failovers safe. LSN gaps are accepted (a primary
-// can burn an LSN on a failed append). The commit hook is NOT fired.
+// ReplApply applies one shipped record to a replica store through the same
+// commit routine as a local mutation (record append + persist, then tree
+// publish), keeping the LSN it was shipped with. It is idempotent: an LSN at
+// or below the partition's watermark has already been applied — possibly
+// before a crash the shipper doesn't know about — and is skipped, which is
+// what makes duplicate shipping across reconnects and failovers safe. LSN
+// gaps are accepted (a primary can burn an LSN on a failed append). The
+// commit hook is NOT fired.
 func (s *Store) ReplApply(part int, lsn uint64, kind uint8, key, val []byte) error {
 	if part < 0 || part >= len(s.parts) {
 		return fmt.Errorf("kv: ReplApply: partition %d out of range [0,%d)", part, len(s.parts))
@@ -50,9 +51,10 @@ func (s *Store) ReplApply(part int, lsn uint64, kind uint8, key, val []byte) err
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	h := s.hash(key)
-	if got := s.f.PartitionFor(h); got != part {
-		return fmt.Errorf("kv: ReplApply: key routes to partition %d, record says %d (geometry mismatch)", got, part)
+	m := [1]Mutation{{Key: key, Val: val, Delete: kind == ReplDelete, LSN: lsn, shipped: true}}
+	s.route(&m[0])
+	if m[0].Part != part {
+		return fmt.Errorf("kv: ReplApply: key routes to partition %d, record says %d (geometry mismatch)", m[0].Part, part)
 	}
 	p := &s.parts[part]
 	// replMu makes watermark-check + apply atomic against concurrent
@@ -62,45 +64,14 @@ func (s *Store) ReplApply(part int, lsn uint64, kind uint8, key, val []byte) err
 	if lsn <= p.lsn.Load() {
 		return nil
 	}
-	sh := p.shardFor(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	oldHead, existed := p.tree.Find(h)
-	next := uint64(0)
-	prevKind := 0
-	if existed {
-		next = oldHead
-		prevKind = p.chainFindKind(oldHead, key)
+	s.commitShard(part, m[0].sh, m[:], nil)
+	if m[0].Err == nil {
+		// The record is durable and reachable: the watermark advance is
+		// recoverable (recount re-derives it from this record), so the
+		// volatile counter can move.
+		p.lsn.Store(lsn)
 	}
-	off, err := p.appendRecord(sh, int(kind), lsn, key, val, next)
-	if err != nil {
-		return err
-	}
-	if err := p.tree.Upsert(h, off); err != nil {
-		return err
-	}
-	// The record is durable and reachable: the watermark advance is
-	// recoverable (recount re-derives it from this record), so the volatile
-	// counter can move.
-	p.lsn.Store(lsn)
-	if kind == ReplPut {
-		if prevKind == recPut {
-			sh.dead.Add(1)
-		} else {
-			sh.live.Add(1)
-		}
-	} else {
-		if prevKind == recPut {
-			sh.live.Add(-1)
-			sh.dead.Add(2)
-		} else {
-			// Tombstone for a key with no live record here (the matching Put
-			// was compacted away upstream, or never existed): the tombstone
-			// itself is the only garbage.
-			sh.dead.Add(1)
-		}
-	}
-	return nil
+	return m[0].Err
 }
 
 // Bounds on what one ReplBacklog pass may buffer. A lagging subscriber's
@@ -131,10 +102,10 @@ type backlogHeap struct {
 	bytes uint64
 }
 
-func (h *backlogHeap) Len() int            { return len(h.recs) }
-func (h *backlogHeap) Less(i, j int) bool  { return h.recs[i].lsn > h.recs[j].lsn }
-func (h *backlogHeap) Swap(i, j int)       { h.recs[i], h.recs[j] = h.recs[j], h.recs[i] }
-func (h *backlogHeap) Push(x any)          { h.recs = append(h.recs, x.(backlogRec)) }
+func (h *backlogHeap) Len() int           { return len(h.recs) }
+func (h *backlogHeap) Less(i, j int) bool { return h.recs[i].lsn > h.recs[j].lsn }
+func (h *backlogHeap) Swap(i, j int)      { h.recs[i], h.recs[j] = h.recs[j], h.recs[i] }
+func (h *backlogHeap) Push(x any)         { h.recs = append(h.recs, x.(backlogRec)) }
 func (h *backlogHeap) Pop() any {
 	r := h.recs[len(h.recs)-1]
 	h.recs = h.recs[:len(h.recs)-1]

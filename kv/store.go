@@ -250,10 +250,10 @@ type shard struct {
 	// readers a full compaction cycle to drain before reuse.
 	retired []uint64
 
-	// batchEnts/batchKinds are putGroup's per-batch scratch, guarded by mu
-	// and reused across batches so group commit stays allocation-free on
-	// the hot path. Entries reference caller key slices only for the
-	// duration of one putGroup call.
+	// batchEnts/batchKinds are commitShard's per-batch scratch, guarded by mu
+	// and reused across batches so a commit allocates nothing of its own.
+	// Entries reference caller key slices only for the duration of one
+	// commitShard call.
 	batchEnts  []batchEntry
 	batchKinds []batchKeyKind
 }
@@ -523,35 +523,6 @@ func recSize(keyLen, valLen int) uint64 {
 	return uint64(recHdrSize) + (uint64(keyLen)+7)&^7 + (uint64(valLen)+7)&^7
 }
 
-// appendRecord writes one immutable record to sh's log and persists it.
-// Caller holds sh.mu (or the store is not yet published). Returns the
-// record offset.
-func (p *kvPart) appendRecord(sh *shard, kind int, lsn uint64, key, val []byte, next uint64) (uint64, error) {
-	size := recSize(len(key), len(val))
-	if size > p.chunkSz-chunkHdrSize {
-		return 0, ErrTooLarge
-	}
-	if sh.used+size > p.chunkSz {
-		if err := p.newShardChunk(sh); err != nil {
-			return 0, err
-		}
-	}
-	off := sh.chunk + sh.used
-	sh.used += size
-	hdr := uint64(kind) | uint64(len(key))<<8 | uint64(len(val))<<32
-	// Records are laid down with streaming (write-through) stores: nothing
-	// reads them until the tree points at them, and that pointer update
-	// happens after the PersistStream fence — so the log append pays one
-	// pass over the bytes instead of a store pass plus a flush copy.
-	p.arena.Write8Stream(off, hdr)
-	p.arena.Write8Stream(off+8, next)
-	p.arena.Write8Stream(off+recLSNOff, lsn)
-	streamPadded(p.arena, off+recHdrSize, key)
-	streamPadded(p.arena, off+recHdrSize+(uint64(len(key))+7)&^7, val)
-	p.arena.PersistStream(off, size)
-	return off, nil
-}
-
 //pmem:volatile helper inside the record append; the caller fences the whole record span with one PersistStream
 func streamPadded(a *pmem.Arena, off uint64, b []byte) {
 	if len(b) == 0 {
@@ -646,66 +617,11 @@ func (s *Store) Put(key, value []byte) error {
 	return err
 }
 
-// PutEx is Put returning the partition index and the committed record's LSN
-// — what a replicating server needs to wait for the replica's durable
-// watermark to cover this exact write.
+// PutEx is Put returning the partition index and the committed record's LSN.
 func (s *Store) PutEx(key, value []byte) (part int, lsn uint64, err error) {
-	if len(key) == 0 {
-		return 0, 0, ErrEmptyKey
-	}
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed.Load() {
-		return 0, 0, ErrClosed
-	}
-	h := s.hash(key)
-	part = s.f.PartitionFor(h)
-	p := &s.parts[part]
-	hook := s.commitHook()
-	if hook != nil {
-		// Ship order must equal LSN order: hold the partition's replication
-		// lock across assign→append→publish→hook (lock order: replMu, then
-		// the shard mu below).
-		p.replMu.Lock()
-		defer p.replMu.Unlock()
-	}
-	sh := p.shardFor(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	oldHead, existed := p.tree.Find(h)
-	next := uint64(0)
-	prevKind := 0
-	if existed {
-		next = oldHead
-		prevKind = p.chainFindKind(oldHead, key)
-	}
-	lsn = p.lsn.Add(1)
-	off, err := p.appendRecord(sh, recPut, lsn, key, value, next)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := p.tree.Upsert(h, off); err != nil {
-		// The record is durable but unreachable — leaked until the next
-		// compaction; the mutation itself was not applied.
-		return 0, 0, mapFull(err)
-	}
-	switch prevKind {
-	case recPut:
-		// Overwrite: the key's previous value record is now garbage.
-		sh.dead.Add(1)
-	case recDelete:
-		// Reinsert over a tombstone: the key is live again; the tombstone
-		// was already counted dead when Delete appended it.
-		sh.live.Add(1)
-	default:
-		// Fresh key (the chain head, if any, belongs to a colliding key
-		// and stays live).
-		sh.live.Add(1)
-	}
-	if hook != nil {
-		hook(part, lsn, ReplPut, key, value)
-	}
-	return part, lsn, nil
+	m := [1]Mutation{{Key: key, Val: value}}
+	s.commitOne(m[:])
+	return m[0].Part, m[0].LSN, m[0].Err
 }
 
 // Get returns the value stored under key. Lock-free.
@@ -723,58 +639,13 @@ func (s *Store) Has(key []byte) bool {
 	return ok && kind != recDelete
 }
 
-// Delete removes key (tombstone append; reclaimed by Compact). Deletes on
-// different shards run in parallel.
+// Delete removes key (tombstone append; reclaimed by Compact), or returns
+// ErrNotFound, writing nothing, when it is absent. Deletes on different
+// shards run in parallel.
 func (s *Store) Delete(key []byte) error {
-	_, _, err := s.DeleteEx(key)
-	return err
-}
-
-// DeleteEx is Delete returning the partition index and the tombstone's LSN.
-func (s *Store) DeleteEx(key []byte) (part int, lsn uint64, err error) {
-	if len(key) == 0 {
-		return 0, 0, ErrEmptyKey
-	}
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed.Load() {
-		return 0, 0, ErrClosed
-	}
-	h := s.hash(key)
-	part = s.f.PartitionFor(h)
-	p := &s.parts[part]
-	hook := s.commitHook()
-	if hook != nil {
-		p.replMu.Lock()
-		defer p.replMu.Unlock()
-	}
-	sh := p.shardFor(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	oldHead, existed := p.tree.Find(h)
-	if !existed {
-		return 0, 0, ErrNotFound
-	}
-	if k := p.chainFindKind(oldHead, key); k != recPut {
-		return 0, 0, ErrNotFound
-	}
-	lsn = p.lsn.Add(1)
-	off, err := p.appendRecord(sh, recDelete, lsn, key, nil, oldHead)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := p.tree.Upsert(h, off); err != nil {
-		return 0, 0, mapFull(err)
-	}
-	sh.live.Add(-1)
-	// Exactly two records die: the key's newest Put (located above — it
-	// need not be the chain head, which may belong to a colliding key) and
-	// the tombstone itself.
-	sh.dead.Add(2)
-	if hook != nil {
-		hook(part, lsn, ReplDelete, key, nil)
-	}
-	return part, lsn, nil
+	m := [1]Mutation{{Key: key, Delete: true}}
+	s.commitOne(m[:])
+	return m[0].Err
 }
 
 // Range calls fn for every live key/value pair (hash order within each

@@ -20,6 +20,7 @@ func benchStore(b *testing.B) *Store {
 func BenchmarkPut(b *testing.B) {
 	s := benchStore(b)
 	val := make([]byte, 100)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Put([]byte(fmt.Sprintf("key-%09d", i)), val); err != nil {
@@ -38,6 +39,7 @@ func BenchmarkGet(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Get(keys[i%n]); err != nil {
@@ -60,6 +62,7 @@ func benchPutParallel(b *testing.B, shards int) {
 	}
 	val := make([]byte, 100)
 	var seq atomic.Uint64
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
@@ -80,6 +83,7 @@ func BenchmarkOverwrite(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Put([]byte(fmt.Sprintf("key-%04d", i%n)), []byte("vv")); err != nil {
