@@ -7,7 +7,7 @@
 //	rnbench -exp all -scale 1000000 -out results.txt
 //
 // Experiments: table1, fig4, fig5, fig6, fig7, fig8, fig9, fig10, kvscale
-// (beyond the paper: kv-layer Put thread sweep, sharded vs single value
+// (beyond the paper: kv-layer Put thread sweep, 8 partitions vs one value
 // log), forestscale (partition sweep of the hash-partitioned forest; also
 // writes a machine-readable BENCH_forest.json, see -forest-json),
 // heapgrow (kv Put throughput across live heap segment appends; merges a

@@ -28,6 +28,13 @@ import (
 	"rntree/internal/drain"
 )
 
+// arenaSize is the shell's initial simulated NVM capacity, across its four
+// partitions. The partitions still grow on demand (to 512 MiB in all), and
+// the footprint is what matters here: capacity is reserved up front for both
+// images of every live tree, and crash/checkpoint keep two trees live, so the
+// library's 256 MiB default put a session at ~10 GiB resident.
+const arenaSize = 64 << 20
+
 func main() {
 	// A SIGINT/SIGTERM mid-session takes the clean Close() path instead of
 	// dying with an uncertified image: the next open of the checkpoint
@@ -48,7 +55,7 @@ func run(in io.Reader, out io.Writer, sig <-chan os.Signal) error {
 	w := drain.New(sig)
 	// Four partitions: the shell runs on a forest, so crash/recover and
 	// stats exercise the multi-arena paths end to end.
-	opts := rntree.Options{DualSlotArray: true, Partitions: 4, Seed: 1}
+	opts := rntree.Options{ArenaSize: arenaSize, DualSlotArray: true, Partitions: 4, Seed: 1}
 	t, err := rntree.New(opts)
 	if err != nil {
 		return err

@@ -9,7 +9,22 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rntree/internal/procmem"
 )
+
+// TestMain holds the shell's footprint: after every test has run — crash
+// and checkpoint each keep two trees live — the binary's resident high-water
+// mark must stay under 4 GiB (it was ~10 GiB on the library's default
+// arena size).
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if hwm, ok := procmem.PeakRSS(); ok && hwm > 4<<30 {
+		fmt.Fprintf(os.Stderr, "FAIL: peak RSS %d MiB exceeds the shell's 4 GiB budget\n", hwm>>20)
+		code = 1
+	}
+	os.Exit(code)
+}
 
 func runScript(t *testing.T, script string) string {
 	t.Helper()

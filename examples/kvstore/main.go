@@ -1,9 +1,9 @@
 // Kvstore demonstrates the durable byte-string key-value layer built on
 // RNTree (package kv) — the "primary key store" use case the paper's §3.3
-// motivates. It loads a small user table with parallel writers (the value
-// log is sharded, so Puts on different shards never serialize), overwrites
-// and deletes under churn, crashes the machine, recovers, compacts, and
-// prints the space accounting along the way.
+// motivates. It loads a small user table with parallel writers (the store
+// is partitioned, so Puts on different partitions never serialize),
+// overwrites and deletes under churn, crashes the machine, recovers,
+// compacts, and prints the space accounting along the way.
 package main
 
 import (
@@ -25,8 +25,8 @@ func main() {
 
 	// A small "users" table with unique keys (conditional semantics live in
 	// the tree underneath: the index key is the hash of the full key),
-	// loaded by parallel writers: each key's hash picks a partition and a
-	// value-log shard within it, so the writers' record persists overlap
+	// loaded by parallel writers: each key's hash picks a partition, so the
+	// writers' record persists overlap across the partitions' value logs
 	// instead of serializing behind one log lock.
 	const writers = 4
 	var wg sync.WaitGroup
@@ -45,8 +45,8 @@ func main() {
 	}
 	wg.Wait()
 	st0 := s.Stats()
-	fmt.Printf("loaded %d users with %d parallel writers over %d partitions x %d log shards\n",
-		st0.LiveKeys, writers, st0.Partitions, st0.Shards/st0.Partitions)
+	fmt.Printf("loaded %d users with %d parallel writers over %d partitions\n",
+		st0.LiveKeys, writers, st0.Partitions)
 	v, err := s.Get([]byte("user:00042"))
 	if err != nil {
 		log.Fatal(err)

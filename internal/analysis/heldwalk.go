@@ -55,7 +55,7 @@ const (
 // heldLock is one acquired lock instance.
 type heldLock struct {
 	recv string // receiver expression text ("t.mu"): per-function tracking key
-	node string // program-wide identity ("kv.Store.replMu"), "" if unresolvable
+	node string // program-wide identity ("kv.kvPart.mu"), "" if unresolvable
 	pos  token.Pos
 	fn   *types.Func // the acquiring method (distinguishes lock types)
 }

@@ -12,7 +12,7 @@ import (
 // repository's lock fields — sync2.SpinLock, sync2.VersionLock, sync.Mutex
 // and sync.RWMutex — and reports any cycle as a potential deadlock. Locks
 // are typed by identity, not instance: the field of the owning struct
-// ("kv.Store.replMu", "core.leafMeta.vl") or the package-level variable.
+// ("kv.kvPart.mu", "core.leafMeta.vl") or the package-level variable.
 // An edge a→b is recorded whenever b is acquired while a is held, either
 // directly in one function body (via the shared heldWalker) or through a
 // call made with a held — the callee's transitive acquisitions are

@@ -1,13 +1,12 @@
 package bench
 
 import (
-	"os"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"rntree/internal/pmem"
+	"rntree/internal/procmem"
 	"rntree/internal/ycsb"
 )
 
@@ -114,25 +113,9 @@ func TestExperimentsSmoke(t *testing.T) {
 	// The suite once peaked at ~15 GiB — experiments reserving GiB-scale
 	// arenas per point, collected late — and was OOM-killed on a 16 GiB
 	// host. Hold the process's high-water mark well under that.
-	if hwm, ok := peakRSS(); ok && hwm > 4<<30 {
+	if hwm, ok := procmem.PeakRSS(); ok && hwm > 4<<30 {
 		t.Fatalf("peak RSS %d MiB exceeds the 4 GiB smoke budget", hwm>>20)
 	}
-}
-
-// peakRSS reads the process's resident-set high-water mark (VmHWM) in
-// bytes; ok is false where /proc does not provide it.
-func peakRSS() (bytes uint64, ok bool) {
-	status, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0, false
-	}
-	for _, line := range strings.Split(string(status), "\n") {
-		if f := strings.Fields(line); len(f) == 3 && f[0] == "VmHWM:" && f[2] == "kB" {
-			kb, err := strconv.ParseUint(f[1], 10, 64)
-			return kb << 10, err == nil
-		}
-	}
-	return 0, false
 }
 
 func TestResultCSV(t *testing.T) {

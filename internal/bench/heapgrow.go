@@ -43,7 +43,6 @@ func HeapGrow(c Config) []Result {
 		GrowSize:     heapGrowSegSize,
 		MaxSegments:  heapGrowMaxSegs,
 		ChunkSize:    heapGrowChunk,
-		Shards:       1,
 		FlushLatency: c.Latency,
 	})
 	if err != nil {

@@ -7,46 +7,46 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rntree/internal/pmem"
 	"rntree/kv"
 )
 
 // KVScale is the kv-layer analogue of Figure 8: a thread sweep of Put
-// throughput on the byte-string store, comparing the sharded value log
-// (every shard has its own persisted chunk chain, append cursor and lock)
-// against a single-shard configuration — which is exactly the old design,
-// one global writer lock held across every record persist.
+// throughput on the byte-string store, comparing a partitioned store (every
+// partition has its own arena, value log and commit lock) against a single
+// partition — one writer lock held across every record persist — under the
+// flag profile and under pmem.ProfileOptaneDIMM, where each arena is one
+// drain engine.
 //
 // The paper's §3.4 point transfers one layer up: as long as slow persists
-// happen under one lock, adding writers cannot add throughput; sharding
-// the log lets the persist stalls of independent writers overlap.
+// happen under one lock, adding writers cannot add throughput; partitioning
+// the store lets the persist stalls of independent writers overlap.
 func KVScale(c Config) []Result {
 	c = c.normalized()
-	res := Result{
-		ID:     "kvscale",
-		Title:  "kv store Put throughput (Mops/s) vs threads: sharded value log vs single writer log",
-		Header: []string{"threads", "sharded", "single-log", "sharded/single"},
-	}
-	base := -1.0
-	for _, th := range c.Threads {
-		sharded := kvPutThroughput(c, 0, th) // 0 = default shard count
-		single := kvPutThroughput(c, 1, th)
-		if base < 0 {
-			base = sharded
+	var out []Result
+	for _, prof := range []struct {
+		name string
+		lat  pmem.LatencyModel
+	}{{"flag profile", c.Latency}, {"ProfileOptaneDIMM", pmem.ProfileOptaneDIMM}} {
+		c.Latency = prof.lat
+		res := Result{
+			ID:     "kvscale",
+			Title:  "kv store Put throughput (Mops/s) vs threads, " + prof.name + ": 8 partitions vs 1",
+			Header: []string{"threads", "8-partitions", "1-partition", "8p/1p"},
 		}
-		res.Rows = append(res.Rows, []string{
-			fmt.Sprintf("%d", th), f3(sharded), f3(single), f2(sharded / single),
-		})
+		for _, th := range c.Threads {
+			parted := kvPutThroughput(c, 8, th)
+			single := kvPutThroughput(c, 1, th)
+			res.Rows = append(res.Rows, []string{
+				fmt.Sprintf("%d", th), f3(parted), f3(single), f2(parted / single),
+			})
+		}
+		res.Notes = append(res.Notes,
+			"1-partition: one value log, one mutex held across record persists serializes all writers",
+			"8-partitions: a writer's record persist overlaps every other partition's work (own arena, drain engine and lock); the RNTree index is already concurrent via HTM slot updates")
+		out = append(out, res)
 	}
-	res.Notes = append(res.Notes,
-		"single-log = Shards:1, the pre-sharding design: one mutex held across record persists serializes all writers",
-		"sharded Put overlaps the record persist of one writer with every other shard's work; the RNTree index is already concurrent via HTM slot updates")
-	if len(res.Rows) > 0 && base > 0 {
-		last := res.Rows[len(res.Rows)-1]
-		res.Notes = append(res.Notes, fmt.Sprintf(
-			"sharded scaling: %s threads reach %sx the single-thread sharded throughput", last[0],
-			f2(mustF(last[1])/base)))
-	}
-	return []Result{res}
+	return out
 }
 
 func mustF(s string) float64 {
@@ -54,10 +54,9 @@ func mustF(s string) float64 {
 	return v
 }
 
-// kvPutThroughput drives threads writers inserting distinct keys for the
-// configured duration and returns Mops/s. shards==0 uses the store's
-// default sharding.
-func kvPutThroughput(c Config, shards, threads int) float64 {
+// kvPutThroughput drives threads writers inserting distinct keys into a
+// store of parts partitions for the configured duration and returns Mops/s.
+func kvPutThroughput(c Config, parts, threads int) float64 {
 	s, err := kv.New(kv.Options{
 		ArenaSize: 256 << 20,
 		// No growth: a writer that exhausts the arena stops and the point
@@ -65,7 +64,7 @@ func kvPutThroughput(c Config, shards, threads int) float64 {
 		// only inflates the footprint.
 		MaxSegments:  1,
 		ChunkSize:    1 << 20,
-		Shards:       shards,
+		Partitions:   parts,
 		FlushLatency: c.Latency,
 	})
 	if err != nil {

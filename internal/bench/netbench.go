@@ -144,12 +144,6 @@ func runNetPointP(c Config, pt netPoint, parts int) (float64, *hist.Histogram, u
 		MaxSegments: 2 + int((netWarmup+window)/time.Second),
 		ChunkSize:   1 << 20,
 		Partitions:  parts,
-		// One value-log head per partition: with the group committer doing
-		// the writing, a batch's records land back-to-back in one chunk and
-		// persist as a single contiguous run — the design point the sharded
-		// log's Shards knob exists to trade away from when writers contend
-		// on the shard locks instead of batching.
-		Shards: 1,
 		// Optane DCPMM with the per-DIMM drain queue, like forestscale:
 		// persists cost wall-clock media occupancy, which is exactly the
 		// latency pipelining exists to hide.

@@ -131,7 +131,6 @@ func runNetGetPoint(c Config, pt netGetPoint) (float64, *hist.Histogram, float64
 		MaxSegments:  1,
 		ChunkSize:    1 << 20,
 		Partitions:   netParts,
-		Shards:       1,
 		FlushLatency: lat,
 	})
 	if err != nil {

@@ -201,7 +201,6 @@ func runObjPhase(c Config, ph objPhase) (float64, *hist.Histogram, uint64) {
 		MaxSegments:  2,
 		ChunkSize:    1 << 20,
 		Partitions:   netParts,
-		Shards:       1,
 		FlushLatency: pmem.ProfileOptaneDIMM,
 	})
 	if err != nil {

@@ -154,7 +154,6 @@ func replBenchOpts(c Config) kv.Options {
 		MaxSegments:  2,
 		ChunkSize:    1 << 20,
 		Partitions:   replParts,
-		Shards:       1,
 		FlushLatency: pmem.ProfileOptaneDIMM,
 	}
 }

@@ -19,7 +19,6 @@ func replOpts() kv.Options {
 	return kv.Options{
 		ArenaSize:  8 << 20,
 		ChunkSize:  512,
-		Shards:     1,
 		Partitions: 2,
 	}
 }

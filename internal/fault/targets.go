@@ -114,7 +114,7 @@ func TreeWorkload() []Op {
 // kv.Store target
 
 // KVTarget drives a kv.Store with tiny chunks so the workload crosses chunk
-// boundaries (newShardChunk's chunk-link persists) and with compaction ops
+// boundaries (newChunk's chunk-link persists) and with compaction ops
 // mixed in, crashing inside record appends, index updates, and the
 // compaction cut.
 type KVTarget struct {
@@ -125,7 +125,6 @@ func kvOpts() kv.Options {
 	return kv.Options{
 		ArenaSize: 4 << 20,
 		ChunkSize: 512, // ~7 records per chunk: frequent chunk-link persists
-		Shards:    2,
 	}
 }
 
@@ -469,7 +468,6 @@ func kvPartsOpts() kv.Options {
 	return kv.Options{
 		ArenaSize:  8 << 20,
 		ChunkSize:  512,
-		Shards:     1,
 		Partitions: 2,
 	}
 }
@@ -675,8 +673,8 @@ func HeapWorkload() []Op {
 
 // KVReopenTarget pre-loads a two-partition store and remaps its durable
 // images at a different simulated base; the workload's first op is OpOpen,
-// so recovery's own persist sites — the shard-table pointer's re-encode and
-// the swizzle retire, a fresh chunk link per shard, the heap-record refresh
+// so recovery's own persist sites — the chain-head pointer's re-encode and
+// the swizzle retire, the fresh chunk's link, the heap-record refresh
 // — become crash points, per partition. A crash image from any of them must
 // reopen to exactly the pre-loaded contents.
 type KVReopenTarget struct {
@@ -770,7 +768,6 @@ func objKVOpts() kv.Options {
 	return kv.Options{
 		ArenaSize: 4 << 20,
 		ChunkSize: 1024, // room for reap intents (undo images of a whole object)
-		Shards:    2,
 	}
 }
 

@@ -78,7 +78,7 @@ func (o *Store) ExpireTick() int {
 // name's stripe lock. Exactly-once: the persisted expiry record is the
 // reap's ground truth — whoever still sees it (and a passed deadline)
 // performs the reap; everyone else finds it gone and no-ops. Compaction
-// never deletes live records, so a shard compacting mid-reap only ever
+// never deletes live records, so a partition compacting mid-reap only ever
 // relocates them; the delete tombstones this commit writes stay the newest
 // versions either way.
 func (o *Store) reapLocked(name []byte) error {

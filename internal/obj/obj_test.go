@@ -434,8 +434,8 @@ func TestExpiredKeyNeverResurrects(t *testing.T) {
 	}
 }
 
-// TestExpirerVsCompactionRace (satellite): a key expiring while its shard
-// compacts is reaped exactly once, and concurrent expirer ticks never
+// TestExpirerVsCompactionRace (satellite): a key expiring while its
+// partition compacts is reaped exactly once, and concurrent expirer ticks never
 // double-reap.
 func TestExpirerVsCompactionRace(t *testing.T) {
 	st := newKV(t)

@@ -477,7 +477,7 @@ func (sub *Subscriber) Run() error {
 
 // catchUp replays the reachable backlog above each partition cursor.
 // ReplBacklog bounds the replay at a barrier snapshot of the partition's
-// LSN taken under the commit path's replication mutex, so the cursor only
+// LSN taken under the partition's commit lock, so the cursor only
 // ever advances over LSNs whose records were published and queue-offered
 // before the replay's tree scan began — a record committed concurrently
 // with the scan is above the barrier and stays the live queue's job.

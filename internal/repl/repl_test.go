@@ -10,7 +10,7 @@ import (
 )
 
 func testOpts() kv.Options {
-	return kv.Options{ArenaSize: 8 << 20, ChunkSize: 512, Shards: 1, Partitions: 2}
+	return kv.Options{ArenaSize: 8 << 20, ChunkSize: 512, Partitions: 2}
 }
 
 func newStore(t *testing.T) *kv.Store {

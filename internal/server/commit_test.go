@@ -222,15 +222,14 @@ func TestAsyncAckNotHeldByDurableBatchMate(t *testing.T) {
 // TestCommitterAllocs: after warm-up a committer's gather → commit → ack
 // allocates nothing, for a batch of one and of eight — the batch, the kv
 // entries, the per-connection responses, the response frame and the payload
-// boxes are all reused. The store has one shard, so kv commits the batch on
-// the committer's goroutine (a batch spanning shards pays kv's fan-out
-// goroutines, which are not the committer's), and keys are fresh and
-// 8-byte-multiples for the reasons kv's TestCommitAllocs gives.
+// boxes are all reused. A committer's batch is one partition's, so kv
+// commits it on the committer's goroutine whatever the keys are; they are
+// fresh and 8-byte-multiples for the reasons kv's TestCommitAllocs gives.
 func TestCommitterAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	st, err := kv.New(kv.Options{ArenaSize: 64 << 20, MaxSegments: 1, Partitions: 1, Shards: 1})
+	st, err := kv.New(kv.Options{ArenaSize: 64 << 20, MaxSegments: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -452,7 +452,6 @@ func (s *Server) counters() []wire.Counter {
 		{Name: "live_keys", Val: uint64(st.LiveKeys)},
 		{Name: "dead_records", Val: uint64(st.DeadRecords)},
 		{Name: "partitions", Val: uint64(st.Partitions)},
-		{Name: "shards", Val: uint64(st.Shards)},
 		{Name: "persists", Val: st.Persists},
 		{Name: "tree_leaves", Val: uint64(st.TreeLeaves)},
 		{Name: "conns_active", Val: uint64(sv.ConnsActive)},

@@ -4,10 +4,10 @@ import "sync"
 
 // The commit path. Every mutation of the store — Put, Delete, a PutBatch
 // pair, an entry of a server group commit, a shipped replication record —
-// commits through commitShard below, and nothing else appends a record and
+// commits through commitPart below, and nothing else appends a record and
 // repoints the index (compaction's rewriteChain moves records that are
-// already committed). Where N separate commits to one shard cost N ranged
-// persists (one fence each) for their log records, a batch holds the shard
+// already committed). Where N separate commits to one partition cost N ranged
+// persists (one fence each) for their log records, a batch holds the partition
 // lock once, lays the records down back-to-back and persists every
 // contiguous run with a single call — one fence per chunk-run instead of one
 // per record. The commit point is the same for a batch of one and a batch of
@@ -40,26 +40,26 @@ func (sp *persistSpan) flush(p *kvPart) {
 	}
 }
 
-// appendRecordDeferred writes one immutable record to sh's log with its
-// persist folded into sp: the caller must flush the span before making any
-// record of it reachable. Caller holds sh.mu (or the store is not yet
-// published). Returns the record offset.
-func (p *kvPart) appendRecordDeferred(sh *shard, sp *persistSpan, kind int, lsn uint64, key, val []byte, next uint64) (uint64, error) {
+// appendRecordDeferred writes one immutable record to the partition's log
+// with its persist folded into sp: the caller must flush the span before
+// making any record of it reachable. Caller holds p.mu (or the store is not
+// yet published). Returns the record offset.
+func (p *kvPart) appendRecordDeferred(sp *persistSpan, kind int, lsn uint64, key, val []byte, next uint64) (uint64, error) {
 	size := recSize(len(key), len(val))
 	if size > p.chunkSz-chunkHdrSize {
 		return 0, ErrTooLarge
 	}
-	if sh.used+size > p.chunkSz {
+	if p.used+size > p.chunkSz {
 		// Rolling to a fresh chunk persists chain pointers of its own;
 		// flush the old chunk's span first so the batch's persists stay
 		// contiguous runs.
 		sp.flush(p)
-		if err := p.newShardChunk(sh); err != nil {
+		if err := p.newChunk(); err != nil {
 			return 0, err
 		}
 	}
-	off := sh.chunk + sh.used
-	sh.used += size
+	off := p.chunk + p.used
+	p.used += size
 	hdr := uint64(kind) | uint64(len(key))<<8 | uint64(len(val))<<32
 	// Records are laid down with streaming (write-through) stores: nothing
 	// reads them until the tree points at them, and that pointer update
@@ -76,9 +76,9 @@ func (p *kvPart) appendRecordDeferred(sh *shard, sp *persistSpan, kind int, lsn 
 
 // appendRecord is appendRecordDeferred with the persist done before it
 // returns: compaction's shape, one fence per rewritten record.
-func (p *kvPart) appendRecord(sh *shard, kind int, lsn uint64, key, val []byte, next uint64) (uint64, error) {
+func (p *kvPart) appendRecord(kind int, lsn uint64, key, val []byte, next uint64) (uint64, error) {
 	var sp persistSpan
-	off, err := p.appendRecordDeferred(sh, &sp, kind, lsn, key, val, next)
+	off, err := p.appendRecordDeferred(&sp, kind, lsn, key, val, next)
 	sp.flush(p)
 	return off, err
 }
@@ -90,26 +90,27 @@ type Mutation struct {
 	Key, Val []byte
 	Delete   bool // remove Key (Val is ignored) instead of storing Val
 
-	Part int    // index of the partition that owns Key
+	Part int    // index of the partition that owns Key (noPart for an empty Key)
 	LSN  uint64 // the committed record's log sequence number
 	Err  error  // nil, or why this entry was not applied
 
 	hash    uint64
-	sh      *shard // destination shard; nil when the entry failed routing
-	shipped bool   // a replicated record: LSN is given, not assigned
+	shipped bool // a replicated record: LSN is given, not assigned, and no hook fires
 }
 
-// route resolves m's hash, partition and shard, or fails it with
-// ErrEmptyKey.
+// noPart is the Part of an entry that failed routing: no partition's commit
+// picks it up.
+const noPart = -1
+
+// route resolves m's hash and partition, or fails it with ErrEmptyKey.
 func (s *Store) route(m *Mutation) {
-	m.sh, m.Err = nil, nil
+	m.Part, m.Err = noPart, nil
 	if len(m.Key) == 0 {
 		m.Err = ErrEmptyKey
 		return
 	}
 	m.hash = s.hash(m.Key)
 	m.Part = s.f.PartitionFor(m.hash)
-	m.sh = s.parts[m.Part].shardFor(m.hash)
 }
 
 // Commit applies every entry of muts — stores and removals, in slice order
@@ -118,11 +119,11 @@ func (s *Store) route(m *Mutation) {
 // removal of an absent key, which writes nothing), and every entry without
 // one is durable when Commit returns. A batch of one costs what Put costs.
 //
-// Entries are grouped by value-log shard; each shard's records are
-// persisted in contiguous runs (one fence per run) before its tree slots are
-// updated. Batches therefore interleave arbitrarily with concurrent
-// mutations on other shards, and hold each shard lock no longer than the
-// same entries committed individually would in aggregate.
+// Entries are grouped by partition; each partition's records are persisted
+// in contiguous runs (one fence per run) before its tree slots are updated.
+// Batches therefore interleave arbitrarily with concurrent mutations on other
+// partitions, and hold each partition lock no longer than the same entries
+// committed individually would in aggregate.
 func (s *Store) Commit(muts []Mutation) {
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
@@ -132,41 +133,38 @@ func (s *Store) Commit(muts []Mutation) {
 		}
 		return
 	}
-	first, oneShard := -1, true
+	first, onePart := -1, true
 	for i := range muts {
 		s.route(&muts[i])
 		switch {
-		case muts[i].sh == nil:
+		case muts[i].Part == noPart:
 		case first < 0:
 			first = i
-		case muts[i].sh != muts[first].sh:
-			oneShard = false
+		case muts[i].Part != muts[first].Part:
+			onePart = false
 		}
 	}
 	if first < 0 {
 		return
 	}
-	// The hook is read exactly once for the whole batch, so every group
-	// ships (or doesn't) consistently.
-	hook := s.commitHook()
-	if oneShard {
-		s.commitLocal(muts[first].Part, muts[first].sh, muts[first:], hook)
+	if onePart {
+		s.commitPart(muts[first].Part, muts[first:])
 		return
 	}
-	// Apply the groups concurrently: every group holds a different shard
-	// lock and persists its records into its own contiguous run, so the
-	// drain stalls of groups on different partition arenas overlap (one
-	// drain engine per arena) instead of queueing behind one another on
-	// the calling goroutine. This is where a cross-connection batch beats
-	// the same writes issued serially: the fences amortize within a group
-	// AND the media occupancy overlaps across groups. A group is launched
-	// at its first entry and picks its later ones out of the tail itself.
+	// Apply the groups concurrently: every group holds a different partition
+	// lock and persists its records into its own arena, so the drain stalls
+	// of the groups overlap (one drain engine per arena) instead of queueing
+	// behind one another on the calling goroutine. This is where a
+	// cross-partition batch beats the same writes issued serially: the
+	// fences amortize within a group AND the media occupancy overlaps across
+	// groups. A group is launched at its first entry and picks its later ones
+	// out of the tail itself.
 	var wg sync.WaitGroup
 	for i := first; i < len(muts); i++ {
-		sh := muts[i].sh
-		leads := sh != nil
+		pi := muts[i].Part
+		leads := pi != noPart
 		for j := first; leads && j < i; j++ {
-			leads = muts[j].sh != sh
+			leads = muts[j].Part != pi
 		}
 		if !leads {
 			continue
@@ -174,7 +172,7 @@ func (s *Store) Commit(muts []Mutation) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.commitLocal(muts[i].Part, sh, muts[i:], hook)
+			s.commitPart(pi, muts[i:])
 		}()
 	}
 	wg.Wait()
@@ -210,12 +208,12 @@ func (s *Store) PutBatch(keys, vals [][]byte) []error {
 	return errs
 }
 
-// commitOne is Commit for a single entry, without the cross-shard fan-out,
-// so the entry can live on the caller's stack: Put and Delete allocate
-// nothing of their own.
+// commitOne is Commit for a single entry, without the cross-partition
+// fan-out, so the entry can live on the caller's stack: Put and Delete
+// allocate nothing of their own.
 func (s *Store) commitOne(m []Mutation) {
 	s.route(&m[0])
-	if m[0].sh == nil {
+	if m[0].Part == noPart {
 		return
 	}
 	s.closeMu.RLock()
@@ -224,24 +222,10 @@ func (s *Store) commitOne(m []Mutation) {
 		m[0].Err = ErrClosed
 		return
 	}
-	s.commitLocal(m[0].Part, m[0].sh, m, s.commitHook())
+	s.commitPart(m[0].Part, m)
 }
 
-// commitLocal is commitShard for mutations that originate here. While a
-// commit hook is installed, ship order must equal LSN order, so the
-// partition's replication lock is held across the group's whole
-// assign→append→publish→hook (lock order: replMu, then the shard mu inside
-// commitShard); with none, writers on different shards stay parallel.
-func (s *Store) commitLocal(pi int, sh *shard, muts []Mutation, hook CommitHook) {
-	if hook != nil {
-		p := &s.parts[pi]
-		p.replMu.Lock()
-		defer p.replMu.Unlock()
-	}
-	s.commitShard(pi, sh, muts, hook)
-}
-
-// batchEntry is commitShard's per-unique-hash state: the newest record this
+// batchEntry is commitLocked's per-unique-hash state: the newest record this
 // batch appended for the hash and the hash's live/dead accounting delta.
 // Batches are small (bounded by the server committer's MaxBatch), so entries
 // are found by linear scan instead of a map — cheaper and allocation-free.
@@ -254,36 +238,44 @@ type batchEntry struct {
 // batchKeyKind records the kind of the newest record appended for an exact
 // key within the current batch (hashes can collide; kinds cannot be keyed
 // by hash alone). The key slice is borrowed from the caller and only valid
-// during the commitShard call that wrote it.
+// during the commitLocked call that wrote it.
 type batchKeyKind struct {
 	key  []byte
 	kind int
 }
 
-// commitShard is the store's one commit routine. Under sh's lock it commits,
-// in order, the entries of muts routed to sh (the others are skipped): find
-// the hash's current chain head and the kind of the key's newest record
-// (this batch's own records first), take an LSN, append the record with its
-// persist deferred into a contiguous span, flush the span, repoint each
-// touched hash at its newest record, settle the live/dead accounting, and
-// fire hook in LSN order. A local removal of an absent key fails with
-// ErrNotFound before an LSN is taken; a shipped entry keeps the LSN it
-// arrived with, and a shipped tombstone is appended whether or not the key
-// is present here. Callers hold the partition's replMu when order matters:
-// commitLocal while a hook is installed, ReplApply (the one caller with
-// shipped entries, and no hook) always.
-func (s *Store) commitShard(pi int, sh *shard, muts []Mutation, hook CommitHook) {
+// commitPart commits the entries of muts routed to partition pi under the
+// partition's lock, taken unconditionally: two commits to one partition never
+// overlap. The hook is read under the lock, so a hook installed before this
+// commit took the lock sees it.
+func (s *Store) commitPart(pi int, muts []Mutation) {
 	p := &s.parts[pi]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s.commitLocked(pi, muts, s.commitHook())
+}
+
+// commitLocked is the store's one commit routine. With partition pi's lock
+// held by the caller it commits, in order, the entries of muts routed to pi
+// (the others are skipped): find the hash's current chain head and the kind
+// of the key's newest record (this batch's own records first), take an LSN,
+// append the record with its persist deferred into a contiguous span, flush
+// the span, repoint each touched hash at its newest record, settle the
+// live/dead accounting, and fire hook in LSN order. A local removal of an
+// absent key fails with ErrNotFound before an LSN is taken; a shipped entry
+// keeps the LSN it arrived with, and a shipped tombstone is appended whether
+// or not the key is present here. ReplApply is the one caller with shipped
+// entries, and passes no hook.
+func (s *Store) commitLocked(pi int, muts []Mutation, hook CommitHook) {
+	p := &s.parts[pi]
 
 	var sp persistSpan
-	ents := sh.batchEnts[:0]
-	kinds := sh.batchKinds[:0]
+	ents := p.batchEnts[:0]
+	kinds := p.batchKinds[:0]
 
 	for i := range muts {
 		m := &muts[i]
-		if m.sh != sh {
+		if m.Part != pi {
 			continue
 		}
 		var e *batchEntry
@@ -330,7 +322,7 @@ func (s *Store) commitShard(pi int, sh *shard, muts []Mutation, hook CommitHook)
 		if !m.shipped {
 			m.LSN = p.lsn.Add(1)
 		}
-		off, err := p.appendRecordDeferred(sh, &sp, kind, m.LSN, m.Key, val, head)
+		off, err := p.appendRecordDeferred(&sp, kind, m.LSN, m.Key, val, head)
 		if err != nil {
 			m.Err = err
 			continue
@@ -374,7 +366,7 @@ func (s *Store) commitShard(pi int, sh *shard, muts []Mutation, hook CommitHook)
 			// the next compaction); surface the failure on every entry that
 			// fed this hash and drop the hash's accounting deltas with it.
 			for i := range muts {
-				if m := &muts[i]; m.sh == sh && m.hash == e.hash && m.Err == nil {
+				if m := &muts[i]; m.Part == pi && m.hash == e.hash && m.Err == nil {
 					m.Err = mapFull(err)
 				}
 			}
@@ -383,15 +375,15 @@ func (s *Store) commitShard(pi int, sh *shard, muts []Mutation, hook CommitHook)
 		liveDelta += e.live
 		deadDelta += e.dead
 	}
-	sh.live.Add(liveDelta)
-	sh.dead.Add(deadDelta)
+	p.live.Add(liveDelta)
+	p.dead.Add(deadDelta)
 	if hook != nil {
-		// LSNs were assigned in slice order under the caller's replMu, so
+		// LSNs were assigned in slice order under the partition lock, so
 		// walking the slice ships this partition's commits in LSN order.
 		for i := range muts {
 			m := &muts[i]
 			switch {
-			case m.sh != sh || m.Err != nil:
+			case m.Part != pi || m.Err != nil:
 			case m.Delete:
 				hook(pi, m.LSN, ReplDelete, m.Key, nil)
 			default:
@@ -404,5 +396,5 @@ func (s *Store) commitShard(pi int, sh *shard, muts []Mutation, hook CommitHook)
 	for j := range kinds {
 		kinds[j].key = nil
 	}
-	sh.batchEnts, sh.batchKinds = ents, kinds
+	p.batchEnts, p.batchKinds = ents, kinds
 }

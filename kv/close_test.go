@@ -171,7 +171,7 @@ func TestPutBatchBasic(t *testing.T) {
 // point of batching).
 func TestPutBatchMatchesSequential(t *testing.T) {
 	mk := func() *Store {
-		s, err := New(Options{ArenaSize: 128 << 20, MaxSegments: 1, ChunkSize: 1 << 16, Shards: 8, Partitions: 2})
+		s, err := New(Options{ArenaSize: 128 << 20, MaxSegments: 1, ChunkSize: 1 << 16, Partitions: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestPutBatchDurable(t *testing.T) {
 // TestPutBatchConcurrent races batches against individual writers and
 // Close, under -race.
 func TestPutBatchConcurrent(t *testing.T) {
-	s, err := New(Options{ArenaSize: 128 << 20, MaxSegments: 1, ChunkSize: 1 << 16, Shards: 8, Partitions: 2})
+	s, err := New(Options{ArenaSize: 128 << 20, MaxSegments: 1, ChunkSize: 1 << 16, Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

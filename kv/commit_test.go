@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"rntree/internal/pmem"
 	"rntree/internal/race"
 )
 
@@ -16,7 +17,7 @@ import (
 // committed entry in LSN order.
 func TestCommitMixedBatch(t *testing.T) {
 	mk := func() (*Store, *[]uint64) {
-		s, err := New(Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 14, Shards: 2, Partitions: 2})
+		s, err := New(Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 14, Partitions: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,9 +126,11 @@ func TestCommitMixedBatch(t *testing.T) {
 // stay where they were before every mutation moved onto the one commit
 // routine (0 and 1 allocs/op; Delete's one is the key copy its chain walk
 // makes), with and without a commit hook, and a one-entry Commit on a reused
-// slice — the server committer's call — must cost what Put costs. Keys and
-// values are multiples of 8 bytes (others pay one padding copy per record)
-// and fresh per run (an overwrite pays the chain walk's key copy).
+// slice — the server committer's call — must cost what Put costs, as must a
+// Commit of eight arbitrary keys of one partition (one lock, no fan-out
+// goroutines). Keys and values are multiples of 8 bytes (others pay one
+// padding copy per record) and fresh per run (an overwrite pays the chain
+// walk's key copy).
 func TestCommitAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -174,5 +177,85 @@ func TestCommitAllocs(t *testing.T) {
 				t.Fatal(muts[0].Err)
 			}
 		})
+		muts = make([]Mutation, 8)
+		keys := make([][16]byte, len(muts))
+		check("Commit of eight in one partition", 0, func() {
+			for i := range muts {
+				for copy(keys[i][:], fresh()); s.PartitionOf(keys[i][:]) != 0; {
+					copy(keys[i][:], fresh())
+				}
+				muts[i] = Mutation{Key: keys[i][:], Val: val}
+			}
+			s.Commit(muts)
+			for i := range muts {
+				if muts[i].Err != nil {
+					t.Fatal(muts[i].Err)
+				}
+			}
+		})
+	}
+}
+
+// TestCommitPersistCount pins the batched commit's persist count, which is
+// exact where wall-clock numbers on a shared host are not: a Commit of n
+// fresh distinct keys that route to one partition and fit its current chunk
+// issues exactly one record-span persist — one fence for all n records —
+// plus the tree's own persists for the n inserts, on default geometry.
+func TestCommitPersistCount(t *testing.T) {
+	const n = 16
+	mk := func() *Store {
+		s, err := New(Options{ArenaSize: 64 << 20, MaxSegments: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := mk()
+	p := &s.parts[0]
+	muts := make([]Mutation, n)
+	span := uint64(0)
+	for i := range muts {
+		muts[i] = Mutation{Key: []byte(fmt.Sprintf("fresh-%02d", i)), Val: make([]byte, 100+i)}
+		span += recSize(len(muts[i].Key), len(muts[i].Val))
+	}
+	first := p.chunk + p.used
+	if p.used+span > p.chunkSz {
+		t.Fatalf("%d records (%d bytes) do not fit the current chunk", n, span)
+	}
+	var spans, otherLog int
+	p.arena.SetHooks(&pmem.Hooks{AfterPersist: func(off, size uint64) {
+		switch {
+		case off == first && size == span:
+			spans++
+		case off < p.chunk+p.chunkSz && off+size > p.chunk:
+			otherLog++
+		}
+	}})
+	before := p.arena.Stats()
+	s.Commit(muts)
+	got := p.arena.Stats()
+	for i := range muts {
+		if muts[i].Err != nil {
+			t.Fatalf("entry %d: %v", i, muts[i].Err)
+		}
+	}
+	if spans != 1 || otherLog != 0 {
+		t.Errorf("record persists: %d of the whole %d-byte span, %d others inside the chunk; want 1 and 0", spans, span, otherLog)
+	}
+
+	// The tree's own cost: the same n inserts, in commit order, on a twin.
+	twin := &mk().parts[0]
+	tree := twin.arena.Stats()
+	for i := range muts {
+		if err := twin.tree.Upsert(muts[i].hash, first); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := 1 + twin.arena.Stats().Persists - tree.Persists
+	if d := got.Persists - before.Persists; d != want {
+		t.Errorf("Commit of %d issued %d persists, want %d (1 record span + the tree's %d)", n, d, want, want-1)
+	}
+	if d := got.Fences - before.Fences; d != want {
+		t.Errorf("Commit of %d issued %d fences, want one per persist (%d)", n, d, want)
 	}
 }

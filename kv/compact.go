@@ -35,13 +35,13 @@ func (p *kvPart) collectLive(off uint64, keepTombs bool) []liveRec {
 	return live
 }
 
-// rewriteChain re-appends records (given newest-first) into sh's log,
-// preserving their order, kinds and LSNs, and repoints the index. Caller
-// holds sh.mu (or the store is not yet published).
-func (p *kvPart) rewriteChain(sh *shard, hash uint64, live []liveRec) error {
+// rewriteChain re-appends records (given newest-first) into the partition's
+// log, preserving their order, kinds and LSNs, and repoints the index.
+// Caller holds p.mu.
+func (p *kvPart) rewriteChain(hash uint64, live []liveRec) error {
 	next := uint64(0)
 	for i := len(live) - 1; i >= 0; i-- {
-		off, err := p.appendRecord(sh, live[i].kind, live[i].lsn, live[i].key, live[i].val, next)
+		off, err := p.appendRecord(live[i].kind, live[i].lsn, live[i].key, live[i].val, next)
 		if err != nil {
 			return err
 		}
@@ -52,8 +52,8 @@ func (p *kvPart) rewriteChain(sh *shard, hash uint64, live []liveRec) error {
 
 // Compact rewrites every live record into fresh chunks and retires the old
 // ones, reclaiming space from overwritten values and tombstones. It works
-// one shard at a time, holding only that shard's lock — writers on the
-// other shards and partitions (and all readers) keep running, so
+// one partition at a time, holding only that partition's lock — its writers
+// wait, but writers on the other partitions and all readers keep running, so
 // compaction never stops the world.
 //
 // On a store with a commit hook installed (a replication primary or
@@ -67,49 +67,42 @@ func (s *Store) Compact() error {
 	}
 	keepTombs := s.commitHook() != nil
 	for pi := range s.parts {
-		p := &s.parts[pi]
-		for i := range p.shards {
-			if err := p.compactShard(&p.shards[i], keepTombs); err != nil {
-				return err
-			}
+		if err := s.parts[pi].compact(keepTombs); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// compactShard rewrites the live records of every hash belonging to sh
-// into fresh chunks, then cuts the old chunks out of the chain.
+// compact rewrites the live records of every hash of the partition into
+// fresh chunks, then cuts the old chunks out of the chain.
 //
 // Crash safety: the fresh chunks are stacked on top of the old chain, so
 // at every instant the whole chain — old records still referenced by
-// not-yet-rewritten hashes included — is reachable from the shard table
+// not-yet-rewritten hashes included — is reachable from the chain-head line
 // and therefore allocator-protected across a crash. Only after every hash
 // is repointed is the chain cut (one persisted pointer write).
 //
 // Reader safety: lock-free readers may still be walking the old records,
 // so the cut chunks are only retired here; the actual free happens at the
-// start of the next compaction of this shard, a full cycle later.
-func (p *kvPart) compactShard(sh *shard, keepTombs bool) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, c := range sh.retired {
+// start of the next compaction of this partition, a full cycle later.
+func (p *kvPart) compact(keepTombs bool) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, c := range p.retired {
 		p.arena.Free(c, p.chunkSz)
 	}
-	sh.retired = nil
+	p.retired = nil
 
-	oldHead := p.arena.Read8(sh.tabOff)
-	if err := p.newShardChunk(sh); err != nil {
+	oldHead := p.arena.Read8(p.headOff)
+	if err := p.newChunk(); err != nil {
 		return err
 	}
-	cut := sh.chunk // its next pointer is oldHead until the cut below
+	cut := p.chunk // its next pointer is oldHead until the cut below
 
-	live := int64(0)
-	dead := int64(0)
+	var live, dead int64
 	var fail error
 	p.tree.Scan(0, 0, func(hash, off uint64) bool {
-		if p.shardFor(hash) != sh {
-			return true
-		}
 		recs := p.collectLive(off, keepTombs)
 		if len(recs) == 0 {
 			if err := p.tree.Remove(hash); err != nil {
@@ -118,7 +111,7 @@ func (p *kvPart) compactShard(sh *shard, keepTombs bool) error {
 			}
 			return true
 		}
-		if err := p.rewriteChain(sh, hash, recs); err != nil {
+		if err := p.rewriteChain(hash, recs); err != nil {
 			fail = err
 			return false
 		}
@@ -140,11 +133,11 @@ func (p *kvPart) compactShard(sh *shard, keepTombs bool) error {
 		p.arena.Persist(cut+chunkNextOff, 8)
 		for c := oldHead; c != pmem.NullOff; {
 			nxt := p.arena.Read8(c + chunkNextOff)
-			sh.retired = append(sh.retired, c)
+			p.retired = append(p.retired, c)
 			c = nxt
 		}
 	}
-	sh.live.Store(live)
-	sh.dead.Store(dead)
+	p.live.Store(live)
+	p.dead.Store(dead)
 	return nil
 }

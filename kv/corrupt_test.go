@@ -11,11 +11,13 @@ import (
 )
 
 // openWatched runs Open on one image with a watchdog: a panic or a hang is
-// reported as a test failure instead of taking the test binary down.
-func openWatched(t *testing.T, tag string, img []uint64) error {
+// reported as a test failure instead of taking the test binary down. It
+// returns Open's error and the arena's traffic counters when Open returned.
+func openWatched(t *testing.T, tag string, img []uint64) (pmem.Stats, error) {
 	t.Helper()
 	type result struct {
 		err      error
+		stats    pmem.Stats
 		panicked any
 	}
 	done := make(chan result, 1)
@@ -25,28 +27,33 @@ func openWatched(t *testing.T, tag string, img []uint64) error {
 			r.panicked = recover()
 			done <- r
 		}()
-		_, r.err = Open([][]uint64{img}, Options{})
+		a := pmem.Recover(img, pmem.Config{})
+		_, r.err = OpenArenas([]*pmem.Arena{a}, Options{})
+		r.stats = a.Stats()
 	}()
 	select {
 	case r := <-done:
 		if r.panicked != nil {
 			t.Fatalf("%s: Open panicked: %v", tag, r.panicked)
 		}
-		return r.err
+		return r.stats, r.err
 	case <-time.After(5 * time.Second):
 		t.Fatalf("%s: Open hung", tag)
-		return nil
+		return pmem.Stats{}, nil
 	}
 }
 
 // TestOpenGarbageSuperblock: every word Open dereferences or trusts — the
-// root pointers, each validated superblock word, each shard-table head and
-// a chunk's next pointer — is overwritten with hostile values in an
-// otherwise sound image. Open must answer ErrCorrupt: no panic in the
-// arena's bounds check, no endless chain walk, no misleading ErrFull. The
-// three superseded superblock magics get the typed unsupported-format error.
+// root pointers, each validated superblock word, the chain-head word and a
+// chunk's next pointer — is overwritten with hostile values in an otherwise
+// sound image. Open must answer ErrCorrupt: no panic in the arena's bounds
+// check, no endless chain walk, no misleading ErrFull. The three superseded
+// superblock magics, and every value-log count a build that sharded the log
+// inside a partition could have persisted, get the typed unsupported-format
+// error naming what was found; a count no build wrote is corrupt. Every
+// rejection happens before kv's first write to the image.
 func TestOpenGarbageSuperblock(t *testing.T) {
-	s, err := New(Options{ArenaSize: 1 << 20, ChunkSize: 512, Shards: 2})
+	s, err := New(Options{ArenaSize: 1 << 20, ChunkSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,17 +72,42 @@ func TestOpenGarbageSuperblock(t *testing.T) {
 	for w := uint64(0); w <= sbTableSimOff; w += 8 {
 		words = append(words, word{fmt.Sprintf("superblock+%d", w), sb + w})
 	}
-	for i := range p.shards {
-		words = append(words, word{fmt.Sprintf("shard %d head", i), p.shards[i].tabOff})
-	}
-	head := p.arena.Read8(p.shards[0].tabOff)
+	words = append(words, word{"chain head", p.headOff})
+	head := p.arena.Read8(p.headOff)
 	if p.arena.Read8(head+chunkNextOff) == pmem.NullOff {
-		t.Fatal("shard 0 holds a single chunk; the chain-hop case needs two")
+		t.Fatal("the log holds a single chunk; the chain-hop case needs two")
 	}
 	words = append(words, word{"chunk next", head + chunkNextOff})
 
+	// One row per hostile image: the word poked, its value, the error Open
+	// must wrap and, for the typed format errors, what the message names.
+	type row struct {
+		word
+		v     uint64
+		want  error
+		names string
+	}
+	var rows []row
+	for _, w := range words {
+		// Out of bounds twice over, all ones, misaligned, and the word's own
+		// offset — in bounds and aligned, and where the word is a chain
+		// pointer a self-cycle only the hop budget stops.
+		for _, v := range []uint64{1 << 40, 1 << 50, ^uint64(0), 4100, w.off} {
+			rows = append(rows, row{w, v, ErrCorrupt, ""})
+		}
+	}
+	for old := uint64(storeMagic) - 3; old < storeMagic; old++ {
+		rows = append(rows, row{word{"magic", sb + sbMagicOff}, old, ErrUnsupportedFormat, fmt.Sprintf("%#x", old)})
+	}
+	for n := uint64(2); n <= 64; n <<= 1 {
+		rows = append(rows, row{word{"log count", sb + sbLogsOff}, n, ErrUnsupportedFormat, fmt.Sprintf("%d value-log shards", n)})
+	}
+	for _, n := range []uint64{0, 3, 48, 65, 128} {
+		rows = append(rows, row{word{"log count", sb + sbLogsOff}, n, ErrCorrupt, ""})
+	}
+
 	img := s.Snapshot()[0]
-	if err := openWatched(t, "pristine", img); err != nil {
+	if _, err := openWatched(t, "pristine", img); err != nil {
 		t.Fatalf("pristine image: %v", err)
 	}
 	poke := func(off, v uint64) []uint64 {
@@ -83,21 +115,18 @@ func TestOpenGarbageSuperblock(t *testing.T) {
 		cp[off/pmem.WordSize] = v
 		return cp
 	}
-	for _, w := range words {
-		// Out of bounds twice over, all ones, misaligned, and the word's own
-		// offset — in bounds and aligned, and where the word is a chain
-		// pointer a self-cycle only the hop budget stops.
-		for _, v := range []uint64{1 << 40, 1 << 50, ^uint64(0), 4100, w.off} {
-			tag := fmt.Sprintf("%s = %#x", w.name, v)
-			if err := openWatched(t, tag, poke(w.off, v)); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("%s: Open returned %v, want ErrCorrupt", tag, err)
-			}
+	// A null store pointer fails kv's first check, so its traffic is what the
+	// layers below kv (heap and forest recovery) cost on this image; a
+	// rejection that matches it wrote nothing of kv's own.
+	untouched, _ := openWatched(t, "null store pointer", poke(rootStoreOff, pmem.NullOff))
+	for _, r := range rows {
+		tag := fmt.Sprintf("%s = %#x", r.name, r.v)
+		stats, err := openWatched(t, tag, poke(r.off, r.v))
+		if !errors.Is(err, r.want) || !strings.Contains(err.Error(), r.names) {
+			t.Errorf("%s: Open returned %v, want %v naming %q", tag, err, r.want, r.names)
 		}
-	}
-	for old := uint64(storeMagic) - 3; old < storeMagic; old++ {
-		err := openWatched(t, fmt.Sprintf("magic %#x", old), poke(sb+sbMagicOff, old))
-		if !errors.Is(err, ErrUnsupportedFormat) || !strings.Contains(err.Error(), fmt.Sprintf("%#x", old)) {
-			t.Errorf("magic %#x: Open returned %v, want ErrUnsupportedFormat naming the magic", old, err)
+		if stats != untouched {
+			t.Errorf("%s: Open wrote before rejecting: arena traffic %+v, want %+v", tag, stats, untouched)
 		}
 	}
 }

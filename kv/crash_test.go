@@ -21,9 +21,9 @@ func TestCrashFuzzDurableStore(t *testing.T) {
 // TestCrashFuzzCollisionChains re-runs the crash fuzzer with a degenerate
 // hash (every key lands in one of seven chains) so that crash points land
 // inside multi-key hash-chain updates, and with tiny chunks so they also
-// land inside newChunk's chunk-link and shard-table persists.
+// land inside newChunk's chunk-link and chain-head persists.
 func TestCrashFuzzCollisionChains(t *testing.T) {
-	crashFuzzStore(t, Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 12, Shards: 4}, collide(7))
+	crashFuzzStore(t, Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 12}, collide(7))
 }
 
 // TestCrashFuzzPartitioned runs the crash fuzzer over a four-partition
@@ -31,7 +31,7 @@ func TestCrashFuzzCollisionChains(t *testing.T) {
 // instant, so recovery must reassemble a consistent store from the whole
 // set even though only one partition holds the in-flight operation.
 func TestCrashFuzzPartitioned(t *testing.T) {
-	crashFuzzStore(t, Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 13, Shards: 2, Partitions: 4}, nil)
+	crashFuzzStore(t, Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 13, Partitions: 4}, nil)
 }
 
 func crashFuzzStore(t *testing.T, opts Options, hash func([]byte) uint64) {

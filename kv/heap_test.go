@@ -17,7 +17,6 @@ func TestStoreGrowsPastInitialArena(t *testing.T) {
 		GrowSize:    1 << 16,
 		MaxSegments: 6,
 		ChunkSize:   1 << 12,
-		Shards:      1,
 	}
 	s, err := New(opts)
 	if err != nil {
@@ -72,7 +71,7 @@ func TestStoreGrowsPastInitialArena(t *testing.T) {
 
 // TestSwizzledReopenAtDifferentBase: per-segment images reassembled at a
 // different simulated mapping base must open cleanly — the superblock's
-// absolute shard-table pointer resolves through the mid-swizzle previous
+// absolute chain-head pointer resolves through the mid-swizzle previous
 // base, is re-encoded against the new mapping, and the swizzle state is
 // retired by the open.
 func TestSwizzledReopenAtDifferentBase(t *testing.T) {
@@ -81,7 +80,6 @@ func TestSwizzledReopenAtDifferentBase(t *testing.T) {
 		GrowSize:    1 << 16,
 		MaxSegments: 6,
 		ChunkSize:   1 << 12,
-		Shards:      1,
 	}
 	s, err := New(opts)
 	if err != nil {
@@ -143,14 +141,14 @@ func TestSwizzledReopenAtDifferentBase(t *testing.T) {
 		}
 	}
 	if reencode < 0 || reencode+1 >= len(trace) || !trace[reencode+1].swizzling {
-		t.Fatalf("no persist site between the table-pointer re-encode (persist #%d of %d) and the swizzle retire", reencode, len(trace))
+		t.Fatalf("no persist site between the chain-head pointer re-encode (persist #%d of %d) and the swizzle retire", reencode, len(trace))
 	}
-	table := h.Read8(p.sbOff + sbTableOff)
-	if sim := h.Read8(p.sbOff + sbTableSimOff); sim != h.SimAddr(table) {
-		t.Fatalf("table pointer not re-encoded: sb holds %#x, current mapping is %#x", sim, h.SimAddr(table))
+	head := h.Read8(p.sbOff + sbHeadOff)
+	if sim := h.Read8(p.sbOff + sbTableSimOff); sim != h.SimAddr(head) {
+		t.Fatalf("chain-head pointer not re-encoded: sb holds %#x, current mapping is %#x", sim, h.SimAddr(head))
 	}
 	if sim := h.Read8(p.sbOff + sbTableSimOff); sim < newBase {
-		t.Fatalf("re-encoded table pointer %#x not under the new base %#x", sim, newBase)
+		t.Fatalf("re-encoded chain-head pointer %#x not under the new base %#x", sim, newBase)
 	}
 	got := map[string]string{}
 	s2.Range(func(k, v []byte) bool { got[string(k)] = string(v); return true })
@@ -170,7 +168,6 @@ func TestPutBatchOOMRetrySafe(t *testing.T) {
 		ArenaSize:   1 << 16,
 		MaxSegments: 1, // growth disabled: exhaustion must surface, not grow
 		ChunkSize:   1 << 12,
-		Shards:      1,
 	})
 	if err != nil {
 		t.Fatal(err)

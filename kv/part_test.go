@@ -11,7 +11,7 @@ import (
 )
 
 // collide makes every key hash into one of n buckets, forcing deep hash
-// chains (and, transitively, shard contention) deterministically.
+// chains deterministically.
 func collide(n uint64) func([]byte) uint64 {
 	return func(key []byte) uint64 { return Hash(key) % n }
 }
@@ -233,10 +233,10 @@ func TestStatsRaceWithWriters(t *testing.T) {
 }
 
 // TestConcurrentStress drives concurrent Put/Get/Delete/Stats (plus
-// periodic Compact and Range) across every shard; run with -race it is the
-// acceptance stress for the sharded write path.
+// periodic Compact and Range) across every partition; run with -race it is
+// the acceptance stress for the partitioned write path.
 func TestConcurrentStress(t *testing.T) {
-	s, err := New(Options{ArenaSize: 256 << 20, MaxSegments: 1, ChunkSize: 1 << 16, Shards: 8})
+	s, err := New(Options{ArenaSize: 256 << 20, MaxSegments: 1, ChunkSize: 1 << 16, Partitions: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +284,8 @@ func TestConcurrentStress(t *testing.T) {
 			s.Range(func(k, v []byte) bool { return len(k) > 0 })
 		}
 	}()
-	// Occasional compaction; per-shard locking means it runs alongside the
-	// writers rather than stopping the world.
+	// Occasional compaction; per-partition locking means it runs alongside
+	// the other partitions' writers rather than stopping the world.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -310,10 +310,10 @@ func TestConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestParallelWritersAllShards checks plain correctness of fully parallel
+// TestParallelWritersAllPartitions checks plain correctness of fully parallel
 // writers: every write lands, nothing tears, accounting stays exact.
-func TestParallelWritersAllShards(t *testing.T) {
-	s, err := New(Options{ArenaSize: 256 << 20, MaxSegments: 1, ChunkSize: 1 << 16, Shards: 16})
+func TestParallelWritersAllPartitions(t *testing.T) {
+	s, err := New(Options{ArenaSize: 256 << 20, MaxSegments: 1, ChunkSize: 1 << 16, Partitions: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,18 +9,19 @@ import (
 
 // Open recovers a store from a snapshot (one image per partition arena, in
 // partition order): every partition's tree index is rebuilt via crash
-// recovery, its superblock, shard table and chunk chains are validated, and
-// appends continue in fresh chunks (the tails of the pre-crash chunks are
+// recovery, its superblock, chain-head line and chunk chain are validated,
+// and appends continue in a fresh chunk (the tail of the pre-crash chunk is
 // sacrificed, as in any bump-allocated log).
 //
-// The store geometry — chunk size, shard count, partition count — is read
-// from the persisted superblocks, not from opts, so opening with different
-// Options than the store was created with is safe. Setting opts.Partitions
-// to a different count than the images hold rebuilds the store into fresh
-// arenas with the requested geometry. An image whose superblock magic is
-// not the current format's fails with ErrUnsupportedFormat; one whose
-// persisted pointers or geometry cannot belong to a store fails with
-// ErrCorrupt. Open never repairs.
+// The store geometry — chunk size, partition count — is read from the
+// persisted superblocks, not from opts, so opening with different Options
+// than the store was created with is safe. Setting opts.Partitions to a
+// different count than the images hold rebuilds the store into fresh arenas
+// with the requested geometry. An image whose superblock magic is not the
+// current format's, or whose partitions hold more than one value log (a
+// geometry older builds could write), fails with ErrUnsupportedFormat; one
+// whose persisted pointers or geometry cannot belong to a store fails with
+// ErrCorrupt. Open never repairs, and rejects before its first write.
 func Open(imgs [][]uint64, opts Options) (*Store, error) {
 	opts.normalize()
 	arenas := make([]*pmem.Arena, len(imgs))
@@ -116,16 +117,20 @@ func openPart(p *kvPart, idx, parts int) error {
 		return corrupt("bad superblock magic %#x", magic)
 	}
 	chunkSz := a.Read8(sb + sbChunkSzOff)
-	nShards := a.Read8(sb + sbShardsOff)
-	table := a.Read8(sb + sbTableOff)
-	if nShards == 0 || nShards > MaxShards || nShards&(nShards-1) != 0 {
-		return corrupt("shard count %d", nShards)
+	head := a.Read8(sb + sbHeadOff)
+	switch logs := a.Read8(sb + sbLogsOff); {
+	case logs == 1:
+	case logs == 0 || logs > 64 || logs&(logs-1) != 0: // nothing any build wrote
+		return corrupt("value-log count %d", logs)
+	default: // 2, 4 … 64: a build that sharded the log inside a partition
+		return fmt.Errorf("%w: partition %d: %d value-log shards per partition, this build reads only 1",
+			ErrUnsupportedFormat, idx, logs)
 	}
 	if chunkSz < 2*pmem.LineSize || chunkSz%pmem.LineSize != 0 || chunkSz > limit {
 		return corrupt("chunk size %d", chunkSz)
 	}
-	if !allocated(table, nShards*pmem.LineSize) {
-		return corrupt("shard table pointer %#x", table)
+	if !allocated(head, pmem.LineSize) {
+		return corrupt("chain-head pointer %#x", head)
 	}
 	if r0, r1 := a.Read8(sb+sbReserved0Off), a.Read8(sb+sbReserved1Off); r0 != 0 || r1 != 0 {
 		return corrupt("reserved superblock words %#x, %#x not null", r0, r1)
@@ -140,31 +145,26 @@ func openPart(p *kvPart, idx, parts int) error {
 	if r := a.Read8(rootReplOff); r != pmem.NullOff && !allocated(r, pmem.LineSize) {
 		return corrupt("replication-state pointer %#x", r)
 	}
-	p.sbOff = sb
-	p.initShards(chunkSz, int(nShards), table)
-	// Chunks are disjoint, so all chains together hold at most limit/chunkSz
-	// of them; a walk that outlasts that budget is a cycle.
+	p.sbOff, p.chunkSz, p.headOff = sb, chunkSz, head
+	// Chunks are disjoint, so the chain holds at most limit/chunkSz of them;
+	// a walk that outlasts that budget is a cycle.
 	budget := limit / chunkSz
-	for i := range p.shards {
-		for c := a.Read8(p.shards[i].tabOff); c != pmem.NullOff; c = a.Read8(c + chunkNextOff) {
-			if !allocated(c, chunkSz) {
-				return corrupt("shard %d: chunk pointer %#x", i, c)
-			}
-			if budget == 0 {
-				return corrupt("shard %d: chunk chain does not terminate", i)
-			}
-			budget--
+	for c := a.Read8(head); c != pmem.NullOff; c = a.Read8(c + chunkNextOff) {
+		if !allocated(c, chunkSz) {
+			return corrupt("chunk pointer %#x", c)
 		}
+		if budget == 0 {
+			return corrupt("chunk chain does not terminate")
+		}
+		budget--
 	}
 	// Checked last: a passing heap record ends in Open's first writes (the
-	// table pointer's re-encode and the swizzle retire).
+	// chain-head pointer's re-encode and the swizzle retire).
 	if err := p.checkHeapRecord(); err != nil {
 		return corrupt("%v", err)
 	}
-	for i := range p.shards {
-		if err := p.newShardChunk(&p.shards[i]); err != nil {
-			return err
-		}
+	if err := p.newChunk(); err != nil {
+		return err
 	}
 	// The heap record may be stale relative to the heap headers (growth
 	// after the last clean Close, or a fresh remap); bring it current.
@@ -173,7 +173,7 @@ func openPart(p *kvPart, idx, parts int) error {
 }
 
 // checkHeapRecord validates the superblock's heap record against the
-// arena's authoritative segment headers, then resolves the shard table's
+// arena's authoritative segment headers, then resolves the chain-head line's
 // absolute (simulated mapped) pointer. When the image was recovered at a
 // different mapping base the partition arrives mid-swizzle: the stored
 // address still resolves through the segment's previous base, gets
@@ -197,13 +197,12 @@ func (p *kvPart) checkHeapRecord() error {
 	if rec := a.Read8(sb + sbNsegsOff); rec > uint64(a.Segments()) {
 		return fmt.Errorf("superblock records %d segments, heap committed only %d", rec, a.Segments())
 	}
-	table := a.Read8(sb + sbTableOff)
 	sim := a.Read8(sb + sbTableSimOff)
 	off, ok := a.FromSimAddr(sim)
-	if !ok || off != table {
-		return fmt.Errorf("shard-table pointer %#x does not resolve to table offset %#x", sim, table)
+	if !ok || off != p.headOff {
+		return fmt.Errorf("chain-head pointer %#x does not resolve to offset %#x", sim, p.headOff)
 	}
-	if cur := a.SimAddr(table); cur != sim {
+	if cur := a.SimAddr(p.headOff); cur != sim {
 		a.Write8(sb+sbTableSimOff, cur)
 		a.Persist(sb+sbTableSimOff, 8)
 	}
@@ -234,8 +233,8 @@ func rebuild(src *Store, opts Options) (*Store, error) {
 	return dst, nil
 }
 
-// recount rebuilds the partition's per-shard live counters exactly by
-// walking every hash chain (dead records restart at zero after recovery;
+// recount rebuilds the partition's live counter exactly by walking every
+// hash chain (dead records restart at zero after recovery;
 // Compact re-derives them), and recovers the partition's LSN counter as the
 // max LSN over all reachable records — the durable replication watermark: a
 // record whose tree publish did not survive the crash is unreachable, so a
@@ -243,8 +242,7 @@ func rebuild(src *Store, opts Options) (*Store, error) {
 // single-threaded inside Open.
 func (p *kvPart) recount() {
 	maxLSN := uint64(0)
-	p.tree.Scan(0, 0, func(hash, off uint64) bool {
-		n := 0
+	p.tree.Scan(0, 0, func(_, off uint64) bool {
 		seen := map[string]bool{}
 		for off != 0 {
 			kind, key, next := p.readRecordMeta(off)
@@ -254,13 +252,10 @@ func (p *kvPart) recount() {
 			if !seen[string(key)] {
 				seen[string(key)] = true
 				if kind == recPut {
-					n++
+					p.live.Add(1)
 				}
 			}
 			off = next
-		}
-		if n > 0 {
-			p.shardFor(hash).live.Add(int64(n))
 		}
 		return true
 	})

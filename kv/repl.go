@@ -57,14 +57,14 @@ func (s *Store) ReplApply(part int, lsn uint64, kind uint8, key, val []byte) err
 		return fmt.Errorf("kv: ReplApply: key routes to partition %d, record says %d (geometry mismatch)", m[0].Part, part)
 	}
 	p := &s.parts[part]
-	// replMu makes watermark-check + apply atomic against concurrent
-	// appliers and a promotion racing in local writes.
-	p.replMu.Lock()
-	defer p.replMu.Unlock()
+	// The partition lock makes watermark-check + apply atomic against
+	// concurrent appliers and a promotion racing in local writes.
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if lsn <= p.lsn.Load() {
 		return nil
 	}
-	s.commitShard(part, m[0].sh, m[:], nil)
+	s.commitLocked(part, m[:], nil)
 	if m[0].Err == nil {
 		// The record is durable and reachable: the watermark advance is
 		// recoverable (recount re-derives it from this record), so the
@@ -127,15 +127,15 @@ func (h *backlogHeap) add(r backlogRec) (evicted bool) {
 
 // ReplBacklog calls fn for every reachable record of partition part with
 // LSN above from — up to a barrier snapshot of the partition's LSN taken
-// under the replication mutex — in ascending LSN order, until fn returns
+// under the partition's commit lock — in ascending LSN order, until fn returns
 // false. Superseded record versions dropped by compaction are fine: the
 // newest record per key survives with the highest LSN, so replaying the
 // backlog converges a subscriber to the primary's state. The key/val slices
 // are freshly allocated and may be retained.
 //
 // The barrier is the replay's correctness keystone (DESIGN.md §13.1): every
-// commit holds replMu across LSN-assign → publish → hook, so once the
-// snapshot is read under replMu, every record with LSN <= the snapshot is
+// commit holds the partition's mu across LSN-assign → publish → hook, so once
+// the snapshot is read under mu, every record with LSN <= the snapshot is
 // already tree-published (the scans below see it) AND already offered to
 // every registered subscriber queue. Records above the snapshot are exactly
 // the live queue's stream and are never delivered here — so a subscriber
@@ -150,9 +150,9 @@ func (s *Store) ReplBacklog(part int, from uint64, fn func(lsn uint64, kind uint
 		return fmt.Errorf("kv: ReplBacklog: partition %d out of range [0,%d)", part, len(s.parts))
 	}
 	p := &s.parts[part]
-	p.replMu.Lock()
+	p.mu.Lock()
 	target := p.lsn.Load()
-	p.replMu.Unlock()
+	p.mu.Unlock()
 	h := &backlogHeap{}
 	for from < target {
 		h.recs, h.bytes = h.recs[:0], 0

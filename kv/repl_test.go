@@ -6,7 +6,7 @@ import (
 )
 
 func replTestOpts() Options {
-	return Options{ArenaSize: 8 << 20, ChunkSize: 512, Shards: 1, Partitions: 2}
+	return Options{ArenaSize: 8 << 20, ChunkSize: 512, Partitions: 2}
 }
 
 // LSNs are per-partition, start at 1, and increase by exactly one per

@@ -15,25 +15,26 @@
 // Hash collisions are handled with per-hash record chains that store full
 // keys.
 //
-// Within a partition the value log is sharded (Bitcask-style per-writer
-// log heads): the partition superblock roots a persisted shard table whose
-// entries each head an independent chunk chain with its own volatile
-// append cursor and lock. The superblock binds the value-log shards to
-// their index partition — geometry, partition count and partition index
-// are all persisted per arena — so recovery can rebuild every partition
-// independently and verify a set of crash images really is one store.
-// Reads are lock-free on every path.
+// A partition owns exactly one value log: the partition superblock roots a
+// persisted chain-head line that heads the log's chunk chain, with one
+// volatile append cursor and one lock, held by every commit from LSN
+// assignment to the commit hook — so a partition's log order is its LSN
+// order, and partitions (Options.Partitions) are the only unit of write
+// parallelism. The superblock binds the value log to its index partition —
+// geometry, partition count and partition index are all persisted per
+// arena — so recovery can rebuild every partition independently and verify
+// a set of crash images really is one store. Reads are lock-free on every
+// path.
 //
 // Space from overwritten and deleted records is reclaimed by Compact,
 // which rewrites live records into fresh chunks and retires the old ones —
-// one shard at a time, so compaction never stops the whole store.
+// one partition at a time, so compaction never stops the whole store.
 package kv
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -61,13 +62,14 @@ var (
 	// is reclaimed by Delete+Compact), and never corrupts the store.
 	ErrFull = errors.New("kv: store is full")
 	// ErrCorrupt is returned by Open when an image is not a store this
-	// package could have written: a superblock, shard-table or chunk-chain
+	// package could have written: a superblock, chain-head or chunk-chain
 	// word that is out of bounds, misaligned, cyclic or inconsistent with
 	// the heap. It wraps the detail. Open rejects such an image untouched;
 	// there is no repair.
 	ErrCorrupt = errors.New("kv: corrupt store image")
 	// ErrUnsupportedFormat is returned by Open for an image written in a
-	// superblock format other than the current one.
+	// superblock format other than the current one, or by a build that still
+	// split a partition's value log into several shards.
 	ErrUnsupportedFormat = errors.New("kv: unsupported store format")
 )
 
@@ -94,8 +96,8 @@ const (
 	// and a non-null value is a format error.
 	sbMagicOff     = 0
 	sbChunkSzOff   = 8  // persisted log chunk size
-	sbShardsOff    = 16 // shard count per partition (power of two)
-	sbTableOff     = 24 // offset of the shard table (one line per shard)
+	sbLogsOff      = 16 // value logs in this partition: always 1
+	sbHeadOff      = 24 // offset of the chain-head line (word 0: newest chunk)
 	sbReserved0Off = 32 // reserved, null
 	sbReserved1Off = 40 // reserved, null
 	sbPartsOff     = 48 // total partitions in the store
@@ -106,7 +108,7 @@ const (
 	// them before any kv code runs — so these words are a cross-check plus
 	// the swizzle consumer's state. nsegs is refreshed on clean Close and
 	// on every Open, so after a crash it may lag the heap's committed
-	// count (never lead it). tableSim is sbTableOff's value re-encoded as
+	// count (never lead it). tableSim is sbHeadOff's value re-encoded as
 	// a simulated mapped address via pmem.SimAddr; Open resolves it with
 	// FromSimAddr against the plain offset and rewrites it when the image
 	// was recovered at a different base.
@@ -114,7 +116,7 @@ const (
 	sbSeg0SzOff   = 72 // heap segment-0 size in bytes
 	sbGrowSzOff   = 80 // heap grow-segment size in bytes
 	sbNsegsOff    = 88 // committed segments when the line was last written
-	sbTableSimOff = 96 // shard table as a simulated mapped address
+	sbTableSimOff = 96 // chain-head line as a simulated mapped address
 
 	sbSizeV4 = 2 * pmem.LineSize
 
@@ -124,9 +126,6 @@ const (
 
 	// DefaultChunkSize is the log chunk size.
 	DefaultChunkSize = 1 << 20
-
-	// MaxShards bounds the persisted shard table (one line per shard).
-	MaxShards = 64
 
 	// record header word: kind | keyLen<<8 | valLen<<32 ; second word: next
 	// record in the hash chain (0 = end); third word: the record's
@@ -176,16 +175,22 @@ type Options struct {
 	// the superblock at creation; Open always uses the persisted value, so
 	// a mismatched ChunkSize can no longer corrupt the allocator.
 	ChunkSize uint64
-	// Shards is the number of value-log shards per partition (default:
-	// GOMAXPROCS, floored at 8 because persist stalls are wall-clock and
-	// overlap even when cores don't). Rounded up to a power of two, capped
-	// at MaxShards. Persisted at creation; Open uses the persisted count.
+	// Shards is declared and ignored: no code reads it. A partition owns
+	// exactly one value log, whatever this says. The field stays only because
+	// benchmark/workloads.go sets it and benchmark/measure.go prints it, and
+	// a PR may not edit benchmark/ alongside other code; the benchmark-only
+	// follow-up that stops naming it deletes it together with
+	// server.BatchConfig.Puts/MaxDelay and pmem.Config.VolatileAlloc.
 	Shards int
 	// Partitions hash-partitions the store into that many independent
-	// index-partition + value-log pairs (power of two). On New, zero means
-	// one partition. On Open, zero keeps the partition count persisted in
-	// the image; a different non-zero count triggers a rebuild migration
-	// into fresh arenas with the requested geometry.
+	// index-partition + value-log pairs (power of two), each with its own
+	// arena, drain engine and commit lock. It is the store's only unit of
+	// write parallelism: commits to one partition serialize on that
+	// partition's lock, held across the record persist, so a caller with
+	// several concurrent writers should ask for several partitions. On New,
+	// zero means one partition. On Open, zero keeps the partition count
+	// persisted in the image; a different non-zero count triggers a rebuild
+	// migration into fresh arenas with the requested geometry.
 	Partitions int
 	// DualSlotArray enables the RNTree+DS index variant (recommended for
 	// read-heavy stores).
@@ -202,21 +207,6 @@ func (o *Options) normalize() {
 		o.ChunkSize = DefaultChunkSize
 	}
 	o.ChunkSize = (o.ChunkSize + pmem.LineSize - 1) &^ uint64(pmem.LineSize-1)
-	if o.Shards == 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
-		if o.Shards < 8 {
-			o.Shards = 8
-		}
-	}
-	if o.Shards > MaxShards {
-		o.Shards = MaxShards
-	}
-	for p := 1; ; p <<= 1 {
-		if p >= o.Shards {
-			o.Shards = p
-			break
-		}
-	}
 }
 
 // forestOpts maps store options onto the index forest.
@@ -231,79 +221,59 @@ func (o Options) forestOpts(partitions int) forest.Options {
 	}
 }
 
-// shard is one independent slice of a partition's value log: a persisted
-// chunk-chain head (one shard-table line), a volatile append cursor, and a
-// lock that serializes only the writers that hash here.
-type shard struct {
-	mu     sync.Mutex
-	tabOff uint64 // arena offset of this shard's table line (chain head word)
-	chunk  uint64 // current chunk base
-	used   uint64 // bytes used in the current chunk (volatile)
-
-	// live/dead are this shard's slice of the space accounting, read
-	// lock-free by Stats.
-	live atomic.Int64 // keys whose newest record is a Put
-	dead atomic.Int64 // overwritten/tombstone records awaiting Compact
-
-	// retired holds chunks unlinked by the previous compaction of this
-	// shard; they are freed at the start of the next one, giving lock-free
-	// readers a full compaction cycle to drain before reuse.
-	retired []uint64
-
-	// batchEnts/batchKinds are commitShard's per-batch scratch, guarded by mu
-	// and reused across batches so a commit allocates nothing of its own.
-	// Entries reference caller key slices only for the duration of one
-	// commitShard call.
-	batchEnts  []batchEntry
-	batchKinds []batchKeyKind
-}
-
-// kvPart is one partition's slice of the store: the partition arena and
-// tree (owned by the forest) plus this arena's value-log state.
+// kvPart is one partition of the store: the partition arena and tree (owned
+// by the forest) plus the arena's value log — a persisted chunk-chain head
+// (one line), a volatile append cursor, and the lock every writer of the
+// partition commits under.
 type kvPart struct {
 	arena *pmem.Arena
 	tree  *core.Tree
 
-	sbOff     uint64
-	chunkSz   uint64
-	shards    []shard
-	shardMask uint64
+	sbOff   uint64
+	chunkSz uint64
+
+	// mu is the partition's one writer lock. A commit holds it from LSN
+	// assignment through append, span flush, tree publish and commit hook,
+	// so commits to one partition never overlap and log order is LSN order;
+	// ReplApply holds it across watermark check and apply, ReplBacklog for
+	// its barrier snapshot, Compact for the rewrite. Readers never take it.
+	mu      sync.Mutex
+	headOff uint64 // arena offset of the chain-head line (word 0: newest chunk)
+	chunk   uint64 // current chunk base
+	used    uint64 // bytes used in the current chunk (volatile)
+
+	// live/dead are the partition's space accounting, read lock-free by
+	// Stats.
+	live atomic.Int64 // keys whose newest record is a Put
+	dead atomic.Int64 // overwritten/tombstone records awaiting Compact
+
+	// retired holds chunks unlinked by the previous compaction of this
+	// partition; they are freed at the start of the next one, giving
+	// lock-free readers a full compaction cycle to drain before reuse.
+	retired []uint64
+
+	// batchEnts/batchKinds are commitLocked's per-batch scratch, guarded by mu
+	// and reused across batches so a commit allocates nothing of its own.
+	// Entries reference caller key slices only for the duration of one
+	// commitLocked call.
+	batchEnts  []batchEntry
+	batchKinds []batchKeyKind
 
 	// lsn is the partition's log sequence counter: the highest LSN assigned
-	// (primary) or applied (replica). Recovered from the max reachable
-	// record LSN by recount. Assignment is atomic, so LSNs stay unique and
-	// monotonic even for hook-less parallel writers on different shards.
+	// (primary) or applied (replica), written under mu and read lock-free.
+	// Recovered from the max reachable record LSN by recount.
 	lsn atomic.Uint64
-
-	// replMu serializes committed mutations of this partition while a
-	// commit hook is installed, so the hook observes them in LSN order —
-	// the property the replication shipper's cursor depends on. Lock order:
-	// replMu before any shard mu. With no hook installed the field is never
-	// locked and writers on different shards stay parallel.
-	replMu sync.Mutex
 }
-
-// initShards builds the volatile shard state over a persisted shard table.
-func (p *kvPart) initShards(chunkSz uint64, nShards int, table uint64) {
-	p.chunkSz = chunkSz
-	p.shards = make([]shard, nShards)
-	p.shardMask = uint64(nShards - 1)
-	for i := range p.shards {
-		p.shards[i].tabOff = table + uint64(i)*pmem.LineSize
-	}
-}
-
-func (p *kvPart) shardFor(h uint64) *shard { return &p.shards[h&p.shardMask] }
 
 // Store is a durable key-value store. Reads are lock-free and may run
-// concurrently with any number of writers; writers on different shards
-// proceed in parallel, and Compact locks one shard at a time.
+// concurrently with any number of writers; writers on different partitions
+// proceed in parallel, and Compact locks one partition at a time.
 //
 // The store's place in the repo-wide lock hierarchy, machine-checked by
 // rnvet's lockorder pass (declared edges join the observed acquisition
 // graph, so any code path that acquires against this order is a finding):
 //
-//rnvet:lockorder repl.Node.mu<kv.Store.closeMu<kv.kvPart.replMu<kv.shard.mu<core.leafMeta.vl
+//rnvet:lockorder repl.Node.mu<kv.Store.closeMu<kv.kvPart.mu<core.leafMeta.vl
 //rnvet:lockorder kv.Store.closeMu<kv.Store.replStMu<pmem.Heap.allocMu
 type Store struct {
 	f     *forest.Forest
@@ -338,13 +308,13 @@ type Store struct {
 type CommitHook func(part int, lsn uint64, kind uint8, key, val []byte)
 
 // SetCommitHook installs fn as the store's commit hook (nil uninstalls).
-// While a hook is installed, mutations within one partition are serialized
-// so the hook fires in LSN order — the replication shipper's contract — and
-// Compact preserves each key's newest record even when it is a tombstone, so
-// the value log remains a complete replication history for subscribers
-// resuming from any LSN at or above the compaction floor. Install the hook
-// before concurrent writers start; swapping it mid-traffic leaves records
-// committed during the swap unobserved.
+// A commit reads the hook and fires it under its partition's lock, so within
+// one partition the hook observes mutations in LSN order — the replication
+// shipper's contract — and a hook installed under live writers observes
+// every commit that takes the lock after the install. While a hook is
+// installed, Compact preserves each key's newest record even when it is a
+// tombstone, so the value log remains a complete replication history for
+// subscribers resuming from any LSN at or above the compaction floor.
 func (s *Store) SetCommitHook(fn CommitHook) {
 	if fn == nil {
 		s.hook.Store(nil)
@@ -398,8 +368,8 @@ func requireHeap(a *pmem.Arena, idx int) error {
 	return nil
 }
 
-// initPart formats partition i's kv state: shard table, superblock, root
-// pointer, and one fresh chunk per shard.
+// initPart formats partition i's kv state: chain-head line, superblock, root
+// pointer, and the log's first chunk.
 func (s *Store) initPart(p *kvPart, idx int, opts Options) error {
 	a := p.arena
 	if err := requireHeap(a, idx); err != nil {
@@ -409,20 +379,17 @@ func (s *Store) initPart(p *kvPart, idx int, opts Options) error {
 	if err != nil {
 		return err
 	}
-	table, err := a.Alloc(uint64(opts.Shards) * pmem.LineSize)
+	head, err := a.Alloc(pmem.LineSize)
 	if err != nil {
 		return err
 	}
-	p.sbOff = sb
-	p.initShards(opts.ChunkSize, opts.Shards, table)
-	for i := range p.shards {
-		a.Write8(p.shards[i].tabOff, pmem.NullOff)
-	}
-	a.Persist(table, uint64(opts.Shards)*pmem.LineSize)
+	p.sbOff, p.chunkSz, p.headOff = sb, opts.ChunkSize, head
+	a.Write8(head, pmem.NullOff)
+	a.Persist(head, pmem.LineSize)
 	a.Write8(sb+sbMagicOff, storeMagic)
 	a.Write8(sb+sbChunkSzOff, opts.ChunkSize)
-	a.Write8(sb+sbShardsOff, uint64(opts.Shards))
-	a.Write8(sb+sbTableOff, table)
+	a.Write8(sb+sbLogsOff, 1)
+	a.Write8(sb+sbHeadOff, head)
 	a.Write8(sb+sbReserved0Off, pmem.NullOff)
 	a.Write8(sb+sbReserved1Off, pmem.NullOff)
 	a.Write8(sb+sbPartsOff, uint64(len(s.parts)))
@@ -431,12 +398,7 @@ func (s *Store) initPart(p *kvPart, idx int, opts Options) error {
 	a.Persist(sb, sbSizeV4)
 	a.Write8(rootStoreOff, sb)
 	a.Persist(rootStoreOff, 8)
-	for i := range p.shards {
-		if err := p.newShardChunk(&p.shards[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.newChunk()
 }
 
 // writeHeapLine fills (without persisting) the v4 superblock's heap record
@@ -453,7 +415,7 @@ func (p *kvPart) writeHeapLine() {
 	a.Write8(sb+sbSeg0SzOff, a.Seg0Size())
 	a.Write8(sb+sbGrowSzOff, a.GrowSize())
 	a.Write8(sb+sbNsegsOff, uint64(a.Segments()))
-	a.Write8(sb+sbTableSimOff, a.SimAddr(a.Read8(sb+sbTableOff)))
+	a.Write8(sb+sbTableSimOff, a.SimAddr(a.Read8(sb+sbHeadOff)))
 }
 
 func (p *kvPart) refreshHeapLine() {
@@ -481,21 +443,21 @@ func (s *Store) Arenas() []*pmem.Arena {
 // Partitions returns the number of partitions.
 func (s *Store) Partitions() int { return len(s.parts) }
 
-// newShardChunk links a fresh log chunk at the head of sh's persistent
+// newChunk links a fresh log chunk at the head of the partition's persistent
 // chain. The chunk's next pointer is persisted before the head references
-// it, so a crash in between merely leaks the fresh chunk. Caller holds
-// sh.mu (or the store is not yet published).
-func (p *kvPart) newShardChunk(sh *shard) error {
+// it, so a crash in between merely leaks the fresh chunk. Caller holds p.mu
+// (or the store is not yet published).
+func (p *kvPart) newChunk() error {
 	off, err := p.arena.Alloc(p.chunkSz)
 	if err != nil {
 		return mapFull(err)
 	}
-	p.arena.Write8(off+chunkNextOff, p.arena.Read8(sh.tabOff))
+	p.arena.Write8(off+chunkNextOff, p.arena.Read8(p.headOff))
 	p.arena.Persist(off+chunkNextOff, 8)
-	p.arena.Write8(sh.tabOff, off)
-	p.arena.Persist(sh.tabOff, 8)
-	sh.chunk = off
-	sh.used = chunkHdrSize
+	p.arena.Write8(p.headOff, off)
+	p.arena.Persist(p.headOff, 8)
+	p.chunk = off
+	p.used = chunkHdrSize
 	return nil
 }
 
@@ -610,8 +572,8 @@ func (s *Store) lookup(key []byte) (kind int, val []byte, ok bool) {
 	return 0, nil, false
 }
 
-// Put stores key → value (insert or overwrite). Puts on different shards
-// (and a fortiori different partitions) run in parallel.
+// Put stores key → value (insert or overwrite). Puts on different
+// partitions run in parallel.
 func (s *Store) Put(key, value []byte) error {
 	_, _, err := s.PutEx(key, value)
 	return err
@@ -641,7 +603,7 @@ func (s *Store) Has(key []byte) bool {
 
 // Delete removes key (tombstone append; reclaimed by Compact), or returns
 // ErrNotFound, writing nothing, when it is absent. Deletes on different
-// shards run in parallel.
+// partitions run in parallel.
 func (s *Store) Delete(key []byte) error {
 	m := [1]Mutation{{Key: key, Delete: true}}
 	s.commitOne(m[:])
@@ -692,31 +654,25 @@ type Stats struct {
 	LiveKeys    int
 	DeadRecords int
 	Partitions  int
-	Shards      int // total across partitions
 	Persists    uint64
 	TreeLeaves  int
 }
 
 // Stats returns store counters. Safe to call concurrently with writers:
-// the per-shard counters are atomics rolled up here.
+// the per-partition counters are atomics rolled up here.
 func (s *Store) Stats() Stats {
 	var live, dead int64
-	nShards := 0
 	var persists uint64
 	for i := range s.parts {
 		p := &s.parts[i]
-		for j := range p.shards {
-			live += p.shards[j].live.Load()
-			dead += p.shards[j].dead.Load()
-		}
-		nShards += len(p.shards)
+		live += p.live.Load()
+		dead += p.dead.Load()
 		persists += p.arena.Stats().Persists
 	}
 	return Stats{
 		LiveKeys:    int(live),
 		DeadRecords: int(dead),
 		Partitions:  len(s.parts),
-		Shards:      nShards,
 		Persists:    persists,
 		TreeLeaves:  s.f.LeafCount(),
 	}
@@ -737,7 +693,7 @@ func (s *Store) Close() error {
 	s.closed.Store(true)
 	// The heap may have grown since the superblock's heap record was last
 	// written; refresh it so a clean image carries the current segment
-	// count and table address.
+	// count and chain-head address.
 	for i := range s.parts {
 		s.parts[i].refreshHeapLine()
 	}

@@ -48,31 +48,32 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
-// BenchmarkPutParallel exercises the sharded write path: concurrent Puts
-// on different shards overlap their record persists. Compare against
-// BenchmarkPutParallelSingleLog, which pins the store to one shard (the
-// pre-sharding global-writer-lock design).
-func BenchmarkPutParallel(b *testing.B)          { benchPutParallel(b, 0) }
-func BenchmarkPutParallelSingleLog(b *testing.B) { benchPutParallel(b, 1) }
-
-func benchPutParallel(b *testing.B, shards int) {
-	s, err := New(Options{ArenaSize: 512 << 20, Shards: shards, FlushLatency: pmem.DefaultLatency})
-	if err != nil {
-		b.Fatal(err)
-	}
-	val := make([]byte, 100)
-	var seq atomic.Uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := seq.Add(1)
-			if err := s.Put([]byte(fmt.Sprintf("key-%09d", i)), val); err != nil {
-				b.Error(err)
-				return
+// BenchmarkPutParallel exercises the partitioned write path: concurrent Puts
+// on different partitions overlap their record persists. The one-partition
+// case is the comparison: every writer behind one log lock, held across the
+// record persist.
+func BenchmarkPutParallel(b *testing.B) {
+	for _, parts := range []int{8, 1} {
+		b.Run(fmt.Sprintf("partitions=%d", parts), func(b *testing.B) {
+			s, err := New(Options{ArenaSize: 512 << 20, Partitions: parts, FlushLatency: pmem.DefaultLatency})
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
-	})
+			val := make([]byte, 100)
+			var seq atomic.Uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					i := seq.Add(1)
+					if err := s.Put([]byte(fmt.Sprintf("key-%09d", i)), val); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
+	}
 }
 
 func BenchmarkOverwrite(b *testing.B) {

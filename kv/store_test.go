@@ -219,7 +219,7 @@ func TestCompactReclaimsAndPreserves(t *testing.T) {
 // partition store and round-trips it through a snapshot: every partition
 // arena must come back, in order, with the geometry it persisted.
 func TestPartitionedStore(t *testing.T) {
-	s, err := New(Options{ArenaSize: 256 << 20, MaxSegments: 1, ChunkSize: 1 << 14, Shards: 2, Partitions: 4})
+	s, err := New(Options{ArenaSize: 256 << 20, MaxSegments: 1, ChunkSize: 1 << 14, Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestPartitionedStore(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", got, len(want))
 	}
 	st := s.Stats()
-	if st.Partitions != 4 || st.Shards != 8 || st.LiveKeys != len(want) {
+	if st.Partitions != 4 || st.LiveKeys != len(want) {
 		t.Fatalf("stats: %+v", st)
 	}
 	// Every partition must actually hold keys (Mix64 routing spreads them).
@@ -291,7 +291,7 @@ func TestPartitionedStore(t *testing.T) {
 // the persisted count migrates the store into fresh arenas with the
 // requested geometry, preserving every live pair.
 func TestPartitionRebuild(t *testing.T) {
-	s, err := New(Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 14, Shards: 2})
+	s, err := New(Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 14})
 	if err != nil {
 		t.Fatal(err)
 	}
