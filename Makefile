@@ -84,13 +84,13 @@ replcheck:
 
 # Heap gate: the persistent allocator's crash matrix (every allocator-
 # metadata persist site, including the segment-append cutover, plus a
-# crash inside the kv reopen of a remapped image), the heap/swizzle unit
-# tests, the kv growth and OOM-retry tests, and the rnvet undolog fixture
+# crash inside the kv reopen of a rebooted image), the heap unit tests,
+# the kv growth and OOM-retry tests, and the rnvet undolog fixture
 # that machine-checks the UndoBegin/MetaWrite8/UndoCommit protocol.
 heapcheck:
 	$(call run-tests,,./internal/fault,ExploreHeap|ExploreKVReopen)
-	$(call run-tests,,./internal/pmem,Heap|Swizzle|Grow|Undo|Free)
-	$(call run-tests,,./kv,Grow|Swizzle|OOM)
+	$(call run-tests,,./internal/pmem,Heap|Grow|Undo|Free)
+	$(call run-tests,,./kv,Grow|OOM)
 	$(call run-tests,,./internal/analysis,UndoLog)
 
 # Typed-object gate: the obj layer's unit tests (intent commit, TTL

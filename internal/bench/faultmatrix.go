@@ -10,7 +10,7 @@ import (
 // throughput it mechanically checks the paper's core *correctness* claim —
 // durable linearizability after a crash at any point (§5.4) — by running
 // the crash-point explorer over every layer target (core tree in both
-// slot-array modes, the kv store with compaction, the reopen of a remapped
+// slot-array modes, the kv store with compaction, the reopen of a rebooted
 // kv image, and the typed-object layer's multi-key intent commits and
 // expirer reaps). Each persist site the workload executes is crashed under
 // pre/evicted/torn image variants and recovery is checked against the

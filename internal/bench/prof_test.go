@@ -19,6 +19,7 @@ func benchTree(b *testing.B, k TreeKind, mix ycsb.Mix, lat pmem.LatencyModel) {
 	}
 	stream := (ycsb.Workload{Mix: mix, Chooser: ycsb.Uniform{N: c.Scale}}).Stream(1)
 	var seq = c.Scale
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := stream()

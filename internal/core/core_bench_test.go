@@ -22,6 +22,7 @@ func benchTree(b *testing.B, opts Options) *Tree {
 
 func BenchmarkTreeInsertSeq(b *testing.B) {
 	tr := benchTree(b, Options{})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := tr.Insert(uint64(i), uint64(i)); err != nil {
@@ -33,6 +34,7 @@ func BenchmarkTreeInsertSeq(b *testing.B) {
 func BenchmarkTreeInsertRandom(b *testing.B) {
 	tr := benchTree(b, Options{})
 	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = tr.Upsert(rng.Uint64()>>1, uint64(i))
@@ -54,6 +56,7 @@ func BenchmarkTreeFind(b *testing.B) {
 				}
 			}
 			rng := rand.New(rand.NewSource(2))
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tr.Find(rng.Uint64() % n)
@@ -71,6 +74,7 @@ func BenchmarkTreeScan100(b *testing.B) {
 		}
 	}
 	rng := rand.New(rand.NewSource(3))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Scan(rng.Uint64()%n, 100, func(_, _ uint64) bool { return true })
@@ -85,6 +89,7 @@ func BenchmarkTreeUpdateHotLeaf(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := tr.Update(uint64(i)%16, uint64(i)); err != nil {
@@ -94,6 +99,7 @@ func BenchmarkTreeUpdateHotLeaf(b *testing.B) {
 }
 
 func BenchmarkBulkLoad(b *testing.B) {
+	b.ReportAllocs()
 	const n = 100_000
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

@@ -144,10 +144,9 @@ func TestExploreHeapAllSites(t *testing.T) {
 	t.Logf("heap: %d sites, %d images, hash %#x", rep.Sites, rep.Images, rep.ImageHash)
 }
 
-// Crashing inside recovery itself (Open of a remapped two-partition image)
+// Crashing inside recovery itself (Open of a rebooted two-partition image)
 // must always leave an image that reopens to exactly the pre-loaded
-// contents: mid-swizzle through the previous base, after the retire as a
-// clean store.
+// contents.
 func TestExploreKVReopen(t *testing.T) {
 	rep := mustExplore(t, &KVReopenTarget{}, KVReopenWorkload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
 	if rep.Sites < 20 {

@@ -12,7 +12,7 @@
 // NV-Tree and FPTree argue their failure-atomicity windows by hand-listing
 // them; this package lists ours mechanically, for every layer from pmem up
 // through the kv store (including value-log compaction and the reopen of
-// a remapped image, whose crash windows live inside recovery itself).
+// a rebooted image, whose crash windows live inside recovery itself).
 //
 // Everything is seeded: the same Config against the same Target replays the
 // same crash images byte for byte (Report.ImageHash), so a violation found

@@ -671,12 +671,11 @@ func HeapWorkload() []Op {
 // ---------------------------------------------------------------------------
 // kv reopen target
 
-// KVReopenTarget pre-loads a two-partition store and remaps its durable
-// images at a different simulated base; the workload's first op is OpOpen,
-// so recovery's own persist sites — the chain-head pointer's re-encode and
-// the swizzle retire, the fresh chunk's link, the heap-record refresh
-// — become crash points, per partition. A crash image from any of them must
-// reopen to exactly the pre-loaded contents.
+// KVReopenTarget pre-loads a two-partition store and reboots its durable
+// images on fresh arenas; the workload's first op is OpOpen, so recovery's
+// own persist sites — the fresh chunk's link, the heap-record refresh, tree
+// recovery — become crash points, per partition. A crash image from any of
+// them must reopen to exactly the pre-loaded contents.
 type KVReopenTarget struct {
 	KVPartsTarget // store is nil until OpOpen
 	arenas        []*pmem.Arena
@@ -706,15 +705,11 @@ func (t *KVReopenTarget) Reset() ([]*pmem.Arena, Model, error) {
 		return nil, nil, err
 	}
 	base[k] = v
-	// Reboot the durable images on fresh arenas mapped somewhere else, as a
-	// restart under address-space randomisation would.
+	// Reboot the durable images on fresh arenas, as a restart would.
 	srcs := s.Arenas()
 	t.arenas = make([]*pmem.Arena, len(srcs))
 	for i, a := range srcs {
-		t.arenas[i], err = pmem.RecoverSegments(a.SnapshotSegments(), pmem.Config{SimBase: 0x0000_6100_0000_0000})
-		if err != nil {
-			return nil, nil, err
-		}
+		t.arenas[i] = pmem.Recover(a.CrashImage(nil, 0), pmem.Config{})
 	}
 	t.store = nil
 	return t.arenas, base, nil

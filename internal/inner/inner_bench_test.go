@@ -23,6 +23,7 @@ func BenchmarkSeek(b *testing.B) {
 			for i := range keys {
 				keys[i] = rng.Uint64() % (uint64(n) * 16)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = ix.Seek(keys[i&4095])
@@ -33,6 +34,7 @@ func BenchmarkSeek(b *testing.B) {
 
 func BenchmarkInsert(b *testing.B) {
 	ix := New(1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Insert(uint64(i)*2+1, uint64(i+2))
@@ -57,6 +59,7 @@ func BenchmarkSeekDuringInserts(b *testing.B) {
 	}()
 	defer close(stop)
 	rng := rand.New(rand.NewSource(2))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = ix.Seek(rng.Uint64() % (10_000 * 16))

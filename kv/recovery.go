@@ -158,8 +158,6 @@ func openPart(p *kvPart, idx, parts int) error {
 		}
 		budget--
 	}
-	// Checked last: a passing heap record ends in Open's first writes (the
-	// chain-head pointer's re-encode and the swizzle retire).
 	if err := p.checkHeapRecord(); err != nil {
 		return corrupt("%v", err)
 	}
@@ -167,19 +165,13 @@ func openPart(p *kvPart, idx, parts int) error {
 		return err
 	}
 	// The heap record may be stale relative to the heap headers (growth
-	// after the last clean Close, or a fresh remap); bring it current.
+	// after the last clean Close); bring it current.
 	p.refreshHeapLine()
 	return nil
 }
 
 // checkHeapRecord validates the superblock's heap record against the
-// arena's authoritative segment headers, then resolves the chain-head line's
-// absolute (simulated mapped) pointer. When the image was recovered at a
-// different mapping base the partition arrives mid-swizzle: the stored
-// address still resolves through the segment's previous base, gets
-// re-encoded against the current one, and the swizzle state is retired —
-// the store-level consumer of the pmem layer's position-independent
-// recovery.
+// arena's authoritative segment headers. Pure validation: it writes nothing.
 func (p *kvPart) checkHeapRecord() error {
 	a := p.arena
 	sb := p.sbOff
@@ -197,16 +189,6 @@ func (p *kvPart) checkHeapRecord() error {
 	if rec := a.Read8(sb + sbNsegsOff); rec > uint64(a.Segments()) {
 		return fmt.Errorf("superblock records %d segments, heap committed only %d", rec, a.Segments())
 	}
-	sim := a.Read8(sb + sbTableSimOff)
-	off, ok := a.FromSimAddr(sim)
-	if !ok || off != p.headOff {
-		return fmt.Errorf("chain-head pointer %#x does not resolve to offset %#x", sim, p.headOff)
-	}
-	if cur := a.SimAddr(p.headOff); cur != sim {
-		a.Write8(sb+sbTableSimOff, cur)
-		a.Persist(sb+sbTableSimOff, 8)
-	}
-	a.FinishSwizzle()
 	return nil
 }
 

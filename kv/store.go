@@ -105,18 +105,16 @@ const (
 
 	// Superblock second line: the heap record. The segment headers
 	// (internal/pmem) stay authoritative — recovery reads geometry from
-	// them before any kv code runs — so these words are a cross-check plus
-	// the swizzle consumer's state. nsegs is refreshed on clean Close and
-	// on every Open, so after a crash it may lag the heap's committed
-	// count (never lead it). tableSim is sbHeadOff's value re-encoded as
-	// a simulated mapped address via pmem.SimAddr; Open resolves it with
-	// FromSimAddr against the plain offset and rewrites it when the image
-	// was recovered at a different base.
-	sbHeapOff     = 64 // always 1: the partition arena is heap-formatted
-	sbSeg0SzOff   = 72 // heap segment-0 size in bytes
-	sbGrowSzOff   = 80 // heap grow-segment size in bytes
-	sbNsegsOff    = 88 // committed segments when the line was last written
-	sbTableSimOff = 96 // chain-head line as a simulated mapped address
+	// them before any kv code runs — so these words are a cross-check.
+	// nsegs is refreshed on clean Close and on every Open, so after a
+	// crash it may lag the heap's committed count (never lead it). Word 96
+	// is retired: earlier builds kept a second encoding of sbHeadOff
+	// there, so it is written null and never read.
+	sbHeapOff    = 64 // always 1: the partition arena is heap-formatted
+	sbSeg0SzOff  = 72 // heap segment-0 size in bytes
+	sbGrowSzOff  = 80 // heap grow-segment size in bytes
+	sbNsegsOff   = 88 // committed segments when the line was last written
+	sbRetiredOff = 96 // retired, written null
 
 	sbSizeV4 = 2 * pmem.LineSize
 
@@ -404,8 +402,8 @@ func (s *Store) initPart(p *kvPart, idx int, opts Options) error {
 // writeHeapLine fills (without persisting) the v4 superblock's heap record
 // from the arena's current state. Callers persist the superblock line(s)
 // themselves; refreshHeapLine is the persist-it-now variant used on clean
-// shutdown and after recovery, when the heap may have grown or been
-// remapped since the line was last written.
+// shutdown and after recovery, when the heap may have grown since the line
+// was last written.
 //
 //pmem:volatile every caller persists the line: initPart persists the whole fresh superblock before the root flip, refreshHeapLine persists immediately
 func (p *kvPart) writeHeapLine() {
@@ -415,7 +413,7 @@ func (p *kvPart) writeHeapLine() {
 	a.Write8(sb+sbSeg0SzOff, a.Seg0Size())
 	a.Write8(sb+sbGrowSzOff, a.GrowSize())
 	a.Write8(sb+sbNsegsOff, uint64(a.Segments()))
-	a.Write8(sb+sbTableSimOff, a.SimAddr(a.Read8(sb+sbHeadOff)))
+	a.Write8(sb+sbRetiredOff, pmem.NullOff)
 }
 
 func (p *kvPart) refreshHeapLine() {
