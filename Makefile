@@ -1,7 +1,7 @@
 # Tier-1 verification and the race gate for the concurrent kv/tree paths.
 GO ?= go
 
-.PHONY: check build vet test lint lint-fixtures race bench-kv bench-server bench-obj bench-heap faultcheck faultshort servercheck replcheck heapcheck objcheck benchcheck fuzz-wire
+.PHONY: check build vet test lint lint-fixtures race bench-kv bench-server bench-obj bench-heap faultcheck faultshort servercheck replcheck heapcheck objcheck benchcheck benchpair fuzz-wire
 
 check: build vet lint test faultshort servercheck replcheck heapcheck objcheck benchcheck
 
@@ -110,6 +110,28 @@ objcheck:
 # changing under it.
 benchcheck:
 	bash benchmark/run.sh --check
+
+# Paired runs of the gating benchmark, this checkout (side b) against REF
+# (side a): REF is checked out into a git worktree under .bench_build/, each
+# side writes N full result sets, alternating which side goes first (a b,
+# b a, ...), and --compare judges b against a. The sets stay in
+# .bench_build/pair/{a,b}. About 5 minutes a pair.
+N ?= 10
+PAIR := $(CURDIR)/.bench_build/pair
+benchpair:
+	@test -n "$(REF)" || { echo "usage: make benchpair REF=<git-ref> [N=10]"; exit 2; }
+	rm -rf $(PAIR) && git worktree prune && mkdir -p $(PAIR)/a $(PAIR)/b
+	git worktree add --detach $(PAIR)/ref $(REF)
+	@trap 'git worktree remove --force $(PAIR)/ref' EXIT; \
+	for i in $$(seq $(N)); do \
+		if [ $$((i % 2)) = 1 ]; then order="a b"; else order="b a"; fi; \
+		for side in $$order; do \
+			if [ $$side = a ]; then src=$(PAIR)/ref; else src=$(CURDIR); fi; \
+			echo "== pair $$i of $(N), side $$side"; \
+			bash $$src/benchmark/run.sh --out $(PAIR)/$$side || exit 1; \
+		done; \
+	done; \
+	bash benchmark/run.sh --compare $(PAIR)/a $(PAIR)/b
 
 # Typed-object throughput vs flat durable PUT at 8 threads; merges an
 # obj_ops section into BENCH_server.json.

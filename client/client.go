@@ -428,12 +428,13 @@ func (c *Client) do(req wire.Request) (wire.Response, error) {
 	}
 
 	req.ID = c.nextID.Add(1)
-	fbuf, _ := framePool.Get().([]byte)
-	frame, err := wire.AppendRequest(fbuf[:0], req)
+	fp := framePool.Get().(*[]byte)
+	frame, err := wire.AppendRequest((*fp)[:0], req)
 	if err != nil {
-		framePool.Put(frame[:0]) //nolint:staticcheck // []byte pooling is deliberate
+		framePool.Put(fp)
 		return wire.Response{}, err
 	}
+	*fp = frame
 	// Response-after-timeout audit (why a late response can never complete
 	// a different caller's call): request IDs come from a monotonic counter
 	// and are NEVER reused, so a response outliving its call matches no
@@ -457,7 +458,7 @@ func (c *Client) do(req wire.Request) (wire.Response, error) {
 	// withdraw the entry ourselves. Losing the withdrawal race just means a
 	// delivery is already committed — take it.
 	if c.closed.Load() {
-		framePool.Put(frame[:0]) //nolint:staticcheck // []byte pooling is deliberate
+		framePool.Put(fp)
 		c.pendMu.Lock()
 		_, mine := c.pend[req.ID]
 		if mine {
@@ -492,7 +493,7 @@ func (c *Client) do(req wire.Request) (wire.Response, error) {
 		c.wBuf = append(c.wBuf, frame...)
 	}
 	c.wMu.Unlock()
-	framePool.Put(frame[:0]) //nolint:staticcheck // []byte pooling is deliberate
+	framePool.Put(fp)
 	select {
 	case c.wSig <- struct{}{}:
 	default:
@@ -510,10 +511,10 @@ func (c *Client) do(req wire.Request) (wire.Response, error) {
 	return r.resp, nil
 }
 
-// framePool recycles request-frame buffers: bufio.Writer.Write copies the
-// frame before returning, so the buffer is dead as soon as the write
-// section unlocks.
-var framePool sync.Pool
+// framePool recycles request-frame buffers (as *[]byte, so a round trip
+// through the pool allocates nothing): the frame is copied into wBuf, so
+// the buffer is dead as soon as the write section unlocks.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // chanPool recycles result channels: a pending entry's channel receives
 // exactly one delivery per registration, so after do's receive it is empty

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"rntree/client"
+	"rntree/internal/wire"
 	"rntree/kv"
 )
 
@@ -190,5 +192,67 @@ func TestShutdownDeadline(t *testing.T) {
 	}
 	if err := <-serveDone; err != nil {
 		t.Fatalf("Serve: %v", err)
+	}
+}
+
+// TestShutdownAnswersEveryReadGet: a GET is answered from the reader's own
+// buffer, which a drain must hand to the writer like any other completion.
+// A client pipelines GETs without pause while the server is shut down; every
+// request the server read (its requests counter) must have its response on
+// the wire before the connection closes. The connection is a net.Pipe: a TCP
+// socket closed with requests still unread resets, and a reset may discard
+// responses the peer had not received yet, which is TCP's doing, not ours.
+func TestShutdownAnswersEveryReadGet(t *testing.T) {
+	st, err := kv.New(kv.Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(st, Config{Cache: CacheConfig{Enable: true}})
+	raw, served := net.Pipe()
+	defer raw.Close()
+	if !srv.register(served) {
+		t.Fatal("connection refused")
+	}
+
+	var segment []byte
+	for i := 0; i < 100; i++ {
+		segment, _ = wire.AppendRequest(segment, wire.Request{ID: uint64(i + 1), Op: wire.OpGet, Key: []byte("k")})
+	}
+	go func() { // until the drained server closes the connection
+		for {
+			if _, err := raw.Write(segment); err != nil {
+				return
+			}
+		}
+	}()
+	answered := make(chan int, 1)
+	go func() {
+		br, n := bufio.NewReader(raw), 0
+		for {
+			p, err := wire.ReadFrame(br, nil)
+			if err != nil {
+				answered <- n
+				return
+			}
+			if resp, err := wire.DecodeResponse(p); err != nil || resp.Status != wire.StatusOK || string(resp.Val) != "v" {
+				t.Errorf("response %d: %+v, %v", n, resp, err)
+			}
+			n++
+		}
+	}()
+
+	for srv.requests.Load() < 1000 { // mid-traffic
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if got, read := <-answered, int(srv.requests.Load()); got != read {
+		t.Fatalf("server read %d GETs and answered %d", read, got)
 	}
 }

@@ -21,8 +21,10 @@ import (
 
 // shipHighWater bounds the ship stream's write-buffer growth when the
 // replica's TCP stalls: past it the subscriber's Run goroutine waits for
-// the writer to drain instead of queueing more frames.
-const shipHighWater = 4 << 20
+// the writer to drain instead of queueing more frames. Half of maxBacklog,
+// so the stream's own backlog plus a record does not park the reader that
+// folds the replica's acks.
+const shipHighWater = maxBacklog / 2
 
 var errShipConnDead = errors.New("server: replication connection dead")
 
@@ -123,10 +125,7 @@ func (cn *conn) sendRecord(rec repl.Record) error {
 		if cn.deadF.Load() {
 			return errShipConnDead
 		}
-		cn.wMu.Lock()
-		over := len(cn.wBuf) > shipHighWater
-		cn.wMu.Unlock()
-		if !over {
+		if cn.backlog.Load() <= shipHighWater {
 			break
 		}
 		time.Sleep(time.Millisecond)

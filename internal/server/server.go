@@ -3,13 +3,17 @@
 // (GET/PUT/DEL/SCAN/STATS/PING) with per-connection request pipelining.
 //
 // Concurrency model. Each connection runs a reader goroutine that decodes
-// frames and dispatches every request, bounded by a per-connection inflight
-// semaphore: a flat mutation (PUT, DEL) to its key's partition committer
-// (batch.go — the only route a flat write takes to the store), everything
-// else to a pool of handler workers. Requests on one connection complete out
-// of order, exactly what a pipelining client wants, and responses carry the
-// request ID so the client can match them; two writes to one key commit in
-// the order they were sent.
+// frames and routes every request. PING and GET run to completion right
+// there — a read is cheap (a cache lookup, or a Find plus a value-log read),
+// so a hand-off costs more than serving it — into a reader-owned buffer that
+// goes to the connection's writer once per read batch: before the reader can
+// block. A flat mutation (PUT, DEL) goes to its key's partition committer
+// (batch.go — the only route a flat write takes to the store), and what can
+// block or fan out (SCAN, STATS, the typed-object verbs, REPL.*, PROMOTE) to
+// a pool of handler workers, both bounded by a per-connection inflight
+// semaphore. Requests on one connection complete out of order, exactly what
+// a pipelining client wants, and responses carry the request ID so the client
+// can match them; two writes to one key commit in the order they were sent.
 // Responders hand their frames to a per-connection writer goroutine that
 // coalesces everything queued behind the in-flight write, so a pipeline of
 // responses shares one syscall. The paper's core claim is that slow NVM persists
@@ -19,7 +23,8 @@
 // moving.
 //
 // Backpressure is explicit and bounded everywhere: the per-connection
-// semaphore stalls the reader (TCP pushes back on the client), a global
+// semaphore stalls the reader (TCP pushes back on the client), as does a
+// backlog of responses the client has not read yet (maxBacklog), a global
 // inflight limit rejects excess requests with StatusOverloaded rather than
 // queueing them, each committer's queue is bounded the same way, and
 // connections beyond MaxConns are refused at accept. Idle connections are
@@ -36,6 +41,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -57,11 +63,13 @@ type Config struct {
 	MaxConns int
 	// MaxInflight caps pipelined requests in progress per connection
 	// (default 64). A client pipelining deeper stalls in TCP, not in
-	// server memory.
+	// server memory. In progress means queued on a committer or a worker: a
+	// PING or GET is served on the reader, queues nowhere and completes
+	// before the next frame is decoded, so it takes neither token.
 	MaxInflight int
-	// MaxGlobalInflight caps requests in progress across all connections
-	// (default 1024). Beyond it requests are rejected with
-	// StatusOverloaded instead of queueing.
+	// MaxGlobalInflight caps requests in progress (in the same sense)
+	// across all connections (default 1024). Beyond it requests are
+	// rejected with StatusOverloaded instead of queueing.
 	MaxGlobalInflight int
 	// IdleTimeout reaps connections with no inflight requests and no
 	// traffic (default 2m).
@@ -516,9 +524,13 @@ type conn struct {
 	deadF  atomic.Bool // fatal write error or abort: drop further writes
 	drainF atomic.Bool // stop reading new frames
 
+	// out collects the reader's own responses (PING, GET, rejections) until
+	// flush hands them to the writer; only the reader touches it.
+	out []byte
+
 	// reqs feeds a lazily-grown pool of handler workers; pooling reuses
 	// goroutines across requests instead of paying a spawn per request.
-	reqs    chan wire.Request
+	reqs    chan job
 	workers atomic.Int32
 
 	// Responders append encoded frames to wBuf and nudge the connection's
@@ -530,12 +542,16 @@ type conn struct {
 	// the matching request-side scheme. wArmed (writer-only) throttles
 	// SetWriteDeadline to once per WriteTimeout/4: a timer-heap update per
 	// write is measurable and WriteTimeout needs no precision.
-	wMu    sync.Mutex
-	wBuf   []byte
-	wSig   chan struct{} // cap 1: "wBuf is non-empty"
-	wStop  chan struct{} // closed by run after the last responder finishes
-	wDone  chan struct{} // closed by writeLoop after its final drain
-	wArmed time.Time
+	// backlog counts the bytes send has taken that have not reached the
+	// socket yet; the reader waits on rWake while it exceeds maxBacklog.
+	wMu     sync.Mutex
+	wBuf    []byte
+	wSig    chan struct{} // cap 1: "wBuf is non-empty"
+	wStop   chan struct{} // closed by run after the last responder finishes
+	wDone   chan struct{} // closed by writeLoop after its final drain
+	wArmed  time.Time
+	backlog atomic.Int64
+	rWake   chan struct{} // cap 1: "re-check what awaitWriter waits for"
 
 	// Replication ship stream (repl.go): non-nil sub marks this as a
 	// replica connection; shipSeq numbers the unsolicited record frames
@@ -554,8 +570,9 @@ func newConn(s *Server, c net.Conn) *conn {
 		s:     s,
 		c:     c,
 		sem:   make(chan struct{}, s.cfg.MaxInflight),
-		reqs:  make(chan wire.Request, s.cfg.MaxInflight),
+		reqs:  make(chan job, s.cfg.MaxInflight),
 		wSig:  make(chan struct{}, 1),
+		rWake: make(chan struct{}, 1),
 		wStop: make(chan struct{}),
 		wDone: make(chan struct{}),
 		done:  make(chan struct{}),
@@ -564,17 +581,42 @@ func newConn(s *Server, c net.Conn) *conn {
 
 // beginDrain makes the reader stop at the next frame boundary: the flag
 // flips first, then the read deadline is yanked so a reader blocked in
-// ReadFrame wakes immediately.
+// ReadFrame wakes immediately, and one parked in awaitWriter is woken.
 func (cn *conn) beginDrain() {
 	cn.drainF.Store(true)
 	cn.c.SetReadDeadline(time.Now())
+	cn.wakeReader()
 }
 
 // abort tears the connection down without waiting (Shutdown past its
-// deadline).
+// deadline, or a failed or timed-out response write).
 func (cn *conn) abort() {
 	cn.deadF.Store(true)
 	cn.c.Close()
+	cn.wakeReader()
+}
+
+// maxBacklog is how many response bytes a connection may hold unwritten
+// before its reader stops decoding requests: a client that sends and does not
+// read stalls in TCP, not in server memory. One maximal response always fits.
+const maxBacklog = wire.MaxFrame
+
+// awaitWriter parks the reader while the unwritten backlog exceeds
+// maxBacklog. The writer's progress, a dead connection and a drain end the
+// wait; each sets its state before its wake-up and rWake holds one, so none
+// is lost. Committers and workers never wait: what they can add is bounded by
+// the requests the reader has let in.
+func (cn *conn) awaitWriter() {
+	for cn.backlog.Load() > maxBacklog && !cn.deadF.Load() && !cn.drainF.Load() {
+		<-cn.rWake
+	}
+}
+
+func (cn *conn) wakeReader() {
+	select {
+	case cn.rWake <- struct{}{}:
+	default:
+	}
 }
 
 // send queues one response frame for the connection's writer goroutine.
@@ -584,6 +626,7 @@ func (cn *conn) send(frame []byte) {
 	if cn.deadF.Load() {
 		return
 	}
+	cn.backlog.Add(int64(len(frame)))
 	cn.wMu.Lock()
 	cn.wBuf = append(cn.wBuf, frame...)
 	cn.wMu.Unlock()
@@ -649,9 +692,11 @@ func (cn *conn) writeLoop() {
 			_, err := cn.c.Write(buf)
 			spare = buf[:0]
 			if err != nil {
-				cn.deadF.Store(true)
+				cn.abort()
 				return
 			}
+			cn.backlog.Add(-int64(len(buf)))
+			cn.wakeReader()
 		}
 		if stopping {
 			return
@@ -670,15 +715,7 @@ func (cn *conn) respond(rs ...wire.Response) {
 	}
 	frame := (*fp)[:0]
 	for _, r := range rs {
-		next, err := wire.AppendResponse(frame, r)
-		if err != nil {
-			// Response construction bugs must not wedge the pipeline; drop
-			// to an encodable error instead.
-			next, _ = wire.AppendResponse(frame, wire.Response{
-				ID: r.ID, Status: wire.StatusErr, Op: r.Op, Msg: "server: unencodable response",
-			})
-		}
-		frame = next
+		frame = appendResponse(frame, r)
 	}
 	cn.send(frame)
 	*fp = frame
@@ -690,6 +727,18 @@ func (cn *conn) respond(rs ...wire.Response) {
 	}
 }
 
+// appendResponse appends r's frame to dst. Response construction bugs must
+// not wedge the pipeline; they drop to an encodable error instead.
+func appendResponse(dst []byte, r wire.Response) []byte {
+	next, err := wire.AppendResponse(dst, r)
+	if err != nil {
+		next, _ = wire.AppendResponse(dst, wire.Response{
+			ID: r.ID, Status: wire.StatusErr, Op: r.Op, Msg: "server: unencodable response",
+		})
+	}
+	return next
+}
+
 // framePool recycles response-frame buffers (as *[]byte, so a round trip
 // through the pool allocates nothing): send copies the frame into the
 // connection's write buffer before returning, so the buffer is dead by the
@@ -698,12 +747,13 @@ var framePool sync.Pool
 
 // payloadPool recycles request-payload buffers, as *[]byte like framePool. A
 // decoded request's key/value slices alias its frame payload, so the buffer
-// lives exactly as long as the request does; a committer returns it once
-// Commit has copied key and value into the log, and every flat mutation's
-// payload comes back that way. At a couple of KiB per PUT this is the
-// server's dominant allocation, and recycling it keeps the GC out of the
-// steady-state serving loop. Requests that go to the handler workers just
-// let the GC have the buffer.
+// lives exactly as long as the request does, and every route returns it once
+// the request is answered: the reader at once, a committer once Commit has
+// copied key and value into the log, a worker after its handler has
+// responded (no handler keeps a request slice: the object layer copies names,
+// fields and values into the log and into string map keys). At a couple of
+// KiB per PUT this is the server's dominant allocation, and recycling it
+// keeps the GC out of the steady-state serving loop.
 var payloadPool sync.Pool
 
 // putPayload returns a dead payload to payloadPool, in the box it was taken
@@ -740,13 +790,23 @@ func (cn *conn) run() {
 	cn.c.Close()
 }
 
-// readLoop decodes frames and dispatches requests until error, idle
-// timeout or drain.
+// readBatchBytes is the reader's buffer size, and the most responses it
+// collects before flushing even though more requests are buffered.
+const readBatchBytes = 64 << 10
+
+// readLoop decodes frames and routes requests until error, idle timeout,
+// drain or a dead connection. What it answered itself goes to the writer
+// before it can block and when it returns: a request that was read is answered.
 func (cn *conn) readLoop() {
-	br := bufio.NewReaderSize(cn.c, 64<<10)
+	defer cn.flush()
+	br := bufio.NewReaderSize(cn.c, readBatchBytes)
 	var armed time.Time
 	for {
-		if cn.drainF.Load() {
+		if len(cn.out) >= readBatchBytes || !frameBuffered(br) {
+			cn.flush()
+		}
+		cn.awaitWriter()
+		if cn.drainF.Load() || cn.deadF.Load() {
 			return
 		}
 		// Re-arm the idle deadline at most every IdleTimeout/4: a
@@ -764,12 +824,12 @@ func (cn *conn) readLoop() {
 				return
 			}
 		}
-		// Each frame gets its own payload buffer (pooled when a committed
-		// mutation has retired one) so the decoded request's key/value
-		// slices can alias it for the request's whole lifetime — the
-		// dispatch paths are asynchronous, and handing the payload over
-		// outright is one 2-KiB memmove cheaper per PUT than reusing the
-		// buffer and cloning the slices out of it.
+		// Each frame gets its own payload buffer (pooled once a request has
+		// retired one) so the decoded request's key/value slices can alias
+		// it for the request's whole lifetime — the committer and worker
+		// routes are asynchronous, and handing the payload over outright is
+		// one 2-KiB memmove cheaper per PUT than reusing the buffer and
+		// cloning the slices out of it.
 		var pbuf []byte
 		box, _ := payloadPool.Get().(*[]byte)
 		if box != nil {
@@ -785,27 +845,95 @@ func (cn *conn) readLoop() {
 			// requests still complete and flush.
 			return
 		}
-		req, err := wire.DecodeRequest(payload)
-		if err != nil {
-			// Malformed request: the frame boundary was still sound, so
-			// report and keep the connection. dispatchReject copies what it
-			// needs, so the payload can go straight back to the pool.
-			cn.dispatchReject(wire.Request{ID: reqIDBestEffort(payload), Op: wire.OpPing}, wire.StatusErr, err.Error())
-			putPayload(box, payload)
-			continue
-		}
-		if req.Op == wire.OpReplAck {
-			// Acks carry no response and take no inflight tokens: they are
-			// folded here on the reader, so an ack can never be stuck in the
-			// dispatch pipeline behind the very durable-ack PUT it unblocks.
-			if sub := cn.sub.Load(); sub != nil {
-				sub.Ack(req.ReplLSNs)
-			}
-			putPayload(box, payload)
-			continue
-		}
-		cn.dispatch(req, payload, box)
+		cn.route(payload, box)
 	}
+}
+
+// frameBuffered reports whether br already holds the next frame whole, so
+// that reading it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(hdr))
+}
+
+// flush hands the reader's collected responses to the writer.
+func (cn *conn) flush() {
+	if len(cn.out) > 0 {
+		cn.send(cn.out)
+		cn.out = cn.out[:0]
+	}
+}
+
+// route decodes one frame and sends the request on its way: PING and GET are
+// served here on the reader, acks are folded here, the rest is dispatched.
+// box is the pool box payload came out of, if any; whichever route finishes
+// the request returns both to payloadPool.
+func (cn *conn) route(payload []byte, box *[]byte) {
+	req, err := wire.DecodeRequest(payload)
+	switch {
+	case err != nil:
+		// Malformed request: the frame boundary was still sound, so report
+		// and keep the connection. It never counted as a request.
+		cn.out = appendResponse(cn.out, wire.Response{
+			ID: reqIDBestEffort(payload), Status: wire.StatusErr, Op: wire.OpPing, Msg: err.Error(),
+		})
+	case req.Op == wire.OpReplAck:
+		// Acks carry no response and take no inflight tokens: they are
+		// folded here on the reader, so an ack can never be stuck in the
+		// dispatch pipeline behind the very durable-ack PUT it unblocks.
+		if sub := cn.sub.Load(); sub != nil {
+			sub.Ack(req.ReplLSNs)
+		}
+	case req.Op == wire.OpPing || req.Op == wire.OpGet:
+		// requests first: Stats relies on every derived counter (the cache's
+		// hits and misses here) being bumped after it.
+		cn.s.requests.Add(1)
+		resp := wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK}
+		if req.Op == wire.OpGet {
+			resp.Val, resp.Status, resp.Msg = cn.s.get(req.Key)
+		}
+		cn.out = appendResponse(cn.out, resp)
+	default:
+		cn.dispatch(req, payload, box)
+		return
+	}
+	putPayload(box, payload)
+}
+
+// get is the one flat read: object-layer gates, the hot-key cache, and on a
+// miss (or with no cache) the store, filling the cache under an epoch stamp.
+// A hit returns the cache's shared value; the caller only encodes it.
+func (s *Server) get(key []byte) (val []byte, status uint8, msg string) {
+	if o := s.obj; o != nil {
+		if obj.IsInternalKey(key) {
+			return nil, wire.StatusErr, errReservedKey
+		}
+		// Expiry masking BEFORE the cache: an expired-but-unreaped key
+		// may still be resident (the reap's invalidation hasn't run yet),
+		// and serving it would resurrect a dead value.
+		if o.Expired(key) {
+			return nil, wire.StatusNotFound, ""
+		}
+	}
+	c := s.cache
+	var epoch uint64
+	if c != nil {
+		if val, ok := c.Get(key); ok {
+			return val, wire.StatusOK, ""
+		}
+		// Epoch before the store read (cache.go rule 2): a mutation
+		// landing between the read and the install aborts the fill.
+		epoch = c.FillEpoch(key)
+	}
+	val, err := s.st.Get(key)
+	if err == nil && c != nil {
+		c.CommitFill(key, val, epoch)
+	}
+	status, msg = statusOf(err)
+	return val, status, msg
 }
 
 // reqIDBestEffort pulls the request ID out of a payload long enough to
@@ -814,11 +942,7 @@ func reqIDBestEffort(p []byte) uint64 {
 	if len(p) < 8 {
 		return 0
 	}
-	var id uint64
-	for _, b := range p[:8] {
-		id = id<<8 | uint64(b)
-	}
-	return id
+	return binary.BigEndian.Uint64(p)
 }
 
 func cloneBytes(b []byte) []byte {
@@ -828,36 +952,43 @@ func cloneBytes(b []byte) []byte {
 	return append([]byte(nil), b...)
 }
 
-// dispatch routes one request: acquire the per-connection token (blocking:
-// this is the pipelining depth limit), try the global token (rejecting:
-// this is overload protection), then hand off to the key's committer (PUT,
-// DEL) or a handler goroutine (everything else). payload is the frame buffer
-// req's slices alias and box the pool box it came out of, if any; a
-// committer recycles them after commit, the handler route leaves them to
-// the GC.
+// job is one request on its way to a handler worker, with the frame payload
+// its slices alias and the pool box that came out of.
+type job struct {
+	req wire.Request
+	raw []byte
+	box *[]byte
+}
+
+// dispatch queues one request that cannot be served on the reader: acquire
+// the per-connection token (blocking: this is the pipelining depth limit),
+// try the global token (rejecting: this is overload protection), then hand
+// off to the key's committer (PUT, DEL) or a handler worker (everything
+// else). Nothing here may capture req: a closure over it would move every
+// dispatched request to the heap.
 func (cn *conn) dispatch(req wire.Request, payload []byte, box *[]byte) {
 	cn.s.requests.Add(1)
-	cn.sem <- struct{}{}
-	cn.inflight.Add(1)
+	select {
+	case cn.sem <- struct{}{}:
+	default:
+		cn.flush() // about to block: let what is answered leave first
+		cn.sem <- struct{}{}
+	}
 	if cn.s.globalInflight.Add(1) > int64(cn.s.cfg.MaxGlobalInflight) {
 		cn.s.globalInflight.Add(-1)
 		cn.s.overloads.Add(1)
-		// Re-acquire nothing: respond releases both tokens, so take the
-		// global slot's place with a direct completion.
-		go func() {
-			frame, _ := wire.AppendResponse(nil, wire.Response{ID: req.ID, Status: wire.StatusOverloaded, Op: req.Op})
-			cn.send(frame)
-			<-cn.sem
-			cn.inflight.Done()
-		}()
+		cn.out = appendResponse(cn.out, wire.Response{ID: req.ID, Status: wire.StatusOverloaded, Op: req.Op})
+		<-cn.sem
+		putPayload(box, payload)
 		return
 	}
+	cn.inflight.Add(1)
 	if req.Op == wire.OpPut || req.Op == wire.OpDel {
 		cn.submit(req, payload, box)
 		return
 	}
 	// The reqs queue has one slot per sem token, so this send never blocks.
-	cn.reqs <- req
+	cn.reqs <- job{req, payload, box}
 	// Grow the worker pool while requests are waiting: every queued request
 	// deserves its own worker (that is the pipelining), but an idle pool
 	// serves a shallow pipeline without spawning.
@@ -899,58 +1030,19 @@ func (cn *conn) submit(req wire.Request, payload []byte, box *[]byte) {
 
 // workerLoop handles requests until the conn's reader closes the feed.
 func (cn *conn) workerLoop() {
-	for req := range cn.reqs {
-		cn.handle(req)
+	for j := range cn.reqs {
+		cn.handle(j)
 	}
 }
 
-// dispatchReject completes a request that never acquired tokens.
-func (cn *conn) dispatchReject(req wire.Request, status uint8, msg string) {
-	frame, _ := wire.AppendResponse(nil, wire.Response{ID: req.ID, Status: status, Op: req.Op, Msg: msg})
-	cn.send(frame)
-}
-
-// handle executes one request against the store and responds. PUT and DEL
-// never get here: dispatch hands them to their committer.
-func (cn *conn) handle(req wire.Request) {
+// handle executes one request against the store, responds, and with that
+// retires the payload. PING and GET never get here — the reader serves them
+// (route) — nor do PUT and DEL: dispatch hands them to their committer.
+func (cn *conn) handle(j job) {
+	defer putPayload(j.box, j.raw)
+	req := j.req
 	resp := wire.Response{ID: req.ID, Op: req.Op}
 	switch req.Op {
-	case wire.OpPing:
-		resp.Status = wire.StatusOK
-	case wire.OpGet:
-		if o := cn.s.obj; o != nil {
-			if obj.IsInternalKey(req.Key) {
-				resp.Status, resp.Msg = wire.StatusErr, errReservedKey
-				break
-			}
-			// Expiry masking BEFORE the cache: an expired-but-unreaped key
-			// may still be resident (the reap's invalidation hasn't run yet),
-			// and serving it would resurrect a dead value.
-			if o.Expired(req.Key) {
-				resp.Status = wire.StatusNotFound
-				break
-			}
-		}
-		if c := cn.s.cache; c != nil {
-			if val, ok := c.Get(req.Key); ok {
-				resp.Status = wire.StatusOK
-				resp.Val = val
-				break
-			}
-			// Epoch before the store read (cache.go rule 2): a mutation
-			// landing between the read and the install aborts the fill.
-			epoch := c.FillEpoch(req.Key)
-			val, err := cn.s.st.Get(req.Key)
-			if err == nil {
-				c.CommitFill(req.Key, val, epoch)
-			}
-			resp.Val = val
-			resp.Status, resp.Msg = statusOf(err)
-			break
-		}
-		var err error
-		resp.Val, err = cn.s.st.Get(req.Key)
-		resp.Status, resp.Msg = statusOf(err)
 	case wire.OpScan:
 		resp.Status = wire.StatusOK
 		resp.Pairs = cn.scan(req)
