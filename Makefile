@@ -1,7 +1,7 @@
 # Tier-1 verification and the race gate for the concurrent kv/tree paths.
 GO ?= go
 
-.PHONY: check build vet test lint lint-fixtures race bench-kv bench-server bench-obj bench-heap faultcheck faultshort servercheck replcheck heapcheck objcheck benchcheck benchpair fuzz-wire
+.PHONY: check build vet test lint lint-fixtures race bench-kv bench-heap faultcheck faultshort servercheck replcheck heapcheck objcheck benchcheck benchpair fuzz-wire
 
 check: build vet lint test faultshort servercheck replcheck heapcheck objcheck benchcheck
 
@@ -53,12 +53,6 @@ race:
 
 bench-kv:
 	$(GO) run ./cmd/rnbench -exp kvscale
-
-# Loopback serving sweeps: durable-PUT throughput (conns x depth) and the
-# zipf-0.8 GET-latency sweep with the hot-key cache off/on; both sections
-# merge into BENCH_server.json.
-bench-server:
-	$(GO) run ./cmd/rnbench -exp netbench,netgetbench
 
 # The network serving layer's gate: protocol/server/client tests under the
 # race detector (the pipelined writer, batcher, and drain paths are all
@@ -133,13 +127,8 @@ benchpair:
 	done; \
 	bash benchmark/run.sh --compare $(PAIR)/a $(PAIR)/b
 
-# Typed-object throughput vs flat durable PUT at 8 threads; merges an
-# obj_ops section into BENCH_server.json.
-bench-obj:
-	$(GO) run ./cmd/rnbench -exp objbench
-
 # Sustained kv Put throughput while the partition heap appends segments
-# under live load; merges a heap_grow section into BENCH_forest.json.
+# under live load.
 bench-heap:
 	$(GO) run ./cmd/rnbench -exp heapgrow
 
@@ -148,8 +137,9 @@ fuzz-wire:
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=60s
 
 # Crash-point exploration (internal/fault): crash every persist site of
-# every layer target under pre/evicted/torn image variants and check the
-# durability oracle. Exits non-zero on any violation.
+# every layer target, and each node of a primary/replica pair, under
+# pre/evicted/torn image variants and check the durability oracle. Exits
+# non-zero on any violation.
 faultcheck:
 	$(GO) run ./cmd/rnbench -exp faultmatrix
 

@@ -6,30 +6,22 @@
 //	rnbench -exp fig8 -scale 200000 -duration 300ms
 //	rnbench -exp all -scale 1000000 -out results.txt
 //
-// Experiments: table1, fig4, fig5, fig6, fig7, fig8, fig9, fig10, kvscale
-// (beyond the paper: kv-layer Put thread sweep, 8 partitions vs one value
-// log), forestscale (partition sweep of the hash-partitioned forest; also
-// writes a machine-readable BENCH_forest.json, see -forest-json),
-// heapgrow (kv Put throughput across live heap segment appends; merges a
-// heap_grow section into BENCH_forest.json), faultmatrix (crash-point exploration with the durability oracle;
-// -fault-sites caps the sites replayed per target), netbench (loopback
-// serving-layer sweep over connections x pipeline depth; also writes
-// BENCH_server.json, see -server-json), replbench (primary/replica
-// replication: async vs replica-durable PUT throughput, failover time,
-// and the two-node crash matrix; merges a repl_failover section into
-// BENCH_server.json), objbench (typed-object layer: flat PUT baseline vs
-// each object verb and the composite mix at 8 threads; merges an obj_ops
-// section into BENCH_server.json), all.
+// Experiments: table1, fig4, fig5, fig6, fig7, fig8, fig9, fig10, and beyond
+// the paper kvscale (kv-layer Put thread sweep, 8 partitions vs one value
+// log), forestscale (partition sweep of the hash-partitioned forest),
+// heapgrow (kv Put throughput across live heap segment appends),
+// faultmatrix (crash-point exploration with the durability oracle;
+// -fault-sites caps the sites replayed per target), all. Every experiment
+// runs in-process and prints a text table; anything measured over a socket
+// lives in benchmark/ (bash benchmark/run.sh).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -37,303 +29,6 @@ import (
 	"rntree/internal/bench"
 	"rntree/internal/pmem"
 )
-
-// forestReport is the machine-readable summary of the forest-layer
-// experiments, written to -forest-json so CI can gate on the speedup bar
-// without scraping the text tables. The top-level fields are the
-// forestscale partition sweep; HeapGrow is the heapgrow segment-append
-// sweep. Either experiment can run alone: the writer merges its section
-// into whatever the file already holds.
-type forestReport struct {
-	ID         string     `json:"id"`
-	Title      string     `json:"title"`
-	Scale      uint64     `json:"scale"`
-	DurationMS int64      `json:"duration_ms"`
-	Seed       int64      `json:"seed"`
-	Header     []string   `json:"header"`
-	Rows       [][]string `json:"rows"`
-	Notes      []string   `json:"notes"`
-	// SpeedupVs1P is the last sweep point's throughput over the
-	// single-partition baseline; PassedBar is SpeedupVs1P >= 1.5.
-	SpeedupVs1P float64 `json:"speedup_vs_1p"`
-	PassedBar   bool    `json:"passed_1_5x_bar"`
-
-	HeapGrow *heapGrowReport `json:"heap_grow,omitempty"`
-}
-
-// heapGrowReport is the heapgrow section: kv Put throughput in fixed-size
-// operation windows while the partition heap appends segments under load.
-type heapGrowReport struct {
-	Title  string     `json:"title"`
-	Seed   int64      `json:"seed"`
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
-	Notes  []string   `json:"notes"`
-	// GrowthVsSteady is the median growth-window throughput over the
-	// median steady-state window; PassedBar is GrowthVsSteady >= 0.8
-	// (growth windows hold at least 80% of steady-state throughput).
-	GrowthVsSteady float64 `json:"growth_vs_steady"`
-	PassedBar      bool    `json:"passed_80pct_bar"`
-}
-
-// writeForestJSON merges one forest-layer result (forestscale or
-// heapgrow) into the report at path, preserving the other section if a
-// previous run already wrote it.
-func writeForestJSON(path string, cfg bench.Config, r bench.Result) error {
-	var rep forestReport
-	if prev, err := os.ReadFile(path); err == nil {
-		// Best-effort: an unreadable or stale-format file is overwritten.
-		_ = json.Unmarshal(prev, &rep)
-	}
-	switch r.ID {
-	case "forestscale":
-		rep.ID = r.ID
-		rep.Title = r.Title
-		rep.Scale = cfg.Scale
-		rep.DurationMS = cfg.Duration.Milliseconds()
-		rep.Seed = cfg.Seed
-		rep.Header, rep.Rows, rep.Notes = r.Header, r.Rows, r.Notes
-		if n := len(r.Rows); n > 0 && len(r.Rows[n-1]) > 2 {
-			if v, err := strconv.ParseFloat(r.Rows[n-1][2], 64); err == nil {
-				rep.SpeedupVs1P = v
-				rep.PassedBar = v >= 1.5
-			}
-		}
-	case "heapgrow":
-		hg := &heapGrowReport{
-			Title: r.Title, Seed: cfg.Seed,
-			Header: r.Header, Rows: r.Rows, Notes: r.Notes,
-		}
-		// The acceptance cell is the ratio note's leading "...is X.XXx"
-		// figure; recompute it instead from the rows so the bar doesn't
-		// depend on note phrasing: median kops of grew>0 rows over median
-		// kops of grew==0 rows.
-		var steady, growth []float64
-		for _, row := range r.Rows {
-			if len(row) < 4 {
-				continue
-			}
-			v, err := strconv.ParseFloat(row[1], 64)
-			if err != nil {
-				continue
-			}
-			if row[3] != "0" {
-				growth = append(growth, v)
-			} else {
-				steady = append(steady, v)
-			}
-		}
-		if len(steady) > 0 && len(growth) > 0 {
-			hg.GrowthVsSteady = medianOf(growth) / medianOf(steady)
-			hg.PassedBar = hg.GrowthVsSteady >= 0.8
-		}
-		rep.HeapGrow = hg
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// medianOf returns the median of a non-empty sample.
-func medianOf(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	} else {
-		return (s[n/2-1] + s[n/2]) / 2
-	}
-}
-
-// serverReport is the machine-readable summary of the serving-layer
-// experiments, written to -server-json so CI can gate on the pipelining
-// speedup bar (and the cache's read-latency win) without scraping the
-// text tables. The top-level fields are the netbench PUT sweep; GetSweep
-// is the netgetbench GET-latency sweep. Either experiment can run alone:
-// the writer merges its section into whatever the file already holds.
-type serverReport struct {
-	ID         string     `json:"id"`
-	Title      string     `json:"title"`
-	DurationMS int64      `json:"duration_ms"`
-	Seed       int64      `json:"seed"`
-	Header     []string   `json:"header"`
-	Rows       [][]string `json:"rows"`
-	Notes      []string   `json:"notes"`
-	// SpeedupVs1x1 is the 8-connections x depth-16 throughput over the
-	// 1-connection unpipelined baseline; PassedBar is SpeedupVs1x1 >= 4.
-	SpeedupVs1x1 float64 `json:"speedup_vs_1x1"`
-	PassedBar    bool    `json:"passed_4x_bar"`
-
-	GetSweep *getSweepReport `json:"get_sweep,omitempty"`
-
-	ReplFailover *replReport `json:"repl_failover,omitempty"`
-
-	ObjOps *objOpsReport `json:"obj_ops,omitempty"`
-}
-
-// getSweepReport is the netgetbench section: zipf-0.8 GET p50/p99 with
-// the hot-key cache off and on.
-type getSweepReport struct {
-	Title      string     `json:"title"`
-	DurationMS int64      `json:"duration_ms"`
-	Seed       int64      `json:"seed"`
-	Header     []string   `json:"header"`
-	Rows       [][]string `json:"rows"`
-	Notes      []string   `json:"notes"`
-	// P50SpeedupCached / P99SpeedupCached are the 4x16 shape's cache-off
-	// latency over its cache-on latency; CachePassedBar requires the
-	// cached p50 to beat uncached (ratio > 1).
-	P50SpeedupCached float64 `json:"p50_speedup_cached"`
-	P99SpeedupCached float64 `json:"p99_speedup_cached"`
-	CachePassedBar   bool    `json:"cache_passed_bar"`
-}
-
-// replReport is the replbench section: replicated PUT throughput in both
-// ack modes, the measured failover time, and the two-node crash matrix.
-type replReport struct {
-	Title      string     `json:"title"`
-	DurationMS int64      `json:"duration_ms"`
-	Seed       int64      `json:"seed"`
-	Header     []string   `json:"header"`
-	Rows       [][]string `json:"rows"`
-	Notes      []string   `json:"notes"`
-	// AsyncKops / DurableKops are the two throughput rows; FailoverMS is
-	// the client-measured kill-to-first-successful-write time. Violations
-	// sums the failover lost-write count and every crash-matrix row;
-	// PassedBar requires it to be zero.
-	AsyncKops   float64 `json:"async_kops"`
-	DurableKops float64 `json:"durable_kops"`
-	FailoverMS  float64 `json:"failover_ms"`
-	Violations  int     `json:"violations"`
-	PassedBar   bool    `json:"passed_zero_loss_bar"`
-}
-
-// objOpsReport is the objbench section: typed-object throughput (flat PUT
-// baseline, each verb isolated, the composite mix) at 8 worker threads.
-type objOpsReport struct {
-	Title      string     `json:"title"`
-	DurationMS int64      `json:"duration_ms"`
-	Seed       int64      `json:"seed"`
-	Header     []string   `json:"header"`
-	Rows       [][]string `json:"rows"`
-	Notes      []string   `json:"notes"`
-	// CompositeVsFlat is the hset row's throughput over the flat-PUT row
-	// (each hset is a full intent commit: intent + field + header records);
-	// PassedBar is CompositeVsFlat >= 0.5.
-	CompositeVsFlat float64 `json:"composite_vs_flat"`
-	PassedBar       bool    `json:"passed_half_bar"`
-}
-
-// writeServerJSON merges one serving-layer result (netbench, netgetbench,
-// replbench, or objbench) into the report at path, preserving the other
-// sections if a previous run already wrote them.
-func writeServerJSON(path string, cfg bench.Config, r bench.Result) error {
-	var rep serverReport
-	if prev, err := os.ReadFile(path); err == nil {
-		// Best-effort: an unreadable or stale-format file is overwritten.
-		_ = json.Unmarshal(prev, &rep)
-	}
-	switch r.ID {
-	case "netbench":
-		rep.ID = r.ID
-		rep.Title = r.Title
-		rep.DurationMS = cfg.Duration.Milliseconds()
-		rep.Seed = cfg.Seed
-		rep.Header, rep.Rows, rep.Notes = r.Header, r.Rows, r.Notes
-		// The acceptance cell is the 8×16 row; its last column is the
-		// throughput ratio against the 1×1 baseline row.
-		for _, row := range r.Rows {
-			if len(row) >= 7 && row[0] == "8" && row[1] == "16" {
-				if v, err := strconv.ParseFloat(row[6], 64); err == nil {
-					rep.SpeedupVs1x1 = v
-					rep.PassedBar = v >= 4.0
-				}
-			}
-		}
-	case "netgetbench":
-		gs := &getSweepReport{
-			Title:      r.Title,
-			DurationMS: cfg.Duration.Milliseconds(),
-			Seed:       cfg.Seed,
-			Header:     r.Header, Rows: r.Rows, Notes: r.Notes,
-		}
-		// The acceptance cells are the 4×16 cache-on row's off/on latency
-		// ratios (columns p50_vs_off, p99_vs_off).
-		for _, row := range r.Rows {
-			if len(row) >= 9 && row[0] == "4" && row[1] == "16" && row[2] == "on" {
-				if v, err := strconv.ParseFloat(row[7], 64); err == nil {
-					gs.P50SpeedupCached = v
-				}
-				if v, err := strconv.ParseFloat(row[8], 64); err == nil {
-					gs.P99SpeedupCached = v
-				}
-				gs.CachePassedBar = gs.P50SpeedupCached > 1.0
-			}
-		}
-		rep.GetSweep = gs
-	case "replbench":
-		rr := &replReport{
-			Title:      r.Title,
-			DurationMS: cfg.Duration.Milliseconds(),
-			Seed:       cfg.Seed,
-			Header:     r.Header, Rows: r.Rows, Notes: r.Notes,
-		}
-		// Columns: phase, kops, p50_us, p99_us, sites, violations, detail.
-		// The failover row's p50_us is its single sample — the
-		// kill-to-first-successful-write time.
-		sawFailover := false
-		for _, row := range r.Rows {
-			if len(row) < 7 {
-				continue
-			}
-			switch row[0] {
-			case "put-async":
-				if v, err := strconv.ParseFloat(row[1], 64); err == nil {
-					rr.AsyncKops = v
-				}
-			case "put-durable":
-				if v, err := strconv.ParseFloat(row[1], 64); err == nil {
-					rr.DurableKops = v
-				}
-			case "failover":
-				sawFailover = true
-				if v, err := strconv.ParseFloat(row[2], 64); err == nil {
-					rr.FailoverMS = v / 1e3
-				}
-			}
-			if v, err := strconv.Atoi(row[5]); err == nil {
-				rr.Violations += v
-			}
-		}
-		rr.PassedBar = sawFailover && rr.Violations == 0
-		rep.ReplFailover = rr
-	case "objbench":
-		oo := &objOpsReport{
-			Title:      r.Title,
-			DurationMS: cfg.Duration.Milliseconds(),
-			Seed:       cfg.Seed,
-			Header:     r.Header, Rows: r.Rows, Notes: r.Notes,
-		}
-		// Columns: op, kops, mean_us, p50_us, p99_us, vs_flat_put. The
-		// acceptance cell is the hset row's ratio column.
-		for _, row := range r.Rows {
-			if len(row) >= 6 && row[0] == "hset" {
-				if v, err := strconv.ParseFloat(row[5], 64); err == nil {
-					oo.CompositeVsFlat = v
-					oo.PassedBar = v >= 0.5
-				}
-			}
-		}
-		rep.ObjOps = oo
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
 
 func main() {
 	var (
@@ -345,8 +40,6 @@ func main() {
 		fenceNS  = flag.Int("fence-ns", 500, "simulated fence latency (0 disables)")
 		seed     = flag.Int64("seed", 42, "workload seed")
 		faultMax = flag.Int("fault-sites", 0, "faultmatrix: max crash sites replayed per target (0 = exhaustive)")
-		fjson    = flag.String("forest-json", "BENCH_forest.json", "forestscale: write a machine-readable report to this file (empty disables)")
-		sjson    = flag.String("server-json", "BENCH_server.json", "netbench/netgetbench/replbench: write a machine-readable report to this file (empty disables)")
 		out      = flag.String("out", "", "also write results to this file")
 		format   = flag.String("format", "table", "output format: table or csv")
 	)
@@ -407,22 +100,6 @@ func main() {
 			for _, n := range r.Notes {
 				if strings.Contains(n, "VIOLATION") || strings.Contains(n, "harness error") {
 					failed = true
-				}
-			}
-			if (r.ID == "forestscale" || r.ID == "heapgrow") && *fjson != "" {
-				if err := writeForestJSON(*fjson, cfg, r); err != nil {
-					fmt.Fprintf(os.Stderr, "rnbench: writing %s: %v\n", *fjson, err)
-					failed = true
-				} else {
-					fmt.Fprintf(w, "(wrote %s)\n", *fjson)
-				}
-			}
-			if (r.ID == "netbench" || r.ID == "netgetbench" || r.ID == "replbench" || r.ID == "objbench") && *sjson != "" {
-				if err := writeServerJSON(*sjson, cfg, r); err != nil {
-					fmt.Fprintf(os.Stderr, "rnbench: writing %s: %v\n", *sjson, err)
-					failed = true
-				} else {
-					fmt.Fprintf(w, "(wrote %s)\n", *sjson)
 				}
 			}
 		}

@@ -99,6 +99,27 @@ func parseFlags(args []string, errw io.Writer) (config, error) {
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
+	// No count, capacity or duration here means anything below zero, and
+	// several of them size a channel or a ticker further down.
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		var negative bool
+		switch v := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			negative = v < 0
+		case int64:
+			negative = v < 0
+		case time.Duration:
+			negative = v < 0
+		}
+		if negative && err == nil {
+			err = fmt.Errorf("invalid value %q for flag -%s: must not be negative", f.Value, f.Name)
+		}
+	})
+	if err != nil {
+		fmt.Fprintf(errw, "rnserved: %v\n", err)
+		return config{}, err
+	}
 	return c, nil
 }
 

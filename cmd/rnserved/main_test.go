@@ -39,6 +39,39 @@ func TestParseFlags(t *testing.T) {
 	}
 }
 
+// A negative count, capacity or duration is a usage error naming the flag,
+// not a panic further down (makechan in the committers or on the first
+// accepted connection, time.NewTicker in the applier).
+func TestParseFlagsRejectsNegatives(t *testing.T) {
+	for _, tc := range []struct{ flag, val string }{
+		{"batch-max", "-1"},
+		{"max-conns", "-1"},
+		{"max-inflight", "-1"},
+		{"max-global", "-1"},
+		{"cache-entries", "-1"},
+		{"repl-ack-every", "-1"},
+		{"repl-ack-interval", "-1s"},
+		{"repl-durable-timeout", "-1s"},
+		{"repl-fence-lease", "-1ms"},
+		{"obj-expire-interval", "-1s"},
+		{"idle-timeout", "-1m"},
+		{"drain-timeout", "-1s"},
+	} {
+		var errw strings.Builder
+		_, err := parseFlags([]string{"-" + tc.flag, tc.val}, &errw)
+		if err == nil {
+			t.Errorf("-%s %s accepted", tc.flag, tc.val)
+			continue
+		}
+		if !strings.Contains(err.Error(), "-"+tc.flag) || !strings.Contains(errw.String(), "-"+tc.flag) {
+			t.Errorf("-%s %s: error %q / output %q do not name the flag", tc.flag, tc.val, err, errw.String())
+		}
+	}
+	if _, err := parseFlags([]string{"-max-conns", "0", "-repl-fence-lease", "0"}, io.Discard); err != nil {
+		t.Errorf("zero values rejected: %v", err)
+	}
+}
+
 // TestServeObjVerbs starts the binary path with -obj and drives a typed
 // object plus a TTL through the wire, then takes the clean shutdown path.
 func TestServeObjVerbs(t *testing.T) {

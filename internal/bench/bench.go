@@ -340,10 +340,6 @@ var Registry = map[string]func(Config) []Result{
 	"forestscale": ForestScale,
 	"heapgrow":    HeapGrow,
 	"faultmatrix": FaultMatrix,
-	"netbench":    NetBench,
-	"netgetbench": NetGetBench,
-	"replbench":   ReplBench,
-	"objbench":    ObjBench,
 }
 
 // ExperimentIDs returns the registered experiment names, sorted.

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"strings"
 	"testing"
 	"time"
@@ -76,10 +79,34 @@ func TestResultFormatting(t *testing.T) {
 	}
 }
 
+// The registry is exactly the paper's Table 1 / Figures 4–10 plus the
+// in-process extensions, so an experiment cannot vanish or appear unnoticed.
 func TestExperimentRegistryComplete(t *testing.T) {
-	for _, id := range []string{"table1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"} {
-		if Registry[id] == nil {
-			t.Fatalf("experiment %s missing from registry", id)
+	const want = "faultmatrix fig10 fig4 fig5 fig6 fig7 fig8 fig9 forestscale heapgrow kvscale table1"
+	if got := strings.Join(ExperimentIDs(), " "); got != want {
+		t.Fatalf("registry ids:\n got %s\nwant %s", got, want)
+	}
+}
+
+// The layer boundary: experiments here run in-process. Anything that needs a
+// socket, a client or a replica belongs in benchmark/, which measures it
+// with fixed-op windows and paired runs.
+func TestInProcessOnly(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for name, f := range pkg.Files {
+			for _, imp := range f.Imports {
+				switch path := strings.Trim(imp.Path.Value, `"`); path {
+				case "rntree/client", "rntree/internal/server", "rntree/internal/wire",
+					"rntree/internal/repl", "rntree/internal/obj", "net":
+					t.Errorf("%s imports %s", name, path)
+				}
+			}
 		}
 	}
 }

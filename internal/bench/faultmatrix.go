@@ -12,8 +12,10 @@ import (
 // the crash-point explorer over every layer target (core tree in both
 // slot-array modes, the kv store with compaction, the reopen of a rebooted
 // kv image, and the typed-object layer's multi-key intent commits and
-// expirer reaps). Each persist site the workload executes is crashed under
-// pre/evicted/torn image variants and recovery is checked against the
+// expirer reaps), then the two-node failover explorers (primary killed at
+// each of its persist sites, replica killed mid-apply, a crash inside the
+// promotion cutover). Each persist site the workload executes is crashed
+// under pre/evicted/torn image variants and recovery is checked against the
 // durability oracle. The row count to watch is `violations`: anything but
 // zero is a failure-atomicity bug, replayable from the seed and site index
 // in the notes.
@@ -28,21 +30,20 @@ func FaultMatrix(c Config) []Result {
 				c.Seed, c.FaultMaxSites),
 		},
 	}
-	for _, tw := range fault.Targets() {
-		rep, err := fault.Explore(tw.Target, tw.Ops, fault.Config{
-			Seed:      c.Seed,
-			MaxSites:  c.FaultMaxSites,
-			EvictProb: 0.4,
-			Torn:      true,
-		})
-		if err != nil {
-			r.Rows = append(r.Rows, []string{tw.Target.Name(), fmt.Sprint(len(tw.Ops)), "-", "-", "-", "-", "-"})
-			r.Notes = append(r.Notes, fmt.Sprintf("%s: harness error: %v", tw.Target.Name(), err))
-			continue
-		}
+	cfg := fault.Config{
+		Seed:      c.Seed,
+		MaxSites:  c.FaultMaxSites,
+		EvictProb: 0.4,
+		Torn:      true,
+	}
+	harnessError := func(target string, ops int, err error) {
+		r.Rows = append(r.Rows, []string{target, fmt.Sprint(ops), "-", "-", "-", "-", "-"})
+		r.Notes = append(r.Notes, fmt.Sprintf("%s: harness error: %v", target, err))
+	}
+	report := func(rep *fault.Report, ops int) {
 		r.Rows = append(r.Rows, []string{
 			rep.Target,
-			fmt.Sprint(len(tw.Ops)),
+			fmt.Sprint(ops),
 			fmt.Sprint(rep.Sites),
 			fmt.Sprint(rep.Explored),
 			fmt.Sprint(rep.Images),
@@ -56,6 +57,26 @@ func FaultMatrix(c Config) []Result {
 			}
 			r.Notes = append(r.Notes, fmt.Sprintf("%s: VIOLATION %s", rep.Target, v))
 		}
+	}
+	for _, tw := range fault.Targets() {
+		rep, err := fault.Explore(tw.Target, tw.Ops, cfg)
+		if err != nil {
+			harnessError(tw.Target.Name(), len(tw.Ops), err)
+			continue
+		}
+		report(rep, len(tw.Ops))
+	}
+	// The repl/* rows kill one node of a pair and have their own oracle:
+	// the survivor holds every acked write and the dead node recovers to a
+	// prefix-consistent cut. (kv+repl above crashes both nodes' arenas at
+	// once.)
+	ops := fault.KVWorkload()
+	reps, err := fault.ExploreFailover(ops, cfg)
+	if err != nil {
+		harnessError("repl/*", len(ops), err)
+	}
+	for _, rep := range reps {
+		report(rep, len(ops))
 	}
 	return []Result{r}
 }

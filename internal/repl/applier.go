@@ -29,19 +29,19 @@ type ApplierConfig struct {
 }
 
 func (c *ApplierConfig) normalize() {
-	if c.DialTimeout == 0 {
+	if c.DialTimeout <= 0 {
 		c.DialTimeout = 2 * time.Second
 	}
-	if c.RetryBase == 0 {
+	if c.RetryBase <= 0 {
 		c.RetryBase = 10 * time.Millisecond
 	}
-	if c.RetryMax == 0 {
+	if c.RetryMax <= 0 {
 		c.RetryMax = 500 * time.Millisecond
 	}
-	if c.AckEvery == 0 {
+	if c.AckEvery <= 0 {
 		c.AckEvery = 32
 	}
-	if c.AckInterval == 0 {
+	if c.AckInterval <= 0 {
 		c.AckInterval = 20 * time.Millisecond
 	}
 }

@@ -46,10 +46,10 @@ type BatchConfig struct {
 }
 
 func (c *BatchConfig) normalize() {
-	if c.MaxBatch == 0 {
+	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
-	if c.QueueCap == 0 {
+	if c.QueueCap <= 0 {
 		c.QueueCap = 4 * c.MaxBatch
 	}
 }

@@ -440,9 +440,13 @@ func TestClientFailover(t *testing.T) {
 	pNode.Close()
 
 	// The next op fails over: the client promotes the replica and retries.
+	killed := time.Now()
 	if err := fo.Put([]byte("after-failover"), []byte("ok")); err != nil {
 		t.Fatalf("Put after primary death: %v", err)
 	}
+	// The only place this number is measured: election + promotion + the
+	// first acked write on the new primary.
+	t.Logf("kill to first acked write: %v", time.Since(killed).Round(10*time.Microsecond))
 	if fo.Addr() != rAddr {
 		t.Fatalf("failover client on %s, want the promoted replica %s", fo.Addr(), rAddr)
 	}

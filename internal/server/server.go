@@ -56,7 +56,8 @@ import (
 	"rntree/kv"
 )
 
-// Config tunes a Server. Zero values take the documented defaults.
+// Config tunes a Server. Zero and negative values take the documented
+// defaults.
 type Config struct {
 	// MaxConns caps concurrent connections (default 256); accepts beyond
 	// it are closed immediately.
@@ -107,22 +108,22 @@ type Config struct {
 }
 
 func (c *Config) normalize() {
-	if c.MaxConns == 0 {
+	if c.MaxConns <= 0 {
 		c.MaxConns = 256
 	}
-	if c.MaxInflight == 0 {
+	if c.MaxInflight <= 0 {
 		c.MaxInflight = 64
 	}
-	if c.MaxGlobalInflight == 0 {
+	if c.MaxGlobalInflight <= 0 {
 		c.MaxGlobalInflight = 1024
 	}
-	if c.IdleTimeout == 0 {
+	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 2 * time.Minute
 	}
-	if c.WriteTimeout == 0 {
+	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 10 * time.Second
 	}
-	if c.ReplDurableTimeout == 0 {
+	if c.ReplDurableTimeout <= 0 {
 		c.ReplDurableTimeout = 5 * time.Second
 	}
 	c.Batch.normalize()

@@ -55,6 +55,23 @@ func dial(t *testing.T, addr string, opts client.Options) *client.Client {
 	return c
 }
 
+// Negative caps take the defaults like zero does: MaxBatch sizes a channel
+// inside New and MaxInflight one per accepted connection, so neither may
+// reach make(chan, n) below zero.
+func TestNegativeConfigTakesDefaults(t *testing.T) {
+	_, _, addr := startServer(t, Config{
+		MaxConns: -1, MaxInflight: -1, MaxGlobalInflight: -1,
+		Batch: BatchConfig{MaxBatch: -1, QueueCap: -1},
+	}, kv.Options{})
+	c := dial(t, addr, client.Options{})
+	if err := c.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if v, err := c.Get([]byte("k")); err != nil || string(v) != "v" {
+		t.Fatalf("Get = %q, %v", v, err)
+	}
+}
+
 func TestServerBasicOps(t *testing.T) {
 	_, _, addr := startServer(t, Config{}, kv.Options{})
 	c := dial(t, addr, client.Options{})

@@ -15,20 +15,24 @@ import (
 //
 // The store geometry — chunk size, partition count — is read from the
 // persisted superblocks, not from opts, so opening with different Options
-// than the store was created with is safe. Setting opts.Partitions to a
-// different count than the images hold rebuilds the store into fresh arenas
-// with the requested geometry. An image whose superblock magic is not the
+// than the store was created with is safe. The one exception is a non-zero
+// opts.Partitions that differs from the number of images: that fails with
+// ErrPartitionCount before any image is looked at — a store is never
+// repartitioned on the way in. An image whose superblock magic is not the
 // current format's, or whose partitions hold more than one value log (a
 // geometry older builds could write), fails with ErrUnsupportedFormat; one
 // whose persisted pointers or geometry cannot belong to a store fails with
 // ErrCorrupt. Open never repairs, and rejects before its first write.
 func Open(imgs [][]uint64, opts Options) (*Store, error) {
 	opts.normalize()
+	if err := opts.checkPartitions(len(imgs)); err != nil {
+		return nil, err
+	}
 	arenas := make([]*pmem.Arena, len(imgs))
 	for i, img := range imgs {
 		arenas[i] = pmem.Recover(img, pmem.Config{Latency: opts.FlushLatency})
 	}
-	return openArenas(arenas, opts)
+	return openPartitioned(arenas, opts)
 }
 
 // OpenArenas is Open on already-recovered arenas: the caller keeps
@@ -37,26 +41,23 @@ func Open(imgs [][]uint64, opts Options) (*Store, error) {
 // crash *inside* recovery.
 func OpenArenas(arenas []*pmem.Arena, opts Options) (*Store, error) {
 	opts.normalize()
-	return openArenas(arenas, opts)
-}
-
-func openArenas(arenas []*pmem.Arena, opts Options) (*Store, error) {
-	if len(arenas) == 0 {
-		return nil, fmt.Errorf("kv: no arenas to open")
-	}
-	s, err := openPartitioned(arenas, opts)
-	if err != nil {
+	if err := opts.checkPartitions(len(arenas)); err != nil {
 		return nil, err
 	}
-	// A partition count requested explicitly and differing from what the
-	// images persist triggers a rebuild migration: a fresh store with the
-	// requested geometry, filled by rehashing every live pair. The source
-	// arenas are left untouched, so a crash mid-rebuild just means the next
-	// Open starts it over.
-	if opts.Partitions != 0 && opts.Partitions != len(s.parts) {
-		return rebuild(s, opts)
+	return openPartitioned(arenas, opts)
+}
+
+// checkPartitions holds the caller's partition count against the number of
+// images handed to Open; zero asks for whatever the images hold.
+func (o Options) checkPartitions(images int) error {
+	if images == 0 {
+		return fmt.Errorf("kv: no arenas to open")
 	}
-	return s, nil
+	if o.Partitions != 0 && o.Partitions != images {
+		return fmt.Errorf("%w: Options.Partitions is %d, the store has %d partition images",
+			ErrPartitionCount, o.Partitions, images)
+	}
+	return nil
 }
 
 // openPartitioned recovers a partition-complete store: the forest layer
@@ -190,29 +191,6 @@ func (p *kvPart) checkHeapRecord() error {
 		return fmt.Errorf("superblock records %d segments, heap committed only %d", rec, a.Segments())
 	}
 	return nil
-}
-
-// rebuild migrates a recovered store into a fresh one with the requested
-// partition count by rehashing every live pair. The source store is
-// discarded afterwards; since its arenas are never mutated, an interrupted
-// rebuild is simply restarted by the next Open.
-func rebuild(src *Store, opts Options) (*Store, error) {
-	dst, err := New(opts)
-	if err != nil {
-		return nil, err
-	}
-	var fail error
-	src.Range(func(key, value []byte) bool {
-		if err := dst.Put(key, value); err != nil {
-			fail = err
-			return false
-		}
-		return true
-	})
-	if fail != nil {
-		return nil, fail
-	}
-	return dst, nil
 }
 
 // recount rebuilds the partition's live counter exactly by walking every

@@ -71,6 +71,12 @@ var (
 	// superblock format other than the current one, or by a build that still
 	// split a partition's value log into several shards.
 	ErrUnsupportedFormat = errors.New("kv: unsupported store format")
+	// ErrPartitionCount is returned by Open when Options.Partitions names a
+	// count other than the one the images hold. Open does not repartition:
+	// copying the live pairs into a new store would restart every
+	// partition's LSNs and drop the tombstones and the replication
+	// epoch/role that a replica needs to keep across a restart.
+	ErrPartitionCount = errors.New("kv: partition count does not match the store image")
 )
 
 // mapFull tags allocation-exhaustion errors from the layers below with the
@@ -187,8 +193,8 @@ type Options struct {
 	// partition's lock, held across the record persist, so a caller with
 	// several concurrent writers should ask for several partitions. On New,
 	// zero means one partition. On Open, zero keeps the partition count
-	// persisted in the image; a different non-zero count triggers a rebuild
-	// migration into fresh arenas with the requested geometry.
+	// persisted in the image; a non-zero count that differs from it is
+	// ErrPartitionCount.
 	Partitions int
 	// DualSlotArray enables the RNTree+DS index variant (recommended for
 	// read-heavy stores).

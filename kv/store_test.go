@@ -2,8 +2,11 @@ package kv
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -287,11 +290,12 @@ func TestPartitionedStore(t *testing.T) {
 	}
 }
 
-// TestPartitionRebuild: opening with an explicit Partitions different from
-// the persisted count migrates the store into fresh arenas with the
-// requested geometry, preserving every live pair.
-func TestPartitionRebuild(t *testing.T) {
-	s, err := New(Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 14})
+// TestOpenPartitionCountMismatch: Open never repartitions. A non-zero
+// Options.Partitions other than the number of images is ErrPartitionCount,
+// returned with the images untouched; zero and the persisted count open the
+// same images with their contents, LSNs and replication state intact.
+func TestOpenPartitionCountMismatch(t *testing.T) {
+	s, err := New(Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 14, Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,43 +314,51 @@ func TestPartitionRebuild(t *testing.T) {
 		}
 		delete(want, k)
 	}
-	check := func(s *Store, parts int, tag string) {
-		t.Helper()
-		if s.Partitions() != parts {
-			t.Fatalf("%s: Partitions = %d, want %d", tag, s.Partitions(), parts)
+	if err := s.SetReplState(3, 2); err != nil {
+		t.Fatal(err)
+	}
+	lsn0, lsn1 := s.ReplLSN(0), s.ReplLSN(1)
+
+	imgs := s.Snapshot()
+	pristine := make([][]uint64, len(imgs))
+	for i, img := range imgs {
+		pristine[i] = append([]uint64(nil), img...)
+	}
+	for _, n := range []int{1, 4, -1} {
+		_, err := Open(imgs, Options{Partitions: n})
+		if !errors.Is(err, ErrPartitionCount) {
+			t.Fatalf("Partitions %d over 2 images: %v, want ErrPartitionCount", n, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("is %d,", n)) || !strings.Contains(msg, "has 2 ") {
+			t.Fatalf("Partitions %d: error %q does not name both counts", n, msg)
+		}
+	}
+	if !reflect.DeepEqual(imgs, pristine) {
+		t.Fatal("a rejected Open wrote to the images")
+	}
+
+	for _, n := range []int{0, 2} {
+		r, err := Open(s.Snapshot(), Options{Partitions: n})
+		if err != nil {
+			t.Fatalf("Partitions %d over 2 images: %v", n, err)
+		}
+		if r.Partitions() != 2 {
+			t.Fatalf("Partitions %d: reopened with %d partitions", n, r.Partitions())
 		}
 		got := map[string]string{}
-		s.Range(func(k, v []byte) bool { got[string(k)] = string(v); return true })
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d keys, want %d", tag, len(got), len(want))
+		r.Range(func(k, v []byte) bool { got[string(k)] = string(v); return true })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Partitions %d: %d keys after reopen, want %d", n, len(got), len(want))
 		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Fatalf("%s: %q = %q, want %q", tag, k, got[k], v)
-			}
+		if e, role := r.ReplState(); e != 3 || role != 2 {
+			t.Fatalf("Partitions %d: ReplState = (%d, %d) after reopen, want (3, 2)", n, e, role)
 		}
-	}
-	// 1 → 4 partitions.
-	s4, err := Open(s.Snapshot(), Options{ArenaSize: 128 << 20, MaxSegments: 1, ChunkSize: 1 << 14, Partitions: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(s4, 4, "rebuild 1->4")
-	// Zero keeps the persisted count.
-	s4b, err := Open(s4.Snapshot(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(s4b, 4, "reopen keeps 4")
-	// 4 → 2 partitions.
-	s2, err := Open(s4.Snapshot(), Options{ArenaSize: 128 << 20, MaxSegments: 1, ChunkSize: 1 << 14, Partitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(s2, 2, "rebuild 4->2")
-	// Rebuilt stores take writes.
-	if err := s2.Put([]byte("post"), []byte("rebuild")); err != nil {
-		t.Fatal(err)
+		if r.ReplLSN(0) != lsn0 || r.ReplLSN(1) != lsn1 {
+			t.Fatalf("Partitions %d: LSNs (%d, %d) after reopen, want (%d, %d)", n, r.ReplLSN(0), r.ReplLSN(1), lsn0, lsn1)
+		}
+		if err := r.Put([]byte("post"), []byte("reopen")); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
