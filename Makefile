@@ -78,13 +78,16 @@ replcheck:
 
 # Heap gate: the persistent allocator's crash matrix (every allocator-
 # metadata persist site, including the segment-append cutover, plus a
-# crash inside the kv reopen of a rebooted image), the heap unit tests,
-# the kv growth and OOM-retry tests, and the rnvet undolog fixture
-# that machine-checks the UndoBegin/MetaWrite8/UndoCommit protocol.
+# crash inside the kv reopen of a rebooted image), the heap unit tests
+# with Recover's typed-error table, the kv growth and OOM-retry tests, the
+# garbage-pointer images kv and core recovery must reject, and the rnvet
+# undolog fixture that machine-checks the UndoBegin/MetaWrite8/UndoCommit
+# protocol.
 heapcheck:
 	$(call run-tests,,./internal/fault,ExploreHeap|ExploreKVReopen)
-	$(call run-tests,,./internal/pmem,Heap|Grow|Undo|Free)
-	$(call run-tests,,./kv,Grow|OOM)
+	$(call run-tests,,./internal/pmem,Heap|Grow|Undo|Free|Recover|BadHeap)
+	$(call run-tests,,./kv,Grow|OOM|Garbage)
+	$(call run-tests,,./internal/core,Corrupt)
 	$(call run-tests,,./internal/analysis,UndoLog)
 
 # Typed-object gate: the obj layer's unit tests (intent commit, TTL

@@ -256,7 +256,10 @@ func Fig7(c Config) []Result {
 		img := a.CrashImage(nil, 0)
 
 		recMs := median3(func() float64 {
-			a1 := pmem.Recover(img, pmem.Config{Size: a.Size()})
+			a1, err := pmem.Recover(img, pmem.Config{})
+			if err != nil {
+				panic(err)
+			}
 			runtime.GC() // keep arena-copy garbage out of the timed section
 			t0 := time.Now()
 			if _, err := core.Reconstruct(a1, core.Options{}); err != nil {
@@ -265,7 +268,10 @@ func Fig7(c Config) []Result {
 			return float64(time.Since(t0).Microseconds()) / 1000
 		})
 		crashMs := median3(func() float64 {
-			a2 := pmem.Recover(img, pmem.Config{Size: a.Size()})
+			a2, err := pmem.Recover(img, pmem.Config{})
+			if err != nil {
+				panic(err)
+			}
 			runtime.GC()
 			t0 := time.Now()
 			if _, err := core.CrashRecover(a2, core.Options{}); err != nil {

@@ -139,7 +139,7 @@ func TestCrashAtUnflushedSlotRevertsCleanly(t *testing.T) {
 	if img == nil {
 		t.Fatal("hook never fired")
 	}
-	rec, err := CrashRecover(pmem.Recover(img, pmem.Config{}), Options{})
+	rec, err := CrashRecover(reboot(t, img), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

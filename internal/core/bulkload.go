@@ -86,10 +86,12 @@ func BulkLoad(arena *pmem.Arena, opts Options, records []tree.KV) (*Tree, error)
 
 	// Volatile state: metas, bounds, chain, index — same walk recovery uses.
 	t.region = htm.NewRegion(arena, opts.HTM)
-	maxOff := t.walkChain(func(m *leafMeta, s *slotArray) {
+	err := t.walkChain(func(m *leafMeta, s *slotArray) {
 		m.nlogs.Store(uint32(s.n))
 		m.plogs = uint32(s.n)
 	})
-	t.finishOpen(maxOff)
+	if err != nil {
+		return nil, err
+	}
 	return t, nil
 }

@@ -67,7 +67,7 @@ func TestBulkLoadSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = tr
-	a2 := pmem.Recover(a.CrashImage(nil, 0), pmem.Config{})
+	a2 := reboot(t, a.CrashImage(nil, 0))
 	tr2, err := CrashRecover(a2, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -97,7 +97,7 @@ func crashFuzz(t *testing.T, opts Options, trial int64, evictProb float64) {
 		after = committed
 	}
 
-	a2 := pmem.Recover(img, pmem.Config{})
+	a2 := reboot(t, img)
 	tr2, err := CrashRecover(a2, opts)
 	if err != nil {
 		t.Fatalf("trial %d: recovery failed: %v", trial, err)

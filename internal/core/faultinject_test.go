@@ -55,7 +55,7 @@ func TestCloseQuiescentStillWorks(t *testing.T) {
 		}
 	}
 	tr.Close()
-	tr2, err := Reconstruct(pmem.Recover(a.CrashImage(nil, 0), pmem.Config{}), Options{})
+	tr2, err := Reconstruct(reboot(t, a.CrashImage(nil, 0)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,7 +167,7 @@ func FuzzCrashImage(f *testing.F) {
 			img = a.CrashImage(nil, 0)
 			before, after = committed, committed
 		}
-		rec, err := CrashRecover(pmem.Recover(img, pmem.Config{}), Options{})
+		rec, err := CrashRecover(reboot(t, img), Options{})
 		if err != nil {
 			t.Fatalf("recovery: %v", err)
 		}

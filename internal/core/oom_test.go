@@ -17,9 +17,6 @@ func TestInsertOOMMidSplitRetrySafe(t *testing.T) {
 	// One non-growable heap segment: inserts run until a split's
 	// allocation trips ErrOutOfMemory.
 	a := pmem.New(pmem.Config{Size: 1 << 16, MaxSegments: 1})
-	if !a.HeapFormatted() {
-		t.Fatal("test arena not heap-formatted")
-	}
 	tr, err := New(a, Options{LeafCapacity: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -86,11 +86,13 @@ func Reconstruct(a *pmem.Arena, opts Options) (*Tree, error) {
 		return nil, fmt.Errorf("core: arena was not cleanly closed; use CrashRecover")
 	}
 	t.useHeaderMin = true // Close persisted each leaf's min key for us
-	maxOff := t.walkChain(func(m *leafMeta, s *slotArray) {
+	err = t.walkChain(func(m *leafMeta, s *slotArray) {
 		m.nlogs.Store(uint32(a.Read8(m.off + hdrNlogsOff)))
 		m.plogs = uint32(a.Read8(m.off + hdrPlogsOff))
 	})
-	t.finishOpen(maxOff)
+	if err != nil {
+		return nil, err
+	}
 	// Disarm the clean flag: from now on only a new Close certifies the
 	// arena clean again.
 	a.Write8(rootCleanOff, 0)
@@ -109,9 +111,12 @@ func CrashRecover(a *pmem.Arena, opts Options) (*Tree, error) {
 		return nil, err
 	}
 	// Roll back interrupted splits.
-	for uoff := a.Read8(rootUndoOff); uoff != pmem.NullOff; uoff = a.Read8(uoff + undoNextOff) {
+	for _, uoff := range t.undo.free {
 		leafOff := a.Read8(uoff + undoStatusOff)
 		if leafOff != 0 {
+			if !a.Allocated(leafOff, t.lsize) {
+				return nil, fmt.Errorf("core: undo slot %#x is armed for leaf %#x, which the allocator never handed out", uoff, leafOff)
+			}
 			curNext := a.Read8(leafOff + hdrNextOff)
 			img := make([]byte, t.lsize)
 			a.ReadRange(uoff+undoImageOff, t.lsize, img)
@@ -124,13 +129,16 @@ func CrashRecover(a *pmem.Arena, opts Options) (*Tree, error) {
 			// (Algorithm 3's ordering), so it is a well-formed orphan —
 			// return it to the allocator instead of leaking it.
 			if oldNext := a.Read8(leafOff + hdrNextOff); curNext != oldNext && curNext != pmem.NullOff {
+				if !a.Allocated(curNext, t.lsize) {
+					return nil, fmt.Errorf("core: leaf %#x points at %#x, which the allocator never handed out", leafOff, curNext)
+				}
 				a.Free(curNext, t.lsize)
 			}
 			a.Write8(uoff+undoStatusOff, 0)
 			a.Persist(uoff+undoStatusOff, 8)
 		}
 	}
-	maxOff := t.walkChain(func(m *leafMeta, s *slotArray) {
+	err = t.walkChain(func(m *leafMeta, s *slotArray) {
 		// Recompute nlogs: "scan the slot array to find the max index of
 		// log entries" (§6.2.6). Orphaned allocations past the last
 		// referenced slot are discarded.
@@ -147,11 +155,14 @@ func CrashRecover(a *pmem.Arena, opts Options) (*Tree, error) {
 		a.ReadLine(m.off+pslotOff, &line)
 		a.WriteLine(m.off+tslotOff, &line) //pmem:volatile the transient slot array is a volatile mirror, rebuilt from pslot on every recovery
 	})
-	t.finishOpen(maxOff)
+	if err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
-// openCommon validates the root line and prepares an empty in-memory shell.
+// openCommon validates the root line and the undo-slot chain and prepares an
+// in-memory shell: no leaves yet, every undo slot in the pool.
 func openCommon(a *pmem.Arena, opts Options) (*Tree, error) {
 	if a.Read8(rootMagicOff) != rootMagic {
 		return nil, fmt.Errorf("core: arena does not contain an RNTree (bad magic)")
@@ -169,21 +180,52 @@ func openCommon(a *pmem.Arena, opts Options) (*Tree, error) {
 		dual:     opts.DualSlot,
 	}
 	t.undo = newUndoPool(t.lsize)
+	var err error
+	if t.undo.free, err = t.undoChain(); err != nil {
+		return nil, err
+	}
 	return t, nil
+}
+
+// undoChain returns the persistent undo slots in chain order. Like every
+// pointer recovery reads from the media, a slot pointer is followed only if
+// it is a block the allocator could have handed out, and the walk is bounded
+// by the number of slots the allocated space can hold, so a garbage or
+// cyclic chain is an error, not a panic or a hang.
+func (t *Tree) undoChain() ([]uint64, error) {
+	a := t.arena
+	var slots []uint64
+	budget := a.Bump() / t.undo.slotSize
+	for uoff := a.Read8(rootUndoOff); uoff != pmem.NullOff; uoff = a.Read8(uoff + undoNextOff) {
+		if !a.Allocated(uoff, t.undo.slotSize) {
+			return nil, fmt.Errorf("core: undo-chain pointer %#x is not a block the allocator handed out", uoff)
+		}
+		if uint64(len(slots)) == budget {
+			return nil, fmt.Errorf("core: undo chain does not terminate")
+		}
+		slots = append(slots, uoff)
+	}
+	return slots, nil
 }
 
 // walkChain scans the persistent leaf chain, creating leafMetas, wiring the
 // DRAM next pointers and key bounds, and collecting the index pairs. The
-// per-leaf callback fills in tree-state-specific bookkeeping. It returns the
-// highest arena offset referenced (for the allocator high-water mark).
-func (t *Tree) walkChain(fill func(m *leafMeta, s *slotArray)) uint64 {
+// per-leaf callback fills in tree-state-specific bookkeeping. Leaf pointers
+// are checked and the walk bounded the way undoChain's are.
+func (t *Tree) walkChain(fill func(m *leafMeta, s *slotArray)) error {
 	a := t.arena
-	headOff := a.Read8(rootHeadOff)
-	maxOff := headOff + t.lsize
 	var pairs []inner.Pair
 	var prev *leafMeta
 	var prevIndexed *leafMeta
-	for off := headOff; off != pmem.NullOff; off = a.Read8(off + hdrNextOff) {
+	budget := a.Bump() / t.lsize
+	for off := a.Read8(rootHeadOff); off != pmem.NullOff; off = a.Read8(off + hdrNextOff) {
+		if !a.Allocated(off, t.lsize) {
+			return fmt.Errorf("core: leaf pointer %#x is not a block the allocator handed out", off)
+		}
+		if budget == 0 {
+			return fmt.Errorf("core: leaf chain does not terminate")
+		}
+		budget--
 		m := newLeafMeta(off, 0)
 		t.metas.add(m)
 		if t.head == nil {
@@ -227,30 +269,17 @@ func (t *Tree) walkChain(fill func(m *leafMeta, s *slotArray)) uint64 {
 			}
 			prevIndexed = m
 		}
-		if off+t.lsize > maxOff {
-			maxOff = off + t.lsize
-		}
 		prev = m
+	}
+	if t.head == nil {
+		return fmt.Errorf("core: the root line points at no head leaf")
 	}
 	if len(pairs) == 0 {
 		// Fully empty tree: index the head leaf.
 		pairs = append(pairs, inner.Pair{Sep: 0, Leaf: t.head.id})
 	}
 	t.ix = inner.NewFromSorted(pairs)
-	return maxOff
-}
-
-// finishOpen rebuilds the allocator state: the high-water mark covers every
-// leaf and undo slot, and idle undo slots return to the pool.
-func (t *Tree) finishOpen(maxOff uint64) {
-	a := t.arena
-	for uoff := a.Read8(rootUndoOff); uoff != pmem.NullOff; uoff = a.Read8(uoff + undoNextOff) {
-		if uoff+t.undo.slotSize > maxOff {
-			maxOff = uoff + t.undo.slotSize
-		}
-		t.undo.free = append(t.undo.free, uoff)
-	}
-	a.SetBump(maxOff)
+	return nil
 }
 
 var _ tree.Index = (*Tree)(nil)

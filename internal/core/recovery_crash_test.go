@@ -67,7 +67,7 @@ func TestRecoveryIsIdempotentUnderCrash(t *testing.T) {
 		}
 
 		// First recovery, crashed partway through its own persists.
-		a1 := pmem.Recover(img, pmem.Config{})
+		a1 := reboot(t, img)
 		var img2 []uint64
 		cut := rng.Intn(4) + 1
 		seen := 0
@@ -87,7 +87,7 @@ func TestRecoveryIsIdempotentUnderCrash(t *testing.T) {
 			img2 = img // recovery had no persists before completing; re-crash the original
 		}
 		// Second recovery from the crashed-recovery image.
-		a2 := pmem.Recover(img2, pmem.Config{})
+		a2 := reboot(t, img2)
 		rec2, err := CrashRecover(a2, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: second recovery: %v", trial, err)

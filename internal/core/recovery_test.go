@@ -1,11 +1,23 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"rntree/internal/pmem"
 )
+
+// reboot is pmem.Recover on an image the test expects to hold a sound heap.
+func reboot(t testing.TB, img []uint64) *pmem.Arena {
+	t.Helper()
+	a, err := pmem.Recover(img, pmem.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
 
 func TestCleanShutdownReconstruct(t *testing.T) {
 	bothVariants(t, func(t *testing.T, opts Options) {
@@ -31,7 +43,7 @@ func TestCleanShutdownReconstruct(t *testing.T) {
 			t.Fatal("clean flag not set")
 		}
 		// Reboot: only the NVM image survives.
-		a2 := pmem.Recover(a.CrashImage(nil, 0), pmem.Config{})
+		a2 := reboot(t, a.CrashImage(nil, 0))
 		tr2, err := Reconstruct(a2, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -71,7 +83,7 @@ func TestReconstructRefusesDirtyArena(t *testing.T) {
 	}
 	_ = tr.Insert(1, 1)
 	// No Close: simulate crash.
-	a2 := pmem.Recover(a.CrashImage(nil, 0), pmem.Config{})
+	a2 := reboot(t, a.CrashImage(nil, 0))
 	if _, err := Reconstruct(a2, Options{}); err == nil {
 		t.Fatal("Reconstruct accepted a crashed arena")
 	}
@@ -84,7 +96,7 @@ func TestOpenDispatches(t *testing.T) {
 		_ = tr.Insert(i, i)
 	}
 	tr.Close()
-	a2 := pmem.Recover(a.CrashImage(nil, 0), pmem.Config{})
+	a2 := reboot(t, a.CrashImage(nil, 0))
 	tr2, err := Open(a2, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +108,7 @@ func TestOpenDispatches(t *testing.T) {
 	for i := uint64(100); i < 200; i++ {
 		_ = tr2.Insert(i, i)
 	}
-	a3 := pmem.Recover(a2.CrashImage(nil, 0), pmem.Config{})
+	a3 := reboot(t, a2.CrashImage(nil, 0))
 	tr3, err := Open(a3, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +151,7 @@ func TestCrashRecoverAfterQuiescentCrash(t *testing.T) {
 		// Crash without Close, between operations: every completed op is
 		// durable (its commit point persisted), so recovery must yield
 		// exactly the model.
-		a2 := pmem.Recover(a.CrashImage(nil, 0), pmem.Config{})
+		a2 := reboot(t, a.CrashImage(nil, 0))
 		tr2, err := CrashRecover(a2, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -171,7 +183,7 @@ func TestRecoverEmptyTree(t *testing.T) {
 	a := pmem.New(pmem.Config{Size: 4 << 20})
 	tr, _ := New(a, Options{})
 	tr.Close()
-	a2 := pmem.Recover(a.CrashImage(nil, 0), pmem.Config{})
+	a2 := reboot(t, a.CrashImage(nil, 0))
 	tr2, err := Open(a2, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +213,7 @@ func TestRecoveryPreservesLeafCapacity(t *testing.T) {
 		_ = tr.Insert(i, i)
 	}
 	tr.Close()
-	a2 := pmem.Recover(a.CrashImage(nil, 0), pmem.Config{})
+	a2 := reboot(t, a.CrashImage(nil, 0))
 	// Pass a different capacity: the persisted one must win.
 	tr2, err := Open(a2, Options{LeafCapacity: 64})
 	if err != nil {
@@ -212,5 +224,100 @@ func TestRecoveryPreservesLeafCapacity(t *testing.T) {
 	}
 	if err := tr2.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenCorruptPointers: every persisted pointer tree recovery follows —
+// the root's head-leaf and undo-chain words, a leaf's next, an undo slot's
+// next and its armed-for-leaf status — holds a value no allocation produced:
+// beyond the arena, misaligned, inside the heap header, above the allocation
+// mark, or the word's own block (a cycle only the step budget stops). Both
+// reopen paths must return an error: no panic in the arena's bounds check,
+// no endless walk.
+func TestOpenCorruptPointers(t *testing.T) {
+	a := pmem.New(pmem.Config{Size: 1 << 20})
+	tr, err := New(a, Options{LeafCapacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= 100; k++ {
+		if err := tr.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	head, slot := a.Read8(rootHeadOff), a.Read8(rootUndoOff)
+	if a.Read8(head+hdrNextOff) == pmem.NullOff || slot == pmem.NullOff {
+		t.Fatal("the tree never split; the chain-hop cases need a second leaf and an undo slot")
+	}
+	crashed := a.CrashImage(nil, 0)
+	tr.Close()
+	closed := a.CrashImage(nil, 0)
+
+	type word struct {
+		name string
+		off  uint64
+		self uint64 // the block holding the word, where pointing there closes a cycle
+	}
+	words := []word{
+		{"root head", rootHeadOff, 1 << 50},
+		{"root undo head", rootUndoOff, 1 << 50},
+		{"first leaf's next", head + hdrNextOff, head},
+		{"undo slot's next", slot + undoNextOff, slot},
+	}
+	open := func(tag string, img []uint64) error {
+		t.Helper()
+		type result struct {
+			err      error
+			panicked any
+		}
+		done := make(chan result, 1)
+		go func() {
+			var r result
+			defer func() {
+				r.panicked = recover()
+				done <- r
+			}()
+			var rec *pmem.Arena
+			if rec, r.err = pmem.Recover(img, pmem.Config{}); r.err == nil {
+				_, r.err = Open(rec, Options{})
+			}
+		}()
+		select {
+		case r := <-done:
+			if r.panicked != nil {
+				t.Fatalf("%s: Open panicked: %v", tag, r.panicked)
+			}
+			return r.err
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: Open hung", tag)
+			return nil
+		}
+	}
+	for path, img := range map[string][]uint64{"crash recovery": crashed, "reconstruction": closed} {
+		if err := open(path+": pristine", img); err != nil {
+			t.Fatalf("%s: pristine image: %v", path, err)
+		}
+		poke := func(off, v uint64) []uint64 {
+			cp := append([]uint64(nil), img...)
+			cp[off/pmem.WordSize] = v
+			return cp
+		}
+		for _, w := range words {
+			for _, v := range []uint64{1 << 40, ^uint64(0), 12345, pmem.DataStart - pmem.LineSize, a.Bump(), w.self} {
+				tag := fmt.Sprintf("%s: %s = %#x", path, w.name, v)
+				if err := open(tag, poke(w.off, v)); err == nil {
+					t.Errorf("%s: Open accepted the image", tag)
+				}
+			}
+		}
+		if path == "reconstruction" {
+			continue // only crash recovery reads a slot's status word
+		}
+		for _, v := range []uint64{1 << 40, 12345, a.Bump()} {
+			tag := fmt.Sprintf("%s: undo slot armed for leaf %#x", path, v)
+			if err := open(tag, poke(slot+undoStatusOff, v)); err == nil {
+				t.Errorf("%s: Open accepted the image", tag)
+			}
+		}
 	}
 }

@@ -128,8 +128,9 @@ func TestExploreKVPartsAllSites(t *testing.T) {
 // The heap allocator driven directly: every allocator-metadata persist
 // site — undo-log arm, metadata writes inside the window, commit flips,
 // bump advances, and the segment-append cutover — must leave an image that
-// still carries the heap format, passes CheckHeap, and recovers the block
-// directory to a pre- or post-op state under eviction and torn persists.
+// pmem.Recover accepts (header intact, CheckHeap holds) and that recovers
+// the block directory to a pre- or post-op state under eviction and torn
+// persists.
 func TestExploreHeapAllSites(t *testing.T) {
 	rep := mustExplore(t, &HeapTarget{}, HeapWorkload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
 	if rep.Sites < 60 {
@@ -206,8 +207,8 @@ type toyTarget struct {
 }
 
 const (
-	toyCountOff = pmem.RootSize
-	toyRecBase  = pmem.RootSize + pmem.LineSize // one line per record
+	toyCountOff = pmem.DataStart
+	toyRecBase  = pmem.DataStart + pmem.LineSize // one line per record
 )
 
 func (t *toyTarget) Name() string {
@@ -218,7 +219,7 @@ func (t *toyTarget) Name() string {
 }
 
 func (t *toyTarget) Reset() ([]*pmem.Arena, Model, error) {
-	t.arena = pmem.New(pmem.Config{Size: 1 << 16, VolatileAlloc: true})
+	t.arena = pmem.New(pmem.Config{Size: 1 << 16})
 	t.n = 0
 	return []*pmem.Arena{t.arena}, Model{}, nil
 }
@@ -248,7 +249,10 @@ func (t *toyTarget) ApplyModel(m Model, op Op) {
 }
 
 func (t *toyTarget) Recover(imgs [][]uint64) (Model, error) {
-	a := pmem.Recover(imgs[0], pmem.Config{})
+	a, err := pmem.Recover(imgs[0], pmem.Config{})
+	if err != nil {
+		return nil, err
+	}
 	got := Model{}
 	for i := uint64(0); i < a.Read8(toyCountOff); i++ {
 		rec := toyRecBase + i*pmem.LineSize

@@ -77,7 +77,10 @@ func (t *TreeTarget) Recover(imgs [][]uint64) (Model, error) {
 	if len(imgs) != 1 {
 		return nil, fmt.Errorf("tree target: %d images, want 1", len(imgs))
 	}
-	a := pmem.Recover(imgs[0], pmem.Config{})
+	a, err := pmem.Recover(imgs[0], pmem.Config{})
+	if err != nil {
+		return nil, err
+	}
 	tr, err := core.CrashRecover(a, t.opts())
 	if err != nil {
 		return nil, err
@@ -511,10 +514,9 @@ func (t *KVPartsTarget) Recover(imgs [][]uint64) (Model, error) {
 // deletes/reinserts push blocks through the persistent size-class free
 // lists — so every allocator-metadata persist site (undo-log arm, the
 // MetaWrite8 window, commit flips, bump advances, the grow cutover)
-// becomes a crash point. Recovery asserts the heap format itself survived
-// (recoverHeap silently falls back to a legacy volatile arena on a
-// corrupt header, which here would mean a durability violation) and that
-// CheckHeap holds on every admissible image.
+// becomes a crash point. pmem.Recover rejects an image whose allocator
+// metadata CheckHeap does not accept, so every admissible image must get
+// through it.
 type HeapTarget struct {
 	arena *pmem.Arena
 }
@@ -547,9 +549,6 @@ func (t *HeapTarget) Reset() ([]*pmem.Arena, Model, error) {
 		GrowSize:    heapGrowSize,
 		MaxSegments: heapMaxSegs,
 	})
-	if !t.arena.HeapFormatted() {
-		return nil, nil, fmt.Errorf("heap target: fresh arena not heap-formatted")
-	}
 	return []*pmem.Arena{t.arena}, Model{}, nil
 }
 
@@ -625,11 +624,10 @@ func (t *HeapTarget) Recover(imgs [][]uint64) (Model, error) {
 	if len(imgs) != 1 {
 		return nil, fmt.Errorf("heap target: %d images, want 1", len(imgs))
 	}
-	a := pmem.Recover(imgs[0], pmem.Config{})
-	if !a.HeapFormatted() {
-		return nil, fmt.Errorf("heap target: recovered arena lost its heap format")
-	}
-	if err := a.CheckHeap(); err != nil {
+	// Recover rolls back an interrupted allocator update and fails on
+	// metadata CheckHeap rejects.
+	a, err := pmem.Recover(imgs[0], pmem.Config{})
+	if err != nil {
 		return nil, fmt.Errorf("heap target: %v", err)
 	}
 	got := Model{}
@@ -709,7 +707,9 @@ func (t *KVReopenTarget) Reset() ([]*pmem.Arena, Model, error) {
 	srcs := s.Arenas()
 	t.arenas = make([]*pmem.Arena, len(srcs))
 	for i, a := range srcs {
-		t.arenas[i] = pmem.Recover(a.CrashImage(nil, 0), pmem.Config{})
+		if t.arenas[i], err = pmem.Recover(a.CrashImage(nil, 0), pmem.Config{}); err != nil {
+			return nil, nil, err
+		}
 	}
 	t.store = nil
 	return t.arenas, base, nil

@@ -53,7 +53,7 @@ type Options struct {
 	// two in [1, MaxPartitions]. Default 1.
 	Partitions int
 	// ArenaSize is the initial simulated NVM capacity of EACH partition
-	// arena in bytes (default 64 MiB). Heap-formatted partitions grow past
+	// arena in bytes (default 64 MiB). Partitions grow past
 	// it by appending segments, up to MaxSegments.
 	ArenaSize uint64
 	// GrowSize is the size of each appended segment (default: ArenaSize).
@@ -230,7 +230,11 @@ func BulkLoad(opts Options, records []tree.KV) (*Forest, error) {
 func Open(imgs [][]uint64, opts Options) (*Forest, error) {
 	arenas := make([]*pmem.Arena, len(imgs))
 	for i, img := range imgs {
-		arenas[i] = pmem.Recover(img, pmem.Config{Latency: opts.Latency})
+		a, err := pmem.Recover(img, pmem.Config{Latency: opts.Latency})
+		if err != nil {
+			return nil, fmt.Errorf("forest: partition %d: %w", i, err)
+		}
+		arenas[i] = a
 	}
 	return OpenArenas(arenas, opts)
 }
@@ -240,8 +244,8 @@ func Open(imgs [][]uint64, opts Options) (*Forest, error) {
 // reconstruction after a clean shutdown, undo rollback plus chain rebuild
 // after a crash — and its forest superblock is verified against the set:
 // right magic, matching partition count, matching position. The kv layer
-// and the fault explorer use this entry point so they can extend each
-// arena's allocator past their own structures afterwards.
+// and the fault explorer use this entry point so they keep hold of the
+// arenas (persist hooks, their own structures in them).
 func OpenArenas(arenas []*pmem.Arena, opts Options) (*Forest, error) {
 	n := len(arenas)
 	if n < 1 || n > MaxPartitions || bits.OnesCount(uint(n)) != 1 {
@@ -260,6 +264,9 @@ func OpenArenas(arenas []*pmem.Arena, opts Options) (*Forest, error) {
 		if sbOff == pmem.NullOff {
 			return nil, fmt.Errorf("forest: partition %d: arena has no forest superblock", i)
 		}
+		if !a.Allocated(sbOff, pmem.LineSize) {
+			return nil, fmt.Errorf("forest: partition %d: superblock pointer %#x is not a block the allocator handed out", i, sbOff)
+		}
 		if m := a.Read8(sbOff + sbMagicOff); m != forestMagic {
 			return nil, fmt.Errorf("forest: partition %d: bad superblock magic %#x", i, m)
 		}
@@ -268,11 +275,6 @@ func OpenArenas(arenas []*pmem.Arena, opts Options) (*Forest, error) {
 		}
 		if ix := a.Read8(sbOff + sbIndexOff); ix != uint64(i) {
 			return nil, fmt.Errorf("forest: image at position %d belongs to partition %d", i, ix)
-		}
-		// Tree recovery set the allocator mark from its leaf chain, which
-		// may sit below the superblock line on a tree that never split.
-		if a.Bump() < sbOff+pmem.LineSize {
-			a.SetBump(sbOff + pmem.LineSize)
 		}
 		f.parts[i] = &Partition{arena: a, region: region, tree: t, sbOff: sbOff}
 	}

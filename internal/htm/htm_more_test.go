@@ -42,7 +42,7 @@ func TestManyLinesForcesFallback(t *testing.T) {
 	// transaction takes a capacity abort and completes via fallback.
 	out, err := r.RunOutcome(func(tx *Tx) {
 		for i := uint64(0); i < 12; i++ {
-			tx.Store8(pmem.RootSize+i*pmem.LineSize, i+1)
+			tx.Store8(pmem.DataStart+i*pmem.LineSize, i+1)
 		}
 	})
 	if err != nil {
@@ -52,7 +52,7 @@ func TestManyLinesForcesFallback(t *testing.T) {
 		t.Fatal("expected fallback for wide write set")
 	}
 	for i := uint64(0); i < 12; i++ {
-		if r.Arena().Read8(pmem.RootSize+i*pmem.LineSize) != i+1 {
+		if r.Arena().Read8(pmem.DataStart+i*pmem.LineSize) != i+1 {
 			t.Fatalf("line %d lost", i)
 		}
 	}
@@ -63,9 +63,9 @@ func TestWideReadSetForcesFallback(t *testing.T) {
 	out, err := r.RunOutcome(func(tx *Tx) {
 		s := uint64(0)
 		for i := uint64(0); i < 24; i++ {
-			s += tx.Load8(pmem.RootSize + i*pmem.LineSize)
+			s += tx.Load8(pmem.DataStart + i*pmem.LineSize)
 		}
-		tx.Store8(pmem.RootSize, s)
+		tx.Store8(pmem.DataStart, s)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestForceFallbackConfig(t *testing.T) {
 		if !tx.InFallback() {
 			t.Error("ForceFallback transaction ran on the hardware path")
 		}
-		tx.Store8(128, 5)
+		tx.Store8(pmem.DataStart+128, 5)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestForceFallbackConfig(t *testing.T) {
 	if !out.Fallback || out.Attempts != 0 {
 		t.Fatalf("outcome %+v", out)
 	}
-	if r.Arena().Read8(128) != 5 {
+	if r.Arena().Read8(pmem.DataStart+128) != 5 {
 		t.Fatal("fallback write lost")
 	}
 	// Mutual exclusion still holds.
@@ -99,12 +99,12 @@ func TestForceFallbackConfig(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				_ = r.Run(func(tx *Tx) { tx.Store8(128, tx.Load8(128)+1) })
+				_ = r.Run(func(tx *Tx) { tx.Store8(pmem.DataStart+128, tx.Load8(pmem.DataStart+128)+1) })
 			}
 		}()
 	}
 	wg.Wait()
-	if got := r.Arena().Read8(128); got != 5+2000 {
+	if got := r.Arena().Read8(pmem.DataStart + 128); got != 5+2000 {
 		t.Fatalf("counter = %d", got)
 	}
 }
@@ -136,7 +136,7 @@ func TestConcurrentDisjointLinesAllCommitHardware(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			off := pmem.RootSize + uint64(w)*pmem.LineSize*4
+			off := pmem.DataStart + uint64(w)*pmem.LineSize*4
 			for i := uint64(0); i < 2000; i++ {
 				if err := r.Run(func(tx *Tx) { tx.Store8(off, i) }); err != nil {
 					t.Error(err)
@@ -174,8 +174,8 @@ func TestNoTornReadsAcrossFallbackStores(t *testing.T) {
 			// Persist inside the body forces the fallback path, which then
 			// updates two distant lines with direct stores.
 			_ = r.Run(func(tx *Tx) {
-				tx.Store8(128, i)
-				tx.Persist(128, 8)
+				tx.Store8(pmem.DataStart+128, i)
+				tx.Persist(pmem.DataStart+128, 8)
 				tx.Store8(1024, i)
 				tx.Persist(1024, 8)
 			})
@@ -188,7 +188,7 @@ func TestNoTornReadsAcrossFallbackStores(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		var a, b uint64
 		if err := r.Run(func(tx *Tx) {
-			a = tx.Load8(128)
+			a = tx.Load8(pmem.DataStart + 128)
 			b = tx.Load8(1024)
 		}); err != nil {
 			t.Fatal(err)

@@ -10,19 +10,19 @@ import (
 
 func newRegion(t *testing.T, size uint64, cfg Config) *Region {
 	t.Helper()
-	return NewRegion(pmem.New(pmem.Config{Size: size, VolatileAlloc: true}), cfg)
+	return NewRegion(pmem.New(pmem.Config{Size: size}), cfg)
 }
 
 func TestCommitPublishesWrites(t *testing.T) {
 	r := newRegion(t, 1<<16, Config{})
 	err := r.Run(func(tx *Tx) {
-		tx.Store8(128, 7)
-		tx.Store8(136, 8)
+		tx.Store8(pmem.DataStart+128, 7)
+		tx.Store8(pmem.DataStart+136, 8)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Arena().Read8(128) != 7 || r.Arena().Read8(136) != 8 {
+	if r.Arena().Read8(pmem.DataStart+128) != 7 || r.Arena().Read8(pmem.DataStart+136) != 8 {
 		t.Fatal("committed writes not visible")
 	}
 	if s := r.Stats(); s.Commits != 1 {
@@ -33,8 +33,8 @@ func TestCommitPublishesWrites(t *testing.T) {
 func TestReadYourOwnWrites(t *testing.T) {
 	r := newRegion(t, 1<<16, Config{})
 	err := r.Run(func(tx *Tx) {
-		tx.Store8(128, 42)
-		if tx.Load8(128) != 42 {
+		tx.Store8(pmem.DataStart+128, 42)
+		if tx.Load8(pmem.DataStart+128) != 42 {
 			t.Error("did not read own write")
 		}
 	})
@@ -46,13 +46,13 @@ func TestReadYourOwnWrites(t *testing.T) {
 func TestExplicitAbortDiscardsWrites(t *testing.T) {
 	r := newRegion(t, 1<<16, Config{})
 	err := r.Run(func(tx *Tx) {
-		tx.Store8(128, 99)
+		tx.Store8(pmem.DataStart+128, 99)
 		tx.Abort()
 	})
 	if err != ErrExplicitAbort {
 		t.Fatalf("err = %v", err)
 	}
-	if r.Arena().Read8(128) != 0 {
+	if r.Arena().Read8(pmem.DataStart+128) != 0 {
 		t.Fatal("aborted write leaked")
 	}
 	if s := r.Stats(); s.ExplicitAborts != 1 || s.Commits != 0 {
@@ -64,7 +64,7 @@ func TestCapacityAbortFallsBack(t *testing.T) {
 	r := newRegion(t, 1<<20, Config{MaxLines: 4})
 	out, err := r.RunOutcome(func(tx *Tx) {
 		for i := uint64(0); i < 16; i++ {
-			tx.Store8(pmem.RootSize+i*pmem.LineSize, i)
+			tx.Store8(pmem.DataStart+i*pmem.LineSize, i)
 		}
 	})
 	if err != nil {
@@ -77,7 +77,7 @@ func TestCapacityAbortFallsBack(t *testing.T) {
 		t.Fatalf("stats %+v", s)
 	}
 	for i := uint64(0); i < 16; i++ {
-		if r.Arena().Read8(pmem.RootSize+i*pmem.LineSize) != i {
+		if r.Arena().Read8(pmem.DataStart+i*pmem.LineSize) != i {
 			t.Fatal("fallback writes lost")
 		}
 	}
@@ -86,8 +86,8 @@ func TestCapacityAbortFallsBack(t *testing.T) {
 func TestPersistInsideAborts(t *testing.T) {
 	r := newRegion(t, 1<<16, Config{})
 	out, err := r.RunOutcome(func(tx *Tx) {
-		tx.Store8(128, 5)
-		tx.Persist(128, 8)
+		tx.Store8(pmem.DataStart+128, 5)
+		tx.Persist(pmem.DataStart+128, 8)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestPersistInsideAborts(t *testing.T) {
 	if !out.Fallback {
 		t.Fatal("persist inside transaction must force fallback")
 	}
-	if r.Arena().NVMRead8(128) != 5 {
+	if r.Arena().NVMRead8(pmem.DataStart+128) != 5 {
 		t.Fatal("fallback persist did not reach NVM")
 	}
 	if s := r.Stats(); s.PersistAborts != 1 {
@@ -107,12 +107,15 @@ func TestUncommittedWritesNeverInCrashImage(t *testing.T) {
 	r := newRegion(t, 1<<16, Config{MaxLines: 4})
 	// Abort mid-transaction: buffered stores must not be evictable.
 	_ = r.Run(func(tx *Tx) {
-		tx.Store8(256, 0xbad)
+		tx.Store8(pmem.DataStart+256, 0xbad)
 		tx.Abort()
 	})
 	img := r.Arena().CrashImage(nil, 1.0) // evict everything dirty
-	rec := pmem.Recover(img, pmem.Config{})
-	if rec.Read8(256) != 0 {
+	rec, err := pmem.Recover(img, pmem.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Read8(pmem.DataStart+256) != 0 {
 		t.Fatal("uncommitted transactional store reached a crash image")
 	}
 }
@@ -161,7 +164,7 @@ func TestAtomicCounterNoLostUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				if err := r.Run(func(tx *Tx) {
-					tx.Store8(128, tx.Load8(128)+1)
+					tx.Store8(pmem.DataStart+128, tx.Load8(pmem.DataStart+128)+1)
 				}); err != nil {
 					t.Error(err)
 					return
@@ -170,7 +173,7 @@ func TestAtomicCounterNoLostUpdates(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.Arena().Read8(128); got != workers*per {
+	if got := r.Arena().Read8(pmem.DataStart + 128); got != workers*per {
 		t.Fatalf("counter = %d, want %d (isolation violated)", got, workers*per)
 	}
 }
@@ -179,7 +182,7 @@ func TestMultiLineAtomicity(t *testing.T) {
 	// Two words on different lines are always updated together; readers must
 	// never observe them out of sync.
 	r := newRegion(t, 1<<16, Config{})
-	const a, b = uint64(128), uint64(1024)
+	const a, b = uint64(pmem.DataStart + 128), uint64(pmem.DataStart + 1024)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -229,11 +232,11 @@ func TestFallbackExcludesHardwarePath(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
 				err := r.Run(func(tx *Tx) {
-					v := tx.Load8(128)
+					v := tx.Load8(pmem.DataStart + 128)
 					if w == 0 {
-						tx.Persist(128, 8) // aborts -> fallback
+						tx.Persist(pmem.DataStart+128, 8) // aborts -> fallback
 					}
-					tx.Store8(128, v+1)
+					tx.Store8(pmem.DataStart+128, v+1)
 				})
 				if err != nil {
 					t.Error(err)
@@ -243,14 +246,14 @@ func TestFallbackExcludesHardwarePath(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := r.Arena().Read8(128); got != 600 {
+	if got := r.Arena().Read8(pmem.DataStart + 128); got != 600 {
 		t.Fatalf("counter = %d, want 600", got)
 	}
 }
 
 func TestOutcomeAttempts(t *testing.T) {
 	r := newRegion(t, 1<<16, Config{})
-	out, err := r.RunOutcome(func(tx *Tx) { tx.Store8(128, 1) })
+	out, err := r.RunOutcome(func(tx *Tx) { tx.Store8(pmem.DataStart+128, 1) })
 	if err != nil || out.Attempts != 1 || out.Fallback {
 		t.Fatalf("out=%+v err=%v", out, err)
 	}
@@ -258,9 +261,9 @@ func TestOutcomeAttempts(t *testing.T) {
 
 func TestReadOnlyTxCommits(t *testing.T) {
 	r := newRegion(t, 1<<16, Config{})
-	r.Arena().Write8(128, 77)
+	r.Arena().Write8(pmem.DataStart+128, 77)
 	var got uint64
-	if err := r.Run(func(tx *Tx) { got = tx.Load8(128) }); err != nil {
+	if err := r.Run(func(tx *Tx) { got = tx.Load8(pmem.DataStart + 128) }); err != nil {
 		t.Fatal(err)
 	}
 	if got != 77 {
@@ -270,7 +273,7 @@ func TestReadOnlyTxCommits(t *testing.T) {
 
 func TestResetStats(t *testing.T) {
 	r := newRegion(t, 1<<16, Config{})
-	_ = r.Run(func(tx *Tx) { tx.Store8(128, 1) })
+	_ = r.Run(func(tx *Tx) { tx.Store8(pmem.DataStart+128, 1) })
 	r.ResetStats()
 	if s := r.Stats(); s.Commits != 0 {
 		t.Fatalf("stats not reset: %+v", s)
@@ -281,7 +284,7 @@ func TestResetStats(t *testing.T) {
 // the final state equals the sequential result.
 func TestQuickSerializableIncrements(t *testing.T) {
 	f := func(keys []uint8) bool {
-		r := NewRegion(pmem.New(pmem.Config{Size: 1 << 16, VolatileAlloc: true}), Config{})
+		r := NewRegion(pmem.New(pmem.Config{Size: 1 << 16}), Config{})
 		want := make(map[uint64]uint64)
 		var wg sync.WaitGroup
 		for shard := 0; shard < 4; shard++ {
@@ -292,14 +295,14 @@ func TestQuickSerializableIncrements(t *testing.T) {
 					if i%4 != shard {
 						continue
 					}
-					off := pmem.RootSize + uint64(k)*8
+					off := pmem.DataStart + uint64(k)*8
 					_ = r.Run(func(tx *Tx) { tx.Store8(off, tx.Load8(off)+1) })
 				}
 			}(shard)
 		}
 		wg.Wait()
 		for _, k := range keys {
-			want[pmem.RootSize+uint64(k)*8]++
+			want[pmem.DataStart+uint64(k)*8]++
 		}
 		for off, v := range want {
 			if r.Arena().Read8(off) != v {

@@ -7,7 +7,7 @@ import (
 )
 
 func BenchmarkTxSnapshot(b *testing.B) {
-	r := NewRegion(pmem.New(pmem.Config{Size: 1 << 20, VolatileAlloc: true}), Config{})
+	r := NewRegion(pmem.New(pmem.Config{Size: 1 << 20}), Config{})
 	var line [pmem.LineSize]byte
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -17,7 +17,7 @@ func BenchmarkTxSnapshot(b *testing.B) {
 }
 
 func BenchmarkTxStoreLine(b *testing.B) {
-	r := NewRegion(pmem.New(pmem.Config{Size: 1 << 20, VolatileAlloc: true}), Config{})
+	r := NewRegion(pmem.New(pmem.Config{Size: 1 << 20}), Config{})
 	var line [pmem.LineSize]byte
 	b.ReportAllocs()
 	b.ResetTimer()

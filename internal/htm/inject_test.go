@@ -14,14 +14,14 @@ func TestSpuriousAbortInjectionCommitsEverything(t *testing.T) {
 	r := newRegion(t, 1<<16, Config{SpuriousAbortProb: 0.5, InjectSeed: 7})
 	const n = 500
 	for i := 0; i < n; i++ {
-		off := pmem.RootSize + uint64(i%64)*8
+		off := pmem.DataStart + uint64(i%64)*8
 		if err := r.Run(func(tx *Tx) { tx.Store8(off, tx.Load8(off)+1) }); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
 	var total uint64
 	for i := 0; i < 64; i++ {
-		total += r.Arena().Read8(pmem.RootSize + uint64(i)*8)
+		total += r.Arena().Read8(pmem.DataStart + uint64(i)*8)
 	}
 	if total != n {
 		t.Fatalf("lost updates: sum = %d, want %d", total, n)
@@ -39,10 +39,10 @@ func TestSpuriousAbortInjectionCommitsEverything(t *testing.T) {
 // succeed — the storm path terminates.
 func TestSpuriousAbortStormFallsBack(t *testing.T) {
 	r := newRegion(t, 1<<16, Config{SpuriousAbortProb: 1.0})
-	if err := r.Run(func(tx *Tx) { tx.Store8(128, 5) }); err != nil {
+	if err := r.Run(func(tx *Tx) { tx.Store8(pmem.DataStart+128, 5) }); err != nil {
 		t.Fatal(err)
 	}
-	if r.Arena().Read8(128) != 5 {
+	if r.Arena().Read8(pmem.DataStart+128) != 5 {
 		t.Fatal("write lost under full injection")
 	}
 	s := r.Stats()
@@ -61,7 +61,7 @@ func TestSpuriousAbortInjectionDeterministic(t *testing.T) {
 		r := newRegion(t, 1<<16, Config{SpuriousAbortProb: 0.3, InjectSeed: 99})
 		var attempts []int
 		for i := 0; i < 200; i++ {
-			out, err := r.RunOutcome(func(tx *Tx) { tx.Store8(128, uint64(i)) })
+			out, err := r.RunOutcome(func(tx *Tx) { tx.Store8(pmem.DataStart+128, uint64(i)) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestSpuriousAbortInjectionConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				if err := r.Run(func(tx *Tx) { tx.Store8(256, tx.Load8(256)+1) }); err != nil {
+				if err := r.Run(func(tx *Tx) { tx.Store8(pmem.DataStart+256, tx.Load8(pmem.DataStart+256)+1) }); err != nil {
 					t.Error(err)
 					return
 				}
@@ -99,7 +99,7 @@ func TestSpuriousAbortInjectionConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.Arena().Read8(256); got != workers*perG {
+	if got := r.Arena().Read8(pmem.DataStart + 256); got != workers*perG {
 		t.Fatalf("counter = %d, want %d", got, workers*perG)
 	}
 	if r.Stats().SpuriousAborts == 0 {

@@ -1,9 +1,11 @@
 // Heap format: segment headers, the crash-consistent allocator and growth.
 //
-// A heap-formatted arena carries one persistent header per segment (the
-// go-pmem runtime's pArena pattern): identity and geometry, and — in
-// segment 0 — the allocator metadata (bump mark, size-class free lists)
-// plus a small undo log. The device is addressed by byte offset, so every
+// Every arena carries one persistent header per segment (the go-pmem
+// runtime's pArena pattern): identity and geometry, and — in segment 0 —
+// the allocator metadata (bump mark, size-class free lists) plus a small
+// undo log. This is the only allocator the package has: no space is handed
+// out without persisted metadata, so a recovered image never hands out the
+// same block twice. The device is addressed by byte offset, so every
 // persisted pointer is an offset and an image is position-independent by
 // construction: there is no mapping address to record.
 //
@@ -30,6 +32,7 @@
 package pmem
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -44,6 +47,11 @@ const (
 	seg0HdrOff = RootSize
 	// hdrSize is the per-segment header footprint in bytes.
 	hdrSize = 8 * LineSize
+	// DataStart is the first allocatable offset of segment 0: everything
+	// below it is the root line and the header. Code that addresses raw
+	// lines without allocating them stays at or above it, so the image it
+	// leaves still recovers.
+	DataStart = seg0HdrOff + hdrSize
 
 	// Header word offsets (relative to the header base).
 	hdrMagicOff    = 0
@@ -66,36 +74,26 @@ const (
 	// undo line.
 	undoRecs = 3
 
-	// minHeapSize is the smallest initial segment that gets heap
-	// formatting; smaller arenas (unit-test scratch space) keep the
-	// volatile allocator. minGrowSize bounds appended segments.
-	minHeapSize = 1 << 16
+	// minHeapSize is the smallest initial segment: root line, header and
+	// one data line. minGrowSize is the smallest appended segment.
+	minHeapSize = DataStart + LineSize
 	minGrowSize = 4096
 
-	// maxRecoverBytes is recoverHeap's plausibility ceiling on the total
+	// maxRecoverBytes is Recover's plausibility ceiling on the total
 	// capacity a crash image's header may claim (64 GiB — far above any
 	// simulated device). Header words are user-reachable via raw Write8,
-	// so recovery must treat absurd geometry as "not a heap image" and
-	// fall back to the legacy path instead of letting the capacity
-	// arithmetic overflow into a makeslice panic or a huge allocation.
+	// so recovery must reject absurd geometry instead of letting the
+	// capacity arithmetic overflow into a makeslice panic or a huge
+	// allocation.
 	maxRecoverBytes = 1 << 36
 )
 
 // testBinary reports whether this process is a `go test` binary; free
-// checking defaults on under tests (FreeCheckAuto).
+// checking is on under tests and off otherwise.
 var testBinary = strings.HasSuffix(os.Args[0], ".test")
 
-// HeapFormatted reports whether the heap carries segment headers and the
-// persistent allocator (false for volatile-mode and legacy-image arenas).
-func (h *Heap) HeapFormatted() bool { return h.pa }
-
 // Segments returns the number of committed segments (1 for fixed arenas).
-func (h *Heap) Segments() int {
-	if !h.pa {
-		return 1
-	}
-	return int(h.Read8(seg0HdrOff + hdrNsegsOff))
-}
+func (h *Heap) Segments() int { return int(h.Read8(seg0HdrOff + hdrNsegsOff)) }
 
 // GrowSize returns the size in bytes of each appended segment.
 func (h *Heap) GrowSize() uint64 { return h.growSize }
@@ -220,23 +218,28 @@ func (h *Heap) UndoCommit() {
 
 // undoRecover rolls back an interrupted metadata update: if the status word
 // is armed, every logged word is restored (newest first) and the log
-// disarmed. Idempotent — crashing inside undoRecover re-runs it.
-func (h *Heap) undoRecover() {
+// disarmed. Idempotent — crashing inside undoRecover re-runs it. A status
+// word or a record address no UndoBegin could have persisted is an error,
+// returned before the first rollback write.
+func (h *Heap) undoRecover() error {
 	ub := uint64(seg0HdrOff + hdrUndoOff)
 	n := h.Read8(ub)
 	if n == 0 {
-		return
+		return nil
 	}
-	if n <= undoRecs {
-		for i := n; i > 0; i-- {
-			addr := h.Read8(ub + 8 + (i-1)*16)
-			old := h.Read8(ub + 16 + (i-1)*16)
-			if addr%WordSize == 0 && addr/WordSize < h.committedW.Load() {
-				h.MetaFlip8(addr, old)
-			}
+	if n > undoRecs {
+		return fmt.Errorf("undo status %d exceeds %d records", n, undoRecs)
+	}
+	for i := uint64(0); i < n; i++ {
+		if addr := h.Read8(ub + 8 + i*16); addr%WordSize != 0 || addr >= h.Size() {
+			return fmt.Errorf("undo record %d: address %#x outside the heap", i, addr)
 		}
 	}
+	for i := n; i > 0; i-- {
+		h.MetaFlip8(h.Read8(ub+8+(i-1)*16), h.Read8(ub+16+(i-1)*16))
+	}
 	h.MetaFlip8(ub, 0)
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -270,10 +273,21 @@ func (h *Heap) claimClass(size uint64) int {
 	return empty
 }
 
-// heapAlloc is Alloc on a heap-formatted arena (allocMu held, size
-// line-rounded): pop the size class, else the volatile overflow list, else
-// bump — growing by a segment when the committed space is exhausted.
-func (h *Heap) heapAlloc(size uint64) (uint64, error) {
+// ErrOutOfMemory is returned by Alloc when the heap is exhausted and cannot
+// grow further (capacity or MaxSegments reached).
+var ErrOutOfMemory = errors.New("pmem: arena out of memory")
+
+// Alloc reserves size bytes (rounded up to whole lines) of heap space and
+// returns its byte offset: it pops the size class, else the volatile
+// overflow list, else bumps — growing by one segment, up to MaxSegments,
+// when the committed space is exhausted. The allocation is crash-consistent:
+// the bump mark and size-class free lists live in segment 0's header and
+// every update is persisted before Alloc returns, so a recovered image never
+// hands out the same block twice.
+func (h *Heap) Alloc(size uint64) (uint64, error) {
+	size = (size + LineSize - 1) &^ uint64(LineSize-1)
+	h.allocMu.Lock()
+	defer h.allocMu.Unlock()
 	if ci := h.findClass(size); ci >= 0 {
 		headOff := seg0HdrOff + hdrClassOff + uint64(ci)*16 + 8
 		if head := h.Read8(headOff); head != 0 {
@@ -305,13 +319,30 @@ func (h *Heap) heapAlloc(size uint64) (uint64, error) {
 		}
 		// The bump mark is persisted before the block is handed out, so a
 		// recovered heap never re-allocates it. A crash between this flip
-		// and the caller linking the block leaks it — bounded by one block
-		// per crash, versus SetBump leaking every unlinked byte.
+		// and the caller linking the block leaks it: one block per crash.
 		h.MetaFlip8(seg0HdrOff+hdrBumpOff, off+size)
 		h.noteAllocated(off, size)
 		h.stats.allocs.Add(1)
 		return off, nil
 	}
+}
+
+// Bump returns the persisted allocation mark: every block ever handed out
+// ends at or below it.
+func (h *Heap) Bump() uint64 {
+	h.allocMu.Lock()
+	defer h.allocMu.Unlock()
+	return h.Read8(seg0HdrOff + hdrBumpOff)
+}
+
+// Allocated reports whether [off, off+size) can be a block Alloc handed out:
+// line-aligned, at or above DataStart and ending at or below the persisted
+// mark. Recovery code puts every pointer it reads from the media through it
+// before dereferencing, so a hostile image is an error and not a panic in
+// the bounds check.
+func (h *Heap) Allocated(off, size uint64) bool {
+	mark := h.Read8(seg0HdrOff + hdrBumpOff)
+	return off%LineSize == 0 && off >= DataStart && size <= mark && off <= mark-size
 }
 
 // fitBump finds the lowest offset at or above the bump mark where a
@@ -343,17 +374,24 @@ func (h *Heap) fitBump(size uint64) (off uint64, needGrow bool, err error) {
 	}
 }
 
-// heapFree pushes the block onto its persistent size-class list, claiming a
-// class slot if needed. The three metadata words (class size, class head,
-// block link) change under one undo window, so a crash mid-free rolls back
-// to the pre-free state instead of leaving a half-linked list. Returns
-// false when the class table is full of other sizes (the caller falls back
-// to the volatile overflow list, which a crash leaks — bounded by the
-// number of distinct block sizes beyond classCount).
-func (h *Heap) heapFree(off, size uint64) bool {
+// Free returns a block (size rounded up to whole lines) to the allocator by
+// pushing it onto its persistent size-class list, claiming a class slot if
+// needed. The three metadata words (class size, class head, block link)
+// change under one undo window, so a crash mid-free rolls back to the
+// pre-free state instead of leaving a half-linked list. When the class table
+// is full of other sizes the block joins the volatile overflow list, which a
+// crash leaks — bounded by the number of distinct block sizes beyond
+// classCount. Under a `go test` binary an overlapping or double free panics.
+func (h *Heap) Free(off, size uint64) {
+	size = (size + LineSize - 1) &^ uint64(LineSize-1)
+	h.allocMu.Lock()
+	defer h.allocMu.Unlock()
+	h.checkFree(off, size)
+	h.stats.frees.Add(1)
 	ci := h.claimClass(size)
 	if ci < 0 {
-		return false
+		h.freed[size] = append(h.freed[size], off)
+		return
 	}
 	sizeOff := seg0HdrOff + hdrClassOff + uint64(ci)*16
 	headOff := sizeOff + 8
@@ -362,7 +400,6 @@ func (h *Heap) heapFree(off, size uint64) bool {
 	h.MetaWrite8(sizeOff, size)         // claim (or re-assert) the class
 	h.MetaWrite8(headOff, off)          // publish the block
 	h.UndoCommit()
-	return true
 }
 
 // growLocked appends and commits one segment (allocMu held). The new
@@ -382,33 +419,15 @@ func (h *Heap) growLocked() error {
 }
 
 // Grow explicitly commits one more segment, as Alloc does on demand.
-// Returns ErrOutOfMemory when the heap is at MaxSegments or not
-// heap-formatted.
+// Returns ErrOutOfMemory when the heap is at MaxSegments.
 func (h *Heap) Grow() error {
 	h.allocMu.Lock()
 	defer h.allocMu.Unlock()
-	if !h.pa {
-		return ErrOutOfMemory
-	}
 	return h.growLocked()
 }
 
 // ---------------------------------------------------------------------------
 // Free checking (debug)
-
-func (h *Heap) initFreeCheck(mode FreeCheckMode) {
-	switch mode {
-	case FreeCheckOn:
-		h.freeCheck = true
-	case FreeCheckOff:
-		h.freeCheck = false
-	default:
-		h.freeCheck = testBinary
-	}
-	if h.freeCheck {
-		h.freeLines = make(map[uint64]struct{})
-	}
-}
 
 // checkFree validates a Free against the currently-free line set (allocMu
 // held): out-of-range, overlapping and double frees panic. Lines the heap
@@ -462,57 +481,49 @@ func (h *Heap) rebuildFreeLines() {
 // ---------------------------------------------------------------------------
 // Recovery and invariants
 
-// recoverHeap rebuilds a heap from a flat crash image when the image
-// carries valid segment headers; returns nil to select the legacy volatile
-// path. An appended-but-uncommitted trailing segment (crash inside Grow
-// before the nsegs cutover) is silently discarded; an armed undo log is
-// rolled back.
-func recoverHeap(img []uint64, cfg Config) *Heap {
-	if cfg.VolatileAlloc {
-		return nil
+// ErrBadHeap is returned (wrapped with the reason) by Recover for an image
+// that does not hold a heap this package could have persisted.
+var ErrBadHeap = errors.New("pmem: image is not a recoverable heap")
+
+// Recover constructs a rebooted heap from a crash image: both the cache and
+// nvm images equal the captured state, all lines clean. Geometry, bump mark
+// and size-class free lists come from the persisted allocator metadata; an
+// armed undo log is rolled back, and an appended-but-uncommitted trailing
+// segment (crash inside Grow before the nsegs cutover) is discarded. Of cfg
+// only Latency is used. An image with a missing magic, implausible geometry,
+// fewer bytes than its header commits, a garbage undo log or allocator
+// metadata CheckHeap rejects fails with ErrBadHeap; img is never written.
+func Recover(img []uint64, cfg Config) (*Arena, error) {
+	bad := func(format string, args ...any) (*Arena, error) {
+		return nil, fmt.Errorf("%w: %s", ErrBadHeap, fmt.Sprintf(format, args...))
 	}
 	imgBytes := uint64(len(img)) * WordSize
-	if imgBytes < seg0HdrOff+hdrSize {
-		return nil
+	if imgBytes < minHeapSize {
+		return bad("%d bytes hold no segment header", imgBytes)
 	}
 	rd := func(off uint64) uint64 { return img[off/WordSize] }
-	if rd(seg0HdrOff+hdrMagicOff) != heapMagic0 {
-		return nil
+	if m := rd(seg0HdrOff + hdrMagicOff); m != heapMagic0 {
+		return bad("magic %#x", m)
 	}
 	seg0 := rd(seg0HdrOff + hdrSeg0SizeOff)
 	grow := rd(seg0HdrOff + hdrGrowSizeOff)
-	maxSegs := int(rd(seg0HdrOff + hdrMaxSegsOff))
-	nsegs := int(rd(seg0HdrOff + hdrNsegsOff))
-	if seg0 != rd(seg0HdrOff+hdrSegSizeOff) || seg0%LineSize != 0 || grow == 0 ||
-		grow%LineSize != 0 || seg0 < minHeapSize || grow < minGrowSize ||
-		maxSegs < 1 || nsegs < 1 || nsegs > maxSegs {
-		return nil
-	}
+	maxSegs := rd(seg0HdrOff + hdrMaxSegsOff)
+	nsegs := rd(seg0HdrOff + hdrNsegsOff)
 	// Per-field caps first so the capacity arithmetic below cannot
 	// overflow uint64 (seg0, grow <= 2^36; maxSegs <= 2^36/minGrow, so
 	// seg0+(maxSegs-1)*grow < 2^61), then the combined ceiling.
-	if seg0 > maxRecoverBytes || grow > maxRecoverBytes ||
-		uint64(maxSegs) > maxRecoverBytes/minGrowSize {
-		return nil
+	if seg0 != rd(seg0HdrOff+hdrSegSizeOff) || seg0%LineSize != 0 || grow%LineSize != 0 ||
+		seg0 < minHeapSize || grow < minGrowSize || seg0 > maxRecoverBytes || grow > maxRecoverBytes ||
+		nsegs < 1 || nsegs > maxSegs || maxSegs > maxRecoverBytes/minGrowSize {
+		return bad("geometry: segment 0 %d/%d bytes, grow %d, %d of %d segments",
+			rd(seg0HdrOff+hdrSegSizeOff), seg0, grow, nsegs, maxSegs)
 	}
-	committed := seg0 + uint64(nsegs-1)*grow
-	capacity := seg0 + uint64(maxSegs-1)*grow
+	committed := seg0 + (nsegs-1)*grow
+	capacity := seg0 + (maxSegs-1)*grow
 	if committed > imgBytes || imgBytes > capacity || capacity > maxRecoverBytes {
-		return nil
+		return bad("image of %d bytes, header commits %d of at most %d", imgBytes, committed, capacity)
 	}
-	h := &Heap{
-		cache: make([]uint64, capacity/WordSize),
-		nvm:   make([]uint64, capacity/WordSize),
-		dirty: make([]uint64, (capacity/LineSize+63)/64),
-		lat:   cfg.Latency,
-		drain: drainSem(cfg.Latency),
-		freed: make(map[uint64][]uint64),
-
-		pa:       true,
-		seg0Size: seg0,
-		growSize: grow,
-		maxSegs:  maxSegs,
-	}
+	h := newHeap(seg0, grow, int(maxSegs), cfg.Latency)
 	// Copy the whole image (an uncommitted trailing segment's bytes are
 	// unreachable behind the committed watermark).
 	//rnvet:ignore atomicfield single-threaded recovery: h has not escaped yet, no reader can race the bulk copy
@@ -520,28 +531,22 @@ func recoverHeap(img []uint64, cfg Config) *Heap {
 	//rnvet:ignore atomicfield single-threaded recovery: h has not escaped yet
 	copy(h.nvm, img)
 	h.committedW.Store(committed / WordSize)
-	h.initFreeCheck(cfg.FreeChecks)
-	h.undoRecover()
-	if h.CheckHeap() != nil {
-		// Structurally invalid allocator metadata (e.g. raw writes over the
-		// header region): fall back to the legacy volatile path rather than
-		// refusing to serve the data. Recovery flows that require the heap
-		// format assert HeapFormatted() and re-run CheckHeap themselves.
-		return nil
+	if err := h.undoRecover(); err != nil {
+		return bad("%v", err)
+	}
+	if err := h.CheckHeap(); err != nil {
+		return bad("%v", err)
 	}
 	h.rebuildFreeLines()
-	return h
+	return h, nil
 }
 
-// CheckHeap validates the persistent allocator metadata of a heap-formatted
-// arena: segment headers coherent, bump mark inside the committed space,
-// undo log disarmed or well-formed, free lists acyclic with line-aligned
-// in-bounds blocks below the bump mark and no block on two lists. Volatile
-// arenas trivially pass. Intended for recovery and the fault explorer.
+// CheckHeap validates the persistent allocator metadata: segment headers
+// coherent, bump mark inside the committed space, undo log disarmed or
+// well-formed, free lists acyclic with line-aligned in-bounds blocks below
+// the bump mark and no block on two lists. Intended for recovery and the
+// fault explorer.
 func (h *Heap) CheckHeap() error {
-	if !h.pa {
-		return nil
-	}
 	nsegs := h.Segments()
 	if nsegs < 1 || nsegs > h.maxSegs {
 		return fmt.Errorf("nsegs %d out of range [1,%d]", nsegs, h.maxSegs)

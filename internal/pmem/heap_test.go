@@ -2,35 +2,145 @@ package pmem
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
 
 func newTestHeap(t *testing.T, size, grow uint64, maxSegs int) *Heap {
 	t.Helper()
-	h := New(Config{Size: size, GrowSize: grow, MaxSegments: maxSegs, FreeChecks: FreeCheckOn})
-	if !h.HeapFormatted() {
-		t.Fatalf("New(%d, grow %d) did not heap-format", size, grow)
-	}
-	return h
+	return New(Config{Size: size, GrowSize: grow, MaxSegments: maxSegs})
 }
 
+// mustRecover is Recover on an image the test expects to be sound.
+func mustRecover(t *testing.T, img []uint64) *Heap {
+	t.Helper()
+	r, err := Recover(img, Config{})
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	return r
+}
+
+// Every arena is formatted, whatever its size: the header is persisted, the
+// allocator starts at DataStart, and the image recovers.
 func TestHeapFormatting(t *testing.T) {
-	if !New(Config{Size: 1 << 16}).HeapFormatted() {
-		t.Fatal("64KB arena should heap-format by default")
-	}
-	if New(Config{Size: 4096}).HeapFormatted() {
-		t.Fatal("tiny arena must stay volatile")
-	}
-	if New(Config{Size: 1 << 16, VolatileAlloc: true}).HeapFormatted() {
-		t.Fatal("VolatileAlloc must opt out of heap formatting")
+	for _, size := range []uint64{0, 100, 4096, 1 << 16} {
+		h := New(Config{Size: size})
+		if err := h.CheckHeap(); err != nil {
+			t.Fatalf("New(%d): %v", size, err)
+		}
+		if h.Bump() != DataStart || h.Size() < DataStart+LineSize || h.Size()%LineSize != 0 {
+			t.Fatalf("New(%d): bump %d, size %d", size, h.Bump(), h.Size())
+		}
+		r := mustRecover(t, h.CrashImage(nil, 0))
+		if r.Size() != h.Size() || r.Bump() != DataStart {
+			t.Fatalf("New(%d) recovered as size %d, bump %d", size, r.Size(), r.Bump())
+		}
 	}
 }
 
-// The tentpole property: a freed block survives crash recovery on the
-// persistent free list and is handed out again, and the bump mark is
-// durable — recovery no longer leaks everything below it (the old SetBump
-// contract).
+// The property a volatile bump allocator never had, on the smallest arena
+// New builds: the block handed out before the crash is not handed out again.
+func TestTinyArenaRecoversAllocatorState(t *testing.T) {
+	h := New(Config{Size: 100})
+	off, err := h.Alloc(LineSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Write8(off, 7)
+	h.Persist(off, 8)
+	r := mustRecover(t, h.CrashImage(nil, 0))
+	if r.Bump() != off+LineSize || r.Read8(off) != 7 {
+		t.Fatalf("recovered bump %d (want %d), word %d", r.Bump(), off+LineSize, r.Read8(off))
+	}
+	if again, err := r.Alloc(LineSize); err == nil {
+		t.Fatalf("recovered heap handed out %d; the one data line at %d is live", again, off)
+	}
+	r.Free(off, LineSize)
+	if got, err := r.Alloc(LineSize); err != nil || got != off {
+		t.Fatalf("freed line not reused: %d, %v", got, err)
+	}
+}
+
+// A GrowSize under the segment minimum is rounded up, not a reason to lose
+// growth.
+func TestGrowSizeRoundedUp(t *testing.T) {
+	h := New(Config{Size: 100, GrowSize: 100, MaxSegments: 4})
+	if h.GrowSize() != minGrowSize {
+		t.Fatalf("GrowSize = %d, want %d", h.GrowSize(), minGrowSize)
+	}
+	var offs []uint64
+	for h.Segments() < 4 {
+		off, err := h.Alloc(1024)
+		if err != nil {
+			t.Fatalf("alloc with %d of 4 segments: %v", h.Segments(), err)
+		}
+		offs = append(offs, off)
+	}
+	r := mustRecover(t, h.CrashImage(nil, 0))
+	if r.Segments() != 4 || r.Bump() != h.Bump() {
+		t.Fatalf("recovered %d segments, bump %d; want 4, %d", r.Segments(), r.Bump(), h.Bump())
+	}
+	if next, _ := r.Alloc(1024); next <= offs[len(offs)-1] {
+		t.Fatalf("recovered heap handed out %d at or below live block %d", next, offs[len(offs)-1])
+	}
+}
+
+// TestRecoverBadHeap: every way an image can fail to be a heap — nothing
+// there, someone else's magic, geometry the header contradicts, fewer bytes
+// than it commits, a free list that never ends, an undo log no UndoBegin
+// wrote — is ErrBadHeap: no panic, no fall-back allocator, and the image is
+// not written (the garbage undo status used to be disarmed silently).
+func TestRecoverBadHeap(t *testing.T) {
+	h := newTestHeap(t, 1<<16, 4096, 4)
+	off, _ := h.Alloc(128)
+	h.Free(off, 128)
+	if err := h.Grow(); err != nil {
+		t.Fatal(err)
+	}
+	good := h.CrashImage(nil, 0)
+	mustRecover(t, good)
+	const hdr = seg0HdrOff
+	poke := func(off, v uint64) func([]uint64) []uint64 {
+		return func(img []uint64) []uint64 { img[off/WordSize] = v; return img }
+	}
+	cases := []struct {
+		name string
+		edit func([]uint64) []uint64
+	}{
+		{"zeroed image", func(img []uint64) []uint64 { return make([]uint64, len(img)) }},
+		{"empty image", func([]uint64) []uint64 { return nil }},
+		{"foreign magic", poke(hdr+hdrMagicOff, 0x524e545245453031)},
+		{"seg0 != segSize", poke(hdr+hdrSeg0SizeOff, 1<<17)},
+		{"nsegs > maxSegs", poke(hdr+hdrNsegsOff, 5)},
+		{"nsegs huge", poke(hdr+hdrNsegsOff, 1<<62)},
+		{"grow size zero", poke(hdr+hdrGrowSizeOff, 0)},
+		{"image shorter than committed", func(img []uint64) []uint64 { return img[:len(img)-8] }},
+		{"cyclic free list", poke(off, off)},
+		{"undo status beyond the log", poke(hdr+hdrUndoOff, undoRecs+1)},
+		{"undo status all ones", poke(hdr+hdrUndoOff, ^uint64(0))},
+		{"armed undo record outside the heap", func(img []uint64) []uint64 {
+			img[(hdr+hdrUndoOff)/WordSize] = 1
+			img[(hdr+hdrUndoOff+8)/WordSize] = 1 << 40
+			return img
+		}},
+	}
+	for _, tc := range cases {
+		img := tc.edit(append([]uint64(nil), good...))
+		before := append([]uint64(nil), img...)
+		r, err := Recover(img, Config{})
+		if !errors.Is(err, ErrBadHeap) || r != nil {
+			t.Errorf("%s: Recover = %v, %v; want ErrBadHeap", tc.name, r, err)
+		}
+		if !reflect.DeepEqual(img, before) {
+			t.Errorf("%s: Recover wrote to the image", tc.name)
+		}
+	}
+}
+
+// A freed block survives crash recovery on the persistent free list and is
+// handed out again, and the bump mark is durable.
 func TestHeapFreeReuseSurvivesCrash(t *testing.T) {
 	h := newTestHeap(t, 1<<16, 4096, 2)
 	a1, err := h.Alloc(128)
@@ -43,10 +153,7 @@ func TestHeapFreeReuseSurvivesCrash(t *testing.T) {
 	h.Free(a1, 128)
 	bump := h.Bump()
 
-	r := Recover(h.CrashImage(nil, 0), Config{FreeChecks: FreeCheckOn})
-	if !r.HeapFormatted() {
-		t.Fatal("recovered image lost heap formatting")
-	}
+	r := mustRecover(t, h.CrashImage(nil, 0))
 	if r.Bump() != bump {
 		t.Fatalf("bump not durable: %d != %d", r.Bump(), bump)
 	}
@@ -73,14 +180,14 @@ func TestUndoRollbackOnCrash(t *testing.T) {
 	h.UndoBegin(off, off+8)
 	h.MetaWrite8(off, 99)
 	h.MetaWrite8(off+8, 100)
-	r := Recover(h.CrashImage(nil, 0), Config{})
+	r := mustRecover(t, h.CrashImage(nil, 0))
 	if r.Read8(off) != 5 || r.Read8(off+8) != 6 {
 		t.Fatalf("uncommitted window not rolled back: %d/%d", r.Read8(off), r.Read8(off+8))
 	}
 
 	// Committed window: the new values stick.
 	h.UndoCommit()
-	r = Recover(h.CrashImage(nil, 0), Config{})
+	r = mustRecover(t, h.CrashImage(nil, 0))
 	if r.Read8(off) != 99 || r.Read8(off+8) != 100 {
 		t.Fatalf("committed window rolled back: %d/%d", r.Read8(off), r.Read8(off+8))
 	}
@@ -108,7 +215,7 @@ func TestGrowOnDemand(t *testing.T) {
 	if h.segIndex(last) != 1 {
 		t.Fatalf("block %d not in grown segment", last)
 	}
-	r := Recover(h.CrashImage(nil, 0), Config{})
+	r := mustRecover(t, h.CrashImage(nil, 0))
 	if r.Segments() != 2 || r.Size() != h.Size() {
 		t.Fatalf("growth not durable: %d segs, %d bytes", r.Segments(), r.Size())
 	}
@@ -154,10 +261,7 @@ func TestGrowCrashBeforeCutover(t *testing.T) {
 	h.committedW.Store(end / WordSize)
 	h.formatSeg(n) // crash here: header durable, cutover flip never ran
 
-	r := Recover(h.CrashImage(nil, 0), Config{})
-	if !r.HeapFormatted() {
-		t.Fatal("recovered image lost heap formatting")
-	}
+	r := mustRecover(t, h.CrashImage(nil, 0))
 	if r.Segments() != n || r.Size() != sizeBefore {
 		t.Fatalf("uncommitted segment not discarded: %d segs, %d bytes", r.Segments(), r.Size())
 	}
@@ -183,13 +287,6 @@ func TestOverlappingFreeDetected(t *testing.T) {
 	o2, _ := h.Alloc(64)
 	h.Free(o1, 128) // spans both blocks; first free of these lines
 	mustPanic(t, "overlapping free", func() { h.Free(o2, 64) })
-}
-
-func TestFreeCheckOffAllowsDoubleFree(t *testing.T) {
-	h := New(Config{Size: 1 << 16, FreeChecks: FreeCheckOff})
-	off, _ := h.Alloc(128)
-	h.Free(off, 128)
-	h.Free(off, 128) // silently accepted with checking off
 }
 
 func mustPanic(t *testing.T, what string, f func()) {
@@ -252,19 +349,21 @@ func TestCheckHeapCatchesCorruption(t *testing.T) {
 		if h.CheckHeap() == nil {
 			t.Errorf("%s: free block [%d,%d) with the mark at %d not flagged", tc.name, head, head+tc.size, h.Bump())
 		}
-		if Recover(h.CrashImage(nil, 0), Config{}).HeapFormatted() {
-			t.Errorf("%s: Recover kept the allocator of an image CheckHeap rejects", tc.name)
+		if _, err := Recover(h.CrashImage(nil, 0), Config{}); !errors.Is(err, ErrBadHeap) {
+			t.Errorf("%s: Recover of an image CheckHeap rejects returned %v, want ErrBadHeap", tc.name, err)
 		}
 	}
 }
 
 // Header words live inside the arena's address space, so raw Write8 can
-// scribble over them (the quick-check durability tests do exactly that).
-// Recovery of such an image must select the legacy volatile path — never
-// panic in the capacity arithmetic or attempt an absurd allocation — and
-// the data outside the clobbered word must still read back. Regression
-// for a makeslice overflow when a garbage hdrMaxSegsOff/hdrGrowSizeOff
-// claimed a near-2^64 capacity.
+// scribble over them. Recovery of such an image is ErrBadHeap or a heap whose
+// metadata checks out — never a panic in the capacity arithmetic or an
+// absurd allocation — and when it recovers the data outside the clobbered
+// word still reads back. The words no code reads (the three retired
+// mapping-address words, the spare word of line 0, lines 5-7) must not
+// decide: whatever they hold, the image recovers. Regression for a makeslice
+// overflow when a garbage hdrMaxSegsOff/hdrGrowSizeOff claimed a near-2^64
+// capacity.
 func TestRecoverGarbageHeader(t *testing.T) {
 	hostile := []uint64{
 		0xffffffffffffffff, // all-ones: overflow bait for the capacity product
@@ -272,7 +371,10 @@ func TestRecoverGarbageHeader(t *testing.T) {
 		1 << 62,            // huge but line-aligned: passes the %LineSize checks
 		0,                  // zero: trips the nsegs/maxSegs >= 1 floor instead
 	}
-	const probe = uint64(RootSize) + hdrSize + 256 // user word clear of the header
+	unread := func(off uint64) bool {
+		return off == 56 || off == hdrRsvd0Off || off == hdrRsvd1Off || off == hdrRsvd2Off || off >= 5*LineSize
+	}
+	const probe = uint64(DataStart) + 256 // user word clear of the header
 	for word := uint64(0); word < hdrSize/WordSize; word++ {
 		for _, v := range hostile {
 			h := newTestHeap(t, 1<<16, 4096, 4)
@@ -281,7 +383,16 @@ func TestRecoverGarbageHeader(t *testing.T) {
 			off := seg0HdrOff + word*WordSize
 			h.Write8(off, v)
 			h.Persist(off, 8)
-			r := Recover(h.CrashImage(nil, 0), Config{})
+			r, err := Recover(h.CrashImage(nil, 0), Config{})
+			if err != nil {
+				if !errors.Is(err, ErrBadHeap) || unread(word*WordSize) {
+					t.Fatalf("header word %d = %#x: Recover returned %v", word, v, err)
+				}
+				continue
+			}
+			if err := r.CheckHeap(); err != nil {
+				t.Fatalf("header word %d = %#x: recovered heap fails CheckHeap: %v", word, v, err)
+			}
 			if got := r.Read8(probe); got != 0xfeedface {
 				t.Fatalf("header word %d = %#x: probe read %#x after recovery", word, v, got)
 			}

@@ -17,7 +17,8 @@
 // A crash is modelled by CrashImage: it returns the nvm image, optionally
 // merged with a random subset of dirty-but-unflushed cache lines to model
 // uncontrolled cache eviction. Recover builds a fresh arena whose both images
-// equal a crash image, as after a reboot.
+// equal a crash image, as after a reboot, with the allocator state the image
+// persisted (heap.go); an image that holds no such state is ErrBadHeap.
 //
 // All word accesses use sync/atomic so concurrent tree code is data-race
 // free by construction; the synchronization *semantics* (who may see what)
@@ -25,7 +26,6 @@
 package pmem
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -175,40 +175,29 @@ type Hooks struct {
 	OnFence       func()
 }
 
-// FreeCheckMode selects the allocator's debug overlap/double-free detection.
-type FreeCheckMode int
-
-const (
-	// FreeCheckAuto enables the check when the process is a `go test`
-	// binary and disables it otherwise (the default).
-	FreeCheckAuto FreeCheckMode = iota
-	// FreeCheckOn always verifies frees (panics on overlap/double free).
-	FreeCheckOn
-	// FreeCheckOff never verifies frees.
-	FreeCheckOff
-)
-
 // Config configures a new Heap.
 type Config struct {
 	// Size is the initial segment's capacity in bytes; rounded up to a
-	// whole line. The first RootSize bytes are reserved for root metadata.
+	// whole line and to at least DataStart plus one line. The first RootSize
+	// bytes are reserved for root metadata, the segment header follows, and
+	// allocation starts at DataStart.
 	Size uint64
 	// GrowSize is the capacity in bytes of each appended segment (rounded
-	// up to a whole line). 0 means Size: every grown segment matches the
-	// initial one.
+	// up to a whole line and to at least 4 KiB). 0 means Size: every grown
+	// segment matches the initial one.
 	GrowSize uint64
 	// MaxSegments caps how many segments the heap may hold (initial
 	// segment included). 0 or 1 keeps the classic fixed-size arena: the
 	// heap never grows and Alloc fails with ErrOutOfMemory at exhaustion.
 	MaxSegments int
-	// VolatileAlloc disables the persistent allocator and segment headers:
-	// allocation metadata is volatile and recovery must SetBump past the
-	// highest reachable offset, leaking everything unreferenced below it
-	// (the pre-heap behaviour; also forced for heaps too small to hold a
-	// segment header).
+	// VolatileAlloc is declared and ignored: no code reads it, and every
+	// heap carries the persistent allocator whatever this says. The field
+	// stays only because benchmark/ladder.go sets it on its scratch arenas
+	// and a PR may not edit benchmark/ alongside other code; the
+	// benchmark-only follow-up that stops naming it deletes it together with
+	// kv.Options.Shards and server.BatchConfig.Puts/MaxDelay — four dead
+	// fields wait for that one PR (ROADMAP item 3, step 1).
 	VolatileAlloc bool
-	// FreeChecks selects the debug overlap/double-free detection on Free.
-	FreeChecks FreeCheckMode
 	// Latency is the persistent-instruction cost model.
 	Latency LatencyModel
 }
@@ -223,10 +212,9 @@ type Config struct {
 // segment at the current committed end. The cache/nvm images are reserved at
 // full capacity up front (like an mmap address-space reservation) so hot-path
 // loads and stores never take a segment lookup; Size() reports the committed
-// prefix and accesses beyond it panic. Unless Config.VolatileAlloc is set
-// (or the heap is too small for a header), every segment carries a
-// persistent header (see heap.go) and Alloc/Free maintain crash-consistent
-// free lists through a per-segment undo log.
+// prefix and accesses beyond it panic. Every segment carries a persistent
+// header (see heap.go) and Alloc/Free maintain crash-consistent free lists
+// through the undo log in segment 0's header.
 type Heap struct {
 	cache []uint64 // CPU-visible image (reserved to full capacity)
 	nvm   []uint64 // crash-durable image (reserved to full capacity)
@@ -250,16 +238,17 @@ type Heap struct {
 	}
 
 	allocMu sync.Mutex
-	bump    uint64              // volatile-mode next unallocated byte offset
-	freed   map[uint64][]uint64 // size class (bytes) -> free offsets (volatile/overflow)
+	// freed is the overflow for a full class table: size (bytes) -> free
+	// offsets of sizes no header class holds. Volatile; a crash leaks them.
+	freed map[uint64][]uint64
 
-	// Heap-format state (persistent allocator + segment headers).
-	pa       bool   // persistent allocator active
+	// Geometry, as persisted in the segment headers.
 	seg0Size uint64 // bytes of the initial segment
 	growSize uint64 // bytes of each appended segment
 	maxSegs  int
 
-	// Debug free checking (see Config.FreeChecks).
+	// Debug overlap/double-free checking on Free: on under a `go test`
+	// binary, off otherwise.
 	freeCheck bool
 	freeLines map[uint64]struct{} // line offsets currently on a free list
 }
@@ -268,51 +257,53 @@ type Heap struct {
 // rnvet's Arena-method models — address it through this alias.
 type Arena = Heap
 
-// New creates a heap whose initial segment is cfg.Size bytes (at least two
-// lines) with both images zeroed. Unless cfg.VolatileAlloc is set and the
-// segment fits a header, the segment is formatted with a persistent header
-// and the crash-consistent allocator; otherwise the volatile allocator is
-// positioned just past the root line.
+// New creates a heap whose initial segment is cfg.Size bytes with both images
+// zeroed, and formats it: segment 0's header is persisted and allocation
+// starts at DataStart.
 func New(cfg Config) *Heap {
-	size := cfg.Size
-	if size < 2*LineSize {
-		size = 2 * LineSize
+	size := (cfg.Size + LineSize - 1) &^ uint64(LineSize-1)
+	if size < minHeapSize {
+		size = minHeapSize
 	}
-	size = (size + LineSize - 1) &^ uint64(LineSize-1)
 	grow := (cfg.GrowSize + LineSize - 1) &^ uint64(LineSize-1)
 	if grow == 0 {
 		grow = size
+	}
+	if grow < minGrowSize {
+		grow = minGrowSize
 	}
 	maxSegs := cfg.MaxSegments
 	if maxSegs <= 0 {
 		maxSegs = 1
 	}
-	pa := !cfg.VolatileAlloc && size >= minHeapSize && grow >= minGrowSize
-	if !pa {
-		maxSegs = 1
-	}
-	capacity := size + uint64(maxSegs-1)*grow
+	h := newHeap(size, grow, maxSegs, cfg.Latency)
+	h.committedW.Store(size / WordSize)
+	h.formatSeg0()
+	// Formatting is construction, not workload: hand out clean stats.
+	h.ResetStats()
+	return h
+}
+
+// newHeap reserves the images of a heap of the given geometry at full
+// capacity; nothing is committed or formatted yet.
+func newHeap(seg0, grow uint64, maxSegs int, lat LatencyModel) *Heap {
+	capacity := seg0 + uint64(maxSegs-1)*grow
 	h := &Heap{
 		cache: make([]uint64, capacity/WordSize),
 		nvm:   make([]uint64, capacity/WordSize),
 		dirty: make([]uint64, (capacity/LineSize+63)/64),
-		lat:   cfg.Latency,
-		drain: drainSem(cfg.Latency),
+		lat:   lat,
+		drain: drainSem(lat),
 		freed: make(map[uint64][]uint64),
 
-		pa:       pa,
-		seg0Size: size,
+		seg0Size: seg0,
 		growSize: grow,
 		maxSegs:  maxSegs,
+
+		freeCheck: testBinary,
 	}
-	h.committedW.Store(size / WordSize)
-	h.initFreeCheck(cfg.FreeChecks)
-	if pa {
-		h.formatSeg0()
-		// Formatting is construction, not workload: hand out clean stats.
-		h.ResetStats()
-	} else {
-		h.bump = RootSize
+	if h.freeCheck {
+		h.freeLines = make(map[uint64]struct{})
 	}
 	return h
 }
@@ -525,6 +516,19 @@ func (a *Arena) WriteRange(off uint64, src []byte) {
 // This is the expensive primitive the paper's designs minimise; its cost
 // (latency busy-wait) is charged to the calling goroutine.
 func (a *Arena) Persist(off, size uint64) {
+	a.persistInstr(off, size, func(first, last uint64) {
+		for l := first; l <= last; l++ {
+			a.flushLine(l)
+		}
+	})
+}
+
+// persistInstr is the one body of a persistent instruction, shared by
+// Persist and PersistStream so the two cannot be charged differently: the
+// hooks, the three counters, the drain-engine occupancy and the fence stall.
+// lines runs between the BeforePersist hook and the accounting, on the
+// inclusive line range the instruction covers.
+func (a *Arena) persistInstr(off, size uint64, lines func(first, last uint64)) {
 	if h := a.hooks.Load(); h != nil && h.BeforePersist != nil {
 		h.BeforePersist(off, size)
 	}
@@ -533,22 +537,20 @@ func (a *Arena) Persist(off, size uint64) {
 	}
 	first := off / LineSize
 	last := (off + size - 1) / LineSize
-	lines := last - first + 1
-	for l := first; l <= last; l++ {
-		a.flushLine(l)
-	}
+	n := last - first + 1
+	lines(first, last)
 	a.stats.persists.Add(1)
-	a.stats.linesFlushed.Add(lines)
+	a.stats.linesFlushed.Add(n)
 	a.stats.fences.Add(1)
 	if a.drain != nil {
 		// The fence cannot retire until this persist's lines have passed
 		// through one of the arena's drain engines; persists racing for the
 		// same engine queue behind each other (per-DIMM media bandwidth).
 		a.drain <- struct{}{}
-		spin(time.Duration(lines) * a.lat.DrainPerLine)
+		spin(time.Duration(n) * a.lat.DrainPerLine)
 		<-a.drain
 	}
-	spin(time.Duration(lines)*a.lat.FlushPerLine + a.lat.Fence)
+	spin(time.Duration(n)*a.lat.FlushPerLine + a.lat.Fence)
 	if h := a.hooks.Load(); h != nil && h.AfterPersist != nil {
 		h.AfterPersist(off, size)
 	}
@@ -625,30 +627,11 @@ func (a *Arena) Write8Stream(off uint64, v uint64) {
 // streaming store spends the same media bandwidth (drain-engine occupancy
 // per line) and its fence still waits for the write queue to drain.
 func (a *Arena) PersistStream(off, size uint64) {
-	if h := a.hooks.Load(); h != nil && h.BeforePersist != nil {
-		h.BeforePersist(off, size)
-	}
-	if size == 0 {
-		size = 1
-	}
-	first := off / LineSize
-	last := (off + size - 1) / LineSize
-	lines := last - first + 1
-	if last*WordsPerLine >= uint64(len(a.cache)) {
-		panic(fmt.Sprintf("pmem: persist beyond arena (line %d)", last))
-	}
-	a.stats.persists.Add(1)
-	a.stats.linesFlushed.Add(lines)
-	a.stats.fences.Add(1)
-	if a.drain != nil {
-		a.drain <- struct{}{}
-		spin(time.Duration(lines) * a.lat.DrainPerLine)
-		<-a.drain
-	}
-	spin(time.Duration(lines)*a.lat.FlushPerLine + a.lat.Fence)
-	if h := a.hooks.Load(); h != nil && h.AfterPersist != nil {
-		h.AfterPersist(off, size)
-	}
+	a.persistInstr(off, size, func(_, last uint64) {
+		if last*WordsPerLine >= uint64(len(a.cache)) {
+			panic(fmt.Sprintf("pmem: persist beyond arena (line %d)", last))
+		}
+	})
 }
 
 // Fence executes a standalone ordering fence (no flush).
@@ -739,126 +722,6 @@ func (a *Arena) OverlayCacheLine(img []uint64, off uint64) {
 	}
 	for w := uint64(0); w < WordsPerLine; w++ {
 		img[base+w] = atomic.LoadUint64(&a.cache[base+w])
-	}
-}
-
-// Recover constructs a rebooted heap from a crash image: both the cache and
-// nvm images equal the captured state, all lines clean. When the image
-// carries heap-format segment headers, recovery walks them: geometry, bump
-// mark and size-class free lists come from the persisted allocator metadata
-// (rolling back any interrupted update through the undo log), and an
-// appended-but-uncommitted trailing segment is discarded. Headerless legacy
-// images fall back to the volatile allocator, whose state the caller (tree
-// recovery) must re-establish with SetBump after walking its persistent
-// structures.
-func Recover(img []uint64, cfg Config) *Arena {
-	if h := recoverHeap(img, cfg); h != nil {
-		return h
-	}
-	a := New(Config{
-		Size:          uint64(len(img)) * WordSize,
-		Latency:       cfg.Latency,
-		VolatileAlloc: true,
-		FreeChecks:    cfg.FreeChecks,
-	})
-	if len(a.cache) != len(img) {
-		panic("pmem: recover image size mismatch")
-	}
-	//rnvet:ignore atomicfield single-threaded recovery: a has not escaped yet, no reader can race the bulk copy
-	copy(a.cache, img)
-	//rnvet:ignore atomicfield single-threaded recovery: a has not escaped yet
-	copy(a.nvm, img)
-	return a
-}
-
-// ErrOutOfMemory is returned by Alloc when the heap is exhausted and cannot
-// grow further (capacity or MaxSegments reached).
-var ErrOutOfMemory = errors.New("pmem: arena out of memory")
-
-// Alloc reserves size bytes (rounded up to whole lines) of heap space and
-// returns its byte offset. On heap-formatted arenas the allocation is
-// crash-consistent: the bump mark and size-class free lists live in the
-// segment headers and every update is persisted (undo-logged where it spans
-// words) before Alloc returns, so a recovered image never hands out the same
-// block twice. When the committed space is exhausted the heap grows by one
-// segment, up to MaxSegments. Volatile-mode arenas keep the paper's
-// behaviour: metadata is rebuilt by recovery via SetBump.
-func (a *Arena) Alloc(size uint64) (uint64, error) {
-	size = (size + LineSize - 1) &^ uint64(LineSize-1)
-	a.allocMu.Lock()
-	defer a.allocMu.Unlock()
-	if a.pa {
-		return a.heapAlloc(size)
-	}
-	if lst := a.freed[size]; len(lst) > 0 {
-		off := lst[len(lst)-1]
-		a.freed[size] = lst[:len(lst)-1]
-		a.noteAllocated(off, size)
-		a.stats.allocs.Add(1)
-		return off, nil
-	}
-	if a.bump+size > a.Size() {
-		return 0, ErrOutOfMemory
-	}
-	off := a.bump
-	a.bump += size
-	a.stats.allocs.Add(1)
-	return off, nil
-}
-
-// Free returns a block to the allocator. On heap-formatted arenas the block
-// is pushed onto a persistent size-class free list under the undo log, so
-// the reclaimed space survives a crash; otherwise it joins the volatile free
-// list. With free checking enabled (Config.FreeChecks; on by default under
-// `go test`) an overlapping or double free panics.
-func (a *Arena) Free(off, size uint64) {
-	size = (size + LineSize - 1) &^ uint64(LineSize-1)
-	a.allocMu.Lock()
-	defer a.allocMu.Unlock()
-	a.checkFree(off, size)
-	if a.pa && a.heapFree(off, size) {
-		a.stats.frees.Add(1)
-		return
-	}
-	a.freed[size] = append(a.freed[size], off)
-	a.stats.frees.Add(1)
-}
-
-// Bump returns the allocator high-water mark (persistent on heap-formatted
-// arenas, volatile otherwise).
-func (a *Arena) Bump() uint64 {
-	a.allocMu.Lock()
-	defer a.allocMu.Unlock()
-	if a.pa {
-		return a.Read8(seg0HdrOff + hdrBumpOff)
-	}
-	return a.bump
-}
-
-// SetBump positions the allocator high-water mark; used by recovery after it
-// has determined the highest offset in use. On volatile-mode arenas blocks
-// below the mark that are not referenced by persistent structures are
-// leaked, exactly as on real NVM allocators without persistent metadata. On
-// heap-formatted arenas the persisted bump mark and free lists are already
-// authoritative and SetBump is a no-op (it only raises the mark, defensively,
-// if the caller proves a reachable offset above it).
-func (a *Arena) SetBump(off uint64) {
-	if off < RootSize {
-		off = RootSize
-	}
-	off = (off + LineSize - 1) &^ uint64(LineSize-1)
-	a.allocMu.Lock()
-	defer a.allocMu.Unlock()
-	if a.pa {
-		if cur := a.Read8(seg0HdrOff + hdrBumpOff); off > cur {
-			a.MetaFlip8(seg0HdrOff+hdrBumpOff, off)
-		}
-		return
-	}
-	a.bump = off
-	a.freed = make(map[uint64][]uint64)
-	if a.freeCheck {
-		a.freeLines = make(map[uint64]struct{})
 	}
 }
 

@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -29,12 +30,12 @@ func TestNewRoundsUpAndReservesRoot(t *testing.T) {
 
 func TestWriteReadWord(t *testing.T) {
 	a := newTest(t, 4096)
-	a.Write8(128, 0xdeadbeefcafe)
-	if got := a.Read8(128); got != 0xdeadbeefcafe {
+	a.Write8(DataStart+128, 0xdeadbeefcafe)
+	if got := a.Read8(DataStart + 128); got != 0xdeadbeefcafe {
 		t.Fatalf("Read8 = %#x", got)
 	}
 	// Unpersisted data must not be in the NVM image.
-	if got := a.NVMRead8(128); got != 0 {
+	if got := a.NVMRead8(DataStart + 128); got != 0 {
 		t.Fatalf("NVM image has unpersisted data: %#x", got)
 	}
 }
@@ -46,7 +47,7 @@ func TestMisalignedAccessPanics(t *testing.T) {
 			t.Fatal("expected panic on misaligned access")
 		}
 	}()
-	a.Write8(129, 1)
+	a.Write8(DataStart+129, 1)
 }
 
 func TestOutOfRangePanics(t *testing.T) {
@@ -61,10 +62,10 @@ func TestOutOfRangePanics(t *testing.T) {
 
 func TestPersistMakesDurable(t *testing.T) {
 	a := newTest(t, 4096)
-	a.Write8(256, 42)
-	a.Write8(264, 43)
-	a.Persist(256, 16)
-	if a.NVMRead8(256) != 42 || a.NVMRead8(264) != 43 {
+	a.Write8(DataStart+256, 42)
+	a.Write8(DataStart+264, 43)
+	a.Persist(DataStart+256, 16)
+	if a.NVMRead8(DataStart+256) != 42 || a.NVMRead8(DataStart+264) != 43 {
 		t.Fatal("persist did not reach NVM image")
 	}
 	s := a.Stats()
@@ -82,9 +83,9 @@ func TestPersistMakesDurable(t *testing.T) {
 func TestPersistSpanningLines(t *testing.T) {
 	a := newTest(t, 4096)
 	// Range crossing a line boundary flushes two lines but is one persist.
-	a.Write8(120, 7)
-	a.Write8(128, 8)
-	a.Persist(120, 16)
+	a.Write8(DataStart+120, 7)
+	a.Write8(DataStart+128, 8)
+	a.Persist(DataStart+120, 16)
 	s := a.Stats()
 	if s.Persists != 1 || s.LinesFlushed != 2 {
 		t.Fatalf("persists=%d lines=%d, want 1/2", s.Persists, s.LinesFlushed)
@@ -97,8 +98,8 @@ func TestLineRoundTrip(t *testing.T) {
 	for i := range src {
 		src[i] = byte(i * 3)
 	}
-	a.WriteLine(512, &src)
-	a.ReadLine(512+8, &dst) // any offset within the line reads the whole line
+	a.WriteLine(DataStart+512, &src)
+	a.ReadLine(DataStart+512+8, &dst) // any offset within the line reads the whole line
 	if src != dst {
 		t.Fatalf("line mismatch: %v != %v", src, dst)
 	}
@@ -110,9 +111,9 @@ func TestRangeRoundTrip(t *testing.T) {
 	for i := range src {
 		src[i] = byte(255 - i)
 	}
-	a.WriteRange(192, src)
+	a.WriteRange(DataStart+192, src)
 	dst := make([]byte, 160)
-	a.ReadRange(192, 160, dst)
+	a.ReadRange(DataStart+192, 160, dst)
 	for i := range src {
 		if src[i] != dst[i] {
 			t.Fatalf("byte %d: %d != %d", i, src[i], dst[i])
@@ -122,19 +123,19 @@ func TestRangeRoundTrip(t *testing.T) {
 
 func TestDirtyTracking(t *testing.T) {
 	a := newTest(t, 4096)
-	a.Write8(1024, 5)
+	a.Write8(DataStart+1024, 5)
 	found := false
 	for _, off := range a.DirtyLines() {
-		if off == 1024 {
+		if off == DataStart+1024 {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatal("written line not reported dirty")
 	}
-	a.Persist(1024, 8)
+	a.Persist(DataStart+1024, 8)
 	for _, off := range a.DirtyLines() {
-		if off == 1024 {
+		if off == DataStart+1024 {
 			t.Fatal("persisted line still dirty")
 		}
 	}
@@ -142,9 +143,9 @@ func TestDirtyTracking(t *testing.T) {
 
 func TestEvictLine(t *testing.T) {
 	a := newTest(t, 4096)
-	a.Write8(2048, 99)
-	a.EvictLine(2048)
-	if a.NVMRead8(2048) != 99 {
+	a.Write8(DataStart+2048, 99)
+	a.EvictLine(DataStart + 2048)
+	if a.NVMRead8(DataStart+2048) != 99 {
 		t.Fatal("evicted line not in NVM image")
 	}
 	if a.Stats().Persists != 0 {
@@ -154,15 +155,15 @@ func TestEvictLine(t *testing.T) {
 
 func TestCrashImageExcludesUnflushed(t *testing.T) {
 	a := newTest(t, 4096)
-	a.Write8(256, 1)
-	a.Persist(256, 8)
-	a.Write8(320, 2) // dirty, never persisted
+	a.Write8(DataStart+256, 1)
+	a.Persist(DataStart+256, 8)
+	a.Write8(DataStart+320, 2) // dirty, never persisted
 	img := a.CrashImage(nil, 0)
-	r := Recover(img, Config{})
-	if r.Read8(256) != 1 {
+	r := mustRecover(t, img)
+	if r.Read8(DataStart+256) != 1 {
 		t.Fatal("persisted word lost in crash")
 	}
-	if r.Read8(320) != 0 {
+	if r.Read8(DataStart+320) != 0 {
 		t.Fatal("unpersisted word survived crash with evictProb=0")
 	}
 }
@@ -170,14 +171,14 @@ func TestCrashImageExcludesUnflushed(t *testing.T) {
 func TestCrashImageEviction(t *testing.T) {
 	a := newTest(t, 1<<16)
 	for i := 0; i < 100; i++ {
-		a.Write8(uint64(RootSize+i*LineSize), uint64(i+1))
+		a.Write8(uint64(DataStart+i*LineSize), uint64(i+1))
 	}
 	rng := rand.New(rand.NewSource(1))
 	img := a.CrashImage(rng, 0.5)
-	r := Recover(img, Config{})
+	r := mustRecover(t, img)
 	survived := 0
 	for i := 0; i < 100; i++ {
-		if r.Read8(uint64(RootSize+i*LineSize)) != 0 {
+		if r.Read8(uint64(DataStart+i*LineSize)) != 0 {
 			survived++
 		}
 	}
@@ -188,14 +189,14 @@ func TestCrashImageEviction(t *testing.T) {
 
 func TestRecoverImagesEqual(t *testing.T) {
 	a := newTest(t, 4096)
-	a.Write8(256, 7)
-	a.Persist(256, 8)
-	r := Recover(a.CrashImage(nil, 0), Config{})
+	a.Write8(DataStart+256, 7)
+	a.Persist(DataStart+256, 8)
+	r := mustRecover(t, a.CrashImage(nil, 0))
 	// After reboot cache and nvm agree; nothing dirty.
 	if len(r.DirtyLines()) != 0 {
 		t.Fatal("recovered arena has dirty lines")
 	}
-	if r.Read8(256) != 7 || r.NVMRead8(256) != 7 {
+	if r.Read8(DataStart+256) != 7 || r.NVMRead8(DataStart+256) != 7 {
 		t.Fatal("recovered images disagree")
 	}
 }
@@ -234,19 +235,6 @@ func TestAllocExhaustion(t *testing.T) {
 	}
 }
 
-func TestSetBumpResets(t *testing.T) {
-	// SetBump's reset semantics only exist on volatile-allocator arenas;
-	// heap-formatted arenas keep their persistent allocator state.
-	a := New(Config{Size: 1 << 16, VolatileAlloc: true})
-	o, _ := a.Alloc(64)
-	a.Free(o, 64)
-	a.SetBump(o + 640)
-	o2, _ := a.Alloc(64)
-	if o2 < o+640 {
-		t.Fatalf("SetBump did not clear free list / move bump: got %d", o2)
-	}
-}
-
 func TestHooksFire(t *testing.T) {
 	a := newTest(t, 4096)
 	var before, after int
@@ -254,13 +242,13 @@ func TestHooksFire(t *testing.T) {
 		BeforePersist: func(off, size uint64) { before++ },
 		AfterPersist:  func(off, size uint64) { after++ },
 	})
-	a.Write8(256, 1)
-	a.Persist(256, 8)
+	a.Write8(DataStart+256, 1)
+	a.Persist(DataStart+256, 8)
 	if before != 1 || after != 1 {
 		t.Fatalf("hooks fired %d/%d times", before, after)
 	}
 	a.SetHooks(nil)
-	a.Persist(256, 8)
+	a.Persist(DataStart+256, 8)
 	if before != 1 || after != 1 {
 		t.Fatal("cleared hooks still fired")
 	}
@@ -270,10 +258,10 @@ func TestBeforeHookSeesPreFlushState(t *testing.T) {
 	a := newTest(t, 4096)
 	var seen uint64 = 1
 	a.SetHooks(&Hooks{BeforePersist: func(off, size uint64) {
-		seen = a.NVMRead8(256)
+		seen = a.NVMRead8(DataStart + 256)
 	}})
-	a.Write8(256, 9)
-	a.Persist(256, 8)
+	a.Write8(DataStart+256, 9)
+	a.Persist(DataStart+256, 8)
 	if seen != 0 {
 		t.Fatalf("BeforePersist ran after flush (saw %d)", seen)
 	}
@@ -281,20 +269,68 @@ func TestBeforeHookSeesPreFlushState(t *testing.T) {
 
 func TestLatencyCharged(t *testing.T) {
 	a := New(Config{Size: 4096, Latency: LatencyModel{FlushPerLine: 200 * time.Microsecond, Fence: 100 * time.Microsecond}})
-	a.Write8(256, 1)
+	a.Write8(DataStart+256, 1)
 	t0 := time.Now()
-	a.Persist(256, 8)
+	a.Persist(DataStart+256, 8)
 	if el := time.Since(t0); el < 250*time.Microsecond {
 		t.Fatalf("persist returned too fast: %v", el)
 	}
 }
 
+// TestPersistStreamChargedLikePersist: the two persistent instructions share
+// one body, so for the same range they move the same counters, fire the same
+// hook calls with the same arguments, and hold the arena's one drain engine
+// for the same per-line occupancy (two concurrent callers serialize on it).
+func TestPersistStreamChargedLikePersist(t *testing.T) {
+	const drain = 300 * time.Microsecond
+	type call struct {
+		after     bool
+		off, size uint64
+	}
+	run := func(instr func(a *Arena, off, size uint64)) (Stats, []call, time.Duration) {
+		a := New(Config{Size: 1 << 16, Latency: LatencyModel{DrainPerLine: drain, PersistStreams: 1}})
+		var calls []call
+		a.SetHooks(&Hooks{
+			BeforePersist: func(off, size uint64) { calls = append(calls, call{false, off, size}) },
+			AfterPersist:  func(off, size uint64) { calls = append(calls, call{true, off, size}) },
+		})
+		instr(a, DataStart+8, 4*LineSize) // unaligned start: five lines
+		instr(a, DataStart+1024, 0)       // empty range: still one line, one fence
+		a.SetHooks(nil)
+		stats := a.Stats()
+		t0 := time.Now()
+		var wg sync.WaitGroup
+		for w := uint64(0); w < 2; w++ {
+			wg.Add(1)
+			go func(w uint64) {
+				defer wg.Done()
+				instr(a, DataStart+w*4096, 4*LineSize)
+			}(w)
+		}
+		wg.Wait()
+		return stats, calls, time.Since(t0)
+	}
+	ps, pc, pt := run((*Arena).Persist)
+	ss, sc, st := run((*Arena).PersistStream)
+	if ps != ss || ps.Persists != 2 || ps.LinesFlushed != 6 || ps.Fences != 2 {
+		t.Fatalf("stats differ or are wrong: Persist %+v, PersistStream %+v", ps, ss)
+	}
+	if !reflect.DeepEqual(pc, sc) || len(pc) != 4 {
+		t.Fatalf("hook calls differ: Persist %+v, PersistStream %+v", pc, sc)
+	}
+	for name, el := range map[string]time.Duration{"Persist": pt, "PersistStream": st} {
+		if el < 2*4*drain {
+			t.Fatalf("%s: two 4-line instructions on one drain engine took %v, want at least %v", name, el, 2*4*drain)
+		}
+	}
+}
+
 func TestZero(t *testing.T) {
 	a := newTest(t, 4096)
-	a.Write8(512, 11)
-	a.Write8(520, 12)
-	a.Zero(512, 64)
-	if a.Read8(512) != 0 || a.Read8(520) != 0 {
+	a.Write8(DataStart+512, 11)
+	a.Write8(DataStart+520, 12)
+	a.Zero(DataStart+512, 64)
+	if a.Read8(DataStart+512) != 0 || a.Read8(DataStart+520) != 0 {
 		t.Fatal("Zero did not clear")
 	}
 }
@@ -308,7 +344,7 @@ func TestConcurrentDisjointWrites(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			base := uint64(RootSize) + uint64(w)*per*8
+			base := uint64(DataStart) + uint64(w)*per*8
 			for i := uint64(0); i < per; i++ {
 				a.Write8(base+i*8, uint64(w)<<32|i)
 				a.Persist(base+i*8, 8)
@@ -317,7 +353,7 @@ func TestConcurrentDisjointWrites(t *testing.T) {
 	}
 	wg.Wait()
 	for w := 0; w < workers; w++ {
-		base := uint64(RootSize) + uint64(w)*per*8
+		base := uint64(DataStart) + uint64(w)*per*8
 		for i := uint64(0); i < per; i++ {
 			if got := a.NVMRead8(base + i*8); got != uint64(w)<<32|i {
 				t.Fatalf("worker %d word %d = %#x", w, i, got)
@@ -331,17 +367,16 @@ func TestConcurrentDisjointWrites(t *testing.T) {
 
 // Property: a persisted word always equals what was last written before the
 // persist, regardless of the write pattern. Slots start past the heap
-// allocator's header lines: a 64KiB arena is heap-formatted, and a raw
-// write inside the metadata region is not user data — recovery may
-// legitimately roll it back as an interrupted allocator update.
+// allocator's header lines: a raw write inside the metadata region is not
+// user data, and recovery rejects an image whose header it garbled.
 func TestQuickPersistDurability(t *testing.T) {
 	a := newTest(t, 1<<16)
 	f := func(slot uint8, v uint64) bool {
-		off := uint64(seg0HdrOff+hdrSize) + uint64(slot)*8
+		off := uint64(DataStart) + uint64(slot)*8
 		a.Write8(off, v)
 		a.Persist(off, 8)
 		img := a.CrashImage(nil, 0)
-		r := Recover(img, Config{})
+		r := mustRecover(t, img)
 		return r.Read8(off) == v
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -356,16 +391,16 @@ func TestQuickUnpersistedIsolation(t *testing.T) {
 		a := New(Config{Size: 1 << 12})
 		// Line A persisted, line B not.
 		for i, v := range vals {
-			a.Write8(uint64(RootSize+i*8), v|1)          // line A
-			a.Write8(uint64(RootSize+LineSize+i*8), v|1) // line B
+			a.Write8(uint64(DataStart+i*8), v|1)          // line A
+			a.Write8(uint64(DataStart+LineSize+i*8), v|1) // line B
 		}
-		a.Persist(RootSize, LineSize)
-		r := Recover(a.CrashImage(nil, 0), Config{})
+		a.Persist(DataStart, LineSize)
+		r := mustRecover(t, a.CrashImage(nil, 0))
 		for i, v := range vals {
-			if r.Read8(uint64(RootSize+i*8)) != v|1 {
+			if r.Read8(uint64(DataStart+i*8)) != v|1 {
 				return false
 			}
-			if r.Read8(uint64(RootSize+LineSize+i*8)) != 0 {
+			if r.Read8(uint64(DataStart+LineSize+i*8)) != 0 {
 				return false
 			}
 		}
@@ -378,8 +413,8 @@ func TestQuickUnpersistedIsolation(t *testing.T) {
 
 func TestResetStats(t *testing.T) {
 	a := newTest(t, 4096)
-	a.Write8(256, 1)
-	a.Persist(256, 8)
+	a.Write8(DataStart+256, 1)
+	a.Persist(DataStart+256, 8)
 	a.ResetStats()
 	if s := a.Stats(); s.Persists != 0 || s.WordsWritten != 0 {
 		t.Fatalf("stats not reset: %+v", s)
@@ -394,9 +429,9 @@ func TestCrashImageSeededDeterminism(t *testing.T) {
 	build := func() *Arena {
 		a := newTest(t, 64<<10)
 		for i := uint64(0); i < 400; i++ {
-			a.Write8(RootSize+i*8, i*2654435761)
+			a.Write8(DataStart+i*8, i*2654435761)
 			if i%5 == 0 {
-				a.Persist(RootSize+i*8, 8)
+				a.Persist(DataStart+i*8, 8)
 			}
 		}
 		return a
@@ -437,10 +472,10 @@ func TestFenceHookAndEvictionCounters(t *testing.T) {
 	if fences != 2 {
 		t.Fatalf("OnFence fired %d times, want 2", fences)
 	}
-	a.Write8(256, 1)
-	a.EvictLine(256)
+	a.Write8(DataStart+256, 1)
+	a.EvictLine(DataStart + 256)
 	_ = a.CrashImage(rand.New(rand.NewSource(1)), 1.0) // no dirty lines left
-	a.Write8(320, 2)
+	a.Write8(DataStart+320, 2)
 	_ = a.CrashImage(rand.New(rand.NewSource(1)), 1.0) // evicts the dirty line
 	s := a.Stats()
 	if s.CrashImages != 2 {
@@ -453,19 +488,19 @@ func TestFenceHookAndEvictionCounters(t *testing.T) {
 
 func TestOverlayCacheLine(t *testing.T) {
 	a := newTest(t, 4096)
-	a.Write8(256, 0xdead)
-	a.Persist(256, 8)
-	a.Write8(256, 0xbeef) // dirty again, nvm still holds 0xdead
-	a.Write8(320, 0xf00d) // dirty, never persisted
+	a.Write8(DataStart+256, 0xdead)
+	a.Persist(DataStart+256, 8)
+	a.Write8(DataStart+256, 0xbeef) // dirty again, nvm still holds 0xdead
+	a.Write8(DataStart+320, 0xf00d) // dirty, never persisted
 	img := a.CrashImage(nil, 0)
-	if img[256/WordSize] != 0xdead || img[320/WordSize] != 0 {
-		t.Fatalf("pre image wrong: %#x %#x", img[256/WordSize], img[320/WordSize])
+	if img[(DataStart+256)/WordSize] != 0xdead || img[(DataStart+320)/WordSize] != 0 {
+		t.Fatalf("pre image wrong: %#x %#x", img[(DataStart+256)/WordSize], img[(DataStart+320)/WordSize])
 	}
-	a.OverlayCacheLine(img, 320)
-	if img[320/WordSize] != 0xf00d {
-		t.Fatalf("overlay missed: %#x", img[320/WordSize])
+	a.OverlayCacheLine(img, DataStart+320)
+	if img[(DataStart+320)/WordSize] != 0xf00d {
+		t.Fatalf("overlay missed: %#x", img[(DataStart+320)/WordSize])
 	}
-	if img[256/WordSize] != 0xdead {
-		t.Fatalf("overlay touched other line: %#x", img[256/WordSize])
+	if img[(DataStart+256)/WordSize] != 0xdead {
+		t.Fatalf("overlay touched other line: %#x", img[(DataStart+256)/WordSize])
 	}
 }

@@ -32,7 +32,9 @@ type BatchConfig struct {
 	// Puts is ignored: every flat mutation commits through its partition's
 	// committer. The field is still declared only because benchmark/ sets
 	// it, and a change may not edit benchmark/ alongside other code; the
-	// benchmark-only PR that stops setting it deletes it (ROADMAP item 4).
+	// benchmark-only PR that stops setting it deletes it together with
+	// MaxDelay, kv.Options.Shards and pmem.Config.VolatileAlloc — four dead
+	// fields wait for that one PR (ROADMAP item 3, step 1).
 	Puts bool
 	// MaxBatch is the most mutations coalesced into one commit (default 64).
 	MaxBatch int

@@ -3,6 +3,7 @@ package kv
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -10,14 +11,12 @@ import (
 	"rntree/internal/pmem"
 )
 
-// openWatched runs Open on one image with a watchdog: a panic or a hang is
-// reported as a test failure instead of taking the test binary down. It
-// returns Open's error and the arena's traffic counters when Open returned.
-func openWatched(t *testing.T, tag string, img []uint64) (pmem.Stats, error) {
+// watched runs open with a watchdog: a panic or a hang is reported as a test
+// failure instead of taking the test binary down.
+func watched(t *testing.T, tag string, open func() error) error {
 	t.Helper()
 	type result struct {
 		err      error
-		stats    pmem.Stats
 		panicked any
 	}
 	done := make(chan result, 1)
@@ -27,20 +26,35 @@ func openWatched(t *testing.T, tag string, img []uint64) (pmem.Stats, error) {
 			r.panicked = recover()
 			done <- r
 		}()
-		a := pmem.Recover(img, pmem.Config{})
-		_, r.err = OpenArenas([]*pmem.Arena{a}, Options{})
-		r.stats = a.Stats()
+		r.err = open()
 	}()
 	select {
 	case r := <-done:
 		if r.panicked != nil {
 			t.Fatalf("%s: Open panicked: %v", tag, r.panicked)
 		}
-		return r.stats, r.err
+		return r.err
 	case <-time.After(5 * time.Second):
 		t.Fatalf("%s: Open hung", tag)
-		return pmem.Stats{}, nil
+		return nil
 	}
+}
+
+// openWatched is OpenArenas on one rebooted image, watched. It returns Open's
+// error and the arena's traffic counters when Open returned.
+func openWatched(t *testing.T, tag string, img []uint64) (pmem.Stats, error) {
+	t.Helper()
+	var stats pmem.Stats
+	err := watched(t, tag, func() error {
+		a, err := pmem.Recover(img, pmem.Config{})
+		if err != nil {
+			return err
+		}
+		_, err = OpenArenas([]*pmem.Arena{a}, Options{})
+		stats = a.Stats()
+		return err
+	})
+	return stats, err
 }
 
 // TestOpenGarbageSuperblock: every word Open dereferences or trusts — the
@@ -158,6 +172,62 @@ func TestOpenGarbageSuperblock(t *testing.T) {
 		}
 		if err := s2.Put([]byte("after"), []byte("reopen")); err != nil {
 			t.Fatalf("state %d: put after reopen: %v", state, err)
+		}
+	}
+}
+
+// TestOpenGarbageTreePointers: the pointers the layers under kv follow on the
+// way in — the tree's head-leaf and undo-chain words, a leaf's next, the
+// forest superblock word, the heap's undo status — hold hostile values in
+// one image of a two-partition store. Open must answer ErrCorrupt (the heap's
+// own rejections are ErrBadHeap underneath): no panic in the arena's bounds
+// check, no leaf walk that never returns, and the images it was handed are
+// not written.
+func TestOpenGarbageTreePointers(t *testing.T) {
+	s, err := New(Options{ArenaSize: 1 << 20, ChunkSize: 512, Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("key-%03d", i)), []byte("some value bytes")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Root-line words 0, 1 and 6 (internal/core: head leaf, undo-chain head;
+	// internal/forest: superblock) and the undo line of the heap header.
+	const treeHeadOff, treeUndoOff, forestSbOff, heapUndoOff = 0, 8, 48, pmem.RootSize + 4*pmem.LineSize
+	leaf := s.parts[1].arena.Read8(treeHeadOff)
+	rows := []struct {
+		name   string
+		off, v uint64
+		heap   bool
+	}{
+		{"tree root head", treeHeadOff, 1 << 40, false},
+		{"tree root head", treeHeadOff, 12345, false},
+		{"tree undo-chain head", treeUndoOff, 1 << 40, false},
+		{"first leaf's next", leaf, 1 << 40, false},
+		{"first leaf's next", leaf, leaf, false},
+		{"forest superblock pointer", forestSbOff, 1 << 40, false},
+		{"heap undo status", heapUndoOff, 7, true},
+	}
+	imgs := s.Snapshot()
+	if _, err := Open(imgs, Options{}); err != nil {
+		t.Fatalf("pristine images: %v", err)
+	}
+	for _, r := range rows {
+		tag := fmt.Sprintf("%s = %#x", r.name, r.v)
+		in := [][]uint64{imgs[0], append([]uint64(nil), imgs[1]...)}
+		in[1][r.off/pmem.WordSize] = r.v
+		want := [][]uint64{imgs[0], append([]uint64(nil), in[1]...)}
+		err := watched(t, tag, func() error {
+			_, err := Open(in, Options{})
+			return err
+		})
+		if !errors.Is(err, ErrCorrupt) || errors.Is(err, pmem.ErrBadHeap) != r.heap {
+			t.Errorf("%s: Open returned %v, want ErrCorrupt (ErrBadHeap underneath: %v)", tag, err, r.heap)
+		}
+		if !reflect.DeepEqual(in, want) {
+			t.Errorf("%s: Open wrote to the images it was handed", tag)
 		}
 	}
 }

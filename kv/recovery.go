@@ -30,7 +30,11 @@ func Open(imgs [][]uint64, opts Options) (*Store, error) {
 	}
 	arenas := make([]*pmem.Arena, len(imgs))
 	for i, img := range imgs {
-		arenas[i] = pmem.Recover(img, pmem.Config{Latency: opts.FlushLatency})
+		a, err := pmem.Recover(img, pmem.Config{Latency: opts.FlushLatency})
+		if err != nil {
+			return nil, fmt.Errorf("%w: partition %d: %w", ErrCorrupt, i, err)
+		}
+		arenas[i] = a
 	}
 	return openPartitioned(arenas, opts)
 }
@@ -65,15 +69,10 @@ func (o Options) checkPartitions(images int) error {
 // then each partition's value-log state is rebuilt independently from its
 // own kv superblock.
 func openPartitioned(arenas []*pmem.Arena, opts Options) (*Store, error) {
-	for i, a := range arenas {
-		if err := requireHeap(a, i); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-	}
 	fopts := opts.forestOpts(len(arenas))
 	f, err := forest.OpenArenas(arenas, fopts)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	s := &Store{f: f, hash: Hash, parts: make([]kvPart, len(arenas))}
 	for i := range s.parts {
@@ -90,9 +89,8 @@ func openPartitioned(arenas []*pmem.Arena, opts Options) (*Store, error) {
 
 // openPart rebuilds one partition's value-log state from its persisted
 // superblock. Every offset read from the media is checked before it is
-// dereferenced — line-aligned, past the root line, and ending at or below
-// the heap's persisted allocation mark, which bounds every block the
-// allocator ever handed out — so a hostile image yields ErrCorrupt, never a
+// dereferenced — a block the allocator could have handed out
+// (pmem.Arena.Allocated) — so a hostile image yields ErrCorrupt, never a
 // panic or a hang.
 func openPart(p *kvPart, idx, parts int) error {
 	a := p.arena
@@ -103,11 +101,8 @@ func openPart(p *kvPart, idx, parts int) error {
 		return corrupt("%v", err)
 	}
 	limit := a.Bump()
-	allocated := func(off, size uint64) bool {
-		return off%pmem.LineSize == 0 && off >= pmem.RootSize && size <= limit && off <= limit-size
-	}
 	sb := a.Read8(rootStoreOff)
-	if !allocated(sb, sbSizeV4) {
+	if !a.Allocated(sb, sbSizeV4) {
 		return corrupt("store superblock pointer %#x", sb)
 	}
 	if magic := a.Read8(sb + sbMagicOff); magic != storeMagic {
@@ -130,7 +125,7 @@ func openPart(p *kvPart, idx, parts int) error {
 	if chunkSz < 2*pmem.LineSize || chunkSz%pmem.LineSize != 0 || chunkSz > limit {
 		return corrupt("chunk size %d", chunkSz)
 	}
-	if !allocated(head, pmem.LineSize) {
+	if !a.Allocated(head, pmem.LineSize) {
 		return corrupt("chain-head pointer %#x", head)
 	}
 	if r0, r1 := a.Read8(sb+sbReserved0Off), a.Read8(sb+sbReserved1Off); r0 != 0 || r1 != 0 {
@@ -143,7 +138,7 @@ func openPart(p *kvPart, idx, parts int) error {
 		return corrupt("arena belongs at position %d", got)
 	}
 	// The replication-state line (kv/repl.go) hangs off the root line too.
-	if r := a.Read8(rootReplOff); r != pmem.NullOff && !allocated(r, pmem.LineSize) {
+	if r := a.Read8(rootReplOff); r != pmem.NullOff && !a.Allocated(r, pmem.LineSize) {
 		return corrupt("replication-state pointer %#x", r)
 	}
 	p.sbOff, p.chunkSz, p.headOff = sb, chunkSz, head
@@ -151,7 +146,7 @@ func openPart(p *kvPart, idx, parts int) error {
 	// a walk that outlasts that budget is a cycle.
 	budget := limit / chunkSz
 	for c := a.Read8(head); c != pmem.NullOff; c = a.Read8(c + chunkNextOff) {
-		if !allocated(c, chunkSz) {
+		if !a.Allocated(c, chunkSz) {
 			return corrupt("chunk pointer %#x", c)
 		}
 		if budget == 0 {

@@ -164,8 +164,8 @@ const (
 // Options configure a Store.
 type Options struct {
 	// ArenaSize is the total initial simulated NVM capacity in bytes
-	// (default 512 MiB), split evenly across partitions. Heap-formatted
-	// partitions grow past their share on demand (see GrowSize).
+	// (default 512 MiB), split evenly across partitions.
+	// Partitions grow past their share on demand (see GrowSize).
 	ArenaSize uint64
 	// GrowSize is the size of each segment a partition heap appends when
 	// its committed space is exhausted (default: the partition's initial
@@ -184,7 +184,8 @@ type Options struct {
 	// benchmark/workloads.go sets it and benchmark/measure.go prints it, and
 	// a PR may not edit benchmark/ alongside other code; the benchmark-only
 	// follow-up that stops naming it deletes it together with
-	// server.BatchConfig.Puts/MaxDelay and pmem.Config.VolatileAlloc.
+	// server.BatchConfig.Puts/MaxDelay and pmem.Config.VolatileAlloc — four
+	// dead fields wait for that one PR (ROADMAP item 3, step 1).
 	Shards int
 	// Partitions hash-partitions the store into that many independent
 	// index-partition + value-log pairs (power of two), each with its own
@@ -362,23 +363,10 @@ func New(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// requireHeap rejects a partition arena without the persistent heap format:
-// the superblock's heap record and Open's bounds checks both lean on the
-// heap's persisted allocation mark.
-func requireHeap(a *pmem.Arena, idx int) error {
-	if !a.HeapFormatted() {
-		return fmt.Errorf("kv: partition %d: arena must be heap-formatted (at least 64 KiB per partition, GrowSize at least 4 KiB)", idx)
-	}
-	return nil
-}
-
 // initPart formats partition i's kv state: chain-head line, superblock, root
 // pointer, and the log's first chunk.
 func (s *Store) initPart(p *kvPart, idx int, opts Options) error {
 	a := p.arena
-	if err := requireHeap(a, idx); err != nil {
-		return err
-	}
 	sb, err := a.Alloc(sbSizeV4)
 	if err != nil {
 		return err
