@@ -73,7 +73,7 @@ servercheck:
 replcheck:
 	$(GO) test -race ./internal/repl/...
 	$(call run-tests,,./kv,Repl|CommitHook)
-	$(call run-tests,-race,./internal/server,Repl|Durable|Drain|Failover)
+	$(call run-tests,-race,./internal/server,Repl|Durable|Drain|Failover|AckAtDrain)
 	$(call run-tests,,./internal/fault,Repl|Failover|PrimaryKill|ReplicaKill|Promotion)
 
 # Heap gate: the persistent allocator's crash matrix (every allocator-
@@ -90,13 +90,15 @@ heapcheck:
 	$(call run-tests,,./internal/core,Corrupt)
 	$(call run-tests,,./internal/analysis,UndoLog)
 
-# Typed-object gate: the obj layer's unit tests (intent commit, TTL
-# masking, expirer-vs-compaction) under the race detector, the obj
-# crash-point explorer (every persist site of the multi-key commit and the
-# reap composite), the server-side verb/failover tests, and a short fuzz
-# smoke of the object request decoding on the committed seeds.
+# Typed-object gate: the obj layer's unit tests under the race detector —
+# all of them ("Test" selects every test), with the header-as-commit-point
+# ones named so a rename drops out loudly: composites cut between their
+# writes, the sweep against live writers, the reap of an object larger than
+# a chunk — the obj crash-point explorer (every persist site of the
+# composites and the reap), the server-side verb/failover tests, and a short
+# fuzz smoke of the object request decoding on the committed seeds.
 objcheck:
-	$(GO) test -race ./internal/obj/...
+	$(call run-tests,-race,./internal/obj,Test|Orphan|Sweep|ReapLarger)
 	$(call run-tests,,./internal/fault,ExploreObj)
 	$(call run-tests,-race,./internal/server,Obj)
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=3s

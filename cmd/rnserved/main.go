@@ -54,8 +54,6 @@ type config struct {
 
 	repl             bool
 	replicaOf        string
-	replAckEvery     int
-	replAckInterval  time.Duration
 	replDurableTmout time.Duration
 	replFenceLease   time.Duration
 
@@ -85,8 +83,6 @@ func parseFlags(args []string, errw io.Writer) (config, error) {
 	fs.DurationVar(&c.objExpireEvery, "obj-expire-interval", time.Second, "background TTL expirer cadence (requires -obj; 0 leaves reaping to lazy reads)")
 	fs.BoolVar(&c.repl, "repl", false, "enable replication (serve as primary; replicas may subscribe)")
 	fs.StringVar(&c.replicaOf, "replica-of", "", "run as a replica of the primary at this address (implies -repl)")
-	fs.IntVar(&c.replAckEvery, "repl-ack-every", 32, "replica acks after this many applied records")
-	fs.DurationVar(&c.replAckInterval, "repl-ack-interval", 20*time.Millisecond, "replica ack flush interval")
 	fs.DurationVar(&c.replDurableTmout, "repl-durable-timeout", 5*time.Second, "max wait for replica durability on a durable PUT")
 	fs.DurationVar(&c.replFenceLease, "repl-fence-lease", 0, "fence writes (read-only) after all replicas have been gone this long; 0 disables")
 	fs.IntVar(&c.maxConns, "max-conns", 256, "max concurrent connections")
@@ -180,11 +176,7 @@ func serve(cfg config, w *drain.Watcher, out io.Writer) error {
 		}
 		if node.Role() == repl.Replica && cfg.replicaOf != "" {
 			go func() {
-				if err := node.RunApplier(repl.ApplierConfig{
-					Addr:        cfg.replicaOf,
-					AckEvery:    cfg.replAckEvery,
-					AckInterval: cfg.replAckInterval,
-				}); err != nil {
+				if err := node.RunApplier(repl.ApplierConfig{Addr: cfg.replicaOf}); err != nil {
 					fmt.Fprintf(os.Stderr, "rnserved: applier: %v\n", err)
 				}
 			}()
@@ -192,7 +184,8 @@ func serve(cfg config, w *drain.Watcher, out io.Writer) error {
 	}
 
 	// Typed objects: the layer attaches read-only on a replica (expired keys
-	// are masked but never reaped; the primary's stream resolves intents) and
+	// are masked but never reaped or swept; the primary's stream carries every
+	// composite's header) and
 	// is flipped to primary mode by a PROMOTE. The server wires the cache
 	// invalidation and replication apply hooks itself.
 	var ost *obj.Store

@@ -744,13 +744,15 @@ func KVReopenWorkload() []Op {
 // typed-object layer target
 
 // ObjTarget drives the typed-object layer (internal/obj) over a kv.Store:
-// crash sites land inside the multi-record intent commits of HSET / SADD /
-// HDEL / SREM, inside EXPIRE's record write, and inside the expirer's reap
-// composite (driven synchronously through the injected clock). Recovery
-// re-attaches the layer — rolling any in-flight intent forward — and the
-// oracle checks OBJECT-level contents: a crash anywhere inside a composite
-// recovers to all-or-nothing, an expired key never resurrects, and every
-// header agrees exactly with its element records.
+// crash sites land inside and between the records of HSET / HDEL (field
+// record and header, the header being the commit point), inside the single
+// header write of SADD / SREM, inside EXPIRE's record write, and inside the
+// expirer's reap (a run of deletes ending with the expiry record, driven
+// synchronously through the injected clock). Recovery re-attaches the layer
+// — sweeping the records no header lists — and the oracle checks
+// OBJECT-level contents: a crash anywhere inside a composite recovers to
+// all-or-nothing, an expired key never resurrects, and every header agrees
+// exactly with the element records on media.
 type ObjTarget struct {
 	store *kv.Store
 	o     *obj.Store
@@ -760,10 +762,7 @@ type ObjTarget struct {
 func (t *ObjTarget) Name() string { return "obj" }
 
 func objKVOpts() kv.Options {
-	return kv.Options{
-		ArenaSize: 4 << 20,
-		ChunkSize: 1024, // room for reap intents (undo images of a whole object)
-	}
+	return kv.Options{ArenaSize: 4 << 20, ChunkSize: 1024}
 }
 
 // The op encoding: OpInsert is HSET on hash o<K/4> field f<K%4>; OpUpdate
@@ -856,12 +855,13 @@ func (t *ObjTarget) ApplyModel(m Model, op Op) {
 	}
 }
 
-// Recover reopens the store, re-attaches the object layer (which resolves
-// any in-flight intent) and rebuilds the model through the typed read API,
-// so expiry masking applies exactly as it would for a client. Structural
-// invariants are errors, not model entries: a surviving intent, a header
-// whose element list disagrees with the element records on media, or an
-// element record for a name with no header.
+// Recover reopens the store, re-attaches the object layer (which sweeps the
+// unlisted records) and rebuilds the model through the typed read API, so
+// expiry masking applies exactly as it would for a client. Structural
+// invariants are errors, not model entries: a hash header whose field list
+// disagrees with the field records on media, any element record under a set
+// (a set is its header) or under a name with no header, and a record of a
+// kind nothing writes.
 func (t *ObjTarget) Recover(imgs [][]uint64) (Model, error) {
 	s, err := kv.Open(imgs, objKVOpts())
 	if err != nil {
@@ -883,14 +883,15 @@ func (t *ObjTarget) Recover(imgs [][]uint64) (Model, error) {
 			return false
 		}
 		switch tag {
-		case 'I':
-			rerr = fmt.Errorf("obj recover: intent for %q survived re-attach", name)
-			return false
 		case 'H':
 			names[string(name)] = true
-		case 'h', 's':
+		case 'h':
 			names[string(name)] = true
 			elems[string(name)]++
+		case 'X':
+		default:
+			rerr = fmt.Errorf("obj recover: %q is a kind of record nothing writes", k)
+			return false
 		}
 		return true
 	})
@@ -912,7 +913,7 @@ func (t *ObjTarget) Recover(imgs [][]uint64) (Model, error) {
 			if merr != nil {
 				return nil, fmt.Errorf("obj recover: SMembers(%s): %v", name, merr)
 			}
-			listed = len(members)
+			listed = 0 // a set lists its members in the header and owns no other record
 			for _, m := range members {
 				got["s:"+name+":"+string(m)] = "1"
 			}
@@ -928,25 +929,25 @@ func (t *ObjTarget) Recover(imgs [][]uint64) (Model, error) {
 			}
 		}
 		if listed != elems[name] {
-			return nil, fmt.Errorf("obj recover: %s header lists %d elements, media holds %d",
+			return nil, fmt.Errorf("obj recover: %s owns %d field records by its header, media holds %d",
 				name, listed, elems[name])
 		}
 	}
 	return got, nil
 }
 
-// ObjWorkload covers every composite commit shape: fresh-field HSETs (two
-// hashes), single-record overwrites, SADDs (two sets), element removals
-// (header rewrite) including none that empty an object, then expire+reap of
-// one hash and one set — via the expirer's own tick — and a rebuild over
-// the reaped corpse, with compactions mixed through.
+// ObjWorkload covers every composite shape: fresh-field HSETs (two hashes),
+// single-record overwrites, SADDs (two sets), element removals that rewrite
+// the header and ones that empty the object (header delete first), then
+// expire+reap of one hash and one set — via the expirer's own tick — and a
+// rebuild over the reaped corpse, with compactions mixed through.
 func ObjWorkload() []Op {
 	var ops []Op
-	// Hashes o0 (f0..f3) and o1 (f0..f3): fresh-field intent commits.
+	// Hashes o0 (f0..f3) and o1 (f0..f3): field record, then header.
 	for i := uint64(0); i < 8; i++ {
 		ops = append(ops, Op{OpInsert, i, 100 + i})
 	}
-	// Overwrites: the no-intent single-record path.
+	// Overwrites: the single-record path.
 	ops = append(ops, Op{OpInsert, 0, 200}, Op{OpInsert, 5, 205})
 	// Sets t4 (f0..f3) and t5 (f0, f1).
 	for i := uint64(16); i < 22; i++ {
@@ -963,6 +964,8 @@ func ObjWorkload() []Op {
 		// Rebuild over the reaped corpse: must start fresh, not resurrect.
 		Op{OpInsert, 4, 300},
 		Op{Kind: OpCompact},
+		// o1 loses its only field: the object goes, header delete first.
+		Op{OpDelete, 4, objDelHashField},
 	)
 	return ops
 }

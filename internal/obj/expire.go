@@ -9,12 +9,14 @@ import (
 )
 
 // Background expirer (DESIGN.md §15.3). The DRAM index is a deadline map
-// plus a min-heap; each tick pops every due entry and reaps it through the
-// same intent-record commit as any composite write, so a crash mid-reap
-// recovers to "fully reaped" — an expired key can never resurrect, and the
-// heap space of its records is freed exactly once (by kv's compaction of
-// the delete tombstones, not by this layer). Replicas never reap: the
-// primary's reap ships as ordinary deletes on the LSN stream.
+// plus a min-heap; each tick pops every due entry and reaps it: a run of
+// single-record deletes, of any length, that ends with the expiry record.
+// The name is masked from the deadline on and stays masked until that last
+// delete, so a reap cut short anywhere — crash, full heap — shows nothing
+// and is simply run again; an expired key can never resurrect, and the heap
+// space of its records is freed exactly once (by kv's compaction of the
+// delete tombstones, not by this layer). Replicas never reap: the primary's
+// reap ships as ordinary deletes on the LSN stream.
 
 // expireLoop drives ExpireTick at the configured cadence until Close.
 func (o *Store) expireLoop(interval time.Duration) {
@@ -73,14 +75,15 @@ func (o *Store) ExpireTick() int {
 	}
 }
 
-// reapLocked removes one expired name — its expiry record, flat key, and
-// object records — as a single intent-committed composite. Caller holds the
-// name's stripe lock. Exactly-once: the persisted expiry record is the
-// reap's ground truth — whoever still sees it (and a passed deadline)
-// performs the reap; everyone else finds it gone and no-ops. Compaction
-// never deletes live records, so a partition compacting mid-reap only ever
-// relocates them; the delete tombstones this commit writes stay the newest
-// versions either way.
+// reapLocked removes one expired name: the flat key and the field records,
+// then the header, and the expiry record LAST. Caller holds the name's
+// stripe lock. The persisted expiry record is the reap's ground truth —
+// whoever still sees it (and a passed deadline) performs the reap, or
+// finishes the one a crash or an error interrupted (every delete tolerates
+// an absent key); everyone else finds it gone and no-ops, which is what
+// makes Reaps count each name once. Compaction never deletes live records,
+// so a partition compacting mid-reap only ever relocates them; the delete
+// tombstones written here stay the newest versions either way.
 func (o *Store) reapLocked(name []byte) error {
 	if !o.active.Load() {
 		return nil
@@ -99,28 +102,28 @@ func (o *Store) reapLocked(name []byte) error {
 			return nil
 		}
 	}
-	ops := []subOp{{kind: subDel, key: expiryKey(name)}}
-	if o.st.Has(name) {
-		ops = append(ops, subOp{kind: subDel, key: append([]byte(nil), name...)})
+	if err := o.del(name); err != nil {
+		return err
 	}
 	h, found, err := o.readHeader(name)
 	if err != nil {
 		return err
 	}
 	if found {
-		tag := byte(tagField)
-		if h.typ == TypeSet {
-			tag = tagMember
+		if h.typ == TypeHash {
+			for _, f := range h.elems {
+				if err := o.del(fieldKey(name, f)); err != nil {
+					return err
+				}
+			}
 		}
-		for _, e := range h.elems {
-			ops = append(ops, subOp{kind: subDel, key: subKey(tag, name, e)})
+		if err := o.del(headerKey(name)); err != nil {
+			return err
 		}
-		ops = append(ops, subOp{kind: subDel, key: headerKey(name)})
 	}
-	if err := o.commit(name, ops); err != nil {
+	if err := o.dropExpiry(name); err != nil {
 		return err
 	}
-	o.clearDeadline(name)
 	o.reaps.Add(1)
 	if fn := o.invalidate.Load(); fn != nil {
 		(*fn)(name)

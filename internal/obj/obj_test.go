@@ -2,6 +2,7 @@ package obj
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -35,22 +36,53 @@ func attach(t testing.TB, st *kv.Store, clk *fakeClock) *Store {
 	return o
 }
 
+// unlisted returns every record in the object namespace that the API does
+// not account for: a field record its header does not list, a set member
+// record (nothing writes those any more), a record of the retired log, an
+// expiry record under a name with neither flat key nor header.
+func unlisted(st *kv.Store) []string {
+	var out []string
+	st.Range(func(k, _ []byte) bool {
+		tag, name, ok := ParseInternalKey(k)
+		if !ok {
+			if IsInternalKey(k) {
+				out = append(out, string(k))
+			}
+			return true
+		}
+		switch tag {
+		case tagHeader:
+		case tagField:
+			hv, _ := st.Get(headerKey(name))
+			if !headerLists(hv, TypeHash, k[4+len(name):]) {
+				out = append(out, string(k))
+			}
+		case tagExpiry:
+			if !st.Has(name) && !st.Has(headerKey(name)) {
+				out = append(out, string(k))
+			}
+		default:
+			out = append(out, string(k))
+		}
+		return true
+	})
+	return out
+}
+
 // TestHSetPersistCount pins HSET's NVM cost in persist instructions, which
 // are exact where wall-clock numbers on a shared host are not: adding a
-// fresh field costs exactly its four single-record commits — intent, field,
-// header, intent tombstone — and overwriting a listed field exactly one
-// Put, each measured on a twin store running those commits bare.
+// fresh field costs exactly its TWO single-record commits — the field
+// record, then the header that lists it (the commit point; there is no
+// intent record before them and no tombstone after) — and overwriting a
+// listed field exactly one Put, each measured on a twin store running those
+// commits bare.
 func TestHSetPersistCount(t *testing.T) {
 	persists := func(st *kv.Store) uint64 { return st.Stats().Persists }
 	st, twin := newKV(t), newKV(t)
 	o := attach(t, st, &fakeClock{})
 	name, field := []byte("user:1"), []byte("name")
-	fk, hk, ik := subKey(tagField, name, field), headerKey(name), intentKey(name)
+	fk, hk := fieldKey(name, field), headerKey(name)
 	hv := header{typ: TypeHash, elems: [][]byte{field}}.encode()
-	intent := encodeIntent([]subOp{
-		{kind: subPut, key: fk, val: []byte("ada"), prevKind: subDel},
-		{kind: subPut, key: hk, val: hv, prevKind: subDel},
-	})
 
 	before := persists(st)
 	if err := o.HSet(name, field, []byte("ada")); err != nil {
@@ -58,13 +90,13 @@ func TestHSetPersistCount(t *testing.T) {
 	}
 	got := persists(st) - before
 	before = persists(twin)
-	for _, err := range []error{twin.Put(ik, intent), twin.Put(fk, []byte("ada")), twin.Put(hk, hv), twin.Delete(ik)} {
+	for _, err := range []error{twin.Put(fk, []byte("ada")), twin.Put(hk, hv)} {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	if want := persists(twin) - before; got != want {
-		t.Errorf("fresh-field HSET issued %d persists, its four single-record commits issue %d", got, want)
+		t.Errorf("fresh-field HSET issued %d persists, its two single-record commits issue %d", got, want)
 	}
 
 	before = persists(st)
@@ -125,13 +157,10 @@ func TestHashOps(t *testing.T) {
 	if err := o.HDel([]byte("user:1"), []byte("name")); err != kv.ErrNotFound {
 		t.Fatalf("HDel on absent object: %v", err)
 	}
-	// No intent record may survive a healthy run.
-	st.Range(func(k, _ []byte) bool {
-		if len(k) >= 2 && k[0] == NSByte && k[1] == tagIntent {
-			t.Fatalf("leaked intent record %q", k)
-		}
-		return true
-	})
+	// A healthy run leaves nothing for the sweep.
+	if u := unlisted(st); len(u) != 0 {
+		t.Fatalf("unlisted records after a healthy run: %q", u)
+	}
 }
 
 func TestSetOps(t *testing.T) {
@@ -161,6 +190,18 @@ func TestSetOps(t *testing.T) {
 	}
 	if ms, err = o.SMembers([]byte("absent")); err != nil || len(ms) != 0 {
 		t.Fatalf("SMembers absent = %v, %v", ms, err)
+	}
+	// A set is its header: two members left, one record on media.
+	if n := st.Len(); n != 1 {
+		t.Fatalf("set of two members holds %d records, want its header alone", n)
+	}
+	for _, m := range []string{"a", "c"} {
+		if err := o.SRem([]byte("tags"), []byte(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := st.Len(); n != 0 {
+		t.Fatalf("emptied set left %d records", n)
 	}
 }
 
@@ -273,54 +314,10 @@ func TestExpireTickReaps(t *testing.T) {
 	}
 }
 
-// TestIntentRollForward simulates a crash between a composite's commit
-// point and its completion: the intent record is durable, only a prefix of
-// its sub-ops applied. Attach must roll the whole composite forward.
-func TestIntentRollForward(t *testing.T) {
-	st := newKV(t)
-	clk := &fakeClock{}
-	o := attach(t, st, clk)
-
-	name := []byte("user:9")
-	h := header{typ: TypeHash, elems: [][]byte{[]byte("f")}}
-	ops := []subOp{
-		{kind: subPut, key: subKey(tagField, name, []byte("f")), val: []byte("v"), prevKind: subDel},
-		{kind: subPut, key: headerKey(name), val: h.encode(), prevKind: subDel},
-	}
-	if err := st.Put(intentKey(name), encodeIntent(ops)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(ops[0].key, ops[0].val); err != nil { // first sub-op only
-		t.Fatal(err)
-	}
-	o.Close()
-
-	st2, err := kv.Open(st.Snapshot(), kv.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o2, err := Attach(st2, Options{Clock: clk.fn()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o2.Close()
-	if o2.Stats().IntentsRolled != 1 {
-		t.Fatalf("IntentsRolled = %d", o2.Stats().IntentsRolled)
-	}
-	if v, err := o2.HGet(name, []byte("f")); err != nil || string(v) != "v" {
-		t.Fatalf("rolled-forward field = %q, %v", v, err)
-	}
-	if !st2.Has(headerKey(name)) {
-		t.Fatal("header not rolled forward")
-	}
-	if st2.Has(intentKey(name)) {
-		t.Fatal("intent survived recovery")
-	}
-}
-
-// TestOversizedCompositeFailsClean: when the composite's images outgrow the
-// store's record limit, the intent put itself is what fails — before the
-// commit point, so nothing changed and no rollback is needed.
+// TestOversizedCompositeFailsClean: when the header outgrows the store's
+// record limit, the composite's SECOND write is what fails. The field record
+// written first was never listed, so nothing changed for any reader, and the
+// failed HSET takes it back.
 func TestOversizedCompositeFailsClean(t *testing.T) {
 	st, err := kv.New(kv.Options{ArenaSize: 16 << 20, ChunkSize: 512})
 	if err != nil {
@@ -337,6 +334,9 @@ func TestOversizedCompositeFailsClean(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		f := []byte(fmt.Sprintf("field-%03d", i))
 		if err := o.HSet(name, f, []byte("v")); err != nil {
+			if !errors.Is(err, kv.ErrTooLarge) {
+				t.Fatalf("HSet %q: %v, want ErrTooLarge", f, err)
+			}
 			failed = f
 			break
 		}
@@ -347,74 +347,24 @@ func TestOversizedCompositeFailsClean(t *testing.T) {
 	if _, err := o.HGet(name, failed); err != kv.ErrNotFound {
 		t.Fatalf("failed composite left its field visible: %v", err)
 	}
-	h, found, err := o.readHeader(name)
-	if err != nil || !found {
-		t.Fatalf("header gone after failed composite: %v", err)
-	}
-	if h.index(failed) >= 0 {
-		t.Fatal("failed field listed in header")
+	fields, err := o.HKeys(name)
+	if err != nil || len(fields) == 0 {
+		t.Fatalf("header gone after failed composite: %d fields, %v", len(fields), err)
 	}
 	// Every field the header lists must still resolve.
-	for _, f := range h.elems {
+	for _, f := range fields {
+		if bytes.Equal(f, failed) {
+			t.Fatal("failed field listed in header")
+		}
 		if _, err := o.HGet(name, f); err != nil {
 			t.Fatalf("surviving field %q unreadable: %v", f, err)
 		}
 	}
-	if st.Has(intentKey(name)) {
-		t.Fatal("intent survived failed composite")
-	}
-}
-
-// TestSubOpFailureRollsBack exercises the undo path directly: a composite
-// whose last sub-op fails deterministically mid-apply (empty key) must
-// restore the applied prefix from the undo images and remove the intent.
-func TestSubOpFailureRollsBack(t *testing.T) {
-	st := newKV(t)
-	o := attach(t, st, &fakeClock{})
-
-	if err := st.Put([]byte("k1"), []byte("old")); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put([]byte("k2"), []byte("keep")); err != nil {
-		t.Fatal(err)
-	}
-	name := []byte("tx")
-	err := o.commit(name, []subOp{
-		{kind: subPut, key: []byte("k1"), val: []byte("new")},
-		{kind: subDel, key: []byte("k2")},
-		{kind: subPut, key: nil, val: []byte("boom")}, // ErrEmptyKey mid-apply
-	})
-	if err == nil {
-		t.Fatal("composite with invalid sub-op succeeded")
-	}
-	if v, _ := st.Get([]byte("k1")); string(v) != "old" {
-		t.Fatalf("k1 not rolled back: %q", v)
-	}
-	if v, _ := st.Get([]byte("k2")); string(v) != "keep" {
-		t.Fatalf("k2 not restored: %q", v)
-	}
-	if st.Has(intentKey(name)) {
-		t.Fatal("intent survived rollback")
+	if st.Has(fieldKey(name, failed)) {
+		t.Fatal("failed composite left its field record behind")
 	}
 	if o.Stats().IntentsUndone != 1 {
 		t.Fatalf("IntentsUndone = %d", o.Stats().IntentsUndone)
-	}
-	// The recovery-side fallback: the same unapplyable intent rolled back at
-	// resolve time instead of wedging recovery.
-	if err := st.Put(intentKey(name), encodeIntent([]subOp{
-		{kind: subPut, key: []byte("k1"), val: []byte("newer"), prevKind: subPut, prevVal: []byte("old")},
-		{kind: subPut, key: nil, val: []byte("boom"), prevKind: subDel},
-	})); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.resolveIntent(intentKey(name)); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := st.Get([]byte("k1")); string(v) != "old" {
-		t.Fatalf("recovery rollback left k1 = %q", v)
-	}
-	if st.Has(intentKey(name)) {
-		t.Fatal("intent survived recovery rollback")
 	}
 }
 
@@ -544,7 +494,7 @@ func TestExpirerVsCompactionRace(t *testing.T) {
 }
 
 // TestReplicaMasksButNeverReaps: a ReadOnly layer masks expired keys yet
-// leaves every record alone, and Activate rolls shipped intents forward.
+// leaves every record alone, and Activate sweeps what a failover cut short.
 func TestReplicaMasksButNeverReaps(t *testing.T) {
 	st := newKV(t)
 	clk := &fakeClock{}
@@ -577,21 +527,21 @@ func TestReplicaMasksButNeverReaps(t *testing.T) {
 	if !st.Has([]byte("k")) {
 		t.Fatal("replica deleted a record")
 	}
-	// A half-applied composite shipped before failover: Activate completes it.
+	// A composite the failover cut short — the field record shipped, the
+	// header that would list it did not: invisible while a replica, and
+	// Activate sweeps it.
 	name := []byte("mid")
-	h := header{typ: TypeHash, elems: [][]byte{[]byte("f")}}
-	ops := []subOp{
-		{kind: subPut, key: subKey(tagField, name, []byte("f")), val: []byte("v"), prevKind: subDel},
-		{kind: subPut, key: headerKey(name), val: h.encode(), prevKind: subDel},
-	}
-	if err := st.Put(intentKey(name), encodeIntent(ops)); err != nil {
+	if err := st.Put(fieldKey(name, []byte("f")), []byte("v")); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := o.HGet(name, []byte("f")); err != kv.ErrNotFound {
+		t.Fatalf("replica HGet of an unlisted field: %v", err)
 	}
 	if err := o.Activate(); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := o.HGet(name, []byte("f")); err != nil || string(v) != "v" {
-		t.Fatalf("post-Activate HGet = %q, %v", v, err)
+	if u := unlisted(st); len(u) != 0 {
+		t.Fatalf("Activate left unlisted records: %q", u)
 	}
 	if n := o.ExpireTick(); n != 1 { // now primary: the lapsed key reaps
 		t.Fatalf("post-Activate reap = %d", n)

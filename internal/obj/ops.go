@@ -9,15 +9,59 @@ import (
 // Typed operations. Writes stripe-lock on the object name so a composite
 // read-modify-write of the header cannot interleave with another writer or
 // a reap of the same object; reads are lock-free against kv (expiry masking
-// is a DRAM map lookup).
+// is a DRAM map lookup) and see a composite all-or-nothing, because the
+// header write that commits it is one kv record.
 
-// memberMark is the value stored under a set-member record — presence is
-// the payload.
-var memberMark = []byte{1}
+// del deletes key; an absent key is fine — the step already ran (a re-run
+// reap, a cleanup the sweep got to first).
+func (o *Store) del(key []byte) error {
+	if err := o.st.Delete(key); err != nil && err != kv.ErrNotFound {
+		return err
+	}
+	return nil
+}
+
+// dropExpiry removes name's expiry record and its DRAM deadline.
+func (o *Store) dropExpiry(name []byte) error {
+	if err := o.del(expiryKey(name)); err != nil {
+		return err
+	}
+	o.clearDeadline(name)
+	return nil
+}
+
+// open is the head of every typed write, under name's stripe lock: reap the
+// expired corpse if there is one, then read the header. A first write
+// (found=false) starts from an empty object of type typ — after dropping an
+// unexpired expiry record still under the absent name (the tail of a removal
+// cut short after its header delete), so the new object does not inherit the
+// old one's deadline.
+func (o *Store) open(name []byte, typ byte) (h header, found bool, err error) {
+	if !o.alive(name) {
+		if err := o.reapLocked(name); err != nil {
+			return h, false, err
+		}
+	}
+	h, found, err = o.readHeader(name)
+	switch {
+	case err != nil:
+		return h, false, err
+	case found && h.typ != typ:
+		return h, true, ErrWrongType
+	case found:
+		return h, true, nil
+	}
+	if o.hasDeadline(name) && !o.st.Has(name) {
+		if err := o.dropExpiry(name); err != nil {
+			return h, false, err
+		}
+	}
+	return header{typ: typ}, false, nil
+}
 
 // HSet writes field=val on hash name, creating the object if absent. A new
-// field commits the header update and the field record atomically through
-// an intent record; overwriting an existing field is a single-record commit.
+// field is two commits — the field record, then the header that lists it,
+// which is the commit point; overwriting a listed field is one.
 func (o *Store) HSet(name, field, val []byte) error {
 	if err := checkName(name); err != nil {
 		return err
@@ -28,34 +72,31 @@ func (o *Store) HSet(name, field, val []byte) error {
 	mu := o.lockFor(name)
 	mu.Lock()
 	defer mu.Unlock()
-	if !o.alive(name) {
-		if err := o.reapLocked(name); err != nil {
-			return err
-		}
-	}
-	h, found, err := o.readHeader(name)
+	h, _, err := o.open(name, TypeHash)
 	if err != nil {
 		return err
 	}
-	if !found {
-		h = header{typ: TypeHash}
-	} else if h.typ != TypeHash {
-		return ErrWrongType
-	}
-	fk := subKey(tagField, name, field)
-	if h.index(field) >= 0 {
-		// Field already listed: the header is unchanged, so the overwrite
-		// is atomic on its own — no intent needed.
-		return o.st.Put(fk, val)
+	fk := fieldKey(name, field)
+	listed := h.index(field) >= 0
+	if err := o.st.Put(fk, val); err != nil || listed {
+		// Overwriting a listed field leaves the header alone, so that one
+		// record is the whole update.
+		return err
 	}
 	h.elems = append(h.elems, field)
-	return o.commit(name, []subOp{
-		{kind: subPut, key: fk, val: val},
-		{kind: subPut, key: headerKey(name), val: h.encode()},
-	})
+	if err := o.st.Put(headerKey(name), h.encode()); err != nil {
+		// The field never got listed, so no reader can have seen it. Take
+		// the record back; if that fails too it stays invisible garbage
+		// for the sweep, and err is the failure the caller must hear about.
+		_ = o.st.Delete(fk)
+		o.intentsUndone.Add(1)
+		return err
+	}
+	return nil
 }
 
-// HGet reads field from hash name.
+// HGet reads field from hash name. The header is read first: a record it
+// does not list is not part of the object, whatever is on media.
 func (o *Store) HGet(name, field []byte) ([]byte, error) {
 	if err := checkName(name); err != nil {
 		return nil, err
@@ -66,7 +107,14 @@ func (o *Store) HGet(name, field []byte) ([]byte, error) {
 	if !o.alive(name) {
 		return nil, kv.ErrNotFound
 	}
-	return o.st.Get(subKey(tagField, name, field))
+	hv, err := o.st.Get(headerKey(name))
+	if err != nil {
+		return nil, err
+	}
+	if !headerLists(hv, TypeHash, field) {
+		return nil, kv.ErrNotFound
+	}
+	return o.st.Get(fieldKey(name, field))
 }
 
 // HDel removes field from hash name; deleting the last field removes the
@@ -78,11 +126,11 @@ func (o *Store) HDel(name, field []byte) error {
 	if err := checkName(field); err != nil {
 		return err
 	}
-	return o.removeElem(name, field, TypeHash, tagField)
+	return o.removeElem(name, field, TypeHash)
 }
 
-// SAdd adds member to set name, creating the object if absent. A repeated
-// add is a no-op.
+// SAdd adds member to set name, creating the object if absent: one header
+// write. A repeated add is a no-op.
 func (o *Store) SAdd(name, member []byte) error {
 	if err := checkName(name); err != nil {
 		return err
@@ -93,28 +141,12 @@ func (o *Store) SAdd(name, member []byte) error {
 	mu := o.lockFor(name)
 	mu.Lock()
 	defer mu.Unlock()
-	if !o.alive(name) {
-		if err := o.reapLocked(name); err != nil {
-			return err
-		}
-	}
-	h, found, err := o.readHeader(name)
-	if err != nil {
+	h, _, err := o.open(name, TypeSet)
+	if err != nil || h.index(member) >= 0 {
 		return err
 	}
-	if !found {
-		h = header{typ: TypeSet}
-	} else if h.typ != TypeSet {
-		return ErrWrongType
-	}
-	if h.index(member) >= 0 {
-		return nil
-	}
 	h.elems = append(h.elems, member)
-	return o.commit(name, []subOp{
-		{kind: subPut, key: subKey(tagMember, name, member), val: memberMark},
-		{kind: subPut, key: headerKey(name), val: h.encode()},
-	})
+	return o.st.Put(headerKey(name), h.encode())
 }
 
 // SRem removes member from set name; removing the last member removes the
@@ -126,38 +158,18 @@ func (o *Store) SRem(name, member []byte) error {
 	if err := checkName(member); err != nil {
 		return err
 	}
-	return o.removeElem(name, member, TypeSet, tagMember)
+	return o.removeElem(name, member, TypeSet)
 }
 
 // SMembers lists set name's members. An absent (or expired) set is an
 // empty list, Redis-style.
-func (o *Store) SMembers(name []byte) ([][]byte, error) {
-	if err := checkName(name); err != nil {
-		return nil, err
-	}
-	if !o.alive(name) {
-		return nil, nil
-	}
-	h, found, err := o.readHeader(name)
-	if err != nil {
-		return nil, err
-	}
-	if !found {
-		return nil, nil
-	}
-	if h.typ != TypeSet {
-		return nil, ErrWrongType
-	}
-	out := make([][]byte, len(h.elems))
-	for i, e := range h.elems {
-		out[i] = append([]byte(nil), e...)
-	}
-	return out, nil
-}
+func (o *Store) SMembers(name []byte) ([][]byte, error) { return o.list(name, TypeSet) }
 
 // HKeys lists hash name's field names, SMembers-style: an absent (or
 // expired) hash is an empty list.
-func (o *Store) HKeys(name []byte) ([][]byte, error) {
+func (o *Store) HKeys(name []byte) ([][]byte, error) { return o.list(name, TypeHash) }
+
+func (o *Store) list(name []byte, typ byte) ([][]byte, error) {
 	if err := checkName(name); err != nil {
 		return nil, err
 	}
@@ -165,71 +177,51 @@ func (o *Store) HKeys(name []byte) ([][]byte, error) {
 		return nil, nil
 	}
 	h, found, err := o.readHeader(name)
-	if err != nil {
+	if err != nil || !found {
 		return nil, err
 	}
-	if !found {
-		return nil, nil
-	}
-	if h.typ != TypeHash {
+	if h.typ != typ {
 		return nil, ErrWrongType
 	}
-	out := make([][]byte, len(h.elems))
-	for i, e := range h.elems {
-		out[i] = append([]byte(nil), e...)
-	}
-	return out, nil
+	// The elements alias the one buffer kv.Get copied the header into.
+	return h.elems, nil
 }
 
-// removeElem is the shared HDel/SRem composite: drop elem from the header
-// and delete its record, atomically; the last element deletes the object.
-func (o *Store) removeElem(name, elem []byte, typ, tag byte) error {
+// removeElem is the shared HDel/SRem composite. The header write commits
+// it — rewritten without elem, or deleted when elem was the last — and the
+// field record (hashes only) and an object-only TTL go after it: an error
+// from those trailing deletes reports a removal that has already taken
+// effect and left garbage for the sweep.
+func (o *Store) removeElem(name, elem []byte, typ byte) error {
 	mu := o.lockFor(name)
 	mu.Lock()
 	defer mu.Unlock()
-	if !o.alive(name) {
-		if err := o.reapLocked(name); err != nil {
-			return err
-		}
-		return kv.ErrNotFound
-	}
-	h, found, err := o.readHeader(name)
+	h, found, err := o.open(name, typ)
 	if err != nil {
 		return err
 	}
-	if !found {
-		return kv.ErrNotFound
-	}
-	if h.typ != typ {
-		return ErrWrongType
-	}
 	i := h.index(elem)
-	if i < 0 {
+	if !found || i < 0 {
 		return kv.ErrNotFound
 	}
 	h.elems = append(h.elems[:i], h.elems[i+1:]...)
-	ops := []subOp{{kind: subDel, key: subKey(tag, name, elem)}}
-	hadTTL := false
-	if len(h.elems) == 0 {
-		ops = append(ops, subOp{kind: subDel, key: headerKey(name)})
-		o.mu.RLock()
-		_, hadTTL = o.exp[string(name)]
-		o.mu.RUnlock()
-		if hadTTL && !o.st.Has(name) {
-			// The TTL belonged to the object alone (no flat key shares the
-			// name): it goes with it.
-			ops = append(ops, subOp{kind: subDel, key: expiryKey(name)})
-		} else {
-			hadTTL = false
-		}
+	if len(h.elems) > 0 {
+		err = o.st.Put(headerKey(name), h.encode())
 	} else {
-		ops = append(ops, subOp{kind: subPut, key: headerKey(name), val: h.encode()})
+		err = o.st.Delete(headerKey(name))
 	}
-	if err := o.commit(name, ops); err != nil {
+	if err != nil {
 		return err
 	}
-	if hadTTL {
-		o.clearDeadline(name)
+	if typ == TypeHash {
+		if err := o.del(fieldKey(name, elem)); err != nil {
+			return err
+		}
+	}
+	if len(h.elems) == 0 && o.hasDeadline(name) && !o.st.Has(name) {
+		// The TTL belonged to the object alone (no flat key shares the
+		// name): it goes with it.
+		return o.dropExpiry(name)
 	}
 	return nil
 }
@@ -283,16 +275,18 @@ func (o *Store) TTL(name []byte) (int64, error) {
 	o.mu.RLock()
 	d, ok := o.exp[string(name)]
 	o.mu.RUnlock()
-	if !ok {
-		if !o.exists(name) {
-			return 0, kv.ErrNotFound
-		}
-		return -1, nil
-	}
 	rem := d - o.opts.Clock()
-	if rem <= 0 {
+	if ok && rem <= 0 {
 		o.lazyExpiries.Add(1)
 		return 0, kv.ErrNotFound
+	}
+	// A deadline counts only while its name exists: an expiry record that
+	// outlived its object is garbage, not a TTL.
+	if !o.exists(name) {
+		return 0, kv.ErrNotFound
+	}
+	if !ok {
+		return -1, nil
 	}
 	return rem, nil
 }
@@ -315,15 +309,8 @@ func (o *Store) Persist(name []byte) error {
 	if !o.exists(name) {
 		return kv.ErrNotFound
 	}
-	o.mu.RLock()
-	_, hadTTL := o.exp[string(name)]
-	o.mu.RUnlock()
-	if !hadTTL {
+	if !o.hasDeadline(name) {
 		return nil
 	}
-	if err := o.st.Delete(expiryKey(name)); err != nil && err != kv.ErrNotFound {
-		return err
-	}
-	o.clearDeadline(name)
-	return nil
+	return o.dropExpiry(name)
 }

@@ -20,12 +20,6 @@ type ApplierConfig struct {
 	// (defaults 10ms and 500ms).
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// AckEvery acks after this many applied records (default 32); an ack
-	// also goes out every AckInterval (default 20ms) when records applied
-	// since the last one — so durable-ack PUT latency on the primary is
-	// bounded even at low write rates.
-	AckEvery    int
-	AckInterval time.Duration
 }
 
 func (c *ApplierConfig) normalize() {
@@ -38,17 +32,15 @@ func (c *ApplierConfig) normalize() {
 	if c.RetryMax <= 0 {
 		c.RetryMax = 500 * time.Millisecond
 	}
-	if c.AckEvery <= 0 {
-		c.AckEvery = 32
-	}
-	if c.AckInterval <= 0 {
-		c.AckInterval = 20 * time.Millisecond
-	}
 }
 
 // RunApplier runs the replica side of the replication stream: dial the
 // primary, handshake (HELLO: roles and epochs), subscribe from this store's
-// durable per-partition watermarks, then apply and ack the record stream.
+// durable per-partition watermarks, then apply the record stream and ack —
+// the cumulative watermark vector — whenever the inbound stream drains: the
+// burst the last read returned is applied and persisted and nothing more is
+// buffered. A lone record is acked at once, a burst once, and the 64 KiB
+// reader bounds how far an ack can trail; there is no ack counter or timer.
 // Connection loss reconnects with jittered backoff and resubscribes from
 // the durable watermarks — records shipped twice are skipped by ReplApply's
 // LSN idempotency, so crash-reconnect loses nothing and duplicates nothing.
@@ -133,19 +125,13 @@ func (n *Node) applyStream(cfg ApplierConfig, stopc <-chan struct{}) error {
 	}()
 
 	br := bufio.NewReaderSize(c, 64<<10)
-	var wMu sync.Mutex // serializes handshake writes and the ack flusher
-	bw := bufio.NewWriterSize(c, 16<<10)
-	writeReq := func(req wire.Request) error {
-		wMu.Lock()
-		defer wMu.Unlock()
-		frame, err := wire.AppendRequest(nil, req)
-		if err != nil {
+	var frame []byte
+	writeReq := func(req wire.Request) (err error) {
+		if frame, err = wire.AppendRequest(frame[:0], req); err != nil {
 			return err
 		}
-		if _, err := bw.Write(frame); err != nil {
-			return err
-		}
-		return bw.Flush()
+		_, err = c.Write(frame)
+		return err
 	}
 	readResp := func(buf []byte) (wire.Response, []byte, error) {
 		payload, err := wire.ReadFrame(br, buf)
@@ -194,41 +180,10 @@ func (n *Node) applyStream(cfg ApplierConfig, stopc <-chan struct{}) error {
 		return fmt.Errorf("repl: subscribe rejected: status %d: %s", resp.Status, resp.Msg)
 	}
 
-	// Ack state, shared with the periodic flusher. ackv holds the durable
-	// watermarks (ReplApply returned ⇒ applied and persisted).
-	var ackMu sync.Mutex
+	// ackv holds the durable watermarks (ReplApply returned ⇒ applied and
+	// persisted).
 	ackv := n.st.ReplLSNs()
-	pending := 0
-	ackSeq := uint64(3)
-	flushAcks := func() error {
-		ackMu.Lock()
-		if pending == 0 {
-			ackMu.Unlock()
-			return nil
-		}
-		pending = 0
-		ackSeq++
-		req := wire.Request{ID: ackSeq, Op: wire.OpReplAck, ReplLSNs: append([]uint64(nil), ackv...)}
-		ackMu.Unlock()
-		return writeReq(req)
-	}
-	flusherDone := make(chan struct{})
-	go func() {
-		defer close(flusherDone)
-		tick := time.NewTicker(cfg.AckInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-closed:
-				return
-			case <-tick.C:
-				if flushAcks() != nil {
-					return
-				}
-			}
-		}
-	}()
-
+	ackSeq := uint64(2)
 	for {
 		resp, buf, err = readResp(buf)
 		if err != nil {
@@ -253,15 +208,12 @@ func (n *Node) applyStream(cfg ApplierConfig, stopc <-chan struct{}) error {
 		if hook := n.applyHook.Load(); hook != nil {
 			(*hook)(resp.ReplKind, resp.Key, resp.Val)
 		}
-		ackMu.Lock()
 		if resp.ReplLSN > ackv[part] {
 			ackv[part] = resp.ReplLSN
 		}
-		pending++
-		full := pending >= cfg.AckEvery
-		ackMu.Unlock()
-		if full {
-			if err := flushAcks(); err != nil {
+		if br.Buffered() == 0 {
+			ackSeq++
+			if err := writeReq(wire.Request{ID: ackSeq, Op: wire.OpReplAck, ReplLSNs: ackv}); err != nil {
 				return err
 			}
 		}

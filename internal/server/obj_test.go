@@ -209,7 +209,8 @@ func TestObjWriteInvalidatesCache(t *testing.T) {
 // objects: composite records ride the per-partition LSN stream, and a
 // failover at ANY acked point — here a hard primary kill under a stream of
 // HSETs — never leaves the promoted replica serving a half-applied object.
-// Promotion resolves shipped-but-unfinished intents before the first write.
+// A field record whose header never shipped is invisible to every reader, and
+// promotion sweeps it — under live writers, so per name and under its lock.
 func TestObjFailoverMidComposite(t *testing.T) {
 	pst, err := kv.New(replKVOpts())
 	if err != nil {
@@ -249,11 +250,7 @@ func TestObjFailoverMidComposite(t *testing.T) {
 	t.Cleanup(rNode.Close)
 	applierDone := make(chan error, 1)
 	go func() {
-		applierDone <- rNode.RunApplier(repl.ApplierConfig{
-			Addr:        pln.Addr().String(),
-			AckEvery:    1,
-			AckInterval: time.Millisecond,
-		})
+		applierDone <- rNode.RunApplier(repl.ApplierConfig{Addr: pln.Addr().String()})
 	}()
 
 	fo, err := client.DialFailover([]string{pln.Addr().String(), rAddr}, client.Options{
@@ -315,8 +312,7 @@ func TestObjFailoverMidComposite(t *testing.T) {
 		t.Fatal("promotion did not activate the object layer")
 	}
 
-	// The promoted store must hold NO unresolved intents and a perfectly
-	// consistent object graph: every field a header lists has its record,
+	// The promoted store must hold a perfectly consistent object graph: every field a header lists has its record,
 	// every field record is listed by its header.
 	headers := map[string][]string{} // name → fields
 	fields := map[string][]string{}
@@ -325,8 +321,6 @@ func TestObjFailoverMidComposite(t *testing.T) {
 			return true
 		}
 		switch k[1] {
-		case 'I':
-			t.Errorf("unresolved intent for %q on promoted replica", k[2:])
 		case 'H':
 			name := string(k[2:])
 			// Header layout: [type][u32 count][(u16 len + elem)*].
@@ -420,9 +414,7 @@ func TestFailoverRetriesFencedPrimary(t *testing.T) {
 	applierDone := make(chan error, 1)
 	go func() {
 		time.Sleep(150 * time.Millisecond)
-		applierDone <- rNode.RunApplier(repl.ApplierConfig{
-			Addr: pAddr, AckEvery: 1, AckInterval: time.Millisecond,
-		})
+		applierDone <- rNode.RunApplier(repl.ApplierConfig{Addr: pAddr})
 	}()
 	t.Cleanup(func() {
 		rNode.Close()

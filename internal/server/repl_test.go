@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -45,11 +46,7 @@ func startReplPair(t *testing.T, pcfg, rcfg Config) (pNode, rNode *repl.Node, pA
 
 	applierDone := make(chan error, 1)
 	go func() {
-		applierDone <- rNode.RunApplier(repl.ApplierConfig{
-			Addr:        pAddr,
-			AckEvery:    4,
-			AckInterval: 2 * time.Millisecond,
-		})
+		applierDone <- rNode.RunApplier(repl.ApplierConfig{Addr: pAddr})
 	}()
 	t.Cleanup(func() {
 		rNode.Close()
@@ -240,6 +237,33 @@ func TestDurablePutPersistCount(t *testing.T) {
 	}
 }
 
+// TestAckAtDrain: the replica acks whenever its inbound stream drains, so on
+// an otherwise idle pair — default ApplierConfig, one record in flight at a
+// time, the worst case for any count- or timer-driven cadence — every
+// durable PUT comes back with its own ack and at network speed. (With acks
+// every 32 records or 20 ms, each of these waited out the timer.)
+func TestAckAtDrain(t *testing.T) {
+	pNode, _, pAddr, _ := startReplPair(t, Config{}, Config{})
+	c := dial(t, pAddr, client.Options{})
+	const n = 21
+	var lat [n]time.Duration
+	for i := range lat {
+		acks := pNode.NodeStats().Acks
+		start := time.Now()
+		if err := c.PutDurable([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+			t.Fatalf("PutDurable %d: %v", i, err)
+		}
+		lat[i] = time.Since(start)
+		if got := pNode.NodeStats().Acks; got <= acks {
+			t.Fatalf("durable PUT %d returned with Acks still %d", i, got)
+		}
+	}
+	slices.Sort(lat[:])
+	if med := lat[n/2]; med > 10*time.Millisecond {
+		t.Errorf("median lone durable PUT took %v: something is pacing the acks", med)
+	}
+}
+
 // Without a replica connected, a durable PUT commits locally but reports
 // the replication-lag error — the acks=all timeout contract.
 func TestDurablePutTimesOutWithoutReplica(t *testing.T) {
@@ -327,11 +351,7 @@ func TestDrainFlushesShipStream(t *testing.T) {
 	}
 	applierDone := make(chan error, 1)
 	go func() {
-		applierDone <- rNode.RunApplier(repl.ApplierConfig{
-			Addr:        ln.Addr().String(),
-			AckEvery:    8,
-			AckInterval: 2 * time.Millisecond,
-		})
+		applierDone <- rNode.RunApplier(repl.ApplierConfig{Addr: ln.Addr().String()})
 	}()
 
 	// Pump writes and shut down immediately, with the ship stream almost
@@ -405,11 +425,7 @@ func TestClientFailover(t *testing.T) {
 	t.Cleanup(rNode.Close)
 	applierDone := make(chan error, 1)
 	go func() {
-		applierDone <- rNode.RunApplier(repl.ApplierConfig{
-			Addr:        pln.Addr().String(),
-			AckEvery:    4,
-			AckInterval: 2 * time.Millisecond,
-		})
+		applierDone <- rNode.RunApplier(repl.ApplierConfig{Addr: pln.Addr().String()})
 	}()
 
 	fo, err := client.DialFailover([]string{pln.Addr().String(), rAddr}, client.Options{
@@ -535,9 +551,7 @@ func TestFenceLeaseRejectsWrites(t *testing.T) {
 	}
 	applierDone := make(chan error, 1)
 	go func() {
-		applierDone <- rNode.RunApplier(repl.ApplierConfig{
-			Addr: pAddr, AckEvery: 1, AckInterval: time.Millisecond,
-		})
+		applierDone <- rNode.RunApplier(repl.ApplierConfig{Addr: pAddr})
 	}()
 	defer func() {
 		rNode.Close()

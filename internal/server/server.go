@@ -502,7 +502,6 @@ func (s *Server) counters() []wire.Counter {
 		out = append(out,
 			wire.Counter{Name: "obj_reaps", Val: sv.Obj.Reaps},
 			wire.Counter{Name: "obj_lazy_expiries", Val: sv.Obj.LazyExpiries},
-			wire.Counter{Name: "obj_intents_rolled", Val: sv.Obj.IntentsRolled},
 			wire.Counter{Name: "obj_intents_undone", Val: sv.Obj.IntentsUndone},
 		)
 	}
@@ -1064,9 +1063,10 @@ func (cn *conn) handle(j job) {
 	case wire.OpPromote:
 		cn.handlePromote(req, &resp)
 		if resp.Status == wire.StatusOK && cn.s.obj != nil {
-			// A freshly promoted primary rolls any intents the stream
-			// shipped-but-never-resolved forward BEFORE serving writes, so a
-			// failover mid-composite never exposes a half-applied object.
+			// A freshly promoted primary sweeps the records a composite cut
+			// short by the failover left unlisted. The role has already
+			// flipped, so writes on other connections overlap the sweep —
+			// it locks per name; readers never saw those records anyway.
 			if err := cn.s.obj.Activate(); err != nil {
 				resp.Status, resp.Msg = wire.StatusErr, err.Error()
 			}
