@@ -1,9 +1,9 @@
 # Tier-1 verification and the race gate for the concurrent kv/tree paths.
 GO ?= go
 
-.PHONY: check build vet test lint lint-fixtures race bench-kv bench-heap faultcheck faultshort servercheck replcheck heapcheck objcheck benchcheck benchpair fuzz-wire
+.PHONY: check build vet test lint lint-fixtures race bench-kv bench-heap faultcheck faultshort servercheck replcheck heapcheck objcheck stallcheck benchcheck benchpair fuzz-wire
 
-check: build vet lint test faultshort servercheck replcheck heapcheck objcheck benchcheck
+check: build vet lint test faultshort servercheck replcheck heapcheck objcheck stallcheck benchcheck
 
 # $(call run-tests,<go test flags>,<package>,<alt1|alt2|...>) is `go test
 # -run` that fails when any alternative of the pattern selects no test:
@@ -102,6 +102,13 @@ objcheck:
 	$(call run-tests,,./internal/fault,ExploreObj)
 	$(call run-tests,-race,./internal/server,Obj)
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=3s
+
+# Stall-engine gate: pmem's timing-adjacent tests (a persist never returns
+# before its modeled time, a sub-pollTail stall never yields, drain lanes
+# overlap and queue, Persist and PersistStream are charged alike, SetLatency
+# under a persister) must hold twenty times running — a flake is a bug.
+stallcheck:
+	$(call run-tests,-count=20,./internal/pmem,Stall|Latency|PersistStream|Drain)
 
 # The gating benchmark is a Go module of its own (benchmark/go.mod), so
 # build/vet/test/lint above never see it: vet, test and rnvet it through

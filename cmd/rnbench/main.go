@@ -5,6 +5,7 @@
 //
 //	rnbench -exp fig8 -scale 200000 -duration 300ms
 //	rnbench -exp all -scale 1000000 -out results.txt
+//	rnbench -exp fig8 -cpuprofile cpu.prof    (then: go tool pprof -top cpu.prof)
 //
 // Experiments: table1, fig4, fig5, fig6, fig7, fig8, fig9, fig10, and beyond
 // the paper kvscale (kv-layer Put thread sweep, 8 partitions vs one value
@@ -22,6 +23,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -42,6 +44,7 @@ func main() {
 		faultMax = flag.Int("fault-sites", 0, "faultmatrix: max crash sites replayed per target (0 = exhaustive)")
 		out      = flag.String("out", "", "also write results to this file")
 		format   = flag.String("format", "table", "output format: table or csv")
+		cpuProf  = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the selected experiments to this file")
 	)
 	flag.Parse()
 
@@ -106,6 +109,23 @@ func main() {
 		fmt.Fprintf(w, "(%s took %v)\n\n", id, time.Since(t0).Round(time.Millisecond))
 	}
 
+	// The profile wraps the experiments and nothing else, and is closed
+	// before the exit status is decided (os.Exit runs no defers).
+	stopProfile := func() {}
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rnbench: -cpuprofile: %v\n", err)
+			os.Exit(1)
+		}
+		stopProfile = func() {
+			pprof.StopCPUProfile()
+			f.Close()
+		}
+	}
 	if *exp == "all" {
 		for _, id := range bench.ExperimentIDs() {
 			run(id)
@@ -115,6 +135,7 @@ func main() {
 			run(strings.TrimSpace(id))
 		}
 	}
+	stopProfile()
 	if failed {
 		fmt.Fprintln(os.Stderr, "rnbench: FAIL: durability violations found (see VIOLATION notes above)")
 		os.Exit(1)

@@ -15,6 +15,7 @@
 //	         [-repl] [-replica-of addr] [-repl-durable-timeout 5s] [-repl-fence-lease 0]
 //	         [-max-conns 256] [-max-inflight 64] [-max-global 1024]
 //	         [-idle-timeout 2m] [-flush-ns 0] [-fence-ns 0]
+//	         [-debug-addr host:port]
 package main
 
 import (
@@ -23,6 +24,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -65,6 +68,8 @@ type config struct {
 	flushNs, fenceNs int64
 
 	drainTimeout time.Duration
+
+	debugAddr string
 }
 
 func parseFlags(args []string, errw io.Writer) (config, error) {
@@ -92,6 +97,7 @@ func parseFlags(args []string, errw io.Writer) (config, error) {
 	fs.Int64Var(&c.flushNs, "flush-ns", 0, "simulated per-line flush latency (ns)")
 	fs.Int64Var(&c.fenceNs, "fence-ns", 0, "simulated per-persist fence latency (ns)")
 	fs.DurationVar(&c.drainTimeout, "drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
+	fs.StringVar(&c.debugAddr, "debug-addr", "", "serve net/http/pprof under /debug/pprof/ on this address, a listener of its own; empty disables")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
@@ -226,6 +232,27 @@ func serve(cfg config, w *drain.Watcher, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "rnserved: serving on %s (partitions=%d arena=%dMiB batch-max=%d cache=%v obj=%v repl=%s)\n",
 		ln.Addr(), cfg.partitions, cfg.arenaMB, cfg.batchMax, cfg.cache, cfg.obj, replDesc)
+
+	if cfg.debugAddr != "" {
+		// The profile endpoint gets a listener and a mux of its own: the KV
+		// port speaks only the wire protocol, and nothing else this process
+		// may register on http.DefaultServeMux is exposed with it.
+		dln, err := net.Listen("tcp", cfg.debugAddr)
+		if err != nil {
+			ln.Close()
+			return fmt.Errorf("debug listen: %w", err)
+		}
+		mux := http.NewServeMux()
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		dsrv := &http.Server{Handler: mux}
+		go dsrv.Serve(dln)
+		defer dsrv.Close() // the drain path below, or a dead KV listener
+		fmt.Fprintf(out, "rnserved: pprof on http://%s/debug/pprof/\n", dln.Addr())
+	}
 
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -36,6 +37,12 @@ func TestParseFlags(t *testing.T) {
 	}
 	if !c.obj || c.objExpireEvery != 250*time.Millisecond || !c.cacheTwoTouch {
 		t.Fatalf("obj/cache flags not parsed: %+v", c)
+	}
+	if c.debugAddr != "" {
+		t.Fatalf("profile endpoint on by default: %q", c.debugAddr)
+	}
+	if c, err = parseFlags([]string{"-debug-addr", "127.0.0.1:6060"}, io.Discard); err != nil || c.debugAddr != "127.0.0.1:6060" {
+		t.Fatalf("-debug-addr not parsed: %+v, %v", c, err)
 	}
 }
 
@@ -136,6 +143,63 @@ func TestServeObjVerbs(t *testing.T) {
 	}
 	if !strings.Contains(string(rest), "clean shutdown") {
 		t.Fatalf("clean-shutdown summary missing:\n%s", rest)
+	}
+}
+
+// TestServeDebugAddr: -debug-addr serves net/http/pprof on a listener of its
+// own — the KV port answers no HTTP — and the drain path closes it.
+func TestServeDebugAddr(t *testing.T) {
+	cfg, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0", "-arena-mb", "64", "-partitions", "2"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := drain.New(nil)
+	outR, outW := io.Pipe()
+	errc := make(chan error, 1)
+	go func() {
+		errc <- serve(cfg, w, outW)
+		outW.Close()
+	}()
+	br := bufio.NewReader(outR)
+	banner, err := br.ReadString('\n')
+	if err != nil || len(strings.Fields(banner)) < 4 {
+		t.Fatalf("banner %q: %v", banner, err)
+	}
+	kvAddr := strings.Fields(banner)[3]
+	line, err := br.ReadString('\n')
+	if err != nil || !strings.HasPrefix(line, "rnserved: pprof on http://") {
+		t.Fatalf("debug line %q: %v", line, err)
+	}
+	debugURL := strings.TrimSpace(strings.TrimPrefix(line, "rnserved: pprof on "))
+
+	hc := &http.Client{Timeout: 5 * time.Second}
+	resp, err := hc.Get(debugURL)
+	if err != nil {
+		t.Fatalf("GET %s: %v", debugURL, err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine") {
+		t.Fatalf("GET %s: status %d, body %.80q", debugURL, resp.StatusCode, body)
+	}
+	if resp, err := hc.Get("http://" + kvAddr + "/debug/pprof/"); err == nil {
+		resp.Body.Close()
+		t.Fatalf("the KV port answered HTTP with status %d", resp.StatusCode)
+	}
+
+	w.Trigger()
+	io.Copy(io.Discard, br)
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve did not return after drain trigger")
+	}
+	if resp, err := hc.Get(debugURL); err == nil {
+		resp.Body.Close()
+		t.Fatal("the profile endpoint outlived the drain")
 	}
 }
 

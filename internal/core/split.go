@@ -51,9 +51,10 @@ func (p *undoPool) acquire(a *pmem.Arena) (uint64, error) {
 	p.mu.Unlock()
 	// Slow path: grow the chain. The allocation and the slot-image persist
 	// run outside the spin lock — the slot is thread-private until the head
-	// write publishes it, and both operations block (Alloc parks on the
-	// heap's allocator mutex, Persist waits on a drain engine), which would
-	// leave every other splitter spinning behind a descheduled holder.
+	// write publishes it. Alloc parks on the heap's allocator mutex and the
+	// Persist is a full modeled stall (it yields or polls, never parks);
+	// under the lock either would leave every other splitter spinning
+	// behind the holder for that long.
 	off, err := a.Alloc(p.slotSize)
 	if err != nil {
 		return 0, tree.ErrFull

@@ -328,7 +328,7 @@ func (t *Tree) modify(key, value uint64, mode int) error {
 		m.vl.Lock()
 		if t.flushCS {
 			// Decoupled-design ablation: the slow flush occupies the lock.
-			t.arena.Persist(eoff, kvEntrySize) //rnvet:ignore lockflush,spinblock the FlushInCS ablation exists to measure exactly this violation
+			t.arena.Persist(eoff, kvEntrySize) //rnvet:ignore lockflush the FlushInCS ablation exists to measure exactly this violation
 		}
 		if m.vl.Version() != v || key >= m.high.Load() {
 			// A split intervened while we were flushing; our log entry is
@@ -381,7 +381,7 @@ func (t *Tree) modify(key, value uint64, mode int) error {
 		// this entry must already find its fingerprint (fingerprint.go).
 		m.setFp(entry, fpHash(key))
 		t.htmLeafUpdate(m, &ns)
-		t.arena.Persist(m.off+pslotOff, pmem.LineSize) //rnvet:ignore lockflush,spinblock §4.2 step 4: the slot-array publish IS the commit and must flush under the leaf lock (one line, one bounded drain-engine wait)
+		t.arena.Persist(m.off+pslotOff, pmem.LineSize) //rnvet:ignore lockflush §4.2 step 4: the slot-array publish IS the commit and must flush under the leaf lock (one line: a bounded stall that yields or polls, never parks)
 		if t.dual {
 			t.htmLeafCopySlot(m)
 		}
@@ -428,7 +428,7 @@ func (t *Tree) Remove(key uint64) error {
 		}
 		ns := s.removeAt(pos)
 		t.htmLeafUpdate(m, &ns)
-		t.arena.Persist(m.off+pslotOff, pmem.LineSize) //rnvet:ignore lockflush,spinblock Remove's single persist is the commit point (§4.2 step 4, under the leaf lock)
+		t.arena.Persist(m.off+pslotOff, pmem.LineSize) //rnvet:ignore lockflush Remove's single persist is the commit point (§4.2 step 4, under the leaf lock)
 		if t.dual {
 			t.htmLeafCopySlot(m)
 		}

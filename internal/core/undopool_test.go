@@ -19,8 +19,9 @@ func walkUndoChain(a *pmem.Arena) []uint64 {
 
 // TestUndoPoolConcurrentGrow is the regression test for the optimistic head
 // swing in undoPool.acquire: the allocation and slot persist moved outside
-// the p.mu spin lock (they block — allocator mutex, drain engine — which
-// rnvet's spinblock pass flags), so the chain linkage now races and must
+// the p.mu spin lock (Alloc parks on the allocator mutex, which rnvet's
+// spinblock pass flags, and the persist is a whole modeled stall), so the
+// chain linkage now races and must
 // retry when a competing acquire moves the head. Every slot handed out must
 // be distinct and every slot ever allocated must stay reachable from
 // rootUndoOff.

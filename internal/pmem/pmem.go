@@ -10,7 +10,7 @@
 // Ordinary writes mutate only the cache image. Persist — the paper's
 // "persistent instruction", a CLWB-per-line followed by a fence — copies the
 // touched cache lines into the nvm image, increments the persist counters and
-// optionally busy-waits a configurable latency so that persistent
+// optionally stalls for a configurable latency so that persistent
 // instructions consume CPU cycles exactly where they would on real hardware
 // (inside or outside critical sections).
 //
@@ -70,9 +70,10 @@ type LatencyModel struct {
 	// queue to drain (a few hundred nanoseconds on NVDIMM).
 	Fence time.Duration
 	// DrainPerLine models the DIMM-internal drain behind the write-pending
-	// queue: every persisted line occupies one of the arena's drain engines
+	// queue: every persisted line occupies one of the arena's drain lanes
 	// for this long before the issuing fence can retire, and concurrent
-	// persists to the SAME arena queue behind each other. On Optane DCPMM a
+	// persists to the SAME arena book a lane back to back, in arrival order
+	// (a lane is one busy-until instant; nothing queues). On Optane DCPMM a
 	// 64-byte flush dirties a whole 256-byte XPLine, so sustained small
 	// random persists cost on the order of a microsecond of media occupancy
 	// per line (Yang et al., FAST'20). Zero disables the queue: drains are
@@ -80,9 +81,9 @@ type LatencyModel struct {
 	// that makes persist bandwidth a per-device resource — spreading a
 	// workload over more arenas (more DIMMs) multiplies it.
 	DrainPerLine time.Duration
-	// PersistStreams is the number of concurrent drain engines per arena
-	// (the effective WPQ width). 0 means 1. Ignored unless DrainPerLine is
-	// set.
+	// PersistStreams is the number of drain lanes per arena (the effective
+	// WPQ width); a persist books the one that frees earliest. 0 means 1.
+	// Ignored unless DrainPerLine is set.
 	PersistStreams int
 	// ReadPerLine charges bulk media reads (ReadRange, ReadLine): each
 	// cache line read from the arena busy-waits this long, modelling NVM
@@ -222,8 +223,7 @@ type Heap struct {
 
 	committedW atomic.Uint64 // committed size in words (Size()/WordSize)
 
-	lat   LatencyModel
-	drain chan struct{} // drain-engine semaphore; nil when DrainPerLine is 0
+	lat   atomic.Pointer[latency]
 	hooks atomic.Pointer[Hooks]
 
 	stats struct {
@@ -292,8 +292,6 @@ func newHeap(seg0, grow uint64, maxSegs int, lat LatencyModel) *Heap {
 		cache: make([]uint64, capacity/WordSize),
 		nvm:   make([]uint64, capacity/WordSize),
 		dirty: make([]uint64, (capacity/LineSize+63)/64),
-		lat:   lat,
-		drain: drainSem(lat),
 		freed: make(map[uint64][]uint64),
 
 		seg0Size: seg0,
@@ -305,20 +303,15 @@ func newHeap(seg0, grow uint64, maxSegs int, lat LatencyModel) *Heap {
 	if h.freeCheck {
 		h.freeLines = make(map[uint64]struct{})
 	}
+	h.SetLatency(lat)
 	return h
 }
 
-// drainSem builds the drain-engine semaphore for a latency model: one slot
-// per concurrent stream, or nil when drain queueing is disabled.
-func drainSem(m LatencyModel) chan struct{} {
-	if m.DrainPerLine <= 0 {
-		return nil
-	}
-	streams := m.PersistStreams
-	if streams <= 0 {
-		streams = 1
-	}
-	return make(chan struct{}, streams)
+// latency is an installed cost model and the drain lanes it prices: one
+// busy-until instant per PersistStreams lane, none when DrainPerLine is 0.
+type latency struct {
+	LatencyModel
+	lanes []atomic.Int64
 }
 
 // Size returns the committed heap size in bytes: the initial segment plus
@@ -333,13 +326,16 @@ func (a *Arena) Size() uint64 { return a.committedW.Load() * WordSize }
 func (a *Arena) Capacity() uint64 { return uint64(len(a.cache)) * WordSize }
 
 // Latency returns the arena's persistence cost model.
-func (a *Arena) Latency() LatencyModel { return a.lat }
+func (a *Arena) Latency() LatencyModel { return a.lat.Load().LatencyModel }
 
-// SetLatency replaces the persistence cost model. Not safe to call
-// concurrently with Persist.
+// SetLatency replaces the persistence cost model, idle drain lanes included;
+// an instruction already in flight finishes under the model it started with.
 func (a *Arena) SetLatency(m LatencyModel) {
-	a.lat = m
-	a.drain = drainSem(m)
+	l := &latency{LatencyModel: m}
+	if m.DrainPerLine > 0 {
+		l.lanes = make([]atomic.Int64, max(m.PersistStreams, 1))
+	}
+	a.lat.Store(l)
 }
 
 // SetHooks installs persist callbacks (nil clears them).
@@ -435,19 +431,15 @@ func (a *Arena) ReadLine(off uint64, dst *[LineSize]byte) {
 		v := atomic.LoadUint64(&a.cache[base+uint64(w)])
 		putWord(dst[w*WordSize:], v)
 	}
-	if a.lat.ReadPerLine > 0 {
-		spin(a.lat.ReadPerLine)
-	}
+	stallFor(a.lat.Load().ReadPerLine)
 }
 
-// chargeStore busy-waits the bulk-store bandwidth term for a store touching
+// chargeStore stalls for the bulk-store bandwidth term for a store touching
 // lines cache lines. Every bulk mutator (WriteRange, WriteLine,
 // WriteLineWords, Zero, WriteStream) funnels through this one charge path so
 // no store primitive can undercount modeled write cost.
 func (a *Arena) chargeStore(lines uint64) {
-	if a.lat.StorePerLine > 0 {
-		spin(time.Duration(lines) * a.lat.StorePerLine)
-	}
+	stallFor(time.Duration(lines) * a.lat.Load().StorePerLine)
 }
 
 // WriteLine stores all 64 bytes of src into the cache line containing off.
@@ -485,11 +477,9 @@ func (a *Arena) ReadRange(off, size uint64, dst []byte) {
 	for w := uint64(0); w < size/WordSize; w++ {
 		putWord(dst[w*WordSize:], atomic.LoadUint64(&a.cache[base+w]))
 	}
-	if a.lat.ReadPerLine > 0 {
-		// Charge whole lines: a range read fetches every line it touches.
-		lines := (off+size-1)/LineSize - off/LineSize + 1
-		spin(time.Duration(lines) * a.lat.ReadPerLine)
-	}
+	// Charge whole lines: a range read fetches every line it touches.
+	lines := (off+size-1)/LineSize - off/LineSize + 1
+	stallFor(time.Duration(lines) * a.lat.Load().ReadPerLine)
 }
 
 // WriteRange stores len(src) bytes (a multiple of 8) at the aligned offset.
@@ -525,9 +515,10 @@ func (a *Arena) Persist(off, size uint64) {
 
 // persistInstr is the one body of a persistent instruction, shared by
 // Persist and PersistStream so the two cannot be charged differently: the
-// hooks, the three counters, the drain-engine occupancy and the fence stall.
+// hooks, the three counters, the drain-lane occupancy and the fence stall.
 // lines runs between the BeforePersist hook and the accounting, on the
-// inclusive line range the instruction covers.
+// inclusive line range the instruction covers, inside the modeled time: the
+// deadline is fixed before the copies and waited out once after them.
 func (a *Arena) persistInstr(off, size uint64, lines func(first, last uint64)) {
 	if h := a.hooks.Load(); h != nil && h.BeforePersist != nil {
 		h.BeforePersist(off, size)
@@ -538,21 +529,40 @@ func (a *Arena) persistInstr(off, size uint64, lines func(first, last uint64)) {
 	first := off / LineSize
 	last := (off + size - 1) / LineSize
 	n := last - first + 1
+	deadline := a.lat.Load().persistEnd(int64(n))
 	lines(first, last)
 	a.stats.persists.Add(1)
 	a.stats.linesFlushed.Add(n)
 	a.stats.fences.Add(1)
-	if a.drain != nil {
-		// The fence cannot retire until this persist's lines have passed
-		// through one of the arena's drain engines; persists racing for the
-		// same engine queue behind each other (per-DIMM media bandwidth).
-		a.drain <- struct{}{}
-		spin(time.Duration(n) * a.lat.DrainPerLine)
-		<-a.drain
-	}
-	spin(time.Duration(n)*a.lat.FlushPerLine + a.lat.Fence)
+	stallUntil(deadline)
 	if h := a.hooks.Load(); h != nil && h.AfterPersist != nil {
 		h.AfterPersist(off, size)
+	}
+}
+
+// persistEnd returns the instant an n-line persistent instruction issued now
+// retires; 0 when it is free. The fence cannot retire until the lines have
+// passed through a drain lane (per-DIMM media bandwidth): they book
+// n·DrainPerLine on the earliest-free lane, from now or from the end of the
+// booking before theirs, so a lane drains one persist at a time.
+func (m *latency) persistEnd(n int64) int64 {
+	cost := n*int64(m.FlushPerLine) + int64(m.Fence)
+	if len(m.lanes) == 0 {
+		if cost == 0 {
+			return 0
+		}
+		return now() + cost
+	}
+	for t := now(); ; {
+		lane, free := 0, m.lanes[0].Load()
+		for i := 1; i < len(m.lanes); i++ {
+			if f := m.lanes[i].Load(); f < free {
+				lane, free = i, f
+			}
+		}
+		if end := max(t, free) + n*int64(m.DrainPerLine); m.lanes[lane].CompareAndSwap(free, end) {
+			return end + cost
+		}
 	}
 }
 
@@ -640,7 +650,7 @@ func (a *Arena) Fence() {
 		h.OnFence()
 	}
 	a.stats.fences.Add(1)
-	spin(a.lat.Fence)
+	stallFor(a.lat.Load().Fence)
 }
 
 // flushLine copies one line from the cache image to the nvm image. The nvm
@@ -772,27 +782,41 @@ func getWord(b []byte) uint64 {
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
-// spin stalls the calling goroutine for roughly d of wall-clock time,
-// yielding the processor while it waits. This mirrors real hardware: a
-// draining CLWB/SFENCE stalls only its own core while other cores keep
-// working — so even on hosts with fewer cores than benchmark threads,
-// persist stalls overlap with other workers' compute instead of freezing
-// them. Critically, a stall taken while holding a lock still blocks every
-// waiter for the full duration, which is exactly the contention effect the
-// paper measures (§3.4).
-//
-// The wait is a pure yield loop, never time.Sleep: a parked timer wakes at
-// the scheduler's mercy — behind a long run queue or a GC assist the wake
-// can land milliseconds late, which showed up as bimodal throughput when
-// persist stalls slept. Yielding keeps the stall's end within one
-// scheduler round of the target at a measured-in-the-noise CPU cost, since
-// each pass through the loop gives the processor away.
-func spin(d time.Duration) {
-	if d <= 0 {
-		return
+// pollTail is how close to its deadline, in nanoseconds, a stall stops
+// yielding and polls the clock: one runtime.Gosched round trip beside another
+// yielding goroutine on the 2-vCPU reference host (BenchmarkGoschedRoundTrip:
+// 0.2–0.6 µs). A yield cannot lend the core out for less, so a remainder this
+// short — all of an NVDIMM fence — is polled.
+const pollTail = 600
+
+var stallBase = time.Now() // now()'s origin: stalls read the monotonic clock only
+
+func now() int64 { return int64(time.Since(stallBase)) }
+
+// stallFor stalls the calling goroutine for d.
+func stallFor(d time.Duration) {
+	if d > 0 {
+		stallUntil(now() + int64(d))
 	}
-	t0 := time.Now()
-	for time.Since(t0) < d {
-		runtime.Gosched()
+}
+
+// stallUntil stalls the calling goroutine until now() reaches deadline (0:
+// no stall, no clock read) and reports how often it yielded. It never returns
+// early and never parks: a parked goroutine wakes at the scheduler's mercy,
+// milliseconds late behind a long run queue or a GC assist. While more than
+// pollTail remains it yields between clock reads, as a draining CLWB/SFENCE
+// stalls only its own core — with fewer cores than threads the stall overlaps
+// other workers' compute — and a stall taken under a lock still blocks every
+// waiter for its full length: the contention the paper measures (§3.4).
+func stallUntil(deadline int64) (yields int) {
+	if deadline == 0 {
+		return 0
 	}
+	for left := deadline - now(); left > 0; left = deadline - now() {
+		if left > pollTail {
+			runtime.Gosched()
+			yields++
+		}
+	}
+	return yields
 }

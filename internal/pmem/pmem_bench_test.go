@@ -1,6 +1,10 @@
 package pmem
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -77,18 +81,63 @@ func BenchmarkCrashImage(b *testing.B) {
 	}
 }
 
-func BenchmarkSpinAccuracy(b *testing.B) {
-	b.ReportAllocs()
-	// Sanity: the latency busy-wait is in the right ballpark.
-	a := New(Config{Size: 1 << 16, Latency: LatencyModel{Fence: 500 * time.Nanosecond}})
-	t0 := time.Now()
-	const n = 1000
-	for i := 0; i < n; i++ {
-		a.Fence()
+// BenchmarkPersistStall prices the stall engine itself: overshoot-ns/op is a
+// persist's measured time minus its modeled time, on goroutines that each
+// own an arena (so no drain lane is shared and the model is exact).
+func BenchmarkPersistStall(b *testing.B) {
+	for _, p := range []struct {
+		name string
+		m    LatencyModel
+	}{{"nvdimm", ProfileNVDIMM}, {"optanedimm", ProfileOptaneDIMM}} {
+		for _, lines := range []uint64{1, 17} {
+			for _, g := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/lines=%d/g=%d", p.name, lines, g), func(b *testing.B) {
+					modeled := time.Duration(lines)*(p.m.DrainPerLine+p.m.FlushPerLine) + p.m.Fence
+					var wg sync.WaitGroup
+					b.ResetTimer()
+					for w := 0; w < g; w++ {
+						a := New(Config{Size: 1 << 16, Latency: p.m})
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							for i := 0; i < b.N; i++ {
+								a.Write8(DataStart, uint64(i))
+								a.Persist(DataStart, lines*LineSize)
+							}
+						}()
+					}
+					wg.Wait()
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)-float64(modeled), "overshoot-ns/op")
+				})
+			}
+		}
 	}
-	el := time.Since(t0)
-	if el < n*400*time.Nanosecond {
-		b.Fatalf("fences too fast: %v for %d", el, n)
+}
+
+// BenchmarkGoschedRoundTrip measures what pollTail is set from: what one
+// runtime.Gosched costs its caller — a pass through the global run queue and
+// back — alone and with other goroutines yielding beside it.
+func BenchmarkGoschedRoundTrip(b *testing.B) {
+	for _, others := range []int{0, 1, 3} {
+		b.Run(fmt.Sprintf("others=%d", others), func(b *testing.B) {
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			for w := 0; w < others; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for !stop.Load() {
+						runtime.Gosched()
+					}
+				}()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runtime.Gosched()
+			}
+			b.StopTimer()
+			stop.Store(true)
+			wg.Wait()
+		})
 	}
-	b.ReportMetric(float64(el.Nanoseconds())/n, "ns/fence")
 }

@@ -267,13 +267,118 @@ func TestBeforeHookSeesPreFlushState(t *testing.T) {
 	}
 }
 
+// TestLatencyCharged: a persist never returns before its modeled time, with
+// and without drain lanes, however its copies and the scheduler interleave.
 func TestLatencyCharged(t *testing.T) {
-	a := New(Config{Size: 4096, Latency: LatencyModel{FlushPerLine: 200 * time.Microsecond, Fence: 100 * time.Microsecond}})
-	a.Write8(DataStart+256, 1)
-	t0 := time.Now()
-	a.Persist(DataStart+256, 8)
-	if el := time.Since(t0); el < 250*time.Microsecond {
-		t.Fatalf("persist returned too fast: %v", el)
+	for name, tc := range map[string]struct {
+		m    LatencyModel
+		want time.Duration // of a 2-line persist
+	}{
+		"flush+fence": {LatencyModel{FlushPerLine: 200 * time.Microsecond, Fence: 100 * time.Microsecond}, 500 * time.Microsecond},
+		"drain":       {LatencyModel{FlushPerLine: 50 * time.Microsecond, Fence: 100 * time.Microsecond, DrainPerLine: 150 * time.Microsecond}, 500 * time.Microsecond},
+		"sub-tail":    {LatencyModel{Fence: 500 * time.Nanosecond}, 500 * time.Nanosecond},
+	} {
+		a := New(Config{Size: 4096, Latency: tc.m})
+		for i := 0; i < 20; i++ {
+			a.Write8(DataStart+120, uint64(i))
+			t0 := time.Now()
+			a.Persist(DataStart+120, 16)
+			if el := time.Since(t0); el < tc.want {
+				t.Fatalf("%s: persist %d returned after %v, modeled %v", name, i, el, tc.want)
+			}
+		}
+	}
+}
+
+// TestStallYieldsOnlyBeyondPollTail: a stall no longer than pollTail — the
+// NVDIMM fence — never enters the scheduler; a long one yields its core.
+func TestStallYieldsOnlyBeyondPollTail(t *testing.T) {
+	if y := stallUntil(0); y != 0 {
+		t.Fatalf("free stall yielded %d times", y)
+	}
+	for i := 0; i < 100; i++ {
+		deadline := now() + 500
+		if y := stallUntil(deadline); y != 0 {
+			t.Fatalf("500 ns stall yielded %d times", y)
+		}
+		if late := now() - deadline; late < 0 {
+			t.Fatalf("500 ns stall returned %d ns early", -late)
+		}
+	}
+	deadline := now() + int64(50*time.Microsecond)
+	if y := stallUntil(deadline); y == 0 {
+		t.Fatal("50 µs stall never yielded")
+	}
+	if late := now() - deadline; late < 0 {
+		t.Fatalf("50 µs stall returned %d ns early", -late)
+	}
+}
+
+// TestDrainLanesOverlapThenQueue: PersistStreams: 2 drains two concurrent
+// 4-line persists side by side and makes the third wait for a lane; on one
+// lane three queue end to end. A stall never returns early, so the lower
+// bounds hold on every run on any host. The upper bound is the overlap
+// itself: only a host hiccup longer than a whole 4-line drain (1.2 ms) can
+// push a run past it, so one run in ten under it proves the lanes overlap —
+// serialized lanes would miss it every time.
+func TestDrainLanesOverlapThenQueue(t *testing.T) {
+	const drain = 300 * time.Microsecond
+	run := func(streams int) time.Duration {
+		a := New(Config{Size: 1 << 16, Latency: LatencyModel{DrainPerLine: drain, PersistStreams: streams}})
+		t0 := time.Now()
+		var wg sync.WaitGroup
+		for w := uint64(0); w < 3; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				a.Persist(DataStart+w*4096, 4*LineSize)
+			}()
+		}
+		wg.Wait()
+		return time.Since(t0)
+	}
+	if el := run(1); el < 3*4*drain {
+		t.Fatalf("three 4-line persists on one lane took %v, want at least %v", el, 3*4*drain)
+	}
+	var el time.Duration
+	for try := 0; try < 10; try++ {
+		if el = run(2); el < 2*4*drain {
+			t.Fatalf("three 4-line persists on two lanes took %v, want at least %v", el, 2*4*drain)
+		}
+		if el < 3*4*drain {
+			return
+		}
+	}
+	t.Fatalf("three 4-line persists on two lanes never overlapped: last took %v, want under %v", el, 3*4*drain)
+}
+
+// TestSetLatencyUnderPersister: SetLatency swaps the model whole, so it may
+// race a persister (the race detector is the assertion; `make race`).
+func TestSetLatencyUnderPersister(t *testing.T) {
+	a := New(Config{Size: 1 << 16, Latency: ProfileOptaneDIMM})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := uint64(0); i < 2000; i++ {
+			a.Write8(DataStart, i)
+			a.Persist(DataStart, 8)
+			a.Fence()
+		}
+	}()
+	models := []LatencyModel{ProfileNVDIMM, ProfileOptaneDIMM, {}}
+	for i := 0; ; i++ {
+		select {
+		case <-done:
+			if s := a.Stats(); s.Persists != 2000 || s.Fences != 4000 {
+				t.Fatalf("counters moved with the model: %+v", s)
+			}
+			return
+		default:
+			a.SetLatency(models[i%3])
+			if got := a.Latency(); got != models[i%3] {
+				t.Fatalf("Latency() = %+v right after SetLatency(%+v)", got, models[i%3])
+			}
+		}
 	}
 }
 

@@ -87,7 +87,8 @@ type Node struct {
 	// stop acking writes that would not survive a concurrent failover.
 	fenceLease atomic.Int64 // lease in nanoseconds; 0 disables fencing
 	subCount   atomic.Int64 // live registered subscribers
-	subGone    atomic.Int64 // unix nanos when subCount last dropped to zero
+	subGone    atomic.Int64 // now() when subCount last dropped to zero
+	now        func() int64 // the lease's clock, in nanoseconds; SetClockForTest replaces it
 
 	// applyHook, when set, is called with each record the applier has just
 	// applied — the serving layer invalidates its hot-key cache through it,
@@ -112,6 +113,7 @@ func NewNode(st *kv.Store, role uint8) (*Node, error) {
 		subs:      map[*Subscriber]struct{}{},
 		durable:   make([]uint64, st.Partitions()),
 		durableCh: make(chan struct{}),
+		now:       func() int64 { return time.Now().UnixNano() },
 	}
 	if e, r := st.ReplState(); r != 0 {
 		// Persisted state wins.
@@ -131,7 +133,7 @@ func NewNode(st *kv.Store, role uint8) (*Node, error) {
 		}
 	}
 	n.role.Store(uint32(role))
-	n.subGone.Store(time.Now().UnixNano())
+	n.subGone.Store(n.now())
 	st.SetCommitHook(n.onCommit)
 	return n, nil
 }
@@ -150,8 +152,13 @@ func NewNode(st *kv.Store, role uint8) (*Node, error) {
 // bump is silently stranded on the deposed node.
 func (n *Node) SetFenceLease(d time.Duration) {
 	n.fenceLease.Store(int64(d))
-	n.subGone.Store(time.Now().UnixNano())
+	n.subGone.Store(n.now())
 }
+
+// SetClockForTest replaces the clock the fence lease reads (nanoseconds, any
+// origin), so a test can expire a lease by advancing it instead of sleeping.
+// Call it before the node is shared: the field is not synchronized.
+func (n *Node) SetClockForTest(now func() int64) { n.now = now }
 
 // Fenced reports whether this node is a primary whose fence lease has
 // expired: no subscriber is registered and none has been for longer than
@@ -163,7 +170,7 @@ func (n *Node) Fenced() bool {
 	if lease <= 0 || n.Role() != Primary || n.subCount.Load() > 0 {
 		return false
 	}
-	return time.Now().UnixNano()-n.subGone.Load() > lease
+	return n.now()-n.subGone.Load() > lease
 }
 
 // Store returns the wrapped store.
@@ -313,7 +320,7 @@ func (n *Node) Promote(minEpoch uint64) (uint64, error) {
 	// A fresh primary starts its fence lease from the promotion, not from
 	// however long ago it was created: it gets the full grace window for
 	// its own replicas to subscribe.
-	n.subGone.Store(time.Now().UnixNano())
+	n.subGone.Store(n.now())
 	if n.applierStop != nil {
 		n.applierStop()
 		n.applierStop = nil
@@ -560,7 +567,7 @@ func (sub *Subscriber) close() {
 	delete(sub.n.subs, sub)
 	if sub.n.subCount.Add(-1) == 0 {
 		// The fence lease starts counting from the last subscriber's exit.
-		sub.n.subGone.Store(time.Now().UnixNano())
+		sub.n.subGone.Store(sub.n.now())
 	}
 	sub.n.mu.Unlock()
 	close(sub.donec)

@@ -3,6 +3,7 @@ package repl
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -326,16 +327,15 @@ func TestFenceLease(t *testing.T) {
 	if n.Fenced() {
 		t.Fatal("fenced with fencing disabled")
 	}
-	n.SetFenceLease(20 * time.Millisecond)
-	if n.Fenced() {
+	const lease = 20 * time.Millisecond
+	var clock atomic.Int64 // the lease's clock: the test advances it, nothing sleeps
+	n.SetClockForTest(clock.Load)
+	n.SetFenceLease(lease)
+	if clock.Add(int64(lease)); n.Fenced() {
 		t.Fatal("fenced inside the arming grace window")
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !n.Fenced() {
-		if time.Now().After(deadline) {
-			t.Fatal("never fenced after the lease expired with no subscriber")
-		}
-		time.Sleep(time.Millisecond)
+	if clock.Add(1); !n.Fenced() {
+		t.Fatal("not fenced after the lease expired with no subscriber")
 	}
 	sub, err := n.Subscribe(make([]uint64, n.Store().Partitions()), func(Record) error { return nil })
 	if err != nil {
@@ -350,11 +350,8 @@ func TestFenceLease(t *testing.T) {
 	if n.Fenced() {
 		t.Fatal("fenced immediately after a disconnect: the lease must re-arm")
 	}
-	for !n.Fenced() {
-		if time.Now().After(deadline) {
-			t.Fatal("never re-fenced after the subscriber left")
-		}
-		time.Sleep(time.Millisecond)
+	if clock.Add(int64(lease) + 1); !n.Fenced() {
+		t.Fatal("not re-fenced a lease after the subscriber left")
 	}
 	// A promotion re-arms the lease: the fresh primary gets a grace window.
 	if _, err := n.Promote(n.Epoch()); err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -505,7 +506,12 @@ func TestFenceLeaseRejectsWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pNode.Close()
-	_, _, pAddr := startServerOn(t, Config{Repl: pNode, ReplFenceLease: 25 * time.Millisecond}, pst)
+	// The lease runs on the test's clock: it expires when the test says so,
+	// not when a loaded host takes 25 ms over a dial and a put.
+	const lease = 25 * time.Millisecond
+	var clock atomic.Int64
+	pNode.SetClockForTest(clock.Load)
+	_, _, pAddr := startServerOn(t, Config{Repl: pNode, ReplFenceLease: lease}, pst)
 
 	c, err := client.Dial(pAddr, client.Options{})
 	if err != nil {
@@ -516,20 +522,15 @@ func TestFenceLeaseRejectsWrites(t *testing.T) {
 	if err := c.Put([]byte("before"), []byte("v")); err != nil {
 		t.Fatalf("put inside grace window: %v", err)
 	}
-	// Past the lease with no replica ever subscribed, writes are fenced.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		err := c.Put([]byte("fenced"), []byte("v"))
-		if errors.Is(err, client.ErrReadOnly) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("fenced put failed with %v, want ErrReadOnly", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("primary never fenced after the lease expired")
-		}
-		time.Sleep(2 * time.Millisecond)
+	// At the lease exactly it still does; one tick past it, with no replica
+	// ever subscribed, writes are fenced.
+	clock.Add(int64(lease))
+	if err := c.Put([]byte("at-lease"), []byte("v")); err != nil {
+		t.Fatalf("put at the lease's last instant: %v", err)
+	}
+	clock.Add(1)
+	if err := c.Put([]byte("fenced"), []byte("v")); !errors.Is(err, client.ErrReadOnly) {
+		t.Fatalf("put past the lease: %v, want ErrReadOnly", err)
 	}
 	if m, err := c.Stats(); err != nil || m["repl_fenced"] != 1 || m["repl_fence_rejects"] == 0 {
 		t.Fatalf("fence counters: repl_fenced=%d repl_fence_rejects=%d err=%v",
@@ -564,6 +565,7 @@ func TestFenceLeaseRejectsWrites(t *testing.T) {
 			t.Error("applier did not stop")
 		}
 	}()
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		err := c.Put([]byte("after"), []byte("v"))
 		if err == nil {

@@ -457,6 +457,7 @@ func (s *Server) loadStats() Stats {
 func (s *Server) counters() []wire.Counter {
 	st := s.st.Stats()
 	sv := s.Stats()
+	ht := s.st.HTMStats()
 	out := []wire.Counter{
 		{Name: "live_keys", Val: uint64(st.LiveKeys)},
 		{Name: "dead_records", Val: uint64(st.DeadRecords)},
@@ -471,6 +472,13 @@ func (s *Server) counters() []wire.Counter {
 		{Name: "overloads", Val: sv.Overloads},
 		{Name: "batches", Val: sv.Batches},
 		{Name: "batched_puts", Val: sv.BatchedPuts},
+		{Name: "htm_commits", Val: ht.Commits},
+		{Name: "htm_conflict_aborts", Val: ht.ConflictAborts},
+		{Name: "htm_capacity_aborts", Val: ht.CapacityAborts},
+		{Name: "htm_explicit_aborts", Val: ht.ExplicitAborts},
+		{Name: "htm_spurious_aborts", Val: ht.SpuriousAborts},
+		{Name: "htm_fallbacks", Val: ht.Fallbacks},
+		{Name: "tree_read_retries", Val: s.st.ReadRetries()},
 	}
 	if sv.HasRepl {
 		out = append(out,

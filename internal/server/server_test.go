@@ -73,7 +73,7 @@ func TestNegativeConfigTakesDefaults(t *testing.T) {
 }
 
 func TestServerBasicOps(t *testing.T) {
-	_, _, addr := startServer(t, Config{}, kv.Options{})
+	_, st, addr := startServer(t, Config{}, kv.Options{})
 	c := dial(t, addr, client.Options{})
 
 	if err := c.Ping(); err != nil {
@@ -123,6 +123,21 @@ func TestServerBasicOps(t *testing.T) {
 	}
 	if stats["conns_active"] != 1 || stats["requests"] == 0 {
 		t.Fatalf("server counters missing: %v", stats)
+	}
+	// The HTM abort breakdown and the tree's wasted reads ride STATS: the
+	// connection is quiet, so they equal the store's own accessors.
+	ht := st.HTMStats()
+	for name, want := range map[string]uint64{
+		"htm_commits": ht.Commits, "htm_conflict_aborts": ht.ConflictAborts, "htm_capacity_aborts": ht.CapacityAborts,
+		"htm_explicit_aborts": ht.ExplicitAborts, "htm_spurious_aborts": ht.SpuriousAborts, "htm_fallbacks": ht.Fallbacks,
+		"tree_read_retries": st.ReadRetries(),
+	} {
+		if got, ok := stats[name]; !ok || got != want {
+			t.Errorf("STATS %s = %d (present %v), want %d", name, got, ok, want)
+		}
+	}
+	if ht.Commits < 21 {
+		t.Errorf("htm_commits = %d after 21 index inserts", ht.Commits)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"rntree/internal/htm"
 )
 
 // collide makes every key hash into one of n buckets, forcing deep hash
@@ -201,6 +203,9 @@ func TestOpenUsesPersistedChunkSize(t *testing.T) {
 // reports a data race between Stats and any writer.
 func TestStatsRaceWithWriters(t *testing.T) {
 	s := newStore(t)
+	if err := s.Put([]byte("first"), []byte("v")); err != nil { // at least one index insert, whoever wins the race below
+		t.Fatal(err)
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -221,15 +226,34 @@ func TestStatsRaceWithWriters(t *testing.T) {
 			}
 		}
 	}()
+	var commits, retries uint64
 	for i := 0; i < 3000; i++ {
 		st := s.Stats()
 		if st.LiveKeys < 0 || st.DeadRecords < 0 {
 			t.Errorf("negative counters: %+v", st)
 			break
 		}
+		// The HTM and read-retry roll-ups are sums of monotonic counters.
+		ht, rr := s.HTMStats(), s.ReadRetries()
+		if ht.Commits < commits || rr < retries {
+			t.Errorf("roll-up went backwards: commits %d -> %d, retries %d -> %d", commits, ht.Commits, retries, rr)
+			break
+		}
+		commits, retries = ht.Commits, rr
 	}
 	close(stop)
 	wg.Wait()
+	// Quiescent, the roll-up is exactly the partitions' sum.
+	var want htm.Stats
+	for i := 0; i < s.f.Partitions(); i++ {
+		ps := s.f.Partition(i).Tree().HTMStats()
+		want.Commits += ps.Commits
+		want.ConflictAborts += ps.ConflictAborts
+		want.Fallbacks += ps.Fallbacks
+	}
+	if got := s.HTMStats(); got.Commits != want.Commits || got.ConflictAborts != want.ConflictAborts || got.Fallbacks != want.Fallbacks || got.Commits == 0 {
+		t.Errorf("HTMStats = %+v, partitions sum to %+v", got, want)
+	}
 }
 
 // TestConcurrentStress drives concurrent Put/Get/Delete/Stats (plus

@@ -40,6 +40,7 @@ import (
 
 	"rntree/internal/core"
 	"rntree/internal/forest"
+	"rntree/internal/htm"
 	"rntree/internal/pmem"
 	"rntree/internal/tree"
 )
@@ -669,6 +670,14 @@ func (s *Store) Stats() Stats {
 		TreeLeaves:  s.f.LeafCount(),
 	}
 }
+
+// HTMStats sums the emulated-HTM outcome counters of the partitions' index
+// trees: commits, aborts by cause, fallback-lock acquisitions.
+func (s *Store) HTMStats() htm.Stats { return s.f.Stats().HTM }
+
+// ReadRetries sums the index read attempts wasted on a concurrent writer or
+// split across partitions (§6.3).
+func (s *Store) ReadRetries() uint64 { return s.f.ReadRetries() }
 
 // Close takes the clean-shutdown path: it waits out every in-flight
 // mutation (Put/Delete/PutBatch/Compact), flips the store read-only, and
