@@ -55,11 +55,14 @@ bench-kv:
 	$(GO) run ./cmd/rnbench -exp kvscale
 
 # The network serving layer's gate: protocol/server/client tests under the
-# race detector (the pipelined writer, batcher, and drain paths are all
-# concurrent), plus a short fuzz smoke of each wire decoder on top of the
-# committed seed corpus.
+# race detector (the pipelined writer, committer, and drain paths are all
+# concurrent) — all of the server's ("Test" selects every test), with the
+# cross-verb write-order and two-goroutines-per-connection tests named so a
+# rename drops out loudly — plus a short fuzz smoke of each wire decoder on
+# top of the committed seed corpus.
 servercheck:
-	$(GO) test -race ./internal/wire/... ./internal/server/... ./client/... ./internal/drain/...
+	$(GO) test -race ./internal/wire/... ./client/... ./internal/drain/...
+	$(call run-tests,-race,./internal/server,Test|SameKeyWriteOrder|ConnGoroutines)
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=3s
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzDecodeResponse -fuzztime=3s
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzReadFrame -fuzztime=3s
@@ -95,12 +98,13 @@ heapcheck:
 # ones named so a rename drops out loudly: composites cut between their
 # writes, the sweep against live writers, the reap of an object larger than
 # a chunk — the obj crash-point explorer (every persist site of the
-# composites and the reap), the server-side verb/failover tests, and a short
-# fuzz smoke of the object request decoding on the committed seeds.
+# composites and the reap), the server-side verb/failover tests with the
+# typed verbs' write order and connection goroutine count, and a short fuzz
+# smoke of the object request decoding on the committed seeds.
 objcheck:
 	$(call run-tests,-race,./internal/obj,Test|Orphan|Sweep|ReapLarger)
 	$(call run-tests,,./internal/fault,ExploreObj)
-	$(call run-tests,-race,./internal/server,Obj)
+	$(call run-tests,-race,./internal/server,Obj|SameKeyWriteOrder|ConnGoroutines)
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=3s
 
 # Stall-engine gate: pmem's timing-adjacent tests (a persist never returns

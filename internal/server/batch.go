@@ -7,22 +7,26 @@ import (
 	"rntree/kv"
 )
 
-// Group commit: the one route a flat mutation (PUT, durable PUT, DEL) takes
-// from its decoded frame to its ack. The connection's reader gates it and
-// queues it on its key's partition committer — one bounded queue and one
-// goroutine per store partition — and the committer takes whatever has
-// queued (up to MaxBatch), commits it with one kv.Store.Commit, which
-// persists the batch's records with one fence per contiguous run,
-// invalidates the hot-key cache, and acknowledges. Nothing is acknowledged
-// before its batch returns, so the durability contract is that of an
-// individual Put; and nothing waits for company: an idle committer commits a
-// batch of one, and under load the queue that builds behind the previous
-// batch's persist becomes the next batch.
+// Group commit: the one route every write takes from its decoded frame to its
+// ack. The connection's reader gates it and queues it on its key's partition
+// committer — one bounded queue and one goroutine per store partition — and
+// the committer takes whatever has queued (up to MaxBatch), commits the flat
+// mutations (PUT, durable PUT, DEL) with one kv.Store.Commit, which persists
+// the batch's records with one fence per contiguous run, invalidates the
+// hot-key cache, and acknowledges. A typed-object write (HSET, HDEL, SADD,
+// SREM, EXPIRE, PERSIST) ends the batch gathered before it: the flat run
+// commits first, then the object call runs, and the lot is invalidated and
+// acknowledged together. Nothing is acknowledged before its write returns, so
+// the durability contract is that of an individual Put; and nothing waits
+// for company: an idle committer commits a batch of one, and under load the
+// queue that builds behind the previous batch's persist becomes the next
+// batch.
 //
 // Sharding the committer by partition does two things. It preserves per-key
-// ordering across verbs — a key always hashes to the same partition, so a
-// PUT and a DEL of one key pipelined on one connection pass through the same
-// queue and commit in arrival order — and it lets one partition's persist
+// ordering across verbs — a key, and an object's name, always hashes to the
+// same partition, so a PUT, a DEL and an EXPIRE of one key pipelined on one
+// connection pass through the same queue and commit in arrival order — and
+// it lets one partition's persist
 // stall overlap every other partition's CPU work (encoding acks, reading the
 // next requests), instead of a single committer alternating between draining
 // the NVM write queue and doing CPU work while the drain engines sit idle.
@@ -56,19 +60,27 @@ func (c *BatchConfig) normalize() {
 	}
 }
 
-// mutation is one queued PUT or DEL with its completion route. raw is the
-// frame payload key and val alias, box the pool box it came out of (if any);
-// the committer returns them to payloadPool once Commit has copied key and
-// val into the log.
+// mutation is one queued write with its completion route. key is the flat key
+// or the object's name; field (a hash field or set member) and ttl (EXPIRE's
+// milliseconds) are the typed verbs' other arguments. raw is the frame
+// payload the slices alias, box the pool box it came out of (if any); the
+// committer returns them to payloadPool once the write has copied what it
+// keeps into the log.
 type mutation struct {
 	cn       *conn
 	id       uint64
 	op       uint8
 	durable  bool // hold the ack until a replica's watermark covers the record
 	key, val []byte
+	field    []byte
+	ttl      uint64
 	raw      []byte
 	box      *[]byte
 }
+
+// flatOp reports whether op is a flat mutation, which the committer batches
+// into one kv.Store.Commit; the other writes are object calls.
+func flatOp(op uint8) bool { return op == wire.OpPut || op == wire.OpDel }
 
 // committer is one partition's commit loop. Everything but q is scratch
 // owned by the loop's goroutine and reused across batches, so a commit
@@ -108,8 +120,9 @@ func (c *committer) run() {
 	}
 }
 
-// commit takes first and whatever has queued behind it (never waiting),
-// commits the batch, and completes each request: invalidate, recycle the
+// commit takes first and whatever has queued behind it (never waiting), up
+// to and including the first typed write; commits the flat run, then runs
+// the typed write; and completes each request: invalidate, recycle the
 // payloads, ack. An entry that asked for a replica-durable ack is handed to
 // the batch's waiter instead of being acked here, so it holds up neither its
 // batch-mates nor the next batch.
@@ -117,7 +130,7 @@ func (c *committer) commit(first mutation) {
 	s := c.s
 	batch := append(c.batch[:0], first)
 gather:
-	for len(batch) < s.cfg.Batch.MaxBatch {
+	for len(batch) < s.cfg.Batch.MaxBatch && flatOp(batch[len(batch)-1].op) {
 		select {
 		case m := <-c.q:
 			batch = append(batch, m)
@@ -125,22 +138,34 @@ gather:
 			break gather
 		}
 	}
+	n := len(batch)
+	if !flatOp(batch[n-1].op) {
+		n--
+	}
 	muts := c.muts[:0]
-	for i := range batch {
+	for i := range batch[:n] {
 		muts = append(muts, kv.Mutation{Key: batch[i].key, Val: batch[i].val, Delete: batch[i].op == wire.OpDel})
 	}
-	s.st.Commit(muts)
-	s.batches.Add(1)
-	s.batchedPuts.Add(uint64(len(batch)))
+	if n > 0 {
+		s.st.Commit(muts)
+		s.batches.Add(1)
+		s.batchedPuts.Add(uint64(n))
+	}
+	if n < len(batch) {
+		// The typed write's entry only carries its result, so muts mirrors batch.
+		muts = append(muts, kv.Mutation{Err: s.apply(&batch[n])})
+	}
 
 	var waiting []durableAck
 	var waitLSN uint64
 	for i := range batch {
 		m, res := &batch[i], &muts[i]
 		// After commit, before ack (cache.go rule 1), and before the payload
-		// the key aliases is recycled. Failed entries invalidate too: it is
-		// always safe and spares reasoning about which failures might have
-		// touched the store.
+		// the key aliases is recycled. A typed write invalidates its name: a
+		// reap folded into it (an expired name being rewritten) may have
+		// deleted the flat key of that name out from under a cached GET.
+		// Failed entries invalidate too: it is always safe and spares
+		// reasoning about which failures might have touched the store.
 		if s.cache != nil {
 			s.cache.Invalidate(m.key)
 		}
@@ -175,6 +200,26 @@ gather:
 		c.resps = resps
 	}
 	c.batch, c.muts = batch, muts
+}
+
+// apply runs one typed-object write. The composite still takes its name's
+// stripe lock, which keeps it apart from the expirer and the sweep; other
+// writes of the name are already ordered by this committer's queue.
+func (s *Server) apply(m *mutation) error {
+	o := s.obj
+	switch m.op {
+	case wire.OpHSet:
+		return o.HSet(m.key, m.field, m.val)
+	case wire.OpHDel:
+		return o.HDel(m.key, m.field)
+	case wire.OpSAdd:
+		return o.SAdd(m.key, m.field)
+	case wire.OpSRem:
+		return o.SRem(m.key, m.field)
+	case wire.OpExpire:
+		return o.Expire(m.key, m.ttl)
+	}
+	return o.Persist(m.key)
 }
 
 // durableAck is one committed durable PUT whose ack awaits the replica.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -75,46 +76,129 @@ func (r *rawConn) recvAll(n int) map[uint64]wire.Response {
 }
 
 // TestSameKeyWriteOrder is the regression test for the write-route split:
-// two writes to one key sent back-to-back on one connection must commit in
-// the order they were sent, whatever their verbs. When PUT ran on the
-// batcher (or a worker) and DEL on another worker, `PUT k; DEL k` left k
-// present after both acks in > 99 % of rounds.
+// two writes to one key sent in one socket write must commit in the order
+// they were sent, whatever their verbs. Each row sends its pair on a fresh
+// key for many rounds, after its setup writes are acked, and checks both acks
+// and then the state the pair leaves. When PUT ran on the batcher and DEL on
+// a handler worker, `PUT k; DEL k` left k present in > 99 % of rounds; while
+// the typed verbs ran on the workers, an EXPIRE behind a PUT or an HSET
+// answered NotFound in 499 or 500 rounds of 500.
 func TestSameKeyWriteOrder(t *testing.T) {
-	_, _, addr := startServer(t, Config{Cache: CacheConfig{Enable: true}}, kv.Options{})
+	_, _, addr := startObjServer(t, Config{Cache: CacheConfig{Enable: true}}, nil)
 	rc := dialRaw(t, addr)
-	const rounds = 2000
+	put := func(v string) wire.Request { return wire.Request{Op: wire.OpPut, Val: []byte(v)} }
+	var (
+		del     = wire.Request{Op: wire.OpDel}
+		get     = wire.Request{Op: wire.OpGet}
+		expire  = wire.Request{Op: wire.OpExpire, TTLMs: 60_000}
+		persist = wire.Request{Op: wire.OpPersist}
+		ttl     = wire.Request{Op: wire.OpTTL}
+		hset    = wire.Request{Op: wire.OpHSet, Field: []byte("f"), Val: []byte("v")}
+		hdel    = wire.Request{Op: wire.OpHDel, Field: []byte("f")}
+		hget    = wire.Request{Op: wire.OpHGet, Field: []byte("f")}
+	)
+	absent := func(r wire.Response) bool { return r.Status == wire.StatusNotFound }
+	expiring := func(r wire.Response) bool { return r.Status == wire.StatusOK && r.TTL > 0 }
+	const rounds = 500
 	id := uint64(0)
-	for i := 0; i < rounds; i++ {
-		k := []byte(fmt.Sprintf("pd%04d", i))
-		rc.send(
-			wire.Request{ID: id + 1, Op: wire.OpPut, Key: k, Val: []byte("v")},
-			wire.Request{ID: id + 2, Op: wire.OpDel, Key: k},
-		)
-		acks := rc.recvAll(2)
-		if acks[id+1].Status != wire.StatusOK || acks[id+2].Status != wire.StatusOK {
-			t.Fatalf("round %d: PUT;DEL acked %d, %d", i, acks[id+1].Status, acks[id+2].Status)
+	for _, tc := range []struct {
+		name          string
+		setup         []wire.Request // each acked before the pair is sent
+		first, second wire.Request
+		check         wire.Request
+		want          func(wire.Response) bool
+	}{
+		{"PUT;DEL", nil, put("v"), del, get, absent},
+		{"DEL;PUT", []wire.Request{put("old")}, del, put("new"), get,
+			func(r wire.Response) bool { return r.Status == wire.StatusOK && string(r.Val) == "new" }},
+		{"PUT;EXPIRE", nil, put("v"), expire, ttl, expiring},
+		{"HSET;EXPIRE", nil, hset, expire, ttl, expiring},
+		{"HSET;HDEL", nil, hset, hdel, hget, absent},
+		{"EXPIRE;PERSIST", []wire.Request{put("v")}, expire, persist, ttl,
+			func(r wire.Response) bool { return r.Status == wire.StatusOK && r.TTL == -1 }},
+	} {
+		bad, firstBad := 0, ""
+		for i := 0; i < rounds; i++ {
+			k := []byte(fmt.Sprintf("%s-%04d", tc.name, i))
+			on := func(r wire.Request) wire.Request {
+				id++
+				r.ID, r.Key = id, k
+				return r
+			}
+			for _, r := range tc.setup {
+				rc.send(on(r))
+				if got := rc.recv(); got.Status != wire.StatusOK {
+					t.Fatalf("%s round %d: setup %s answered status %d", tc.name, i, wire.OpName(r.Op), got.Status)
+				}
+			}
+			a, b := on(tc.first), on(tc.second)
+			rc.send(a, b)
+			acks := rc.recvAll(2)
+			var why string
+			if sa, sb := acks[a.ID].Status, acks[b.ID].Status; sa != wire.StatusOK || sb != wire.StatusOK {
+				why = fmt.Sprintf("the pair was acked with status %d, %d", sa, sb)
+			} else {
+				rc.send(on(tc.check))
+				if got := rc.recv(); !tc.want(got) {
+					why = fmt.Sprintf("then %s answered status %d val %q ttl %d", wire.OpName(tc.check.Op), got.Status, got.Val, got.TTL)
+				}
+			}
+			if why != "" {
+				if bad++; bad == 1 {
+					firstBad = fmt.Sprintf("round %d: %s", i, why)
+				}
+			}
 		}
-		rc.send(wire.Request{ID: id + 3, Op: wire.OpGet, Key: k})
-		if got := rc.recv(); got.Status != wire.StatusNotFound {
-			t.Fatalf("round %d: key present after PUT;DEL were both acked (status %d)", i, got.Status)
+		if bad > 0 {
+			t.Errorf("%s: out of order in %d of %d rounds; first, %s", tc.name, bad, rounds, firstBad)
 		}
+	}
+}
 
-		// The other order, on a key that exists: DEL then PUT leaves it set.
-		rc.send(wire.Request{ID: id + 4, Op: wire.OpPut, Key: k, Val: []byte("old")})
-		rc.recv()
-		rc.send(
-			wire.Request{ID: id + 5, Op: wire.OpDel, Key: k},
-			wire.Request{ID: id + 6, Op: wire.OpPut, Key: k, Val: []byte("new")},
-		)
-		acks = rc.recvAll(2)
-		if acks[id+5].Status != wire.StatusOK || acks[id+6].Status != wire.StatusOK {
-			t.Fatalf("round %d: DEL;PUT acked %d, %d", i, acks[id+5].Status, acks[id+6].Status)
+// TestConnGoroutines: a connection is two goroutines, whatever it is sent. A
+// burst of typed reads and writes, a SCAN and a STATS in one socket write runs
+// on the reader and the committers, and once every answer is in, the process
+// has no more goroutines than it had with the connection idle.
+func TestConnGoroutines(t *testing.T) {
+	_, _, addr := startObjServer(t, Config{Cache: CacheConfig{Enable: true}}, nil)
+	rc := dialRaw(t, addr)
+	rc.send(wire.Request{ID: 1, Op: wire.OpPing})
+	rc.recv()
+	baseline := runtime.NumGoroutine()
+
+	var reqs []wire.Request
+	add := func(r wire.Request) {
+		r.ID = uint64(len(reqs) + 2)
+		reqs = append(reqs, r)
+	}
+	for i := 0; i < 8; i++ {
+		name, field := []byte(fmt.Sprintf("obj%d", i)), []byte(fmt.Sprintf("f%d", i))
+		add(wire.Request{Op: wire.OpHSet, Key: name, Field: field, Val: []byte("v")})
+		add(wire.Request{Op: wire.OpHGet, Key: name, Field: field})
+		add(wire.Request{Op: wire.OpExpire, Key: name, TTLMs: 60_000})
+		add(wire.Request{Op: wire.OpTTL, Key: name})
+		add(wire.Request{Op: wire.OpPersist, Key: name})
+		add(wire.Request{Op: wire.OpHDel, Key: name, Field: field})
+		add(wire.Request{Op: wire.OpSAdd, Key: []byte(fmt.Sprintf("set%d", i)), Field: field})
+		add(wire.Request{Op: wire.OpSMembers, Key: []byte(fmt.Sprintf("set%d", i))})
+	}
+	add(wire.Request{Op: wire.OpScan, ScanMax: 100})
+	add(wire.Request{Op: wire.OpStats})
+	rc.send(reqs...)
+	got := rc.recvAll(len(reqs))
+	for _, r := range reqs {
+		// A read may overtake the writes sent before it, and find nothing.
+		if resp, ok := got[r.ID]; !ok || resp.Status != wire.StatusOK && resp.Status != wire.StatusNotFound {
+			t.Errorf("%s %q: answered %v, status %d %s", wire.OpName(r.Op), r.Key, ok, resp.Status, resp.Msg)
 		}
-		rc.send(wire.Request{ID: id + 7, Op: wire.OpGet, Key: k})
-		if got := rc.recv(); got.Status != wire.StatusOK || string(got.Val) != "new" {
-			t.Fatalf("round %d: after DEL;PUT were both acked GET = status %d %q", i, got.Status, got.Val)
-		}
-		id += 7
+	}
+
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > baseline && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n > baseline {
+		t.Fatalf("%d goroutines after %d requests on an idle connection's %d: the connection kept helpers", n, len(reqs), baseline)
 	}
 }
 

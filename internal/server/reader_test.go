@@ -45,7 +45,8 @@ func routeFrame(cn *conn, payload []byte) {
 // the server's making. A PING and a GET that hits allocate nothing; a GET
 // that goes to the store allocates what kv.Store.Get allocates for that key
 // (the value it returns) and nothing more, and a miss that fills the cache
-// adds only the cache's own key string.
+// adds only the cache's own key string. A typed read allocates what its
+// object-layer call allocates on its own.
 func TestReaderServedAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -61,11 +62,33 @@ func TestReaderServedAllocs(t *testing.T) {
 	storeGet := testing.AllocsPerRun(200, func() { st.Get(key) })
 	storeMiss := testing.AllocsPerRun(200, func() { st.Get(absent) })
 
+	o, err := obj.Attach(st, obj.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	hash, field, set := []byte("hash-name"), []byte("field"), []byte("set-name")
+	for _, err := range []error{
+		o.HSet(hash, field, make([]byte, 128)), o.Expire(hash, 3_600_000),
+		o.SAdd(set, []byte("a")), o.SAdd(set, []byte("b")),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	objHGet := testing.AllocsPerRun(200, func() { o.HGet(hash, field) })
+	objSMembers := testing.AllocsPerRun(200, func() { o.SMembers(set) })
+	objTTL := testing.AllocsPerRun(200, func() { o.TTL(hash) })
+
 	cached := New(st, Config{Cache: CacheConfig{Enable: true}})
 	plain := New(st, Config{})
+	typed := New(st, Config{Obj: o})
 	ping := framePayload(t, wire.Request{ID: 1, Op: wire.OpPing})
 	get := framePayload(t, wire.Request{ID: 2, Op: wire.OpGet, Key: key})
 	getAbsent := framePayload(t, wire.Request{ID: 3, Op: wire.OpGet, Key: absent})
+	hget := framePayload(t, wire.Request{ID: 4, Op: wire.OpHGet, Key: hash, Field: field})
+	smembers := framePayload(t, wire.Request{ID: 5, Op: wire.OpSMembers, Key: set})
+	ttl := framePayload(t, wire.Request{ID: 6, Op: wire.OpTTL, Key: hash})
 
 	for _, tc := range []struct {
 		name    string
@@ -79,6 +102,9 @@ func TestReaderServedAllocs(t *testing.T) {
 		{"GET, no cache", plain, get, nil, storeGet},
 		{"GET miss, key absent", cached, getAbsent, nil, storeMiss},
 		{"GET miss and fill", cached, get, func() { cached.cache.Invalidate(key) }, storeGet + 1},
+		{"HGET", typed, hget, nil, objHGet},
+		{"SMEMBERS", typed, smembers, nil, objSMembers},
+		{"TTL", typed, ttl, nil, objTTL},
 	} {
 		cn := newConn(tc.srv, nil) // no socket: responses stay in cn.out
 		run := func() {
@@ -95,14 +121,14 @@ func TestReaderServedAllocs(t *testing.T) {
 	if h, m := cached.cache.Stats().Hits, cached.cache.Stats().Misses; h == 0 || m == 0 {
 		t.Errorf("cache saw %d hits and %d misses: the cases did not run as named", h, m)
 	}
-	if n := cached.requests.Load() + plain.requests.Load(); n != 5*202 {
-		t.Errorf("requests = %d, want every routed request counted (%d)", n, 5*202)
+	if n := cached.requests.Load() + plain.requests.Load() + typed.requests.Load(); n != 8*202 {
+		t.Errorf("requests = %d, want every routed request counted (%d)", n, 8*202)
 	}
 }
 
-// TestPayloadReturned: every route gives the frame payload back to
-// payloadPool once its response is encoded — the reader itself, a handler
-// worker after responding.
+// TestPayloadReturned: both routes give the frame payload back to
+// payloadPool once its response is encoded — the reader itself, a committer
+// once the write is acked.
 func TestPayloadReturned(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
@@ -135,24 +161,29 @@ func TestPayloadReturned(t *testing.T) {
 		}
 	}
 	onReader := cn.route
-	// dispatch would queue the job for a worker goroutine, whose Put lands in
-	// another P's pool; handle is what that worker runs.
-	onWorker := func(payload []byte, box *[]byte) {
-		req, err := wire.DecodeRequest(payload)
-		if err != nil {
-			t.Fatal(err)
+	// route queues a write on its committer, whose goroutine would return the
+	// payload to another P's pool; commit is what that goroutine runs.
+	onCommitter := func(payload []byte, box *[]byte) {
+		cn.route(payload, box)
+		c := srv.committers[st.PartitionOf([]byte("h"))]
+		select {
+		case m := <-c.q:
+			c.commit(m)
+		default:
+			t.Fatal("write not queued on its committer")
 		}
-		cn.sem <- struct{}{}
-		cn.inflight.Add(1)
-		srv.globalInflight.Add(1)
-		cn.handle(job{req, payload, box})
 	}
 	check("PING on the reader", wire.Request{ID: 1, Op: wire.OpPing}, onReader)
 	check("GET on the reader", wire.Request{ID: 2, Op: wire.OpGet, Key: []byte("k")}, onReader)
-	check("HGET on a worker", wire.Request{ID: 3, Op: wire.OpHGet, Key: []byte("h"), Field: []byte("f")}, onWorker)
-	check("STATS on a worker", wire.Request{ID: 4, Op: wire.OpStats}, onWorker)
+	check("HGET on the reader", wire.Request{ID: 3, Op: wire.OpHGet, Key: []byte("h"), Field: []byte("f")}, onReader)
+	check("STATS on the reader", wire.Request{ID: 4, Op: wire.OpStats}, onReader)
+	check("SCAN on the reader", wire.Request{ID: 5, Op: wire.OpScan, ScanMax: 10}, onReader)
+	check("HSET on its committer", wire.Request{ID: 6, Op: wire.OpHSet, Key: []byte("h"), Field: []byte("g"), Val: []byte("w")}, onCommitter)
 	if n := srv.globalInflight.Load(); n != 0 {
 		t.Errorf("%d request tokens not released", n)
+	}
+	if v, err := o.HGet([]byte("h"), []byte("g")); err != nil || string(v) != "w" {
+		t.Errorf("after the committed HSET, HGET = %q, %v", v, err)
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 // connection becomes a ship stream: records ride the ordinary writer
 // goroutine as unsolicited OpReplRecord responses whose IDs are a ship
 // sequence, interleaving with nothing (a subscribed connection carries no
-// other traffic). Acks are intercepted in the read loop and never enter the
-// dispatch pipeline — they carry no response and must not consume inflight
-// tokens that could deadlock a drain.
+// other traffic). The handshake verbs run on the connection's reader like any
+// read; acks are folded there too and take no inflight tokens — they carry
+// no response, and a token could deadlock a drain.
 
 // shipHighWater bounds the ship stream's write-buffer growth when the
 // replica's TCP stalls: past it the subscriber's Run goroutine waits for
@@ -42,8 +42,8 @@ func (cn *conn) handleReplHello(req wire.Request, resp *wire.Response) {
 }
 
 // handleReplSubscribe registers this connection as a replica subscriber and
-// returns the subscriber to start (the caller responds first, so the OK
-// frame precedes every shipped record on the wire).
+// returns the subscriber to start (the caller sends its answer first, so the
+// OK frame precedes every shipped record on the wire).
 func (cn *conn) handleReplSubscribe(req wire.Request, resp *wire.Response) *repl.Subscriber {
 	node := cn.s.repl
 	if node == nil {

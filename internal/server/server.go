@@ -2,18 +2,21 @@
 // speaking the internal/wire length-prefixed binary protocol
 // (GET/PUT/DEL/SCAN/STATS/PING) with per-connection request pipelining.
 //
-// Concurrency model. Each connection runs a reader goroutine that decodes
-// frames and routes every request. PING and GET run to completion right
-// there — a read is cheap (a cache lookup, or a Find plus a value-log read),
-// so a hand-off costs more than serving it — into a reader-owned buffer that
-// goes to the connection's writer once per read batch: before the reader can
-// block. A flat mutation (PUT, DEL) goes to its key's partition committer
-// (batch.go — the only route a flat write takes to the store), and what can
-// block or fan out (SCAN, STATS, the typed-object verbs, REPL.*, PROMOTE) to
-// a pool of handler workers, both bounded by a per-connection inflight
-// semaphore. Requests on one connection complete out of order, exactly what
-// a pipelining client wants, and responses carry the request ID so the client
-// can match them; two writes to one key commit in the order they were sent.
+// Concurrency model. Each connection runs two goroutines, a reader and a
+// writer, beside one group committer per store partition. The reader decodes
+// frames and gives every request one of two routes. A write — PUT, DEL and
+// the typed-object writes — goes to the committer of its key's (or object
+// name's) partition (batch.go — the one route a write takes to the store),
+// bounded by a per-connection inflight semaphore, so two writes to one key
+// commit in the order they were sent, whatever their verbs. Everything else
+// runs to completion right there: PING, GET and the typed reads because a
+// read is cheap (a cache lookup, or a Find plus a value-log read) and a
+// hand-off costs more than serving it, SCAN, STATS, REPL.* and PROMOTE because
+// they are rare and only their own connection waits on them. What the reader
+// answers goes into a reader-owned buffer that it hands to the connection's
+// writer once per read batch: before it can block. Requests on one connection
+// complete out of order, exactly what a pipelining client wants, and
+// responses carry the request ID so the client can match them.
 // Responders hand their frames to a per-connection writer goroutine that
 // coalesces everything queued behind the in-flight write, so a pipeline of
 // responses shares one syscall. The paper's core claim is that slow NVM persists
@@ -40,6 +43,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -64,9 +68,9 @@ type Config struct {
 	MaxConns int
 	// MaxInflight caps pipelined requests in progress per connection
 	// (default 64). A client pipelining deeper stalls in TCP, not in
-	// server memory. In progress means queued on a committer or a worker: a
-	// PING or GET is served on the reader, queues nowhere and completes
-	// before the next frame is decoded, so it takes neither token.
+	// server memory. In progress means queued on a committer: a request
+	// served on the reader queues nowhere and completes before the next
+	// frame is decoded, so it takes neither token.
 	MaxInflight int
 	// MaxGlobalInflight caps requests in progress (in the same sense)
 	// across all connections (default 1024). Beyond it requests are
@@ -77,8 +81,8 @@ type Config struct {
 	IdleTimeout time.Duration
 	// WriteTimeout bounds one response write (default 10s).
 	WriteTimeout time.Duration
-	// Batch tunes the per-partition group committers every flat mutation
-	// commits through.
+	// Batch tunes the per-partition group committers every write commits
+	// through.
 	Batch BatchConfig
 	// Cache configures the opt-in DRAM hot-key cache fronting GETs.
 	Cache CacheConfig
@@ -140,8 +144,8 @@ type Server struct {
 	commitStop chan struct{}
 	commitWG   sync.WaitGroup
 	// cache is the optional DRAM hot-key cache (cache.go); nil when
-	// disabled. Every mutation path (the committers and handleObj)
-	// invalidates through it before acknowledging the client.
+	// disabled. The committers invalidate through it before acknowledging
+	// a write.
 	cache *Cache
 	// repl is the optional replication node (repl.go); nil when disabled.
 	repl *repl.Node
@@ -194,7 +198,7 @@ func New(st *kv.Store, cfg Config) *Server {
 		s.repl.SetFenceLease(cfg.ReplFenceLease)
 	}
 	if s.repl != nil && (s.cache != nil || s.obj != nil) {
-		// Replica mode: records applied by the applier bypass handle(), so
+		// Replica mode: records applied by the applier bypass the committers, so
 		// the hot-key cache must be invalidated from the apply path or GETs
 		// would serve superseded values forever — and the object layer's
 		// DRAM expiry index must track shipped expiry records the same way.
@@ -536,11 +540,6 @@ type conn struct {
 	// flush hands them to the writer; only the reader touches it.
 	out []byte
 
-	// reqs feeds a lazily-grown pool of handler workers; pooling reuses
-	// goroutines across requests instead of paying a spawn per request.
-	reqs    chan job
-	workers atomic.Int32
-
 	// Responders append encoded frames to wBuf and nudge the connection's
 	// writer goroutine, which swaps the buffer out and writes it with one
 	// syscall. At pipelined rates the syscall is the expensive part of a
@@ -570,7 +569,7 @@ type conn struct {
 	shipSeq uint64
 
 	done     chan struct{}  // closed when run finishes (drain phasing)
-	inflight sync.WaitGroup // dispatched requests not yet responded
+	inflight sync.WaitGroup // queued writes not yet responded
 }
 
 func newConn(s *Server, c net.Conn) *conn {
@@ -578,7 +577,6 @@ func newConn(s *Server, c net.Conn) *conn {
 		s:     s,
 		c:     c,
 		sem:   make(chan struct{}, s.cfg.MaxInflight),
-		reqs:  make(chan job, s.cfg.MaxInflight),
 		wSig:  make(chan struct{}, 1),
 		rWake: make(chan struct{}, 1),
 		wStop: make(chan struct{}),
@@ -612,8 +610,8 @@ const maxBacklog = wire.MaxFrame
 // awaitWriter parks the reader while the unwritten backlog exceeds
 // maxBacklog. The writer's progress, a dead connection and a drain end the
 // wait; each sets its state before its wake-up and rWake holds one, so none
-// is lost. Committers and workers never wait: what they can add is bounded by
-// the requests the reader has let in.
+// is lost. Committers never wait: what they can add is bounded by the
+// requests the reader has let in.
 func (cn *conn) awaitWriter() {
 	for cn.backlog.Load() > maxBacklog && !cn.deadF.Load() && !cn.drainF.Load() {
 		<-cn.rWake
@@ -713,9 +711,9 @@ func (cn *conn) writeLoop() {
 }
 
 // respond encodes the responses back-to-back, sends them as one write burst
-// (usually one syscall), then releases each request's tokens. It is the
-// single completion point for every dispatched request; a committer passes
-// one connection's whole slice of a batch.
+// (usually one syscall), then releases each request's tokens. It completes
+// every queued write; a committer passes one connection's whole slice of a
+// batch.
 func (cn *conn) respond(rs ...wire.Response) {
 	fp, _ := framePool.Get().(*[]byte)
 	if fp == nil {
@@ -756,10 +754,10 @@ var framePool sync.Pool
 // payloadPool recycles request-payload buffers, as *[]byte like framePool. A
 // decoded request's key/value slices alias its frame payload, so the buffer
 // lives exactly as long as the request does, and every route returns it once
-// the request is answered: the reader at once, a committer once Commit has
-// copied key and value into the log, a worker after its handler has
-// responded (no handler keeps a request slice: the object layer copies names,
-// fields and values into the log and into string map keys). At a couple of
+// the request is answered: the reader at once, a committer once the write has
+// copied key and value into the log (nothing keeps a request slice: the
+// object layer copies names, fields and values into the log and into string
+// map keys). At a couple of
 // KiB per PUT this is the server's dominant allocation, and recycling it
 // keeps the GC out of the steady-state serving loop.
 var payloadPool sync.Pool
@@ -774,25 +772,24 @@ func putPayload(box *[]byte, payload []byte) {
 	payloadPool.Put(box)
 }
 
-// run owns the connection lifecycle: pump the reader, drain inflight
-// handlers, let the writer flush their final acks, then close.
+// run owns the connection lifecycle: pump the reader, wait for the queued
+// writes, let the writer flush their final acks, then close.
 func (cn *conn) run() {
 	defer cn.s.unregister(cn)
 	defer close(cn.done)
 	go cn.writeLoop()
 	cn.readLoop()
 
-	// No new requests past this point. Wait for dispatched handlers to
-	// respond, stop the ship stream if this was a replica connection (its
-	// queued record frames still drain through the writer below), then stop
-	// the writer — it drains every queued frame before wDone — retire the
-	// worker pool and close the socket.
+	// No new requests past this point. Wait for the committers to answer
+	// this connection's queued writes, stop the ship stream if this was a
+	// replica connection (its queued record frames still drain through the
+	// writer below), then stop the writer — it drains every queued frame
+	// before wDone — and close the socket.
 	cn.inflight.Wait()
 	if sub := cn.sub.Load(); sub != nil {
 		sub.Stop()
 		<-sub.Done()
 	}
-	close(cn.reqs)
 	close(cn.wStop)
 	<-cn.wDone
 	cn.c.Close()
@@ -834,8 +831,8 @@ func (cn *conn) readLoop() {
 		}
 		// Each frame gets its own payload buffer (pooled once a request has
 		// retired one) so the decoded request's key/value slices can alias
-		// it for the request's whole lifetime — the committer and worker
-		// routes are asynchronous, and handing the payload over outright is
+		// it for the request's whole lifetime — the committer route is
+		// asynchronous, and handing the payload over outright is
 		// one 2-KiB memmove cheaper per PUT than reusing the buffer and
 		// cloning the slices out of it.
 		var pbuf []byte
@@ -875,10 +872,10 @@ func (cn *conn) flush() {
 	}
 }
 
-// route decodes one frame and sends the request on its way: PING and GET are
-// served here on the reader, acks are folded here, the rest is dispatched.
-// box is the pool box payload came out of, if any; whichever route finishes
-// the request returns both to payloadPool.
+// route decodes one frame and sends the request on its way: a write is queued
+// on its committer (submit), an ack is folded here, and everything else is
+// served here on the reader (serve). box is the pool box payload came out of,
+// if any; whichever route finishes the request returns both to payloadPool.
 func (cn *conn) route(payload []byte, box *[]byte) {
 	req, err := wire.DecodeRequest(payload)
 	switch {
@@ -890,25 +887,66 @@ func (cn *conn) route(payload []byte, box *[]byte) {
 		})
 	case req.Op == wire.OpReplAck:
 		// Acks carry no response and take no inflight tokens: they are
-		// folded here on the reader, so an ack can never be stuck in the
-		// dispatch pipeline behind the very durable-ack PUT it unblocks.
+		// folded here on the reader, so an ack can never queue behind the
+		// very durable-ack PUT it unblocks.
 		if sub := cn.sub.Load(); sub != nil {
 			sub.Ack(req.ReplLSNs)
 		}
-	case req.Op == wire.OpPing || req.Op == wire.OpGet:
+	case writeOp(req.Op):
+		if cn.submit(req, payload, box) {
+			return // the committer returns the payload
+		}
+	default:
 		// requests first: Stats relies on every derived counter (the cache's
 		// hits and misses here) being bumped after it.
 		cn.s.requests.Add(1)
-		resp := wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK}
-		if req.Op == wire.OpGet {
-			resp.Val, resp.Status, resp.Msg = cn.s.get(req.Key)
-		}
-		cn.out = appendResponse(cn.out, resp)
-	default:
-		cn.dispatch(req, payload, box)
-		return
+		cn.serve(req)
 	}
 	putPayload(box, payload)
+}
+
+// serve runs one request to completion on the reader and appends its response
+// to cn.out. Reads are cheap; what is slow (a SCAN, PROMOTE's sweep) is rare
+// and holds up only this connection.
+func (cn *conn) serve(req wire.Request) {
+	s := cn.s
+	resp := wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK}
+	switch req.Op {
+	case wire.OpPing:
+	case wire.OpGet:
+		resp.Val, resp.Status, resp.Msg = s.get(req.Key)
+	case wire.OpHGet, wire.OpSMembers, wire.OpTTL:
+		s.readObj(req, &resp)
+	case wire.OpScan:
+		resp.Pairs = cn.scan(req)
+	case wire.OpStats:
+		resp.Counters = s.counters()
+	case wire.OpReplHello:
+		cn.handleReplHello(req, &resp)
+	case wire.OpReplSubscribe:
+		if sub := cn.handleReplSubscribe(req, &resp); sub != nil {
+			// The OK frame goes to the writer before the ship loop starts,
+			// so it precedes every shipped record on the wire.
+			cn.out = appendResponse(cn.out, resp)
+			cn.flush()
+			go sub.Run()
+			return
+		}
+	case wire.OpPromote:
+		cn.handlePromote(req, &resp)
+		if resp.Status == wire.StatusOK && s.obj != nil {
+			// A freshly promoted primary sweeps the records a composite cut
+			// short by the failover left unlisted. The role has already
+			// flipped, so writes on other connections overlap the sweep —
+			// it locks per name; readers never saw those records anyway.
+			if err := s.obj.Activate(); err != nil {
+				resp.Status, resp.Msg = wire.StatusErr, err.Error()
+			}
+		}
+	default:
+		resp.Status, resp.Msg = wire.StatusErr, fmt.Sprintf("unhandled op %s", wire.OpName(req.Op))
+	}
+	cn.out = appendResponse(cn.out, resp)
 }
 
 // get is the one flat read: object-layer gates, the hot-key cache, and on a
@@ -960,185 +998,89 @@ func cloneBytes(b []byte) []byte {
 	return append([]byte(nil), b...)
 }
 
-// job is one request on its way to a handler worker, with the frame payload
-// its slices alias and the pool box that came out of.
-type job struct {
-	req wire.Request
-	raw []byte
-	box *[]byte
-}
+const (
+	errReservedKey = "server: key is in the reserved object namespace"
+	errObjDisabled = "server: typed objects disabled"
+)
 
-// dispatch queues one request that cannot be served on the reader: acquire
-// the per-connection token (blocking: this is the pipelining depth limit),
-// try the global token (rejecting: this is overload protection), then hand
-// off to the key's committer (PUT, DEL) or a handler worker (everything
-// else). Nothing here may capture req: a closure over it would move every
-// dispatched request to the heap.
-func (cn *conn) dispatch(req wire.Request, payload []byte, box *[]byte) {
-	cn.s.requests.Add(1)
-	select {
-	case cn.sem <- struct{}{}:
-	default:
-		cn.flush() // about to block: let what is answered leave first
-		cn.sem <- struct{}{}
-	}
-	if cn.s.globalInflight.Add(1) > int64(cn.s.cfg.MaxGlobalInflight) {
-		cn.s.globalInflight.Add(-1)
-		cn.s.overloads.Add(1)
-		cn.out = appendResponse(cn.out, wire.Response{ID: req.ID, Status: wire.StatusOverloaded, Op: req.Op})
-		<-cn.sem
-		putPayload(box, payload)
-		return
-	}
-	cn.inflight.Add(1)
-	if req.Op == wire.OpPut || req.Op == wire.OpDel {
-		cn.submit(req, payload, box)
-		return
-	}
-	// The reqs queue has one slot per sem token, so this send never blocks.
-	cn.reqs <- job{req, payload, box}
-	// Grow the worker pool while requests are waiting: every queued request
-	// deserves its own worker (that is the pipelining), but an idle pool
-	// serves a shallow pipeline without spawning.
-	if w := cn.workers.Load(); len(cn.reqs) > 0 && int(w) < cap(cn.sem) {
-		if cn.workers.CompareAndSwap(w, w+1) {
-			go cn.workerLoop()
-		}
-	}
-}
-
-// submit gates one flat mutation, here on the reader and nowhere else, and
-// queues it on its key's partition committer: a replica or fenced primary
-// rejects it, the object layer's reserved keys are off limits, and a full
-// queue is backpressure (StatusOverloaded), never buffering.
-func (cn *conn) submit(req wire.Request, payload []byte, box *[]byte) {
-	s := cn.s
-	resp := wire.Response{ID: req.ID, Op: req.Op}
-	switch {
-	case s.readOnly():
-		resp.Status = wire.StatusReadOnly
-	case s.obj != nil && obj.IsInternalKey(req.Key):
-		resp.Status, resp.Msg = wire.StatusErr, errReservedKey
-	default:
-		m := mutation{
-			cn: cn, id: req.ID, op: req.Op, key: req.Key, val: req.Val, raw: payload, box: box,
-			// Without a replication node a durable PUT is a PUT.
-			durable: req.Durable && s.repl != nil,
-		}
-		select {
-		case s.committers[s.st.PartitionOf(req.Key)].q <- m:
-			return
-		default:
-			s.overloads.Add(1)
-			resp.Status = wire.StatusOverloaded
-		}
-	}
-	cn.respond(resp)
-}
-
-// workerLoop handles requests until the conn's reader closes the feed.
-func (cn *conn) workerLoop() {
-	for j := range cn.reqs {
-		cn.handle(j)
-	}
-}
-
-// handle executes one request against the store, responds, and with that
-// retires the payload. PING and GET never get here — the reader serves them
-// (route) — nor do PUT and DEL: dispatch hands them to their committer.
-func (cn *conn) handle(j job) {
-	defer putPayload(j.box, j.raw)
-	req := j.req
-	resp := wire.Response{ID: req.ID, Op: req.Op}
-	switch req.Op {
-	case wire.OpScan:
-		resp.Status = wire.StatusOK
-		resp.Pairs = cn.scan(req)
-	case wire.OpStats:
-		resp.Status = wire.StatusOK
-		resp.Counters = cn.s.counters()
-	case wire.OpReplHello:
-		cn.handleReplHello(req, &resp)
-	case wire.OpReplSubscribe:
-		// Respond before starting the ship loop so the OK frame precedes
-		// every shipped record on the wire (send appends in call order).
-		sub := cn.handleReplSubscribe(req, &resp)
-		cn.respond(resp)
-		if sub != nil {
-			go sub.Run()
-		}
-		return
-	case wire.OpPromote:
-		cn.handlePromote(req, &resp)
-		if resp.Status == wire.StatusOK && cn.s.obj != nil {
-			// A freshly promoted primary sweeps the records a composite cut
-			// short by the failover left unlisted. The role has already
-			// flipped, so writes on other connections overlap the sweep —
-			// it locks per name; readers never saw those records anyway.
-			if err := cn.s.obj.Activate(); err != nil {
-				resp.Status, resp.Msg = wire.StatusErr, err.Error()
-			}
-		}
-	case wire.OpHSet, wire.OpHGet, wire.OpHDel, wire.OpSAdd, wire.OpSRem,
-		wire.OpSMembers, wire.OpExpire, wire.OpTTL, wire.OpPersist:
-		cn.handleObj(req, &resp)
-	default:
-		resp.Status, resp.Msg = wire.StatusErr, fmt.Sprintf("unhandled op %s", wire.OpName(req.Op))
-	}
-	cn.respond(resp)
-}
-
-const errReservedKey = "server: key is in the reserved object namespace"
-
-// objWriteOp reports whether op mutates through the object layer (and must
-// respect replica/fence read-only gating plus cache invalidation).
-func objWriteOp(op uint8) bool {
+// writeOp reports whether op mutates the store, and so commits through a
+// partition committer instead of running on the reader.
+func writeOp(op uint8) bool {
 	switch op {
-	case wire.OpHSet, wire.OpHDel, wire.OpSAdd, wire.OpSRem, wire.OpExpire, wire.OpPersist:
+	case wire.OpPut, wire.OpDel, wire.OpHSet, wire.OpHDel, wire.OpSAdd, wire.OpSRem, wire.OpExpire, wire.OpPersist:
 		return true
 	}
 	return false
 }
 
-// handleObj executes one typed-object request. Composite writes invalidate
-// the hot-key cache under the object's name after commit, before ack — a
-// reap folded into the write (an expired name being rewritten) may have
-// deleted the flat key of the same name out from under a cached GET.
-func (cn *conn) handleObj(req wire.Request, resp *wire.Response) {
-	o := cn.s.obj
-	if o == nil {
-		resp.Status, resp.Msg = wire.StatusErr, "server: typed objects disabled"
-		return
+// submit gates one write, here on the reader and nowhere else, and queues it
+// on the committer of its key's partition — for a typed verb the key is the
+// object's name, which routes like a flat key of that name. A typed verb needs
+// the object layer, a replica or fenced primary rejects every write, and a
+// flat one may not touch the object layer's reserved keys. Then come the
+// tokens: the per-connection one blocking (the pipelining depth limit), the
+// global one rejecting (overload protection), and a full queue is the same
+// backpressure, never buffering. A rejection is answered on the reader, and
+// submit reports whether the write was queued. Nothing here may capture req:
+// a closure over it would move every write to the heap.
+func (cn *conn) submit(req wire.Request, payload []byte, box *[]byte) bool {
+	s := cn.s
+	s.requests.Add(1)
+	flat := flatOp(req.Op)
+	status, msg := uint8(wire.StatusOverloaded), "" // unless a gate says otherwise
+	switch {
+	case !flat && s.obj == nil:
+		status, msg = wire.StatusErr, errObjDisabled
+	case s.readOnly():
+		status = wire.StatusReadOnly
+	case flat && s.obj != nil && obj.IsInternalKey(req.Key):
+		status, msg = wire.StatusErr, errReservedKey
+	default:
+		select {
+		case cn.sem <- struct{}{}:
+		default:
+			cn.flush() // about to block: let what is answered leave first
+			cn.sem <- struct{}{}
+		}
+		if s.globalInflight.Add(1) <= int64(s.cfg.MaxGlobalInflight) {
+			m := mutation{
+				cn: cn, id: req.ID, op: req.Op, key: req.Key, val: req.Val, field: req.Field, ttl: req.TTLMs,
+				raw: payload, box: box,
+				// Without a replication node a durable PUT is a PUT.
+				durable: req.Durable && s.repl != nil,
+			}
+			cn.inflight.Add(1)
+			select {
+			case s.committers[s.st.PartitionOf(req.Key)].q <- m:
+				return true
+			default:
+				cn.inflight.Done()
+			}
+		}
+		s.globalInflight.Add(-1)
+		<-cn.sem
+		s.overloads.Add(1)
 	}
-	if objWriteOp(req.Op) && cn.s.readOnly() {
-		resp.Status = wire.StatusReadOnly
+	cn.out = appendResponse(cn.out, wire.Response{ID: req.ID, Op: req.Op, Status: status, Msg: msg})
+	return false
+}
+
+// readObj serves a typed read. Like a flat GET it takes no lock a writer
+// holds: an expiry lookup in DRAM, then kv reads.
+func (s *Server) readObj(req wire.Request, resp *wire.Response) {
+	o := s.obj
+	if o == nil {
+		resp.Status, resp.Msg = wire.StatusErr, errObjDisabled
 		return
 	}
 	var err error
 	switch req.Op {
-	case wire.OpHSet:
-		err = o.HSet(req.Key, req.Field, req.Val)
 	case wire.OpHGet:
 		resp.Val, err = o.HGet(req.Key, req.Field)
-	case wire.OpHDel:
-		err = o.HDel(req.Key, req.Field)
-	case wire.OpSAdd:
-		err = o.SAdd(req.Key, req.Field)
-	case wire.OpSRem:
-		err = o.SRem(req.Key, req.Field)
 	case wire.OpSMembers:
 		resp.Members, err = o.SMembers(req.Key)
-	case wire.OpExpire:
-		err = o.Expire(req.Key, req.TTLMs)
 	case wire.OpTTL:
 		resp.TTL, err = o.TTL(req.Key)
-	case wire.OpPersist:
-		err = o.Persist(req.Key)
-	}
-	if objWriteOp(req.Op) {
-		if c := cn.s.cache; c != nil {
-			c.Invalidate(req.Key)
-		}
 	}
 	resp.Status, resp.Msg = statusOf(err)
 }
@@ -1158,23 +1100,11 @@ func (cn *conn) scan(req wire.Request) []wire.KV {
 		if cn.s.obj != nil && (obj.IsInternalKey(k) || cn.s.obj.Expired(k)) {
 			return true
 		}
-		if len(req.ScanPrefix) > 0 && !hasPrefix(k, req.ScanPrefix) {
+		if !bytes.HasPrefix(k, req.ScanPrefix) {
 			return true
 		}
 		out = append(out, wire.KV{Key: cloneBytes(k), Val: cloneBytes(v)})
 		return len(out) < max
 	})
 	return out
-}
-
-func hasPrefix(b, prefix []byte) bool {
-	if len(b) < len(prefix) {
-		return false
-	}
-	for i := range prefix {
-		if b[i] != prefix[i] {
-			return false
-		}
-	}
-	return true
 }
