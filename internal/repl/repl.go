@@ -17,8 +17,10 @@
 //
 // Durability handshake: a record acked by a replica has been applied AND
 // persisted there (ReplApply returns after the record and its index publish
-// are durable), so Node.WaitDurable(part, lsn) returning nil means the write
-// survives the loss of either node — the wait-for-replica-durable PUT mode.
+// are durable), so once Node.DurableLSN(part) reaches a record's LSN the
+// write survives the loss of either node. The node tells one installed hook
+// (SetDurableHook) each time a partition's watermark rises; the serving layer
+// answers its wait-for-replica-durable PUTs from it.
 //
 // Epochs order primaries across failovers. The pair (epoch, role) is
 // persisted in the store (kv.Store.SetReplState) as one atomically-written
@@ -46,8 +48,8 @@ const (
 	Replica = wire.RoleReplica
 )
 
-// ErrDurableTimeout is returned by WaitDurable when no replica acked the
-// record in time (no replica connected, or the connected one is too far
+// ErrDurableTimeout reports a wait-for-replica-durable write that no replica
+// acked in time (no replica connected, or the connected one is too far
 // behind). The write itself is committed locally either way.
 var ErrDurableTimeout = errors.New("repl: timed out waiting for replica durability")
 
@@ -55,7 +57,8 @@ var ErrDurableTimeout = errors.New("repl: timed out waiting for replica durabili
 // error: the subscriber is flagged lagging and heals from the log backlog.
 const subQueueCap = 1024
 
-// Record is one replicated log record.
+// Record is one replicated log record. Key and Val are only valid until the
+// Subscribe transport that receives them returns.
 type Record struct {
 	Part int
 	LSN  uint64
@@ -71,12 +74,18 @@ type Node struct {
 	role  atomic.Uint32 // Primary / Replica; reads are lock-free (hot path)
 	epoch atomic.Uint64
 
-	mu          sync.Mutex // role/epoch transitions, subs, durable
-	subs        map[*Subscriber]struct{}
-	durable     []uint64      // per-partition max LSN acked durable by any replica
-	durableCh   chan struct{} // closed+replaced whenever durable advances
+	mu          sync.Mutex // role/epoch transitions, subscriber registration
 	applierStop func()
 	closed      bool
+
+	// subs is the registered subscribers: an immutable slice, replaced under
+	// mu by Subscribe and close, so the commit hook ranges it without a lock
+	// and the partitions' commits never serialise on the node.
+	subs atomic.Pointer[[]*Subscriber]
+	// durable is the per-partition max LSN acked durable by any replica. It
+	// only rises (CAS-max), and durableHook hears of every rise.
+	durable     []atomic.Uint64
+	durableHook atomic.Pointer[func(part int, lsn uint64)]
 
 	shipped atomic.Uint64 // records offered to subscribers (commit hook calls)
 	acks    atomic.Uint64 // ack vectors processed
@@ -86,8 +95,7 @@ type Node struct {
 	// gone longer than the lease reports Fenced, so the serving layer can
 	// stop acking writes that would not survive a concurrent failover.
 	fenceLease atomic.Int64 // lease in nanoseconds; 0 disables fencing
-	subCount   atomic.Int64 // live registered subscribers
-	subGone    atomic.Int64 // now() when subCount last dropped to zero
+	subGone    atomic.Int64 // now() when the last subscriber left
 	now        func() int64 // the lease's clock, in nanoseconds; SetClockForTest replaces it
 
 	// applyHook, when set, is called with each record the applier has just
@@ -109,12 +117,11 @@ func NewNode(st *kv.Store, role uint8) (*Node, error) {
 		return nil, fmt.Errorf("repl: bad role %d", role)
 	}
 	n := &Node{
-		st:        st,
-		subs:      map[*Subscriber]struct{}{},
-		durable:   make([]uint64, st.Partitions()),
-		durableCh: make(chan struct{}),
-		now:       func() int64 { return time.Now().UnixNano() },
+		st:      st,
+		durable: make([]atomic.Uint64, st.Partitions()),
+		now:     func() int64 { return time.Now().UnixNano() },
 	}
+	n.subs.Store(new([]*Subscriber))
 	if e, r := st.ReplState(); r != 0 {
 		// Persisted state wins.
 		n.epoch.Store(e)
@@ -167,7 +174,7 @@ func (n *Node) SetClockForTest(now func() int64) { n.now = now }
 // (read-only) while Fenced holds. Lock-free; called per mutation.
 func (n *Node) Fenced() bool {
 	lease := n.fenceLease.Load()
-	if lease <= 0 || n.Role() != Primary || n.subCount.Load() > 0 {
+	if lease <= 0 || n.Role() != Primary || len(*n.subs.Load()) > 0 {
 		return false
 	}
 	return n.now()-n.subGone.Load() > lease
@@ -188,6 +195,19 @@ func (n *Node) SetApplyHook(fn func(kind uint8, key, val []byte)) {
 	n.applyHook.Store(&fn)
 }
 
+// SetDurableHook registers fn to be called each time a replica ack raises
+// partition part's durable watermark, with the new watermark lsn (nil
+// unregisters). It runs on the ack's goroutine with no lock of the node's
+// held, possibly concurrently for different acks; a raced call may carry a
+// lower lsn than one already seen.
+func (n *Node) SetDurableHook(fn func(part int, lsn uint64)) {
+	if fn == nil {
+		n.durableHook.Store(nil)
+		return
+	}
+	n.durableHook.Store(&fn)
+}
+
 // Role returns the node's current role (lock-free).
 func (n *Node) Role() uint8 { return uint8(n.role.Load()) }
 
@@ -196,21 +216,22 @@ func (n *Node) Epoch() uint64 { return n.epoch.Load() }
 
 // onCommit is the store's commit hook: fan the record out to every
 // subscriber. It runs under the partition's commit locks, so per partition
-// the LSN stream each subscriber observes is monotonic.
+// the LSN stream each subscriber observes is monotonic. A subscriber
+// registered after the load below sees the record through its initial
+// backlog replay instead.
 func (n *Node) onCommit(part int, lsn uint64, kind uint8, key, val []byte) {
 	n.shipped.Add(1)
-	n.mu.Lock()
-	for sub := range n.subs {
+	for _, sub := range *n.subs.Load() {
 		sub.offer(part, lsn, kind, key, val)
 	}
-	n.mu.Unlock()
 }
 
 // Subscribe registers a subscriber whose per-partition cursors start at
 // from (the subscriber's durable watermarks) and whose records are
 // delivered through send. send runs on the subscriber's Run goroutine and
 // may block (it is the transport's backpressure); a send error ends Run.
-// The caller must call Run to start shipping and Stop to end it.
+// send must not retain the Record's Key or Val: their memory is reused once
+// it returns. The caller must call Run to start shipping and Stop to end it.
 func (n *Node) Subscribe(from []uint64, send func(Record) error) (*Subscriber, error) {
 	if len(from) != n.st.Partitions() {
 		return nil, fmt.Errorf("repl: subscribe with %d cursors, store has %d partitions",
@@ -219,7 +240,7 @@ func (n *Node) Subscribe(from []uint64, send func(Record) error) (*Subscriber, e
 	sub := &Subscriber{
 		n:      n,
 		send:   send,
-		q:      make(chan Record, subQueueCap),
+		q:      make(chan queued, subQueueCap),
 		stopc:  make(chan struct{}),
 		donec:  make(chan struct{}),
 		cursor: make([]atomic.Uint64, len(from)),
@@ -237,8 +258,9 @@ func (n *Node) Subscribe(from []uint64, send func(Record) error) (*Subscriber, e
 		n.mu.Unlock()
 		return nil, errors.New("repl: node closed")
 	}
-	n.subs[sub] = struct{}{}
-	n.subCount.Add(1)
+	old := *n.subs.Load()
+	subs := append(old[:len(old):len(old)], sub) // a copy: readers hold the old slice
+	n.subs.Store(&subs)
 	n.mu.Unlock()
 	// The subscriber's acked watermarks count toward durability: a replica
 	// resuming from LSN L has everything <= L durable already.
@@ -247,51 +269,25 @@ func (n *Node) Subscribe(from []uint64, send func(Record) error) (*Subscriber, e
 }
 
 // advanceDurable folds an ack vector into the node's durable watermarks and
-// wakes WaitDurable waiters when anything moved.
+// calls the durable hook for each partition whose watermark it raised. It
+// takes no lock: each watermark is a CAS-max.
 func (n *Node) advanceDurable(lsns []uint64) {
-	n.mu.Lock()
-	changed := false
-	for i, l := range lsns {
-		if i < len(n.durable) && l > n.durable[i] {
-			n.durable[i] = l
-			changed = true
-		}
-	}
-	if changed {
-		close(n.durableCh)
-		n.durableCh = make(chan struct{})
-	}
-	n.mu.Unlock()
-}
-
-// WaitDurable blocks until some replica has acked partition part up to lsn
-// (the record is applied and persisted there), or the timeout expires.
-func (n *Node) WaitDurable(part int, lsn uint64, timeout time.Duration) error {
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	for {
-		n.mu.Lock()
-		ok := part >= 0 && part < len(n.durable) && n.durable[part] >= lsn
-		ch := n.durableCh
-		n.mu.Unlock()
-		if ok {
-			return nil
-		}
-		select {
-		case <-ch:
-		case <-deadline.C:
-			return ErrDurableTimeout
+	hook := n.durableHook.Load()
+	for i := 0; i < len(lsns) && i < len(n.durable); i++ {
+		for cur := n.durable[i].Load(); lsns[i] > cur; cur = n.durable[i].Load() {
+			if n.durable[i].CompareAndSwap(cur, lsns[i]) {
+				if hook != nil {
+					(*hook)(i, lsns[i])
+				}
+				break
+			}
 		}
 	}
 }
 
-// Durable returns the per-partition durable (replica-acked) watermarks.
-func (n *Node) Durable() []uint64 {
-	n.mu.Lock()
-	out := append([]uint64(nil), n.durable...)
-	n.mu.Unlock()
-	return out
-}
+// DurableLSN returns partition part's durable (replica-acked) watermark.
+// Lock-free.
+func (n *Node) DurableLSN(part int) uint64 { return n.durable[part].Load() }
 
 // Promote makes this node the primary at an epoch strictly above both its
 // own and minEpoch (the caller's last known primary epoch), persisting the
@@ -356,29 +352,14 @@ type Stats struct {
 
 // NodeStats returns a snapshot of the node's replication counters.
 func (n *Node) NodeStats() Stats {
-	n.mu.Lock()
-	subs := len(n.subs)
-	n.mu.Unlock()
 	return Stats{
 		Role:        n.Role(),
 		Epoch:       n.Epoch(),
-		Subscribers: subs,
+		Subscribers: len(*n.subs.Load()),
 		Shipped:     n.shipped.Load(),
 		Acks:        n.acks.Load(),
 		Applied:     n.applied.Load(),
 	}
-}
-
-// Subscribers returns a snapshot of the registered subscribers (the server
-// drain uses it to flush ship queues before closing replica connections).
-func (n *Node) Subscribers() []*Subscriber {
-	n.mu.Lock()
-	out := make([]*Subscriber, 0, len(n.subs))
-	for sub := range n.subs {
-		out = append(out, sub)
-	}
-	n.mu.Unlock()
-	return out
 }
 
 // Close stops the applier and every subscriber and uninstalls the commit
@@ -390,12 +371,8 @@ func (n *Node) Close() {
 		n.applierStop()
 		n.applierStop = nil
 	}
-	subs := make([]*Subscriber, 0, len(n.subs))
-	for sub := range n.subs {
-		subs = append(subs, sub)
-	}
 	n.mu.Unlock()
-	for _, sub := range subs {
+	for _, sub := range *n.subs.Load() {
 		sub.Stop()
 		<-sub.Done()
 	}
@@ -412,7 +389,7 @@ type Subscriber struct {
 	n    *Node
 	send func(Record) error
 
-	q       chan Record
+	q       chan queued
 	lagging atomic.Bool // set on overflow; Run heals via backlog replay
 
 	cursor []atomic.Uint64 // per-partition highest LSN sent
@@ -421,24 +398,36 @@ type Subscriber struct {
 	stopOnce sync.Once
 	stopc    chan struct{}
 	donec    chan struct{}
-
-	sent atomic.Uint64
 }
 
+// queued is a live record on its way through a subscriber's queue, with the
+// recBufs box its Key and Val share.
+type queued struct {
+	Record
+	box *[]byte
+}
+
+// recBufs recycles offer's copies of key+val, as *[]byte so a round trip
+// through the pool allocates nothing. Run returns each once its send is over
+// (send keeps neither slice) or the record is dropped.
+var recBufs sync.Pool
+
 // offer enqueues one committed record, copying the borrowed key/value
-// slices (they alias the committing writer's buffers). A full queue marks
-// the subscriber lagging; the dropped record is recovered from the log.
+// slices (they alias the committing writer's buffers) into one pooled
+// buffer. A full queue marks the subscriber lagging; the dropped record is
+// recovered from the log.
 func (sub *Subscriber) offer(part int, lsn uint64, kind uint8, key, val []byte) {
-	rec := Record{
-		Part: part,
-		LSN:  lsn,
-		Kind: kind,
-		Key:  append([]byte(nil), key...),
-		Val:  append([]byte(nil), val...),
+	box, _ := recBufs.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
 	}
+	buf := append(append((*box)[:0], key...), val...)
+	*box = buf
+	rec := Record{Part: part, LSN: lsn, Kind: kind, Key: buf[:len(key):len(key)], Val: buf[len(key):]}
 	select {
-	case sub.q <- rec:
+	case sub.q <- queued{rec, box}:
 	default:
+		recBufs.Put(box)
 		sub.lagging.Store(true)
 	}
 }
@@ -470,16 +459,25 @@ func (sub *Subscriber) Run() error {
 		case <-sub.stopc:
 			return nil
 		case rec := <-sub.q:
-			if rec.LSN <= sub.cursor[rec.Part].Load() {
-				continue // already shipped by a backlog replay
+			var err error
+			if rec.LSN > sub.cursor[rec.Part].Load() { // else already shipped by a backlog replay
+				err = sub.deliver(rec.Record)
 			}
-			if err := sub.send(rec); err != nil {
+			recBufs.Put(rec.box)
+			if err != nil {
 				return err
 			}
-			sub.cursor[rec.Part].Store(rec.LSN)
-			sub.sent.Add(1)
 		}
 	}
+}
+
+// deliver sends one record and advances its partition's cursor past it.
+func (sub *Subscriber) deliver(rec Record) error {
+	if err := sub.send(rec); err != nil {
+		return err
+	}
+	sub.cursor[rec.Part].Store(rec.LSN)
+	return nil
 }
 
 // catchUp replays the reachable backlog above each partition cursor.
@@ -493,13 +491,9 @@ func (sub *Subscriber) catchUp() error {
 		var fail error
 		err := sub.n.st.ReplBacklog(part, sub.cursor[part].Load(),
 			func(lsn uint64, kind uint8, key, val []byte) bool {
-				if err := sub.send(Record{Part: part, LSN: lsn, Kind: kind, Key: key, Val: val}); err != nil {
-					fail = err
-					return false
-				}
-				sub.cursor[part].Store(lsn)
-				sub.sent.Add(1)
-				return true
+				// key and val alias the replay's memory: never pooled.
+				fail = sub.deliver(Record{Part: part, LSN: lsn, Kind: kind, Key: key, Val: val})
+				return fail == nil
 			})
 		if err == nil {
 			err = fail
@@ -563,12 +557,19 @@ func (sub *Subscriber) Stop() {
 func (sub *Subscriber) Done() <-chan struct{} { return sub.donec }
 
 func (sub *Subscriber) close() {
-	sub.n.mu.Lock()
-	delete(sub.n.subs, sub)
-	if sub.n.subCount.Add(-1) == 0 {
-		// The fence lease starts counting from the last subscriber's exit.
-		sub.n.subGone.Store(sub.n.now())
+	n := sub.n
+	n.mu.Lock()
+	var subs []*Subscriber
+	for _, s := range *n.subs.Load() {
+		if s != sub {
+			subs = append(subs, s)
+		}
 	}
-	sub.n.mu.Unlock()
+	n.subs.Store(&subs)
+	if len(subs) == 0 {
+		// The fence lease starts counting from the last subscriber's exit.
+		n.subGone.Store(n.now())
+	}
+	n.mu.Unlock()
 	close(sub.donec)
 }

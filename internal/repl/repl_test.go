@@ -2,6 +2,7 @@ package repl
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -157,7 +158,11 @@ func TestSubscribeShipsBacklogThenLive(t *testing.T) {
 	}
 }
 
-func TestWaitDurable(t *testing.T) {
+// TestDurableHook: the durable hook hears of every rise of a partition's
+// watermark, once, with the new watermark, and with no lock of the node's
+// held (it answers clients and must not serialise the node); the watermark
+// only rises, so a stale or repeated ack calls nothing.
+func TestDurableHook(t *testing.T) {
 	st := newStore(t)
 	n, err := NewNode(st, Primary)
 	if err != nil {
@@ -168,33 +173,56 @@ func TestWaitDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No replica: the wait times out but the write stays committed.
-	if err := n.WaitDurable(part, lsn, 10*time.Millisecond); err != ErrDurableTimeout {
-		t.Fatalf("no-replica wait: %v", err)
+	type call struct {
+		part int
+		lsn  uint64
 	}
-
+	var calls []call
+	n.SetDurableHook(func(part int, lsn uint64) {
+		if !n.mu.TryLock() {
+			t.Error("durable hook called with the node's lock held")
+		} else {
+			n.mu.Unlock()
+		}
+		calls = append(calls, call{part, lsn})
+	})
+	// Subscribing from zero watermarks raises nothing.
 	sub, err := n.Subscribe(make([]uint64, st.Partitions()), func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	go sub.Run()
 	defer sub.Stop()
-	waitErr := make(chan error, 1)
-	go func() { waitErr <- n.WaitDurable(part, lsn, 5*time.Second) }()
-	// An ack covering the LSN releases the waiter.
+	if len(calls) != 0 || n.DurableLSN(part) != 0 {
+		t.Fatalf("subscribe from zero: hook calls %v, watermark %d", calls, n.DurableLSN(part))
+	}
 	ack := make([]uint64, st.Partitions())
 	ack[part] = lsn
 	sub.Ack(ack)
-	if err := <-waitErr; err != nil {
-		t.Fatalf("acked wait: %v", err)
+	if want := []call{{part, lsn}}; !slices.Equal(calls, want) || n.DurableLSN(part) != lsn {
+		t.Fatalf("ack of LSN %d: hook calls %v, watermark %d; want %v", lsn, calls, n.DurableLSN(part), want)
 	}
-	if d := n.Durable(); d[part] != lsn {
-		t.Fatalf("durable watermark %d, want %d", d[part], lsn)
-	}
-	// Stale acks never regress the watermark.
+	// Stale and repeated acks never regress the watermark or call the hook.
 	sub.Ack(make([]uint64, st.Partitions()))
-	if d := n.Durable(); d[part] != lsn {
-		t.Fatalf("stale ack regressed watermark to %d", d[part])
+	sub.Ack(ack)
+	if len(calls) != 1 || n.DurableLSN(part) != lsn {
+		t.Fatalf("stale acks: hook calls %v, watermark %d (want %d)", calls, n.DurableLSN(part), lsn)
+	}
+	// A second subscriber resuming from a higher watermark raises it too.
+	ack[part] = lsn + 5
+	sub2, err := n.Subscribe(ack, func(Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	go sub2.Run()
+	if len(calls) != 2 || calls[1] != (call{part, lsn + 5}) || n.DurableLSN(part) != lsn+5 {
+		t.Fatalf("resubscribe from %d: hook calls %v, watermark %d", lsn+5, calls, n.DurableLSN(part))
+	}
+	n.SetDurableHook(nil)
+	ack[part] = lsn + 6
+	sub.Ack(ack)
+	if len(calls) != 2 || n.DurableLSN(part) != lsn+6 {
+		t.Fatalf("unset hook: hook calls %v, watermark %d", calls, n.DurableLSN(part))
 	}
 }
 

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"sync"
 	"time"
 
+	"rntree/internal/repl"
 	"rntree/internal/wire"
 	"rntree/kv"
 )
@@ -82,9 +84,13 @@ type mutation struct {
 // into one kv.Store.Commit; the other writes are object calls.
 func flatOp(op uint8) bool { return op == wire.OpPut || op == wire.OpDel }
 
-// committer is one partition's commit loop. Everything but q is scratch
-// owned by the loop's goroutine and reused across batches, so a commit
-// allocates nothing of its own.
+// committer is one partition's commit loop. batch, muts and resps are
+// scratch owned by the loop's goroutine and reused across batches, so a
+// commit allocates nothing of its own.
+//
+// durQ[durHead:] is the partition's durable FIFO: committed durable PUTs
+// waiting for a replica's watermark, in commit order, which is LSN order and
+// deadline order. durTimer is pending (durArmed) whenever it is non-empty.
 type committer struct {
 	s     *Server
 	part  int
@@ -92,12 +98,22 @@ type committer struct {
 	batch []mutation
 	muts  []kv.Mutation
 	resps []wire.Response
+
+	//rnvet:lockorder server.conn.subMu<server.committer.durMu<server.conn.wMu
+	durMu    sync.Mutex
+	durQ     []durableAck
+	durHead  int
+	durTimer *time.Timer
+	durArmed bool
 }
 
 func (s *Server) newCommitters() []*committer {
 	cs := make([]*committer, s.st.Partitions())
 	for i := range cs {
-		cs[i] = &committer{s: s, part: i, q: make(chan mutation, s.cfg.Batch.QueueCap)}
+		c := &committer{s: s, part: i, q: make(chan mutation, s.cfg.Batch.QueueCap)}
+		c.durTimer = time.AfterFunc(time.Hour, func() { c.settleDurable(true) })
+		c.durTimer.Stop()
+		cs[i] = c
 	}
 	return cs
 }
@@ -123,9 +139,9 @@ func (c *committer) run() {
 // commit takes first and whatever has queued behind it (never waiting), up
 // to and including the first typed write; commits the flat run, then runs
 // the typed write; and completes each request: invalidate, recycle the
-// payloads, ack. An entry that asked for a replica-durable ack is handed to
-// the batch's waiter instead of being acked here, so it holds up neither its
-// batch-mates nor the next batch.
+// payloads, ack. An entry that asked for a replica-durable ack goes onto the
+// partition's durable FIFO instead of being acked here, so it holds up
+// neither its batch-mates nor the next batch.
 func (c *committer) commit(first mutation) {
 	s := c.s
 	batch := append(c.batch[:0], first)
@@ -156,10 +172,9 @@ gather:
 		muts = append(muts, kv.Mutation{Err: s.apply(&batch[n])})
 	}
 
-	var waiting []durableAck
-	var waitLSN uint64
+	held := false
 	for i := range batch {
-		m, res := &batch[i], &muts[i]
+		m := &batch[i]
 		// After commit, before ack (cache.go rule 1), and before the payload
 		// the key aliases is recycled. A typed write invalidates its name: a
 		// reap folded into it (an expired name being rewritten) may have
@@ -170,14 +185,10 @@ gather:
 			s.cache.Invalidate(m.key)
 		}
 		putPayload(m.box, m.raw)
-		if m.durable && res.Err == nil {
-			waiting = append(waiting, durableAck{cn: m.cn, id: m.id, lsn: res.LSN})
-			waitLSN = max(waitLSN, res.LSN)
-			m.cn = nil
-		}
+		held = held || m.durable && muts[i].Err == nil
 	}
-	if waiting != nil {
-		go s.ackDurable(c.part, waitLSN, waiting)
+	if held {
+		c.holdDurable(batch, muts)
 	}
 	// Acks are grouped by connection, so a batch's worth of acknowledgements
 	// to the same client leaves in one buffered write.
@@ -224,32 +235,79 @@ func (s *Server) apply(m *mutation) error {
 
 // durableAck is one committed durable PUT whose ack awaits the replica.
 type durableAck struct {
-	cn  *conn
-	id  uint64
-	lsn uint64
+	cn       *conn
+	id       uint64
+	lsn      uint64
+	deadline time.Time
 }
 
-// ackDurable is a batch's waiter: it holds the batch's durable acks until a
-// replica has persisted them. Watermarks are cumulative, so one wait for the
-// batch's highest LSN covers every entry. On timeout the writes ARE
-// committed locally — the error tells the client replication lag, not data
-// loss, exactly like an acks=all produce timeout — and an entry the
-// watermark did reach in the meantime is still acknowledged.
-func (s *Server) ackDurable(part int, lsn uint64, acks []durableAck) {
-	s.replWaits.Add(uint64(len(acks)))
-	var covered uint64
-	err := s.repl.WaitDurable(part, lsn, s.cfg.ReplDurableTimeout)
-	if err != nil {
-		covered = s.repl.Durable()[part]
+// holdDurable moves the batch's committed durable PUTs onto the durable FIFO,
+// clearing their cn so commit's ack loop skips them, then settles it: an ack
+// that landed before the enqueue is seen by that read of the watermark, and
+// one that lands after it finds the entries queued.
+func (c *committer) holdDurable(batch []mutation, muts []kv.Mutation) {
+	deadline := time.Now().Add(c.s.cfg.ReplDurableTimeout)
+	c.durMu.Lock()
+	if c.durHead > 0 && len(c.durQ) == cap(c.durQ) { // slide down rather than grow
+		c.durQ, c.durHead = c.durQ[:copy(c.durQ, c.durQ[c.durHead:])], 0
 	}
-	for _, a := range acks {
+	for i := range batch {
+		if m := &batch[i]; m.durable && muts[i].Err == nil {
+			c.durQ = append(c.durQ, durableAck{cn: m.cn, id: m.id, lsn: muts[i].LSN, deadline: deadline})
+			c.s.replWaits.Add(1)
+			m.cn = nil
+		}
+	}
+	c.durMu.Unlock()
+	c.settleDurable(false)
+}
+
+// settleDurable answers the durable FIFO's head entries that the replica's
+// watermark covers (OK) or whose deadline has passed: a timed-out write IS
+// committed locally, and the error tells the client replication lag, not
+// data loss, exactly like an acks=all produce timeout. It then arms durTimer
+// for the new head's deadline, unless the timer is pending already: it then
+// fires no later, since deadlines only grow along the FIFO. The committer
+// after an enqueue, the node's watermark hook and durTimer (fired) call it.
+func (c *committer) settleDurable(fired bool) {
+	c.durMu.Lock()
+	defer c.durMu.Unlock()
+	c.durArmed = c.durArmed && !fired
+	w, now := c.s.repl.DurableLSN(c.part), time.Now()
+	for ; c.durHead < len(c.durQ); c.durHead++ {
+		a := &c.durQ[c.durHead]
 		resp := wire.Response{ID: a.id, Op: wire.OpPut, Status: wire.StatusOK}
-		if err != nil && a.lsn > covered {
-			s.replWaitFails.Add(1)
-			resp.Status, resp.Msg = wire.StatusErr, err.Error()
+		if a.lsn > w {
+			if d := a.deadline.Sub(now); d > 0 {
+				if !c.durArmed {
+					c.durArmed = true
+					c.durTimer.Reset(d)
+				}
+				return
+			}
+			c.s.replWaitFails.Add(1)
+			resp.Status, resp.Msg = wire.StatusErr, repl.ErrDurableTimeout.Error()
 		}
 		a.cn.respond(resp)
+		a.cn = nil
 	}
+	c.durQ, c.durHead = c.durQ[:0], 0
+}
+
+// durableBacklog reports the durable PUTs waiting for a replica across all
+// partitions, and how long the oldest has waited: the replica's lag as a
+// durable write's client feels it. Only STATS calls it.
+func (s *Server) durableBacklog() (pending uint64, oldest time.Duration) {
+	now := time.Now()
+	for _, c := range s.committers {
+		c.durMu.Lock()
+		if n := len(c.durQ) - c.durHead; n > 0 {
+			pending += uint64(n)
+			oldest = max(oldest, s.cfg.ReplDurableTimeout-c.durQ[c.durHead].deadline.Sub(now))
+		}
+		c.durMu.Unlock()
+	}
+	return pending, oldest
 }
 
 // statusOf maps a store or object-layer error to the wire status (and, for

@@ -7,6 +7,8 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -240,12 +242,10 @@ func keysInPartition(st *kv.Store, part, n int) [][]byte {
 	return out
 }
 
-// TestAsyncAckNotHeldByDurableBatchMate: with a replica subscribed but never
-// acking, a durable PUT can only time out — and while it waits, an async PUT
-// queued right behind it on the same partition is acked at once, the
-// committer keeps committing that partition's further PUTs, and both writes
-// are readable locally.
-func TestAsyncAckNotHeldByDurableBatchMate(t *testing.T) {
+// startStalledPrimary serves a primary whose one replica is a raw connection
+// that subscribes, is shipped records and acks only when the test says so.
+func startStalledPrimary(t *testing.T, durableTimeout time.Duration) (st *kv.Store, addr string, stalled *rawConn) {
+	t.Helper()
 	st, err := kv.New(replKVOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -255,15 +255,23 @@ func TestAsyncAckNotHeldByDurableBatchMate(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(node.Close)
-	const timeout = time.Second
-	_, _, addr := startServerOn(t, Config{Repl: node, ReplDurableTimeout: timeout}, st)
-
-	// The stalled replica: subscribes, is shipped records, never acks.
-	stalled := dialRaw(t, addr)
+	_, _, addr = startServerOn(t, Config{Repl: node, ReplDurableTimeout: durableTimeout}, st)
+	stalled = dialRaw(t, addr)
 	stalled.send(wire.Request{ID: 1, Op: wire.OpReplSubscribe, ReplLSNs: make([]uint64, st.Partitions())})
 	if resp := stalled.recv(); resp.Status != wire.StatusOK {
 		t.Fatalf("subscribe: status %d %s", resp.Status, resp.Msg)
 	}
+	return st, addr, stalled
+}
+
+// TestAsyncAckNotHeldByDurableBatchMate: with a replica subscribed but never
+// acking, a durable PUT can only time out — and while it waits, an async PUT
+// queued right behind it on the same partition is acked at once, the
+// committer keeps committing that partition's further PUTs, and both writes
+// are readable locally.
+func TestAsyncAckNotHeldByDurableBatchMate(t *testing.T) {
+	const timeout = time.Second
+	st, addr, _ := startStalledPrimary(t, timeout)
 
 	keys := keysInPartition(st, 1, 10)
 	rc := dialRaw(t, addr)
@@ -303,12 +311,67 @@ func TestAsyncAckNotHeldByDurableBatchMate(t *testing.T) {
 	}
 }
 
+// TestDurableAckNoGoroutinePerBatch: durable PUTs waiting for a stalled
+// replica cost no goroutine (nor timer) each — 64 of them, committed in
+// however many batches, leave the goroutine count where an idle connection
+// had it, and STATS counts them as pending with the oldest's age. One replica
+// ack then releases them all, OK.
+func TestDurableAckNoGoroutinePerBatch(t *testing.T) {
+	st, addr, stalled := startStalledPrimary(t, time.Minute)
+	rc, sc := dialRaw(t, addr), dial(t, addr, client.Options{})
+	rc.send(wire.Request{ID: 1, Op: wire.OpPing})
+	rc.recv()
+	if _, err := sc.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+
+	const n = 64
+	reqs := make([]wire.Request, n)
+	for i := range reqs {
+		reqs[i] = wire.Request{ID: uint64(100 + i), Op: wire.OpPut, Key: []byte(fmt.Sprintf("d%02d", i)), Val: []byte("v"), Durable: true}
+	}
+	rc.send(reqs...)
+	var stats map[string]uint64
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		var err error
+		if stats, err = sc.Stats(); err != nil {
+			t.Fatal(err)
+		}
+		if stats["repl_durable_pending"] == n || time.Now().After(deadline) {
+			break
+		}
+	}
+	if got := stats["repl_durable_pending"]; got != n {
+		t.Fatalf("repl_durable_pending = %d, want %d", got, n)
+	}
+	if got := runtime.NumGoroutine(); got > baseline {
+		t.Errorf("%d goroutines with %d durable PUTs waiting, %d before: something is spawned per batch", got, n, baseline)
+	}
+	time.Sleep(5 * time.Millisecond)
+	if stats, err := sc.Stats(); err != nil || stats["repl_durable_oldest_us"] < 5000 {
+		t.Errorf("repl_durable_oldest_us = %d (%v), want the oldest wait, >= 5 ms", stats["repl_durable_oldest_us"], err)
+	}
+
+	stalled.send(wire.Request{ID: 2, Op: wire.OpReplAck, ReplLSNs: st.ReplLSNs()})
+	for id, resp := range rc.recvAll(n) {
+		if resp.Status != wire.StatusOK {
+			t.Errorf("durable PUT %d answered %d %s after the ack covering it", id, resp.Status, resp.Msg)
+		}
+	}
+	if stats, err := sc.Stats(); err != nil || stats["repl_durable_pending"] != 0 || stats["repl_durable_oldest_us"] != 0 {
+		t.Errorf("after the ack: pending %d, oldest %d us (%v)", stats["repl_durable_pending"], stats["repl_durable_oldest_us"], err)
+	}
+}
+
 // TestCommitterAllocs: after warm-up a committer's gather → commit → ack
 // allocates nothing, for a batch of one and of eight — the batch, the kv
 // entries, the per-connection responses, the response frame and the payload
-// boxes are all reused. A committer's batch is one partition's, so kv
-// commits it on the committer's goroutine whatever the keys are; they are
-// fresh and 8-byte-multiples for the reasons kv's TestCommitAllocs gives.
+// boxes are all reused. So does a batch of durable PUTs, held on the durable
+// FIFO until a replica's ack releases it: no goroutine, timer, channel or
+// slice per batch. A committer's batch is one partition's, so kv commits it
+// on the committer's goroutine whatever the keys are; they are fresh for the
+// reason kv's TestCommitAllocs gives.
 func TestCommitterAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -317,11 +380,27 @@ func TestCommitterAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(st, Config{Cache: CacheConfig{Enable: true}})
+	node, err := repl.NewNode(st, repl.Primary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	srv := New(st, Config{Cache: CacheConfig{Enable: true}, Repl: node})
+	// The replica's acks, without its stream: a stopped subscriber is shipped
+	// nothing (TestReplShipAllocs covers that path), and an ack that reaches
+	// it still folds into the node's watermark.
+	sub, err := node.Subscribe(make([]uint64, st.Partitions()), func(repl.Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	go sub.Run()
+	sub.Stop()
+	<-sub.Done()
+	ack := make([]uint64, st.Partitions())
 	cn := newConn(srv, nil) // no socket: acks pile up in wBuf, emptied per run
 	c := srv.committers[0]
 	seq := uint64(0)
-	enqueue := func() mutation {
+	enqueue := func(durable bool) mutation {
 		box, _ := payloadPool.Get().(*[]byte)
 		if box == nil {
 			box = new([]byte)
@@ -335,19 +414,25 @@ func TestCommitterAllocs(t *testing.T) {
 		cn.sem <- struct{}{}
 		cn.inflight.Add(1)
 		srv.globalInflight.Add(1)
-		return mutation{cn: cn, id: seq, op: wire.OpPut, key: (*box)[:16], val: (*box)[16:64], raw: *box, box: box}
+		return mutation{cn: cn, id: seq, op: wire.OpPut, key: (*box)[:16], val: (*box)[16:61], raw: *box, box: box, durable: durable}
 	}
-	for _, n := range []int{1, 8} {
-		got := testing.AllocsPerRun(200, func() {
-			first := enqueue()
-			for i := 1; i < n; i++ {
-				c.q <- enqueue()
+	for _, durable := range []bool{false, true} {
+		for _, n := range []int{1, 8} {
+			got := testing.AllocsPerRun(200, func() {
+				first := enqueue(durable)
+				for i := 1; i < n; i++ {
+					c.q <- enqueue(durable)
+				}
+				c.commit(first)
+				if durable {
+					ack[0] = st.ReplLSN(0)
+					sub.Ack(ack)
+				}
+				cn.wBuf = cn.wBuf[:0]
+			})
+			if got != 0 {
+				t.Errorf("batch of %d (durable %v): %v allocs per gather-commit-ack, want 0", n, durable, got)
 			}
-			c.commit(first)
-			cn.wBuf = cn.wBuf[:0]
-		})
-		if got != 0 {
-			t.Errorf("batch of %d: %v allocs per gather-commit-ack, want 0", n, got)
 		}
 	}
 	if b, p := srv.batches.Load(), srv.batchedPuts.Load(); p != b/2*9 {
@@ -355,5 +440,133 @@ func TestCommitterAllocs(t *testing.T) {
 	}
 	if n := srv.globalInflight.Load(); n != 0 {
 		t.Errorf("%d request tokens not released", n)
+	}
+	if w, f := srv.replWaits.Load(), srv.replWaitFails.Load(); w != 201*9 || f != 0 {
+		t.Errorf("%d durable PUTs held, %d timed out; want %d and 0", w, f, 201*9)
+	}
+}
+
+// TestDurableAckTimeoutRace: with a timeout short enough that durTimer, the
+// replica's acks and the committers all reach the durable FIFOs at once,
+// every durable PUT is answered exactly once — OK, or the timeout error for a
+// write the replica was too slow for — and the FIFOs drain to empty.
+func TestDurableAckTimeoutRace(t *testing.T) {
+	_, _, pAddr, _ := startReplPair(t, Config{ReplDurableTimeout: 500 * time.Microsecond}, Config{})
+	c := dial(t, pAddr, client.Options{})
+	const writers, each = 4, 50
+	var timeouts atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				err := c.PutDurable([]byte(fmt.Sprintf("w%d-%02d", w, i)), []byte("v"))
+				switch {
+				case err == nil:
+				case strings.Contains(err.Error(), repl.ErrDurableTimeout.Error()):
+					timeouts.Add(1)
+				default:
+					t.Errorf("PutDurable: %v", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats["repl_durable_waits"] != writers*each || stats["repl_durable_timeouts"] != uint64(timeouts.Load()) || stats["repl_durable_pending"] != 0 {
+		t.Fatalf("%d durable PUTs, %d timed out: STATS says waits %d, timeouts %d, pending %d", writers*each, timeouts.Load(),
+			stats["repl_durable_waits"], stats["repl_durable_timeouts"], stats["repl_durable_pending"])
+	}
+	t.Logf("%d of %d durable PUTs timed out", timeouts.Load(), writers*each)
+}
+
+// TestDurableAckAheadOfCommit: a replica watermark that already covers a
+// durable PUT's LSN when its committer enqueues it — the ack raced ahead of
+// the enqueue, so no watermark hook call is left to release it — is seen by
+// the commit itself, which answers at once.
+func TestDurableAckAheadOfCommit(t *testing.T) {
+	st, err := kv.New(kv.Options{ArenaSize: 16 << 20, MaxSegments: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := repl.NewNode(st, repl.Primary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	srv := New(st, Config{Repl: node})
+	// Subscribing from a watermark is an ack of it.
+	ahead := []uint64{st.ReplLSN(0) + 1}
+	sub, err := node.Subscribe(ahead, func(repl.Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	go sub.Run()
+	cn := newConn(srv, nil)
+	cn.sem <- struct{}{}
+	cn.inflight.Add(1)
+	srv.globalInflight.Add(1)
+	srv.committers[0].commit(mutation{cn: cn, id: 7, op: wire.OpPut, key: []byte("k"), val: []byte("v"), durable: true})
+	if pending, _ := srv.durableBacklog(); pending != 0 || len(cn.wBuf) == 0 {
+		t.Fatalf("durable PUT under the watermark: %d pending, %d response bytes", pending, len(cn.wBuf))
+	}
+	resp, err := wire.DecodeResponse(cn.wBuf[4:])
+	if err != nil || resp.ID != 7 || resp.Status != wire.StatusOK {
+		t.Fatalf("response %+v, %v; want OK for request 7", resp, err)
+	}
+}
+
+// TestReplShipAllocs: in steady state the ship stream allocates nothing per
+// record — the commit hook's copy of key and value comes from a pool and
+// goes back once sent, and the frame is encoded into the connection's
+// reused ship buffer before send copies it into the write buffer.
+func TestReplShipAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	st, err := kv.New(kv.Options{ArenaSize: 64 << 20, MaxSegments: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := repl.NewNode(st, repl.Primary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	srv := New(st, Config{Repl: node})
+	cn := newConn(srv, nil) // no socket: frames pile up in wBuf, emptied per run
+	shipped := make(chan struct{})
+	sub, err := node.Subscribe(make([]uint64, st.Partitions()), func(rec repl.Record) error {
+		err := cn.sendRecord(rec)
+		shipped <- struct{}{}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go sub.Run()
+	key, val := make([]byte, 13), make([]byte, 300)
+	seq := uint64(0)
+	got := testing.AllocsPerRun(500, func() {
+		seq++
+		binary.BigEndian.PutUint64(key, seq)
+		if err := st.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+		<-shipped
+		cn.wMu.Lock()
+		cn.wBuf = cn.wBuf[:0]
+		cn.wMu.Unlock()
+		cn.backlog.Store(0)
+	})
+	if got != 0 {
+		t.Errorf("%v allocs per shipped record, want 0", got)
+	}
+	if n := node.NodeStats().Shipped; n != seq {
+		t.Errorf("%d records offered for %d puts", n, seq)
 	}
 }

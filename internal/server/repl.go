@@ -117,7 +117,8 @@ func (s *Server) readOnly() bool {
 }
 
 // sendRecord is the subscriber's transport: encode one record as an
-// unsolicited OpReplRecord response and queue it on the writer. It runs on
+// unsolicited OpReplRecord response into shipBuf and queue it on the writer
+// (send copies it out, so the buffer serves the next record). It runs on
 // the subscriber's Run goroutine, so blocking here (the high-water wait) is
 // the stream's backpressure, not anyone else's.
 func (cn *conn) sendRecord(rec repl.Record) error {
@@ -131,7 +132,7 @@ func (cn *conn) sendRecord(rec repl.Record) error {
 		time.Sleep(time.Millisecond)
 	}
 	cn.shipSeq++
-	frame, err := wire.AppendResponse(nil, wire.Response{
+	frame, err := wire.AppendResponse(cn.shipBuf[:0], wire.Response{
 		ID:       cn.shipSeq,
 		Status:   wire.StatusOK,
 		Op:       wire.OpReplRecord,
@@ -144,6 +145,7 @@ func (cn *conn) sendRecord(rec repl.Record) error {
 	if err != nil {
 		return err
 	}
+	cn.shipBuf = frame
 	cn.send(frame)
 	if cn.deadF.Load() {
 		return errShipConnDead

@@ -194,6 +194,10 @@ func New(st *kv.Store, cfg Config) *Server {
 	}
 	s.repl = cfg.Repl
 	s.obj = cfg.Obj
+	if s.repl != nil {
+		// Durable PUTs are answered from the replica's watermark (batch.go).
+		s.repl.SetDurableHook(func(part int, _ uint64) { s.committers[part].settleDurable(false) })
+	}
 	if s.repl != nil && cfg.ReplFenceLease > 0 {
 		s.repl.SetFenceLease(cfg.ReplFenceLease)
 	}
@@ -369,10 +373,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		<-done
 	}
-	// All connections are gone, so every committer's queue is empty and
-	// stays so.
+	// All connections are gone, so every committer's queue and durable FIFO
+	// is empty and stays so.
 	close(s.commitStop)
 	s.commitWG.Wait()
+	if s.repl != nil {
+		s.repl.SetDurableHook(nil)
+	}
+	for _, c := range s.committers {
+		c.durTimer.Stop()
+	}
 	return err
 }
 
@@ -485,6 +495,7 @@ func (s *Server) counters() []wire.Counter {
 		{Name: "tree_read_retries", Val: s.st.ReadRetries()},
 	}
 	if sv.HasRepl {
+		pending, oldest := s.durableBacklog()
 		out = append(out,
 			wire.Counter{Name: "repl_role", Val: uint64(sv.Repl.Role)},
 			wire.Counter{Name: "repl_epoch", Val: sv.Repl.Epoch},
@@ -494,6 +505,8 @@ func (s *Server) counters() []wire.Counter {
 			wire.Counter{Name: "repl_applied", Val: sv.Repl.Applied},
 			wire.Counter{Name: "repl_durable_waits", Val: sv.DurableWaits},
 			wire.Counter{Name: "repl_durable_timeouts", Val: sv.DurableTimeouts},
+			wire.Counter{Name: "repl_durable_pending", Val: pending},
+			wire.Counter{Name: "repl_durable_oldest_us", Val: uint64(oldest.Microseconds())},
 			wire.Counter{Name: "repl_fenced", Val: b2u(s.repl.Fenced())},
 			wire.Counter{Name: "repl_fence_rejects", Val: s.fenceRejects.Load()},
 		)
@@ -561,12 +574,14 @@ type conn struct {
 	rWake   chan struct{} // cap 1: "re-check what awaitWriter waits for"
 
 	// Replication ship stream (repl.go): non-nil sub marks this as a
-	// replica connection; shipSeq numbers the unsolicited record frames
-	// (touched only by the subscriber's Run goroutine).
+	// replica connection; shipSeq numbers the unsolicited record frames and
+	// shipBuf is the one they are encoded in (both touched only by the
+	// subscriber's Run goroutine).
 	//rnvet:lockorder server.conn.subMu<repl.Node.mu
 	subMu   sync.Mutex // serializes subscribe attempts (Subscribe acquires the repl node's lock inside)
 	sub     atomic.Pointer[repl.Subscriber]
 	shipSeq uint64
+	shipBuf []byte
 
 	done     chan struct{}  // closed when run finishes (drain phasing)
 	inflight sync.WaitGroup // queued writes not yet responded

@@ -128,9 +128,9 @@ func TestCommitMixedBatch(t *testing.T) {
 // makes), with and without a commit hook, and a one-entry Commit on a reused
 // slice — the server committer's call — must cost what Put costs, as must a
 // Commit of eight arbitrary keys of one partition (one lock, no fan-out
-// goroutines). Keys and values are multiples of 8 bytes (others pay one
-// padding copy per record) and fresh per run (an overwrite pays the chain
-// walk's key copy).
+// goroutines). A key or value that is not a multiple of 8 bytes costs
+// nothing more: its padded last word is streamed from the stack. Keys are
+// fresh per run (an overwrite pays the chain walk's key copy).
 func TestCommitAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -193,6 +193,54 @@ func TestCommitAllocs(t *testing.T) {
 				}
 			}
 		})
+		// Last, so their inserts do not move the rows above across tree splits.
+		check("Put of odd-length key and value", 0, func() {
+			if err := s.Put(fresh()[:13], val[:101]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		one := muts[:1]
+		check("Commit of one, odd-length key and value", 0, func() {
+			one[0] = Mutation{Key: fresh()[:11], Val: val[:1]}
+			if s.Commit(one); one[0].Err != nil {
+				t.Fatal(one[0].Err)
+			}
+		})
+	}
+}
+
+// TestStreamPadded: streaming a key or value in place leaves the image and
+// the word count exactly as streaming a zero-padded copy of it did, for every
+// length up to three lines and every word position in a line, with garbage
+// already on the media under the padding.
+func TestStreamPadded(t *testing.T) {
+	got, want := pmem.New(pmem.Config{Size: 1 << 20}), pmem.New(pmem.Config{Size: 1 << 20})
+	src := make([]byte, 3*pmem.LineSize)
+	for i := range src {
+		src[i] = byte(i*7 + 1)
+	}
+	for w := uint64(0); w < pmem.LineSize/8; w++ {
+		off := pmem.DataStart + 4*pmem.LineSize + w*8
+		for n := 0; n <= len(src); n++ {
+			for _, a := range []*pmem.Arena{got, want} {
+				for o := off; o < off+4*pmem.LineSize; o += 8 {
+					a.Write8Stream(o, ^uint64(0))
+				}
+			}
+			g0, w0 := got.Stats().WordsWritten, want.Stats().WordsWritten
+			streamPadded(got, off, src[:n])
+			padded := make([]byte, (n+7)&^7)
+			copy(padded, src[:n])
+			want.WriteStream(off, padded)
+			if g, w := got.Stats().WordsWritten-g0, want.Stats().WordsWritten-w0; g != w {
+				t.Fatalf("offset %d, %d bytes: %d words written, want %d", off, n, g, w)
+			}
+			for o := off; o < off+4*pmem.LineSize; o += 8 {
+				if g, w := got.Read8(o), want.Read8(o); g != w {
+					t.Fatalf("offset %d, %d bytes: word at %d is %#x, want %#x", off, n, o, g, w)
+				}
+			}
+		}
 	}
 }
 

@@ -478,21 +478,26 @@ func recSize(keyLen, valLen int) uint64 {
 	return uint64(recHdrSize) + (uint64(keyLen)+7)&^7 + (uint64(valLen)+7)&^7
 }
 
+// streamPadded streams b to the word-aligned off, zero-padded to a whole
+// word. The words up to the line holding the padded last word come straight
+// from b; that line's share (at most 64 bytes) goes through a stack copy.
+// Splitting at a line boundary keeps the words written, the image and the
+// lines charged exactly those of one WriteStream of the padded copy.
+//
 //pmem:volatile helper inside the record append; the caller fences the whole record span with one PersistStream
 func streamPadded(a *pmem.Arena, off uint64, b []byte) {
-	if len(b) == 0 {
-		return
-	}
 	if len(b)%8 == 0 {
 		// Already word-aligned: write straight from the caller's bytes. This
-		// is the common case for block-sized values and skips a full copy.
+		// is the common case for block-sized values.
 		a.WriteStream(off, b)
 		return
 	}
-	n := (len(b) + 7) &^ 7
-	buf := make([]byte, n)
-	copy(buf, b)
-	a.WriteStream(off, buf)
+	last := off + uint64(len(b))&^7 // the padded last word's offset
+	split := max(off, last&^(pmem.LineSize-1))
+	a.WriteStream(off, b[:split-off])
+	var tail [pmem.LineSize]byte
+	n := copy(tail[:], b[split-off:])
+	a.WriteStream(split, tail[:(n+7)&^7])
 }
 
 // readRecord decodes the record at off.
