@@ -82,14 +82,15 @@ replcheck:
 # Heap gate: the persistent allocator's crash matrix (every allocator-
 # metadata persist site, including the segment-append cutover, plus a
 # crash inside the kv reopen of a rebooted image), the heap unit tests
-# with Recover's typed-error table, the kv growth and OOM-retry tests, the
-# garbage-pointer images kv and core recovery must reject, and the rnvet
+# with Recover's typed-error table, the kv growth and OOM-retry tests,
+# compaction freeing its chunks under live readers, the garbage-pointer and
+# superseded-format images kv and core recovery must reject, and the rnvet
 # undolog fixture that machine-checks the UndoBegin/MetaWrite8/UndoCommit
 # protocol.
 heapcheck:
 	$(call run-tests,,./internal/fault,ExploreHeap|ExploreKVReopen)
 	$(call run-tests,,./internal/pmem,Heap|Grow|Undo|Free|Recover|BadHeap)
-	$(call run-tests,,./kv,Grow|OOM|Garbage)
+	$(call run-tests,,./kv,Grow|OOM|Garbage|CompactFreesAfterReaders)
 	$(call run-tests,,./internal/core,Corrupt)
 	$(call run-tests,,./internal/analysis,UndoLog)
 
@@ -97,12 +98,20 @@ heapcheck:
 # all of them ("Test" selects every test), with the header-as-commit-point
 # ones named so a rename drops out loudly: composites cut between their
 # writes, the sweep against live writers, the reap of an object larger than
-# a chunk — the obj crash-point explorer (every persist site of the
-# composites and the reap), the server-side verb/failover tests with the
-# typed verbs' write order and connection goroutine count, and a short fuzz
-# smoke of the object request decoding on the committed seeds.
+# a chunk, the hot path's allocations, every record in its name's partition,
+# the reserved names, a replica's catch-up — then the reap against
+# compaction and kv's chunk reclamation against lock-free readers, twenty
+# times each under the race detector (a race report there is a bug, not a
+# flake), kv's routed keys and locked step, the obj crash-point explorer
+# (every persist site of the composites and the reap), the server-side
+# verb/failover tests with the typed verbs' write order and connection
+# goroutine count, and a short fuzz smoke of the object request decoding on
+# the committed seeds.
 objcheck:
-	$(call run-tests,-race,./internal/obj,Test|Orphan|Sweep|ReapLarger)
+	$(call run-tests,-race,./internal/obj,Test|Orphan|Sweep|ReapLarger|HSetHGetAllocs|CoLocated|ReservedNames|CatchUpObjectPrefix)
+	$(call run-tests,-race -count=20,./internal/obj,ExpirerVsCompaction)
+	$(call run-tests,-race -count=20,./kv,CompactFreesAfterReaders)
+	$(call run-tests,,./kv,RoutedKeys|UpdateStep|UpdateSerialises)
 	$(call run-tests,,./internal/fault,ExploreObj)
 	$(call run-tests,-race,./internal/server,Obj|SameKeyWriteOrder|ConnGoroutines)
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=3s

@@ -9,14 +9,14 @@ import (
 )
 
 // Background expirer (DESIGN.md §15.3). The DRAM index is a deadline map
-// plus a min-heap; each tick pops every due entry and reaps it: a run of
-// single-record deletes, of any length, that ends with the expiry record.
-// The name is masked from the deadline on and stays masked until that last
-// delete, so a reap cut short anywhere — crash, full heap — shows nothing
-// and is simply run again; an expired key can never resurrect, and the heap
-// space of its records is freed exactly once (by kv's compaction of the
-// delete tombstones, not by this layer). Replicas never reap: the primary's
-// reap ships as ordinary deletes on the LSN stream.
+// plus a min-heap; each tick pops every due entry and reaps it: one step
+// that deletes the name's records, of any number, and the expiry record
+// last. The name is masked from the deadline on and stays masked until that
+// last delete publishes, so a reap cut short anywhere — crash, full heap —
+// shows nothing and is simply run again; an expired key can never resurrect,
+// and the heap space of its records is freed exactly once (by kv's
+// compaction of the delete tombstones, not by this layer). Replicas never
+// reap: the primary's reap ships as ordinary deletes on the LSN stream.
 
 // expireLoop drives ExpireTick at the configured cadence until Close.
 func (o *Store) expireLoop(interval time.Duration) {
@@ -56,11 +56,7 @@ func (o *Store) ExpireTick() int {
 			continue
 		}
 		o.mu.Unlock()
-		name := []byte(e.name)
-		mu := o.lockFor(name)
-		mu.Lock()
-		err := o.reapLocked(name)
-		mu.Unlock()
+		did, err := o.write([]byte(e.name), func(*kv.Tx, bool) error { return nil })
 		if err != nil {
 			// Leave the deadline in the map: the key stays masked and the
 			// next tick retries (the heap entry is gone, so re-arm it).
@@ -71,64 +67,46 @@ func (o *Store) ExpireTick() int {
 			o.mu.Unlock()
 			return reaped
 		}
-		reaped++
+		if did {
+			reaped++
+		}
 	}
 }
 
-// reapLocked removes one expired name: the flat key and the field records,
-// then the header, and the expiry record LAST. Caller holds the name's
-// stripe lock. The persisted expiry record is the reap's ground truth —
-// whoever still sees it (and a passed deadline) performs the reap, or
-// finishes the one a crash or an error interrupted (every delete tolerates
-// an absent key); everyone else finds it gone and no-ops, which is what
-// makes Reaps count each name once. Compaction never deletes live records,
-// so a partition compacting mid-reap only ever relocates them; the delete
-// tombstones written here stay the newest versions either way.
-func (o *Store) reapLocked(name []byte) error {
-	if !o.active.Load() {
-		return nil
+// reapRecords queues, inside a write step, the deletes of an expired name's
+// records — the flat key, the field records the header lists, the header —
+// and reports whether it did; write queues the expiry record's delete after
+// the step's other writes. The persisted expiry record is the reap's ground
+// truth: only a name whose record is still there with a passed deadline is
+// reaped, so a reap cut short is finished by whoever comes next (every
+// delete tolerates an absent key), and one that finished is not run again,
+// which is what makes Reaps count each name once. Compaction never deletes
+// live records, so a partition compacting mid-reap only ever relocates them.
+func (o *Store) reapRecords(tx *kv.Tx, name []byte) (bool, error) {
+	if d, ok := o.deadline(name); !ok || o.opts.Clock() < d || !o.active.Load() {
+		return false, nil
 	}
 	ev, err := o.st.Get(expiryKey(name))
-	if err == kv.ErrNotFound {
-		o.clearDeadline(name)
-		return nil
-	}
 	if err != nil {
-		return err
+		o.clearDeadline(name) // a deadline whose record is gone
+		return false, nil
 	}
-	if len(ev) == 8 {
-		if d := int64(binary.LittleEndian.Uint64(ev)); o.opts.Clock() < d {
-			// Re-armed with a later deadline after we decided to reap.
-			return nil
+	if len(ev) == 8 && o.opts.Clock() < int64(binary.LittleEndian.Uint64(ev)) {
+		return false, nil // re-armed with a later deadline
+	}
+	hk := headerKey(name)
+	var fields [][]byte
+	if hv, err := o.st.Get(hk); err == nil && typed(hv, TypeHash) == nil {
+		if fields, err = elems(hv); err != nil {
+			return false, err
 		}
 	}
-	if err := o.del(name); err != nil {
-		return err
+	tx.Delete(name)
+	for _, f := range fields {
+		tx.Delete(fieldKey(name, f))
 	}
-	h, found, err := o.readHeader(name)
-	if err != nil {
-		return err
-	}
-	if found {
-		if h.typ == TypeHash {
-			for _, f := range h.elems {
-				if err := o.del(fieldKey(name, f)); err != nil {
-					return err
-				}
-			}
-		}
-		if err := o.del(headerKey(name)); err != nil {
-			return err
-		}
-	}
-	if err := o.dropExpiry(name); err != nil {
-		return err
-	}
-	o.reaps.Add(1)
-	if fn := o.invalidate.Load(); fn != nil {
-		(*fn)(name)
-	}
-	return nil
+	tx.Delete(hk)
+	return true, nil
 }
 
 // OnReplApply keeps a replica's DRAM expiry index live as shipped records
@@ -136,15 +114,12 @@ func (o *Store) reapLocked(name []byte) error {
 // can start reaping without a rebuild. kind is the kv record kind
 // (kv.ReplPut / kv.ReplDelete).
 func (o *Store) OnReplApply(kind uint8, key, val []byte) {
-	if len(key) < 2 || key[0] != NSByte || key[1] != tagExpiry {
-		return
-	}
-	name := key[2:]
-	if kind == kv.ReplDelete {
+	tag, name, ok := ParseInternalKey(key)
+	switch {
+	case !ok || tag != tagExpiry:
+	case kind == kv.ReplDelete:
 		o.clearDeadline(name)
-		return
-	}
-	if len(val) == 8 {
+	case len(val) == 8:
 		o.setDeadline(name, int64(binary.LittleEndian.Uint64(val)))
 	}
 }

@@ -4,32 +4,38 @@
 // they inherit kv's crash consistency, compaction, replication LSNs and
 // recovery for free; what this package adds is the multi-key atomicity a
 // composite update needs (an HSET touches the object header AND a field
-// record), and it gets it from ordering alone: the header is every
-// composite's commit point.
+// record).
 //
-// Key namespace (first byte 0x01 is reserved; the server rejects flat keys
-// that start with it):
+// Key namespace: every record of an object is a kv routed key whose route is
+// the object's name, so it lives in the partition of the flat key of that
+// name (first byte 0x01 is reserved; the server rejects flat keys that start
+// with it):
 //
-//	0x01 'H' <name>                         object header
-//	0x01 'h' <u16 len(name)> <name> <field> hash field record
-//	0x01 'X' <name>                         expiry record (u64 LE deadline, ms)
+//	0x01 <u16le len(name)> <name> 'H'          object header
+//	0x01 <u16le len(name)> <name> 'h' <field>  hash field record
+//	0x01 <u16le len(name)> <name> 'X'          expiry record (u64 LE deadline, ms)
+//
+// Every write of a name — a typed verb, the expirer's reap, a sweep delete —
+// is one kv.Store.Update step on that partition: its reads are current, and
+// its records commit as one batch under the partition lock, so no other
+// writer of the name can interleave. Within a step the tree publishes follow
+// the order the records were queued, so a crash mid-publish still lands on a
+// prefix: the header is every composite's commit point, and a reap deletes
+// its expiry record last.
 //
 // The header carries the object's type and its field/member list; a set is
 // its header and nothing else. A field record is live iff its object's
-// header lists it, and HGET checks that before it reads the record, so
-// every composite is ordered around its ONE header write (or delete) — kv's
-// single-record commit makes that step atomic — with everything else either
-// invisible before it or garbage after it:
+// header lists it, and HGET checks that before it reads the record:
 //
-//	HSET fresh field   put(field)      then  put(header)
-//	HDEL               put(header')    then  delete(field)
-//	HDEL last field    delete(header)  then  delete(field), delete(expiry)
-//	reap               delete(flat key, fields), delete(header), delete(expiry)
+//	HSET fresh field   put(field), put(header)
+//	HDEL               put(header'), delete(field)
+//	HDEL last field    delete(header), delete(field), delete(expiry)
+//	reap               delete(flat key, fields, header), then delete(expiry)
 //
-// A crash, a failed second write or a failover between two steps leaves at
-// most records no header lists: unobservable through this API, and deleted
-// by the sweep Attach and Activate run (sweep.go). A reap deletes its expiry
-// record last, so a half-done reap stays masked and the next tick re-runs it.
+// A crash or a failover between two publishes leaves at most records no
+// header lists: unobservable through this API, and deleted by the sweep
+// Attach and Activate run (sweep.go). A reap cut short stays masked, and the
+// next tick re-runs it.
 package obj
 
 import (
@@ -44,19 +50,14 @@ import (
 	"rntree/kv"
 )
 
-// Namespace bytes. NSByte prefixes every record this package owns.
+// Namespace bytes. NSByte prefixes every record this package owns: it is
+// kv's routed-key byte.
 const (
-	NSByte = 0x01
+	NSByte = kv.RouteByte
 
 	tagHeader = 'H'
 	tagField  = 'h'
 	tagExpiry = 'X'
-
-	// Tags only an image written before the header became the commit point
-	// can hold: set member records (the sweep deletes them — a set is its
-	// header) and the composite log's records (Attach refuses the image).
-	oldTagMember = 's'
-	oldTagLog    = 'I'
 )
 
 // Object types stored in byte 0 of a header value.
@@ -72,14 +73,9 @@ var (
 	// ErrBadName rejects empty names/fields/members and names longer than
 	// the u16 length frame.
 	ErrBadName = errors.New("obj: empty or oversized object name, field or member")
-	// ErrReserved is returned for flat-key operations on keys inside the
-	// reserved object namespace.
+	// ErrReserved is returned for a name inside the reserved object
+	// namespace, by every typed verb.
 	ErrReserved = errors.New("obj: key is in the reserved object namespace")
-	// ErrOldImage is returned by Attach and Activate for a store that holds
-	// a record of the retired composite log (0x01 'I'): nothing resolves
-	// those any more, so the image has to be reopened by the build that
-	// wrote it.
-	ErrOldImage = errors.New("obj: image holds a record of the retired composite log")
 )
 
 const maxName = 1<<16 - 1
@@ -89,49 +85,31 @@ const maxName = 1<<16 - 1
 func IsInternalKey(k []byte) bool { return len(k) > 0 && k[0] == NSByte }
 
 // ParseInternalKey decodes a reserved-namespace key into its tag ('H'
-// header, 'h' hash field, 'X' expiry; 's' and 'I' on older images) and the
-// object name it belongs to. Diagnostic helper — the fault explorer's
-// oracle sweeps raw records with it; ok is false outside the namespace or
-// for a key too short to carry its layout.
+// header, 'h' hash field, 'X' expiry) and the object name it belongs to; a
+// field key's field follows the tag. Diagnostic helper — the fault
+// explorer's oracle sweeps raw records with it; ok is false outside the
+// namespace or for a key too short to carry its layout.
 func ParseInternalKey(k []byte) (tag byte, name []byte, ok bool) {
-	if len(k) < 2 || k[0] != NSByte {
+	if len(k) < 4 || k[0] != NSByte {
 		return 0, nil, false
 	}
-	switch k[1] {
-	case tagHeader, tagExpiry, oldTagLog:
-		return k[1], k[2:], true
-	case tagField, oldTagMember:
-		if len(k) < 4 {
-			return 0, nil, false
-		}
-		n := int(binary.LittleEndian.Uint16(k[2:4]))
-		if len(k) < 4+n {
-			return 0, nil, false
-		}
-		return k[1], k[4 : 4+n], true
+	n := 3 + int(binary.LittleEndian.Uint16(k[1:3]))
+	if n >= len(k) {
+		return 0, nil, false
 	}
-	return 0, nil, false
+	return k[n], k[3:n], true
 }
 
-// Key constructors. All allocate; callers on hot paths reuse via op buffers.
-
-func headerKey(name []byte) []byte {
-	k := make([]byte, 0, 2+len(name))
-	return append(append(k, NSByte, tagHeader), name...)
+// objKey builds the key of one of name's records. Callers on hot paths keep
+// what it returns for the rest of the step.
+func objKey(name []byte, tag byte, rest []byte) []byte {
+	k := kv.AppendRoute(make([]byte, 0, 4+len(name)+len(rest)), name)
+	return append(append(k, tag), rest...)
 }
 
-func expiryKey(name []byte) []byte {
-	k := make([]byte, 0, 2+len(name))
-	return append(append(k, NSByte, tagExpiry), name...)
-}
-
-func fieldKey(name, field []byte) []byte {
-	k := make([]byte, 0, 4+len(name)+len(field))
-	k = append(k, NSByte, tagField)
-	k = binary.LittleEndian.AppendUint16(k, uint16(len(name)))
-	k = append(k, name...)
-	return append(k, field...)
-}
+func headerKey(name []byte) []byte       { return objKey(name, tagHeader, nil) }
+func expiryKey(name []byte) []byte       { return objKey(name, tagExpiry, nil) }
+func fieldKey(name, field []byte) []byte { return objKey(name, tagField, field) }
 
 // Options configures an object layer attached to a kv store.
 type Options struct {
@@ -157,23 +135,24 @@ type Options struct {
 type Stats struct {
 	Reaps        uint64 // keys reaped (expirer or lazy read-path reap)
 	LazyExpiries uint64 // reads masked by an expired-but-unreaped key
-	// IntentsUndone counts composites whose header write failed and whose
-	// first write was taken back (the name predates the header-as-commit-
-	// point ordering; the gating benchmark reads it).
+	// IntentsUndone counts fresh-field HSETs whose step failed to commit:
+	// kv publishes a step's records all or none, so the field record was
+	// never published either (the gating benchmark reads it).
 	IntentsUndone uint64
 }
 
-// Store is the typed-object layer. All methods are safe for concurrent use.
+// Store is the typed-object layer. All methods are safe for concurrent use:
+// every write of a name runs under the lock of the name's kv partition.
+//
+// The expiry index's mu nests inside that lock (a step reads and updates the
+// index), never the other way round:
+//
+//rnvet:lockorder kv.kvPart.mu<obj.Store.mu
 type Store struct {
 	st   *kv.Store
 	opts Options
 
 	active atomic.Bool // primary mode: may mutate (reap, sweep)
-
-	// locks stripe-serializes composite operations per object name, so two
-	// HSETs on one object cannot interleave their header read-modify-write,
-	// and a reap cannot race a concurrent field write on the same name.
-	locks [64]sync.Mutex
 
 	// mu guards the DRAM expiry index: deadline per name plus a min-heap
 	// the expirer pops. Heap entries go stale when a TTL is overwritten or
@@ -229,10 +208,7 @@ func Attach(st *kv.Store, opts Options) (*Store, error) {
 		o.invalidate.Store(&opts.Invalidate)
 	}
 
-	im, err := o.scan(o.active.Load())
-	if err != nil {
-		return nil, err
-	}
+	im := o.scan(o.active.Load())
 	for name, d := range im.expiry {
 		o.exp[name] = d
 		o.heap = append(o.heap, expEntry{d, name})
@@ -262,15 +238,10 @@ func (o *Store) Close() {
 
 // Activate flips a replica-attached layer into primary mode after a
 // promotion: sweeps the records a composite cut short by the failover left
-// unlisted, then enables reaping. Idempotent, and safe under live writers —
-// the server flips the node's role before it calls this, so HSETs from other
-// connections overlap the sweep (which is why the sweep locks, sweep.go).
+// unlisted, then enables reaping. Idempotent, and safe under live writers:
+// each sweep delete is a step of its own (sweep.go).
 func (o *Store) Activate() error {
-	im, err := o.scan(true)
-	if err != nil {
-		return err
-	}
-	if err := o.sweep(im); err != nil {
+	if err := o.sweep(o.scan(true)); err != nil {
 		return err
 	}
 	o.active.Store(true)
@@ -299,124 +270,127 @@ func (o *Store) Stats() Stats {
 	}
 }
 
-func (o *Store) lockFor(name []byte) *sync.Mutex {
-	// FNV-1a, same shape as kv.Hash, folded to the stripe count.
-	h := uint64(1469598103934665603)
-	for _, b := range name {
-		h ^= uint64(b)
-		h *= 1099511628211
+// checkName vets a typed verb's name and its field or member, if it takes
+// one. Any bytes may spell either, but not none or more than the u16 length
+// frame holds, and a name may not lie in the reserved namespace: as a flat
+// key it is another name's record (TTL of the header key of "foo" would
+// answer for object foo).
+func checkName(name []byte, elem ...[]byte) error {
+	for _, e := range elem {
+		if len(e) == 0 || len(e) > maxName {
+			return ErrBadName
+		}
 	}
-	return &o.locks[h&63]
-}
-
-func checkName(name []byte) error {
-	if len(name) == 0 || len(name) > maxName {
+	switch {
+	case len(name) == 0 || len(name) > maxName:
 		return ErrBadName
+	case IsInternalKey(name):
+		return ErrReserved
 	}
 	return nil
 }
 
 // ---- header codec ----
+//
+// A header value is [type byte][u32le count]([u16le len][elem])*. Writes
+// edit it in place; only listing decodes it.
 
-// header value: [type byte][u32 count]([u16 len][bytes])*
-type header struct {
-	typ   byte
-	elems [][]byte
-}
-
-func decodeHeader(v []byte) (header, error) {
-	var h header
+// elems decodes the element list of header value v; the elements alias v.
+func elems(v []byte) ([][]byte, error) {
 	if len(v) < 5 {
-		return h, fmt.Errorf("obj: short header (%d bytes)", len(v))
+		return nil, fmt.Errorf("obj: short header (%d bytes)", len(v))
 	}
-	h.typ = v[0]
-	n := binary.LittleEndian.Uint32(v[1:5])
+	var out [][]byte
 	pos := 5
-	for i := uint32(0); i < n; i++ {
+	for n := binary.LittleEndian.Uint32(v[1:5]); n > 0; n-- {
 		if pos+2 > len(v) {
-			return h, errors.New("obj: truncated header element length")
+			return nil, errors.New("obj: truncated header")
 		}
-		l := int(binary.LittleEndian.Uint16(v[pos:]))
-		pos += 2
-		if pos+l > len(v) {
-			return h, errors.New("obj: truncated header element")
-		}
-		h.elems = append(h.elems, v[pos:pos+l:pos+l])
-		pos += l
-	}
-	return h, nil
-}
-
-func (h header) encode() []byte {
-	sz := 5
-	for _, e := range h.elems {
-		sz += 2 + len(e)
-	}
-	v := make([]byte, 0, sz)
-	v = append(v, h.typ)
-	v = binary.LittleEndian.AppendUint32(v, uint32(len(h.elems)))
-	for _, e := range h.elems {
-		v = binary.LittleEndian.AppendUint16(v, uint16(len(e)))
-		v = append(v, e...)
-	}
-	return v
-}
-
-// headerLists reports whether v is the encoded header of a typ object that
-// lists elem, scanning it in place. An absent (empty) or malformed header
-// lists nothing.
-func headerLists(v []byte, typ byte, elem []byte) bool {
-	if len(v) < 5 || v[0] != typ {
-		return false
-	}
-	pos := 5
-	for n := binary.LittleEndian.Uint32(v[1:5]); n > 0 && pos+2 <= len(v); n-- {
 		end := pos + 2 + int(binary.LittleEndian.Uint16(v[pos:]))
 		if end > len(v) {
-			return false
+			return nil, errors.New("obj: truncated header")
+		}
+		out = append(out, v[pos+2:end:end])
+		pos = end
+	}
+	return out, nil
+}
+
+// elemAt returns the span [pos, end) of elem's entry in v if v is the
+// encoded header of a typ object that lists it, and pos < 0 otherwise. An
+// absent (empty) or malformed header lists nothing.
+func elemAt(v []byte, typ byte, elem []byte) (pos, end int) {
+	if len(v) < 5 || v[0] != typ {
+		return -1, 0
+	}
+	pos = 5
+	for n := binary.LittleEndian.Uint32(v[1:5]); n > 0 && pos+2 <= len(v); n-- {
+		end = pos + 2 + int(binary.LittleEndian.Uint16(v[pos:]))
+		if end > len(v) {
+			break
 		}
 		if string(v[pos+2:end]) == string(elem) {
-			return true
+			return pos, end
 		}
 		pos = end
 	}
-	return false
+	return -1, 0
 }
 
-func (h header) index(elem []byte) int {
-	for i, e := range h.elems {
-		if string(e) == string(elem) {
-			return i
-		}
-	}
-	return -1
+func headerLists(v []byte, typ byte, elem []byte) bool {
+	pos, _ := elemAt(v, typ, elem)
+	return pos >= 0
 }
 
-// readHeader fetches and decodes name's header; ok=false when absent.
-func (o *Store) readHeader(name []byte) (header, bool, error) {
-	v, err := o.st.Get(headerKey(name))
-	if err == kv.ErrNotFound {
-		return header{}, false, nil
+// withElem returns header value v (nil: an absent typ object) with elem
+// appended to its list.
+func withElem(v []byte, typ byte, elem []byte) []byte {
+	out := make([]byte, 0, max(len(v), 5)+2+len(elem))
+	if len(v) < 5 {
+		out = append(out, typ, 0, 0, 0, 0)
+	} else {
+		out = append(out, v...)
 	}
-	if err != nil {
-		return header{}, false, err
+	binary.LittleEndian.PutUint32(out[1:5], binary.LittleEndian.Uint32(out[1:5])+1)
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(elem)))
+	return append(out, elem...)
+}
+
+// withoutElem returns header value v without its entry [pos, end), or nil
+// when that entry was the last.
+func withoutElem(v []byte, pos, end int) []byte {
+	n := binary.LittleEndian.Uint32(v[1:5]) - 1
+	if n == 0 {
+		return nil
 	}
-	h, err := decodeHeader(v)
-	if err != nil {
-		return header{}, false, err
+	out := append(append(make([]byte, 0, len(v)-(end-pos)), v[:pos]...), v[end:]...)
+	binary.LittleEndian.PutUint32(out[1:5], n)
+	return out
+}
+
+// typed checks that header value v is a typ object's.
+func typed(v []byte, typ byte) error {
+	if len(v) == 0 || v[0] != typ {
+		return ErrWrongType
 	}
-	return h, true, nil
+	return nil
 }
 
 // ---- expiry index ----
+
+// deadline returns name's TTL deadline from the DRAM index.
+func (o *Store) deadline(name []byte) (int64, bool) {
+	o.mu.RLock()
+	d, ok := o.exp[string(name)]
+	o.mu.RUnlock()
+	return d, ok
+}
 
 // alive reports whether name is unexpired right now. Expired names are
 // masked immediately (lazy expiry) and, in primary mode, reaped in the
 // background by the next expirer tick — reads never block on the reap.
 func (o *Store) alive(name []byte) bool {
-	o.mu.RLock()
-	d, ok := o.exp[string(name)]
-	o.mu.RUnlock()
+	d, ok := o.deadline(name)
 	if !ok || o.opts.Clock() < d {
 		return true
 	}
@@ -437,9 +411,7 @@ func (o *Store) setDeadline(name []byte, d int64) {
 }
 
 func (o *Store) hasDeadline(name []byte) bool {
-	o.mu.RLock()
-	_, ok := o.exp[string(name)]
-	o.mu.RUnlock()
+	_, ok := o.deadline(name)
 	return ok
 }
 

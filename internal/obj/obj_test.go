@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"rntree/internal/race"
 	"rntree/kv"
 )
 
@@ -37,9 +38,9 @@ func attach(t testing.TB, st *kv.Store, clk *fakeClock) *Store {
 }
 
 // unlisted returns every record in the object namespace that the API does
-// not account for: a field record its header does not list, a set member
-// record (nothing writes those any more), a record of the retired log, an
-// expiry record under a name with neither flat key nor header.
+// not account for: a field record its header does not list, a record of a
+// kind nothing writes, an expiry record under a name with neither flat key
+// nor header.
 func unlisted(st *kv.Store) []string {
 	var out []string
 	st.Range(func(k, _ []byte) bool {
@@ -71,18 +72,18 @@ func unlisted(st *kv.Store) []string {
 
 // TestHSetPersistCount pins HSET's NVM cost in persist instructions, which
 // are exact where wall-clock numbers on a shared host are not: adding a
-// fresh field costs exactly its TWO single-record commits — the field
-// record, then the header that lists it (the commit point; there is no
-// intent record before them and no tombstone after) — and overwriting a
-// listed field exactly one Put, each measured on a twin store running those
-// commits bare.
+// fresh field costs exactly ONE commit of its two records — the field record
+// and the header that lists it, co-located in the name's partition and
+// persisted as one span (there is no intent record before them and no
+// tombstone after) — and overwriting a listed field exactly one Put, each
+// measured on a twin store running those commits bare.
 func TestHSetPersistCount(t *testing.T) {
 	persists := func(st *kv.Store) uint64 { return st.Stats().Persists }
 	st, twin := newKV(t), newKV(t)
 	o := attach(t, st, &fakeClock{})
 	name, field := []byte("user:1"), []byte("name")
 	fk, hk := fieldKey(name, field), headerKey(name)
-	hv := header{typ: TypeHash, elems: [][]byte{field}}.encode()
+	hv := withElem(nil, TypeHash, field)
 
 	before := persists(st)
 	if err := o.HSet(name, field, []byte("ada")); err != nil {
@@ -90,13 +91,15 @@ func TestHSetPersistCount(t *testing.T) {
 	}
 	got := persists(st) - before
 	before = persists(twin)
-	for _, err := range []error{twin.Put(fk, []byte("ada")), twin.Put(hk, hv)} {
-		if err != nil {
-			t.Fatal(err)
+	muts := []kv.Mutation{{Key: fk, Val: []byte("ada")}, {Key: hk, Val: hv}}
+	twin.Commit(muts)
+	for _, m := range muts {
+		if m.Err != nil {
+			t.Fatal(m.Err)
 		}
 	}
 	if want := persists(twin) - before; got != want {
-		t.Errorf("fresh-field HSET issued %d persists, its two single-record commits issue %d", got, want)
+		t.Errorf("fresh-field HSET issued %d persists, one Commit of field+header issues %d", got, want)
 	}
 
 	before = persists(st)
@@ -110,6 +113,209 @@ func TestHSetPersistCount(t *testing.T) {
 	}
 	if want := persists(twin) - before; got != want {
 		t.Errorf("existing-field HSET issued %d persists, one Put issues %d", got, want)
+	}
+}
+
+// TestHSetHGetAllocs pins the typed hot path's allocations at most where they
+// were before every write became one kv step: a fresh HSET 6, an overwrite
+// of a field of an eight-field hash 9, an HGET 6 (the counts of the build
+// with a stripe lock per name and two commits per fresh field). The step
+// itself allocates nothing (kv's TestCommitAllocs).
+func TestHSetHGetAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	o := attach(t, newKV(t), &fakeClock{})
+	name, field, val := []byte("user:1"), []byte("f3"), []byte("value")
+	for i := 0; i < 8; i++ {
+		hset(t, o, "user:1", fmt.Sprintf("f%d", i), "v")
+	}
+	names := make([][]byte, 1000)
+	for i := range names {
+		names[i] = []byte(fmt.Sprintf("n%d", i))
+	}
+	next := 0
+	for _, c := range []struct {
+		what string
+		max  float64
+		f    func() error
+	}{
+		{"fresh HSET", 6, func() error { next++; return o.HSet(names[next], field, val) }},
+		{"HSET overwrite", 9, func() error { return o.HSet(name, field, val) }},
+		{"HGET", 6, func() error { _, err := o.HGet(name, field); return err }},
+	} {
+		if got := testing.AllocsPerRun(200, func() {
+			if err := c.f(); err != nil {
+				t.Fatal(err)
+			}
+		}); got > c.max {
+			t.Errorf("%s: %v allocs/op, want <= %v", c.what, got, c.max)
+		}
+	}
+}
+
+// TestObjectCoLocated: every record of an object — header, fields, expiry —
+// and the flat key of its name live in one partition, PartitionOf(name).
+func TestObjectCoLocated(t *testing.T) {
+	st, err := kv.New(kv.Options{ArenaSize: 32 << 20, ChunkSize: 1 << 14, Partitions: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := attach(t, st, &fakeClock{})
+	for n := 0; n < 32; n++ {
+		name := fmt.Sprintf("obj:%d", n)
+		for f := 0; f < 3; f++ {
+			hset(t, o, name, fmt.Sprintf("field-%d", f), "v")
+		}
+		if err := st.Put([]byte("flat:"+name), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []string{name, "flat:" + name} {
+			if err := o.Expire([]byte(e), 1000); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	records, parts := 0, map[int]bool{}
+	st.Range(func(k, _ []byte) bool {
+		_, name, ok := ParseInternalKey(k)
+		if !ok {
+			return true
+		}
+		records++
+		if got, want := st.PartitionOf(k), st.PartitionOf(name); got != want {
+			t.Errorf("%q lives in partition %d, its name %q in %d", k, got, name, want)
+		}
+		parts[st.PartitionOf(k)] = true
+		return true
+	})
+	if records != 32*(1+3+1+1) || len(parts) < 2 {
+		t.Fatalf("%d records over %d partitions: the test proves nothing", records, len(parts))
+	}
+}
+
+// TestReplicaCatchUpObjectPrefix: a replica catching up from a primary's
+// backlog — partition by partition, one record applied at a time — never
+// holds a header that lists a field it lacks. Every record of an object lives
+// in its name's partition, so the backlog replays an object in its LSN order.
+// Compaction narrows this: it keeps a key's newest record only, so a field
+// overwritten after its header's last write replays after that header, and a
+// cut between the two shows the header ahead of the field. That field is the
+// only one a cut may miss, and catch-up still converges.
+func TestReplicaCatchUpObjectPrefix(t *testing.T) {
+	opts := kv.Options{ArenaSize: 16 << 20, ChunkSize: 1 << 14, Partitions: 4}
+	pst, err := kv.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pobj := attach(t, pst, &fakeClock{})
+	var names [][]byte
+	for n := 0; n < 8; n++ {
+		name := fmt.Sprintf("obj:%d", n)
+		names = append(names, []byte(name))
+		for f := 0; f < 4; f++ {
+			hset(t, pobj, name, fmt.Sprintf("f%d", f), fmt.Sprintf("v%d.%d", n, f))
+		}
+		if err := pobj.HDel([]byte(name), []byte("f1")); err != nil {
+			t.Fatal(err)
+		}
+		hset(t, pobj, name, "f0", fmt.Sprintf("v%d.0'", n))
+	}
+
+	// catchUp replays the backlog into a fresh replica and returns how many
+	// cuts listed a field the replica lacked, failing on any but mayLag.
+	catchUp := func(mayLag string) (ahead int) {
+		rst, err := kv.New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		robj, err := Attach(rst, Options{ReadOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer robj.Close()
+		applied := 0
+		for part := 0; part < pst.Partitions(); part++ {
+			err := pst.ReplBacklog(part, 0, func(lsn uint64, kind uint8, key, val []byte) bool {
+				if err := rst.ReplApply(part, lsn, kind, key, val); err != nil {
+					t.Fatalf("apply partition %d lsn %d: %v", part, lsn, err)
+				}
+				robj.OnReplApply(kind, key, val)
+				applied++
+				for _, name := range names {
+					fields, err := robj.HKeys(name)
+					if err != nil {
+						t.Fatalf("after %d records: HKeys %s: %v", applied, name, err)
+					}
+					for _, f := range fields {
+						if _, err := robj.HGet(name, f); err != nil {
+							if string(f) != mayLag {
+								t.Fatalf("after %d records: %s lists %s, HGet: %v", applied, name, f, err)
+							}
+							ahead++
+						}
+					}
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, name := range names {
+			for f := 0; f < 4; f++ {
+				field := []byte(fmt.Sprintf("f%d", f))
+				want, werr := pobj.HGet(name, field)
+				got, gerr := robj.HGet(name, field)
+				if string(got) != string(want) || gerr != werr {
+					t.Fatalf("%s.%s: replica %q, %v; primary %q, %v", name, field, got, gerr, want, werr)
+				}
+			}
+		}
+		return ahead
+	}
+	catchUp("")
+	if err := pst.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if catchUp("f0") == 0 {
+		t.Fatal("after compaction no cut showed a header ahead of its overwritten field: DESIGN §15.4's caveat no longer holds, narrow it")
+	}
+}
+
+// TestReservedNames: no typed verb takes a name inside the reserved
+// namespace. Such a name is, as a flat key, another name's record — the
+// header key of an existing object here — and answering for it would expose
+// that record (TTL of it read -1, the object's own answer).
+func TestReservedNames(t *testing.T) {
+	st := newKV(t)
+	o := attach(t, st, &fakeClock{})
+	hset(t, o, "foo", "f", "v")
+	reserved := headerKey([]byte("foo"))
+	for _, c := range []struct {
+		verb string
+		call func() error
+	}{
+		{"HSET", func() error { return o.HSet(reserved, []byte("f"), []byte("v")) }},
+		{"HGET", func() error { _, err := o.HGet(reserved, []byte("f")); return err }},
+		{"HDEL", func() error { return o.HDel(reserved, []byte("f")) }},
+		{"SADD", func() error { return o.SAdd(reserved, []byte("m")) }},
+		{"SREM", func() error { return o.SRem(reserved, []byte("m")) }},
+		{"SMEMBERS", func() error { _, err := o.SMembers(reserved); return err }},
+		{"EXPIRE", func() error { return o.Expire(reserved, 1000) }},
+		{"TTL", func() error { _, err := o.TTL(reserved); return err }},
+		{"PERSIST", func() error { return o.Persist(reserved) }},
+	} {
+		if err := c.call(); err != ErrReserved {
+			t.Errorf("%s on a reserved name: %v, want ErrReserved", c.verb, err)
+		}
+	}
+	// Fields and members are any bytes: only names are routed.
+	if err := o.HSet([]byte("foo"), []byte{NSByte, 'x'}, []byte("v")); err != nil {
+		t.Fatalf("HSET of a 0x01 field: %v", err)
+	}
+	if v, err := o.HGet([]byte("foo"), []byte{NSByte, 'x'}); err != nil || string(v) != "v" {
+		t.Fatalf("HGET of a 0x01 field = %q, %v", v, err)
 	}
 }
 

@@ -6,102 +6,104 @@ import (
 	"rntree/kv"
 )
 
-// Typed operations. Writes stripe-lock on the object name so a composite
-// read-modify-write of the header cannot interleave with another writer or
-// a reap of the same object; reads are lock-free against kv (expiry masking
-// is a DRAM map lookup) and see a composite all-or-nothing, because the
-// header write that commits it is one kv record.
+// Typed operations. Every write of a name is one kv step on the name's
+// partition (write); reads are lock-free against kv (expiry masking is a
+// DRAM map lookup) and see a composite all-or-nothing, because the header
+// record that commits it publishes after every record it lists.
 
-// del deletes key; an absent key is fine — the step already ran (a re-run
-// reap, a cleanup the sweep got to first).
-func (o *Store) del(key []byte) error {
-	if err := o.st.Delete(key); err != nil && err != kv.ErrNotFound {
+// write runs one write of name as a single kv.Store.Update step. A name whose
+// TTL has lapsed is reaped inside the same step, before fn runs: fn then
+// finds the object gone (reaped), and the expiry record's delete is queued
+// after whatever fn queued, so the name stays masked until the step's last
+// publish. The expiry index forgets the name once that commits, still under
+// the lock; the reap is counted and the invalidation hook runs after the
+// step returns. write reports whether the step reaped.
+func (o *Store) write(name []byte, fn func(tx *kv.Tx, reaped bool) error) (reaped bool, err error) {
+	err = o.st.Update(name, func(tx *kv.Tx) error {
+		r, err := o.reapRecords(tx, name)
+		if err != nil {
+			return err
+		}
+		err = fn(tx, r)
+		if !r {
+			return err
+		}
+		if cerr := o.dropExpiry(tx, name); cerr != nil {
+			return cerr
+		}
+		reaped = true
 		return err
+	})
+	if reaped {
+		o.reaps.Add(1)
+		if inv := o.invalidate.Load(); inv != nil {
+			(*inv)(name)
+		}
 	}
-	return nil
+	return reaped, err
 }
 
-// dropExpiry removes name's expiry record and its DRAM deadline.
-func (o *Store) dropExpiry(name []byte) error {
-	if err := o.del(expiryKey(name)); err != nil {
+// dropExpiry queues the delete of name's expiry record, commits it with what
+// the step queued before it, and then forgets name's deadline.
+func (o *Store) dropExpiry(tx *kv.Tx, name []byte) error {
+	tx.Delete(expiryKey(name))
+	if err := tx.Commit(); err != nil {
 		return err
 	}
 	o.clearDeadline(name)
 	return nil
 }
 
-// open is the head of every typed write, under name's stripe lock: reap the
-// expired corpse if there is one, then read the header. A first write
-// (found=false) starts from an empty object of type typ — after dropping an
-// unexpired expiry record still under the absent name (the tail of a removal
-// cut short after its header delete), so the new object does not inherit the
-// old one's deadline.
-func (o *Store) open(name []byte, typ byte) (h header, found bool, err error) {
-	if !o.alive(name) {
-		if err := o.reapLocked(name); err != nil {
-			return h, false, err
-		}
+// open reads the encoded header hv of name (header key hk) for a typed write
+// of type typ; reaped says the step has just reaped the name, whose object is
+// then gone. A first write (hv == nil) starts from nothing — after dropping
+// an unexpired expiry record still under the absent name (the tail of a
+// removal cut short after its header delete), so the new object does not
+// inherit the old one's deadline.
+func (o *Store) open(tx *kv.Tx, name, hk []byte, typ byte, reaped bool) (hv []byte, err error) {
+	if reaped {
+		return nil, nil
 	}
-	h, found, err = o.readHeader(name)
+	hv, err = o.st.Get(hk)
 	switch {
-	case err != nil:
-		return h, false, err
-	case found && h.typ != typ:
-		return h, true, ErrWrongType
-	case found:
-		return h, true, nil
+	case err == nil:
+		return hv, typed(hv, typ)
+	case o.hasDeadline(name) && !o.st.Has(name):
+		return nil, o.dropExpiry(tx, name)
 	}
-	if o.hasDeadline(name) && !o.st.Has(name) {
-		if err := o.dropExpiry(name); err != nil {
-			return h, false, err
-		}
-	}
-	return header{typ: typ}, false, nil
+	return nil, nil
 }
 
 // HSet writes field=val on hash name, creating the object if absent. A new
-// field is two commits — the field record, then the header that lists it,
-// which is the commit point; overwriting a listed field is one.
+// field is two records — the field, then the header that lists it, which is
+// the commit point; overwriting a listed field is one.
 func (o *Store) HSet(name, field, val []byte) error {
-	if err := checkName(name); err != nil {
+	if err := checkName(name, field); err != nil {
 		return err
 	}
-	if err := checkName(field); err != nil {
-		return err
-	}
-	mu := o.lockFor(name)
-	mu.Lock()
-	defer mu.Unlock()
-	h, _, err := o.open(name, TypeHash)
-	if err != nil {
-		return err
-	}
-	fk := fieldKey(name, field)
-	listed := h.index(field) >= 0
-	if err := o.st.Put(fk, val); err != nil || listed {
-		// Overwriting a listed field leaves the header alone, so that one
-		// record is the whole update.
-		return err
-	}
-	h.elems = append(h.elems, field)
-	if err := o.st.Put(headerKey(name), h.encode()); err != nil {
-		// The field never got listed, so no reader can have seen it. Take
-		// the record back; if that fails too it stays invisible garbage
-		// for the sweep, and err is the failure the caller must hear about.
-		_ = o.st.Delete(fk)
+	fresh := false
+	_, err := o.write(name, func(tx *kv.Tx, reaped bool) error {
+		hk := headerKey(name)
+		hv, err := o.open(tx, name, hk, TypeHash, reaped)
+		if err != nil {
+			return err
+		}
+		tx.Put(fieldKey(name, field), val)
+		if fresh = !headerLists(hv, TypeHash, field); fresh {
+			tx.Put(hk, withElem(hv, TypeHash, field))
+		}
+		return nil
+	})
+	if err != nil && fresh {
 		o.intentsUndone.Add(1)
-		return err
 	}
-	return nil
+	return err
 }
 
 // HGet reads field from hash name. The header is read first: a record it
 // does not list is not part of the object, whatever is on media.
 func (o *Store) HGet(name, field []byte) ([]byte, error) {
-	if err := checkName(name); err != nil {
-		return nil, err
-	}
-	if err := checkName(field); err != nil {
+	if err := checkName(name, field); err != nil {
 		return nil, err
 	}
 	if !o.alive(name) {
@@ -119,47 +121,29 @@ func (o *Store) HGet(name, field []byte) ([]byte, error) {
 
 // HDel removes field from hash name; deleting the last field removes the
 // object (and its TTL) entirely.
-func (o *Store) HDel(name, field []byte) error {
-	if err := checkName(name); err != nil {
-		return err
-	}
-	if err := checkName(field); err != nil {
-		return err
-	}
-	return o.removeElem(name, field, TypeHash)
-}
+func (o *Store) HDel(name, field []byte) error { return o.removeElem(name, field, TypeHash) }
 
 // SAdd adds member to set name, creating the object if absent: one header
 // write. A repeated add is a no-op.
 func (o *Store) SAdd(name, member []byte) error {
-	if err := checkName(name); err != nil {
+	if err := checkName(name, member); err != nil {
 		return err
 	}
-	if err := checkName(member); err != nil {
-		return err
-	}
-	mu := o.lockFor(name)
-	mu.Lock()
-	defer mu.Unlock()
-	h, _, err := o.open(name, TypeSet)
-	if err != nil || h.index(member) >= 0 {
-		return err
-	}
-	h.elems = append(h.elems, member)
-	return o.st.Put(headerKey(name), h.encode())
+	_, err := o.write(name, func(tx *kv.Tx, reaped bool) error {
+		hk := headerKey(name)
+		hv, err := o.open(tx, name, hk, TypeSet, reaped)
+		if err != nil || headerLists(hv, TypeSet, member) {
+			return err
+		}
+		tx.Put(hk, withElem(hv, TypeSet, member))
+		return nil
+	})
+	return err
 }
 
 // SRem removes member from set name; removing the last member removes the
 // object entirely.
-func (o *Store) SRem(name, member []byte) error {
-	if err := checkName(name); err != nil {
-		return err
-	}
-	if err := checkName(member); err != nil {
-		return err
-	}
-	return o.removeElem(name, member, TypeSet)
-}
+func (o *Store) SRem(name, member []byte) error { return o.removeElem(name, member, TypeSet) }
 
 // SMembers lists set name's members. An absent (or expired) set is an
 // empty list, Redis-style.
@@ -176,94 +160,77 @@ func (o *Store) list(name []byte, typ byte) ([][]byte, error) {
 	if !o.alive(name) {
 		return nil, nil
 	}
-	h, found, err := o.readHeader(name)
-	if err != nil || !found {
+	hv, err := o.st.Get(headerKey(name))
+	if err != nil {
+		return nil, nil // absent
+	}
+	if err := typed(hv, typ); err != nil {
 		return nil, err
 	}
-	if h.typ != typ {
-		return nil, ErrWrongType
-	}
 	// The elements alias the one buffer kv.Get copied the header into.
-	return h.elems, nil
+	return elems(hv)
 }
 
-// removeElem is the shared HDel/SRem composite. The header write commits
+// removeElem is the shared HDel/SRem composite. The header record commits
 // it — rewritten without elem, or deleted when elem was the last — and the
-// field record (hashes only) and an object-only TTL go after it: an error
-// from those trailing deletes reports a removal that has already taken
-// effect and left garbage for the sweep.
+// field record (hashes only) and an object-only TTL go after it.
 func (o *Store) removeElem(name, elem []byte, typ byte) error {
-	mu := o.lockFor(name)
-	mu.Lock()
-	defer mu.Unlock()
-	h, found, err := o.open(name, typ)
-	if err != nil {
+	if err := checkName(name, elem); err != nil {
 		return err
 	}
-	i := h.index(elem)
-	if !found || i < 0 {
-		return kv.ErrNotFound
-	}
-	h.elems = append(h.elems[:i], h.elems[i+1:]...)
-	if len(h.elems) > 0 {
-		err = o.st.Put(headerKey(name), h.encode())
-	} else {
-		err = o.st.Delete(headerKey(name))
-	}
-	if err != nil {
-		return err
-	}
-	if typ == TypeHash {
-		if err := o.del(fieldKey(name, elem)); err != nil {
+	_, err := o.write(name, func(tx *kv.Tx, reaped bool) error {
+		hk := headerKey(name)
+		hv, err := o.open(tx, name, hk, typ, reaped)
+		if err != nil {
 			return err
 		}
-	}
-	if len(h.elems) == 0 && o.hasDeadline(name) && !o.st.Has(name) {
-		// The TTL belonged to the object alone (no flat key shares the
-		// name): it goes with it.
-		return o.dropExpiry(name)
-	}
-	return nil
+		pos, end := elemAt(hv, typ, elem)
+		if pos < 0 {
+			return kv.ErrNotFound
+		}
+		rest := withoutElem(hv, pos, end)
+		if rest != nil {
+			tx.Put(hk, rest)
+		} else {
+			tx.Delete(hk)
+		}
+		if typ == TypeHash {
+			tx.Delete(fieldKey(name, elem))
+		}
+		if rest == nil && o.hasDeadline(name) && !o.st.Has(name) {
+			// The TTL belonged to the object alone (no flat key shares the
+			// name): it goes with it.
+			return o.dropExpiry(tx, name)
+		}
+		return nil
+	})
+	return err
 }
 
 // exists reports whether name is visible as a flat key or an object.
-func (o *Store) exists(name []byte) bool {
-	if o.st.Has(name) {
-		return true
-	}
-	return o.st.Has(headerKey(name))
-}
+func (o *Store) exists(name []byte) bool { return o.st.Has(name) || o.st.Has(headerKey(name)) }
 
 // Expire sets name's TTL to ttl milliseconds from now. name may be a flat
 // key or an object; an absent name is an error. The deadline persists as a
-// single expiry record, so the update is atomic on its own.
+// single expiry record, so the update is atomic on its own, and the expiry
+// index takes it once that record commits.
 func (o *Store) Expire(name []byte, ttlMs uint64) error {
 	if err := checkName(name); err != nil {
 		return err
 	}
-	if IsInternalKey(name) {
-		return ErrReserved
-	}
-	mu := o.lockFor(name)
-	mu.Lock()
-	defer mu.Unlock()
-	if !o.alive(name) {
-		if err := o.reapLocked(name); err != nil {
+	_, err := o.write(name, func(tx *kv.Tx, reaped bool) error {
+		if reaped || !o.exists(name) {
+			return kv.ErrNotFound
+		}
+		d := o.opts.Clock() + int64(ttlMs)
+		tx.Put(expiryKey(name), binary.LittleEndian.AppendUint64(nil, uint64(d)))
+		if err := tx.Commit(); err != nil {
 			return err
 		}
-		return kv.ErrNotFound
-	}
-	if !o.exists(name) {
-		return kv.ErrNotFound
-	}
-	d := o.opts.Clock() + int64(ttlMs)
-	var v [8]byte
-	binary.LittleEndian.PutUint64(v[:], uint64(d))
-	if err := o.st.Put(expiryKey(name), v[:]); err != nil {
-		return err
-	}
-	o.setDeadline(name, d)
-	return nil
+		o.setDeadline(name, d)
+		return nil
+	})
+	return err
 }
 
 // TTL returns name's remaining time-to-live in milliseconds, -1 when the
@@ -272,9 +239,7 @@ func (o *Store) TTL(name []byte) (int64, error) {
 	if err := checkName(name); err != nil {
 		return 0, err
 	}
-	o.mu.RLock()
-	d, ok := o.exp[string(name)]
-	o.mu.RUnlock()
+	d, ok := o.deadline(name)
 	rem := d - o.opts.Clock()
 	if ok && rem <= 0 {
 		o.lazyExpiries.Add(1)
@@ -297,20 +262,14 @@ func (o *Store) Persist(name []byte) error {
 	if err := checkName(name); err != nil {
 		return err
 	}
-	mu := o.lockFor(name)
-	mu.Lock()
-	defer mu.Unlock()
-	if !o.alive(name) {
-		if err := o.reapLocked(name); err != nil {
-			return err
+	_, err := o.write(name, func(tx *kv.Tx, reaped bool) error {
+		switch {
+		case reaped || !o.exists(name):
+			return kv.ErrNotFound
+		case !o.hasDeadline(name):
+			return nil
 		}
-		return kv.ErrNotFound
-	}
-	if !o.exists(name) {
-		return kv.ErrNotFound
-	}
-	if !o.hasDeadline(name) {
-		return nil
-	}
-	return o.dropExpiry(name)
+		return o.dropExpiry(tx, name)
+	})
+	return err
 }

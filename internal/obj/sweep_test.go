@@ -96,7 +96,7 @@ func TestOrphanNeverObservable(t *testing.T) {
 			what: "HDEL: header' written, field not deleted",
 			base: func(t *testing.T, o *Store) { hset(t, o, name, "a", "1"); hset(t, o, name, "b", "2") },
 			cut: func(st *kv.Store) error {
-				return st.Put(headerKey([]byte(name)), header{typ: TypeHash, elems: [][]byte{[]byte("a")}}.encode())
+				return st.Put(headerKey([]byte(name)), withElem(nil, TypeHash, []byte("a")))
 			},
 			want: view{fields: map[string]string{"a": "1"}, ttl: -1}, // post-state
 		},
@@ -302,39 +302,5 @@ func TestReapLargerThanChunk(t *testing.T) {
 	hset(t, o, "big", "again", "v")
 	if keys, err := o.HKeys([]byte("big")); err != nil || len(keys) != 1 {
 		t.Fatalf("rebuilt object: %d fields, %v", len(keys), err)
-	}
-}
-
-// TestSweepOlderImage: a set member record, which older builds wrote beside
-// the header and nothing ever read, is swept; a record of the retired
-// composite log is a typed error — nothing here can resolve it.
-func TestSweepOlderImage(t *testing.T) {
-	st := newKV(t)
-	o := attach(t, st, &fakeClock{})
-	if err := o.SAdd([]byte("tags"), []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	member := append([]byte{NSByte, oldTagMember, 4, 0}, "tagsa"...)
-	if err := st.Put(member, []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	o2 := attach(t, st, &fakeClock{})
-	if st.Has(member) {
-		t.Fatal("set member record survived the sweep")
-	}
-	if ms, err := o2.SMembers([]byte("tags")); err != nil || len(ms) != 1 {
-		t.Fatalf("SMembers after the sweep: %q, %v", ms, err)
-	}
-
-	if err := st.Put(append([]byte{NSByte, oldTagLog}, "tags"...), []byte("whatever")); err != nil {
-		t.Fatal(err)
-	}
-	for _, ro := range []bool{false, true} {
-		if _, err := Attach(st, Options{ReadOnly: ro}); !errors.Is(err, ErrOldImage) {
-			t.Fatalf("Attach(ReadOnly=%v) over a composite-log record: %v, want ErrOldImage", ro, err)
-		}
-	}
-	if err := o2.Activate(); !errors.Is(err, ErrOldImage) {
-		t.Fatalf("Activate over a composite-log record: %v, want ErrOldImage", err)
 	}
 }

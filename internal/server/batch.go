@@ -213,9 +213,8 @@ gather:
 	c.batch, c.muts = batch, muts
 }
 
-// apply runs one typed-object write. The composite still takes its name's
-// stripe lock, which keeps it apart from the expirer and the sweep; other
-// writes of the name are already ordered by this committer's queue.
+// apply runs one typed-object write: one kv step on the name's partition,
+// the partition this committer serves.
 func (s *Server) apply(m *mutation) error {
 	o := s.obj
 	switch m.op {

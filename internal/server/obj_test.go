@@ -158,6 +158,25 @@ func TestServerObjOps(t *testing.T) {
 	}
 }
 
+// TestObjReservedNameOverWire: a typed verb naming a key inside the reserved
+// namespace — here object user:1's own header key — is refused end to end,
+// on the reader (TTL) and through the committer (HSET), instead of answering
+// for the internal record.
+func TestObjReservedNameOverWire(t *testing.T) {
+	_, _, addr := startObjServer(t, Config{}, nil)
+	c := dial(t, addr, client.Options{})
+	if err := c.HSet([]byte("user:1"), []byte("f"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	hk := append(kv.AppendRoute(nil, []byte("user:1")), 'H')
+	if ttl, err := c.TTL(hk); err == nil || !strings.Contains(err.Error(), "reserved") {
+		t.Fatalf("TTL of a header key = %d, %v; want the reserved-namespace error", ttl, err)
+	}
+	if err := c.HSet(hk, []byte("f"), []byte("v")); err == nil || !strings.Contains(err.Error(), "reserved") {
+		t.Fatalf("HSET on a header key: %v; want the reserved-namespace error", err)
+	}
+}
+
 // Without Config.Obj, the typed verbs answer with a clean error and the
 // flat path is untouched (no reserved-namespace policing of a layer that
 // does not exist).
@@ -317,12 +336,12 @@ func TestObjFailoverMidComposite(t *testing.T) {
 	headers := map[string][]string{} // name → fields
 	fields := map[string][]string{}
 	rst.Range(func(k, v []byte) bool {
-		if len(k) < 2 || k[0] != obj.NSByte {
+		tag, nb, ok := obj.ParseInternalKey(k)
+		if !ok {
 			return true
 		}
-		switch k[1] {
+		switch name := string(nb); tag {
 		case 'H':
-			name := string(k[2:])
 			// Header layout: [type][u32 count][(u16 len + elem)*].
 			c := bytes.Clone(v[5:])
 			for n := binary.LittleEndian.Uint32(v[1:5]); n > 0; n-- {
@@ -331,12 +350,13 @@ func TestObjFailoverMidComposite(t *testing.T) {
 				c = c[2+l:]
 			}
 		case 'h':
-			nl := binary.LittleEndian.Uint16(k[2:4])
-			name := string(k[4 : 4+nl])
-			fields[name] = append(fields[name], string(k[4+nl:]))
+			fields[name] = append(fields[name], string(k[4+len(nb):]))
 		}
 		return true
 	})
+	if len(headers) == 0 {
+		t.Fatal("the promoted store holds no object header: the check below proves nothing")
+	}
 	for name, hf := range headers {
 		if len(hf) != len(fields[name]) {
 			t.Fatalf("object %q: header lists %v, records hold %v", name, hf, fields[name])

@@ -1,19 +1,22 @@
 package kv
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // The commit path. Every mutation of the store — Put, Delete, a PutBatch
-// pair, an entry of a server group commit, a shipped replication record —
-// commits through commitPart below, and nothing else appends a record and
-// repoints the index (compaction's rewriteChain moves records that are
-// already committed). Where N separate commits to one partition cost N ranged
-// persists (one fence each) for their log records, a batch holds the partition
-// lock once, lays the records down back-to-back and persists every
-// contiguous run with a single call — one fence per chunk-run instead of one
-// per record. The commit point is the same for a batch of one and a batch of
-// many: records are durable in the value log before any tree slot points at
-// them, so an acknowledged batch entry has exactly the durable-
-// linearizability story of an individual Put.
+// pair, an entry of a server group commit, a shipped replication record, an
+// Update step — commits through commitLocked below, and nothing else appends
+// a record and repoints the index (compaction's rewriteChain moves records
+// that are already committed). Where N separate commits to one partition
+// cost N ranged persists (one fence each) for their log records, a batch
+// holds the partition lock once, lays the records down back-to-back and
+// persists every contiguous run with a single call — one fence per chunk-run
+// instead of one per record. The commit point is the same for a batch of one
+// and a batch of many: records are durable in the value log before any tree
+// slot points at them, so an acknowledged batch entry has exactly the
+// durable-linearizability story of an individual Put.
 
 // persistSpan accumulates the contiguous byte range of records appended to
 // the current chunk and flushes it with one ranged persist.
@@ -109,8 +112,7 @@ func (s *Store) route(m *Mutation) {
 		m.Err = ErrEmptyKey
 		return
 	}
-	m.hash = s.hash(m.Key)
-	m.Part = s.f.PartitionFor(m.hash)
+	m.hash, m.Part = s.locate(m.Key)
 }
 
 // Commit applies every entry of muts — stores and removals, in slice order
@@ -252,7 +254,7 @@ func (s *Store) commitPart(pi int, muts []Mutation) {
 	p := &s.parts[pi]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s.commitLocked(pi, muts, s.commitHook())
+	s.commitLocked(pi, muts, s.commitHook(), false)
 }
 
 // commitLocked is the store's one commit routine. With partition pi's lock
@@ -260,32 +262,32 @@ func (s *Store) commitPart(pi int, muts []Mutation) {
 // (the others are skipped): find the hash's current chain head and the kind
 // of the key's newest record (this batch's own records first), take an LSN,
 // append the record with its persist deferred into a contiguous span, flush
-// the span, repoint each touched hash at its newest record, settle the
-// live/dead accounting, and fire hook in LSN order. A local removal of an
-// absent key fails with ErrNotFound before an LSN is taken; a shipped entry
-// keeps the LSN it arrived with, and a shipped tombstone is appended whether
-// or not the key is present here. ReplApply is the one caller with shipped
-// entries, and passes no hook.
-func (s *Store) commitLocked(pi int, muts []Mutation, hook CommitHook) {
+// the span, repoint each touched hash at its newest record (hashes in the
+// order the batch first touched them), settle the live/dead accounting, and
+// fire hook in LSN order. A local removal of an absent key fails with
+// ErrNotFound before an LSN is taken; a shipped entry keeps the LSN it
+// arrived with, and a shipped tombstone is appended whether or not the key is
+// present here. ReplApply is the one caller with shipped entries, and passes
+// no hook. With all set (an Update step), an entry that cannot be appended
+// ends the batch: nothing is published and no hook fires, and the records
+// already appended stay unreachable — their LSNs burned, their space Compact's.
+// A tree publish that fails under all ends the publishes instead: the hashes
+// before it stay published, and the hook fires for their entries alone.
+func (s *Store) commitLocked(pi int, muts []Mutation, hook CommitHook, all bool) {
 	p := &s.parts[pi]
 
 	var sp persistSpan
 	ents := p.batchEnts[:0]
 	kinds := p.batchKinds[:0]
+	failed := false
 
 	for i := range muts {
 		m := &muts[i]
 		if m.Part != pi {
 			continue
 		}
-		var e *batchEntry
+		e := entFor(ents, m.hash)
 		var known *batchKeyKind
-		for j := range ents {
-			if ents[j].hash == m.hash {
-				e = &ents[j]
-				break
-			}
-		}
 		var head uint64
 		var prevKind int
 		if e != nil {
@@ -325,6 +327,10 @@ func (s *Store) commitLocked(pi int, muts []Mutation, hook CommitHook) {
 		off, err := p.appendRecordDeferred(&sp, kind, m.LSN, m.Key, val, head)
 		if err != nil {
 			m.Err = err
+			if all {
+				failed = true
+				break
+			}
 			continue
 		}
 		if e == nil {
@@ -356,6 +362,10 @@ func (s *Store) commitLocked(pi int, muts []Mutation, hook CommitHook) {
 			e.dead++
 		}
 	}
+	if failed {
+		p.park(ents, kinds)
+		return
+	}
 	// Records must be durable before they become reachable.
 	sp.flush(p)
 	var liveDelta, deadDelta int64
@@ -363,12 +373,17 @@ func (s *Store) commitLocked(pi int, muts []Mutation, hook CommitHook) {
 		e := &ents[j]
 		if err := p.tree.Upsert(e.hash, e.head); err != nil {
 			// The appended records are durable but unreachable (leaked until
-			// the next compaction); surface the failure on every entry that
-			// fed this hash and drop the hash's accounting deltas with it.
+			// the next compaction): fail every entry that fed this hash — with
+			// all set, the hashes after it too, so the publishes stop at a
+			// first-touch prefix as a crash here would — without accounting.
 			for i := range muts {
-				if m := &muts[i]; m.Part == pi && m.hash == e.hash && m.Err == nil {
+				m := &muts[i]
+				if m.Part == pi && m.Err == nil && (m.hash == e.hash || all && entFor(ents[:j], m.hash) == nil) {
 					m.Err = mapFull(err)
 				}
+			}
+			if all {
+				break
 			}
 			continue
 		}
@@ -391,10 +406,89 @@ func (s *Store) commitLocked(pi int, muts []Mutation, hook CommitHook) {
 			}
 		}
 	}
-	// Drop borrowed key references before the caller recycles its payload
-	// buffers, then park the scratch for the next batch.
+	p.park(ents, kinds)
+}
+
+// entFor returns the entry of ents for hash, or nil.
+func entFor(ents []batchEntry, hash uint64) *batchEntry {
+	for j := range ents {
+		if ents[j].hash == hash {
+			return &ents[j]
+		}
+	}
+	return nil
+}
+
+// park drops commitLocked's borrowed key references before the caller
+// recycles its payload buffers, then keeps the scratch for the next batch.
+func (p *kvPart) park(ents []batchEntry, kinds []batchKeyKind) {
 	for j := range kinds {
 		kinds[j].key = nil
 	}
 	p.batchEnts, p.batchKinds = ents, kinds
+}
+
+// Tx is the write set of one Update step, valid only inside its fn: Put and
+// Delete queue records on the step's partition, Commit commits them.
+type Tx struct {
+	s    *Store
+	pi   int
+	muts []Mutation
+}
+
+// Put queues key → val; both must stay unchanged until they commit.
+func (tx *Tx) Put(key, val []byte) { tx.muts = append(tx.muts, Mutation{Key: key, Val: val}) }
+
+// Delete queues the removal of key; an absent key is skipped, not an error.
+func (tx *Tx) Delete(key []byte) { tx.muts = append(tx.muts, Mutation{Key: key, Delete: true}) }
+
+// Commit commits the queued records as one batch — one span persist, the
+// tree publishes in the order the keys were first queued, the hook in LSN
+// order — or, when one of them cannot be appended or routes to another
+// partition, publishes none and returns why. A tree publish that fails
+// (ErrFull) returns why too, with only the keys first queued before the
+// failed one published.
+func (tx *Tx) Commit() error {
+	s, muts := tx.s, tx.muts
+	defer func() { clear(muts); tx.muts = muts[:0] }()
+	for i := range muts {
+		if s.route(&muts[i]); muts[i].Part != tx.pi {
+			return fmt.Errorf("kv: Update: key %q is empty or outside the step's partition", muts[i].Key)
+		}
+	}
+	s.commitLocked(tx.pi, muts, s.commitHook(), true)
+	for i := range muts {
+		if err := muts[i].Err; err != nil && err != ErrNotFound {
+			return err
+		}
+	}
+	return nil
+}
+
+// Update runs fn as one step under the lock of the partition that holds every
+// key AppendRoute builds from route, so fn's lock-free reads of those keys
+// (Get, Has) see every earlier commit and no later one. Then it commits what
+// fn queued — fn may Commit earlier itself, to act on a write's success while
+// it holds the lock — and returns fn's error, or else the commit's; an error
+// from fn does not discard what fn queued. Update allocates nothing.
+func (s *Store) Update(route []byte, fn func(tx *Tx) error) error {
+	if len(route) == 0 {
+		return ErrEmptyKey
+	}
+	s.closeMu.RLock()
+	defer s.closeMu.RUnlock()
+	if s.closed.Load() {
+		return ErrClosed
+	}
+	pi := s.f.PartitionFor(s.hash(route))
+	p := &s.parts[pi]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	tx := &p.tx
+	tx.s, tx.pi, tx.muts = s, pi, tx.muts[:0]
+	err := fn(tx)
+	if cerr := tx.Commit(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -128,9 +128,10 @@ func TestCommitMixedBatch(t *testing.T) {
 // makes), with and without a commit hook, and a one-entry Commit on a reused
 // slice — the server committer's call — must cost what Put costs, as must a
 // Commit of eight arbitrary keys of one partition (one lock, no fan-out
-// goroutines). A key or value that is not a multiple of 8 bytes costs
-// nothing more: its padded last word is streamed from the stack. Keys are
-// fresh per run (an overwrite pays the chain walk's key copy).
+// goroutines) and an Update step of two routed records (its Tx and scratch
+// belong to the partition). A key or value that is not a multiple of 8
+// bytes costs nothing more: its padded last word is streamed from the stack.
+// Keys are fresh per run (an overwrite pays the chain walk's key copy).
 func TestCommitAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -191,6 +192,20 @@ func TestCommitAllocs(t *testing.T) {
 				if muts[i].Err != nil {
 					t.Fatal(muts[i].Err)
 				}
+			}
+		})
+		route := []byte("route")
+		rk := [2][]byte{AppendRoute(nil, route), AppendRoute(nil, route)}
+		check("Update step of two routed records", 0, func() {
+			err := s.Update(route, func(tx *Tx) error {
+				for i := range rk {
+					rk[i] = append(rk[i][:len(route)+3], fresh()...)
+					tx.Put(rk[i], val)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 		})
 		// Last, so their inserts do not move the rows above across tree splits.

@@ -50,7 +50,7 @@ func (p *kvPart) rewriteChain(hash uint64, live []liveRec) error {
 	return p.tree.Upsert(hash, next)
 }
 
-// Compact rewrites every live record into fresh chunks and retires the old
+// Compact rewrites every live record into fresh chunks and frees the old
 // ones, reclaiming space from overwritten values and tombstones. It works
 // one partition at a time, holding only that partition's lock — its writers
 // wait, but writers on the other partitions and all readers keep running, so
@@ -84,16 +84,11 @@ func (s *Store) Compact() error {
 // is repointed is the chain cut (one persisted pointer write).
 //
 // Reader safety: lock-free readers may still be walking the old records,
-// so the cut chunks are only retired here; the actual free happens at the
-// start of the next compaction of this partition, a full cycle later.
+// so the cut chunks are freed only after the partition's grace period has
+// drained every reader that entered before the cut (grace.go).
 func (p *kvPart) compact(keepTombs bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, c := range p.retired {
-		p.arena.Free(c, p.chunkSz)
-	}
-	p.retired = nil
-
 	oldHead := p.arena.Read8(p.headOff)
 	if err := p.newChunk(); err != nil {
 		return err
@@ -131,9 +126,10 @@ func (p *kvPart) compact(keepTombs bool) error {
 	if oldHead != pmem.NullOff {
 		p.arena.Write8(cut+chunkNextOff, pmem.NullOff)
 		p.arena.Persist(cut+chunkNextOff, 8)
+		p.readers.wait()
 		for c := oldHead; c != pmem.NullOff; {
 			nxt := p.arena.Read8(c + chunkNextOff)
-			p.retired = append(p.retired, c)
+			p.arena.Free(c, p.chunkSz)
 			c = nxt
 		}
 	}

@@ -64,11 +64,10 @@ func openWatched(t *testing.T, tag string, img []uint64) (pmem.Stats, error) {
 // check, no endless chain walk, no misleading ErrFull. The three superseded
 // superblock magics, and every value-log count a build that sharded the log
 // inside a partition could have persisted, get the typed unsupported-format
-// error naming what was found; a count no build wrote is corrupt. Every
-// rejection happens before kv's first write to the image. The other way
-// round, the four words this build retired (three in the heap header, one in
-// the superblock) are ignored: an image holding what an earlier build wrote
-// there opens and serves.
+// error naming what was found; a count no build wrote is corrupt — as does a
+// v4 image holding what the oldest builds wrote into the four words this
+// build retired (three in the heap header, one in the superblock). Every
+// rejection happens before kv's first write to the image.
 func TestOpenGarbageSuperblock(t *testing.T) {
 	s, err := New(Options{ArenaSize: 1 << 20, ChunkSize: 512})
 	if err != nil {
@@ -147,31 +146,28 @@ func TestOpenGarbageSuperblock(t *testing.T) {
 		}
 	}
 
-	// Earlier builds kept a simulated mapping address per segment (header
-	// words +64 base, +72 previous base, +80 state: 0 clean, 1 remapped and
-	// not yet confirmed) and the chain head re-encoded against it in
-	// superblock word 96.
+	// Builds before routed keys wrote v4 superblocks, the oldest of them with
+	// a simulated mapping address per segment (header words +64 base, +72
+	// previous base, +80 state: 0 clean, 1 remapped and not yet confirmed)
+	// and the chain head re-encoded against it in superblock word 96. Such an
+	// image is refused like any v4 image, naming its magic, before kv writes.
 	const hdr, oldBase, movedBase = pmem.RootSize, 0x00007c0000000000, 0x0000610000000000
+	const v4 = storeMagic - 1
 	for state, words := range [][4]uint64{
 		{oldBase, 0, 0, oldBase + p.headOff},
 		{movedBase, oldBase, 1, oldBase + p.headOff},
 	} {
-		cp := append([]uint64(nil), img...)
+		cp := poke(sb+sbMagicOff, v4)
 		for i, off := range []uint64{hdr + 64, hdr + 72, hdr + 80, sb + sbRetiredOff} {
 			cp[off/pmem.WordSize] = words[i]
 		}
-		s2, err := Open([][]uint64{cp}, Options{})
-		if err != nil {
-			t.Fatalf("image with an earlier build's retired words (state %d): %v", state, err)
+		tag := fmt.Sprintf("v4 image with an earlier build's retired words (state %d)", state)
+		stats, err := openWatched(t, tag, cp)
+		if !errors.Is(err, ErrUnsupportedFormat) || !strings.Contains(err.Error(), fmt.Sprintf("%#x", v4)) {
+			t.Errorf("%s: Open returned %v, want ErrUnsupportedFormat naming %#x", tag, err, v4)
 		}
-		for i := 0; i < 60; i++ {
-			k := fmt.Sprintf("key-%03d", i)
-			if got, err := s2.Get([]byte(k)); err != nil || string(got) != "some value bytes" {
-				t.Fatalf("state %d: %s = %q, %v", state, k, got, err)
-			}
-		}
-		if err := s2.Put([]byte("after"), []byte("reopen")); err != nil {
-			t.Fatalf("state %d: put after reopen: %v", state, err)
+		if stats != untouched {
+			t.Errorf("%s: Open wrote before rejecting: arena traffic %+v, want %+v", tag, stats, untouched)
 		}
 	}
 }

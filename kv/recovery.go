@@ -102,7 +102,7 @@ func openPart(p *kvPart, idx, parts int) error {
 	}
 	limit := a.Bump()
 	sb := a.Read8(rootStoreOff)
-	if !a.Allocated(sb, sbSizeV4) {
+	if !a.Allocated(sb, sbSize) {
 		return corrupt("store superblock pointer %#x", sb)
 	}
 	if magic := a.Read8(sb + sbMagicOff); magic != storeMagic {

@@ -64,7 +64,7 @@ func (s *Store) ReplApply(part int, lsn uint64, kind uint8, key, val []byte) err
 	if lsn <= p.lsn.Load() {
 		return nil
 	}
-	s.commitLocked(part, m[:], nil)
+	s.commitLocked(part, m[:], nil, false)
 	if m[0].Err == nil {
 		// The record is durable and reachable: the watermark advance is
 		// recoverable (recount re-derives it from this record), so the
@@ -156,21 +156,9 @@ func (s *Store) ReplBacklog(part int, from uint64, fn func(lsn uint64, kind uint
 	h := &backlogHeap{}
 	for from < target {
 		h.recs, h.bytes = h.recs[:0], 0
-		truncated := false
-		p.tree.Scan(0, 0, func(_, off uint64) bool {
-			for off != 0 {
-				if l := p.readLSN(off); l > from && l <= target {
-					kind, key, val, next := p.readRecord(off)
-					if h.add(backlogRec{l, uint8(kind), key, val}) {
-						truncated = true
-					}
-					off = next
-					continue
-				}
-				off = p.arena.Read8(off + 8) // next pointer only; skip the copies
-			}
-			return true
-		})
+		// The scan is a reader section; fn, which may block on the network,
+		// runs after it on the copies.
+		truncated := p.collectBacklog(h, from, target)
 		if h.Len() == 0 {
 			return nil // nothing reachable above from: stream complete
 		}
@@ -186,6 +174,28 @@ func (s *Store) ReplBacklog(part int, from uint64, fn func(lsn uint64, kind uint
 		}
 	}
 	return nil
+}
+
+// collectBacklog is one ReplBacklog pass: it copies into h the lowest-LSN
+// reachable records in (from, target] that fit the budget, and reports
+// whether the budget dropped any.
+func (p *kvPart) collectBacklog(h *backlogHeap, from, target uint64) (truncated bool) {
+	defer p.readers.exit(p.readers.enter(0))
+	p.tree.Scan(0, 0, func(_, off uint64) bool {
+		for off != 0 {
+			if l := p.readLSN(off); l > from && l <= target {
+				kind, key, val, next := p.readRecord(off)
+				if h.add(backlogRec{l, uint8(kind), key, val}) {
+					truncated = true
+				}
+				off = next
+				continue
+			}
+			off = p.arena.Read8(off + 8) // next pointer only; skip the copies
+		}
+		return true
+	})
+	return truncated
 }
 
 // ReplState returns the persisted replication epoch and role byte (0, 0 if

@@ -27,12 +27,14 @@
 // path.
 //
 // Space from overwritten and deleted records is reclaimed by Compact,
-// which rewrites live records into fresh chunks and retires the old ones —
-// one partition at a time, so compaction never stops the whole store.
+// which rewrites live records into fresh chunks and frees the old ones once
+// no reader can still be walking them — one partition at a time, so
+// compaction never stops the whole store.
 package kv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -96,8 +98,9 @@ const (
 
 	// storeMagic identifies the one superblock format: two lines, the first
 	// holding the value-log geometry and the arena's partition binding, the
-	// second the heap record. Any other magic is rejected by Open.
-	storeMagic = 0x524e_4b56_0004 // "RNKV" v4
+	// second the heap record. Any other magic is rejected by Open. v5 is v4
+	// with routed keys, which a v4 image may hold in another partition.
+	storeMagic = 0x524e_4b56_0005 // "RNKV" v5
 
 	// Superblock first line. Words 32 and 40 are reserved: written null,
 	// and a non-null value is a format error.
@@ -123,7 +126,7 @@ const (
 	sbNsegsOff   = 88 // committed segments when the line was last written
 	sbRetiredOff = 96 // retired, written null
 
-	sbSizeV4 = 2 * pmem.LineSize
+	sbSize = 2 * pmem.LineSize
 
 	// chunk header (one line); records start at chunkHdrSize
 	chunkNextOff = 0
@@ -242,7 +245,8 @@ type kvPart struct {
 	// assignment through append, span flush, tree publish and commit hook,
 	// so commits to one partition never overlap and log order is LSN order;
 	// ReplApply holds it across watermark check and apply, ReplBacklog for
-	// its barrier snapshot, Compact for the rewrite. Readers never take it.
+	// its barrier snapshot, Compact for the rewrite, Update across its step.
+	// Readers never take it.
 	mu      sync.Mutex
 	headOff uint64 // arena offset of the chain-head line (word 0: newest chunk)
 	chunk   uint64 // current chunk base
@@ -253,17 +257,17 @@ type kvPart struct {
 	live atomic.Int64 // keys whose newest record is a Put
 	dead atomic.Int64 // overwritten/tombstone records awaiting Compact
 
-	// retired holds chunks unlinked by the previous compaction of this
-	// partition; they are freed at the start of the next one, giving
-	// lock-free readers a full compaction cycle to drain before reuse.
-	retired []uint64
+	// readers is the grace period every lock-free chunk reader enters, and
+	// Compact waits out before it frees the chunks it cut (grace.go).
+	readers grace
 
 	// batchEnts/batchKinds are commitLocked's per-batch scratch, guarded by mu
 	// and reused across batches so a commit allocates nothing of its own.
 	// Entries reference caller key slices only for the duration of one
-	// commitLocked call.
+	// commitLocked call. tx is Update's, reused the same way.
 	batchEnts  []batchEntry
 	batchKinds []batchKeyKind
+	tx         Tx
 
 	// lsn is the partition's log sequence counter: the highest LSN assigned
 	// (primary) or applied (replica), written under mu and read lock-free.
@@ -336,11 +340,6 @@ func (s *Store) commitHook() CommitHook {
 	return nil
 }
 
-// partFor routes a hash to the partition owning it — necessarily the same
-// partition the forest routes the index key to, so a record always lives
-// in the arena of the tree that points at it.
-func (s *Store) partFor(h uint64) *kvPart { return &s.parts[s.f.PartitionFor(h)] }
-
 // New creates an empty store on fresh arenas (one per partition).
 func New(opts Options) (*Store, error) {
 	opts.normalize()
@@ -368,7 +367,7 @@ func New(opts Options) (*Store, error) {
 // pointer, and the log's first chunk.
 func (s *Store) initPart(p *kvPart, idx int, opts Options) error {
 	a := p.arena
-	sb, err := a.Alloc(sbSizeV4)
+	sb, err := a.Alloc(sbSize)
 	if err != nil {
 		return err
 	}
@@ -388,13 +387,13 @@ func (s *Store) initPart(p *kvPart, idx int, opts Options) error {
 	a.Write8(sb+sbPartsOff, uint64(len(s.parts)))
 	a.Write8(sb+sbPartIdxOff, uint64(idx))
 	p.writeHeapLine()
-	a.Persist(sb, sbSizeV4)
+	a.Persist(sb, sbSize)
 	a.Write8(rootStoreOff, sb)
 	a.Persist(rootStoreOff, 8)
 	return p.newChunk()
 }
 
-// writeHeapLine fills (without persisting) the v4 superblock's heap record
+// writeHeapLine fills (without persisting) the superblock's heap record
 // from the arena's current state. Callers persist the superblock line(s)
 // themselves; refreshHeapLine is the persist-it-now variant used on clean
 // shutdown and after recovery, when the heap may have grown since the line
@@ -454,11 +453,40 @@ func (p *kvPart) newChunk() error {
 	return nil
 }
 
+// RouteByte opens a routed key: RouteByte, a u16le length n, n route bytes,
+// then any rest. A routed key lives in the partition of a flat key of its
+// route bytes, so every key routed by one name shares that name's lock
+// (Update). Any other key, a RouteByte key shorter than its length field
+// says included, routes by itself.
+const RouteByte = 0x01
+
+// AppendRoute appends to dst the prefix of a key routed by route (at most
+// 65535 bytes); the caller appends the rest.
+func AppendRoute(dst, route []byte) []byte {
+	dst = binary.LittleEndian.AppendUint16(append(dst, RouteByte), uint16(len(route)))
+	return append(dst, route...)
+}
+
+// locate returns key's index hash and the partition that holds its record
+// and the tree slot pointing at it.
+func (s *Store) locate(key []byte) (h uint64, part int) {
+	h = s.hash(key)
+	if len(key) >= 3 && key[0] == RouteByte {
+		if end := 3 + int(binary.LittleEndian.Uint16(key[1:])); end <= len(key) {
+			return h, s.f.PartitionFor(s.hash(key[3:end]))
+		}
+	}
+	return h, s.f.PartitionFor(h)
+}
+
 // PartitionOf returns the index, in [0, Partitions()), of the partition
 // that owns key. A key's partition never changes while the store is open,
 // so callers that shard work by partition — like the server's group
 // committer — preserve per-key ordering for free.
-func (s *Store) PartitionOf(key []byte) int { return s.f.PartitionFor(s.hash(key)) }
+func (s *Store) PartitionOf(key []byte) int {
+	_, part := s.locate(key)
+	return part
+}
 
 // Hash maps a key to its 63-bit index key (FNV-1a folded to 63 bits).
 func Hash(key []byte) uint64 {
@@ -554,8 +582,9 @@ func (p *kvPart) chainFindKind(head uint64, key []byte) int {
 
 // lookup walks the hash chain for key. Returns the newest matching record.
 func (s *Store) lookup(key []byte) (kind int, val []byte, ok bool) {
-	h := s.hash(key)
-	p := s.partFor(h)
+	h, pi := s.locate(key)
+	p := &s.parts[pi]
+	defer p.readers.exit(p.readers.enter(h))
 	off, found := p.tree.Find(h)
 	if !found {
 		return 0, nil, false
@@ -610,34 +639,41 @@ func (s *Store) Delete(key []byte) error {
 
 // Range calls fn for every live key/value pair (hash order within each
 // partition, partition by partition — unordered with respect to the
-// original keys). fn must not mutate the store.
+// original keys). fn must not mutate the store: it runs inside the
+// partition's reader section, which Compact waits out under the partition
+// lock.
 func (s *Store) Range(fn func(key, value []byte) bool) {
 	for i := range s.parts {
-		p := &s.parts[i]
-		stopped := false
-		p.tree.Scan(0, 0, func(_, off uint64) bool {
-			// Walk the chain newest-first, reporting the first (newest)
-			// record per distinct key.
-			seen := map[string]bool{}
-			for off != 0 {
-				kind, key, val, next := p.readRecord(off)
-				if !seen[string(key)] {
-					seen[string(key)] = true
-					if kind == recPut {
-						if !fn(key, val) {
-							stopped = true
-							return false
-						}
-					}
-				}
-				off = next
-			}
-			return true
-		})
-		if stopped {
+		if !s.parts[i].rangeLive(fn) {
 			return
 		}
 	}
+}
+
+// rangeLive is Range over one partition, reporting whether fn let it finish.
+func (p *kvPart) rangeLive(fn func(key, value []byte) bool) bool {
+	defer p.readers.exit(p.readers.enter(0))
+	stopped := false
+	p.tree.Scan(0, 0, func(_, off uint64) bool {
+		// Walk the chain newest-first, reporting the first (newest)
+		// record per distinct key.
+		seen := map[string]bool{}
+		for off != 0 {
+			kind, key, val, next := p.readRecord(off)
+			if !seen[string(key)] {
+				seen[string(key)] = true
+				if kind == recPut {
+					if !fn(key, val) {
+						stopped = true
+						return false
+					}
+				}
+			}
+			off = next
+		}
+		return true
+	})
+	return !stopped
 }
 
 // Len returns the number of live keys.
