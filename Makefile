@@ -82,14 +82,17 @@ replcheck:
 # Heap gate: the persistent allocator's crash matrix (every allocator-
 # metadata persist site, including the segment-append cutover, plus a
 # crash inside the kv reopen of a rebooted image), the heap unit tests
-# with Recover's typed-error table, the kv growth and OOM-retry tests,
+# with Recover's typed-error table, the simulator against its two-image
+# reference model, a streamed range stored once, writers sharing lines
+# twenty times under the race detector, the kv growth and OOM-retry tests,
 # compaction freeing its chunks under live readers, the garbage-pointer and
 # superseded-format images kv and core recovery must reject, and the rnvet
 # undolog fixture that machine-checks the UndoBegin/MetaWrite8/UndoCommit
 # protocol.
 heapcheck:
 	$(call run-tests,,./internal/fault,ExploreHeap|ExploreKVReopen)
-	$(call run-tests,,./internal/pmem,Heap|Grow|Undo|Free|Recover|BadHeap)
+	$(call run-tests,,./internal/pmem,Heap|Grow|Undo|Free|Recover|BadHeap|TwoImageModel|StreamStoredOnce)
+	$(call run-tests,-race -count=20,./internal/pmem,SharedLine)
 	$(call run-tests,,./kv,Grow|OOM|Garbage|CompactFreesAfterReaders)
 	$(call run-tests,,./internal/core,Corrupt)
 	$(call run-tests,,./internal/analysis,UndoLog)

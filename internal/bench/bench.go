@@ -98,7 +98,7 @@ func (c Config) normalized() Config {
 }
 
 // collectArenas runs a collection at the end of a sweep point. The point's
-// arenas (two images each, reserved at full capacity) are unreachable by
+// arenas (reserved at full capacity) are unreachable by
 // then; left to the pacer, two or three points' worth pile up before a cycle
 // starts — inside a later point's measurement window, and several GiB over
 // what any one point needs.

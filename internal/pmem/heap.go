@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync/atomic"
 )
 
 const (
@@ -485,8 +486,8 @@ func (h *Heap) rebuildFreeLines() {
 // that does not hold a heap this package could have persisted.
 var ErrBadHeap = errors.New("pmem: image is not a recoverable heap")
 
-// Recover constructs a rebooted heap from a crash image: both the cache and
-// nvm images equal the captured state, all lines clean. Geometry, bump mark
+// Recover constructs a rebooted heap from a crash image: the cache image
+// equals the captured state, all lines clean. Geometry, bump mark
 // and size-class free lists come from the persisted allocator metadata; an
 // armed undo log is rolled back, and an appended-but-uncommitted trailing
 // segment (crash inside Grow before the nsegs cutover) is discarded. Of cfg
@@ -528,8 +529,9 @@ func Recover(img []uint64, cfg Config) (*Arena, error) {
 	// unreachable behind the committed watermark).
 	//rnvet:ignore atomicfield single-threaded recovery: h has not escaped yet, no reader can race the bulk copy
 	copy(h.cache, img)
-	//rnvet:ignore atomicfield single-threaded recovery: h has not escaped yet
-	copy(h.nvm, img)
+	for w := 0; w*32 < len(img)/WordsPerLine; w++ {
+		atomic.StoreUint64(&h.lines[w], ^uint64(0)) // every imaged line clean
+	}
 	h.committedW.Store(committed / WordSize)
 	if err := h.undoRecover(); err != nil {
 		return bad("%v", err)

@@ -2,23 +2,22 @@
 // explicit CPU-cache/NVM split, as assumed by the SNIA NVM.PM.FILE model the
 // paper follows.
 //
-// The simulator keeps two images of the arena:
-//
-//   - the cache image: what load/store instructions observe, and
-//   - the nvm image: what survives a crash.
+// The simulator keeps one image of the arena, the cache image: what
+// load/store instructions observe. What survives a crash is a clean line's
+// cache content and a dirty line's pre-image: its content when last clean,
+// saved at the same offsets of the nvm array by the store that dirtied it.
 //
 // Ordinary writes mutate only the cache image. Persist — the paper's
-// "persistent instruction", a CLWB-per-line followed by a fence — copies the
-// touched cache lines into the nvm image, increments the persist counters and
-// optionally stalls for a configurable latency so that persistent
-// instructions consume CPU cycles exactly where they would on real hardware
-// (inside or outside critical sections).
+// "persistent instruction", a CLWB-per-line followed by a fence — marks the
+// touched lines clean, counts, and optionally stalls for a configurable
+// latency so that persistent instructions consume CPU cycles exactly where
+// they would on real hardware (inside or outside critical sections).
 //
-// A crash is modelled by CrashImage: it returns the nvm image, optionally
-// merged with a random subset of dirty-but-unflushed cache lines to model
-// uncontrolled cache eviction. Recover builds a fresh arena whose both images
-// equal a crash image, as after a reboot, with the allocator state the image
-// persisted (heap.go); an image that holds no such state is ErrBadHeap.
+// A crash is modelled by CrashImage: every line's durable content, or for a
+// random subset of dirty lines (uncontrolled cache eviction) its cache
+// content. Recover builds a fresh arena whose cache image equals a crash
+// image, as after a reboot, with the allocator state the image persisted
+// (heap.go); an image that holds no such state is ErrBadHeap.
 //
 // All word accesses use sync/atomic so concurrent tree code is data-race
 // free by construction; the synchronization *semantics* (who may see what)
@@ -27,6 +26,7 @@ package pmem
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -167,9 +167,9 @@ type Stats struct {
 
 // Hooks are test/fuzzing callbacks fired around every persistent
 // instruction. They run on the persisting goroutine. BeforePersist fires
-// before any line is copied to the nvm image, AfterPersist after the fence
-// completes, OnFence on every standalone Fence (a fence flushes nothing, so
-// one callback suffices). Any field may be nil.
+// before any line is flushed, AfterPersist after the fence completes, OnFence
+// on every standalone Fence (a fence flushes nothing, so one callback
+// suffices). Any field may be nil.
 type Hooks struct {
 	BeforePersist func(off, size uint64)
 	AfterPersist  func(off, size uint64)
@@ -210,16 +210,16 @@ type Config struct {
 //
 // A heap is an ordered set of segments sharing one contiguous offset space:
 // the initial segment spans [0, Size) and each Grow appends a GrowSize
-// segment at the current committed end. The cache/nvm images are reserved at
-// full capacity up front (like an mmap address-space reservation) so hot-path
-// loads and stores never take a segment lookup; Size() reports the committed
-// prefix and accesses beyond it panic. Every segment carries a persistent
-// header (see heap.go) and Alloc/Free maintain crash-consistent free lists
-// through the undo log in segment 0's header.
+// segment at the current committed end. The cache and nvm arrays are reserved
+// at full capacity up front (an mmap-like reservation, resident where touched)
+// so hot-path loads and stores never take a segment lookup; Size() reports the
+// committed prefix and accesses beyond it panic. Every segment carries a
+// persistent header (see heap.go) and Alloc/Free maintain crash-consistent
+// free lists through the undo log in segment 0's header.
 type Heap struct {
-	cache []uint64 // CPU-visible image (reserved to full capacity)
-	nvm   []uint64 // crash-durable image (reserved to full capacity)
-	dirty []uint64 // bitmap, one bit per line: cache line differs from nvm
+	cache []uint64 // CPU-visible image; a clean line's durable content
+	nvm   []uint64 // a dirty line's durable content (pre-image), same offsets
+	lines []uint64 // two state bits per line, 32 lines a word
 
 	committedW atomic.Uint64 // committed size in words (Size()/WordSize)
 
@@ -257,9 +257,9 @@ type Heap struct {
 // rnvet's Arena-method models — address it through this alias.
 type Arena = Heap
 
-// New creates a heap whose initial segment is cfg.Size bytes with both images
-// zeroed, and formats it: segment 0's header is persisted and allocation
-// starts at DataStart.
+// New creates a heap whose initial segment is cfg.Size bytes, zeroed, and
+// formats it: segment 0's header is persisted and allocation starts at
+// DataStart.
 func New(cfg Config) *Heap {
 	size := (cfg.Size + LineSize - 1) &^ uint64(LineSize-1)
 	if size < minHeapSize {
@@ -291,7 +291,7 @@ func newHeap(seg0, grow uint64, maxSegs int, lat LatencyModel) *Heap {
 	h := &Heap{
 		cache: make([]uint64, capacity/WordSize),
 		nvm:   make([]uint64, capacity/WordSize),
-		dirty: make([]uint64, (capacity/LineSize+63)/64),
+		lines: make([]uint64, (capacity/LineSize+31)/32),
 		freed: make(map[uint64][]uint64),
 
 		seg0Size: seg0,
@@ -378,34 +378,75 @@ func (a *Arena) wordIndex(off uint64) uint64 {
 	return i
 }
 
+// Line states, two bits per line in a.lines.
+const (
+	fresh     = iota // never stored to since the heap was made: cache, nvm zero
+	capturing        // a store is saving the clean line's pre-image
+	dirty            // stored to since its last flush: durable content in nvm
+	clean            // durable content is the cache line
+)
+
+func (a *Arena) state(line uint64) uint64 {
+	return atomic.LoadUint64(&a.lines[line/32]) >> (line % 32 * 2) & 3
+}
+
+// swapState moves line from state from to state to; false if it is not in from.
+func (a *Arena) swapState(line, from, to uint64) bool {
+	w, sh := line/32, line%32*2
+	for {
+		old := atomic.LoadUint64(&a.lines[w])
+		if old>>sh&3 != from {
+			return false
+		}
+		if atomic.CompareAndSwapUint64(&a.lines[w], old, old&^(3<<sh)|to<<sh) {
+			return true
+		}
+	}
+}
+
+// markDirty makes line dirty before a store lands in it, first saving a clean
+// line's words as its pre-image (a fresh line's is zero already). Of two
+// writers of one clean line (tree log entries share lines) one saves and the
+// other waits: a save taken after its store would record its unpersisted word.
 func (a *Arena) markDirty(line uint64) {
-	w, b := line/64, line%64
 	for {
-		old := atomic.LoadUint64(&a.dirty[w])
-		if old&(1<<b) != 0 {
+		switch st := a.state(line); {
+		case st == dirty:
 			return
-		}
-		if atomic.CompareAndSwapUint64(&a.dirty[w], old, old|(1<<b)) {
+		case st == capturing:
+			runtime.Gosched()
+		case a.swapState(line, st, capturing):
+			for i := line * WordsPerLine; st == clean && i < (line+1)*WordsPerLine; i++ {
+				atomic.StoreUint64(&a.nvm[i], atomic.LoadUint64(&a.cache[i]))
+			}
+			a.swapState(line, capturing, dirty)
 			return
 		}
 	}
 }
 
-func (a *Arena) clearDirty(line uint64) {
-	w, b := line/64, line%64
-	for {
-		old := atomic.LoadUint64(&a.dirty[w])
-		if old&(1<<b) == 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint64(&a.dirty[w], old, old&^(1<<b)) {
-			return
+// settle, after a store that left line undirtied, waits out a save under way
+// (it may predate the store), marks a fresh line clean and reports dirty.
+func (a *Arena) settle(line uint64) bool {
+	st := a.state(line)
+	for ; st < dirty; st = a.state(line) {
+		if !a.swapState(line, fresh, clean) {
+			runtime.Gosched()
 		}
 	}
+	return st == dirty
 }
 
-func (a *Arena) isDirty(line uint64) bool {
-	return atomic.LoadUint64(&a.dirty[line/64])&(1<<(line%64)) != 0
+// forDirty calls f on each dirty line below nLines, in order, a word at a time.
+func (a *Arena) forDirty(nLines uint64, f func(line uint64)) {
+	for w := uint64(0); w*32 < nLines; w++ {
+		s := atomic.LoadUint64(&a.lines[w])
+		for set := s &^ (s << 1) & 0xaaaaaaaaaaaaaaaa; set != 0; set &= set - 1 {
+			if l := w*32 + uint64(bits.TrailingZeros64(set))/2; l < nLines {
+				f(l)
+			}
+		}
+	}
 }
 
 // Read8 returns the 8-byte word at the (aligned) byte offset from the cache
@@ -419,9 +460,9 @@ func (a *Arena) Read8(off uint64) uint64 {
 // covering line is persisted (or happens to be evicted before a crash).
 func (a *Arena) Write8(off uint64, v uint64) {
 	i := a.wordIndex(off)
+	a.markDirty(off / LineSize)
 	atomic.StoreUint64(&a.cache[i], v)
 	a.stats.wordsWritten.Add(1)
-	a.markDirty(off / LineSize)
 }
 
 // ReadLine copies the 64-byte cache line containing off into dst.
@@ -446,11 +487,11 @@ func (a *Arena) chargeStore(lines uint64) {
 func (a *Arena) WriteLine(off uint64, src *[LineSize]byte) {
 	lineOff := off &^ uint64(LineSize-1)
 	base := a.wordIndex(lineOff)
+	a.markDirty(lineOff / LineSize)
 	for w := 0; w < WordsPerLine; w++ {
 		atomic.StoreUint64(&a.cache[base+uint64(w)], getWord(src[w*WordSize:]))
 	}
 	a.stats.wordsWritten.Add(WordsPerLine)
-	a.markDirty(lineOff / LineSize)
 	a.chargeStore(1)
 }
 
@@ -459,11 +500,11 @@ func (a *Arena) WriteLine(off uint64, src *[LineSize]byte) {
 func (a *Arena) WriteLineWords(off uint64, w *[WordsPerLine]uint64) {
 	lineOff := off &^ uint64(LineSize-1)
 	base := a.wordIndex(lineOff)
+	a.markDirty(lineOff / LineSize)
 	for i := uint64(0); i < WordsPerLine; i++ {
 		atomic.StoreUint64(&a.cache[base+i], w[i])
 	}
 	a.stats.wordsWritten.Add(WordsPerLine)
-	a.markDirty(lineOff / LineSize)
 	a.chargeStore(1)
 }
 
@@ -489,20 +530,20 @@ func (a *Arena) WriteRange(off uint64, src []byte) {
 	}
 	base := a.wordIndex(off)
 	n := uint64(len(src) / WordSize)
-	for w := uint64(0); w < n; w++ {
-		atomic.StoreUint64(&a.cache[base+w], getWord(src[w*WordSize:]))
-	}
-	a.stats.wordsWritten.Add(n)
 	first := off / LineSize
 	last := (off + uint64(len(src)) - 1) / LineSize
 	for l := first; l <= last; l++ {
 		a.markDirty(l)
 	}
+	for w := uint64(0); w < n; w++ {
+		atomic.StoreUint64(&a.cache[base+w], getWord(src[w*WordSize:]))
+	}
+	a.stats.wordsWritten.Add(n)
 	a.chargeStore(last - first + 1)
 }
 
 // Persist executes one persistent instruction covering [off, off+size): it
-// flushes every cache line in the range to the nvm image and then fences.
+// flushes every cache line in the range to the media and then fences.
 // This is the expensive primitive the paper's designs minimise; its cost
 // (latency busy-wait) is charged to the calling goroutine.
 func (a *Arena) Persist(off, size uint64) {
@@ -566,21 +607,19 @@ func (m *latency) persistEnd(n int64) int64 {
 	}
 }
 
-// WriteStream stores len(src) bytes (a multiple of 8) at the aligned
-// offset, writing through to the nvm image in the same pass — the
-// simulator's non-temporal streaming store (MOVNT/ntstore): the data
-// bypasses the cache hierarchy and is already at the media when the
-// following PersistStream fences, so bulk writes cost one pass over the
-// bytes instead of WriteRange's store pass plus Persist's flush-copy pass.
-// The cache image gets the same words (loads must observe the store, as on
-// real hardware).
+// WriteStream stores len(src) bytes (a multiple of 8) at the aligned offset
+// straight to the media — the simulator's non-temporal streaming store
+// (MOVNT/ntstore): the data bypasses the cache hierarchy and is already
+// durable when the following PersistStream fences, so bulk writes cost one
+// pass over the bytes instead of WriteRange's store pass plus Persist's flush.
+// The words land in the cache image (a clean line's durable content) and in
+// the pre-image of any covered dirty line; no line is marked dirty.
 //
 // Callers must own the written words exclusively until their fence: a
-// streamed range reaches the nvm image with no ordering guarantee (exactly
-// like an eagerly-evicted line), which is safe only for bytes that nothing
-// reads until a later, properly fenced pointer/tail publishes them — the
-// value log's append path. Streamed lines are not marked dirty: cache and
-// nvm already agree.
+// streamed range becomes durable with no ordering guarantee (exactly like an
+// eagerly-evicted line), which is safe only for bytes that nothing reads
+// until a later, properly fenced pointer/tail publishes them — the value
+// log's append path.
 func (a *Arena) WriteStream(off uint64, src []byte) {
 	if len(src)%WordSize != 0 {
 		panic("pmem: WriteStream size must be word-aligned")
@@ -597,22 +636,27 @@ func (a *Arena) WriteStream(off uint64, src []byte) {
 		// per-word atomic stores and several times cheaper (this copy is
 		// the hot loop of every value-log append). The byte view matches
 		// getWord's little-endian word convention on LE hosts.
-		_ = a.nvm[base+n-1] //rnvet:ignore atomicfield bounds check before taking unsafe views; value discarded
+		_ = a.cache[base+n-1] //rnvet:ignore atomicfield bounds check before taking the unsafe view; value discarded
 		//rnvet:ignore atomicfield LE fast path: range exclusively owned until the fenced publish (comment above), torn intermediate states are unobservable
-		cdst := unsafe.Slice((*byte)(unsafe.Pointer(&a.cache[base])), len(src))
-		//rnvet:ignore atomicfield LE fast path: range exclusively owned until the fenced publish
-		ndst := unsafe.Slice((*byte)(unsafe.Pointer(&a.nvm[base])), len(src))
-		copy(cdst, src)
-		copy(ndst, src)
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&a.cache[base])), len(src)), src)
 	} else {
 		for w := uint64(0); w < n; w++ {
-			v := getWord(src[w*WordSize:])
-			atomic.StoreUint64(&a.cache[base+w], v)
-			atomic.StoreUint64(&a.nvm[base+w], v)
+			atomic.StoreUint64(&a.cache[base+w], getWord(src[w*WordSize:]))
+		}
+	}
+	first, last := off/LineSize, (off+uint64(len(src))-1)/LineSize
+	for l := first; l <= last; l++ {
+		if s := atomic.LoadUint64(&a.lines[l/32]); s == ^uint64(0) || (s^s>>1)&0x5555555555555555 == 0 &&
+			atomic.CompareAndSwapUint64(&a.lines[l/32], s, ^uint64(0)) {
+			l |= 31 // the word's 32 lines were fresh or clean and now are clean
+		} else if a.settle(l) {
+			for i := max(l*WordsPerLine, base); i < min((l+1)*WordsPerLine, base+n); i++ {
+				atomic.StoreUint64(&a.nvm[i], getWord(src[(i-base)*WordSize:]))
+			}
 		}
 	}
 	a.stats.wordsWritten.Add(n)
-	a.chargeStore((off+uint64(len(src))-1)/LineSize - off/LineSize + 1)
+	a.chargeStore(last - first + 1)
 }
 
 // nativeLittleEndian reports whether the host stores the low-order byte of
@@ -627,13 +671,15 @@ var nativeLittleEndian = func() bool {
 func (a *Arena) Write8Stream(off uint64, v uint64) {
 	i := a.wordIndex(off)
 	atomic.StoreUint64(&a.cache[i], v)
-	atomic.StoreUint64(&a.nvm[i], v)
+	if a.settle(off / LineSize) {
+		atomic.StoreUint64(&a.nvm[i], v)
+	}
 	a.stats.wordsWritten.Add(1)
 }
 
 // PersistStream is Persist for a range laid down entirely with
 // WriteStream/Write8Stream: the words are already at the media, so no
-// flush copy happens, but the cost model is charged identically — a
+// line is flushed, but the cost model is charged identically — a
 // streaming store spends the same media bandwidth (drain-engine occupancy
 // per line) and its fence still waits for the write queue to drain.
 func (a *Arena) PersistStream(off, size uint64) {
@@ -653,21 +699,17 @@ func (a *Arena) Fence() {
 	stallFor(a.lat.Load().Fence)
 }
 
-// flushLine copies one line from the cache image to the nvm image. The nvm
-// stores are atomic because independent writers may flush log entries that
-// share a cache line concurrently ("multiple threads can flush logs in
-// parallel", §4.2); each writer loads its own words after writing them, so
-// the line converges correctly. The nvm image is only *read* from crash
-// images taken at persist boundaries or from quiesced arenas.
+// flushLine writes one line back by marking it clean: its cache content becomes
+// its durable content. Writers may flush log entries that share a line
+// concurrently ("multiple threads can flush logs in parallel", §4.2); each
+// one's words are in the cache before its flush.
 func (a *Arena) flushLine(line uint64) {
-	base := line * WordsPerLine
-	if base >= uint64(len(a.cache)) {
+	if line*WordsPerLine >= uint64(len(a.cache)) {
 		panic(fmt.Sprintf("pmem: persist beyond arena (line %d)", line))
 	}
-	for w := uint64(0); w < WordsPerLine; w++ {
-		atomic.StoreUint64(&a.nvm[base+w], atomic.LoadUint64(&a.cache[base+w]))
+	for !a.swapState(line, dirty, clean) && a.state(line) == capturing {
+		runtime.Gosched() // a save under way may predate the caller's store
 	}
-	a.clearDirty(line)
 }
 
 // EvictLine models an uncontrolled cache eviction of the line containing
@@ -679,16 +721,11 @@ func (a *Arena) EvictLine(off uint64) {
 	a.stats.evictedLines.Add(1)
 }
 
-// DirtyLines returns the offsets (line-aligned) of all lines whose cache and
-// nvm images differ, per the dirty bitmap.
+// DirtyLines returns the offsets (line-aligned) of all lines stored to since
+// their last flush, per the dirty bitmap.
 func (a *Arena) DirtyLines() []uint64 {
 	var out []uint64
-	nLines := a.Size() / LineSize
-	for l := uint64(0); l < nLines; l++ {
-		if a.isDirty(l) {
-			out = append(out, l*LineSize)
-		}
-	}
+	a.forDirty(a.Size()/LineSize, func(l uint64) { out = append(out, l*LineSize) })
 	return out
 }
 
@@ -697,27 +734,24 @@ func (a *Arena) DirtyLines() []uint64 {
 // included with probability evictProb (rng may be nil when evictProb is 0),
 // modelling cache lines the hardware happened to evict before the crash.
 //
-// Callers must ensure no concurrent Persist is mid-flight on the lines they
+// Callers must ensure no store or Persist is mid-flight on the lines they
 // care about (the crash fuzzer snapshots from persist hooks, which run on
 // the persisting goroutine, or after quiescing writers).
 func (a *Arena) CrashImage(rng *rand.Rand, evictProb float64) []uint64 {
 	cw := a.committedW.Load()
 	img := make([]uint64, cw)
-	//rnvet:ignore atomicfield snapshot contract (doc above): no Persist mid-flight on interesting lines, and a torn word is a legal crash state
-	copy(img, a.nvm[:cw])
+	//rnvet:ignore atomicfield snapshot contract (doc above): no store or Persist mid-flight on interesting lines, and a torn word is a legal crash state
+	copy(img, a.cache[:cw])
 	a.stats.crashImages.Add(1)
-	if evictProb > 0 {
-		nLines := a.Size() / LineSize
-		for l := uint64(0); l < nLines; l++ {
-			if a.isDirty(l) && rng.Float64() < evictProb {
-				base := l * WordsPerLine
-				for w := uint64(0); w < WordsPerLine; w++ {
-					img[base+w] = atomic.LoadUint64(&a.cache[base+w])
-				}
-				a.stats.evictedLines.Add(1)
-			}
+	a.forDirty(cw/WordsPerLine, func(l uint64) {
+		if evictProb > 0 && rng.Float64() < evictProb {
+			a.stats.evictedLines.Add(1) // evicted: its cache content stands
+			return
 		}
-	}
+		for i := l * WordsPerLine; i < (l+1)*WordsPerLine; i++ {
+			img[i] = atomic.LoadUint64(&a.nvm[i])
+		}
+	})
 	return img
 }
 
@@ -746,22 +780,26 @@ func (a *Arena) Zero(off, size uint64) {
 		return
 	}
 	base := a.wordIndex(off)
-	for w := uint64(0); w < size/WordSize; w++ {
-		atomic.StoreUint64(&a.cache[base+w], 0)
-	}
-	a.stats.wordsWritten.Add(size / WordSize)
 	first := off / LineSize
 	last := (off + size - 1) / LineSize
 	for l := first; l <= last; l++ {
 		a.markDirty(l)
 	}
+	for w := uint64(0); w < size/WordSize; w++ {
+		atomic.StoreUint64(&a.cache[base+w], 0)
+	}
+	a.stats.wordsWritten.Add(size / WordSize)
 	a.chargeStore(last - first + 1)
 }
 
-// NVMRead8 reads a word from the nvm image (what a crash would preserve).
+// NVMRead8 reads a word's durable content (what a crash would preserve).
 // Intended for tests and recovery verification on quiesced arenas.
 func (a *Arena) NVMRead8(off uint64) uint64 {
-	return a.nvm[a.wordIndex(off)] //rnvet:ignore atomicfield quiesced-arena accessor (doc above): tests and recovery verification only
+	i := a.wordIndex(off)
+	if a.state(off/LineSize) == dirty {
+		return atomic.LoadUint64(&a.nvm[i])
+	}
+	return atomic.LoadUint64(&a.cache[i])
 }
 
 func putWord(b []byte, v uint64) {

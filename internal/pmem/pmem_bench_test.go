@@ -68,16 +68,46 @@ func BenchmarkWriteLineWords(b *testing.B) {
 	}
 }
 
+// BenchmarkCrashImage snapshots an 8 MiB arena with 1 line in 64 left dirty
+// and with 63 in 64 dirty: a clean line costs its share of one bulk copy, a
+// dirty line a visit to its durable content.
 func BenchmarkCrashImage(b *testing.B) {
-	a := New(Config{Size: 8 << 20})
-	for i := uint64(0); i < 1024; i++ {
-		a.Write8(RootSize+i*8, i)
+	for _, c := range []struct {
+		name  string
+		dirty func(line uint64) bool
+	}{
+		{"mostly-clean", func(l uint64) bool { return l%64 == 0 }},
+		{"mostly-dirty", func(l uint64) bool { return l%64 != 0 }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			a := New(Config{Size: 8 << 20})
+			for l := uint64(DataStart / LineSize); l < a.Size()/LineSize; l++ {
+				a.Write8(l*LineSize, l)
+				if !c.dirty(l) {
+					a.Persist(l*LineSize, 8)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = a.CrashImage(nil, 0)
+			}
+		})
 	}
-	a.Persist(RootSize, 1024*8)
+}
+
+// BenchmarkWriteStream1KiB is the value log's append: a 1 KiB record streamed
+// into fresh lines, then fenced.
+func BenchmarkWriteStream1KiB(b *testing.B) {
+	a := New(Config{Size: 1 << 20})
+	src := make([]byte, 1<<10)
+	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = a.CrashImage(nil, 0)
+		off := DataStart + uint64(i%512)*uint64(len(src))
+		a.WriteStream(off, src)
+		a.PersistStream(off, uint64(len(src)))
 	}
 }
 
