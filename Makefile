@@ -42,8 +42,8 @@ test:
 	$(GO) test ./...
 
 # The kv store's Stats/Put/Delete/Compact paths, the tree's HTM slot
-# updates (including the DRAM fingerprint words), the forest's partition
-# router, the HTM emulation's lock table, the server's hot-key cache and
+# updates (including the DRAM fingerprint words) and hot-key cache, the
+# forest's partition router, the HTM emulation's lock table, the server's
 # stats snapshots, the client's pending-call table, the heap's grow
 # cutover (committed-space gate vs concurrent readers), the crash-point
 # explorer harness, and the drain scheduler are exercised concurrently;
@@ -58,11 +58,13 @@ bench-kv:
 # race detector (the pipelined writer, committer, and drain paths are all
 # concurrent) — all of the server's ("Test" selects every test), with the
 # cross-verb write-order and two-goroutines-per-connection tests named so a
-# rename drops out loudly — plus a short fuzz smoke of each wire decoder on
-# top of the committed seed corpus.
+# rename drops out loudly — kv's hot-key cache tests (every commit route
+# invalidates, routed keys never fill, a hit allocates nothing), plus a
+# short fuzz smoke of each wire decoder on top of the committed seed corpus.
 servercheck:
 	$(GO) test -race ./internal/wire/... ./client/... ./internal/drain/...
 	$(call run-tests,-race,./internal/server,Test|SameKeyWriteOrder|ConnGoroutines)
+	$(call run-tests,,./kv,CacheBasic|CacheBounded|CacheCommitRoutesInvalidate|CacheRoutedKeysNeverFill|CacheGetAllocs)
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=3s
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzDecodeResponse -fuzztime=3s
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzReadFrame -fuzztime=3s
@@ -108,15 +110,15 @@ heapcheck:
 # flake), kv's routed keys and locked step, the obj crash-point explorer
 # (every persist site of the composites and the reap), the server-side
 # verb/failover tests with the typed verbs' write order and connection
-# goroutine count, and a short fuzz smoke of the object request decoding on
-# the committed seeds.
+# goroutine count and a reaped key never served from the hot-key cache, and a
+# short fuzz smoke of the object request decoding on the committed seeds.
 objcheck:
 	$(call run-tests,-race,./internal/obj,Test|Orphan|Sweep|ReapLarger|HSetHGetAllocs|CoLocated|ReservedNames|CatchUpObjectPrefix)
 	$(call run-tests,-race -count=20,./internal/obj,ExpirerVsCompaction)
 	$(call run-tests,-race -count=20,./kv,CompactFreesAfterReaders)
 	$(call run-tests,,./kv,RoutedKeys|UpdateStep|UpdateSerialises)
 	$(call run-tests,,./internal/fault,ExploreObj)
-	$(call run-tests,-race,./internal/server,Obj|SameKeyWriteOrder|ConnGoroutines)
+	$(call run-tests,-race,./internal/server,Obj|SameKeyWriteOrder|ConnGoroutines|ReapedKeyNotServedFromCache)
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=3s
 
 # Stall-engine gate: pmem's timing-adjacent tests (a persist never returns

@@ -10,7 +10,7 @@
 //
 //	rnserved [-addr :4410] [-partitions 4] [-arena-mb 512] [-dualslot]
 //	         [-batch-max 64]
-//	         [-cache] [-cache-entries 65536] [-cache-two-touch]
+//	         [-cache] [-cache-entries 65536]
 //	         [-obj] [-obj-expire-interval 1s]
 //	         [-repl] [-replica-of addr] [-repl-durable-timeout 5s] [-repl-fence-lease 0]
 //	         [-max-conns 256] [-max-inflight 64] [-max-global 1024]
@@ -48,9 +48,8 @@ type config struct {
 
 	batchMax int
 
-	cache         bool
-	cacheEntries  int
-	cacheTwoTouch bool
+	cache        bool
+	cacheEntries int
 
 	obj            bool
 	objExpireEvery time.Duration
@@ -83,7 +82,6 @@ func parseFlags(args []string, errw io.Writer) (config, error) {
 	fs.IntVar(&c.batchMax, "batch-max", 64, "max PUTs and DELs a partition's group committer coalesces into one commit")
 	fs.BoolVar(&c.cache, "cache", false, "front GETs with the epoch-validated DRAM hot-key cache")
 	fs.IntVar(&c.cacheEntries, "cache-entries", 65536, "hot-key cache capacity (size to the GET working set; an undersized cache thrashes)")
-	fs.BoolVar(&c.cacheTwoTouch, "cache-two-touch", false, "admit a key into the hot-key cache only on its second touch within an epoch window (scan-resistant)")
 	fs.BoolVar(&c.obj, "obj", false, "enable typed objects (HSET/SADD/EXPIRE verb family) on the reserved 0x01 namespace")
 	fs.DurationVar(&c.objExpireEvery, "obj-expire-interval", time.Second, "background TTL expirer cadence (requires -obj; 0 leaves reaping to lazy reads)")
 	fs.BoolVar(&c.repl, "repl", false, "enable replication (serve as primary; replicas may subscribe)")
@@ -191,9 +189,8 @@ func serve(cfg config, w *drain.Watcher, out io.Writer) error {
 
 	// Typed objects: the layer attaches read-only on a replica (expired keys
 	// are masked but never reaped or swept; the primary's stream carries every
-	// composite's header) and
-	// is flipped to primary mode by a PROMOTE. The server wires the cache
-	// invalidation and replication apply hooks itself.
+	// composite's header) and is flipped to primary mode by a PROMOTE. The
+	// server wires the replication apply hook itself.
 	var ost *obj.Store
 	if cfg.obj {
 		ost, err = obj.Attach(st, obj.Options{
@@ -214,7 +211,6 @@ func serve(cfg config, w *drain.Watcher, out io.Writer) error {
 		Cache: server.CacheConfig{
 			Enable:     cfg.cache,
 			MaxEntries: cfg.cacheEntries,
-			TwoTouch:   cfg.cacheTwoTouch,
 		},
 		Obj:                ost,
 		Repl:               node,

@@ -24,19 +24,20 @@ func TestParseFlags(t *testing.T) {
 	if !c.cache || c.cacheEntries != 1024 {
 		t.Fatalf("cache flags not parsed: %+v", c)
 	}
-	// The two flags that selected the deleted write routes are gone (the
-	// second is spelled in halves so a grep for it finds nothing live).
-	for _, gone := range []string{"-no-such-flag", "-batch", "-batch" + "-delay=200us"} {
+	// The two flags that selected the deleted write routes and the deleted
+	// cache admission flag are gone (spelled in halves so a grep for them
+	// finds nothing live).
+	for _, gone := range []string{"-no-such-flag", "-batch", "-batch" + "-delay=200us", "-cache" + "-two-touch"} {
 		if _, err := parseFlags([]string{gone}, io.Discard); err == nil {
 			t.Fatalf("flag %s accepted", gone)
 		}
 	}
-	c, err = parseFlags([]string{"-obj", "-obj-expire-interval", "250ms", "-cache-two-touch"}, io.Discard)
+	c, err = parseFlags([]string{"-obj", "-obj-expire-interval", "250ms"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.obj || c.objExpireEvery != 250*time.Millisecond || !c.cacheTwoTouch {
-		t.Fatalf("obj/cache flags not parsed: %+v", c)
+	if !c.obj || c.objExpireEvery != 250*time.Millisecond {
+		t.Fatalf("obj flags not parsed: %+v", c)
 	}
 	if c.debugAddr != "" {
 		t.Fatalf("profile endpoint on by default: %q", c.debugAddr)

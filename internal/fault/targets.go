@@ -9,7 +9,6 @@ import (
 	"rntree/internal/forest"
 	"rntree/internal/obj"
 	"rntree/internal/pmem"
-	"rntree/internal/server"
 	"rntree/kv"
 )
 
@@ -222,27 +221,25 @@ func KVWorkload() []Op {
 // ---------------------------------------------------------------------------
 // kv.Store + DRAM hot-key cache target
 
-// CachedKVTarget drives a kv.Store fronted by the server's DRAM hot-key
-// cache, wired exactly as internal/server.handle wires it: every GET is a
-// cache-first read-through (FillEpoch → store read → CommitFill), every
-// mutation invalidates after the store commit. The cache holds no
-// persistent state, so the thing to prove here is the recovery contract
-// from cache.go: a crash discards the cache wholesale, and a fresh server
-// over the recovered image — with a fresh, empty cache — serves exactly
-// the model state both on the filling pass and on the all-hits pass that
-// follows it. A cache that survived recovery by accident (or a read-through
-// that installs mismatched values) fails the image comparison.
+// CachedKVTarget drives a kv.Store with its DRAM hot-key cache installed
+// (kv.Store.SetCache): every read goes through Get, which hits or fills the
+// cache, and every commit invalidates what it publishes. The cache holds no
+// persistent state, so the thing to prove here is the recovery contract: a
+// crash discards the cache wholesale, and the recovered store — with a fresh,
+// empty cache — serves exactly the model state both on the filling pass and
+// on the all-hits pass that follows it. A cache that survived recovery by
+// accident (or a fill that installs mismatched values) fails the image
+// comparison.
 type CachedKVTarget struct {
 	store *kv.Store
-	cache *server.Cache
 }
 
 func (t *CachedKVTarget) Name() string { return "kv+cache" }
 
-func cachedKVCacheCfg() server.CacheConfig {
+func cachedKVCacheCfg() kv.CacheConfig {
 	// Small and 2-sharded: evictions and shared-shard epoch bumps happen
 	// within the workload's few dozen keys.
-	return server.CacheConfig{Enable: true, MaxEntries: 16, Shards: 2}
+	return kv.CacheConfig{Enable: true, MaxEntries: 16, Shards: 2}
 }
 
 func (t *CachedKVTarget) Reset() ([]*pmem.Arena, Model, error) {
@@ -250,43 +247,26 @@ func (t *CachedKVTarget) Reset() ([]*pmem.Arena, Model, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	s.SetCache(cachedKVCacheCfg())
 	t.store = s
-	t.cache = server.NewCache(cachedKVCacheCfg())
 	return s.Arenas(), Model{}, nil
-}
-
-// readThrough is the serving path's GET: cache hit, or store read guarded
-// by the shard epoch (cache.go rule 2).
-func (t *CachedKVTarget) readThrough(key []byte) ([]byte, error) {
-	if v, ok := t.cache.Get(key); ok {
-		return v, nil
-	}
-	epoch := t.cache.FillEpoch(key)
-	v, err := t.store.Get(key)
-	if err != nil {
-		return nil, err
-	}
-	t.cache.CommitFill(key, v, epoch)
-	return v, nil
 }
 
 func (t *CachedKVTarget) Apply(op Op) error {
 	key := []byte(kvKey(op.K))
 	switch op.Kind {
 	case OpInsert, OpUpdate:
-		// Warm the cache with the superseded value first, so the
-		// invalidation below is load-bearing, then mutate and invalidate
-		// after the commit (cache.go rule 1).
-		if _, err := t.readThrough(key); err != nil && err != kv.ErrNotFound {
+		// Warm the cache with the superseded value first, so the commit's
+		// invalidation is load-bearing.
+		if _, err := t.store.Get(key); err != nil && err != kv.ErrNotFound {
 			return err
 		}
 		if err := t.store.Put(key, []byte(kvValue(op.K, op.V))); err != nil {
 			return err
 		}
-		t.cache.Invalidate(key)
-		// Read back through the cache: the fill path must re-install the
-		// new value, not resurrect the superseded one.
-		v, err := t.readThrough(key)
+		// Read back through the cache: the fill must install the new value,
+		// not resurrect the superseded one.
+		v, err := t.store.Get(key)
 		if err != nil {
 			return err
 		}
@@ -298,8 +278,7 @@ func (t *CachedKVTarget) Apply(op Op) error {
 		if err := t.store.Delete(key); err != nil {
 			return err
 		}
-		t.cache.Invalidate(key)
-		if _, err := t.readThrough(key); err != kv.ErrNotFound {
+		if _, err := t.store.Get(key); err != kv.ErrNotFound {
 			return fmt.Errorf("kv+cache: read-through after delete of %s: %v", key, err)
 		}
 		return nil
@@ -315,28 +294,15 @@ func (t *CachedKVTarget) ApplyModel(m Model, op Op) { kvApplyModel(m, op) }
 
 // Recover reopens the store from the crash images behind a FRESH cache —
 // recovery discards DRAM — and builds the model by reading every surviving
-// key through the cache twice: the first pass fills, the second must be
-// all hits and agree byte-for-byte with the first. Any disagreement (or a
-// second-pass miss) is reported as a divergent model entry so the explorer
-// flags it as a violation.
+// key twice: the first read fills, the second must hit and agree
+// byte-for-byte with the first. Any disagreement is reported as a divergent
+// model entry so the explorer flags it as a violation.
 func (t *CachedKVTarget) Recover(imgs [][]uint64) (Model, error) {
 	s, err := kv.Open(imgs, kvOpts())
 	if err != nil {
 		return nil, err
 	}
-	cache := server.NewCache(cachedKVCacheCfg())
-	through := func(key []byte) ([]byte, error) {
-		if v, ok := cache.Get(key); ok {
-			return v, nil
-		}
-		epoch := cache.FillEpoch(key)
-		v, err := s.Get(key)
-		if err != nil {
-			return nil, err
-		}
-		cache.CommitFill(key, v, epoch)
-		return v, nil
-	}
+	s.SetCache(cachedKVCacheCfg())
 	var keys []string
 	s.Range(func(k, _ []byte) bool {
 		keys = append(keys, string(k))
@@ -344,11 +310,11 @@ func (t *CachedKVTarget) Recover(imgs [][]uint64) (Model, error) {
 	})
 	got := Model{}
 	for _, k := range keys {
-		first, err := through([]byte(k))
+		first, err := s.Get([]byte(k))
 		if err != nil {
 			return nil, fmt.Errorf("kv+cache recover: fill pass Get(%s): %v", k, err)
 		}
-		second, err := through([]byte(k))
+		second, err := s.Get([]byte(k))
 		if err != nil {
 			return nil, fmt.Errorf("kv+cache recover: hit pass Get(%s): %v", k, err)
 		}

@@ -124,11 +124,6 @@ type Options struct {
 	// stream supplies their header). Activate flips the layer to primary
 	// mode.
 	ReadOnly bool
-	// Invalidate, when non-nil, is called with every user-visible name a
-	// reap removes, after the reap commits — the server wires this to its
-	// hot-key cache so a reaped flat key cannot be served from DRAM.
-	// SetInvalidate installs or replaces it after Attach.
-	Invalidate func(name []byte)
 }
 
 // Stats are monotonic counters for the STATS verb and tests.
@@ -160,8 +155,6 @@ type Store struct {
 	mu   sync.RWMutex
 	exp  map[string]int64
 	heap expHeap
-
-	invalidate atomic.Pointer[func(name []byte)]
 
 	reaps         atomic.Uint64
 	lazyExpiries  atomic.Uint64
@@ -204,9 +197,6 @@ func Attach(st *kv.Store, opts Options) (*Store, error) {
 		stopc: make(chan struct{}),
 	}
 	o.active.Store(!opts.ReadOnly)
-	if opts.Invalidate != nil {
-		o.invalidate.Store(&opts.Invalidate)
-	}
 
 	im := o.scan(o.active.Load())
 	for name, d := range im.expiry {
@@ -250,16 +240,6 @@ func (o *Store) Activate() error {
 
 // Active reports whether the layer is in primary (mutating) mode.
 func (o *Store) Active() bool { return o.active.Load() }
-
-// SetInvalidate installs the reap-notification hook (nil uninstalls). The
-// server wires this to its hot-key cache after construction.
-func (o *Store) SetInvalidate(fn func(name []byte)) {
-	if fn == nil {
-		o.invalidate.Store(nil)
-		return
-	}
-	o.invalidate.Store(&fn)
-}
 
 // Stats returns a snapshot of the layer's counters.
 func (o *Store) Stats() Stats {

@@ -16,8 +16,9 @@ import (
 // finds the object gone (reaped), and the expiry record's delete is queued
 // after whatever fn queued, so the name stays masked until the step's last
 // publish. The expiry index forgets the name once that commits, still under
-// the lock; the reap is counted and the invalidation hook runs after the
-// step returns. write reports whether the step reaped.
+// the lock — and after kv has dropped the reaped flat key from its hot-key
+// cache, which it does before any commit returns, so an unmasked name is
+// never served its deleted value. write reports whether the step reaped.
 func (o *Store) write(name []byte, fn func(tx *kv.Tx, reaped bool) error) (reaped bool, err error) {
 	err = o.st.Update(name, func(tx *kv.Tx) error {
 		r, err := o.reapRecords(tx, name)
@@ -36,9 +37,6 @@ func (o *Store) write(name []byte, fn func(tx *kv.Tx, reaped bool) error) (reape
 	})
 	if reaped {
 		o.reaps.Add(1)
-		if inv := o.invalidate.Load(); inv != nil {
-			(*inv)(name)
-		}
 	}
 	return reaped, err
 }

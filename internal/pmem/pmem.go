@@ -196,8 +196,9 @@ type Config struct {
 	// stays only because benchmark/ladder.go sets it on its scratch arenas
 	// and a PR may not edit benchmark/ alongside other code; the
 	// benchmark-only follow-up that stops naming it deletes it together with
-	// kv.Options.Shards and server.BatchConfig.Puts/MaxDelay — four dead
-	// fields wait for that one PR (ROADMAP item 3, step 1).
+	// kv.Options.Shards, server.BatchConfig.Puts/MaxDelay and
+	// kv.CacheStats.AdmitRejects — five dead fields wait for that one PR
+	// (ROADMAP item 1).
 	VolatileAlloc bool
 	// Latency is the persistent-instruction cost model.
 	Latency LatencyModel

@@ -99,8 +99,9 @@ type Node struct {
 	now        func() int64 // the lease's clock, in nanoseconds; SetClockForTest replaces it
 
 	// applyHook, when set, is called with each record the applier has just
-	// applied — the serving layer invalidates its hot-key cache through it,
-	// since applied records bypass the server's mutation handlers.
+	// applied. The serving layer feeds it to the object layer's DRAM expiry
+	// index; kv.Store.ReplApply has already invalidated the store's hot-key
+	// cache, as every commit does.
 	applyHook atomic.Pointer[func(kind uint8, key, val []byte)]
 }
 
@@ -184,9 +185,10 @@ func (n *Node) Fenced() bool {
 func (n *Node) Store() *kv.Store { return n.st }
 
 // SetApplyHook registers fn to be called with each record the applier
-// applies (nil unregisters). kind is the kv record kind (kv.ReplPut /
-// kv.ReplDelete); key and val alias the shipped frame and must be copied if
-// retained. See applyHook.
+// applies (nil unregisters): the server passes obj.Store.OnReplApply, which
+// keeps a replica's expiry index live. kind is the kv record kind
+// (kv.ReplPut / kv.ReplDelete); key and val alias the shipped frame and must
+// be copied if retained. See applyHook.
 func (n *Node) SetApplyHook(fn func(kind uint8, key, val []byte)) {
 	if fn == nil {
 		n.applyHook.Store(nil)

@@ -14,12 +14,13 @@ import (
 // committer — one bounded queue and one goroutine per store partition — and
 // the committer takes whatever has queued (up to MaxBatch), commits the flat
 // mutations (PUT, durable PUT, DEL) with one kv.Store.Commit, which persists
-// the batch's records with one fence per contiguous run, invalidates the
-// hot-key cache, and acknowledges. A typed-object write (HSET, HDEL, SADD,
-// SREM, EXPIRE, PERSIST) ends the batch gathered before it: the flat run
-// commits first, then the object call runs, and the lot is invalidated and
-// acknowledged together. Nothing is acknowledged before its write returns, so
-// the durability contract is that of an individual Put; and nothing waits
+// the batch's records with one fence per contiguous run (and invalidates the
+// store's hot-key cache for every key it publishes), and acknowledges. A
+// typed-object write (HSET, HDEL, SADD, SREM, EXPIRE, PERSIST) ends the batch
+// gathered before it: the flat run commits first, then the object call runs,
+// and the lot is acknowledged together. Nothing is acknowledged before its
+// write returns, so the durability contract is that of an individual Put, and
+// no ack leaves while a superseded value is cached; and nothing waits
 // for company: an idle committer commits a batch of one, and under load the
 // queue that builds behind the previous batch's persist becomes the next
 // batch.
@@ -39,8 +40,9 @@ type BatchConfig struct {
 	// committer. The field is still declared only because benchmark/ sets
 	// it, and a change may not edit benchmark/ alongside other code; the
 	// benchmark-only PR that stops setting it deletes it together with
-	// MaxDelay, kv.Options.Shards and pmem.Config.VolatileAlloc — four dead
-	// fields wait for that one PR (ROADMAP item 3, step 1).
+	// MaxDelay, kv.Options.Shards, pmem.Config.VolatileAlloc and
+	// kv.CacheStats.AdmitRejects — five dead fields wait for that one PR
+	// (ROADMAP item 1).
 	Puts bool
 	// MaxBatch is the most mutations coalesced into one commit (default 64).
 	MaxBatch int
@@ -138,10 +140,10 @@ func (c *committer) run() {
 
 // commit takes first and whatever has queued behind it (never waiting), up
 // to and including the first typed write; commits the flat run, then runs
-// the typed write; and completes each request: invalidate, recycle the
-// payloads, ack. An entry that asked for a replica-durable ack goes onto the
-// partition's durable FIFO instead of being acked here, so it holds up
-// neither its batch-mates nor the next batch.
+// the typed write; and completes each request: recycle the payloads, ack. An
+// entry that asked for a replica-durable ack goes onto the partition's
+// durable FIFO instead of being acked here, so it holds up neither its
+// batch-mates nor the next batch.
 func (c *committer) commit(first mutation) {
 	s := c.s
 	batch := append(c.batch[:0], first)
@@ -175,15 +177,6 @@ gather:
 	held := false
 	for i := range batch {
 		m := &batch[i]
-		// After commit, before ack (cache.go rule 1), and before the payload
-		// the key aliases is recycled. A typed write invalidates its name: a
-		// reap folded into it (an expired name being rewritten) may have
-		// deleted the flat key of that name out from under a cached GET.
-		// Failed entries invalidate too: it is always safe and spares
-		// reasoning about which failures might have touched the store.
-		if s.cache != nil {
-			s.cache.Invalidate(m.key)
-		}
 		putPayload(m.box, m.raw)
 		held = held || m.durable && muts[i].Err == nil
 	}

@@ -13,104 +13,12 @@ import (
 	"rntree/kv"
 )
 
-func TestCacheBasic(t *testing.T) {
-	c := NewCache(CacheConfig{MaxEntries: 64, Shards: 4})
-	key, val := []byte("k1"), []byte("v1")
-	if _, ok := c.Get(key); ok {
-		t.Fatal("hit on empty cache")
-	}
-	e := c.FillEpoch(key)
-	c.CommitFill(key, val, e)
-	if v, ok := c.Get(key); !ok || string(v) != "v1" {
-		t.Fatalf("Get = %q,%v after fill", v, ok)
-	}
-	c.Invalidate(key)
-	if _, ok := c.Get(key); ok {
-		t.Fatal("hit after invalidate")
-	}
-	// A fill whose epoch predates an invalidation must be dropped: the
-	// value it carries may be from before a committed mutation.
-	e = c.FillEpoch(key)
-	c.Invalidate(key)
-	c.CommitFill(key, []byte("stale"), e)
-	if _, ok := c.Get(key); ok {
-		t.Fatal("stale fill was installed past an invalidation")
-	}
-	st := c.Stats()
-	if st.FillAborts != 1 || st.Fills != 1 || st.Invalidations != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// Satellite: the two-touch admission guard. A key is installed only on its
-// second miss inside one shard-epoch window, so a one-pass scan cannot
-// evict the resident hot set; an invalidation in the shard resets the
-// window.
-func TestCacheTwoTouchAdmission(t *testing.T) {
-	c := NewCache(CacheConfig{MaxEntries: 64, Shards: 1, TwoTouch: true})
-	key, val := []byte("hot"), []byte("v")
-
-	// First touch: recorded, not admitted.
-	c.CommitFill(key, val, c.FillEpoch(key))
-	if _, ok := c.Get(key); ok {
-		t.Fatal("admitted on first touch")
-	}
-	// Second touch in the same window: admitted.
-	c.CommitFill(key, val, c.FillEpoch(key))
-	if v, ok := c.Get(key); !ok || string(v) != "v" {
-		t.Fatalf("Get = %q,%v after second touch", v, ok)
-	}
-	if st := c.Stats(); st.AdmitRejects != 1 || st.Fills != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-
-	// An invalidation between the touches voids the first one.
-	cold := []byte("cold")
-	c.CommitFill(cold, val, c.FillEpoch(cold))
-	c.Invalidate([]byte("other")) // same (only) shard: epoch bump
-	c.CommitFill(cold, val, c.FillEpoch(cold))
-	if _, ok := c.Get(cold); ok {
-		t.Fatal("stale first touch survived an epoch bump")
-	}
-	c.CommitFill(cold, val, c.FillEpoch(cold))
-	if _, ok := c.Get(cold); !ok {
-		t.Fatal("second touch in the new window not admitted")
-	}
-
-	// A scan of touched-once keys admits nothing and cannot thrash the
-	// resident entries.
-	for i := 0; i < 1000; i++ {
-		k := []byte(fmt.Sprintf("scan%04d", i))
-		c.CommitFill(k, val, c.FillEpoch(k))
-	}
-	if _, ok := c.Get(key); !ok {
-		t.Fatal("scan evicted a resident hot key")
-	}
-	if st := c.Stats(); st.Evictions != 0 {
-		t.Fatalf("scan caused %d evictions", st.Evictions)
-	}
-}
-
-func TestCacheBounded(t *testing.T) {
-	c := NewCache(CacheConfig{MaxEntries: 32, Shards: 4})
-	for i := 0; i < 1000; i++ {
-		k := []byte(fmt.Sprintf("key%04d", i))
-		c.CommitFill(k, []byte("v"), c.FillEpoch(k))
-	}
-	if n := c.Len(); n > 32 {
-		t.Fatalf("cache holds %d entries, bound is 32", n)
-	}
-	if st := c.Stats(); st.Evictions == 0 {
-		t.Fatal("no evictions despite overflow")
-	}
-}
-
 // TestCacheCoherence is the linearizability-style concurrent test: per-key
 // serialized writers PUT monotonically stamped values while readers GET
 // through the cache; a GET must never return a stamp older than the last
 // ack the reader observed before issuing it (a stale cache hit surviving a
 // committed, acknowledged PUT), nor a stamp never issued. Every PUT is
-// invalidated by its partition's committer (committer.commit).
+// invalidated by the store's commit before its committer acks it.
 func TestCacheCoherence(t *testing.T) {
 	cfg := Config{
 		// Small cache with few shards: evictions and shared-shard

@@ -16,6 +16,7 @@ import (
 	"rntree/client"
 	"rntree/internal/obj"
 	"rntree/internal/repl"
+	"rntree/internal/wire"
 	"rntree/kv"
 )
 
@@ -221,6 +222,62 @@ func TestObjWriteInvalidatesCache(t *testing.T) {
 	}
 	if _, err := c.Get([]byte("k")); err != client.ErrNotFound {
 		t.Fatalf("Get after reaping composite: %v, want ErrNotFound", err)
+	}
+}
+
+// TestObjReapedKeyNotServedFromCache: a flat key whose TTL has lapsed is
+// masked until its reap clears the deadline, and the reap's commit drops the
+// key from the hot-key cache before it returns, so a GET racing the reap is
+// never served the deleted value from the cache.
+func TestObjReapedKeyNotServedFromCache(t *testing.T) {
+	var now atomic.Int64
+	now.Store(1_000)
+	st, err := kv.New(kv.Options{ArenaSize: 32 << 20, ChunkSize: 1 << 14, Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := obj.Attach(st, obj.Options{Clock: now.Load})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	srv := New(st, Config{Cache: CacheConfig{Enable: true}, Obj: o})
+	key := []byte("k")
+	const rounds = 5000
+	bad := 0
+	for range rounds {
+		if err := st.Put(key, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if _, status, msg := srv.get(key); status != wire.StatusOK { // fills
+			t.Fatalf("GET before expiry: status %d %s", status, msg)
+		}
+		if err := o.Expire(key, 1); err != nil {
+			t.Fatal(err)
+		}
+		now.Add(2)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			o.ExpireTick()
+		}()
+		served := false
+		for reaping := true; reaping; {
+			select {
+			case <-done:
+				reaping = false
+			default:
+			}
+			if _, status, _ := srv.get(key); status == wire.StatusOK {
+				served = true
+			}
+		}
+		if served {
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d of %d rounds served a reaped key's deleted value", bad, rounds)
 	}
 }
 

@@ -80,7 +80,18 @@ func TestReaderServedAllocs(t *testing.T) {
 	objSMembers := testing.AllocsPerRun(200, func() { o.SMembers(set) })
 	objTTL := testing.AllocsPerRun(200, func() { o.TTL(hash) })
 
-	cached := New(st, Config{Cache: CacheConfig{Enable: true}})
+	// The cache lives in the store, so the cached server gets a store of its
+	// own; a Put of the key is what drops it from the cache.
+	cachedSt, err := kv.New(kv.Options{ArenaSize: 64 << 20, MaxSegments: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, 512)
+	if err := cachedSt.Put(key, val); err != nil {
+		t.Fatal(err)
+	}
+	storePut := testing.AllocsPerRun(200, func() { cachedSt.Put(key, val) })
+	cached := New(cachedSt, Config{Cache: CacheConfig{Enable: true}})
 	plain := New(st, Config{})
 	typed := New(st, Config{Obj: o})
 	ping := framePayload(t, wire.Request{ID: 1, Op: wire.OpPing})
@@ -101,7 +112,7 @@ func TestReaderServedAllocs(t *testing.T) {
 		{"GET hit", cached, get, nil, 0},
 		{"GET, no cache", plain, get, nil, storeGet},
 		{"GET miss, key absent", cached, getAbsent, nil, storeMiss},
-		{"GET miss and fill", cached, get, func() { cached.cache.Invalidate(key) }, storeGet + 1},
+		{"GET miss and fill", cached, get, func() { cachedSt.Put(key, val) }, storeGet + 1 + storePut},
 		{"HGET", typed, hget, nil, objHGet},
 		{"SMEMBERS", typed, smembers, nil, objSMembers},
 		{"TTL", typed, ttl, nil, objTTL},
@@ -118,8 +129,8 @@ func TestReaderServedAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocs per request, want %v", tc.name, got, tc.want)
 		}
 	}
-	if h, m := cached.cache.Stats().Hits, cached.cache.Stats().Misses; h == 0 || m == 0 {
-		t.Errorf("cache saw %d hits and %d misses: the cases did not run as named", h, m)
+	if cs := cached.Stats().Cache; cs.Hits == 0 || cs.Misses == 0 {
+		t.Errorf("cache saw %d hits and %d misses: the cases did not run as named", cs.Hits, cs.Misses)
 	}
 	if n := cached.requests.Load() + plain.requests.Load() + typed.requests.Load(); n != 8*202 {
 		t.Errorf("requests = %d, want every routed request counted (%d)", n, 8*202)
@@ -256,7 +267,7 @@ func TestPipelinedGetBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	now.Add(2_000)
-	before := srv.cache.Stats()
+	before := srv.Stats().Cache
 
 	var reqs []wire.Request
 	want := map[uint64]wire.Response{}
@@ -283,7 +294,7 @@ func TestPipelinedGetBurst(t *testing.T) {
 			t.Errorf("GET %q: status %d val %q, want status %d val %q", reqs[id-1].Key, g.Status, g.Val, w.Status, w.Val)
 		}
 	}
-	after := srv.cache.Stats()
+	after := srv.Stats().Cache
 	if h, m := after.Hits-before.Hits, after.Misses-before.Misses; h != 31 || m != 31 {
 		t.Errorf("cache saw %d hits and %d misses, want 31 and 31: the reserved and the expired key stop before it, every other GET looks once", h, m)
 	}

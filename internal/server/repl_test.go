@@ -296,9 +296,9 @@ func TestDurablePutTimesOutWithoutReplica(t *testing.T) {
 	}
 }
 
-// The replica's apply hook must invalidate the hot-key cache: a GET served
-// from the replica's cache before an update must re-read after the shipped
-// record lands.
+// Applying a shipped record must invalidate the replica's hot-key cache: a
+// GET served from the replica's cache before an update must re-read after
+// the shipped record lands.
 func TestReplicaCacheInvalidation(t *testing.T) {
 	pNode, rNode, pAddr, rAddr := startReplPair(t,
 		Config{},

@@ -84,7 +84,8 @@ type Config struct {
 	// Batch tunes the per-partition group committers every write commits
 	// through.
 	Batch BatchConfig
-	// Cache configures the opt-in DRAM hot-key cache fronting GETs.
+	// Cache configures the opt-in DRAM hot-key cache fronting GETs; New
+	// installs it in the store (kv.Store.SetCache).
 	Cache CacheConfig
 	// Repl attaches a replication node (repl.NewNode over the same store);
 	// nil disables replication. On a replica-role node, PUT and DEL are
@@ -96,8 +97,8 @@ type Config struct {
 	ReplDurableTimeout time.Duration
 	// Obj attaches a typed-object layer (obj.Attach over the same store);
 	// nil rejects the typed verbs with StatusErr. The caller owns its
-	// lifecycle (Close); the server wires its reap notifications into the
-	// hot-key cache and activates it on promotion.
+	// lifecycle (Close); the server masks expired names on GET, feeds it
+	// a replica's applied records and activates it on promotion.
 	Obj *obj.Store
 	// ReplFenceLease, when positive, fences a primary whose replica
 	// subscriptions have all been gone longer than the lease: PUT/DEL are
@@ -131,8 +132,13 @@ func (c *Config) normalize() {
 		c.ReplDurableTimeout = 5 * time.Second
 	}
 	c.Batch.normalize()
-	c.Cache.normalize()
 }
+
+// CacheConfig and CacheStats are the store's hot-key cache types (kv/cache.go).
+type (
+	CacheConfig = kv.CacheConfig
+	CacheStats  = kv.CacheStats
+)
 
 // Server serves a kv.Store over TCP.
 type Server struct {
@@ -143,15 +149,10 @@ type Server struct {
 	committers []*committer
 	commitStop chan struct{}
 	commitWG   sync.WaitGroup
-	// cache is the optional DRAM hot-key cache (cache.go); nil when
-	// disabled. The committers invalidate through it before acknowledging
-	// a write.
-	cache *Cache
 	// repl is the optional replication node (repl.go); nil when disabled.
 	repl *repl.Node
 	// obj is the optional typed-object layer; nil when disabled. Expiry
-	// masking guards the flat GET path (before the cache), and composite
-	// writes invalidate the cache through it.
+	// masking guards the flat GET path.
 	obj *obj.Store
 	// globalInflight counts requests in progress across all connections.
 	// It is a try-acquire-only semaphore (nothing ever blocks on it — over
@@ -190,7 +191,7 @@ func New(st *kv.Store, cfg Config) *Server {
 	}
 	s.committers = s.newCommitters()
 	if cfg.Cache.Enable {
-		s.cache = NewCache(cfg.Cache)
+		st.SetCache(cfg.Cache)
 	}
 	s.repl = cfg.Repl
 	s.obj = cfg.Obj
@@ -201,25 +202,9 @@ func New(st *kv.Store, cfg Config) *Server {
 	if s.repl != nil && cfg.ReplFenceLease > 0 {
 		s.repl.SetFenceLease(cfg.ReplFenceLease)
 	}
-	if s.repl != nil && (s.cache != nil || s.obj != nil) {
-		// Replica mode: records applied by the applier bypass the committers, so
-		// the hot-key cache must be invalidated from the apply path or GETs
-		// would serve superseded values forever — and the object layer's
-		// DRAM expiry index must track shipped expiry records the same way.
-		s.repl.SetApplyHook(func(kind uint8, key, val []byte) {
-			if s.cache != nil {
-				s.cache.Invalidate(key)
-			}
-			if s.obj != nil {
-				s.obj.OnReplApply(kind, key, val)
-			}
-		})
-	}
-	if s.obj != nil && s.cache != nil {
-		// A reap deletes the flat key the expirer's composite touches; the
-		// ack path for that delete is the reap itself, so the invalidation
-		// must ride the reap commit.
-		s.obj.SetInvalidate(s.cache.Invalidate)
+	if s.repl != nil && s.obj != nil {
+		// A replica's DRAM expiry index tracks shipped expiry records.
+		s.repl.SetApplyHook(s.obj.OnReplApply)
 	}
 	return s
 }
@@ -449,10 +434,7 @@ func (s *Server) loadStats() Stats {
 		Batches:       s.batches.Load(),
 		BatchedPuts:   s.batchedPuts.Load(),
 	}
-	if s.cache != nil {
-		st.HasCache = true
-		st.Cache = s.cache.Stats()
-	}
+	st.Cache, st.HasCache = s.st.CacheStats()
 	if s.obj != nil {
 		st.HasObj = true
 		st.Obj = s.obj.Stats()
@@ -519,7 +501,6 @@ func (s *Server) counters() []wire.Counter {
 			wire.Counter{Name: "cache_fill_aborts", Val: sv.Cache.FillAborts},
 			wire.Counter{Name: "cache_invalidations", Val: sv.Cache.Invalidations},
 			wire.Counter{Name: "cache_evictions", Val: sv.Cache.Evictions},
-			wire.Counter{Name: "cache_admit_rejects", Val: sv.Cache.AdmitRejects},
 			wire.Counter{Name: "cache_entries", Val: sv.Cache.Entries},
 		)
 	}
@@ -964,35 +945,20 @@ func (cn *conn) serve(req wire.Request) {
 	cn.out = appendResponse(cn.out, resp)
 }
 
-// get is the one flat read: object-layer gates, the hot-key cache, and on a
-// miss (or with no cache) the store, filling the cache under an epoch stamp.
-// A hit returns the cache's shared value; the caller only encodes it.
+// get is the one flat read: object-layer gates, then the store (through its
+// hot-key cache, if installed). The value may be shared with the cache; the
+// caller only encodes it.
 func (s *Server) get(key []byte) (val []byte, status uint8, msg string) {
 	if o := s.obj; o != nil {
 		if obj.IsInternalKey(key) {
 			return nil, wire.StatusErr, errReservedKey
 		}
-		// Expiry masking BEFORE the cache: an expired-but-unreaped key
-		// may still be resident (the reap's invalidation hasn't run yet),
-		// and serving it would resurrect a dead value.
+		// An expired name is masked until its reap publishes.
 		if o.Expired(key) {
 			return nil, wire.StatusNotFound, ""
 		}
 	}
-	c := s.cache
-	var epoch uint64
-	if c != nil {
-		if val, ok := c.Get(key); ok {
-			return val, wire.StatusOK, ""
-		}
-		// Epoch before the store read (cache.go rule 2): a mutation
-		// landing between the read and the install aborts the fill.
-		epoch = c.FillEpoch(key)
-	}
 	val, err := s.st.Get(key)
-	if err == nil && c != nil {
-		c.CommitFill(key, val, epoch)
-	}
 	status, msg = statusOf(err)
 	return val, status, msg
 }

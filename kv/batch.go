@@ -9,7 +9,8 @@ import (
 // pair, an entry of a server group commit, a shipped replication record, an
 // Update step — commits through commitLocked below, and nothing else appends
 // a record and repoints the index (compaction's rewriteChain moves records
-// that are already committed). Where N separate commits to one partition
+// that are already committed). It is also the one site that invalidates the
+// hot-key cache (cache.go). Where N separate commits to one partition
 // cost N ranged persists (one fence each) for their log records, a batch
 // holds the partition lock once, lays the records down back-to-back and
 // persists every contiguous run with a single call — one fence per chunk-run
@@ -268,9 +269,11 @@ func (s *Store) commitPart(pi int, muts []Mutation) {
 // ErrNotFound before an LSN is taken; a shipped entry keeps the LSN it
 // arrived with, and a shipped tombstone is appended whether or not the key is
 // present here. ReplApply is the one caller with shipped entries, and passes
-// no hook. With all set (an Update step), an entry that cannot be appended
-// ends the batch: nothing is published and no hook fires, and the records
-// already appended stay unreachable — their LSNs burned, their space Compact's.
+// no hook. Every published flat key is invalidated in the hot-key cache
+// before the hook fires for it and before commitLocked returns (cache.go).
+// With all set (an Update step), an entry that cannot be appended ends the
+// batch: nothing is published and no hook fires, and the records already
+// appended stay unreachable — their LSNs burned, their space Compact's.
 // A tree publish that fails under all ends the publishes instead: the hashes
 // before it stay published, and the hook fires for their entries alone.
 func (s *Store) commitLocked(pi int, muts []Mutation, hook CommitHook, all bool) {
@@ -392,13 +395,21 @@ func (s *Store) commitLocked(pi int, muts []Mutation, hook CommitHook, all bool)
 	}
 	p.live.Add(liveDelta)
 	p.dead.Add(deadDelta)
-	if hook != nil {
+	// The cache is read after the publish, which is what lets SetCache run
+	// under live writers (cache.go).
+	if c := s.cache.Load(); c != nil || hook != nil {
 		// LSNs were assigned in slice order under the partition lock, so
 		// walking the slice ships this partition's commits in LSN order.
 		for i := range muts {
 			m := &muts[i]
+			if m.Part != pi || m.Err != nil {
+				continue
+			}
+			if c != nil && cacheable(m.Key) {
+				c.invalidate(m.Key)
+			}
 			switch {
-			case m.Part != pi || m.Err != nil:
+			case hook == nil:
 			case m.Delete:
 				hook(pi, m.LSN, ReplDelete, m.Key, nil)
 			default:

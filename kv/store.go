@@ -188,8 +188,9 @@ type Options struct {
 	// benchmark/workloads.go sets it and benchmark/measure.go prints it, and
 	// a PR may not edit benchmark/ alongside other code; the benchmark-only
 	// follow-up that stops naming it deletes it together with
-	// server.BatchConfig.Puts/MaxDelay and pmem.Config.VolatileAlloc — four
-	// dead fields wait for that one PR (ROADMAP item 3, step 1).
+	// server.BatchConfig.Puts/MaxDelay, pmem.Config.VolatileAlloc and
+	// CacheStats.AdmitRejects — five dead fields wait for that one PR
+	// (ROADMAP item 1).
 	Shards int
 	// Partitions hash-partitions the store into that many independent
 	// index-partition + value-log pairs (power of two), each with its own
@@ -303,6 +304,9 @@ type Store struct {
 	// hook is the installed commit hook (nil pointer = none); see
 	// SetCommitHook.
 	hook atomic.Pointer[CommitHook]
+
+	// cache is the installed hot-key cache (nil = none); see SetCache.
+	cache atomic.Pointer[cache]
 
 	// replStMu serializes SetReplState's read-modify-write of the
 	// replication-state line.
@@ -613,8 +617,27 @@ func (s *Store) PutEx(key, value []byte) (part int, lsn uint64, err error) {
 	return m[0].Part, m[0].LSN, m[0].Err
 }
 
-// Get returns the value stored under key. Lock-free.
+// Get returns the value stored under key. Lock-free. With a hot-key cache
+// installed (SetCache), a flat key's value may be shared with the cache, so
+// the caller must not modify it.
 func (s *Store) Get(key []byte) ([]byte, error) {
+	c := s.cache.Load()
+	if c == nil || !cacheable(key) {
+		return s.get(key)
+	}
+	if val, ok := c.get(key); ok {
+		return val, nil
+	}
+	epoch := c.fillEpoch(key) // before the store read: see cache.go
+	val, err := s.get(key)
+	if err == nil {
+		c.commitFill(key, val, epoch)
+	}
+	return val, err
+}
+
+// get is Get from the store itself.
+func (s *Store) get(key []byte) ([]byte, error) {
 	kind, val, ok := s.lookup(key)
 	if !ok || kind == recDelete {
 		return nil, ErrNotFound
