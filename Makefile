@@ -56,13 +56,18 @@ bench-kv:
 
 # The network serving layer's gate: protocol/server/client tests under the
 # race detector (the pipelined writer, committer, and drain paths are all
-# concurrent) — all of the server's ("Test" selects every test), with the
-# cross-verb write-order and two-goroutines-per-connection tests named so a
-# rename drops out loudly — kv's hot-key cache tests (every commit route
+# concurrent) — all of them ("Test" selects every test, "Fuzz" the decoders'
+# seed corpora), with the shared frame writer's tests (coalescing, Close
+# delivers, one error callback, the backlog drains), the client's
+# reconnect-without-stale-frames test, and the server's cross-verb
+# write-order and two-goroutines-per-connection tests named so a rename
+# drops out loudly — kv's hot-key cache tests (every commit route
 # invalidates, routed keys never fill, a hit allocates nothing), plus a
 # short fuzz smoke of each wire decoder on top of the committed seed corpus.
 servercheck:
-	$(GO) test -race ./internal/wire/... ./client/... ./internal/drain/...
+	$(call run-tests,-race,./internal/wire,Test|Fuzz|WriterCoalesces|WriterCloseDelivers|WriterErrorOnce|WriterBacklog)
+	$(call run-tests,-race,./client,Test|ReconnectNoStaleFrames)
+	$(GO) test -race ./internal/drain/...
 	$(call run-tests,-race,./internal/server,Test|SameKeyWriteOrder|ConnGoroutines)
 	$(call run-tests,,./kv,CacheBasic|CacheBounded|CacheCommitRoutesInvalidate|CacheRoutedKeysNeverFill|CacheGetAllocs)
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=3s

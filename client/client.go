@@ -6,13 +6,12 @@
 // no per-call connection cost.
 //
 // The client reconnects lazily with jittered exponential backoff (the same
-// desynchronization shape the HTM layer uses for conflict retries: a
-// splitmix64 stream jitters each delay in [d/2, d], so a fleet of clients
-// that lost the same server does not reconnect in lock-step). Calls that
-// were in flight when the connection died fail with ErrConnLost — the
-// caller cannot know whether a lost PUT committed, exactly like any
-// at-most-once RPC — and subsequent calls transparently use the new
-// connection.
+// desynchronization shape the HTM layer uses for conflict retries: each
+// delay is jittered into [d/2, d], so a fleet of clients that lost the same
+// server does not reconnect in lock-step). Calls that were in flight when
+// the connection died fail with ErrConnLost — the caller cannot know whether
+// a lost PUT committed, exactly like any at-most-once RPC — and subsequent
+// calls transparently use the new connection.
 package client
 
 import (
@@ -20,11 +19,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"rntree/internal/sync2"
 	"rntree/internal/wire"
 )
 
@@ -124,6 +123,18 @@ type pending struct {
 	ch       chan result
 }
 
+// link is one connection generation: the writer its calls send on, started
+// beside its readLoop, and the number their pending entries carry.
+type link struct {
+	c   *Client
+	gen uint64
+	w   *wire.Writer
+}
+
+// writeFailed is the writer's error callback: a failed write tears the
+// link's generation down.
+func (l *link) writeFailed(error) { l.c.teardown(l.gen, ErrConnLost) }
+
 // Client is a concurrency-safe pipelined connection to one server.
 type Client struct {
 	addr string
@@ -133,25 +144,13 @@ type Client struct {
 	nextID atomic.Uint64
 	closed atomic.Bool
 
-	// connMu guards connection (re)establishment.
-	connMu  sync.Mutex
-	conn    net.Conn
-	gen     uint64        // bumped on every teardown, tags pending entries
-	backoff atomic.Uint64 // splitmix64 jitter state (shared by overload retries)
-
-	// Callers append request frames to wBuf under wMu and nudge the writer
-	// goroutine, which swaps the buffer out and writes it with one syscall
-	// — frames queued by other pipeline workers while a write is in flight
-	// ride the next one, so the syscall count scales with write bursts,
-	// not with calls. wBufGen tags the buffered frames' connection
-	// generation: frames for a torn-down generation are dropped unsent
-	// (teardown already failed their pending entries). The server's conn
-	// has the matching response-side scheme.
-	wMu     sync.Mutex
-	wBuf    []byte
-	wBufGen uint64
-	wSig    chan struct{} // cap 1: "wBuf is non-empty"
-	wStop   chan struct{} // closed by Close; writeLoop exits
+	// connMu guards connection (re)establishment. Calls send on the writer
+	// of the link they registered under, so a frame for a torn-down
+	// generation dies with that generation's writer and never reaches a
+	// later connection.
+	connMu sync.Mutex
+	cur    *link  // nil between a teardown and the next dial
+	gen    uint64 // bumped on every dial
 
 	pendMu sync.Mutex
 	pend   map[uint64]pending
@@ -162,96 +161,19 @@ type Client struct {
 func Dial(addr string, opts Options) (*Client, error) {
 	opts.normalize()
 	c := &Client{
-		addr:  addr,
-		opts:  opts,
-		sem:   make(chan struct{}, opts.MaxInflight),
-		pend:  map[uint64]pending{},
-		wSig:  make(chan struct{}, 1),
-		wStop: make(chan struct{}),
+		addr: addr,
+		opts: opts,
+		sem:  make(chan struct{}, opts.MaxInflight),
+		pend: map[uint64]pending{},
 	}
-	c.backoff.Store(splitmix64seed.Add(0x9e3779b97f4a7c15) | 1)
 	c.connMu.Lock()
-	if _, _, err := c.ensureConnLocked(opts.ReconnectAttempts); err != nil {
+	if _, err := c.ensureConnLocked(opts.ReconnectAttempts); err != nil {
 		c.connMu.Unlock()
 		return nil, err
 	}
 	c.connMu.Unlock()
-	go c.writeLoop()
 	go c.sweepLoop()
 	return c, nil
-}
-
-// writeLoop is the client's writer: each wakeup swaps the accumulated
-// frame buffer out under the lock and writes it to the buffered frames'
-// connection with one syscall. A write error tears that generation down
-// (failing its in-flight calls); frames buffered for an already-replaced
-// generation are dropped, since teardown has failed their callers. The
-// loop lives for the client's whole lifetime, across reconnects.
-// writerIdleYields is how many scheduler yields the writer goroutine makes
-// with an empty buffer before parking on its signal channel. See writeLoop.
-const writerIdleYields = 4
-
-func (c *Client) writeLoop() {
-	var spare []byte
-	var armed time.Time
-	var armedConn net.Conn
-	for {
-		select {
-		case <-c.wSig:
-			// One yield before swapping: the channel wakeup schedules this
-			// writer ahead of the other just-woken pipeline workers (the
-			// runnext slot), which would mean one syscall per frame.
-			// Yielding lets the rest of the burst append first, so the
-			// swap takes every frame of the burst in one write.
-			runtime.Gosched()
-		case <-c.wStop:
-			return
-		}
-		idle := 0
-		for {
-			c.wMu.Lock()
-			buf, gen := c.wBuf, c.wBufGen
-			c.wBuf = spare[:0]
-			c.wMu.Unlock()
-			if len(buf) == 0 {
-				// Yield a few beats with the buffer empty before parking:
-				// at depth the pipeline workers refill it within a
-				// scheduler pass, and picking frames up here coalesces
-				// many requests per write syscall. An idle client's
-				// yields return immediately and the writer parks on wSig.
-				spare = buf
-				if idle >= writerIdleYields {
-					break
-				}
-				idle++
-				runtime.Gosched()
-				continue
-			}
-			idle = 0
-			c.connMu.Lock()
-			conn := c.conn
-			if c.gen != gen {
-				conn = nil
-			}
-			c.connMu.Unlock()
-			if conn == nil {
-				spare = buf[:0]
-				continue
-			}
-			// Throttle SetWriteDeadline to once per Timeout/4 per
-			// connection: a timer-heap update per write is measurable at
-			// pipelined rates and the deadline needs no precision.
-			if now := time.Now(); conn != armedConn || now.Sub(armed) > c.opts.Timeout/4 {
-				conn.SetWriteDeadline(now.Add(c.opts.Timeout))
-				armed, armedConn = now, conn
-			}
-			_, err := conn.Write(buf)
-			spare = buf[:0]
-			if err != nil {
-				c.teardown(gen, ErrConnLost)
-			}
-		}
-	}
 }
 
 // sweepLoop enforces call timeouts in bulk: every Timeout/4 it fails the
@@ -290,36 +212,17 @@ func (c *Client) sweepLoop() {
 	}
 }
 
-// splitmix64seed desynchronizes the backoff streams of clients created in
-// the same process.
-var splitmix64seed atomic.Uint64
-
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // sleepBackoff sleeps for attempt's slot of the jittered exponential
-// schedule: d doubles from ReconnectBase up to ReconnectMax, jittered into
-// [d/2, d].
+// schedule from ReconnectBase up to ReconnectMax.
 func (c *Client) sleepBackoff(attempt int) {
-	d := c.opts.ReconnectBase << uint(attempt)
-	if d > c.opts.ReconnectMax || d <= 0 {
-		d = c.opts.ReconnectMax
-	}
-	j := splitmix64(c.backoff.Add(0x9e3779b97f4a7c15))
-	half := uint64(d) / 2
-	time.Sleep(time.Duration(half + j%(half+1)))
+	time.Sleep(sync2.RetryDelay(attempt, c.opts.ReconnectBase, c.opts.ReconnectMax))
 }
 
-// ensureConnLocked returns the live connection, dialing with backoff if
-// needed. Caller holds connMu.
-func (c *Client) ensureConnLocked(attempts int) (net.Conn, uint64, error) {
-	if c.conn != nil {
-		return c.conn, c.gen, nil
+// ensureConnLocked returns the live connection's link, dialing with backoff
+// if needed. Caller holds connMu.
+func (c *Client) ensureConnLocked(attempts int) (*link, error) {
+	if c.cur != nil {
+		return c.cur, nil
 	}
 	var lastErr error
 	for a := 0; a < attempts; a++ {
@@ -327,7 +230,7 @@ func (c *Client) ensureConnLocked(attempts int) (net.Conn, uint64, error) {
 			c.sleepBackoff(a - 1)
 		}
 		if c.closed.Load() {
-			return nil, 0, ErrClosed
+			return nil, ErrClosed
 		}
 		conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
 		if err != nil {
@@ -337,21 +240,24 @@ func (c *Client) ensureConnLocked(attempts int) (net.Conn, uint64, error) {
 		if tc, ok := conn.(*net.TCPConn); ok {
 			tc.SetNoDelay(true)
 		}
-		c.conn = conn
 		c.gen++
-		go c.readLoop(conn, c.gen)
-		return conn, c.gen, nil
+		l := &link{c: c, gen: c.gen}
+		l.w = wire.NewWriter(conn, c.opts.Timeout, l.writeFailed)
+		c.cur = l
+		go c.readLoop(conn, l.gen)
+		return l, nil
 	}
-	return nil, 0, fmt.Errorf("%w: %s: %v", ErrDial, c.addr, lastErr)
+	return nil, fmt.Errorf("%w: %s: %v", ErrDial, c.addr, lastErr)
 }
 
-// teardown retires a broken connection generation and fails its pending
-// calls. Later generations are untouched.
+// teardown retires a broken connection generation — its writer drops what
+// it holds and closes the socket — and fails its pending calls. Later
+// generations are untouched.
 func (c *Client) teardown(gen uint64, cause error) {
 	c.connMu.Lock()
-	if c.gen == gen && c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
+	if c.cur != nil && c.cur.gen == gen {
+		c.cur.w.Kill()
+		c.cur = nil
 	}
 	c.connMu.Unlock()
 	c.pendMu.Lock()
@@ -421,7 +327,7 @@ func (c *Client) do(req wire.Request) (wire.Response, error) {
 	defer func() { <-c.sem }()
 
 	c.connMu.Lock()
-	_, gen, err := c.ensureConnLocked(c.opts.ReconnectAttempts)
+	l, err := c.ensureConnLocked(c.opts.ReconnectAttempts)
 	c.connMu.Unlock()
 	if err != nil {
 		return wire.Response{}, err
@@ -446,57 +352,29 @@ func (c *Client) do(req wire.Request) (wire.Response, error) {
 	// pool is therefore always empty.
 	ch := chanPool.Get().(chan result)
 	c.pendMu.Lock()
-	c.pend[req.ID] = pending{gen: gen, deadline: time.Now().Add(c.opts.Timeout), ch: ch}
+	c.pend[req.ID] = pending{gen: l.gen, deadline: time.Now().Add(c.opts.Timeout), ch: ch}
 	c.pendMu.Unlock()
 
-	// Re-check closed AFTER registering: Close sweeps the pending map
-	// exactly once (teardown) and sweepLoop exits with the flag, so an
-	// entry registered after that sweep has no deliverer left — without
-	// this check the call would hang forever on its channel. Close sets the
-	// flag before its sweep takes pendMu, so either the sweep saw our entry
-	// (it delivers ErrClosed below) or this load sees the flag and we
-	// withdraw the entry ourselves. Losing the withdrawal race just means a
-	// delivery is already committed — take it.
-	if c.closed.Load() {
-		framePool.Put(fp)
+	// Send AFTER registering: every writer death (a write error, a
+	// teardown, Close) is followed by its generation's sweep of the pending
+	// map, so a frame the writer took has a deliverer for its entry. A writer
+	// already dead refuses the frame, and that sweep may have run before we
+	// registered: withdraw the entry ourselves. Losing the withdrawal race
+	// just means a delivery is already committed — take it.
+	sent := l.w.Send(frame)
+	framePool.Put(fp)
+	if !sent {
 		c.pendMu.Lock()
 		_, mine := c.pend[req.ID]
-		if mine {
-			delete(c.pend, req.ID)
-		}
+		delete(c.pend, req.ID)
 		c.pendMu.Unlock()
 		if mine {
 			chanPool.Put(ch)
-			return wire.Response{}, ErrClosed
+			if c.closed.Load() {
+				return wire.Response{}, ErrClosed
+			}
+			return wire.Response{}, ErrConnLost
 		}
-		r := <-ch
-		chanPool.Put(ch)
-		if r.err != nil {
-			return wire.Response{}, r.err
-		}
-		return r.resp, nil
-	}
-
-	// Queue the frame for the writer goroutine, which coalesces every
-	// frame queued behind the in-flight write into one syscall. A buffer
-	// still holding an OLDER generation's frames means that generation was
-	// torn down (failing its callers); ours starts the buffer over. A
-	// NEWER generation in the buffer means our own generation is the
-	// torn-down one — drop our frame unwritten; teardown(gen) has already
-	// delivered our result.
-	c.wMu.Lock()
-	if c.wBufGen < gen {
-		c.wBuf = c.wBuf[:0]
-		c.wBufGen = gen
-	}
-	if c.wBufGen == gen {
-		c.wBuf = append(c.wBuf, frame...)
-	}
-	c.wMu.Unlock()
-	framePool.Put(fp)
-	select {
-	case c.wSig <- struct{}{}:
-	default:
 	}
 
 	// Exactly one of readLoop (the response), teardown (connection loss or
@@ -512,8 +390,8 @@ func (c *Client) do(req wire.Request) (wire.Response, error) {
 }
 
 // framePool recycles request-frame buffers (as *[]byte, so a round trip
-// through the pool allocates nothing): the frame is copied into wBuf, so
-// the buffer is dead as soon as the write section unlocks.
+// through the pool allocates nothing): Send copies the frame into the
+// writer's buffer, so the buffer is dead as soon as Send returns.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // chanPool recycles result channels: a pending entry's channel receives
@@ -780,14 +658,8 @@ func (c *Client) Close() error {
 		return ErrClosed
 	}
 	c.connMu.Lock()
-	conn := c.conn
 	gen := c.gen
-	c.conn = nil
 	c.connMu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
-	close(c.wStop)
 	c.teardown(gen, ErrClosed)
 	return nil
 }

@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -167,8 +170,8 @@ func TestReconnectAfterConnLoss(t *testing.T) {
 	// must fail with ErrConnLost (not hang).
 	time.Sleep(20 * time.Millisecond)
 	c.connMu.Lock()
-	if c.conn != nil {
-		c.conn.Close()
+	if c.cur != nil {
+		c.cur.w.Kill() // closes the socket; readLoop sees it and tears down
 	}
 	c.connMu.Unlock()
 	if err := <-done; err != ErrConnLost {
@@ -336,10 +339,11 @@ func TestLateResponseDropped(t *testing.T) {
 	}
 }
 
-// TestCloseRaceNoHang races in-flight calls against Close. Before the
-// post-registration closed re-check in do(), a call that registered its
-// pending entry after Close's teardown sweep had no deliverer left —
-// readLoop and sweepLoop were gone — and blocked on its channel forever.
+// TestCloseRaceNoHang races in-flight calls against Close. A call that
+// registers its pending entry after Close's teardown sweep has no deliverer
+// left — readLoop and sweepLoop are gone — so it must notice, through the
+// killed writer refusing its frame, and withdraw the entry instead of
+// blocking on its channel forever.
 func TestCloseRaceNoHang(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		fs := newFakeServer(t)
@@ -371,22 +375,117 @@ func TestCloseRaceNoHang(t *testing.T) {
 	}
 }
 
-func TestBackoffJitterBounds(t *testing.T) {
-	c := &Client{opts: Options{ReconnectBase: 4 * time.Millisecond, ReconnectMax: 16 * time.Millisecond}}
-	c.backoff.Store(1)
-	for attempt := 0; attempt < 6; attempt++ {
-		d := c.opts.ReconnectBase << uint(attempt)
-		if d > c.opts.ReconnectMax || d <= 0 {
-			d = c.opts.ReconnectMax
+// TestReconnectNoStaleFrames: a server that cuts every connection at its
+// fortieth request, under a pipeline that keeps calling across the cuts. A
+// call failed with ErrConnLost must never be answered: its frame died with its
+// connection generation's writer instead of reaching a later connection. Once
+// the client is closed, every goroutine it started has exited.
+func TestReconnectNoStaleFrames(t *testing.T) {
+	const perConn, reconnects, workers = 40, 10, 8
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var mu sync.Mutex
+	answered := map[string]bool{}
+	conns := 0
+	go func() {
+		for {
+			sc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns++
+			mu.Unlock()
+			go func() {
+				defer sc.Close()
+				br := bufio.NewReader(sc)
+				for n := 1; ; n++ {
+					payload, err := wire.ReadFrame(br, nil)
+					if err != nil {
+						return
+					}
+					req, err := wire.DecodeRequest(payload)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if n == perConn {
+						// Cut: answer nothing more. A half-close lets the
+						// answers already written reach the client ahead of
+						// its EOF; reading on until the client hangs up keeps
+						// the close from resetting them.
+						sc.(*net.TCPConn).CloseWrite()
+						io.Copy(io.Discard, br)
+						return
+					}
+					mu.Lock()
+					answered[string(req.Key)] = true
+					mu.Unlock()
+					frame, _ := wire.AppendResponse(nil, wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK})
+					if _, err := sc.Write(frame); err != nil {
+						return
+					}
+				}
+			}()
 		}
-		start := time.Now()
-		c.sleepBackoff(attempt)
-		slept := time.Since(start)
-		if slept < d/2-time.Millisecond {
-			t.Fatalf("attempt %d slept %v, want >= %v", attempt, slept, d/2)
+	}()
+
+	baseline := runtime.NumGoroutine()
+	c, err := Dial(ln.Addr().String(), Options{ReconnectBase: time.Millisecond, ReconnectAttempts: 20, Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lost []string
+	var seq atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				mu.Lock()
+				done := conns > reconnects
+				mu.Unlock()
+				if done {
+					return
+				}
+				key := fmt.Sprintf("k%d", seq.Add(1))
+				switch err := c.Put([]byte(key), nil); err {
+				case nil:
+				case ErrConnLost:
+					mu.Lock()
+					lost = append(lost, key)
+					mu.Unlock()
+				default:
+					t.Errorf("Put: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	c.Close()
+
+	mu.Lock()
+	for _, k := range lost {
+		if answered[k] {
+			t.Errorf("call %s failed with ErrConnLost, yet a connection carried its frame and answered it", k)
 		}
-		if slept > 4*d+50*time.Millisecond {
-			t.Fatalf("attempt %d slept %v, want <= ~%v", attempt, slept, d)
-		}
+	}
+	if len(lost) == 0 {
+		t.Error("no call was cut: the test proved nothing")
+	}
+	t.Logf("%d calls over %d connections, %d cut", seq.Load(), conns, len(lost))
+	mu.Unlock()
+
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > baseline && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n > baseline {
+		t.Fatalf("%d goroutines after %d reconnects and Close, %d before Dial", n, reconnects, baseline)
 	}
 }

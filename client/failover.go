@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"rntree/internal/sync2"
 )
 
 // Failover is a client over a primary/replica pair (or any fixed set of
@@ -32,13 +34,12 @@ type Failover struct {
 	// always acquired inside it:
 	//
 	//rnvet:lockorder client.Failover.mu<client.Client.connMu
-	//rnvet:lockorder client.Failover.mu<client.Client.wMu
+	//rnvet:lockorder client.Failover.mu<wire.Writer.mu
 	//rnvet:lockorder client.Failover.mu<client.Client.pendMu
 	mu    sync.Mutex
 	c     *Client
 	cur   int    // index into addrs of the node c is connected to
 	epoch uint64 // highest primary epoch acted on (0 until learned)
-	rng   uint64 // jitter state for inter-round backoff
 }
 
 // failoverRounds is how many passes over the candidate list one failover
@@ -57,7 +58,6 @@ func DialFailover(addrs []string, opts Options) (*Failover, error) {
 		opts:  opts,
 		addrs: append([]string(nil), addrs...),
 		cur:   -1,
-		rng:   uint64(time.Now().UnixNano()) | 1,
 	}
 	if err := fo.electLocked(false); err != nil {
 		return nil, err
@@ -139,7 +139,7 @@ func (fo *Failover) call(op func(c *Client) error) error {
 			// Re-electing instantly would re-adopt the same still-fenced
 			// (or still-draining) node and spin through the budget in
 			// microseconds; pace the retries like election rounds.
-			fo.backoffRound(attempt - 1)
+			sleepRound(attempt - 1)
 		}
 		if ferr := fo.failover(c); ferr != nil {
 			return fmt.Errorf("%w (failover: %v)", err, ferr)
@@ -233,7 +233,7 @@ func (fo *Failover) electLocked(promote bool) error {
 			lastErr = err
 			bestReplica.Close()
 		}
-		fo.sleepRound(round)
+		sleepRound(round)
 	}
 	if lastErr == nil {
 		lastErr = errors.New("client: no primary found")
@@ -248,34 +248,12 @@ func (fo *Failover) adoptLocked(c *Client, idx int, epoch uint64) {
 	}
 }
 
-// sleepRound waits a jittered exponential delay between election rounds so
-// several clients racing through a dead cluster don't probe in lockstep.
-// Caller holds fo.mu (the rng is guarded by it).
-func (fo *Failover) sleepRound(round int) {
-	time.Sleep(fo.jitterLocked(round))
-}
-
-// backoffRound is sleepRound for callers NOT holding fo.mu: the jitter
-// state is read under the lock, the sleep happens outside it so concurrent
-// calls are not serialized behind a sleeping one.
-func (fo *Failover) backoffRound(round int) {
-	fo.mu.Lock()
-	d := fo.jitterLocked(round)
-	fo.mu.Unlock()
-	time.Sleep(d)
-}
-
-// jitterLocked returns round's slot of the jittered exponential schedule
-// (10ms doubling to 500ms, jittered into [d/2, d]). Caller holds fo.mu.
-func (fo *Failover) jitterLocked(round int) time.Duration {
-	d := 10 * time.Millisecond
-	for i := 0; i < round && d < 500*time.Millisecond; i++ {
-		d *= 2
-	}
-	fo.rng ^= fo.rng << 13
-	fo.rng ^= fo.rng >> 7
-	fo.rng ^= fo.rng << 17
-	return d/2 + time.Duration(fo.rng%uint64(d/2+1))
+// sleepRound waits round's slot of a jittered exponential schedule (10ms
+// doubling to 500ms) so several clients racing through a dead cluster don't
+// probe in lockstep. It holds no lock of its own: a caller outside fo.mu is
+// not serialized behind a sleeping one.
+func sleepRound(round int) {
+	time.Sleep(sync2.RetryDelay(round, 10*time.Millisecond, 500*time.Millisecond))
 }
 
 // Ping checks liveness of the current primary.

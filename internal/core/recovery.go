@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"rntree/internal/htm"
 	"rntree/internal/inner"
 	"rntree/internal/pmem"
 	"rntree/internal/tree"
@@ -173,7 +174,7 @@ func openCommon(a *pmem.Arena, opts Options) (*Tree, error) {
 	}
 	t := &Tree{
 		arena:    a,
-		region:   opts.region(a),
+		region:   htm.NewRegion(a, opts.HTM),
 		metas:    newMetaTable(),
 		capacity: opts.LeafCapacity,
 		lsize:    leafSize(opts.LeafCapacity),

@@ -36,16 +36,10 @@ type Options struct {
 	// LeafCapacity is the number of log entries per leaf (default 64, the
 	// paper's best-performing size; at most capacity-1 entries are active).
 	LeafCapacity int
-	// HTM tunes the emulated hardware transactional memory. Setting
-	// HTM.ForceFallback yields the no-HTM ablation (every slot-array update
-	// serializes on one global lock). Ignored when Region is set.
+	// HTM tunes the emulated hardware transactional memory of the tree's
+	// private region. Setting HTM.ForceFallback yields the no-HTM ablation
+	// (every slot-array update serializes on one global lock).
 	HTM htm.Config
-	// Region injects a pre-built HTM region over the same arena instead of
-	// letting the tree construct a private one. The forest layer uses this
-	// so each partition explicitly owns its region — and with it its
-	// fallback lock and abort counters — rather than having the tree bury
-	// that ownership. Nil constructs a region from HTM.
-	Region *htm.Region
 	// FlushInCS moves the log-entry flush inside the leaf critical section,
 	// reverting the overlapping design of §4.2 to the decoupled design the
 	// paper criticises (all four steps under the lock, as FPTree does).
@@ -61,15 +55,6 @@ func (o *Options) normalize() error {
 		return fmt.Errorf("core: leaf capacity %d outside [4,%d]", o.LeafCapacity, MaxLeafCapacity)
 	}
 	return nil
-}
-
-// region resolves the HTM region for a tree over arena: the injected one if
-// the caller supplied it, a private one otherwise.
-func (o *Options) region(arena *pmem.Arena) *htm.Region {
-	if o.Region != nil {
-		return o.Region
-	}
-	return htm.NewRegion(arena, o.HTM)
 }
 
 // Tree is an RNTree: leaf nodes live in (simulated) NVM, internal nodes in
@@ -110,7 +95,7 @@ func New(arena *pmem.Arena, opts Options) (*Tree, error) {
 	}
 	t := &Tree{
 		arena:    arena,
-		region:   opts.region(arena),
+		region:   htm.NewRegion(arena, opts.HTM),
 		metas:    newMetaTable(),
 		capacity: opts.LeafCapacity,
 		lsize:    leafSize(opts.LeafCapacity),
@@ -143,6 +128,9 @@ func (t *Tree) Arena() *pmem.Arena { return t.arena }
 
 // HTMStats returns the emulated-HTM outcome counters.
 func (t *Tree) HTMStats() htm.Stats { return t.region.Stats() }
+
+// ResetHTMStats zeroes the emulated-HTM outcome counters.
+func (t *Tree) ResetHTMStats() { t.region.ResetStats() }
 
 // DualSlot reports whether the dual-slot-array design is enabled.
 func (t *Tree) DualSlot() bool { return t.dual }

@@ -1,9 +1,9 @@
 // Package forest partitions RNTree into a hash-routed forest of
-// independent trees. Every partition owns its own pmem.Arena, htm.Region
-// (and therefore its own fallback lock, abort counters and persist stream),
-// volatile inner index, and recovery root — so the serialization points
-// that cap a single tree's scalability multiply with the partition count
-// instead of being shared by every thread.
+// independent trees. Every partition owns its own pmem.Arena (and therefore
+// its own persist stream) and tree, whose private htm.Region (fallback lock,
+// abort counters), volatile inner index and recovery root are its own — so
+// the serialization points that cap a single tree's scalability multiply
+// with the partition count instead of being shared by every thread.
 //
 // Keys are routed by a finalizing 64-bit mix of the key modulo the
 // partition count, which keeps each partition a uniform sample of the key
@@ -23,7 +23,6 @@ import (
 	"math/rand"
 
 	"rntree/internal/core"
-	"rntree/internal/htm"
 	"rntree/internal/pmem"
 	"rntree/internal/tree"
 )
@@ -64,9 +63,8 @@ type Options struct {
 	// Latency is the persistent-instruction cost model applied to every
 	// partition arena.
 	Latency pmem.LatencyModel
-	// Tree holds the per-partition tree options. Tree.Region is ignored:
-	// the forest builds one region per partition so each has a private
-	// fallback lock and outcome counters.
+	// Tree holds the per-partition tree options; every partition's tree
+	// builds a private HTM region from Tree.HTM.
 	Tree core.Options
 }
 
@@ -98,17 +96,13 @@ func (o *Options) arenaConfig() pmem.Config {
 
 // Partition is one tree of the forest together with the resources it owns.
 type Partition struct {
-	arena  *pmem.Arena
-	region *htm.Region
-	tree   *core.Tree
-	sbOff  uint64
+	arena *pmem.Arena
+	tree  *core.Tree
+	sbOff uint64
 }
 
 // Arena returns the partition's private persistent arena.
 func (p *Partition) Arena() *pmem.Arena { return p.arena }
-
-// Region returns the partition's private HTM region.
-func (p *Partition) Region() *htm.Region { return p.region }
 
 // Tree returns the partition's RNTree.
 func (p *Partition) Tree() *core.Tree { return p.tree }
@@ -146,50 +140,15 @@ func (f *Forest) Partitions() int { return len(f.parts) }
 // Partition returns partition i (for stats, kv binding, and tests).
 func (f *Forest) Partition(i int) *Partition { return f.parts[i] }
 
-// New creates an empty forest: one fresh arena, region and tree per
-// partition, each stamped with a forest superblock.
+// New creates an empty forest: one fresh arena and tree per partition, each
+// stamped with a forest superblock.
 func New(opts Options) (*Forest, error) {
-	if err := opts.normalize(); err != nil {
-		return nil, err
-	}
-	f := &Forest{parts: make([]*Partition, opts.Partitions), mask: uint64(opts.Partitions - 1)}
-	for i := range f.parts {
-		a := pmem.New(opts.arenaConfig())
-		p, err := newPartition(a, i, opts)
-		if err != nil {
-			return nil, err
-		}
-		f.parts[i] = p
-	}
-	return f, nil
-}
-
-func newPartition(a *pmem.Arena, idx int, opts Options) (*Partition, error) {
-	topts := opts.Tree
-	region := htm.NewRegion(a, topts.HTM)
-	topts.Region = region
-	t, err := core.New(a, topts)
-	if err != nil {
-		return nil, err
-	}
-	sbOff, err := a.Alloc(pmem.LineSize)
-	if err != nil {
-		return nil, tree.ErrFull
-	}
-	a.Write8(sbOff+sbMagicOff, forestMagic)
-	a.Write8(sbOff+sbCountOff, uint64(opts.Partitions))
-	a.Write8(sbOff+sbIndexOff, uint64(idx))
-	a.Persist(sbOff, pmem.LineSize)
-	// Root pointer flip is the commit point: the superblock is durable
-	// before anything references it.
-	a.Write8(rootForestOff, sbOff)
-	a.Persist(0, pmem.RootSize)
-	return &Partition{arena: a, region: region, tree: t, sbOff: sbOff}, nil
+	return BulkLoad(opts, nil)
 }
 
 // BulkLoad builds a forest from records sorted by strictly increasing key,
 // routing each record and bulk-loading every partition's (still sorted)
-// share with one persistent instruction per leaf.
+// share with one persistent instruction per leaf. No records is New.
 func BulkLoad(opts Options, records []tree.KV) (*Forest, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
@@ -203,10 +162,13 @@ func BulkLoad(opts Options, records []tree.KV) (*Forest, error) {
 	f := &Forest{parts: make([]*Partition, opts.Partitions), mask: mask}
 	for i := range f.parts {
 		a := pmem.New(opts.arenaConfig())
-		topts := opts.Tree
-		region := htm.NewRegion(a, topts.HTM)
-		topts.Region = region
-		t, err := core.BulkLoad(a, topts, buckets[i])
+		var t *core.Tree
+		var err error
+		if len(records) == 0 {
+			t, err = core.New(a, opts.Tree)
+		} else {
+			t, err = core.BulkLoad(a, opts.Tree, buckets[i])
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -218,9 +180,11 @@ func BulkLoad(opts Options, records []tree.KV) (*Forest, error) {
 		a.Write8(sbOff+sbCountOff, uint64(opts.Partitions))
 		a.Write8(sbOff+sbIndexOff, uint64(i))
 		a.Persist(sbOff, pmem.LineSize)
+		// Root pointer flip is the commit point: the superblock is durable
+		// before anything references it.
 		a.Write8(rootForestOff, sbOff)
 		a.Persist(0, pmem.RootSize)
-		f.parts[i] = &Partition{arena: a, region: region, tree: t, sbOff: sbOff}
+		f.parts[i] = &Partition{arena: a, tree: t, sbOff: sbOff}
 	}
 	return f, nil
 }
@@ -253,10 +217,7 @@ func OpenArenas(arenas []*pmem.Arena, opts Options) (*Forest, error) {
 	}
 	f := &Forest{parts: make([]*Partition, n), mask: uint64(n - 1)}
 	for i, a := range arenas {
-		topts := opts.Tree
-		region := htm.NewRegion(a, topts.HTM)
-		topts.Region = region
-		t, err := core.Open(a, topts)
+		t, err := core.Open(a, opts.Tree)
 		if err != nil {
 			return nil, fmt.Errorf("forest: partition %d: %w", i, err)
 		}
@@ -276,7 +237,7 @@ func OpenArenas(arenas []*pmem.Arena, opts Options) (*Forest, error) {
 		if ix := a.Read8(sbOff + sbIndexOff); ix != uint64(i) {
 			return nil, fmt.Errorf("forest: image at position %d belongs to partition %d", i, ix)
 		}
-		f.parts[i] = &Partition{arena: a, region: region, tree: t, sbOff: sbOff}
+		f.parts[i] = &Partition{arena: a, tree: t, sbOff: sbOff}
 	}
 	return f, nil
 }
@@ -400,7 +361,7 @@ func (f *Forest) PartitionStats() []core.Stats {
 func (f *Forest) ResetStats() {
 	for _, p := range f.parts {
 		p.arena.ResetStats()
-		p.region.ResetStats()
+		p.tree.ResetHTMStats()
 	}
 }
 

@@ -590,3 +590,30 @@ func TestPartitionGrowsInsteadOfFilling(t *testing.T) {
 		}
 	}
 }
+
+// ResetStats zeroes the HTM counters of the regions the partitions' trees
+// actually run in, however the forest was built.
+func TestResetStatsReachesTreeRegions(t *testing.T) {
+	var recs []tree.KV
+	for k := uint64(0); k < 1000; k++ {
+		recs = append(recs, tree.KV{Key: k, Value: k})
+	}
+	built, err := BulkLoad(testOpts(2, true), recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]*Forest{"New": mustNew(t, 2, true), "BulkLoad": built} {
+		for k := uint64(0); k < 100; k++ {
+			if err := f.Upsert(k, k+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c := f.Stats().HTM.Commits; c == 0 {
+			t.Fatalf("%s: 100 upserts counted no HTM commits", name)
+		}
+		f.ResetStats()
+		if c := f.Stats().HTM.Commits; c != 0 {
+			t.Errorf("%s: %d HTM commits counted after ResetStats", name, c)
+		}
+	}
+}

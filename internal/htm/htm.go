@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 
 	"rntree/internal/pmem"
+	"rntree/internal/sync2"
 )
 
 // AbortCause classifies why a transaction aborted.
@@ -583,7 +584,7 @@ func (r *Region) RunOutcome(body func(*Tx)) (Outcome, error) {
 			r.stats.spuriousAborts.Add(1)
 			out.Attempts++
 			out.LastAbort = AbortConflict
-			r.conflictBackoff(attempt, &jitter)
+			sync2.JitterBackoff(attempt, &jitter)
 			continue
 		}
 		// Subscribe to the fallback lock: wait while held, remember the seq.
@@ -602,7 +603,7 @@ func (r *Region) RunOutcome(body func(*Tx)) (Outcome, error) {
 			return out, ErrExplicitAbort
 		case AbortConflict:
 			r.stats.conflictAborts.Add(1)
-			r.conflictBackoff(attempt, &jitter)
+			sync2.JitterBackoff(attempt, &jitter)
 			continue
 		case AbortCapacity:
 			r.stats.capacityAborts.Add(1)
@@ -693,32 +694,6 @@ func getWord(b []byte) uint64 {
 }
 
 var txPool = sync.Pool{New: func() any { return new(Tx) }}
-
-// backoffSeed derives a distinct jitter stream for each Run invocation so
-// threads that abort together do not retry in lock-step.
-var backoffSeed atomic.Uint64
-
-// conflictBackoff spins for a jittered, exponentially growing interval before
-// the next hardware attempt. Desynchronizing retries breaks the abort storms
-// that immediate retry invites when many threads contend on one line; it is
-// used only for conflict-class aborts — capacity and persist aborts go
-// straight to the fallback path, where waiting cannot help.
-func (r *Region) conflictBackoff(attempt int, state *uint64) {
-	if *state == 0 {
-		*state = backoffSeed.Add(0x9e3779b97f4a7c15) | 1
-	}
-	if attempt > 8 {
-		attempt = 8
-	}
-	*state += 0x9e3779b97f4a7c15
-	ceil := uint64(16) << uint(attempt)
-	spins := ceil/2 + splitmix64(*state)%(ceil/2+1) // jitter in [ceil/2, ceil]
-	for i := uint64(0); i < spins; i++ {
-		if i&255 == 255 {
-			runtime.Gosched()
-		}
-	}
-}
 
 func spinYield(i int) {
 	if i < 6 {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"rntree/internal/sync2"
 	"rntree/internal/wire"
 )
 
@@ -69,7 +70,6 @@ func (n *Node) RunApplier(cfg ApplierConfig) error {
 		n.mu.Unlock()
 	}()
 
-	jitter := uint64(time.Now().UnixNano()) | 1
 	for attempt := 0; ; attempt++ {
 		if n.Role() != Replica {
 			return nil
@@ -85,26 +85,9 @@ func (n *Node) RunApplier(cfg ApplierConfig) error {
 		select {
 		case <-stopc:
 			return nil
-		case <-time.After(backoff(cfg, attempt, &jitter)):
+		case <-time.After(sync2.RetryDelay(attempt, cfg.RetryBase, cfg.RetryMax)):
 		}
 	}
-}
-
-// backoff is the applier's jittered exponential reconnect delay: base<<n
-// capped at max, scaled by a uniform [50%,100%] jitter so a fleet of
-// replicas losing one primary does not reconnect in lockstep.
-func backoff(cfg ApplierConfig, attempt int, state *uint64) time.Duration {
-	d := cfg.RetryBase
-	for i := 0; i < attempt && d < cfg.RetryMax; i++ {
-		d *= 2
-	}
-	if d > cfg.RetryMax {
-		d = cfg.RetryMax
-	}
-	*state ^= *state << 13
-	*state ^= *state >> 7
-	*state ^= *state << 17
-	return d/2 + time.Duration(*state%uint64(d/2+1))
 }
 
 // applyStream is one connection's worth of the applier loop.

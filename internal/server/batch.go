@@ -101,7 +101,7 @@ type committer struct {
 	muts  []kv.Mutation
 	resps []wire.Response
 
-	//rnvet:lockorder server.conn.subMu<server.committer.durMu<server.conn.wMu
+	//rnvet:lockorder server.conn.subMu<server.committer.durMu<wire.Writer.mu
 	durMu    sync.Mutex
 	durQ     []durableAck
 	durHead  int

@@ -52,6 +52,35 @@ func (r *rawConn) send(reqs ...wire.Request) {
 	}
 }
 
+// sinkConn stands in for the socket of a conn built without a client: what
+// its writer writes is kept in got, or dropped when discard is set.
+type sinkConn struct {
+	net.Conn
+	discard bool
+	mu      sync.Mutex
+	got     []byte
+}
+
+func (s *sinkConn) Write(p []byte) (int, error) {
+	if !s.discard {
+		s.mu.Lock()
+		s.got = append(s.got, p...)
+		s.mu.Unlock()
+	}
+	return len(p), nil
+}
+
+func (s *sinkConn) SetWriteDeadline(time.Time) error { return nil }
+func (s *sinkConn) Close() error                     { return nil }
+
+// sinkConnFor is newConn over a sinkConn; the writer is closed with the test.
+func sinkConnFor(t *testing.T, srv *Server, discard bool) (*conn, *sinkConn) {
+	sink := &sinkConn{discard: discard}
+	cn := newConn(srv, sink)
+	t.Cleanup(cn.w.Close)
+	return cn, sink
+}
+
 func (r *rawConn) recv() wire.Response {
 	r.t.Helper()
 	r.c.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -397,7 +426,7 @@ func TestCommitterAllocs(t *testing.T) {
 	sub.Stop()
 	<-sub.Done()
 	ack := make([]uint64, st.Partitions())
-	cn := newConn(srv, nil) // no socket: acks pile up in wBuf, emptied per run
+	cn, _ := sinkConnFor(t, srv, true)
 	c := srv.committers[0]
 	seq := uint64(0)
 	enqueue := func(durable bool) mutation {
@@ -428,7 +457,9 @@ func TestCommitterAllocs(t *testing.T) {
 					ack[0] = st.ReplLSN(0)
 					sub.Ack(ack)
 				}
-				cn.wBuf = cn.wBuf[:0]
+				// The writer drains each run's acks, so its buffers never
+				// outgrow one run and their growth stays in the warm-up.
+				cn.w.AwaitBacklog(0, nil)
 			})
 			if got != 0 {
 				t.Errorf("batch of %d (durable %v): %v allocs per gather-commit-ack, want 0", n, durable, got)
@@ -506,15 +537,17 @@ func TestDurableAckAheadOfCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	go sub.Run()
-	cn := newConn(srv, nil)
+	cn, sink := sinkConnFor(t, srv, false)
 	cn.sem <- struct{}{}
 	cn.inflight.Add(1)
 	srv.globalInflight.Add(1)
 	srv.committers[0].commit(mutation{cn: cn, id: 7, op: wire.OpPut, key: []byte("k"), val: []byte("v"), durable: true})
-	if pending, _ := srv.durableBacklog(); pending != 0 || len(cn.wBuf) == 0 {
-		t.Fatalf("durable PUT under the watermark: %d pending, %d response bytes", pending, len(cn.wBuf))
+	pending, _ := srv.durableBacklog()
+	cn.w.Close() // the response, if any, is in sink.got once the writer has drained
+	if pending != 0 || len(sink.got) == 0 {
+		t.Fatalf("durable PUT under the watermark: %d pending, %d response bytes", pending, len(sink.got))
 	}
-	resp, err := wire.DecodeResponse(cn.wBuf[4:])
+	resp, err := wire.DecodeResponse(sink.got[4:])
 	if err != nil || resp.ID != 7 || resp.Status != wire.StatusOK {
 		t.Fatalf("response %+v, %v; want OK for request 7", resp, err)
 	}
@@ -538,7 +571,7 @@ func TestReplShipAllocs(t *testing.T) {
 	}
 	defer node.Close()
 	srv := New(st, Config{Repl: node})
-	cn := newConn(srv, nil) // no socket: frames pile up in wBuf, emptied per run
+	cn, _ := sinkConnFor(t, srv, true)
 	shipped := make(chan struct{})
 	sub, err := node.Subscribe(make([]uint64, st.Partitions()), func(rec repl.Record) error {
 		err := cn.sendRecord(rec)
@@ -558,10 +591,7 @@ func TestReplShipAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		<-shipped
-		cn.wMu.Lock()
-		cn.wBuf = cn.wBuf[:0]
-		cn.wMu.Unlock()
-		cn.backlog.Store(0)
+		cn.w.AwaitBacklog(0, nil) // as in TestCommitterAllocs
 	})
 	if got != 0 {
 		t.Errorf("%v allocs per shipped record, want 0", got)

@@ -117,7 +117,7 @@ func TestReaderServedAllocs(t *testing.T) {
 		{"SMEMBERS", typed, smembers, nil, objSMembers},
 		{"TTL", typed, ttl, nil, objTTL},
 	} {
-		cn := newConn(tc.srv, nil) // no socket: responses stay in cn.out
+		cn, _ := sinkConnFor(t, tc.srv, true) // responses stay in cn.out
 		run := func() {
 			routeFrame(cn, tc.payload)
 			if tc.after != nil {
@@ -158,7 +158,7 @@ func TestPayloadReturned(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := New(st, Config{Obj: o})
-	cn := newConn(srv, nil)
+	cn, _ := sinkConnFor(t, srv, true)
 	for payloadPool.Get() != nil { // leave nothing an earlier test retired
 	}
 	check := func(name string, req wire.Request, finish func([]byte, *[]byte)) {
@@ -358,7 +358,7 @@ func TestSlowReaderBacklogBounded(t *testing.T) {
 			time.Sleep(time.Millisecond)
 			continue
 		}
-		if b := cn.backlog.Load(); b > peak {
+		if b := cn.w.Backlog(); b > peak {
 			peak = b
 		}
 		if peak > bound {

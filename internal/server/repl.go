@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"time"
 
 	"rntree/internal/repl"
 	"rntree/internal/wire"
@@ -118,18 +117,12 @@ func (s *Server) readOnly() bool {
 
 // sendRecord is the subscriber's transport: encode one record as an
 // unsolicited OpReplRecord response into shipBuf and queue it on the writer
-// (send copies it out, so the buffer serves the next record). It runs on
-// the subscriber's Run goroutine, so blocking here (the high-water wait) is
-// the stream's backpressure, not anyone else's.
+// (Send copies it out, so the buffer serves the next record). It runs on
+// the subscriber's Run goroutine, so blocking here (the high-water wait, woken
+// by the writer's progress) is the stream's backpressure, not anyone else's.
 func (cn *conn) sendRecord(rec repl.Record) error {
-	for {
-		if cn.deadF.Load() {
-			return errShipConnDead
-		}
-		if cn.backlog.Load() <= shipHighWater {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	if !cn.w.AwaitBacklog(shipHighWater, nil) {
+		return errShipConnDead
 	}
 	cn.shipSeq++
 	frame, err := wire.AppendResponse(cn.shipBuf[:0], wire.Response{
@@ -146,8 +139,7 @@ func (cn *conn) sendRecord(rec repl.Record) error {
 		return err
 	}
 	cn.shipBuf = frame
-	cn.send(frame)
-	if cn.deadF.Load() {
+	if !cn.w.Send(frame) {
 		return errShipConnDead
 	}
 	return nil

@@ -17,13 +17,13 @@
 // writer once per read batch: before it can block. Requests on one connection
 // complete out of order, exactly what a pipelining client wants, and
 // responses carry the request ID so the client can match them.
-// Responders hand their frames to a per-connection writer goroutine that
-// coalesces everything queued behind the in-flight write, so a pipeline of
-// responses shares one syscall. The paper's core claim is that slow NVM persists
-// should never block unrelated work; the serving layer extends that to the
-// socket: while one request sits in a persist stall, the other inflight
-// requests of the same connection (and every other connection) keep
-// moving.
+// Responders hand their frames to the connection's wire.Writer, whose
+// goroutine coalesces everything queued behind the in-flight write, so a
+// pipeline of responses shares one syscall. The paper's core claim is that
+// slow NVM persists should never block unrelated work; the serving layer
+// extends that to the socket: while one request sits in a persist stall, the
+// other inflight requests of the same connection (and every other
+// connection) keep moving.
 //
 // Backpressure is explicit and bounded everywhere: the per-connection
 // semaphore stalls the reader (TCP pushes back on the client), as does a
@@ -49,7 +49,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -353,7 +352,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 		s.mu.Lock()
 		for cn := range s.conns {
-			cn.abort()
+			cn.w.Kill()
 		}
 		s.mu.Unlock()
 		<-done
@@ -525,34 +524,14 @@ func b2u(b bool) uint64 {
 type conn struct {
 	s   *Server
 	c   net.Conn
+	w   *wire.Writer  // the connection's coalescing writer; it closes c
 	sem chan struct{} // per-connection inflight tokens
 
-	deadF  atomic.Bool // fatal write error or abort: drop further writes
 	drainF atomic.Bool // stop reading new frames
 
 	// out collects the reader's own responses (PING, GET, rejections) until
 	// flush hands them to the writer; only the reader touches it.
 	out []byte
-
-	// Responders append encoded frames to wBuf and nudge the connection's
-	// writer goroutine, which swaps the buffer out and writes it with one
-	// syscall. At pipelined rates the syscall is the expensive part of a
-	// response, and acks arriving from several batch committers while one
-	// write is in flight coalesce into the next — so the syscall count
-	// scales with write bursts, not with responses. See client.Client for
-	// the matching request-side scheme. wArmed (writer-only) throttles
-	// SetWriteDeadline to once per WriteTimeout/4: a timer-heap update per
-	// write is measurable and WriteTimeout needs no precision.
-	// backlog counts the bytes send has taken that have not reached the
-	// socket yet; the reader waits on rWake while it exceeds maxBacklog.
-	wMu     sync.Mutex
-	wBuf    []byte
-	wSig    chan struct{} // cap 1: "wBuf is non-empty"
-	wStop   chan struct{} // closed by run after the last responder finishes
-	wDone   chan struct{} // closed by writeLoop after its final drain
-	wArmed  time.Time
-	backlog atomic.Int64
-	rWake   chan struct{} // cap 1: "re-check what awaitWriter waits for"
 
 	// Replication ship stream (repl.go): non-nil sub marks this as a
 	// replica connection; shipSeq numbers the unsolicited record frames and
@@ -570,141 +549,30 @@ type conn struct {
 
 func newConn(s *Server, c net.Conn) *conn {
 	return &conn{
-		s:     s,
-		c:     c,
-		sem:   make(chan struct{}, s.cfg.MaxInflight),
-		wSig:  make(chan struct{}, 1),
-		rWake: make(chan struct{}, 1),
-		wStop: make(chan struct{}),
-		wDone: make(chan struct{}),
-		done:  make(chan struct{}),
+		s:    s,
+		c:    c,
+		w:    wire.NewWriter(c, s.cfg.WriteTimeout, nil),
+		sem:  make(chan struct{}, s.cfg.MaxInflight),
+		done: make(chan struct{}),
 	}
 }
 
 // beginDrain makes the reader stop at the next frame boundary: the flag
 // flips first, then the read deadline is yanked so a reader blocked in
-// ReadFrame wakes immediately, and one parked in awaitWriter is woken.
+// ReadFrame wakes immediately, and one parked on the writer's backlog is
+// woken.
 func (cn *conn) beginDrain() {
 	cn.drainF.Store(true)
 	cn.c.SetReadDeadline(time.Now())
-	cn.wakeReader()
-}
-
-// abort tears the connection down without waiting (Shutdown past its
-// deadline, or a failed or timed-out response write).
-func (cn *conn) abort() {
-	cn.deadF.Store(true)
-	cn.c.Close()
-	cn.wakeReader()
+	cn.w.Wake()
 }
 
 // maxBacklog is how many response bytes a connection may hold unwritten
 // before its reader stops decoding requests: a client that sends and does not
 // read stalls in TCP, not in server memory. One maximal response always fits.
+// Committers never wait: what they can add is bounded by the requests the
+// reader has let in.
 const maxBacklog = wire.MaxFrame
-
-// awaitWriter parks the reader while the unwritten backlog exceeds
-// maxBacklog. The writer's progress, a dead connection and a drain end the
-// wait; each sets its state before its wake-up and rWake holds one, so none
-// is lost. Committers never wait: what they can add is bounded by the
-// requests the reader has let in.
-func (cn *conn) awaitWriter() {
-	for cn.backlog.Load() > maxBacklog && !cn.deadF.Load() && !cn.drainF.Load() {
-		<-cn.rWake
-	}
-}
-
-func (cn *conn) wakeReader() {
-	select {
-	case cn.rWake <- struct{}{}:
-	default:
-	}
-}
-
-// send queues one response frame for the connection's writer goroutine.
-// On a dead connection (write error or abort) frames are dropped; the
-// client sees the closed socket.
-func (cn *conn) send(frame []byte) {
-	if cn.deadF.Load() {
-		return
-	}
-	cn.backlog.Add(int64(len(frame)))
-	cn.wMu.Lock()
-	cn.wBuf = append(cn.wBuf, frame...)
-	cn.wMu.Unlock()
-	select {
-	case cn.wSig <- struct{}{}:
-	default:
-	}
-}
-
-// writeLoop is the connection's writer: each wakeup swaps the accumulated
-// frame buffer out under the lock and writes it with one syscall, so every
-// response queued while the previous write was in flight rides the next
-// one. After wStop it drains whatever the (already finished) responders
-// left and exits; run waits on wDone before closing the socket, which is
-// what makes a sent response mean a durable, flushed-to-socket ack even
-// through a graceful drain.
-// writerIdleYields is how many scheduler yields the writer goroutine makes
-// with an empty buffer before parking on its signal channel. See writeLoop.
-const writerIdleYields = 4
-
-func (cn *conn) writeLoop() {
-	defer close(cn.wDone)
-	var spare []byte
-	for {
-		stopping := false
-		select {
-		case <-cn.wSig:
-			// One yield before swapping: a channel wakeup schedules this
-			// writer ahead of the rest of the just-woken burst (the
-			// runnext slot), which would mean one tiny write per response.
-			// Yielding lets the other responders of the burst append their
-			// frames first, so the swap takes the whole burst in one write.
-			runtime.Gosched()
-		case <-cn.wStop:
-			stopping = true
-		}
-		idle := 0
-		for {
-			cn.wMu.Lock()
-			buf := cn.wBuf
-			cn.wBuf = spare[:0]
-			cn.wMu.Unlock()
-			if len(buf) == 0 {
-				// Before parking, yield a few beats with the buffer empty:
-				// at saturation the responders refill it within a
-				// scheduler pass or two, and picking the frames up here
-				// coalesces several responses per write syscall. When the
-				// connection is idle the yields return immediately and the
-				// writer parks on wSig as before.
-				spare = buf
-				if stopping || idle >= writerIdleYields {
-					break
-				}
-				idle++
-				runtime.Gosched()
-				continue
-			}
-			idle = 0
-			if now := time.Now(); now.Sub(cn.wArmed) > cn.s.cfg.WriteTimeout/4 {
-				cn.c.SetWriteDeadline(now.Add(cn.s.cfg.WriteTimeout))
-				cn.wArmed = now
-			}
-			_, err := cn.c.Write(buf)
-			spare = buf[:0]
-			if err != nil {
-				cn.abort()
-				return
-			}
-			cn.backlog.Add(-int64(len(buf)))
-			cn.wakeReader()
-		}
-		if stopping {
-			return
-		}
-	}
-}
 
 // respond encodes the responses back-to-back, sends them as one write burst
 // (usually one syscall), then releases each request's tokens. It completes
@@ -719,7 +587,7 @@ func (cn *conn) respond(rs ...wire.Response) {
 	for _, r := range rs {
 		frame = appendResponse(frame, r)
 	}
-	cn.send(frame)
+	cn.w.Send(frame)
 	*fp = frame
 	framePool.Put(fp)
 	cn.s.globalInflight.Add(-int64(len(rs)))
@@ -742,9 +610,9 @@ func appendResponse(dst []byte, r wire.Response) []byte {
 }
 
 // framePool recycles response-frame buffers (as *[]byte, so a round trip
-// through the pool allocates nothing): send copies the frame into the
-// connection's write buffer before returning, so the buffer is dead by the
-// time send comes back.
+// through the pool allocates nothing): Send copies the frame into the
+// writer's buffer before returning, so the buffer is dead by the time Send
+// comes back.
 var framePool sync.Pool
 
 // payloadPool recycles request-payload buffers, as *[]byte like framePool. A
@@ -773,22 +641,20 @@ func putPayload(box *[]byte, payload []byte) {
 func (cn *conn) run() {
 	defer cn.s.unregister(cn)
 	defer close(cn.done)
-	go cn.writeLoop()
 	cn.readLoop()
 
 	// No new requests past this point. Wait for the committers to answer
 	// this connection's queued writes, stop the ship stream if this was a
 	// replica connection (its queued record frames still drain through the
-	// writer below), then stop the writer — it drains every queued frame
-	// before wDone — and close the socket.
+	// writer below), then close the writer: it writes every queued frame,
+	// which is what makes a sent response a flushed-to-socket ack even
+	// through a graceful drain, and then closes the socket.
 	cn.inflight.Wait()
 	if sub := cn.sub.Load(); sub != nil {
 		sub.Stop()
 		<-sub.Done()
 	}
-	close(cn.wStop)
-	<-cn.wDone
-	cn.c.Close()
+	cn.w.Close()
 }
 
 // readBatchBytes is the reader's buffer size, and the most responses it
@@ -806,8 +672,7 @@ func (cn *conn) readLoop() {
 		if len(cn.out) >= readBatchBytes || !frameBuffered(br) {
 			cn.flush()
 		}
-		cn.awaitWriter()
-		if cn.drainF.Load() || cn.deadF.Load() {
+		if !cn.w.AwaitBacklog(maxBacklog, &cn.drainF) || cn.drainF.Load() {
 			return
 		}
 		// Re-arm the idle deadline at most every IdleTimeout/4: a
@@ -863,7 +728,7 @@ func frameBuffered(br *bufio.Reader) bool {
 // flush hands the reader's collected responses to the writer.
 func (cn *conn) flush() {
 	if len(cn.out) > 0 {
-		cn.send(cn.out)
+		cn.w.Send(cn.out)
 		cn.out = cn.out[:0]
 	}
 }

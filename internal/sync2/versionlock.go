@@ -9,6 +9,7 @@ package sync2
 import (
 	"runtime"
 	"sync/atomic"
+	"time"
 )
 
 const (
@@ -179,6 +180,28 @@ func JitterBackoff(attempt int, state *uint64) {
 			runtime.Gosched()
 		}
 	}
+}
+
+// retryState is the Weyl sequence behind RetryDelay.
+var retryState atomic.Uint64
+
+// RetryDelay is the wall-clock counterpart of JitterBackoff, shared by the
+// network retry loops (client reconnects and overload retries, failover
+// rounds, the replica's reconnects): attempt's delay d doubles from base up
+// to max and is jittered uniformly into [d/2, d], so a fleet of peers that
+// lost one server does not retry in lock step. Each draw mixes the clock into
+// one shared sequence, so processes started together still diverge.
+func RetryDelay(attempt int, base, max time.Duration) time.Duration {
+	d := base
+	for i := 0; i < attempt && d < max; i++ {
+		d *= 2
+	}
+	if d > max {
+		d = max
+	}
+	half := uint64(d) / 2
+	j := splitmix64(retryState.Add(0x9e3779b97f4a7c15) ^ uint64(time.Now().UnixNano()))
+	return time.Duration(half + j%(uint64(d)-half+1))
 }
 
 // splitmix64 finalizes a Weyl-sequence state into a uniform 64-bit value.

@@ -3,6 +3,7 @@ package sync2
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestVersionLockBasics(t *testing.T) {
@@ -161,4 +162,28 @@ func TestSpinLockUnlockPanics(t *testing.T) {
 		}
 	}()
 	s.Unlock()
+}
+
+// TestBackoffJitterBounds: RetryDelay's delay doubles from base to its cap and
+// every draw lands in [d/2, d], spread over that range rather than stuck.
+func TestBackoffJitterBounds(t *testing.T) {
+	const base, ceil = 4 * time.Millisecond, 16 * time.Millisecond
+	for attempt := -1; attempt < 40; attempt++ {
+		d := base
+		for i := 0; i < attempt && d < ceil; i++ {
+			d *= 2
+		}
+		d = min(d, ceil)
+		lo, hi := d, time.Duration(0)
+		for i := 0; i < 200; i++ {
+			got := RetryDelay(attempt, base, ceil)
+			if got < d/2 || got > d {
+				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, got, d/2, d)
+			}
+			lo, hi = min(lo, got), max(hi, got)
+		}
+		if hi-lo < d/4 {
+			t.Errorf("attempt %d: 200 delays within [%v, %v]: not jittered across [%v, %v]", attempt, lo, hi, d/2, d)
+		}
+	}
 }
