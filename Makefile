@@ -49,7 +49,7 @@ test:
 # explorer harness, and the drain scheduler are exercised concurrently;
 # keep them race-clean.
 race:
-	$(GO) test -race -timeout 30m ./kv/... ./internal/core/... ./internal/forest/... ./internal/htm/... ./internal/server/... ./internal/repl/... ./client/... ./internal/pmem/... ./internal/obj/... ./internal/fault/... ./internal/drain/...
+	$(GO) test -race -timeout 30m ./kv/... ./internal/core/... ./internal/forest/... ./internal/htm/... ./internal/server/... ./internal/repl/... ./client/... ./internal/pmem/... ./internal/obj/... ./internal/fault/... ./internal/drain/... ./internal/clock/...
 
 bench-kv:
 	$(GO) run ./cmd/rnbench -exp kvscale
@@ -109,17 +109,17 @@ heapcheck:
 # ones named so a rename drops out loudly: composites cut between their
 # writes, the sweep against live writers, the reap of an object larger than
 # a chunk, the hot path's allocations, every record in its name's partition,
-# the reserved names, a replica's catch-up — then the reap against
-# compaction and kv's chunk reclamation against lock-free readers, twenty
-# times each under the race detector (a race report there is a bug, not a
-# flake), kv's routed keys and locked step, the obj crash-point explorer
+# the reserved names, a replica's catch-up, an out-of-range TTL refused —
+# then the reap against compaction, the expirer's timer reaping on its own
+# and kv's chunk reclamation against lock-free readers, twenty times each
+# under the race detector (a race report there is a bug, not a flake), kv's routed keys and locked step, the obj crash-point explorer
 # (every persist site of the composites and the reap), the server-side
 # verb/failover tests with the typed verbs' write order and connection
 # goroutine count and a reaped key never served from the hot-key cache, and a
 # short fuzz smoke of the object request decoding on the committed seeds.
 objcheck:
-	$(call run-tests,-race,./internal/obj,Test|Orphan|Sweep|ReapLarger|HSetHGetAllocs|CoLocated|ReservedNames|CatchUpObjectPrefix)
-	$(call run-tests,-race -count=20,./internal/obj,ExpirerVsCompaction)
+	$(call run-tests,-race,./internal/obj,Test|Orphan|Sweep|ReapLarger|HSetHGetAllocs|CoLocated|ReservedNames|CatchUpObjectPrefix|ExpireHugeTTL)
+	$(call run-tests,-race -count=20,./internal/obj,ExpirerVsCompaction|ExpirerReapsOnItsOwn)
 	$(call run-tests,-race -count=20,./kv,CompactFreesAfterReaders)
 	$(call run-tests,,./kv,RoutedKeys|UpdateStep|UpdateSerialises)
 	$(call run-tests,,./internal/fault,ExploreObj)

@@ -10,8 +10,7 @@
 //
 //	rnserved [-addr :4410] [-partitions 4] [-arena-mb 512] [-dualslot]
 //	         [-batch-max 64]
-//	         [-cache] [-cache-entries 65536]
-//	         [-obj] [-obj-expire-interval 1s]
+//	         [-cache] [-cache-entries 65536] [-obj]
 //	         [-repl] [-replica-of addr] [-repl-durable-timeout 5s] [-repl-fence-lease 0]
 //	         [-max-conns 256] [-max-inflight 64] [-max-global 1024]
 //	         [-idle-timeout 2m] [-flush-ns 0] [-fence-ns 0]
@@ -51,9 +50,7 @@ type config struct {
 	cache        bool
 	cacheEntries int
 
-	obj            bool
-	objExpireEvery time.Duration
-
+	obj              bool
 	repl             bool
 	replicaOf        string
 	replDurableTmout time.Duration
@@ -83,7 +80,6 @@ func parseFlags(args []string, errw io.Writer) (config, error) {
 	fs.BoolVar(&c.cache, "cache", false, "front GETs with the epoch-validated DRAM hot-key cache")
 	fs.IntVar(&c.cacheEntries, "cache-entries", 65536, "hot-key cache capacity (size to the GET working set; an undersized cache thrashes)")
 	fs.BoolVar(&c.obj, "obj", false, "enable typed objects (HSET/SADD/EXPIRE verb family) on the reserved 0x01 namespace")
-	fs.DurationVar(&c.objExpireEvery, "obj-expire-interval", time.Second, "background TTL expirer cadence (requires -obj; 0 leaves reaping to lazy reads)")
 	fs.BoolVar(&c.repl, "repl", false, "enable replication (serve as primary; replicas may subscribe)")
 	fs.StringVar(&c.replicaOf, "replica-of", "", "run as a replica of the primary at this address (implies -repl)")
 	fs.DurationVar(&c.replDurableTmout, "repl-durable-timeout", 5*time.Second, "max wait for replica durability on a durable PUT")
@@ -193,10 +189,7 @@ func serve(cfg config, w *drain.Watcher, out io.Writer) error {
 	// server wires the replication apply hook itself.
 	var ost *obj.Store
 	if cfg.obj {
-		ost, err = obj.Attach(st, obj.Options{
-			ExpireInterval: cfg.objExpireEvery,
-			ReadOnly:       node != nil && node.Role() == repl.Replica,
-		})
+		ost, err = obj.Attach(st, obj.Options{ReadOnly: node != nil && node.Role() == repl.Replica})
 		if err != nil {
 			return fmt.Errorf("obj: %w", err)
 		}
@@ -273,8 +266,8 @@ func serve(cfg config, w *drain.Watcher, out io.Writer) error {
 		node.Close()
 	}
 	if ost != nil {
-		// Stop the background expirer before checkpointing so no reap
-		// commits race the quiesced image.
+		// Stop the expirer's timer before checkpointing so no reap commits
+		// race the quiesced image.
 		ost.Close()
 	}
 

@@ -24,19 +24,19 @@ func TestParseFlags(t *testing.T) {
 	if !c.cache || c.cacheEntries != 1024 {
 		t.Fatalf("cache flags not parsed: %+v", c)
 	}
-	// The two flags that selected the deleted write routes and the deleted
-	// cache admission flag are gone (spelled in halves so a grep for them
-	// finds nothing live).
-	for _, gone := range []string{"-no-such-flag", "-batch", "-batch" + "-delay=200us", "-cache" + "-two-touch"} {
+	// The two flags that selected the deleted write routes, the deleted
+	// cache admission flag and the expirer's deleted cadence flag are gone
+	// (spelled in halves so a grep for them finds nothing live).
+	for _, gone := range []string{"-no-such-flag", "-batch", "-batch" + "-delay=200us", "-cache" + "-two-touch", "-obj" + "-expire-interval=1s"} {
 		if _, err := parseFlags([]string{gone}, io.Discard); err == nil {
 			t.Fatalf("flag %s accepted", gone)
 		}
 	}
-	c, err = parseFlags([]string{"-obj", "-obj-expire-interval", "250ms"}, io.Discard)
+	c, err = parseFlags([]string{"-obj"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.obj || c.objExpireEvery != 250*time.Millisecond {
+	if !c.obj {
 		t.Fatalf("obj flags not parsed: %+v", c)
 	}
 	if c.debugAddr != "" {
@@ -59,7 +59,6 @@ func TestParseFlagsRejectsNegatives(t *testing.T) {
 		{"cache-entries", "-1"},
 		{"repl-durable-timeout", "-1s"},
 		{"repl-fence-lease", "-1ms"},
-		{"obj-expire-interval", "-1s"},
 		{"idle-timeout", "-1m"},
 		{"drain-timeout", "-1s"},
 	} {
@@ -89,7 +88,7 @@ func TestParseFlagsRejectsNegatives(t *testing.T) {
 // TestServeObjVerbs starts the binary path with -obj and drives a typed
 // object plus a TTL through the wire, then takes the clean shutdown path.
 func TestServeObjVerbs(t *testing.T) {
-	cfg, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-arena-mb", "64", "-partitions", "2", "-obj", "-obj-expire-interval", "50ms"}, io.Discard)
+	cfg, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-arena-mb", "64", "-partitions", "2", "-obj"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

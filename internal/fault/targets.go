@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"time"
 
+	"rntree/internal/clock"
 	"rntree/internal/core"
 	"rntree/internal/forest"
 	"rntree/internal/obj"
@@ -722,13 +724,13 @@ func KVReopenWorkload() []Op {
 type ObjTarget struct {
 	store *kv.Store
 	o     *obj.Store
-	clock int64
+	clock *clock.Fake
 }
 
 func (t *ObjTarget) Name() string { return "obj" }
 
-func objKVOpts() kv.Options {
-	return kv.Options{ArenaSize: 4 << 20, ChunkSize: 1024}
+func objKVOpts(clk clock.Clock) kv.Options {
+	return kv.Options{ArenaSize: 4 << 20, ChunkSize: 1024, Clock: clk}
 }
 
 // The op encoding: OpInsert is HSET on hash o<K/4> field f<K%4>; OpUpdate
@@ -736,8 +738,8 @@ func objKVOpts() kv.Options {
 const (
 	objDelHashField = 0 // HDel one field
 	objDelSetMember = 1 // SRem one member
-	objReapHash     = 2 // expire + tick-reap the hash
-	objReapSet      = 3 // expire + tick-reap the set
+	objReapHash     = 2 // expire the hash, advance the clock past it: the expirer reaps
+	objReapSet      = 3 // expire the set, advance the clock past it: the expirer reaps
 )
 
 func objHash(k uint64) string { return fmt.Sprintf("o%d", k>>2) }
@@ -746,13 +748,13 @@ func objElem(k uint64) string { return fmt.Sprintf("f%d", k&3) }
 func objVal(v uint64) string  { return fmt.Sprintf("v%d", v) }
 
 func (t *ObjTarget) Reset() ([]*pmem.Arena, Model, error) {
-	s, err := kv.New(objKVOpts())
+	t.clock = clock.NewFake(time.UnixMilli(1_000))
+	s, err := kv.New(objKVOpts(t.clock))
 	if err != nil {
 		return nil, nil, err
 	}
 	t.store = s
-	t.clock = 1_000
-	o, err := obj.Attach(s, obj.Options{Clock: func() int64 { return t.clock }})
+	o, err := obj.Attach(s, obj.Options{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -780,8 +782,9 @@ func (t *ObjTarget) Apply(op Op) error {
 			if err := t.o.Expire([]byte(name), 10); err != nil {
 				return err
 			}
-			t.clock += 20
-			if n := t.o.ExpireTick(); n != 1 {
+			reaps := t.o.Stats().Reaps
+			t.clock.Advance(20 * time.Millisecond)
+			if n := t.o.Stats().Reaps - reaps; n != 1 {
 				return fmt.Errorf("obj target: reap of %s reaped %d, want 1", name, n)
 			}
 			return nil
@@ -829,12 +832,11 @@ func (t *ObjTarget) ApplyModel(m Model, op Op) {
 // (a set is its header) or under a name with no header, and a record of a
 // kind nothing writes.
 func (t *ObjTarget) Recover(imgs [][]uint64) (Model, error) {
-	s, err := kv.Open(imgs, objKVOpts())
+	s, err := kv.Open(imgs, objKVOpts(clock.NewFake(t.clock.Now())))
 	if err != nil {
 		return nil, err
 	}
-	clock := t.clock
-	o, err := obj.Attach(s, obj.Options{Clock: func() int64 { return clock }})
+	o, err := obj.Attach(s, obj.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -8,28 +8,53 @@ import (
 	"rntree/kv"
 )
 
-// Background expirer (DESIGN.md §15.3). The DRAM index is a deadline map
-// plus a min-heap; each tick pops every due entry and reaps it: one step
-// that deletes the name's records, of any number, and the expiry record
-// last. The name is masked from the deadline on and stays masked until that
-// last delete publishes, so a reap cut short anywhere — crash, full heap —
-// shows nothing and is simply run again; an expired key can never resurrect,
-// and the heap space of its records is freed exactly once (by kv's
-// compaction of the delete tombstones, not by this layer). Replicas never
-// reap: the primary's reap ships as ordinary deletes on the LSN stream.
+// Expirer (DESIGN.md §15.3). The DRAM index is a deadline map plus a
+// min-heap, and one clock timer is pending for the heap head's deadline;
+// when it fires, the tick pops every due entry and reaps it: one step that
+// deletes the name's records, of any number, and the expiry record last.
+// The name is masked from the deadline on and stays masked until that last
+// delete publishes, so a reap cut short anywhere — crash, full heap — shows
+// nothing and is simply run again; an expired key can never resurrect, and
+// the heap space of its records is freed exactly once (by kv's compaction of
+// the delete tombstones, not by this layer). Replicas never reap: the
+// primary's reap ships as ordinary deletes on the LSN stream.
 
-// expireLoop drives ExpireTick at the configured cadence until Close.
-func (o *Store) expireLoop(interval time.Duration) {
-	defer o.done.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-o.stopc:
-			return
-		case <-t.C:
-			o.ExpireTick()
-		}
+// reapRetry is how long a reap that failed (a full heap) waits to run again.
+const reapRetry = time.Second
+
+// armLocked re-arms the timer for deadline d (ms) unless the layer does not
+// reap: closed, or a replica. Caller holds mu.
+func (o *Store) armLocked(d int64) {
+	if !o.closed && o.active.Load() {
+		o.timer.Reset(time.UnixMilli(d).Sub(o.st.Clock().Now()))
+	}
+}
+
+// pushLocked adds e to the heap, arming the timer if e is its head. Caller
+// holds mu.
+func (o *Store) pushLocked(e expEntry) {
+	if len(o.heap) == 0 || e.deadline < o.heap[0].deadline {
+		o.armLocked(e.deadline)
+	}
+	heap.Push(&o.heap, e)
+}
+
+// armHead arms the timer for the heap head, if there is one.
+func (o *Store) armHead() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if len(o.heap) > 0 {
+		o.armLocked(o.heap[0].deadline)
+	}
+}
+
+// fire is the timer's callback: a tick, then the timer armed for the head.
+func (o *Store) fire() {
+	o.reapMu.Lock()
+	defer o.reapMu.Unlock()
+	if !o.closed {
+		o.ExpireTick()
+		o.armHead()
 	}
 }
 
@@ -42,15 +67,15 @@ func (o *Store) ExpireTick() int {
 	}
 	reaped := 0
 	for {
-		now := o.opts.Clock()
+		now := o.now()
 		o.mu.Lock()
 		if len(o.heap) == 0 || o.heap[0].deadline > now {
 			o.mu.Unlock()
 			return reaped
 		}
 		e := heap.Pop(&o.heap).(expEntry)
-		if d, ok := o.exp[e.name]; !ok || d != e.deadline {
-			// Stale heap entry: the TTL was overwritten or removed after
+		if d, ok := o.exp[e.name]; !ok || d > now {
+			// Stale heap entry: the TTL was removed, or moved later, after
 			// this entry was pushed. The live deadline has its own entry.
 			o.mu.Unlock()
 			continue
@@ -58,13 +83,13 @@ func (o *Store) ExpireTick() int {
 		o.mu.Unlock()
 		did, err := o.write([]byte(e.name), func(*kv.Tx, bool) error { return nil })
 		if err != nil {
-			// Leave the deadline in the map: the key stays masked and the
-			// next tick retries (the heap entry is gone, so re-arm it).
-			o.mu.Lock()
-			if d, ok := o.exp[e.name]; ok && d == e.deadline {
-				heap.Push(&o.heap, e)
+			// The deadline stays in the map, so the key stays masked; a
+			// retry entry runs the reap again (a closed store never will).
+			if err != kv.ErrClosed {
+				o.mu.Lock()
+				o.pushLocked(expEntry{now + reapRetry.Milliseconds(), e.name})
+				o.mu.Unlock()
 			}
-			o.mu.Unlock()
 			return reaped
 		}
 		if did {
@@ -83,7 +108,7 @@ func (o *Store) ExpireTick() int {
 // which is what makes Reaps count each name once. Compaction never deletes
 // live records, so a partition compacting mid-reap only ever relocates them.
 func (o *Store) reapRecords(tx *kv.Tx, name []byte) (bool, error) {
-	if d, ok := o.deadline(name); !ok || o.opts.Clock() < d || !o.active.Load() {
+	if d, ok := o.deadline(name); !ok || o.now() < d || !o.active.Load() {
 		return false, nil
 	}
 	ev, err := o.st.Get(expiryKey(name))
@@ -91,7 +116,7 @@ func (o *Store) reapRecords(tx *kv.Tx, name []byte) (bool, error) {
 		o.clearDeadline(name) // a deadline whose record is gone
 		return false, nil
 	}
-	if len(ev) == 8 && o.opts.Clock() < int64(binary.LittleEndian.Uint64(ev)) {
+	if len(ev) == 8 && o.now() < int64(binary.LittleEndian.Uint64(ev)) {
 		return false, nil // re-armed with a later deadline
 	}
 	hk := headerKey(name)

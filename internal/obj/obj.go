@@ -39,7 +39,6 @@
 package obj
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -47,6 +46,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rntree/internal/clock"
 	"rntree/kv"
 )
 
@@ -76,9 +76,15 @@ var (
 	// ErrReserved is returned for a name inside the reserved object
 	// namespace, by every typed verb.
 	ErrReserved = errors.New("obj: key is in the reserved object namespace")
+	// ErrBadTTL rejects an EXPIRE whose deadline would pass maxDeadline.
+	ErrBadTTL = errors.New("obj: TTL deadline out of range")
 )
 
 const maxName = 1<<16 - 1
+
+// maxDeadline is the latest TTL deadline in ms: the last that fits as ns
+// since the Unix epoch, so a timer's Duration can reach it.
+const maxDeadline = (1<<63 - 1) / 1_000_000
 
 // IsInternalKey reports whether k lives in the reserved object namespace and
 // must be hidden from flat-key reads and scans.
@@ -113,12 +119,6 @@ func fieldKey(name, field []byte) []byte { return objKey(name, tagField, field) 
 
 // Options configures an object layer attached to a kv store.
 type Options struct {
-	// Clock returns the current time in milliseconds. Nil means wall clock.
-	// Injected by tests and the fault explorer for determinism.
-	Clock func() int64
-	// ExpireInterval is the background expirer cadence; 0 disables the
-	// goroutine (ticks can still be driven manually via ExpireTick).
-	ExpireInterval time.Duration
 	// ReadOnly attaches in replica mode: expired keys are masked on read
 	// but never reaped, and unlisted records are left alone (the primary's
 	// stream supplies their header). Activate flips the layer to primary
@@ -140,28 +140,31 @@ type Stats struct {
 // every write of a name runs under the lock of the name's kv partition.
 //
 // The expiry index's mu nests inside that lock (a step reads and updates the
-// index), never the other way round:
+// index), never the other way round; the expirer holds reapMu across steps:
 //
-//rnvet:lockorder kv.kvPart.mu<obj.Store.mu
+//rnvet:lockorder obj.Store.reapMu<kv.kvPart.mu<obj.Store.mu
 type Store struct {
-	st   *kv.Store
-	opts Options
+	st *kv.Store // its clock's ms since the Unix epoch are a deadline's unit
 
 	active atomic.Bool // primary mode: may mutate (reap, sweep)
 
 	// mu guards the DRAM expiry index: deadline per name plus a min-heap
 	// the expirer pops. Heap entries go stale when a TTL is overwritten or
-	// removed; pops validate against the map.
-	mu   sync.RWMutex
-	exp  map[string]int64
-	heap expHeap
+	// removed; pops validate against the map. timer is pending for the
+	// head's deadline, or firing.
+	mu    sync.RWMutex
+	exp   map[string]int64
+	heap  expHeap
+	timer clock.Timer
+
+	// reapMu orders the timer's reaps before Close. closed is set under
+	// reapMu and mu, so either guards a read.
+	reapMu sync.Mutex
+	closed bool
 
 	reaps         atomic.Uint64
 	lazyExpiries  atomic.Uint64
 	intentsUndone atomic.Uint64
-
-	stopc chan struct{}
-	done  sync.WaitGroup
 }
 
 type expEntry struct {
@@ -176,54 +179,42 @@ func (h expHeap) Less(i, j int) bool { return h[i].deadline < h[j].deadline }
 func (h expHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *expHeap) Push(x any)        { *h = append(*h, x.(expEntry)) }
 func (h *expHeap) Pop() any {
-	old := *h
-	e := old[len(old)-1]
-	*h = old[:len(old)-1]
+	e := (*h)[len(*h)-1]
+	*h = (*h)[:len(*h)-1]
 	return e
 }
 
 // Attach layers a typed-object store over st: rebuilds the DRAM expiry
-// index from persisted expiry records, sweeps the records no header lists
-// (primary mode only — on a replica the stream may still deliver their
-// header), and starts the background expirer if an interval is configured.
+// index from persisted expiry records, then, in primary mode only, sweeps the
+// records no header lists (on a replica the stream may still deliver their
+// header) and arms the expirer.
 func Attach(st *kv.Store, opts Options) (*Store, error) {
-	if opts.Clock == nil {
-		opts.Clock = func() int64 { return time.Now().UnixMilli() }
-	}
-	o := &Store{
-		st:    st,
-		opts:  opts,
-		exp:   make(map[string]int64),
-		stopc: make(chan struct{}),
-	}
-	o.active.Store(!opts.ReadOnly)
-
-	im := o.scan(o.active.Load())
+	o := &Store{st: st, exp: make(map[string]int64)}
+	o.timer = st.Clock().AfterFunc(time.Hour, o.fire)
+	o.timer.Stop()
+	im := o.scan(!opts.ReadOnly)
 	for name, d := range im.expiry {
-		o.exp[name] = d
-		o.heap = append(o.heap, expEntry{d, name})
+		o.setDeadline([]byte(name), d) // arms nothing: the layer is not active yet
 	}
-	heap.Init(&o.heap)
-	if o.active.Load() {
+	if !opts.ReadOnly {
 		if err := o.sweep(im); err != nil {
 			return nil, err
 		}
-	}
-	if opts.ExpireInterval > 0 {
-		o.done.Add(1)
-		go o.expireLoop(opts.ExpireInterval)
+		o.active.Store(true)
+		o.armHead()
 	}
 	return o, nil
 }
 
-// Close stops the background expirer. The underlying kv store is not closed.
+// Close stops the expirer once its running reap, if any, ends. The
+// underlying kv store is not closed.
 func (o *Store) Close() {
-	select {
-	case <-o.stopc:
-	default:
-		close(o.stopc)
-	}
-	o.done.Wait()
+	o.reapMu.Lock()
+	o.mu.Lock()
+	o.closed = true
+	o.timer.Stop()
+	o.mu.Unlock()
+	o.reapMu.Unlock()
 }
 
 // Activate flips a replica-attached layer into primary mode after a
@@ -235,6 +226,7 @@ func (o *Store) Activate() error {
 		return err
 	}
 	o.active.Store(true)
+	o.armHead()
 	return nil
 }
 
@@ -366,27 +358,24 @@ func (o *Store) deadline(name []byte) (int64, bool) {
 	return d, ok
 }
 
-// alive reports whether name is unexpired right now. Expired names are
-// masked immediately (lazy expiry) and, in primary mode, reaped in the
-// background by the next expirer tick — reads never block on the reap.
-func (o *Store) alive(name []byte) bool {
+// Expired reports whether name's TTL has passed: it is masked at once (a
+// lazy expiry) until the expirer reaps it. The server asks on the flat GET
+// path before its hot-key cache, so such a key is never served from DRAM.
+func (o *Store) Expired(name []byte) bool {
 	d, ok := o.deadline(name)
-	if !ok || o.opts.Clock() < d {
-		return true
+	if !ok || o.now() < d {
+		return false
 	}
 	o.lazyExpiries.Add(1)
-	return false
+	return true
 }
 
-// Expired reports whether key has a TTL that has already passed. The server
-// consults this on the flat GET path before its hot-key cache, so an
-// expired-but-unreaped key is never served from DRAM.
-func (o *Store) Expired(key []byte) bool { return !o.alive(key) }
+func (o *Store) now() int64 { return o.st.Clock().Now().UnixMilli() }
 
 func (o *Store) setDeadline(name []byte, d int64) {
 	o.mu.Lock()
 	o.exp[string(name)] = d
-	heap.Push(&o.heap, expEntry{d, string(name)})
+	o.pushLocked(expEntry{d, string(name)})
 	o.mu.Unlock()
 }
 

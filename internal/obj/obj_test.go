@@ -2,34 +2,37 @@ package obj
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"rntree/internal/clock"
 	"rntree/internal/race"
 	"rntree/kv"
 )
 
-// fakeClock is a settable millisecond clock shared by a test's layers.
-type fakeClock struct{ now atomic.Int64 }
+// newClock is a test's fake clock, reading the Unix epoch until advanced.
+func newClock() *clock.Fake { return clock.NewFake(time.UnixMilli(0)) }
 
-func (c *fakeClock) fn() func() int64 { return c.now.Load }
-func (c *fakeClock) advance(ms int64) { c.now.Add(ms) }
+// fakeOf returns st's clock, which a test built as a fake.
+func fakeOf(st *kv.Store) *clock.Fake { return st.Clock().(*clock.Fake) }
 
 func newKV(t testing.TB) *kv.Store {
 	t.Helper()
-	st, err := kv.New(kv.Options{ArenaSize: 16 << 20, ChunkSize: 1 << 14})
+	st, err := kv.New(kv.Options{ArenaSize: 16 << 20, ChunkSize: 1 << 14, Clock: newClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
-func attach(t testing.TB, st *kv.Store, clk *fakeClock) *Store {
+func attach(t testing.TB, st *kv.Store) *Store {
 	t.Helper()
-	o, err := Attach(st, Options{Clock: clk.fn()})
+	o, err := Attach(st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +83,7 @@ func unlisted(st *kv.Store) []string {
 func TestHSetPersistCount(t *testing.T) {
 	persists := func(st *kv.Store) uint64 { return st.Stats().Persists }
 	st, twin := newKV(t), newKV(t)
-	o := attach(t, st, &fakeClock{})
+	o := attach(t, st)
 	name, field := []byte("user:1"), []byte("name")
 	fk, hk := fieldKey(name, field), headerKey(name)
 	hv := withElem(nil, TypeHash, field)
@@ -125,7 +128,7 @@ func TestHSetHGetAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	o := attach(t, newKV(t), &fakeClock{})
+	o := attach(t, newKV(t))
 	name, field, val := []byte("user:1"), []byte("f3"), []byte("value")
 	for i := 0; i < 8; i++ {
 		hset(t, o, "user:1", fmt.Sprintf("f%d", i), "v")
@@ -157,11 +160,11 @@ func TestHSetHGetAllocs(t *testing.T) {
 // TestObjectCoLocated: every record of an object — header, fields, expiry —
 // and the flat key of its name live in one partition, PartitionOf(name).
 func TestObjectCoLocated(t *testing.T) {
-	st, err := kv.New(kv.Options{ArenaSize: 32 << 20, ChunkSize: 1 << 14, Partitions: 8})
+	st, err := kv.New(kv.Options{ArenaSize: 32 << 20, ChunkSize: 1 << 14, Partitions: 8, Clock: newClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := attach(t, st, &fakeClock{})
+	o := attach(t, st)
 	for n := 0; n < 32; n++ {
 		name := fmt.Sprintf("obj:%d", n)
 		for f := 0; f < 3; f++ {
@@ -203,12 +206,12 @@ func TestObjectCoLocated(t *testing.T) {
 // cut between the two shows the header ahead of the field. That field is the
 // only one a cut may miss, and catch-up still converges.
 func TestReplicaCatchUpObjectPrefix(t *testing.T) {
-	opts := kv.Options{ArenaSize: 16 << 20, ChunkSize: 1 << 14, Partitions: 4}
+	opts := kv.Options{ArenaSize: 16 << 20, ChunkSize: 1 << 14, Partitions: 4, Clock: newClock()}
 	pst, err := kv.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pobj := attach(t, pst, &fakeClock{})
+	pobj := attach(t, pst)
 	var names [][]byte
 	for n := 0; n < 8; n++ {
 		name := fmt.Sprintf("obj:%d", n)
@@ -289,7 +292,7 @@ func TestReplicaCatchUpObjectPrefix(t *testing.T) {
 // that record (TTL of it read -1, the object's own answer).
 func TestReservedNames(t *testing.T) {
 	st := newKV(t)
-	o := attach(t, st, &fakeClock{})
+	o := attach(t, st)
 	hset(t, o, "foo", "f", "v")
 	reserved := headerKey([]byte("foo"))
 	for _, c := range []struct {
@@ -321,7 +324,7 @@ func TestReservedNames(t *testing.T) {
 
 func TestHashOps(t *testing.T) {
 	st := newKV(t)
-	o := attach(t, st, &fakeClock{})
+	o := attach(t, st)
 
 	if err := o.HSet([]byte("user:1"), []byte("name"), []byte("ada")); err != nil {
 		t.Fatal(err)
@@ -371,7 +374,7 @@ func TestHashOps(t *testing.T) {
 
 func TestSetOps(t *testing.T) {
 	st := newKV(t)
-	o := attach(t, st, &fakeClock{})
+	o := attach(t, st)
 
 	for _, m := range []string{"a", "b", "c", "b"} { // dup add is a no-op
 		if err := o.SAdd([]byte("tags"), []byte(m)); err != nil {
@@ -413,8 +416,8 @@ func TestSetOps(t *testing.T) {
 
 func TestExpireTTLPersist(t *testing.T) {
 	st := newKV(t)
-	clk := &fakeClock{}
-	o := attach(t, st, clk)
+	clk := fakeOf(st)
+	o := attach(t, st)
 
 	if err := st.Put([]byte("flat"), []byte("v")); err != nil {
 		t.Fatal(err)
@@ -428,7 +431,7 @@ func TestExpireTTLPersist(t *testing.T) {
 	if err := o.Expire([]byte("flat"), 500); err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(100)
+	clk.Advance(100 * time.Millisecond)
 	if ttl, err := o.TTL([]byte("flat")); err != nil || ttl != 400 {
 		t.Fatalf("TTL = %d, %v", ttl, err)
 	}
@@ -438,19 +441,21 @@ func TestExpireTTLPersist(t *testing.T) {
 	if ttl, err := o.TTL([]byte("flat")); err != nil || ttl != -1 {
 		t.Fatalf("TTL after Persist = %d, %v", ttl, err)
 	}
-	clk.advance(1000)
+	clk.Advance(1000 * time.Millisecond)
 	if o.Expired([]byte("flat")) {
 		t.Fatal("persisted key expired anyway")
 	}
 
-	// Expire an object, let it lapse: reads mask it immediately.
+	// Expire an object, let it lapse unreaped (Close stops the expirer):
+	// reads mask it immediately.
 	if err := o.HSet([]byte("sess"), []byte("tok"), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.Expire([]byte("sess"), 50); err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(51)
+	o.Close()
+	clk.Advance(51 * time.Millisecond)
 	if _, err := o.HGet([]byte("sess"), []byte("tok")); err != kv.ErrNotFound {
 		t.Fatalf("expired HGet: %v", err)
 	}
@@ -474,8 +479,8 @@ func TestExpireTTLPersist(t *testing.T) {
 
 func TestExpireTickReaps(t *testing.T) {
 	st := newKV(t)
-	clk := &fakeClock{}
-	o := attach(t, st, clk)
+	clk := fakeOf(st)
+	o := attach(t, st)
 
 	if err := st.Put([]byte("flat"), []byte("v")); err != nil {
 		t.Fatal(err)
@@ -494,7 +499,8 @@ func TestExpireTickReaps(t *testing.T) {
 	if n := o.ExpireTick(); n != 0 {
 		t.Fatalf("premature reap of %d keys", n)
 	}
-	clk.advance(100)
+	o.Close() // the expirer's timer would reap on the advance: tick by hand
+	clk.Advance(100 * time.Millisecond)
 	// A cached flat key must not outlive its reap.
 	st.SetCache(kv.CacheConfig{Enable: true})
 	if _, err := st.Get([]byte("flat")); err != nil {
@@ -523,11 +529,11 @@ func TestExpireTickReaps(t *testing.T) {
 // written first was never listed, so nothing changed for any reader, and the
 // failed HSET takes it back.
 func TestOversizedCompositeFailsClean(t *testing.T) {
-	st, err := kv.New(kv.Options{ArenaSize: 16 << 20, ChunkSize: 512})
+	st, err := kv.New(kv.Options{ArenaSize: 16 << 20, ChunkSize: 512, Clock: newClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := Attach(st, Options{Clock: (&fakeClock{}).fn()})
+	o, err := Attach(st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,8 +583,8 @@ func TestOversizedCompositeFailsClean(t *testing.T) {
 // record is durable, so recovery rebuilds the mask before any read.
 func TestExpiredKeyNeverResurrects(t *testing.T) {
 	st := newKV(t)
-	clk := &fakeClock{}
-	o := attach(t, st, clk)
+	clk := fakeOf(st)
+	o := attach(t, st)
 
 	if err := st.Put([]byte("ghost"), []byte("boo")); err != nil {
 		t.Fatal(err)
@@ -592,14 +598,16 @@ func TestExpiredKeyNeverResurrects(t *testing.T) {
 	if err := o.Expire([]byte("gobj"), 10); err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(1000) // lapsed, NOT reaped
 	o.Close()
+	clk.Advance(1000 * time.Millisecond) // lapsed, NOT reaped
 
-	st2, err := kv.Open(st.Snapshot(), kv.Options{})
+	// The fake fires the timer Attach arms for the lapsed deadlines on the
+	// next Advance only, so the ticks below are the reaps.
+	st2, err := kv.Open(st.Snapshot(), kv.Options{Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := Attach(st2, Options{Clock: clk.fn()})
+	o2, err := Attach(st2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,11 +625,11 @@ func TestExpiredKeyNeverResurrects(t *testing.T) {
 	if n := o2.ExpireTick(); n != 2 {
 		t.Fatalf("post-reopen reap = %d, want 2", n)
 	}
-	st3, err := kv.Open(st2.Snapshot(), kv.Options{})
+	st3, err := kv.Open(st2.Snapshot(), kv.Options{Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o3, err := Attach(st3, Options{Clock: clk.fn()})
+	o3, err := Attach(st3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,8 +647,8 @@ func TestExpiredKeyNeverResurrects(t *testing.T) {
 // double-reap.
 func TestExpirerVsCompactionRace(t *testing.T) {
 	st := newKV(t)
-	clk := &fakeClock{}
-	o := attach(t, st, clk)
+	clk := fakeOf(st)
+	o := attach(t, st)
 
 	// Churn enough garbage that Compact has real work.
 	for i := 0; i < 200; i++ {
@@ -655,7 +663,8 @@ func TestExpirerVsCompactionRace(t *testing.T) {
 	if err := o.Expire([]byte("doomed"), 5); err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(100)
+	o.Close() // the ticks race, not the expirer's timer
+	clk.Advance(100 * time.Millisecond)
 
 	var wg sync.WaitGroup
 	reapTotal := atomic.Int64{}
@@ -701,8 +710,8 @@ func TestExpirerVsCompactionRace(t *testing.T) {
 // leaves every record alone, and Activate sweeps what a failover cut short.
 func TestReplicaMasksButNeverReaps(t *testing.T) {
 	st := newKV(t)
-	clk := &fakeClock{}
-	o, err := Attach(st, Options{Clock: clk.fn(), ReadOnly: true})
+	clk := fakeOf(st)
+	o, err := Attach(st, Options{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -712,7 +721,7 @@ func TestReplicaMasksButNeverReaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate the stream shipping an expiry record.
-	deadline := clk.now.Load() + 10
+	deadline := clk.Now().UnixMilli() + 10
 	var ev [8]byte
 	for i := 0; i < 8; i++ {
 		ev[i] = byte(uint64(deadline) >> (8 * i))
@@ -721,7 +730,7 @@ func TestReplicaMasksButNeverReaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.OnReplApply(kv.ReplPut, expiryKey([]byte("k")), ev[:])
-	clk.advance(100)
+	clk.Advance(100 * time.Millisecond)
 	if !o.Expired([]byte("k")) {
 		t.Fatal("replica failed to mask expired key")
 	}
@@ -749,5 +758,110 @@ func TestReplicaMasksButNeverReaps(t *testing.T) {
 	}
 	if n := o.ExpireTick(); n != 1 { // now primary: the lapsed key reaps
 		t.Fatalf("post-Activate reap = %d", n)
+	}
+}
+
+// TestExpirerReapsOnItsOwn: the expirer's one timer, armed for the earliest
+// deadline, reaps without an ExpireTick call — not a millisecond early, on
+// the advance that crosses the deadline, earliest first whatever order the
+// TTLs were set in, never on a replica before Activate, never after Close.
+func TestExpirerReapsOnItsOwn(t *testing.T) {
+	st := newKV(t)
+	clk := fakeOf(st)
+	o := attach(t, st)
+	for _, name := range []string{"late", "early"} {
+		hset(t, o, name, "f", "v")
+	}
+	if err := o.Expire([]byte("late"), 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Expire([]byte("early"), 50); err != nil { // set after, due first
+		t.Fatal(err)
+	}
+	clk.Advance(49 * time.Millisecond)
+	if n := o.Stats().Reaps; n != 0 || !st.Has(headerKey([]byte("early"))) {
+		t.Fatalf("1 ms before its deadline: %d reaps", n)
+	}
+	clk.Advance(time.Millisecond)
+	if n := o.Stats().Reaps; n != 1 || st.Has(headerKey([]byte("early"))) {
+		t.Fatalf("at the earlier deadline: %d reaps, early's header left: %v", n, st.Has(headerKey([]byte("early"))))
+	}
+	if !st.Has(headerKey([]byte("late"))) {
+		t.Fatal("the later TTL reaped first")
+	}
+	clk.Advance(50 * time.Millisecond)
+	if n := o.Stats().Reaps; n != 2 || st.Len() != 0 {
+		t.Fatalf("at the later deadline: %d reaps, %d records left", n, st.Len())
+	}
+
+	// A replica arms nothing until Activate.
+	rst := newKV(t)
+	rclk := fakeOf(rst)
+	if err := rst.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	ev := binary.LittleEndian.AppendUint64(nil, uint64(rclk.Now().UnixMilli()+10))
+	if err := rst.Put(expiryKey([]byte("k")), ev); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Attach(rst, Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	r.OnReplApply(kv.ReplPut, expiryKey([]byte("k")), ev)
+	rclk.Advance(time.Second)
+	if n := r.Stats().Reaps; n != 0 || !rst.Has([]byte("k")) {
+		t.Fatalf("a replica reaped %d", n)
+	}
+	if err := r.Activate(); err != nil {
+		t.Fatal(err)
+	}
+	rclk.Advance(0)
+	if n := r.Stats().Reaps; n != 1 || rst.Has([]byte("k")) {
+		t.Fatalf("after Activate: %d reaps", n)
+	}
+
+	// Close stops the timer: a deadline it was armed for passes unreaped.
+	hset(t, o, "after", "f", "v")
+	if err := o.Expire([]byte("after"), 10); err != nil {
+		t.Fatal(err)
+	}
+	o.Close()
+	clk.Advance(time.Second)
+	if n := o.Stats().Reaps; n != 2 || !st.Has(headerKey([]byte("after"))) {
+		t.Fatalf("a reap ran after Close: %d reaps", n)
+	}
+}
+
+// TestExpireHugeTTL: a TTL whose deadline would not fit as ns since the Unix
+// epoch is ErrBadTTL, and leaves the key and its old TTL as they were (it
+// once wrapped to a deadline in the past, which reaped the key at once).
+func TestExpireHugeTTL(t *testing.T) {
+	st, err := kv.New(kv.Options{ArenaSize: 16 << 20, ChunkSize: 1 << 14,
+		Clock: clock.NewFake(time.UnixMilli(1_700_000_000_000))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := attach(t, st)
+	if err := st.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Expire([]byte("k"), 5000); err != nil {
+		t.Fatal(err)
+	}
+	for _, ttl := range []uint64{1 << 63, 1<<64 - 1, 1<<63 - 1} {
+		if err := o.Expire([]byte("k"), ttl); !errors.Is(err, ErrBadTTL) {
+			t.Errorf("Expire(k, %d) = %v, want ErrBadTTL", ttl, err)
+		}
+		if n := o.ExpireTick(); n != 0 {
+			t.Errorf("Expire(k, %d): the tick reaped %d", ttl, n)
+		}
+		if v, err := st.Get([]byte("k")); err != nil || string(v) != "v" {
+			t.Errorf("Expire(k, %d): Get = %q, %v", ttl, v, err)
+		}
+		if rem, err := o.TTL([]byte("k")); err != nil || rem != 5000 {
+			t.Errorf("Expire(k, %d): TTL = %d, %v; want the old 5000", ttl, rem, err)
+		}
 	}
 }

@@ -104,7 +104,7 @@ func (o *Store) HGet(name, field []byte) ([]byte, error) {
 	if err := checkName(name, field); err != nil {
 		return nil, err
 	}
-	if !o.alive(name) {
+	if o.Expired(name) {
 		return nil, kv.ErrNotFound
 	}
 	hv, err := o.st.Get(headerKey(name))
@@ -155,7 +155,7 @@ func (o *Store) list(name []byte, typ byte) ([][]byte, error) {
 	if err := checkName(name); err != nil {
 		return nil, err
 	}
-	if !o.alive(name) {
+	if o.Expired(name) {
 		return nil, nil
 	}
 	hv, err := o.st.Get(headerKey(name))
@@ -209,9 +209,10 @@ func (o *Store) removeElem(name, elem []byte, typ byte) error {
 func (o *Store) exists(name []byte) bool { return o.st.Has(name) || o.st.Has(headerKey(name)) }
 
 // Expire sets name's TTL to ttl milliseconds from now. name may be a flat
-// key or an object; an absent name is an error. The deadline persists as a
-// single expiry record, so the update is atomic on its own, and the expiry
-// index takes it once that record commits.
+// key or an object; an absent name is an error, and so is a TTL whose
+// deadline would lie past maxDeadline (ErrBadTTL, leaving name as it was).
+// The deadline persists as a single expiry record, so the update is atomic on
+// its own, and the expiry index takes it once that record commits.
 func (o *Store) Expire(name []byte, ttlMs uint64) error {
 	if err := checkName(name); err != nil {
 		return err
@@ -220,7 +221,10 @@ func (o *Store) Expire(name []byte, ttlMs uint64) error {
 		if reaped || !o.exists(name) {
 			return kv.ErrNotFound
 		}
-		d := o.opts.Clock() + int64(ttlMs)
+		d := o.now() + int64(ttlMs)
+		if ttlMs > maxDeadline || d > maxDeadline {
+			return ErrBadTTL
+		}
 		tx.Put(expiryKey(name), binary.LittleEndian.AppendUint64(nil, uint64(d)))
 		if err := tx.Commit(); err != nil {
 			return err
@@ -238,7 +242,7 @@ func (o *Store) TTL(name []byte) (int64, error) {
 		return 0, err
 	}
 	d, ok := o.deadline(name)
-	rem := d - o.opts.Clock()
+	rem := d - o.now()
 	if ok && rem <= 0 {
 		o.lazyExpiries.Add(1)
 		return 0, kv.ErrNotFound

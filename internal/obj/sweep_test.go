@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"rntree/kv"
 )
@@ -114,8 +115,7 @@ func TestOrphanNeverObservable(t *testing.T) {
 	} {
 		t.Run(tc.what, func(t *testing.T) {
 			st := newKV(t)
-			clk := &fakeClock{}
-			o := attach(t, st, clk)
+			o := attach(t, st)
 			hset(t, o, "bystander", "f", "v")
 			tc.base(t, o)
 			if err := tc.cut(st); err != nil {
@@ -128,11 +128,11 @@ func TestOrphanNeverObservable(t *testing.T) {
 				t.Fatalf("before re-Attach: %+v, want %+v", got, tc.want)
 			}
 
-			st2, err := kv.Open(st.Snapshot(), kv.Options{})
+			st2, err := kv.Open(st.Snapshot(), kv.Options{Clock: st.Clock()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			o2 := attach(t, st2, clk)
+			o2 := attach(t, st2)
 			if got := viewOf(t, o2, name, "a", "b"); !got.equal(tc.want) {
 				t.Fatalf("after re-Attach: %+v, want %+v", got, tc.want)
 			}
@@ -161,12 +161,11 @@ func TestOrphanNeverObservable(t *testing.T) {
 // error, the field stays invisible and its record is taken back, so
 // re-Attach finds nothing unlisted.
 func TestFailedHeaderWriteUndone(t *testing.T) {
-	st, err := kv.New(kv.Options{ArenaSize: 256 << 10, ChunkSize: 8 << 10, MaxSegments: 1})
+	st, err := kv.New(kv.Options{ArenaSize: 256 << 10, ChunkSize: 8 << 10, MaxSegments: 1, Clock: newClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := &fakeClock{}
-	o := attach(t, st, clk)
+	o := attach(t, st)
 	name := []byte("wide")
 	for i := 0; i < 100; i++ { // a header of ~3.5 KiB
 		hset(t, o, "wide", fmt.Sprintf("field-with-a-long-name-%04d", i), "v")
@@ -201,7 +200,7 @@ func TestFailedHeaderWriteUndone(t *testing.T) {
 
 	// Re-Attach over the same store: kv.Open takes a fresh chunk per
 	// partition, so an image this full does not reopen at all.
-	check(attach(t, st, clk), "after re-Attach")
+	check(attach(t, st), "after re-Attach")
 	if u := unlisted(st); len(u) != 0 {
 		t.Fatalf("re-Attach left unlisted records: %q", u)
 	}
@@ -214,7 +213,7 @@ func TestFailedHeaderWriteUndone(t *testing.T) {
 // caught between its two writes. Run under -race.
 func TestActivateSweepVsWriters(t *testing.T) {
 	st := newKV(t)
-	o := attach(t, st, &fakeClock{})
+	o := attach(t, st)
 	const writers, names, perWriter = 4, 3, 150
 
 	var wg sync.WaitGroup
@@ -279,12 +278,12 @@ func TestActivateSweepVsWriters(t *testing.T) {
 // an undo image of the whole object in one record, this object could never
 // be reaped, and every later HSet on its name failed with ErrTooLarge.)
 func TestReapLargerThanChunk(t *testing.T) {
-	st, err := kv.New(kv.Options{ArenaSize: 16 << 20, ChunkSize: 4096})
+	st, err := kv.New(kv.Options{ArenaSize: 16 << 20, ChunkSize: 4096, Clock: newClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := &fakeClock{}
-	o := attach(t, st, clk)
+	clk := fakeOf(st)
+	o := attach(t, st)
 	val := string(bytes.Repeat([]byte{'x'}, 200))
 	for i := 0; i < 40; i++ {
 		hset(t, o, "big", fmt.Sprintf("f%02d", i), val)
@@ -292,9 +291,9 @@ func TestReapLargerThanChunk(t *testing.T) {
 	if err := o.Expire([]byte("big"), 10); err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(20)
-	if n := o.ExpireTick(); n != 1 {
-		t.Fatalf("ExpireTick reaped %d, want 1", n)
+	clk.Advance(20 * time.Millisecond) // the expirer's timer reaps
+	if n := o.Stats().Reaps; n != 1 {
+		t.Fatalf("the expirer reaped %d, want 1", n)
 	}
 	if n := st.Len(); n != 0 {
 		t.Fatalf("reap left %d records", n)

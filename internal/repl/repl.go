@@ -96,7 +96,6 @@ type Node struct {
 	// stop acking writes that would not survive a concurrent failover.
 	fenceLease atomic.Int64 // lease in nanoseconds; 0 disables fencing
 	subGone    atomic.Int64 // now() when the last subscriber left
-	now        func() int64 // the lease's clock, in nanoseconds; SetClockForTest replaces it
 
 	// applyHook, when set, is called with each record the applier has just
 	// applied. The serving layer feeds it to the object layer's DRAM expiry
@@ -120,7 +119,6 @@ func NewNode(st *kv.Store, role uint8) (*Node, error) {
 	n := &Node{
 		st:      st,
 		durable: make([]atomic.Uint64, st.Partitions()),
-		now:     func() int64 { return time.Now().UnixNano() },
 	}
 	n.subs.Store(new([]*Subscriber))
 	if e, r := st.ReplState(); r != 0 {
@@ -163,16 +161,9 @@ func (n *Node) SetFenceLease(d time.Duration) {
 	n.subGone.Store(n.now())
 }
 
-// SetClockForTest replaces the clock the fence lease reads (nanoseconds, any
-// origin), so a test can expire a lease by advancing it instead of sleeping.
-// Call it before the node is shared: the field is not synchronized.
-func (n *Node) SetClockForTest(now func() int64) { n.now = now }
-
 // Fenced reports whether this node is a primary whose fence lease has
-// expired: no subscriber is registered and none has been for longer than
-// the SetFenceLease duration. A fenced primary's async acks could be
-// stranded by a concurrent promotion, so the serving layer rejects writes
-// (read-only) while Fenced holds. Lock-free; called per mutation.
+// lapsed on the store's clock (SetFenceLease); the serving layer rejects
+// writes while it holds. Lock-free; called per mutation.
 func (n *Node) Fenced() bool {
 	lease := n.fenceLease.Load()
 	if lease <= 0 || n.Role() != Primary || len(*n.subs.Load()) > 0 {
@@ -183,6 +174,9 @@ func (n *Node) Fenced() bool {
 
 // Store returns the wrapped store.
 func (n *Node) Store() *kv.Store { return n.st }
+
+// now reads the fence lease's clock, the store's, in nanoseconds.
+func (n *Node) now() int64 { return n.st.Clock().Now().UnixNano() }
 
 // SetApplyHook registers fn to be called with each record the applier
 // applies (nil unregisters): the server passes obj.Store.OnReplApply, which

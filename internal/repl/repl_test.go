@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"rntree/internal/clock"
 	"rntree/kv"
 )
 
@@ -347,7 +347,12 @@ func assertStoresEqual(t *testing.T, a, b *kv.Store) {
 // subscriber has been gone longer than the lease, and recovers the moment
 // one subscribes — closing client-driven failover's divergence window.
 func TestFenceLease(t *testing.T) {
-	n, err := NewNode(newStore(t), Primary)
+	clk := clock.NewFake(time.Unix(0, 0)) // the lease's clock: the test advances it, nothing sleeps
+	st, err := kv.New(kv.Options{ArenaSize: 8 << 20, ChunkSize: 512, Partitions: 2, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewNode(st, Primary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,13 +361,11 @@ func TestFenceLease(t *testing.T) {
 		t.Fatal("fenced with fencing disabled")
 	}
 	const lease = 20 * time.Millisecond
-	var clock atomic.Int64 // the lease's clock: the test advances it, nothing sleeps
-	n.SetClockForTest(clock.Load)
 	n.SetFenceLease(lease)
-	if clock.Add(int64(lease)); n.Fenced() {
+	if clk.Advance(lease); n.Fenced() {
 		t.Fatal("fenced inside the arming grace window")
 	}
-	if clock.Add(1); !n.Fenced() {
+	if clk.Advance(1); !n.Fenced() {
 		t.Fatal("not fenced after the lease expired with no subscriber")
 	}
 	sub, err := n.Subscribe(make([]uint64, n.Store().Partitions()), func(Record) error { return nil })
@@ -378,7 +381,7 @@ func TestFenceLease(t *testing.T) {
 	if n.Fenced() {
 		t.Fatal("fenced immediately after a disconnect: the lease must re-arm")
 	}
-	if clock.Add(int64(lease) + 1); !n.Fenced() {
+	if clk.Advance(lease + 1); !n.Fenced() {
 		t.Fatal("not re-fenced a lease after the subscriber left")
 	}
 	// A promotion re-arms the lease: the fresh primary gets a grace window.

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"rntree/internal/clock"
 	"rntree/internal/repl"
 	"rntree/internal/wire"
 	"rntree/kv"
@@ -36,18 +37,12 @@ import (
 
 // BatchConfig tunes the partition committers.
 type BatchConfig struct {
-	// Puts is ignored: every flat mutation commits through its partition's
-	// committer. The field is still declared only because benchmark/ sets
-	// it, and a change may not edit benchmark/ alongside other code; the
-	// benchmark-only PR that stops setting it deletes it together with
-	// MaxDelay, kv.Options.Shards, pmem.Config.VolatileAlloc and
-	// kv.CacheStats.AdmitRejects — five dead fields wait for that one PR
-	// (ROADMAP item 1).
+	// Puts is ignored (every flat mutation commits through its partition's
+	// committer); it stays only while benchmark/ sets it (ROADMAP item 1).
 	Puts bool
 	// MaxBatch is the most mutations coalesced into one commit (default 64).
 	MaxBatch int
-	// MaxDelay is ignored, like Puts and with the same removal plan: a
-	// committer never waits for company.
+	// MaxDelay is ignored, like Puts: a committer never waits for company.
 	MaxDelay time.Duration
 	// QueueCap bounds each partition committer's intake queue (default
 	// 4×MaxBatch); when full, mutations are rejected with StatusOverloaded
@@ -105,7 +100,7 @@ type committer struct {
 	durMu    sync.Mutex
 	durQ     []durableAck
 	durHead  int
-	durTimer *time.Timer
+	durTimer clock.Timer
 	durArmed bool
 }
 
@@ -113,7 +108,7 @@ func (s *Server) newCommitters() []*committer {
 	cs := make([]*committer, s.st.Partitions())
 	for i := range cs {
 		c := &committer{s: s, part: i, q: make(chan mutation, s.cfg.Batch.QueueCap)}
-		c.durTimer = time.AfterFunc(time.Hour, func() { c.settleDurable(true) })
+		c.durTimer = s.st.Clock().AfterFunc(time.Hour, func() { c.settleDurable(true) })
 		c.durTimer.Stop()
 		cs[i] = c
 	}
@@ -238,7 +233,7 @@ type durableAck struct {
 // that landed before the enqueue is seen by that read of the watermark, and
 // one that lands after it finds the entries queued.
 func (c *committer) holdDurable(batch []mutation, muts []kv.Mutation) {
-	deadline := time.Now().Add(c.s.cfg.ReplDurableTimeout)
+	deadline := c.s.st.Clock().Now().Add(c.s.cfg.ReplDurableTimeout)
 	c.durMu.Lock()
 	if c.durHead > 0 && len(c.durQ) == cap(c.durQ) { // slide down rather than grow
 		c.durQ, c.durHead = c.durQ[:copy(c.durQ, c.durQ[c.durHead:])], 0
@@ -265,7 +260,7 @@ func (c *committer) settleDurable(fired bool) {
 	c.durMu.Lock()
 	defer c.durMu.Unlock()
 	c.durArmed = c.durArmed && !fired
-	w, now := c.s.repl.DurableLSN(c.part), time.Now()
+	w, now := c.s.repl.DurableLSN(c.part), c.s.st.Clock().Now()
 	for ; c.durHead < len(c.durQ); c.durHead++ {
 		a := &c.durQ[c.durHead]
 		resp := wire.Response{ID: a.id, Op: wire.OpPut, Status: wire.StatusOK}
@@ -290,7 +285,7 @@ func (c *committer) settleDurable(fired bool) {
 // partitions, and how long the oldest has waited: the replica's lag as a
 // durable write's client feels it. Only STATS calls it.
 func (s *Server) durableBacklog() (pending uint64, oldest time.Duration) {
-	now := time.Now()
+	now := s.st.Clock().Now()
 	for _, c := range s.committers {
 		c.durMu.Lock()
 		if n := len(c.durQ) - c.durHead; n > 0 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -115,7 +116,7 @@ func (r *rawConn) recvAll(n int) map[uint64]wire.Response {
 // the typed verbs ran on the workers, an EXPIRE behind a PUT or an HSET
 // answered NotFound in 499 or 500 rounds of 500.
 func TestSameKeyWriteOrder(t *testing.T) {
-	_, _, addr := startObjServer(t, Config{Cache: CacheConfig{Enable: true}}, nil)
+	_, _, addr := startObjServer(t, Config{Cache: CacheConfig{Enable: true}})
 	rc := dialRaw(t, addr)
 	put := func(v string) wire.Request { return wire.Request{Op: wire.OpPut, Val: []byte(v)} }
 	var (
@@ -191,7 +192,7 @@ func TestSameKeyWriteOrder(t *testing.T) {
 // on the reader and the committers, and once every answer is in, the process
 // has no more goroutines than it had with the connection idle.
 func TestConnGoroutines(t *testing.T) {
-	_, _, addr := startObjServer(t, Config{Cache: CacheConfig{Enable: true}}, nil)
+	_, _, addr := startObjServer(t, Config{Cache: CacheConfig{Enable: true}})
 	rc := dialRaw(t, addr)
 	rc.send(wire.Request{ID: 1, Op: wire.OpPing})
 	rc.recv()
@@ -297,23 +298,21 @@ func startStalledPrimary(t *testing.T, durableTimeout time.Duration) (st *kv.Sto
 // acking, a durable PUT can only time out — and while it waits, an async PUT
 // queued right behind it on the same partition is acked at once, the
 // committer keeps committing that partition's further PUTs, and both writes
-// are readable locally.
+// are readable locally. The store's clock is a fake, so the durable PUT's
+// deadline passes only when the test advances it.
 func TestAsyncAckNotHeldByDurableBatchMate(t *testing.T) {
 	const timeout = time.Second
 	st, addr, _ := startStalledPrimary(t, timeout)
+	clk := fakeOf(st)
 
 	keys := keysInPartition(st, 1, 10)
 	rc := dialRaw(t, addr)
-	start := time.Now()
 	rc.send(
 		wire.Request{ID: 1, Op: wire.OpPut, Key: keys[0], Val: []byte("durable"), Durable: true},
 		wire.Request{ID: 2, Op: wire.OpPut, Key: keys[1], Val: []byte("async")},
 	)
 	if first := rc.recv(); first.ID != 2 || first.Status != wire.StatusOK {
-		t.Fatalf("first response is %+v, want the async PUT's OK", first)
-	}
-	if held := time.Since(start); held > timeout/2 {
-		t.Fatalf("async ack took %v: held by its durable batch-mate (timeout %v)", held, timeout)
+		t.Fatalf("first response is %+v, want the async PUT's OK: held by its durable batch-mate", first)
 	}
 	// The partition keeps committing while the durable ack is outstanding.
 	for i, k := range keys[2:] {
@@ -322,15 +321,17 @@ func TestAsyncAckNotHeldByDurableBatchMate(t *testing.T) {
 			t.Fatalf("PUT %d behind the waiting durable PUT: %+v", i, resp)
 		}
 	}
-	if since := time.Since(start); since > timeout {
-		t.Skipf("host too slow to observe the wait (%v elapsed of a %v timeout)", since, timeout)
+	// A nanosecond short of the deadline the durable PUT still waits: the
+	// PING sent after the advance is answered first.
+	clk.Advance(timeout - 1)
+	rc.send(wire.Request{ID: 3, Op: wire.OpPing})
+	if resp := rc.recv(); resp.ID != 3 {
+		t.Fatalf("durable PUT answered %+v before its %v timeout", resp, timeout)
 	}
+	clk.Advance(1)
 	last := rc.recv()
 	if last.ID != 1 || last.Status != wire.StatusErr || !strings.Contains(last.Msg, repl.ErrDurableTimeout.Error()) {
 		t.Fatalf("durable PUT response = %+v, want the durable-timeout error", last)
-	}
-	if waited := time.Since(start); waited < timeout {
-		t.Fatalf("durable PUT failed after %v, before its %v timeout", waited, timeout)
 	}
 	c := dial(t, addr, client.Options{})
 	for i, want := range []string{"durable", "async"} {
@@ -343,8 +344,8 @@ func TestAsyncAckNotHeldByDurableBatchMate(t *testing.T) {
 // TestDurableAckNoGoroutinePerBatch: durable PUTs waiting for a stalled
 // replica cost no goroutine (nor timer) each — 64 of them, committed in
 // however many batches, leave the goroutine count where an idle connection
-// had it, and STATS counts them as pending with the oldest's age. One replica
-// ack then releases them all, OK.
+// had it, and STATS counts them as pending with the oldest's age on the
+// store's clock. One replica ack then releases them all, OK.
 func TestDurableAckNoGoroutinePerBatch(t *testing.T) {
 	st, addr, stalled := startStalledPrimary(t, time.Minute)
 	rc, sc := dialRaw(t, addr), dial(t, addr, client.Options{})
@@ -353,7 +354,16 @@ func TestDurableAckNoGoroutinePerBatch(t *testing.T) {
 	if _, err := sc.Stats(); err != nil {
 		t.Fatal(err)
 	}
-	baseline := runtime.NumGoroutine()
+	// The subscription's ship loop starts only after its OK is sent, so a
+	// count taken at once may miss it: count once the stalled replica has
+	// been shipped a record, which that loop sends.
+	if err := sc.Put([]byte("warm"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if rec := stalled.recv(); rec.Op != wire.OpReplRecord {
+		t.Fatalf("the stalled replica got %+v, want a shipped record", rec)
+	}
+	baseline, before := runtime.NumGoroutine(), goroutineDump()
 
 	const n = 64
 	reqs := make([]wire.Request, n)
@@ -361,25 +371,14 @@ func TestDurableAckNoGoroutinePerBatch(t *testing.T) {
 		reqs[i] = wire.Request{ID: uint64(100 + i), Op: wire.OpPut, Key: []byte(fmt.Sprintf("d%02d", i)), Val: []byte("v"), Durable: true}
 	}
 	rc.send(reqs...)
-	var stats map[string]uint64
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		var err error
-		if stats, err = sc.Stats(); err != nil {
-			t.Fatal(err)
-		}
-		if stats["repl_durable_pending"] == n || time.Now().After(deadline) {
-			break
-		}
-	}
-	if got := stats["repl_durable_pending"]; got != n {
-		t.Fatalf("repl_durable_pending = %d, want %d", got, n)
-	}
+	awaitStat(t, sc, "repl_durable_pending", n)
 	if got := runtime.NumGoroutine(); got > baseline {
-		t.Errorf("%d goroutines with %d durable PUTs waiting, %d before: something is spawned per batch", got, n, baseline)
+		t.Errorf("%d goroutines with %d durable PUTs waiting, %d before: something is spawned per batch\n"+
+			"before:\n%s\nnow:\n%s", got, n, baseline, before, goroutineDump())
 	}
-	time.Sleep(5 * time.Millisecond)
-	if stats, err := sc.Stats(); err != nil || stats["repl_durable_oldest_us"] < 5000 {
-		t.Errorf("repl_durable_oldest_us = %d (%v), want the oldest wait, >= 5 ms", stats["repl_durable_oldest_us"], err)
+	fakeOf(st).Advance(5 * time.Millisecond)
+	if stats, err := sc.Stats(); err != nil || stats["repl_durable_oldest_us"] != 5000 {
+		t.Errorf("repl_durable_oldest_us = %d (%v), want the oldest wait, the clock's 5 ms advance", stats["repl_durable_oldest_us"], err)
 	}
 
 	stalled.send(wire.Request{ID: 2, Op: wire.OpReplAck, ReplLSNs: st.ReplLSNs()})
@@ -391,6 +390,14 @@ func TestDurableAckNoGoroutinePerBatch(t *testing.T) {
 	if stats, err := sc.Stats(); err != nil || stats["repl_durable_pending"] != 0 || stats["repl_durable_oldest_us"] != 0 {
 		t.Errorf("after the ack: pending %d, oldest %d us (%v)", stats["repl_durable_pending"], stats["repl_durable_oldest_us"], err)
 	}
+}
+
+// goroutineDump is every goroutine's stack, grouped, so a failed goroutine
+// count names what it counted.
+func goroutineDump() string {
+	var b strings.Builder
+	pprof.Lookup("goroutine").WriteTo(&b, 1)
+	return b.String()
 }
 
 // TestCommitterAllocs: after warm-up a committer's gather → commit → ack
@@ -482,10 +489,25 @@ func TestCommitterAllocs(t *testing.T) {
 // every durable PUT is answered exactly once — OK, or the timeout error for a
 // write the replica was too slow for — and the FIFOs drain to empty.
 func TestDurableAckTimeoutRace(t *testing.T) {
-	_, _, pAddr, _ := startReplPair(t, Config{ReplDurableTimeout: 500 * time.Microsecond}, Config{})
+	const timeout = 500 * time.Microsecond
+	pNode, _, pAddr, _ := startReplPair(t, Config{ReplDurableTimeout: timeout}, Config{})
 	c := dial(t, pAddr, client.Options{})
 	const writers, each = 4, 50
 	var timeouts atomic.Int64
+	// The primary's clock advances a timeout at a time on a goroutine of its
+	// own, which durTimer's callback then runs on.
+	stop, ticked := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(ticked)
+		for clk := fakeOf(pNode.Store()); ; time.Sleep(100 * time.Microsecond) {
+			select {
+			case <-stop:
+				return
+			default:
+				clk.Advance(timeout)
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -504,6 +526,8 @@ func TestDurableAckTimeoutRace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	<-ticked
 	stats, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)

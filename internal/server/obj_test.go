@@ -20,20 +20,21 @@ import (
 	"rntree/kv"
 )
 
-// startObjServer is startServer with a typed-object layer attached to the
-// store (primary mode, no background expirer — tests tick by hand through
-// the clock they control).
-func startObjServer(t *testing.T, scfg Config, clock func() int64) (*obj.Store, *kv.Store, string) {
+// startObjServer is startServer with a typed-object layer attached to a
+// store on a fake clock (fakeOf), in primary mode with its expirer stopped
+// (Close): a lapsed key stays unreaped until the test ticks by hand or a
+// write of the name reaps it.
+func startObjServer(t *testing.T, scfg Config) (*obj.Store, *kv.Store, string) {
 	t.Helper()
-	st, err := kv.New(kv.Options{ArenaSize: 32 << 20, ChunkSize: 1 << 14, Partitions: 2})
+	st, err := kv.New(kv.Options{ArenaSize: 32 << 20, ChunkSize: 1 << 14, Partitions: 2, Clock: newFake()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := obj.Attach(st, obj.Options{Clock: clock})
+	o, err := obj.Attach(st, obj.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(o.Close)
+	o.Close()
 	scfg.Obj = o
 	_, _, addr := startServerOn(t, scfg, st)
 	return o, st, addr
@@ -43,9 +44,7 @@ func startObjServer(t *testing.T, scfg Config, clock func() int64) (*obj.Store, 
 // plus the flat-path interactions: reserved-namespace rejection, the GET
 // expiry mask, SCAN hiding internal records, and the obj counters in STATS.
 func TestServerObjOps(t *testing.T) {
-	var now atomic.Int64
-	now.Store(1_000_000)
-	o, _, addr := startObjServer(t, Config{Cache: CacheConfig{Enable: true}}, now.Load)
+	o, st, addr := startObjServer(t, Config{Cache: CacheConfig{Enable: true}})
 	c := dial(t, addr, client.Options{})
 
 	// Hash verbs.
@@ -96,6 +95,13 @@ func TestServerObjOps(t *testing.T) {
 	if ttl, err := c.TTL([]byte("flat")); err != nil || ttl <= 0 || ttl > 5_000 {
 		t.Fatalf("TTL = %d, %v", ttl, err)
 	}
+	// A TTL past the clock's range is an error, and leaves the key's TTL.
+	if err := c.Expire([]byte("flat"), 1<<63); err == nil || !strings.Contains(err.Error(), obj.ErrBadTTL.Error()) {
+		t.Fatalf("Expire with a huge TTL: %v, want %v", err, obj.ErrBadTTL)
+	}
+	if ttl, err := c.TTL([]byte("flat")); err != nil || ttl <= 0 || ttl > 5_000 {
+		t.Fatalf("TTL after a refused Expire = %d, %v", ttl, err)
+	}
 	if ttl, err := c.TTL([]byte("tags")); err != nil || ttl != -1 {
 		t.Fatalf("TTL of persistent key = %d, %v", ttl, err)
 	}
@@ -117,7 +123,7 @@ func TestServerObjOps(t *testing.T) {
 	if v, err := c.Get([]byte("flat")); err != nil || string(v) != "v" {
 		t.Fatalf("Get before expiry: %q, %v", v, err)
 	}
-	now.Add(6_000)
+	fakeOf(st).Advance(6 * time.Second)
 	if _, err := c.Get([]byte("flat")); err != client.ErrNotFound {
 		t.Fatalf("Get after expiry: %v", err)
 	}
@@ -164,7 +170,7 @@ func TestServerObjOps(t *testing.T) {
 // on the reader (TTL) and through the committer (HSET), instead of answering
 // for the internal record.
 func TestObjReservedNameOverWire(t *testing.T) {
-	_, _, addr := startObjServer(t, Config{}, nil)
+	_, _, addr := startObjServer(t, Config{})
 	c := dial(t, addr, client.Options{})
 	if err := c.HSet([]byte("user:1"), []byte("f"), []byte("v")); err != nil {
 		t.Fatal(err)
@@ -197,9 +203,7 @@ func TestObjVerbsDisabled(t *testing.T) {
 // name: an Expire-driven reap deletes the flat key out from under a cached
 // GET.
 func TestObjWriteInvalidatesCache(t *testing.T) {
-	var now atomic.Int64
-	now.Store(1_000)
-	_, _, addr := startObjServer(t, Config{Cache: CacheConfig{Enable: true}}, now.Load)
+	_, st, addr := startObjServer(t, Config{Cache: CacheConfig{Enable: true}})
 	c := dial(t, addr, client.Options{})
 
 	if err := c.Put([]byte("k"), []byte("v1")); err != nil {
@@ -216,7 +220,7 @@ func TestObjWriteInvalidatesCache(t *testing.T) {
 	if err := c.Expire([]byte("k"), 10); err != nil {
 		t.Fatal(err)
 	}
-	now.Add(100)
+	fakeOf(st).Advance(100 * time.Millisecond)
 	if err := c.HSet([]byte("k"), []byte("f"), []byte("v")); err != nil {
 		t.Fatalf("HSet over expired flat key: %v", err)
 	}
@@ -228,15 +232,15 @@ func TestObjWriteInvalidatesCache(t *testing.T) {
 // TestObjReapedKeyNotServedFromCache: a flat key whose TTL has lapsed is
 // masked until its reap clears the deadline, and the reap's commit drops the
 // key from the hot-key cache before it returns, so a GET racing the reap is
-// never served the deleted value from the cache.
+// never served the deleted value from the cache. The reap is the expirer's:
+// its timer fires on the goroutine that advances the clock past the TTL.
 func TestObjReapedKeyNotServedFromCache(t *testing.T) {
-	var now atomic.Int64
-	now.Store(1_000)
-	st, err := kv.New(kv.Options{ArenaSize: 32 << 20, ChunkSize: 1 << 14, Partitions: 2})
+	clk := newFake()
+	st, err := kv.New(kv.Options{ArenaSize: 32 << 20, ChunkSize: 1 << 14, Partitions: 2, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := obj.Attach(st, obj.Options{Clock: now.Load})
+	o, err := obj.Attach(st, obj.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,15 +256,17 @@ func TestObjReapedKeyNotServedFromCache(t *testing.T) {
 		if _, status, msg := srv.get(key); status != wire.StatusOK { // fills
 			t.Fatalf("GET before expiry: status %d %s", status, msg)
 		}
+		deadline := clk.Now().Add(time.Millisecond)
 		if err := o.Expire(key, 1); err != nil {
 			t.Fatal(err)
 		}
-		now.Add(2)
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			o.ExpireTick()
+			clk.Advance(2 * time.Millisecond)
 		}()
+		// A GET issued once the clock reads the deadline must not be
+		// served, whether the reap has started, is running or is done.
 		served := false
 		for reaping := true; reaping; {
 			select {
@@ -268,7 +274,8 @@ func TestObjReapedKeyNotServedFromCache(t *testing.T) {
 				reaping = false
 			default:
 			}
-			if _, status, _ := srv.get(key); status == wire.StatusOK {
+			lapsed := !clk.Now().Before(deadline)
+			if _, status, _ := srv.get(key); lapsed && status == wire.StatusOK {
 				served = true
 			}
 		}
@@ -469,12 +476,8 @@ func TestFailoverRetriesFencedPrimary(t *testing.T) {
 	t.Cleanup(func() { fo.Close() })
 
 	// Let the fence engage (no replica has ever subscribed).
-	deadline := time.Now().Add(5 * time.Second)
-	for !pNode.Fenced() {
-		if time.Now().After(deadline) {
-			t.Fatal("primary never fenced")
-		}
-		time.Sleep(time.Millisecond)
+	if fakeOf(pst).Advance(10*time.Millisecond + 1); !pNode.Fenced() {
+		t.Fatal("primary never fenced")
 	}
 
 	// Lift the fence from a delayed replica — well inside the wrapper's

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"runtime/debug"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -236,17 +235,16 @@ func TestClientRoundTripAllocs(t *testing.T) {
 // reserved key, an expired key — get 64 answers with the right statuses, and
 // the cache was looked up exactly once for each GET that reached it.
 func TestPipelinedGetBurst(t *testing.T) {
-	var now atomic.Int64
-	now.Store(1_000_000)
-	st, err := kv.New(kv.Options{ArenaSize: 32 << 20, ChunkSize: 1 << 14, Partitions: 2})
+	clk := newFake()
+	st, err := kv.New(kv.Options{ArenaSize: 32 << 20, ChunkSize: 1 << 14, Partitions: 2, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := obj.Attach(st, obj.Options{Clock: now.Load})
+	o, err := obj.Attach(st, obj.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(o.Close)
+	o.Close() // no expirer: the lapsed key stays unreaped, masked by its deadline
 	srv, _, addr := startServerOn(t, Config{Cache: CacheConfig{Enable: true}, Obj: o}, st)
 	c := dial(t, addr, client.Options{})
 	for i := 0; i < 31; i++ {
@@ -266,7 +264,7 @@ func TestPipelinedGetBurst(t *testing.T) {
 	if _, err := c.Get([]byte("lapsed")); err != nil { // resident in the cache, and about to lapse
 		t.Fatal(err)
 	}
-	now.Add(2_000)
+	clk.Advance(2 * time.Second)
 	before := srv.Stats().Cache
 
 	var reqs []wire.Request

@@ -96,10 +96,8 @@ func (cn *conn) handlePromote(req wire.Request, resp *wire.Response) {
 }
 
 // readOnly reports whether replication currently forbids local mutations:
-// replica role, or a fenced primary — one whose replicas have all been gone
-// longer than Config.ReplFenceLease, where an async ack could be stranded
-// by a concurrent client-driven promotion. Fence rejections are counted
-// (repl_fence_rejects) as the operator's alarm signal.
+// replica role, or a fenced primary (repl.Node.Fenced). Fence rejections are
+// counted (repl_fence_rejects) as the operator's alarm signal.
 func (s *Server) readOnly() bool {
 	node := s.repl
 	if node == nil {

@@ -6,17 +6,43 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"rntree/client"
+	"rntree/internal/clock"
 	"rntree/internal/repl"
 	"rntree/kv"
 )
 
+// replKVOpts is a replication test's store options: small, two partitions,
+// and a fake clock of its own, so a test ages a fence lease or a durable-ack
+// deadline by advancing it, not by sleeping.
 func replKVOpts() kv.Options {
-	return kv.Options{ArenaSize: 16 << 20, ChunkSize: 1 << 12, Partitions: 2}
+	return kv.Options{ArenaSize: 16 << 20, ChunkSize: 1 << 12, Partitions: 2, Clock: newFake()}
+}
+
+func newFake() *clock.Fake { return clock.NewFake(time.Unix(1_000_000, 0)) }
+
+// fakeOf returns st's clock, which the test built as a fake.
+func fakeOf(st *kv.Store) *clock.Fake { return st.Clock().(*clock.Fake) }
+
+// awaitStat polls STATS until counter name reads want, and fails the test
+// after 10 s: it waits for the server to get somewhere, not for time to pass.
+func awaitStat(t *testing.T, c *client.Client, name string, want uint64) map[string]uint64 {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		stats, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats[name] == want {
+			return stats
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("STATS %s = %d, want %d", name, stats[name], want)
+		}
+	}
 }
 
 // startReplPair spins up a primary and a replica server on loopback, with
@@ -277,10 +303,15 @@ func TestDurablePutTimesOutWithoutReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(node.Close)
-	_, _, addr := startServerOn(t, Config{Repl: node, ReplDurableTimeout: 20 * time.Millisecond}, st)
+	const timeout = 20 * time.Millisecond
+	_, _, addr := startServerOn(t, Config{Repl: node, ReplDurableTimeout: timeout}, st)
 	c := dial(t, addr, client.Options{})
 
-	if err := c.PutDurable([]byte("k"), []byte("v")); err == nil {
+	putErr := make(chan error, 1)
+	go func() { putErr <- c.PutDurable([]byte("k"), []byte("v")) }()
+	awaitStat(t, c, "repl_durable_pending", 1)
+	fakeOf(st).Advance(timeout)
+	if err := <-putErr; err == nil {
 		t.Fatal("durable PUT acked with no replica connected")
 	}
 	// The write is committed locally regardless.
@@ -506,11 +537,10 @@ func TestFenceLeaseRejectsWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pNode.Close()
-	// The lease runs on the test's clock: it expires when the test says so,
-	// not when a loaded host takes 25 ms over a dial and a put.
+	// The lease runs on the store's fake clock: it expires when the test
+	// says so, not when a loaded host takes 25 ms over a dial and a put.
 	const lease = 25 * time.Millisecond
-	var clock atomic.Int64
-	pNode.SetClockForTest(clock.Load)
+	clk := fakeOf(pst)
 	_, _, pAddr := startServerOn(t, Config{Repl: pNode, ReplFenceLease: lease}, pst)
 
 	c, err := client.Dial(pAddr, client.Options{})
@@ -524,11 +554,11 @@ func TestFenceLeaseRejectsWrites(t *testing.T) {
 	}
 	// At the lease exactly it still does; one tick past it, with no replica
 	// ever subscribed, writes are fenced.
-	clock.Add(int64(lease))
+	clk.Advance(lease)
 	if err := c.Put([]byte("at-lease"), []byte("v")); err != nil {
 		t.Fatalf("put at the lease's last instant: %v", err)
 	}
-	clock.Add(1)
+	clk.Advance(1)
 	if err := c.Put([]byte("fenced"), []byte("v")); !errors.Is(err, client.ErrReadOnly) {
 		t.Fatalf("put past the lease: %v, want ErrReadOnly", err)
 	}

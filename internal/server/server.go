@@ -99,15 +99,10 @@ type Config struct {
 	// lifecycle (Close); the server masks expired names on GET, feeds it
 	// a replica's applied records and activates it on promotion.
 	Obj *obj.Store
-	// ReplFenceLease, when positive, fences a primary whose replica
-	// subscriptions have all been gone longer than the lease: PUT/DEL are
-	// rejected with StatusReadOnly until a replica resubscribes. This
-	// closes client-driven failover's divergence window — without it, a
-	// primary that lost its replica (but not its own clients) keeps
-	// acking async writes that a concurrent promotion on the other side
-	// silently strands (DESIGN.md §13.4). 0 (default) disables fencing, so
-	// a single node with replication enabled serves writes with no replica
-	// attached.
+	// ReplFenceLease, when positive, arms the node's fence lease
+	// (repl.Node.SetFenceLease): while it has lapsed, writes are rejected
+	// with StatusReadOnly. 0 (default) disables fencing, so a single node
+	// with replication enabled serves writes with no replica attached.
 	ReplFenceLease time.Duration
 }
 

@@ -47,11 +47,8 @@ type CacheStats struct {
 	FillAborts    uint64
 	Invalidations uint64
 	Evictions     uint64
-	// AdmitRejects is declared and always zero: the cache admits every fill.
-	// It stays only because benchmark/traced.go reads it, and a PR may not
-	// edit benchmark/ alongside other code; the benchmark-only follow-up
-	// that stops reading it deletes it with Options.Shards and the other
-	// dead fields (ROADMAP item 1).
+	// AdmitRejects is always zero (the cache admits every fill); it stays
+	// only while benchmark/ reads it (ROADMAP item 1).
 	AdmitRejects uint64
 	Entries      uint64
 }

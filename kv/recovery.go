@@ -74,11 +74,9 @@ func openPartitioned(arenas []*pmem.Arena, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	s := &Store{f: f, hash: Hash, parts: make([]kvPart, len(arenas))}
+	s := opts.store(f)
 	for i := range s.parts {
 		p := &s.parts[i]
-		p.arena = f.Partition(i).Arena()
-		p.tree = f.Partition(i).Tree()
 		if err := openPart(p, i, len(arenas)); err != nil {
 			return nil, err
 		}

@@ -40,6 +40,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"rntree/internal/clock"
 	"rntree/internal/core"
 	"rntree/internal/forest"
 	"rntree/internal/htm"
@@ -183,14 +184,8 @@ type Options struct {
 	// the superblock at creation; Open always uses the persisted value, so
 	// a mismatched ChunkSize can no longer corrupt the allocator.
 	ChunkSize uint64
-	// Shards is declared and ignored: no code reads it. A partition owns
-	// exactly one value log, whatever this says. The field stays only because
-	// benchmark/workloads.go sets it and benchmark/measure.go prints it, and
-	// a PR may not edit benchmark/ alongside other code; the benchmark-only
-	// follow-up that stops naming it deletes it together with
-	// server.BatchConfig.Puts/MaxDelay, pmem.Config.VolatileAlloc and
-	// CacheStats.AdmitRejects — five dead fields wait for that one PR
-	// (ROADMAP item 1).
+	// Shards is ignored (a partition owns one value log); it stays only while
+	// benchmark/ names it, and goes with the other dead fields (ROADMAP item 1).
 	Shards int
 	// Partitions hash-partitions the store into that many independent
 	// index-partition + value-log pairs (power of two), each with its own
@@ -207,6 +202,9 @@ type Options struct {
 	DualSlotArray bool
 	// FlushLatency/FenceLatency set the simulated persist cost.
 	FlushLatency pmem.LatencyModel
+	// Clock is the time every layer over the store reads: the fence lease,
+	// the TTLs, the durable-ack deadlines. Nil means the wall clock.
+	Clock clock.Clock
 }
 
 func (o *Options) normalize() {
@@ -217,6 +215,9 @@ func (o *Options) normalize() {
 		o.ChunkSize = DefaultChunkSize
 	}
 	o.ChunkSize = (o.ChunkSize + pmem.LineSize - 1) &^ uint64(pmem.LineSize-1)
+	if o.Clock == nil {
+		o.Clock = clock.Real{}
+	}
 }
 
 // forestOpts maps store options onto the index forest.
@@ -290,6 +291,7 @@ type Store struct {
 	f     *forest.Forest
 	hash  func([]byte) uint64 // Hash, overridable by tests to force collisions
 	parts []kvPart
+	clk   clock.Clock
 
 	// closeMu is the quiesce gate: every mutating operation holds it for
 	// read, Close holds it for write. Close therefore waits out all
@@ -355,16 +357,23 @@ func New(opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{f: f, hash: Hash, parts: make([]kvPart, partitions)}
+	s := opts.store(f)
 	for i := range s.parts {
-		p := &s.parts[i]
-		p.arena = f.Partition(i).Arena()
-		p.tree = f.Partition(i).Tree()
-		if err := s.initPart(p, i, opts); err != nil {
+		if err := s.initPart(&s.parts[i], i, opts); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
+}
+
+// store wraps forest f in a Store on the options' clock, with each forest
+// partition's arena and tree; the caller formats or recovers the value logs.
+func (o Options) store(f *forest.Forest) *Store {
+	s := &Store{f: f, hash: Hash, parts: make([]kvPart, f.Partitions()), clk: o.Clock}
+	for i := range s.parts {
+		s.parts[i].arena, s.parts[i].tree = f.Partition(i).Arena(), f.Partition(i).Tree()
+	}
+	return s
 }
 
 // initPart formats partition i's kv state: chain-head line, superblock, root
@@ -438,6 +447,9 @@ func (s *Store) Arenas() []*pmem.Arena {
 
 // Partitions returns the number of partitions.
 func (s *Store) Partitions() int { return len(s.parts) }
+
+// Clock returns the store's clock (Options.Clock).
+func (s *Store) Clock() clock.Clock { return s.clk }
 
 // newChunk links a fresh log chunk at the head of the partition's persistent
 // chain. The chunk's next pointer is persisted before the head references
