@@ -76,15 +76,16 @@ servercheck:
 
 # Replication gate: the repl node/subscriber/applier under the race
 # detector, the kv LSN/apply/backlog layer, the server's ship+drain and
-# client-failover end-to-end tests, and the two-node fault explorers
-# (primary killed at every persist site, replica killed mid-apply, a
-# crash inside the promotion cutover). Zero acked-durable-write loss or
-# the target fails.
+# client-failover end-to-end tests, and the replicated fault targets (the
+# pair crashed whole, the primary killed at every persist site, the replica
+# killed mid-apply, a crash inside the promotion cutover) with the test
+# that shows the survivor check catches a lost write. Zero
+# acked-durable-write loss or the target fails.
 replcheck:
 	$(GO) test -race ./internal/repl/...
 	$(call run-tests,,./kv,Repl|CommitHook)
 	$(call run-tests,-race,./internal/server,Repl|Durable|Drain|Failover|AckAtDrain)
-	$(call run-tests,,./internal/fault,Repl|Failover|PrimaryKill|ReplicaKill|Promotion)
+	$(call run-tests,,./internal/fault,Repl|Failover|PrimaryKill|ReplicaKill|Promotion|LostWriteCaught)
 
 # Heap gate: the persistent allocator's crash matrix (every allocator-
 # metadata persist site, including the segment-append cutover, plus a
@@ -171,14 +172,17 @@ bench-heap:
 fuzz-wire:
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=60s
 
-# Crash-point exploration (internal/fault): crash every persist site of
-# every layer target, and each node of a primary/replica pair, under
-# pre/evicted/torn image variants and check the durability oracle. Exits
-# non-zero on any violation.
+# Crash-point exploration (internal/fault): one explorer crashes every
+# persist site of every fault.Targets() entry (each layer, a primary/replica
+# pair crashed whole, and one node of the pair killed while the other keeps
+# running) under pre/evicted/torn image variants and checks the durability
+# oracle, plus the survivor check on a node left running. Exits non-zero on
+# any violation or harness error.
 faultcheck:
 	$(GO) run ./cmd/rnbench -exp faultmatrix
 
-# Capped-site matrix folded into `check`, so every PR exercises the
-# explorer end to end without the exhaustive sweep.
+# Capped-site matrix folded into `check`: the same 14 targets, at most 20
+# sites each, so every PR exercises the explorer end to end without the
+# exhaustive sweep.
 faultshort:
 	$(GO) run ./cmd/rnbench -exp faultmatrix -fault-sites 20

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"rntree/internal/fault"
 	"rntree/internal/pmem"
 	"rntree/internal/procmem"
 	"rntree/internal/ycsb"
@@ -135,6 +136,9 @@ func TestExperimentsSmoke(t *testing.T) {
 					}
 				}
 			}
+			if id == "faultmatrix" {
+				checkFaultMatrixRows(t, results[0])
+			}
 		})
 	}
 	// The suite once peaked at ~15 GiB — experiments reserving GiB-scale
@@ -142,6 +146,27 @@ func TestExperimentsSmoke(t *testing.T) {
 	// host. Hold the process's high-water mark well under that.
 	if hwm, ok := procmem.PeakRSS(); ok && hwm > 4<<30 {
 		t.Fatalf("peak RSS %d MiB exceeds the 4 GiB smoke budget", hwm>>20)
+	}
+}
+
+// checkFaultMatrixRows asserts one row per fault target, in order, and no
+// harness error: a target that fails must not take its neighbours' rows
+// with it.
+func checkFaultMatrixRows(t *testing.T, r Result) {
+	t.Helper()
+	tws := fault.Targets()
+	if len(r.Rows) != len(tws) {
+		t.Fatalf("faultmatrix: %d rows for %d targets", len(r.Rows), len(tws))
+	}
+	for i, tw := range tws {
+		if got := r.Rows[i][0]; got != tw.Target.Name() {
+			t.Fatalf("faultmatrix row %d: target %q, want %q", i, got, tw.Target.Name())
+		}
+	}
+	for _, n := range r.Notes {
+		if strings.Contains(n, "harness error") || strings.Contains(n, "VIOLATION") {
+			t.Fatalf("faultmatrix: %s", n)
+		}
 	}
 }
 

@@ -98,9 +98,11 @@ func crashAll(arenas []*pmem.Arena, rng *rand.Rand, evictProb float64) [][]uint6
 // Explore enumerates every persistent-instruction site ops executes against
 // tgt, replays the workload once per (sampled) site, crashes it there under
 // each configured image variant, and checks the durability oracle on the
-// recovered contents. The error return is for harness failures (a workload
-// op erroring, a site not reached on replay — i.e. a non-deterministic
-// target); oracle failures land in Report.Violations.
+// recovered contents — and, for a target that crashes one node of several,
+// the SurvivorChecker oracle on the nodes left running. The error return is
+// for harness failures (a workload op erroring, a site not reached on
+// replay — i.e. a non-deterministic target); oracle failures land in
+// Report.Violations.
 func Explore(tgt Target, ops []Op, cfg Config) (*Report, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -121,39 +123,19 @@ func Explore(tgt Target, ops []Op, cfg Config) (*Report, error) {
 	for _, a := range arenas {
 		a.SetHooks(count)
 	}
-	clearHooks := func() {
-		for _, a := range arenas {
-			a.SetHooks(nil)
-		}
-	}
 	full := cloneModel(base)
-	for i, op := range ops {
-		if err := tgt.Apply(op); err != nil {
-			clearHooks()
-			return nil, fmt.Errorf("fault: %s: counting pass op %d (%s %d): %v",
-				tgt.Name(), i, op.Kind, op.K, err)
-		}
-		tgt.ApplyModel(full, op)
+	_, _, err = runToCrash(tgt, ops, full)
+	for _, a := range arenas {
+		a.SetHooks(nil)
 	}
-	clearHooks()
+	if err != nil {
+		return nil, fmt.Errorf("fault: %s: counting pass %v", tgt.Name(), err)
+	}
 	rep.Sites = sites
 
 	// No-crash check: completed operations are durable, so the image set
 	// taken after the whole workload must recover to exactly the full model.
-	imgs := crashAll(arenas, nil, 0)
-	rep.Images++
-	rep.foldImages(sites, "final", imgs)
-	if got, err := safeRecover(tgt, imgs); err != nil {
-		rep.Violations = append(rep.Violations, Violation{
-			Site: sites, Variant: "final", OpIndex: len(ops) - 1,
-			Detail: "recovery failed: " + err.Error(),
-		})
-	} else if !modelsEqual(got, full) {
-		rep.Violations = append(rep.Violations, Violation{
-			Site: sites, Variant: "final", OpIndex: len(ops) - 1,
-			Detail: "completed ops not durable:" + modelsDiff(got, full),
-		})
-	}
+	rep.check(tgt, sites, len(ops)-1, []variantImage{{"final", crashAll(arenas, nil, 0)}}, full, full)
 
 	// Pass 2 — replay once per sampled site.
 	for _, site := range sampleSites(sites, cfg.MaxSites) {
@@ -272,26 +254,31 @@ func exploreSite(tgt Target, ops []Op, site int, cfg Config, rep *Report) error 
 	after := cloneModel(before)
 	tgt.ApplyModel(after, ops[opIdx])
 
+	rep.check(tgt, site, opIdx, images, before, after)
+	return nil
+}
+
+// check recovers each image set and reports the ones whose contents are
+// neither before nor after, then checks the target's survivors, if any.
+func (r *Report) check(tgt Target, site, opIdx int, images []variantImage, before, after Model) {
+	violate := func(variant, detail string) {
+		r.Violations = append(r.Violations, Violation{Site: site, Variant: variant, OpIndex: opIdx, Detail: detail})
+	}
 	for _, v := range images {
-		rep.Images++
-		rep.foldImages(site, v.name, v.imgs)
+		r.Images++
+		r.foldImages(site, v.name, v.imgs)
 		got, err := safeRecover(tgt, v.imgs)
 		if err != nil {
-			rep.Violations = append(rep.Violations, Violation{
-				Site: site, Variant: v.name, OpIndex: opIdx,
-				Detail: "recovery failed: " + err.Error(),
-			})
-			continue
-		}
-		if !modelsEqual(got, before) && !modelsEqual(got, after) {
-			rep.Violations = append(rep.Violations, Violation{
-				Site: site, Variant: v.name, OpIndex: opIdx,
-				Detail: fmt.Sprintf("recovered state matches neither pre- nor post-op model (in-flight %s %d): vs after:%s",
-					ops[opIdx].Kind, ops[opIdx].K, modelsDiff(got, after)),
-			})
+			violate(v.name, "recovery failed: "+err.Error())
+		} else if !modelsEqual(got, before) && !modelsEqual(got, after) {
+			violate(v.name, "recovered state matches neither pre- nor post-op model: vs after:"+modelsDiff(got, after))
 		}
 	}
-	return nil
+	if sc, ok := tgt.(SurvivorChecker); ok {
+		if err := sc.CheckSurvivors(before, after); err != nil {
+			violate("survivor", err.Error())
+		}
+	}
 }
 
 // runToCrash applies ops, folding each completed op into committed, until

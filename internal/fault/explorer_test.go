@@ -39,7 +39,7 @@ func TestExploreTreeAllSites(t *testing.T) {
 }
 
 func TestExploreKVAllSites(t *testing.T) {
-	rep := mustExplore(t, &KVTarget{}, KVWorkload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
+	rep := mustExplore(t, NewKVTarget(), KVWorkload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
 	if rep.Sites < 60 {
 		t.Fatalf("only %d sites — workload too shallow", rep.Sites)
 	}
@@ -52,8 +52,8 @@ func TestExploreKVAllSites(t *testing.T) {
 	t.Logf("kv: %d sites, %d images, hash %#x", rep.Sites, rep.Images, rep.ImageHash)
 }
 
-// The cached target runs the same store workload behind the server's DRAM
-// hot-key cache: every crash site must recover to an image a fresh cache
+// The cached target runs the same store workload behind kv's DRAM hot-key
+// cache: every crash site must recover to an image a fresh cache
 // serves identically on the fill pass and the all-hits pass — the proof
 // that the cache needs no persistence and recovery discards it cleanly.
 func TestExploreCachedKVAllSites(t *testing.T) {
@@ -94,7 +94,7 @@ func TestExploreObjAllSites(t *testing.T) {
 func TestExploreForestAllSites(t *testing.T) {
 	for _, dual := range []bool{false, true} {
 		tgt := &ForestTarget{DualSlot: dual}
-		rep := mustExplore(t, tgt, ForestWorkload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
+		rep := mustExplore(t, tgt, TreeWorkload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
 		if rep.Sites < 40 {
 			t.Fatalf("%s: only %d sites — workload too shallow", tgt.Name(), rep.Sites)
 		}
@@ -112,7 +112,7 @@ func TestExploreForestAllSites(t *testing.T) {
 // cuts now interleave across two arenas, and recovery must rebuild both
 // partitions from any machine-wide crash image set.
 func TestExploreKVPartsAllSites(t *testing.T) {
-	rep := mustExplore(t, &KVPartsTarget{}, KVWorkload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
+	rep := mustExplore(t, NewKVPartsTarget(), KVWorkload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
 	if rep.Sites < 60 {
 		t.Fatalf("only %d sites — workload too shallow", rep.Sites)
 	}
@@ -149,7 +149,7 @@ func TestExploreHeapAllSites(t *testing.T) {
 // must always leave an image that reopens to exactly the pre-loaded
 // contents.
 func TestExploreKVReopen(t *testing.T) {
-	rep := mustExplore(t, &KVReopenTarget{}, KVReopenWorkload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
+	rep := mustExplore(t, NewKVReopenTarget(), KVReopenWorkload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
 	if rep.Sites < 20 {
 		t.Fatalf("only %d sites — recovery not exercised", rep.Sites)
 	}

@@ -12,7 +12,9 @@
 // NV-Tree and FPTree argue their failure-atomicity windows by hand-listing
 // them; this package lists ours mechanically, for every layer from pmem up
 // through the kv store (including value-log compaction and the reopen of
-// a rebooted image, whose crash windows live inside recovery itself).
+// a rebooted image, whose crash windows live inside recovery itself), the
+// typed-object layer over it, and a primary/replica pair, crashed whole or
+// one node at a time while the other keeps running.
 //
 // Everything is seeded: the same Config against the same Target replays the
 // same crash images byte for byte (Report.ImageHash), so a violation found
@@ -44,6 +46,9 @@ const (
 	// OpOpen opens a pre-loaded image (kv reopen target) — semantically a
 	// no-op; its persist sites are recovery's own.
 	OpOpen
+	// OpPromote promotes a replica to primary at the next epoch (promote
+	// target) — semantically a no-op; its persist sites are the cutover's.
+	OpPromote
 )
 
 func (k OpKind) String() string {
@@ -58,6 +63,8 @@ func (k OpKind) String() string {
 		return "compact"
 	case OpOpen:
 		return "open"
+	case OpPromote:
+		return "promote"
 	}
 	return fmt.Sprintf("opkind(%d)", uint8(k))
 }
@@ -83,12 +90,15 @@ type Model = map[string]string
 type Target interface {
 	// Name identifies the target in reports.
 	Name() string
-	// Reset builds a fresh instance and returns its arenas (one per
-	// partition for forest-backed targets, a single-element slice
-	// otherwise) plus the model of contents already durable at reset time
-	// (non-empty only for targets that pre-load state, e.g. the kv reopen
-	// target). The explorer installs its hooks *after* Reset
-	// returns, so format-time persists are not crash sites.
+	// Reset builds a fresh instance and returns the arenas that crash: all
+	// of them for a machine-wide crash (one per partition, and both nodes'
+	// for kv+repl), or only the doomed node's for a target that kills one
+	// node of a pair. The explorer hooks and images only these arenas; any
+	// others keep running untouched. Reset also returns the model of
+	// contents already durable at reset time (non-empty only for targets
+	// that pre-load state, e.g. the kv reopen target). The explorer
+	// installs its hooks *after* Reset returns, so format-time persists
+	// are not crash sites.
 	Reset() ([]*pmem.Arena, Model, error)
 	// Apply executes op against the live instance.
 	Apply(op Op) error
@@ -98,6 +108,15 @@ type Target interface {
 	// order), verifies structural invariants, and returns the recovered
 	// contents.
 	Recover(imgs [][]uint64) (Model, error)
+}
+
+// SurvivorChecker is implemented by targets whose crash leaves a node
+// running: the arenas Reset did not return. Survivors are checked once per
+// crash site, after the replay stops and the dead node's images are
+// checked, with the models before and after the in-flight op; and once
+// after the no-crash pass with the full model as both.
+type SurvivorChecker interface {
+	CheckSurvivors(before, after Model) error
 }
 
 func cloneModel(m Model) Model {

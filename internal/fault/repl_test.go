@@ -1,6 +1,10 @@
 package fault
 
-import "testing"
+import (
+	"testing"
+
+	"rntree/internal/pmem"
+)
 
 // Machine-wide crash of the replicated pair: every persist site on either
 // node — including the replica-apply persists running inside the primary's
@@ -25,10 +29,7 @@ func TestExploreReplPairAllSites(t *testing.T) {
 // write — and the dead primary's own images must still recover to a
 // prefix-consistent cut.
 func TestExplorePrimaryKillAllSites(t *testing.T) {
-	rep, err := ExplorePrimaryKill(KVWorkload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustExplore(t, &PrimaryKillTarget{}, KVWorkload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
 	if rep.Sites < 60 {
 		t.Fatalf("only %d sites — workload too shallow", rep.Sites)
 	}
@@ -45,10 +46,7 @@ func TestExplorePrimaryKillAllSites(t *testing.T) {
 // and every replica crash image must heal back to the primary's state via
 // the backlog catch-up.
 func TestExploreReplicaKillAllSites(t *testing.T) {
-	rep, err := ExploreReplicaKill(KVWorkload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustExplore(t, &ReplicaKillTarget{}, KVWorkload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
 	if rep.Sites < 40 {
 		t.Fatalf("only %d sites — replica apply path too shallow", rep.Sites)
 	}
@@ -65,10 +63,7 @@ func TestExploreReplicaKillAllSites(t *testing.T) {
 // tear, so every image reads back as fully the old identity or fully the
 // new one, contents untouched.
 func TestExplorePromotionAllSites(t *testing.T) {
-	rep, err := ExplorePromotion(KVWorkload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustExplore(t, &PromoteTarget{}, PromoteWorkload(), Config{Seed: 42, EvictProb: 0.4, Torn: true})
 	if rep.Sites < 1 {
 		t.Fatalf("no promotion sites counted")
 	}
@@ -81,20 +76,58 @@ func TestExplorePromotionAllSites(t *testing.T) {
 	t.Logf("promote: %d sites, %d images, hash %#x", rep.Sites, rep.Images, rep.ImageHash)
 }
 
-// The failover explorers are seeded the same way Explore is: same seed ⇒
+// The one-node kill targets are seeded like every other target: same seed ⇒
 // identical crash images, so a CI violation replays from its logged seed.
 func TestFailoverSeededDeterminism(t *testing.T) {
 	cfg := Config{Seed: 7, EvictProb: 0.5, Torn: true, MaxSites: 25}
-	a, err := ExplorePrimaryKill(KVWorkload(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ExplorePrimaryKill(KVWorkload(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustExplore(t, &PrimaryKillTarget{}, KVWorkload(), cfg)
+	b := mustExplore(t, &PrimaryKillTarget{}, KVWorkload(), cfg)
 	if a.ImageHash != b.ImageHash || a.Sites != b.Sites || a.Images != b.Images {
 		t.Fatalf("same seed diverged: %#x/%d/%d vs %#x/%d/%d",
 			a.ImageHash, a.Sites, a.Images, b.ImageHash, b.Sites, b.Images)
 	}
+}
+
+// ---------------------------------------------------------------------------
+// The survivor check must catch a lost write: a link that drops one shipped
+// record leaves the replica without a write the primary acked. The dead
+// primary's images are all fine, so only the survivor check can see it.
+
+// lossyPrimaryKill is the primary-kill target over a link that drops the
+// eighth shipped record: KVWorkload's insert of key 7, which no later op
+// touches.
+type lossyPrimaryKill struct {
+	PrimaryKillTarget
+}
+
+func (t *lossyPrimaryKill) Reset() ([]*pmem.Arena, Model, error) {
+	arenas, base, err := t.PrimaryKillTarget.Reset()
+	if err != nil {
+		return nil, nil, err
+	}
+	shipped, replica := 0, t.replica
+	t.primary.SetCommitHook(func(part int, lsn uint64, kind uint8, key, val []byte) {
+		if shipped++; shipped == 8 {
+			return
+		}
+		if err := replica.ReplApply(part, lsn, kind, key, val); err != nil {
+			panic(err)
+		}
+	})
+	return arenas, base, nil
+}
+
+func TestPrimaryKillLostWriteCaught(t *testing.T) {
+	rep := mustExplore(t, &lossyPrimaryKill{}, KVWorkload(), Config{Seed: 1, MaxSites: 40})
+	survivor := 0
+	for _, v := range rep.Violations {
+		if v.Variant != "survivor" {
+			t.Fatalf("dead primary's image flagged, not the survivor: %s", v)
+		}
+		survivor++
+	}
+	if survivor == 0 {
+		t.Fatal("replica missing an acked write not caught by the survivor check")
+	}
+	t.Logf("caught at %d of %d sites, first: %s", survivor, rep.Explored+1, rep.Violations[0])
 }

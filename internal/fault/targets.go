@@ -14,6 +14,20 @@ import (
 	"rntree/kv"
 )
 
+// u64Model is the ApplyModel of the targets that map op.K to op.V as plain
+// integers: the tree, the forest and the heap.
+type u64Model struct{}
+
+func (u64Model) ApplyModel(m Model, op Op) {
+	k := strconv.FormatUint(op.K, 10)
+	switch op.Kind {
+	case OpInsert, OpUpdate:
+		m[k] = strconv.FormatUint(op.V, 10)
+	case OpDelete:
+		delete(m, k)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // core.Tree target
 
@@ -21,6 +35,7 @@ import (
 // reaches the split path (whole-leaf undo log) as well as the two-persist
 // insert/update and the delete paths.
 type TreeTarget struct {
+	u64Model
 	DualSlot bool
 	arena    *pmem.Arena
 	tree     *core.Tree
@@ -64,16 +79,6 @@ func (t *TreeTarget) Apply(op Op) error {
 	return fmt.Errorf("tree target: unsupported op %s", op.Kind)
 }
 
-func (t *TreeTarget) ApplyModel(m Model, op Op) {
-	k := strconv.FormatUint(op.K, 10)
-	switch op.Kind {
-	case OpInsert, OpUpdate:
-		m[k] = strconv.FormatUint(op.V, 10)
-	case OpDelete:
-		delete(m, k)
-	}
-}
-
 func (t *TreeTarget) Recover(imgs [][]uint64) (Model, error) {
 	if len(imgs) != 1 {
 		return nil, fmt.Errorf("tree target: %d images, want 1", len(imgs))
@@ -99,7 +104,9 @@ func (t *TreeTarget) Recover(imgs [][]uint64) (Model, error) {
 
 // TreeWorkload exercises every single-threaded mutation path: inserts deep
 // enough to split leaves several times (20 live keys at 7 per leaf), then
-// updates (log-entry reuse) and deletes (tombstone slots).
+// updates (log-entry reuse) and deletes (tombstone slots). The forest
+// targets run it too: Mix64 spreads its keys across both partitions, so
+// splits, updates and deletes land in each partition's arena.
 func TreeWorkload() []Op {
 	var ops []Op
 	for i := uint64(0); i < 20; i++ {
@@ -120,10 +127,23 @@ func TreeWorkload() []Op {
 // KVTarget drives a kv.Store with tiny chunks so the workload crosses chunk
 // boundaries (newChunk's chunk-link persists) and with compaction ops
 // mixed in, crashing inside record appends, index updates, and the
-// compaction cut.
+// compaction cut. NewKVTarget runs one partition ("kv"); NewKVPartsTarget
+// runs two ("kv-parts"), where crash sites land inside one partition's
+// work while the other's arena is quiescent, and recovery must rebuild
+// both partitions from their own superblocks and reject nothing from a
+// legitimate machine-wide crash.
 type KVTarget struct {
+	kvModel
+	name  string
+	opts  kv.Options
 	store *kv.Store
 }
+
+// NewKVTarget returns the one-partition kv target.
+func NewKVTarget() *KVTarget { return &KVTarget{name: "kv", opts: kvOpts()} }
+
+// NewKVPartsTarget returns the two-partition kv target.
+func NewKVPartsTarget() *KVTarget { return &KVTarget{name: "kv-parts", opts: kvPartsOpts()} }
 
 func kvOpts() kv.Options {
 	return kv.Options{
@@ -132,10 +152,18 @@ func kvOpts() kv.Options {
 	}
 }
 
-func (t *KVTarget) Name() string { return "kv" }
+func kvPartsOpts() kv.Options {
+	return kv.Options{
+		ArenaSize:  8 << 20,
+		ChunkSize:  512,
+		Partitions: 2,
+	}
+}
+
+func (t *KVTarget) Name() string { return t.name }
 
 func (t *KVTarget) Reset() ([]*pmem.Arena, Model, error) {
-	s, err := kv.New(kvOpts())
+	s, err := kv.New(t.opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -160,37 +188,43 @@ func (t *KVTarget) Apply(op Op) error {
 	case OpCompact:
 		return t.store.Compact()
 	}
-	return fmt.Errorf("kv target: unsupported op %s", op.Kind)
+	return fmt.Errorf("%s target: unsupported op %s", t.name, op.Kind)
 }
 
-func kvApplyModel(m Model, op Op) {
+// kvModel is the ApplyModel of the targets over a kv.Store, which map
+// kvKey(op.K) to kvValue(op.K, op.V).
+type kvModel struct{}
+
+func (kvModel) ApplyModel(m Model, op Op) {
 	switch op.Kind {
 	case OpInsert, OpUpdate:
 		m[kvKey(op.K)] = kvValue(op.K, op.V)
 	case OpDelete:
 		delete(m, kvKey(op.K))
-	case OpCompact, OpOpen:
+	case OpCompact, OpOpen, OpPromote:
 		// Semantic no-ops: contents unchanged.
 	}
 }
 
-func (t *KVTarget) ApplyModel(m Model, op Op) { kvApplyModel(m, op) }
+func rangeModel(s *kv.Store) Model {
+	got := Model{}
+	s.Range(func(k, v []byte) bool {
+		got[string(k)] = string(v)
+		return true
+	})
+	return got
+}
 
 func kvRecover(imgs [][]uint64, opts kv.Options) (Model, error) {
 	s, err := kv.Open(imgs, opts)
 	if err != nil {
 		return nil, err
 	}
-	got := Model{}
-	s.Range(func(k, v []byte) bool {
-		got[string(k)] = string(v)
-		return true
-	})
-	return got, nil
+	return rangeModel(s), nil
 }
 
 func (t *KVTarget) Recover(imgs [][]uint64) (Model, error) {
-	return kvRecover(imgs, kvOpts())
+	return kvRecover(imgs, t.opts)
 }
 
 // KVWorkload covers Put (fresh and overwriting), Delete, and two Compacts —
@@ -233,6 +267,7 @@ func KVWorkload() []Op {
 // accident (or a fill that installs mismatched values) fails the image
 // comparison.
 type CachedKVTarget struct {
+	kvModel
 	store *kv.Store
 }
 
@@ -292,8 +327,6 @@ func (t *CachedKVTarget) Apply(op Op) error {
 	return fmt.Errorf("kv+cache target: unsupported op %s", op.Kind)
 }
 
-func (t *CachedKVTarget) ApplyModel(m Model, op Op) { kvApplyModel(m, op) }
-
 // Recover reopens the store from the crash images behind a FRESH cache —
 // recovery discards DRAM — and builds the model by reading every surviving
 // key twice: the first read fills, the second must hit and agree
@@ -337,6 +370,7 @@ func (t *CachedKVTarget) Recover(imgs [][]uint64) (Model, error) {
 // other partition's arena is quiescent, and recovery must reassemble the
 // whole forest from the multi-arena image set (superblock checks included).
 type ForestTarget struct {
+	u64Model
 	DualSlot bool
 	forest   *forest.Forest
 }
@@ -381,16 +415,6 @@ func (t *ForestTarget) Apply(op Op) error {
 	return fmt.Errorf("forest target: unsupported op %s", op.Kind)
 }
 
-func (t *ForestTarget) ApplyModel(m Model, op Op) {
-	k := strconv.FormatUint(op.K, 10)
-	switch op.Kind {
-	case OpInsert, OpUpdate:
-		m[k] = strconv.FormatUint(op.V, 10)
-	case OpDelete:
-		delete(m, k)
-	}
-}
-
 func (t *ForestTarget) Recover(imgs [][]uint64) (Model, error) {
 	f, err := forest.Open(imgs, t.opts())
 	if err != nil {
@@ -407,71 +431,6 @@ func (t *ForestTarget) Recover(imgs [][]uint64) (Model, error) {
 	return got, nil
 }
 
-// ForestWorkload is TreeWorkload's shape over keys that Mix64 spreads
-// across both partitions: splits, updates and deletes land in each
-// partition's arena, so crash sites cover both.
-func ForestWorkload() []Op {
-	var ops []Op
-	for i := uint64(0); i < 20; i++ {
-		ops = append(ops, Op{OpInsert, i * 7 % 97, 1000 + i})
-	}
-	for i := uint64(0); i < 6; i++ {
-		ops = append(ops, Op{OpUpdate, i * 7 % 97, 2000 + i})
-	}
-	for i := uint64(6); i < 12; i++ {
-		ops = append(ops, Op{OpDelete, i * 7 % 97, 0})
-	}
-	return ops
-}
-
-// ---------------------------------------------------------------------------
-// kv partitioned target
-
-// KVPartsTarget drives a two-partition kv.Store: crash sites land inside
-// one partition's record append, index update, chunk link or compaction
-// cut, and recovery must rebuild both partitions from their own
-// superblocks and reject nothing from a legitimate machine-wide crash.
-type KVPartsTarget struct {
-	store *kv.Store
-}
-
-func kvPartsOpts() kv.Options {
-	return kv.Options{
-		ArenaSize:  8 << 20,
-		ChunkSize:  512,
-		Partitions: 2,
-	}
-}
-
-func (t *KVPartsTarget) Name() string { return "kv-parts" }
-
-func (t *KVPartsTarget) Reset() ([]*pmem.Arena, Model, error) {
-	s, err := kv.New(kvPartsOpts())
-	if err != nil {
-		return nil, nil, err
-	}
-	t.store = s
-	return s.Arenas(), Model{}, nil
-}
-
-func (t *KVPartsTarget) Apply(op Op) error {
-	switch op.Kind {
-	case OpInsert, OpUpdate:
-		return t.store.Put([]byte(kvKey(op.K)), []byte(kvValue(op.K, op.V)))
-	case OpDelete:
-		return t.store.Delete([]byte(kvKey(op.K)))
-	case OpCompact:
-		return t.store.Compact()
-	}
-	return fmt.Errorf("kv-parts target: unsupported op %s", op.Kind)
-}
-
-func (t *KVPartsTarget) ApplyModel(m Model, op Op) { kvApplyModel(m, op) }
-
-func (t *KVPartsTarget) Recover(imgs [][]uint64) (Model, error) {
-	return kvRecover(imgs, kvPartsOpts())
-}
-
 // ---------------------------------------------------------------------------
 // pmem heap allocator target
 
@@ -486,6 +445,7 @@ func (t *KVPartsTarget) Recover(imgs [][]uint64) (Model, error) {
 // metadata CheckHeap does not accept, so every admissible image must get
 // through it.
 type HeapTarget struct {
+	u64Model
 	arena *pmem.Arena
 }
 
@@ -578,16 +538,6 @@ func (t *HeapTarget) Apply(op Op) error {
 	return fmt.Errorf("heap target: unsupported op %s", op.Kind)
 }
 
-func (t *HeapTarget) ApplyModel(m Model, op Op) {
-	k := strconv.FormatUint(op.K, 10)
-	switch op.Kind {
-	case OpInsert, OpUpdate:
-		m[k] = strconv.FormatUint(op.V, 10)
-	case OpDelete:
-		delete(m, k)
-	}
-}
-
 func (t *HeapTarget) Recover(imgs [][]uint64) (Model, error) {
 	if len(imgs) != 1 {
 		return nil, fmt.Errorf("heap target: %d images, want 1", len(imgs))
@@ -643,14 +593,17 @@ func HeapWorkload() []Op {
 // recovery — become crash points, per partition. A crash image from any of
 // them must reopen to exactly the pre-loaded contents.
 type KVReopenTarget struct {
-	KVPartsTarget // store is nil until OpOpen
-	arenas        []*pmem.Arena
+	KVTarget // store is nil until OpOpen
+	arenas   []*pmem.Arena
 }
 
-func (t *KVReopenTarget) Name() string { return "kv-reopen" }
+// NewKVReopenTarget returns the kv reopen target.
+func NewKVReopenTarget() *KVReopenTarget {
+	return &KVReopenTarget{KVTarget: KVTarget{name: "kv-reopen", opts: kvPartsOpts()}}
+}
 
 func (t *KVReopenTarget) Reset() ([]*pmem.Arena, Model, error) {
-	s, err := kv.New(kvPartsOpts())
+	s, err := kv.New(t.opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -685,14 +638,14 @@ func (t *KVReopenTarget) Reset() ([]*pmem.Arena, Model, error) {
 
 func (t *KVReopenTarget) Apply(op Op) error {
 	if op.Kind == OpOpen {
-		s, err := kv.OpenArenas(t.arenas, kvPartsOpts())
+		s, err := kv.OpenArenas(t.arenas, t.opts)
 		t.store = s
 		return err
 	}
 	if t.store == nil {
 		return fmt.Errorf("kv-reopen target: %s before OpOpen", op.Kind)
 	}
-	return t.KVPartsTarget.Apply(op)
+	return t.KVTarget.Apply(op)
 }
 
 // KVReopenWorkload opens the pre-loaded images, then keeps using the
@@ -951,13 +904,16 @@ func Targets() []struct {
 		{&HeapTarget{}, HeapWorkload()},
 		{&TreeTarget{DualSlot: false}, TreeWorkload()},
 		{&TreeTarget{DualSlot: true}, TreeWorkload()},
-		{&ForestTarget{DualSlot: false}, ForestWorkload()},
-		{&ForestTarget{DualSlot: true}, ForestWorkload()},
-		{&KVTarget{}, KVWorkload()},
+		{&ForestTarget{DualSlot: false}, TreeWorkload()},
+		{&ForestTarget{DualSlot: true}, TreeWorkload()},
+		{NewKVTarget(), KVWorkload()},
 		{&CachedKVTarget{}, KVWorkload()},
-		{&KVPartsTarget{}, KVWorkload()},
-		{&KVReopenTarget{}, KVReopenWorkload()},
+		{NewKVPartsTarget(), KVWorkload()},
+		{NewKVReopenTarget(), KVReopenWorkload()},
 		{&ReplTarget{}, KVWorkload()},
 		{&ObjTarget{}, ObjWorkload()},
+		{&PrimaryKillTarget{}, KVWorkload()},
+		{&ReplicaKillTarget{}, KVWorkload()},
+		{&PromoteTarget{}, PromoteWorkload()},
 	}
 }
