@@ -1,9 +1,9 @@
 # Tier-1 verification and the race gate for the concurrent kv/tree paths.
 GO ?= go
 
-.PHONY: check build vet test lint lint-fixtures race bench-kv bench-heap faultcheck faultshort servercheck replcheck heapcheck objcheck stallcheck benchcheck benchpair fuzz-wire
+.PHONY: check build vet test lint lint-fixtures race bench-kv bench-heap faultcheck faultshort servercheck replcheck heapcheck treecheck objcheck stallcheck benchcheck benchpair fuzz-wire
 
-check: build vet lint test faultshort servercheck replcheck heapcheck objcheck stallcheck benchcheck
+check: build vet lint test faultshort servercheck replcheck heapcheck treecheck objcheck stallcheck benchcheck
 
 # $(call run-tests,<go test flags>,<package>,<alt1|alt2|...>) is `go test
 # -run` that fails when any alternative of the pattern selects no test:
@@ -104,6 +104,16 @@ heapcheck:
 	$(call run-tests,,./kv,Grow|OOM|Garbage|CompactFreesAfterReaders)
 	$(call run-tests,,./internal/core,Corrupt)
 	$(call run-tests,,./internal/analysis,UndoLog)
+
+# Leaf-image gate: a split and a compaction persist only the live prefix of
+# each leaf image (the compacted undo image, the rewritten leaves) with
+# their persist counts unchanged, an undo slot reused after a larger image
+# restores only its own entries, a split on a full arena persists nothing
+# on retry, and the tree crash explorer (splits and a compaction, both slot
+# modes) stays at zero violations.
+treecheck:
+	$(call run-tests,,./internal/core,CompactionFlushesLiveLines|SplitFlushesLiveLines|UndoSlotReuseAfterLargerImage|InsertOOMMidSplitRetrySafe)
+	$(call run-tests,,./internal/fault,ExploreTreeAllSites)
 
 # Typed-object gate: the obj layer's unit tests under the race detector —
 # all of them ("Test" selects every test), with the header-as-commit-point

@@ -27,7 +27,7 @@ func BulkLoad(arena *pmem.Arena, opts Options, records []tree.KV) (*Tree, error)
 		arena:    arena,
 		metas:    newMetaTable(),
 		capacity: opts.LeafCapacity,
-		lsize:    leafSize(opts.LeafCapacity),
+		lsize:    imageSize(opts.LeafCapacity),
 		dual:     opts.DualSlot,
 		flushCS:  opts.FlushInCS,
 	}
@@ -74,7 +74,7 @@ func BulkLoad(arena *pmem.Arena, opts Options, records []tree.KV) (*Tree, error)
 			vals[j-lo] = records[j].Value
 		}
 		t.writeLeafImage(offs[i], keys, vals, next)
-		arena.Persist(offs[i], t.lsize)
+		arena.Persist(offs[i], imageSize(len(keys)))
 	}
 
 	arena.Write8(rootHeadOff, offs[0])

@@ -99,10 +99,10 @@ func TestSlotReplaceAt(t *testing.T) {
 }
 
 func TestLeafSizeAndOffsets(t *testing.T) {
-	if leafSize(64) != 3*64+64*16 {
-		t.Fatalf("leafSize(64) = %d", leafSize(64))
+	if imageSize(64) != 3*64+64*16 {
+		t.Fatalf("imageSize(64) = %d", imageSize(64))
 	}
-	if leafSize(64)%pmem.LineSize != 0 {
+	if imageSize(64)%pmem.LineSize != 0 {
 		t.Fatal("leaf size not line aligned")
 	}
 	if kvEntryOff(1000, 0) != 1000+kvOff {

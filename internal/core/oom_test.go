@@ -44,10 +44,19 @@ func TestInsertOOMMidSplitRetrySafe(t *testing.T) {
 			t.Fatalf("acked key %d lost after OOM (ok=%v v=%d)", k, ok, v)
 		}
 	}
-	// Retrying is stable: same typed error, no corruption.
+	// Retrying is stable: same typed error, no corruption, and nothing
+	// persisted — the split takes its right leaf before arming the undo
+	// slot, so a full arena fails it before any flush.
 	next := acked[len(acked)-1] + 1
-	if err := tr.Insert(next, 1); !errors.Is(err, tree.ErrFull) {
-		t.Fatalf("retry surfaced as %v, want tree.ErrFull", err)
+	for retry := 0; retry < 3; retry++ {
+		before := a.Stats()
+		if err := tr.Insert(next, 1); !errors.Is(err, tree.ErrFull) {
+			t.Fatalf("retry %d surfaced as %v, want tree.ErrFull", retry, err)
+		}
+		after := a.Stats()
+		if d := after.Persists - before.Persists; d != 0 {
+			t.Fatalf("retry %d issued %d persists (%d lines), want 0", retry, d, after.LinesFlushed-before.LinesFlushed)
+		}
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("tree inconsistent after retry: %v", err)

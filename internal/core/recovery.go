@@ -119,10 +119,16 @@ func CrashRecover(a *pmem.Arena, opts Options) (*Tree, error) {
 				return nil, fmt.Errorf("core: undo slot %#x is armed for leaf %#x, which the allocator never handed out", uoff, leafOff)
 			}
 			curNext := a.Read8(leafOff + hdrNextOff)
-			img := make([]byte, t.lsize)
-			a.ReadRange(uoff+undoImageOff, t.lsize, img)
+			// The slot holds a compacted image (split.go): restore its live
+			// prefix, sized by its own slot line, so the stale tail of a
+			// slot that once held a larger image is never copied back.
+			var line [pmem.LineSize]byte
+			a.ReadLine(uoff+undoImageOff+pslotOff, &line)
+			s := decodeSlot(&line, t.capacity)
+			img := make([]byte, imageSize(s.n))
+			a.ReadRange(uoff+undoImageOff, uint64(len(img)), img)
 			a.WriteRange(leafOff, img)
-			a.Persist(leafOff, t.lsize)
+			a.Persist(leafOff, uint64(len(img)))
 			// If the interrupted split had already chained in its new
 			// right-hand leaf, the restored image just unlinked it: the
 			// pre-split next pointer differs from the one we overwrote.
@@ -177,7 +183,7 @@ func openCommon(a *pmem.Arena, opts Options) (*Tree, error) {
 		region:   htm.NewRegion(a, opts.HTM),
 		metas:    newMetaTable(),
 		capacity: opts.LeafCapacity,
-		lsize:    leafSize(opts.LeafCapacity),
+		lsize:    imageSize(opts.LeafCapacity),
 		dual:     opts.DualSlot,
 	}
 	t.undo = newUndoPool(t.lsize)

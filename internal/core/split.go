@@ -10,11 +10,19 @@ import (
 )
 
 // Undo-slot layout (the paper's "pre-defined thread-local storage" for
-// whole-leaf undo logs during splits, Algorithm 3):
+// split undo logs, Algorithm 3):
 //
 //	word 0: status — the offset of the leaf being split, or 0 when idle
 //	word 1: next undo slot in the persistent chain (rooted at rootUndoOff)
-//	+64   : the leaf image
+//	+64   : the leaf's compacted pre-split image
+//
+// Algorithm 3 copies the whole leaf; the slot instead holds the pre-split
+// leaf compacted — its live entries in key order, identity slot arrays and
+// its persistent next pointer — persisted at imageSize(n). That is the same
+// leaf to every reader and to recovery, which reach log entries only through
+// a slot array, and it flushes n entries rather than the whole log area.
+// The slot is sized for a full leaf; bytes past imageSize(n) are stale from
+// earlier splits and are never copied back.
 //
 // Crash recovery walks the chain and restores any leaf whose slot is still
 // armed, undoing a partial split. Undoing a *completed* split is also safe:
@@ -132,49 +140,60 @@ func (t *Tree) splitLocked(m *leafMeta) error {
 		keys[i] = t.arena.Read8(off)
 		vals[i] = t.arena.Read8(off + 8)
 	}
+	next := t.arena.Read8(m.off + hdrNextOff)
 
-	// Whole-leaf undo log (Algorithm 3 line 2): image first, then the
-	// status word that arms it.
+	// A split in two takes its right leaf before the undo slot is armed, so
+	// on a full arena it fails having persisted nothing and a retried insert
+	// pays nothing either. A crash between this Alloc and the link below
+	// leaks the block, as a crash between any Alloc and its publish does.
+	inTwo := s.n >= t.capacity/2
+	var right uint64
+	if inTwo {
+		var err error
+		if right, err = t.arena.Alloc(t.lsize); err != nil {
+			m.vl.UnsetSplit()
+			return tree.ErrFull
+		}
+	}
 	uoff, err := t.undo.acquire(t.arena)
 	if err != nil {
+		if inTwo {
+			t.arena.Free(right, t.lsize)
+		}
 		m.vl.UnsetSplit()
 		return err
 	}
-	img := sb.image(t.lsize)
-	t.arena.ReadRange(m.off, t.lsize, img)
-	t.arena.WriteRange(uoff+undoImageOff, img)
-	t.arena.Persist(uoff+undoImageOff, t.lsize)
+	// Undo log (Algorithm 3 line 2): the compacted pre-split image first,
+	// then the status word that arms it.
+	t.writeLeafImage(uoff+undoImageOff, keys, vals, next)
+	t.arena.Persist(uoff+undoImageOff, imageSize(len(keys)))
 	t.arena.Write8(uoff+undoStatusOff, m.off)
 	t.arena.Persist(uoff+undoStatusOff, 8)
-	if s.n >= t.capacity/2 {
-		err = t.splitInTwo(m, keys, vals)
+	if inTwo {
+		t.splitInTwo(m, keys, vals, next, right)
 	} else {
-		t.compactInPlace(m, keys, vals)
+		t.compactInPlace(m, keys, vals, next)
 	}
 	t.undo.release(t.arena, uoff)
 	m.vl.UnsetSplit() // version++ : readers and waiting writers revalidate
-	return err
+	return nil
 }
 
 // splitInTwo keeps the lower half in the (rewritten) old leaf and moves the
-// upper half into a freshly allocated right-hand leaf, linked after it.
-func (t *Tree) splitInTwo(m *leafMeta, keys, vals []uint64) error {
+// upper half into the right-hand leaf at newOff, linked after it; next is
+// the old leaf's persistent next pointer.
+func (t *Tree) splitInTwo(m *leafMeta, keys, vals []uint64, next, newOff uint64) {
 	n := len(keys)
 	half := n / 2
 	splitKey := keys[half]
 
-	newOff, err := t.arena.Alloc(t.lsize)
-	if err != nil {
-		return tree.ErrFull
-	}
 	// Right leaf: entries half..n-1 compacted to logs 0..n-half-1.
-	oldNext := t.arena.Read8(m.off + hdrNextOff)
-	t.writeLeafImage(newOff, keys[half:], vals[half:], oldNext)
-	t.arena.Persist(newOff, t.lsize)
+	t.writeLeafImage(newOff, keys[half:], vals[half:], next)
+	t.arena.Persist(newOff, imageSize(n-half))
 	// Old leaf rewritten in place: lower half compacted, chained to the new
 	// leaf. Safe: pins are drained and the pre-split image is undo-logged.
 	t.writeLeafImage(m.off, keys[:half], vals[:half], newOff)
-	t.arena.Persist(m.off, t.lsize)
+	t.arena.Persist(m.off, imageSize(half))
 
 	nm := newLeafMeta(newOff, 0)
 	nm.nlogs.Store(uint32(n - half))
@@ -197,16 +216,14 @@ func (t *Tree) splitInTwo(m *leafMeta, keys, vals []uint64) error {
 	// htmTreeUpdate (Table 2): register the new leaf under its separator.
 	// Done before UnsetSplit so retrying operations find the updated index.
 	t.ix.Insert(splitKey, newID)
-	return nil
 }
 
 // compactInPlace is the special-purpose split: the active entries are fewer
 // than half the capacity, so the leaf is rewritten compactly, reclaiming
 // obsolete log entries without allocating a new node.
-func (t *Tree) compactInPlace(m *leafMeta, keys, vals []uint64) {
-	next := t.arena.Read8(m.off + hdrNextOff)
+func (t *Tree) compactInPlace(m *leafMeta, keys, vals []uint64, next uint64) {
 	t.writeLeafImage(m.off, keys, vals, next)
-	t.arena.Persist(m.off, t.lsize)
+	t.arena.Persist(m.off, imageSize(len(keys)))
 	m.nlogs.Store(uint32(len(keys)))
 	m.plogs = uint32(len(keys))
 	m.resetFps(keys)
@@ -231,12 +248,13 @@ var splitBufs = sync.Pool{New: func() any { return new(splitScratch) }}
 // writeLeafImage lays out a fully compacted leaf: logs 0..n-1 hold the
 // records in key order, both slot arrays are the identity permutation, and
 // the header carries the next pointer. The image is assembled in a scratch
-// buffer and stored with one ranged write. The caller persists the range.
+// buffer and stored with one ranged write of imageSize(n) bytes; the log
+// entries past n keep whatever they held. The caller persists the range.
 //
-//pmem:volatile the split/compaction caller persists the whole leaf image in one Persist
+//pmem:volatile the split/compaction caller persists the leaf image's imageSize(n) prefix in one Persist
 func (t *Tree) writeLeafImage(off uint64, keys, vals []uint64, next uint64) {
 	sb := splitBufs.Get().(*splitScratch)
-	img := sb.image(t.lsize)
+	img := sb.image(imageSize(len(keys)))
 	for i := range img {
 		img[i] = 0
 	}

@@ -98,7 +98,7 @@ func New(arena *pmem.Arena, opts Options) (*Tree, error) {
 		region:   htm.NewRegion(arena, opts.HTM),
 		metas:    newMetaTable(),
 		capacity: opts.LeafCapacity,
-		lsize:    leafSize(opts.LeafCapacity),
+		lsize:    imageSize(opts.LeafCapacity),
 		dual:     opts.DualSlot,
 		flushCS:  opts.FlushInCS,
 	}

@@ -32,8 +32,8 @@ func (u64Model) ApplyModel(m Model, op Op) {
 // core.Tree target
 
 // TreeTarget drives a core.Tree with a small leaf capacity so the workload
-// reaches the split path (whole-leaf undo log) as well as the two-persist
-// insert/update and the delete paths.
+// reaches the split and compaction paths (compacted undo image) as well as
+// the two-persist insert/update and the delete paths.
 type TreeTarget struct {
 	u64Model
 	DualSlot bool
@@ -104,9 +104,14 @@ func (t *TreeTarget) Recover(imgs [][]uint64) (Model, error) {
 
 // TreeWorkload exercises every single-threaded mutation path: inserts deep
 // enough to split leaves several times (20 live keys at 7 per leaf), then
-// updates (log-entry reuse) and deletes (tombstone slots). The forest
-// targets run it too: Mix64 spreads its keys across both partitions, so
-// splits, updates and deletes land in each partition's arena.
+// updates (log-entry reuse), deletes (tombstone slots), and updates that
+// refill a leaf's log while it holds fewer than capacity/2 live entries, so
+// the leaf takes the §5.2.3 compaction in place instead of a split. On a
+// tree, the deletes leave 84 and 91 alone in a leaf with 5 of 8 logs used,
+// and 0 in a leaf of 3 keys with 4 logs used: each leaf compacts on its
+// second and third update below respectively. The forest targets run it
+// too: Mix64 spreads its keys across both partitions, so splits, updates,
+// deletes and a compaction land in the partitions' arenas.
 func TreeWorkload() []Op {
 	var ops []Op
 	for i := uint64(0); i < 20; i++ {
@@ -117,6 +122,12 @@ func TreeWorkload() []Op {
 	}
 	for i := uint64(6); i < 12; i++ {
 		ops = append(ops, Op{OpDelete, i * 7 % 97, 0})
+	}
+	for i := uint64(0); i < 3; i++ {
+		ops = append(ops, Op{OpUpdate, 84 + 7*(i%2), 3000 + i})
+	}
+	for i := uint64(0); i < 3; i++ {
+		ops = append(ops, Op{OpUpdate, 0, 4000 + i})
 	}
 	return ops
 }
