@@ -105,14 +105,15 @@ heapcheck:
 	$(call run-tests,,./internal/core,Corrupt)
 	$(call run-tests,,./internal/analysis,UndoLog)
 
-# Leaf-image gate: a split and a compaction persist only the live prefix of
-# each leaf image (the compacted undo image, the rewritten leaves) with
-# their persist counts unchanged, an undo slot reused after a larger image
-# restores only its own entries, a split on a full arena persists nothing
-# on retry, and the tree crash explorer (splits and a compaction, both slot
-# modes) stays at zero violations.
+# Leaf-image gate: a compaction and a split commit through the slot-array
+# line and persist exactly their expected ranges (a compaction the moved
+# entries and one slot line, or nothing; a split the right leaf's live
+# prefix, the link, the trimmed slot line, then a compaction), a split
+# crashed after its link recovers through the trim rule, a split on a full
+# arena persists nothing on retry, and the tree crash explorer (splits and
+# a compaction, both slot modes) stays at zero violations.
 treecheck:
-	$(call run-tests,,./internal/core,CompactionFlushesLiveLines|SplitFlushesLiveLines|UndoSlotReuseAfterLargerImage|InsertOOMMidSplitRetrySafe)
+	$(call run-tests,,./internal/core,CompactionFlushesLiveLines|SplitFlushesLiveLines|SplitCrashAtTrimRecovers|InsertOOMMidSplitRetrySafe)
 	$(call run-tests,,./internal/fault,ExploreTreeAllSites)
 
 # Typed-object gate: the obj layer's unit tests under the race detector —

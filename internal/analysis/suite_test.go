@@ -51,11 +51,9 @@ func TestAnnotations(t *testing.T) {
 }
 
 // TestTreeClean is the regression lock on the real tree: the violations
-// rnvet surfaced in this repository were fixed (undoPool.acquire's head
-// flush in v1, and in v2 its slot allocation and image persist, moved out
-// of the spin lock) or annotated with audited exemptions, and the full
-// suite — including atomicfield, lockorder and spinblock — must stay clean
-// over every production package. The declared //rnvet:lockorder hierarchy
+// rnvet surfaced in this repository were fixed or annotated with audited
+// exemptions, and the full suite — including atomicfield, lockorder and
+// spinblock — must stay clean over every production package. The declared //rnvet:lockorder hierarchy
 // is checked against the observed acquisition graph as part of this run.
 func TestTreeClean(t *testing.T) {
 	if testing.Short() {

@@ -31,7 +31,6 @@ func BulkLoad(arena *pmem.Arena, opts Options, records []tree.KV) (*Tree, error)
 		dual:     opts.DualSlot,
 		flushCS:  opts.FlushInCS,
 	}
-	t.undo = newUndoPool(t.lsize)
 
 	perLeaf := t.capacity / 2
 	if perLeaf < 1 {
@@ -78,7 +77,7 @@ func BulkLoad(arena *pmem.Arena, opts Options, records []tree.KV) (*Tree, error)
 	}
 
 	arena.Write8(rootHeadOff, offs[0])
-	arena.Write8(rootUndoOff, pmem.NullOff)
+	arena.Write8(rootResvOff, 0)
 	arena.Write8(rootMagicOff, rootMagic)
 	arena.Write8(rootCapOff, uint64(t.capacity))
 	arena.Write8(rootCleanOff, 0)
@@ -86,7 +85,7 @@ func BulkLoad(arena *pmem.Arena, opts Options, records []tree.KV) (*Tree, error)
 
 	// Volatile state: metas, bounds, chain, index — same walk recovery uses.
 	t.region = htm.NewRegion(arena, opts.HTM)
-	err := t.walkChain(func(m *leafMeta, s *slotArray) {
+	err := t.walkChain(false, func(m *leafMeta, s *slotArray) {
 		m.nlogs.Store(uint32(s.n))
 		m.plogs = uint32(s.n)
 	})

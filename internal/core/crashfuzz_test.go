@@ -17,7 +17,7 @@ import (
 func crashFuzz(t *testing.T, opts Options, trial int64, evictProb float64) {
 	t.Helper()
 	a := pmem.New(pmem.Config{Size: 32 << 20})
-	opts.LeafCapacity = 16 // frequent splits exercise the undo path
+	opts.LeafCapacity = 16 // frequent splits exercise the split and trim paths
 	tr, err := New(a, opts)
 	if err != nil {
 		t.Fatal(err)

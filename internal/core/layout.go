@@ -44,10 +44,10 @@ const (
 // imageSize returns the byte size of the first n log entries of a leaf and
 // everything before them: the header and both slot lines. imageSize of the
 // capacity is the whole leaf; imageSize(n) is the live prefix of a
-// compacted image of n entries, which is all that splits, compactions,
-// BulkLoad and undo images write and persist. Every reader and recovery
-// path reaches a log entry through a slot array, so the bytes past
-// imageSize(n) are never interpreted.
+// compacted image of n entries, which is all that a split's right leaf and
+// BulkLoad write and persist. Every reader and recovery path reaches a log
+// entry through a slot array, so the bytes past imageSize(n) are never
+// interpreted.
 func imageSize(n int) uint64 {
 	return kvOff + uint64(n)*kvEntrySize
 }

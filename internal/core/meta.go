@@ -26,7 +26,6 @@ type leafMeta struct {
 	//
 	//rnvet:lockorder core.leafMeta.vl<core.metaTable.mu
 	//rnvet:lockorder core.leafMeta.vl<inner.Index.mu
-	//rnvet:lockorder core.leafMeta.vl<core.undoPool.mu<pmem.Heap.allocMu
 	vl sync2.VersionLock
 
 	// nlogs is the allocation cursor: log entries [0, nlogs) are taken.

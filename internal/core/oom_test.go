@@ -8,8 +8,8 @@ import (
 	"rntree/internal/tree"
 )
 
-// Exhausting the arena mid-split (the right-leaf or undo-slot allocation
-// fails with ErrOutOfMemory) must surface as the typed tree.ErrFull, leave
+// Exhausting the arena mid-split (the right-leaf allocation fails with
+// ErrOutOfMemory) must surface as the typed tree.ErrFull, leave
 // the tree consistent, and be retry-safe: every acked insert stays
 // readable, the same insert keeps failing identically, and non-allocating
 // operations still work.
@@ -45,8 +45,8 @@ func TestInsertOOMMidSplitRetrySafe(t *testing.T) {
 		}
 	}
 	// Retrying is stable: same typed error, no corruption, and nothing
-	// persisted — the split takes its right leaf before arming the undo
-	// slot, so a full arena fails it before any flush.
+	// persisted — the split takes its right leaf before it writes
+	// anything, so a full arena fails it before any flush.
 	next := acked[len(acked)-1] + 1
 	for retry := 0; retry < 3; retry++ {
 		before := a.Stats()
@@ -64,8 +64,8 @@ func TestInsertOOMMidSplitRetrySafe(t *testing.T) {
 	// Non-allocating paths still make progress: update an existing key.
 	k0 := acked[0]
 	if err := tr.Update(k0, 4242); err != nil {
-		// An update may legitimately need a compaction slot; only a
-		// non-typed failure is a bug.
+		// An update may legitimately need a split; only a non-typed
+		// failure is a bug.
 		if !errors.Is(err, tree.ErrFull) {
 			t.Fatalf("update failed untyped: %v", err)
 		}

@@ -87,7 +87,7 @@ func Reconstruct(a *pmem.Arena, opts Options) (*Tree, error) {
 		return nil, fmt.Errorf("core: arena was not cleanly closed; use CrashRecover")
 	}
 	t.useHeaderMin = true // Close persisted each leaf's min key for us
-	err = t.walkChain(func(m *leafMeta, s *slotArray) {
+	err = t.walkChain(false, func(m *leafMeta, s *slotArray) {
 		m.nlogs.Store(uint32(a.Read8(m.off + hdrNlogsOff)))
 		m.plogs = uint32(a.Read8(m.off + hdrPlogsOff))
 	})
@@ -101,51 +101,17 @@ func Reconstruct(a *pmem.Arena, opts Options) (*Tree, error) {
 	return t, nil
 }
 
-// CrashRecover reopens a tree after a crash: it replays the undo-log chain
-// to roll back interrupted splits, then walks the leaf chain recomputing the
-// transient bookkeeping from the persistent slot arrays and logs — the
-// paper's "crash recovery", measurably slower than reconstruction
-// (Figure 7).
+// CrashRecover reopens a tree after a crash: it walks the leaf chain,
+// trimming the one overlap an interrupted split can leave (trimOverlap) and
+// recomputing the transient bookkeeping from the persistent slot arrays and
+// logs — the paper's "crash recovery", measurably slower than
+// reconstruction (Figure 7).
 func CrashRecover(a *pmem.Arena, opts Options) (*Tree, error) {
 	t, err := openCommon(a, opts)
 	if err != nil {
 		return nil, err
 	}
-	// Roll back interrupted splits.
-	for _, uoff := range t.undo.free {
-		leafOff := a.Read8(uoff + undoStatusOff)
-		if leafOff != 0 {
-			if !a.Allocated(leafOff, t.lsize) {
-				return nil, fmt.Errorf("core: undo slot %#x is armed for leaf %#x, which the allocator never handed out", uoff, leafOff)
-			}
-			curNext := a.Read8(leafOff + hdrNextOff)
-			// The slot holds a compacted image (split.go): restore its live
-			// prefix, sized by its own slot line, so the stale tail of a
-			// slot that once held a larger image is never copied back.
-			var line [pmem.LineSize]byte
-			a.ReadLine(uoff+undoImageOff+pslotOff, &line)
-			s := decodeSlot(&line, t.capacity)
-			img := make([]byte, imageSize(s.n))
-			a.ReadRange(uoff+undoImageOff, uint64(len(img)), img)
-			a.WriteRange(leafOff, img)
-			a.Persist(leafOff, uint64(len(img)))
-			// If the interrupted split had already chained in its new
-			// right-hand leaf, the restored image just unlinked it: the
-			// pre-split next pointer differs from the one we overwrote.
-			// The right leaf was fully persisted before the chain write
-			// (Algorithm 3's ordering), so it is a well-formed orphan —
-			// return it to the allocator instead of leaking it.
-			if oldNext := a.Read8(leafOff + hdrNextOff); curNext != oldNext && curNext != pmem.NullOff {
-				if !a.Allocated(curNext, t.lsize) {
-					return nil, fmt.Errorf("core: leaf %#x points at %#x, which the allocator never handed out", leafOff, curNext)
-				}
-				a.Free(curNext, t.lsize)
-			}
-			a.Write8(uoff+undoStatusOff, 0)
-			a.Persist(uoff+undoStatusOff, 8)
-		}
-	}
-	err = t.walkChain(func(m *leafMeta, s *slotArray) {
+	err = t.walkChain(true, func(m *leafMeta, s *slotArray) {
 		// Recompute nlogs: "scan the slot array to find the max index of
 		// log entries" (§6.2.6). Orphaned allocations past the last
 		// referenced slot are discarded.
@@ -168,62 +134,102 @@ func CrashRecover(a *pmem.Arena, opts Options) (*Tree, error) {
 	return t, nil
 }
 
-// openCommon validates the root line and the undo-slot chain and prepares an
-// in-memory shell: no leaves yet, every undo slot in the pool.
+// openCommon validates the root line and prepares an in-memory shell with
+// no leaves yet.
 func openCommon(a *pmem.Arena, opts Options) (*Tree, error) {
 	if a.Read8(rootMagicOff) != rootMagic {
 		return nil, fmt.Errorf("core: arena does not contain an RNTree (bad magic)")
+	}
+	if w := a.Read8(rootResvOff); w != 0 {
+		return nil, fmt.Errorf("core: reserved root word holds %#x, want 0", w)
 	}
 	opts.LeafCapacity = int(a.Read8(rootCapOff))
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
-	t := &Tree{
+	return &Tree{
 		arena:    a,
 		region:   htm.NewRegion(a, opts.HTM),
 		metas:    newMetaTable(),
 		capacity: opts.LeafCapacity,
 		lsize:    imageSize(opts.LeafCapacity),
 		dual:     opts.DualSlot,
-	}
-	t.undo = newUndoPool(t.lsize)
-	var err error
-	if t.undo.free, err = t.undoChain(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	}, nil
 }
 
-// undoChain returns the persistent undo slots in chain order. Like every
-// pointer recovery reads from the media, a slot pointer is followed only if
-// it is a block the allocator could have handed out, and the walk is bounded
-// by the number of slots the allocated space can hold, so a garbage or
-// cyclic chain is an error, not a panic or a hang.
-func (t *Tree) undoChain() ([]uint64, error) {
-	a := t.arena
-	var slots []uint64
-	budget := a.Bump() / t.undo.slotSize
-	for uoff := a.Read8(rootUndoOff); uoff != pmem.NullOff; uoff = a.Read8(uoff + undoNextOff) {
-		if !a.Allocated(uoff, t.undo.slotSize) {
-			return nil, fmt.Errorf("core: undo-chain pointer %#x is not a block the allocator handed out", uoff)
-		}
-		if uint64(len(slots)) == budget {
-			return nil, fmt.Errorf("core: undo chain does not terminate")
-		}
-		slots = append(slots, uoff)
+// readSlot decodes the persistent slot array of the leaf at off and reads
+// its keys into keys. Unlike a racing reader's decodeSlot, recovery does
+// not clamp: a count past capacity-1, a log index past the capacity or keys
+// that do not strictly increase is garbage, and an error.
+func (t *Tree) readSlot(off uint64, keys *[MaxLeafCapacity]uint64) (slotArray, error) {
+	var line [pmem.LineSize]byte
+	t.arena.ReadLine(off+pslotOff, &line)
+	s := decodeSlot(&line, t.capacity)
+	if int(line[0]) != s.n {
+		return s, fmt.Errorf("core: leaf %#x: slot count %d exceeds %d", off, line[0], t.capacity-1)
 	}
-	return slots, nil
+	for i := 0; i < s.n; i++ {
+		if int(line[1+i]) >= t.capacity {
+			return s, fmt.Errorf("core: leaf %#x: slot %d names log %d of %d", off, i, line[1+i], t.capacity)
+		}
+		keys[i] = t.arena.Read8(kvEntryOff(off, int(s.idx[i])))
+		if i > 0 && keys[i] <= keys[i-1] {
+			return s, fmt.Errorf("core: leaf %#x: slot %d key %d does not follow %d", off, i, keys[i], keys[i-1])
+		}
+	}
+	return s, nil
+}
+
+// trimOverlap repairs the one crash state a split leaves behind (split.go):
+// the right leaf linked after the leaf at off, whose slot array s was not
+// yet trimmed, so the upper half sits in both. It drops from s every key at
+// or above the successor's smallest key and persists the trimmed line; on
+// any other image it changes nothing. The successor pointer is checked
+// before it is read, and the successor's own slot array is validated when
+// the walk reaches it.
+func (t *Tree) trimOverlap(off uint64, s *slotArray, keys *[MaxLeafCapacity]uint64) error {
+	a := t.arena
+	next := a.Read8(off + hdrNextOff)
+	if next == pmem.NullOff || s.n == 0 {
+		return nil
+	}
+	if !a.Allocated(next, t.lsize) {
+		return fmt.Errorf("core: leaf pointer %#x is not a block the allocator handed out", next)
+	}
+	var line [pmem.LineSize]byte
+	a.ReadLine(next+pslotOff, &line)
+	succ := decodeSlot(&line, t.capacity)
+	if succ.n == 0 {
+		return nil
+	}
+	succMin := a.Read8(kvEntryOff(next, int(succ.idx[0])))
+	keep := s.n
+	for keep > 0 && keys[keep-1] >= succMin {
+		keep--
+	}
+	if keep < s.n {
+		s.n = keep
+		s.encode(&line)
+		a.WriteLine(off+pslotOff, &line)
+		a.Persist(off+pslotOff, pmem.LineSize)
+	}
+	return nil
 }
 
 // walkChain scans the persistent leaf chain, creating leafMetas, wiring the
-// DRAM next pointers and key bounds, and collecting the index pairs. The
-// per-leaf callback fills in tree-state-specific bookkeeping. Leaf pointers
-// are checked and the walk bounded the way undoChain's are.
-func (t *Tree) walkChain(fill func(m *leafMeta, s *slotArray)) error {
+// DRAM next pointers and key bounds, and collecting the index pairs; crash
+// recovery also trims split overlaps (trimOverlap). The per-leaf callback
+// fills in tree-state-specific bookkeeping. Like every pointer recovery
+// reads from the media, a leaf pointer is followed only if it is a block
+// the allocator could have handed out, and the walk is bounded by the
+// number of leaves the allocated space can hold, so a garbage or cyclic
+// chain is an error, not a panic or a hang.
+func (t *Tree) walkChain(trim bool, fill func(m *leafMeta, s *slotArray)) error {
 	a := t.arena
 	var pairs []inner.Pair
 	var prev *leafMeta
 	var prevIndexed *leafMeta
+	var keys [MaxLeafCapacity]uint64
 	budget := a.Bump() / t.lsize
 	for off := a.Read8(rootHeadOff); off != pmem.NullOff; off = a.Read8(off + hdrNextOff) {
 		if !a.Allocated(off, t.lsize) {
@@ -233,6 +239,13 @@ func (t *Tree) walkChain(fill func(m *leafMeta, s *slotArray)) error {
 			return fmt.Errorf("core: leaf chain does not terminate")
 		}
 		budget--
+		s, err := t.readSlot(off, &keys)
+		if err == nil && trim {
+			err = t.trimOverlap(off, &s, &keys)
+		}
+		if err != nil {
+			return err
+		}
 		m := newLeafMeta(off, 0)
 		t.metas.add(m)
 		if t.head == nil {
@@ -241,26 +254,20 @@ func (t *Tree) walkChain(fill func(m *leafMeta, s *slotArray)) error {
 		if prev != nil {
 			prev.next.Store(m)
 		}
-		var line [pmem.LineSize]byte
-		a.ReadLine(off+pslotOff, &line)
-		s := decodeSlot(&line, t.capacity)
 		fill(m, &s)
 		// Rebuild the DRAM fingerprint filter from the persistent slot
 		// array and logs — the filter is volatile and every reopen path
 		// (Reconstruct, CrashRecover, BulkLoad) funnels through here.
 		for i := 0; i < s.n; i++ {
-			e := int(s.idx[i])
-			m.setFp(e, fpHash(a.Read8(kvEntryOff(off, e))))
+			m.setFp(int(s.idx[i]), fpHash(keys[i]))
 		}
 		if s.n > 0 {
 			// Reconstruction trusts the min key Close persisted in the
 			// header (§5.4: "retrieves the greatest key in each leaf");
 			// crash recovery re-derives it from the slot array and logs.
-			var minKey uint64
+			minKey := keys[0]
 			if t.useHeaderMin {
 				minKey = a.Read8(off + hdrMinOff)
-			} else {
-				minKey = a.Read8(kvEntryOff(off, int(s.idx[0])))
 			}
 			pairs = append(pairs, inner.Pair{Sep: minKey, Leaf: m.id})
 			// The previous indexed leaf's range ends where this one begins.

@@ -8,15 +8,15 @@ import (
 )
 
 // TestRecoveryIsIdempotentUnderCrash crashes the machine *during crash
-// recovery* (recovery itself issues persists while rolling back interrupted
-// splits) and recovers again from the new image. Recovery must be
+// recovery* (recovery itself issues persists while trimming the overlap of
+// an interrupted split) and recovers again from the new image. Recovery must be
 // idempotent: any prefix of its persists leaves an image from which a later
 // recovery still yields the same consistent state.
 func TestRecoveryIsIdempotentUnderCrash(t *testing.T) {
 	for trial := int64(0); trial < 12; trial++ {
 		rng := rand.New(rand.NewSource(trial))
-		// Build a tree and crash it mid-split so the undo chain is armed
-		// and recovery has real work (and persists) to do.
+		// Build a tree and crash it mid-split, right after the link, so
+		// recovery has real work (and persists) to do.
 		a := pmem.New(pmem.Config{Size: 32 << 20})
 		tr, err := New(a, Options{LeafCapacity: 8})
 		if err != nil {
@@ -26,9 +26,9 @@ func TestRecoveryIsIdempotentUnderCrash(t *testing.T) {
 		var img []uint64
 		splitPersists := 0
 		a.SetHooks(&pmem.Hooks{AfterPersist: func(off, size uint64) {
-			// Snapshot right after an undo-image persist (size > one leaf
-			// line): the split is armed but incomplete.
-			if img == nil && size > 2*pmem.LineSize {
+			// Snapshot right after a link persist (the only one-word leaf
+			// persist): the upper half sits in both leaves.
+			if img == nil && size == pmem.WordSize && off >= pmem.DataStart {
 				splitPersists++
 				if splitPersists == int(trial%3)+1 {
 					img = a.CrashImage(rng, 0.5)
@@ -43,7 +43,7 @@ func TestRecoveryIsIdempotentUnderCrash(t *testing.T) {
 		}
 		a.SetHooks(nil)
 		if img == nil {
-			t.Skip("no split large-persist observed")
+			t.Skip("no split link persist observed")
 		}
 		// committed may include the op whose split was interrupted; the
 		// checker below accepts prefix-or-prefix+1 like the main fuzzer by
@@ -66,14 +66,12 @@ func TestRecoveryIsIdempotentUnderCrash(t *testing.T) {
 			}
 		}
 
-		// First recovery, crashed partway through its own persists.
+		// First recovery, crashed at its trim persist: the trimmed slot
+		// line is durable only if the eviction happened to write it back.
 		a1 := reboot(t, img)
 		var img2 []uint64
-		cut := rng.Intn(4) + 1
-		seen := 0
-		a1.SetHooks(&pmem.Hooks{AfterPersist: func(off, size uint64) {
-			seen++
-			if img2 == nil && seen == cut {
+		a1.SetHooks(&pmem.Hooks{BeforePersist: func(off, size uint64) {
+			if img2 == nil {
 				img2 = a1.CrashImage(rng, 0.5)
 			}
 		}})
@@ -84,7 +82,7 @@ func TestRecoveryIsIdempotentUnderCrash(t *testing.T) {
 		}
 		check(rec1, "first recovery")
 		if img2 == nil {
-			img2 = img // recovery had no persists before completing; re-crash the original
+			t.Fatalf("trial %d: recovery found no overlap to trim", trial)
 		}
 		// Second recovery from the crashed-recovery image.
 		a2 := reboot(t, img2)

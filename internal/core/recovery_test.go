@@ -228,12 +228,15 @@ func TestRecoveryPreservesLeafCapacity(t *testing.T) {
 }
 
 // TestOpenCorruptPointers: every persisted pointer tree recovery follows —
-// the root's head-leaf and undo-chain words, a leaf's next, an undo slot's
-// next and its armed-for-leaf status — holds a value no allocation produced:
-// beyond the arena, misaligned, inside the heap header, above the allocation
-// mark, or the word's own block (a cycle only the step budget stops). Both
-// reopen paths must return an error: no panic in the arena's bounds check,
-// no endless walk.
+// the root's head-leaf word and a leaf's next, the one crash recovery's
+// trim pass reads to find a leaf's successor — holds a value no allocation
+// produced: beyond the arena, misaligned, inside the heap header, above the
+// allocation mark, or the word's own block (a cycle only the step budget
+// stops). The reserved root word holds anything but zero, and the slot
+// lines the trim pass compares (a leaf's and its successor's) hold a count
+// past capacity-1, a log index past the capacity, or keys out of order.
+// Both reopen paths must return an error: no panic in the arena's bounds
+// check, no endless walk.
 func TestOpenCorruptPointers(t *testing.T) {
 	a := pmem.New(pmem.Config{Size: 1 << 20})
 	tr, err := New(a, Options{LeafCapacity: 8})
@@ -245,9 +248,10 @@ func TestOpenCorruptPointers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	head, slot := a.Read8(rootHeadOff), a.Read8(rootUndoOff)
-	if a.Read8(head+hdrNextOff) == pmem.NullOff || slot == pmem.NullOff {
-		t.Fatal("the tree never split; the chain-hop cases need a second leaf and an undo slot")
+	head := a.Read8(rootHeadOff)
+	second := a.Read8(head + hdrNextOff)
+	if second == pmem.NullOff || a.Read8(second+hdrNextOff) == pmem.NullOff {
+		t.Fatal("the tree never split twice; the chain-hop cases need three leaves")
 	}
 	crashed := a.CrashImage(nil, 0)
 	tr.Close()
@@ -260,9 +264,9 @@ func TestOpenCorruptPointers(t *testing.T) {
 	}
 	words := []word{
 		{"root head", rootHeadOff, 1 << 50},
-		{"root undo head", rootUndoOff, 1 << 50},
+		{"reserved root word", rootResvOff, 1 << 50},
 		{"first leaf's next", head + hdrNextOff, head},
-		{"undo slot's next", slot + undoNextOff, slot},
+		{"second leaf's next", second + hdrNextOff, second},
 	}
 	open := func(tag string, img []uint64) error {
 		t.Helper()
@@ -310,13 +314,24 @@ func TestOpenCorruptPointers(t *testing.T) {
 				}
 			}
 		}
-		if path == "reconstruction" {
-			continue // only crash recovery reads a slot's status word
-		}
-		for _, v := range []uint64{1 << 40, 12345, a.Bump()} {
-			tag := fmt.Sprintf("%s: undo slot armed for leaf %#x", path, v)
-			if err := open(tag, poke(slot+undoStatusOff, v)); err == nil {
-				t.Errorf("%s: Open accepted the image", tag)
+		// Slot-line bytes: byte 0 is the count, byte 1+i the log index of
+		// rank i; the first leaf's slot line is read as the leaf the trim
+		// pass trims, the second's as its successor.
+		for _, leaf := range []uint64{head, second} {
+			slotWord := (leaf + pslotOff) / pmem.WordSize
+			w := img[slotWord]
+			for _, c := range []struct {
+				name string
+				v    uint64
+			}{
+				{"count past capacity-1", w&^0xff | 0xff},
+				{"log index past the capacity", w&^0xff00 | 200<<8},
+				{"first two ranks swapped", w&^0xffff00 | (w>>8&0xff)<<16 | (w>>16&0xff)<<8},
+			} {
+				tag := fmt.Sprintf("%s: leaf %#x slot line: %s", path, leaf, c.name)
+				if err := open(tag, poke(slotWord*pmem.WordSize, c.v)); err == nil {
+					t.Errorf("%s: Open accepted the image", tag)
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"rntree/internal/pmem"
@@ -22,21 +23,27 @@ func liveBytes(n int) uint64 { return kvOff + uint64(n)*kvEntrySize }
 // linesOf is the number of cache lines a persist of [off, off+size) flushes.
 func linesOf(off, size uint64) uint64 { return (off+size-1)/pmem.LineSize - off/pmem.LineSize + 1 }
 
-// runSplit fills a fresh tree's single leaf with n keys (each updated
-// `updates` times, so the log holds orphans), warms the undo pool with one
-// idle slot, then runs splitLocked on the leaf and returns the undo slot,
-// the leaf, the persists it issued and the pmem stats delta.
-func runSplit(t *testing.T, opts Options, n, updates int) (uoff uint64, m *leafMeta, recs []persistRec, d pmem.Stats) {
+// runSplit fills a fresh tree's single leaf with n keys, inserted in
+// descending key order when desc is set (so the smallest keys sit at the
+// highest log indices) and each updated `updates` times (so the log holds
+// orphans), then runs splitLocked on the leaf and returns the leaf, the
+// persists it issued and the pmem stats delta.
+func runSplit(t *testing.T, opts Options, n, updates int, desc bool) (m *leafMeta, recs []persistRec, d pmem.Stats) {
 	t.Helper()
 	tr := newTree(t, opts, 4)
+	key := func(i int) uint64 { return uint64(10 * (i + 1)) }
 	for i := 0; i < n; i++ {
-		if err := tr.Insert(uint64(10*(i+1)), uint64(i)); err != nil {
+		k := key(i)
+		if desc {
+			k = key(n - 1 - i)
+		}
+		if err := tr.Insert(k, k); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for u := 0; u < updates; u++ {
 		for i := 0; i < n; i++ {
-			if err := tr.Update(uint64(10*(i+1)), uint64(100*u+i)); err != nil {
+			if err := tr.Update(key(i), uint64(100*u+i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -45,19 +52,13 @@ func runSplit(t *testing.T, opts Options, n, updates int) (uoff uint64, m *leafM
 		t.Fatalf("setup split the leaf already (%d leaves)", tr.LeafCount())
 	}
 	a := tr.arena
-	uoff, err := tr.undo.acquire(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.undo.release(a, uoff)
-
 	m = tr.head
 	a.SetHooks(&pmem.Hooks{BeforePersist: func(off, size uint64) {
 		recs = append(recs, persistRec{off, size})
 	}})
 	before := a.Stats()
 	m.vl.Lock()
-	err = tr.splitLocked(m)
+	err := tr.splitLocked(m)
 	m.vl.Unlock()
 	after := a.Stats()
 	a.SetHooks(nil)
@@ -72,7 +73,7 @@ func runSplit(t *testing.T, opts Options, n, updates int) (uoff uint64, m *leafM
 	if got != n {
 		t.Fatalf("tree holds %d keys after the split, want %d", got, n)
 	}
-	return uoff, m, recs, pmem.Stats{
+	return m, recs, pmem.Stats{
 		Persists:     after.Persists - before.Persists,
 		LinesFlushed: after.LinesFlushed - before.LinesFlushed,
 	}
@@ -85,36 +86,42 @@ func checkPersists(t *testing.T, got, want []persistRec) {
 	}
 }
 
-// A §5.2.3 compaction of n live entries persists the compacted undo image
-// and the rewritten leaf at their live prefix only, plus the one-line arm
-// and disarm of the undo slot: 4 persists, whatever the log held before.
+// A §5.2.3 compaction of n live entries that all sit at log index n or
+// above (each key updated once) moves them into logs 0..n-1 and commits
+// through the slot line: two persists, the moved range and the slot line.
+// When every live entry already sits below n it persists nothing.
 func TestCompactionFlushesLiveLines(t *testing.T) {
 	bothVariants(t, func(t *testing.T, opts Options) {
-		for _, n := range []int{0, 1, 3, 16, 31} {
-			uoff, m, recs, d := runSplit(t, opts, n, 1)
-			img := uoff + undoImageOff
+		for _, n := range []int{1, 3, 16, 31} {
+			m, recs, d := runSplit(t, opts, n, 1, false)
+			moved := m.off + kvOff
 			checkPersists(t, recs, []persistRec{
-				{img, liveBytes(n)},
-				{uoff + undoStatusOff, 8},
-				{m.off, liveBytes(n)},
-				{uoff + undoStatusOff, 8},
+				{moved, uint64(n) * kvEntrySize},
+				{m.off + pmem.LineSize, pmem.LineSize},
 			})
-			lines := linesOf(img, liveBytes(n)) + linesOf(m.off, liveBytes(n)) + 2
-			if d.Persists != 4 || d.LinesFlushed != lines {
-				t.Fatalf("n=%d: %d persists / %d lines, want 4 / %d", n, d.Persists, d.LinesFlushed, lines)
+			lines := linesOf(moved, uint64(n)*kvEntrySize) + 1
+			if d.Persists != 2 || d.LinesFlushed != lines {
+				t.Fatalf("n=%d: %d persists / %d lines, want 2 / %d", n, d.Persists, d.LinesFlushed, lines)
+			}
+		}
+		for _, n := range []int{0, 3, 31} {
+			if _, recs, d := runSplit(t, opts, n, 0, false); d.Persists != 0 {
+				t.Fatalf("n=%d, nothing to move: persists %v, want none", n, recs)
 			}
 		}
 	})
 }
 
-// A split in two of n entries persists the compacted undo image, the right
-// leaf and the rewritten left leaf at their live prefixes, plus the arm and
-// disarm lines: 5 tree persists. The right leaf's Alloc adds the
+// A split in two of n entries, inserted in descending order so the lower
+// half sits at the top of the log, persists the right leaf's live prefix,
+// the old leaf's next pointer (the link), the slot line trimmed to the
+// lower half, the lower half moved below index n/2 and the slot line that
+// commits the move: 5 tree persists. The right leaf's Alloc adds the
 // allocator's one-word bump-mark flip in the heap header.
 func TestSplitFlushesLiveLines(t *testing.T) {
 	bothVariants(t, func(t *testing.T, opts Options) {
 		for _, n := range []int{32, 37, 62} {
-			uoff, m, recs, d := runSplit(t, opts, n, 0)
+			m, recs, d := runSplit(t, opts, n, 0, true)
 			var leafRecs, alloc []persistRec
 			for _, r := range recs {
 				if r.off < pmem.DataStart {
@@ -127,16 +134,16 @@ func TestSplitFlushesLiveLines(t *testing.T) {
 				t.Fatalf("n=%d: allocator persists %v, want one word", n, alloc)
 			}
 			right := m.next.Load().off
-			img := uoff + undoImageOff
 			half := n / 2
+			slot, moved := m.off+pmem.LineSize, m.off+kvOff
 			checkPersists(t, leafRecs, []persistRec{
-				{img, liveBytes(n)},
-				{uoff + undoStatusOff, 8},
 				{right, liveBytes(n - half)},
-				{m.off, liveBytes(half)},
-				{uoff + undoStatusOff, 8},
+				{m.off, pmem.WordSize},
+				{slot, pmem.LineSize},
+				{moved, uint64(half) * kvEntrySize},
+				{slot, pmem.LineSize},
 			})
-			lines := linesOf(img, liveBytes(n)) + linesOf(right, liveBytes(n-half)) + linesOf(m.off, liveBytes(half)) + 2 + 1
+			lines := linesOf(right, liveBytes(n-half)) + 1 + 1 + linesOf(moved, uint64(half)*kvEntrySize) + 1 + 1
 			if d.Persists != 5+1 || d.LinesFlushed != lines {
 				t.Fatalf("n=%d: %d persists / %d lines, want 6 / %d", n, d.Persists, d.LinesFlushed, lines)
 			}
@@ -144,94 +151,95 @@ func TestSplitFlushesLiveLines(t *testing.T) {
 	})
 }
 
-// One undo slot serves a full-leaf split and then a 3-entry compaction that
-// crashes right after arming, so the slot holds a 3-entry image over the
-// stale tail of the 63-entry one. Recovery restores exactly the 3 keys, and
-// the leaf refills to capacity from there with every key reading back.
-func TestUndoSlotReuseAfterLargerImage(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		a := pmem.New(pmem.Config{Size: 4 << 20})
-		tr, err := New(a, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := map[uint64]uint64{}
-		put := func(k, v uint64, upsert func(k, v uint64) error) {
-			t.Helper()
-			if err := upsert(k, v); err != nil {
+// A split crashed at its trimmed-slot persist, after the link is durable,
+// may leave the upper half in both leaves (seed 0 evicts nothing, so it
+// always does). CrashRecover trims the old leaf: the tree checks, every key
+// reads back exactly once with its value, and a second recovery of the
+// recovered image changes nothing.
+func TestSplitCrashAtTrimRecovers(t *testing.T) {
+	bothVariants(t, func(t *testing.T, opts Options) {
+		for seed := int64(0); seed < 6; seed++ {
+			a := pmem.New(pmem.Config{Size: 4 << 20})
+			tr, err := New(a, opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-			want[k] = v
-		}
-		// 63 inserts: the 63rd fills the leaf and splits it 31 | 32.
-		for i := uint64(1); i <= 63; i++ {
-			put(100*i, i, tr.Insert)
-		}
-		slots := walkUndoChain(a)
-		if len(slots) != 1 || tr.LeafCount() != 2 {
-			t.Fatalf("setup: %d undo slots, %d leaves; want 1, 2", len(slots), tr.LeafCount())
-		}
-		uoff := slots[0]
-		// Left leaf down to 3 live keys, then updates until its log refills
-		// and the compaction runs; snapshot right after the slot is armed.
-		for i := uint64(4); i <= 31; i++ {
-			if err := tr.Remove(100 * i); err != nil {
+			rng := rand.New(rand.NewSource(seed))
+			evict := 0.5
+			if seed == 0 {
+				evict = 0
+			}
+			var img []uint64
+			linked := false
+			a.SetHooks(&pmem.Hooks{BeforePersist: func(off, size uint64) {
+				switch {
+				case img != nil:
+				case size == pmem.WordSize && off >= pmem.DataStart:
+					linked = true // the link: the only one-word leaf persist
+				case linked && size == pmem.LineSize:
+					img = a.CrashImage(rng, evict)
+				}
+			}})
+			// The 63rd insert fills the leaf and splits it; every insert
+			// before the split has committed.
+			want := map[uint64]uint64{}
+			for _, i := range rng.Perm(tr.capacity - 1) {
+				k, v := uint64(100*(i+1)), rng.Uint64()
+				if err := tr.Insert(k, v); err != nil {
+					t.Fatal(err)
+				}
+				want[k] = v
+			}
+			a.SetHooks(nil)
+			if img == nil {
+				t.Fatalf("seed %d: no split reached its trimmed-slot persist", seed)
+			}
+			check := func(stage string, rec *Tree) {
+				t.Helper()
+				if err := rec.CheckInvariants(); err != nil {
+					t.Fatalf("seed %d %s: %v", seed, stage, err)
+				}
+				// Count keys leaf by leaf: Scan would skip a duplicate.
+				seen := map[uint64]int{}
+				for m := rec.head; m != nil; m = m.next.Load() {
+					var line [pmem.LineSize]byte
+					rec.arena.ReadLine(m.off+pslotOff, &line)
+					s := decodeSlot(&line, rec.capacity)
+					for i := 0; i < s.n; i++ {
+						seen[rec.arena.Read8(kvEntryOff(m.off, int(s.idx[i])))]++
+					}
+				}
+				if len(seen) != len(want) {
+					t.Fatalf("seed %d %s: %d distinct keys, want %d", seed, stage, len(seen), len(want))
+				}
+				for k, w := range want {
+					if v, ok := rec.Find(k); seen[k] != 1 || !ok || v != w {
+						t.Fatalf("seed %d %s: key %d held %d times, reads (%d, %v), want %d", seed, stage, k, seen[k], v, ok, w)
+					}
+				}
+			}
+			a1 := reboot(t, img)
+			p0 := a1.Stats().Persists
+			rec, err := CrashRecover(a1, opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-			delete(want, 100*i)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		var img []uint64
-		a.SetHooks(&pmem.Hooks{AfterPersist: func(off, size uint64) {
-			if img == nil && off == uoff+undoStatusOff && a.Read8(off) != 0 {
-				img = a.CrashImage(rng, 0.5)
+			if p := a1.Stats().Persists - p0; seed == 0 && p != 1 {
+				t.Fatalf("seed 0: recovery issued %d persists, want the one trimmed slot line", p)
 			}
-		}})
-		for u := uint64(0); img == nil; u++ {
-			if u > 64 {
-				t.Fatal("no compaction armed the undo slot")
-			}
-			put(100*(u%3+1), 1000+u, tr.Update)
-		}
-		a.SetHooks(nil)
+			check("first recovery", rec)
 
-		rec, err := CrashRecover(reboot(t, img), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rec.CheckInvariants(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		var left []uint64
-		rec.Scan(0, 0, func(k, v uint64) bool {
-			if k < 3200 {
-				left = append(left, k)
+			a2 := reboot(t, a1.CrashImage(nil, 0))
+			before := a2.CrashImage(nil, 0)
+			p0 = a2.Stats().Persists
+			rec2, err := CrashRecover(a2, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if v != want[k] {
-				t.Fatalf("seed %d: key %d = %d, want %d", seed, k, v, want[k])
+			if p := a2.Stats().Persists - p0; p != 0 || !reflect.DeepEqual(a2.CrashImage(nil, 0), before) {
+				t.Fatalf("seed %d: second recovery issued %d persists or changed the image", seed, p)
 			}
-			return true
-		})
-		if fmt.Sprint(left) != "[100 200 300]" {
-			t.Fatalf("seed %d: recovered left leaf holds %v, want [100 200 300]", seed, left)
+			check("second recovery", rec2)
 		}
-		// Refill the left leaf to capacity-1 live entries and beyond.
-		for k := uint64(301); k < 301+uint64(rec.capacity); k++ {
-			put(k, k, rec.Insert)
-		}
-		if err := rec.CheckInvariants(); err != nil {
-			t.Fatalf("seed %d after refill: %v", seed, err)
-		}
-		n := 0
-		rec.Scan(0, 0, func(k, v uint64) bool {
-			if w, ok := want[k]; !ok || v != w {
-				t.Fatalf("seed %d after refill: key %d = %d, want %d (present %v)", seed, k, v, w, ok)
-			}
-			n++
-			return true
-		})
-		if n != len(want) {
-			t.Fatalf("seed %d after refill: %d keys, want %d", seed, n, len(want))
-		}
-	}
+	})
 }

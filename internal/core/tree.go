@@ -20,7 +20,7 @@ const rootMagic = 0x524e_5452_4545_0001 // "RNTREE" v1
 // for starting the recovery", §5.4).
 const (
 	rootHeadOff  = 0  // offset of the left-most leaf
-	rootUndoOff  = 8  // head of the persistent undo-slot chain
+	rootResvOff  = 8  // reserved, zero (recovery rejects anything else)
 	rootMagicOff = 16 // format magic
 	rootCapOff   = 24 // leaf capacity
 	rootCleanOff = 32 // non-zero after a clean shutdown (Close)
@@ -66,7 +66,6 @@ type Tree struct {
 	ix     *inner.Index
 	metas  *metaTable
 	head   *leafMeta
-	undo   *undoPool
 
 	capacity int
 	lsize    uint64
@@ -102,7 +101,6 @@ func New(arena *pmem.Arena, opts Options) (*Tree, error) {
 		dual:     opts.DualSlot,
 		flushCS:  opts.FlushInCS,
 	}
-	t.undo = newUndoPool(t.lsize)
 	headOff, err := arena.Alloc(t.lsize)
 	if err != nil {
 		return nil, tree.ErrFull
@@ -110,7 +108,7 @@ func New(arena *pmem.Arena, opts Options) (*Tree, error) {
 	arena.Zero(headOff, t.lsize)
 	arena.Persist(headOff, t.lsize)
 	arena.Write8(rootHeadOff, headOff)
-	arena.Write8(rootUndoOff, pmem.NullOff)
+	arena.Write8(rootResvOff, 0)
 	arena.Write8(rootMagicOff, rootMagic)
 	arena.Write8(rootCapOff, uint64(opts.LeafCapacity))
 	arena.Write8(rootCleanOff, 0)
@@ -242,6 +240,18 @@ func (t *Tree) htmLeafCopySlot(m *leafMeta) {
 	})
 }
 
+// publishSlot commits s as the leaf's slot array (§4.2 step 4): the HTM
+// line store, its one-line persist, and under +DS the copy readers switch
+// to only once it is durable (§4.3). Modifies, removes, splits and
+// compactions all commit through it.
+func (t *Tree) publishSlot(m *leafMeta, s *slotArray) {
+	t.htmLeafUpdate(m, s)
+	t.arena.Persist(m.off+pslotOff, pmem.LineSize)
+	if t.dual {
+		t.htmLeafCopySlot(m)
+	}
+}
+
 // htmLeafSnapshot takes an atomic snapshot of a slot-array line (the paper's
 // htmLeafSnapshot, Table 2). Binary search happens outside the transaction
 // to keep the read set small (§5.2.2).
@@ -368,15 +378,11 @@ func (t *Tree) modify(key, value uint64, mode int) error {
 		// Fingerprint before publish: any reader whose snapshot contains
 		// this entry must already find its fingerprint (fingerprint.go).
 		m.setFp(entry, fpHash(key))
-		t.htmLeafUpdate(m, &ns)
-		t.arena.Persist(m.off+pslotOff, pmem.LineSize) //rnvet:ignore lockflush §4.2 step 4: the slot-array publish IS the commit and must flush under the leaf lock (one line: a bounded stall that yields or polls, never parks)
-		if t.dual {
-			t.htmLeafCopySlot(m)
-		}
+		t.publishSlot(m, &ns) //rnvet:ignore lockflush §4.2 step 4: the slot-array publish IS the commit and must flush under the leaf lock (one line: a bounded stall that yields or polls, never parks)
 		m.plogs++
 		var splitErr error
 		if int(m.plogs) >= t.capacity-1 {
-			splitErr = t.splitLocked(m) //rnvet:ignore lockflush,spinblock Algorithm 3 must run under the leaf lock (the leaf is undo-logged); pmem locks never wait on tree locks, so the allocator park is bounded
+			splitErr = t.splitLocked(m) //rnvet:ignore lockflush,spinblock a split commits through the slot line, so it must run under the leaf lock like any modify; pmem locks never wait on tree locks, so the allocator park is bounded
 			if errors.Is(splitErr, tree.ErrFull) {
 				// The record above is already committed; this split is
 				// proactive. Reporting its exhaustion would break the
@@ -415,11 +421,7 @@ func (t *Tree) Remove(key uint64) error {
 			return tree.ErrKeyNotFound
 		}
 		ns := s.removeAt(pos)
-		t.htmLeafUpdate(m, &ns)
-		t.arena.Persist(m.off+pslotOff, pmem.LineSize) //rnvet:ignore lockflush Remove's single persist is the commit point (§4.2 step 4, under the leaf lock)
-		if t.dual {
-			t.htmLeafCopySlot(m)
-		}
+		t.publishSlot(m, &ns) //rnvet:ignore lockflush Remove's single persist is the commit point (§4.2 step 4, under the leaf lock)
 		m.vl.Unlock()
 		return nil
 	}

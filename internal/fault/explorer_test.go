@@ -21,9 +21,10 @@ func mustExplore(t *testing.T, tgt Target, ops []Op, cfg Config) *Report {
 // leaves, so the split path necessarily runs, then updates that refill the
 // log of a leaf under half full, so the §5.2.3 compaction runs too) must
 // survive a crash at every persist site, under eviction and torn multi-line
-// persists, in both slot-array modes. Both paths persist a compacted undo
-// image before rewriting the leaf: disarming the undo slot before a
-// compaction's leaf persist is caught here in both modes.
+// persists, in both slot-array modes. Both paths commit through the slot
+// line: skipping recovery's trim of a split crashed after its link, or
+// persisting a compaction's moved entries after its slot publish, is
+// caught here in both modes.
 func TestExploreTreeAllSites(t *testing.T) {
 	for _, dual := range []bool{false, true} {
 		tgt := &TreeTarget{DualSlot: dual}

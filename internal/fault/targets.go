@@ -32,8 +32,8 @@ func (u64Model) ApplyModel(m Model, op Op) {
 // core.Tree target
 
 // TreeTarget drives a core.Tree with a small leaf capacity so the workload
-// reaches the split and compaction paths (compacted undo image) as well as
-// the two-persist insert/update and the delete paths.
+// reaches the split and compaction paths (each committed through the slot
+// line) as well as the two-persist insert/update and the delete paths.
 type TreeTarget struct {
 	u64Model
 	DualSlot bool

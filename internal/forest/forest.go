@@ -205,8 +205,8 @@ func Open(imgs [][]uint64, opts Options) (*Forest, error) {
 
 // OpenArenas recovers a forest over already-rebooted arenas, one per
 // partition in partition order. Each partition recovers independently —
-// reconstruction after a clean shutdown, undo rollback plus chain rebuild
-// after a crash — and its forest superblock is verified against the set:
+// reconstruction after a clean shutdown, the split-overlap trim plus chain
+// rebuild after a crash — and its forest superblock is verified against the set:
 // right magic, matching partition count, matching position. The kv layer
 // and the fault explorer use this entry point so they keep hold of the
 // arenas (persist hooks, their own structures in them).

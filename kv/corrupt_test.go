@@ -173,7 +173,7 @@ func TestOpenGarbageSuperblock(t *testing.T) {
 }
 
 // TestOpenGarbageTreePointers: the pointers the layers under kv follow on the
-// way in — the tree's head-leaf and undo-chain words, a leaf's next, the
+// way in — the tree's head-leaf and reserved root words, a leaf's next, the
 // forest superblock word, the heap's undo status — hold hostile values in
 // one image of a two-partition store. Open must answer ErrCorrupt (the heap's
 // own rejections are ErrBadHeap underneath): no panic in the arena's bounds
@@ -189,9 +189,10 @@ func TestOpenGarbageTreePointers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Root-line words 0, 1 and 6 (internal/core: head leaf, undo-chain head;
-	// internal/forest: superblock) and the undo line of the heap header.
-	const treeHeadOff, treeUndoOff, forestSbOff, heapUndoOff = 0, 8, 48, pmem.RootSize + 4*pmem.LineSize
+	// Root-line words 0, 1 and 6 (internal/core: head leaf, a reserved word
+	// that must be zero; internal/forest: superblock) and the undo line of
+	// the heap header.
+	const treeHeadOff, treeResvOff, forestSbOff, heapUndoOff = 0, 8, 48, pmem.RootSize + 4*pmem.LineSize
 	leaf := s.parts[1].arena.Read8(treeHeadOff)
 	rows := []struct {
 		name   string
@@ -200,7 +201,7 @@ func TestOpenGarbageTreePointers(t *testing.T) {
 	}{
 		{"tree root head", treeHeadOff, 1 << 40, false},
 		{"tree root head", treeHeadOff, 12345, false},
-		{"tree undo-chain head", treeUndoOff, 1 << 40, false},
+		{"tree reserved root word", treeResvOff, 1 << 40, false},
 		{"first leaf's next", leaf, 1 << 40, false},
 		{"first leaf's next", leaf, leaf, false},
 		{"forest superblock pointer", forestSbOff, 1 << 40, false},
