@@ -111,10 +111,17 @@ heapcheck:
 # prefix, the link, the trimmed slot line, then a compaction), a split
 # crashed after its link recovers through the trim rule, a split on a full
 # arena persists nothing on retry, and the tree crash explorer (splits and
-# a compaction, both slot modes) stays at zero violations.
+# a compaction, both slot modes) stays at zero violations. The slot-array
+# transactions: each HTM line op leaves the bytes and Stats of the Run body
+# it replaces and allocates nothing, no reader of a line op sees a torn
+# line under the race detector, and the htm and pmem counter blocks keep a
+# line of padding from the fields every access reads.
 treecheck:
 	$(call run-tests,,./internal/core,CompactionFlushesLiveLines|SplitFlushesLiveLines|SplitCrashAtTrimRecovers|InsertOOMMidSplitRetrySafe)
 	$(call run-tests,,./internal/fault,ExploreTreeAllSites)
+	$(call run-tests,,./internal/htm,LineOpsMatchRun|LineOpsAllocateNothing|RegionCounterLayout)
+	$(call run-tests,-race,./internal/htm,LineOpsNoTornLines)
+	$(call run-tests,,./internal/pmem,HeapCounterLayout)
 
 # Typed-object gate: the obj layer's unit tests under the race detector —
 # all of them ("Test" selects every test), with the header-as-commit-point

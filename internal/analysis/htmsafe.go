@@ -19,7 +19,9 @@ import (
 //     lock acquisition, time.Sleep, goroutine launches;
 //   - unbounded allocation: make/append, and calls into packages outside a
 //     small allowlist (any heap allocation can trigger a GC cycle, the
-//     static analogue of a capacity/interrupt abort).
+//     static analogue of a capacity/interrupt abort);
+//   - nested transactions: Region.Run/RunOutcome and the Region line ops
+//     (LoadLine, StoreLine, CopyLine).
 //
 // Audited exceptions carry the //htm:safe annotation.
 var HTMSafe = &Analyzer{
@@ -42,6 +44,9 @@ var (
 	htmAllowedArena  = map[string]bool{"Size": true, "Latency": true}
 	htmAllowedRegion = map[string]bool{"Arena": true, "Stats": true, "FallbackHeld": true}
 	htmBlockingSync2 = map[string]bool{"Lock": true, "StableVersion": true}
+	// htmRegionLineOps are transactions of their own: inside a Run body
+	// they nest, as Run does.
+	htmRegionLineOps = map[string]bool{"LoadLine": true, "StoreLine": true, "CopyLine": true}
 )
 
 func runHTMSafe(pass *Pass) {
@@ -125,7 +130,7 @@ func checkHTMCallee(pass *Pass, fn *types.Func, callPos token.Pos, seen map[*typ
 		}
 		return
 	case isRegionMethod(fn):
-		if name == "Run" || name == "RunOutcome" {
+		if name == "Run" || name == "RunOutcome" || htmRegionLineOps[name] {
 			pass.Reportf(callPos, "nested htm.Region.%s inside HTM region", name)
 		} else if !htmAllowedRegion[name] {
 			pass.Reportf(callPos, "htm.Region.%s inside HTM region is not verified HTM-safe", name)

@@ -91,3 +91,13 @@ func helperChain(r *htm.Region, a *pmem.Arena) {
 func deepFlush(a *pmem.Arena) {
 	a.Fence() // want `arena Fence inside HTM region: flushes and fences guarantee a transaction abort`
 }
+
+// nestedLineOp: a Region line op is a whole transaction, so calling one
+// inside a Run body nests transactions.
+func nestedLineOp(r *htm.Region) {
+	var l [pmem.LineSize]byte
+	r.Run(func(tx *htm.Tx) {
+		r.LoadLine(0, &l) // want `nested htm.Region.LoadLine inside HTM region`
+		tx.StoreLine(64, &l)
+	})
+}

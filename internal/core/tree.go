@@ -223,9 +223,7 @@ func (t *Tree) searchLeaf(m *leafMeta, s *slotArray, key uint64) (int, bool) {
 func (t *Tree) htmLeafUpdate(m *leafMeta, s *slotArray) {
 	var line [pmem.LineSize]byte
 	s.encode(&line)
-	_ = t.region.Run(func(tx *htm.Tx) {
-		tx.StoreLine(m.off+pslotOff, &line)
-	})
+	t.region.StoreLine(m.off+pslotOff, &line)
 }
 
 // htmLeafCopySlot copies the persistent slot array into the transient one
@@ -233,11 +231,7 @@ func (t *Tree) htmLeafUpdate(m *leafMeta, s *slotArray) {
 // been flushed — the dual slot array rule that prevents the
 // read-uncommitted anomaly (§4.3).
 func (t *Tree) htmLeafCopySlot(m *leafMeta) {
-	_ = t.region.Run(func(tx *htm.Tx) {
-		var line [pmem.LineSize]byte
-		tx.LoadLine(m.off+pslotOff, &line)
-		tx.StoreLine(m.off+tslotOff, &line)
-	})
+	t.region.CopyLine(m.off+pslotOff, m.off+tslotOff)
 }
 
 // publishSlot commits s as the leaf's slot array (§4.2 step 4): the HTM
@@ -257,9 +251,7 @@ func (t *Tree) publishSlot(m *leafMeta, s *slotArray) {
 // to keep the read set small (§5.2.2).
 func (t *Tree) htmLeafSnapshot(m *leafMeta, slotOff uint64) slotArray {
 	var line [pmem.LineSize]byte
-	_ = t.region.Run(func(tx *htm.Tx) {
-		tx.LoadLine(m.off+slotOff, &line)
-	})
+	t.region.LoadLine(m.off+slotOff, &line)
 	return decodeSlot(&line, t.capacity)
 }
 

@@ -18,7 +18,9 @@
 // RTM deployments pair with XBEGIN. Region.Run retries aborted transactions
 // a configurable number of times before grabbing the fallback lock, and
 // in-flight transactions observing the fallback lock abort — the standard
-// RTM subscription pattern.
+// RTM subscription pattern. Region.LoadLine, StoreLine and CopyLine are the
+// one- and two-line transactions a slot array needs, driven by the same
+// retry loop without Run's general read and write sets.
 package htm
 
 import (
@@ -122,6 +124,10 @@ type Region struct {
 	injectThreshold uint64
 	injectState     atomic.Uint64
 
+	// The counters take every commit's and abort's increments; the pads
+	// keep them off the line of fallbackSeq and locks, which every
+	// transaction reads, so two threads' commits do not bounce it.
+	_     [64]byte
 	stats struct {
 		commits        atomic.Uint64
 		conflictAborts atomic.Uint64
@@ -131,6 +137,7 @@ type Region struct {
 		fallbacks      atomic.Uint64
 		spuriousAborts atomic.Uint64
 	}
+	_ [64]byte
 }
 
 // NewRegion creates an HTM domain over the arena.
@@ -324,9 +331,7 @@ func (tx *Tx) checkCapacity() {
 // conflict. In fallback mode it instead waits for the line to unlock.
 func (tx *Tx) trackRead(line uint64) {
 	if tx.fallback {
-		for i := 0; atomic.LoadUint64(&tx.r.locks[line])&1 != 0; i++ {
-			spinYield(i)
-		}
+		tx.r.waitUnlocked(line)
 		return
 	}
 	// Subscription check on every read: the moment the fallback lock is
@@ -379,12 +384,13 @@ func (tx *Tx) Load8(off uint64) uint64 {
 }
 
 // Store8 buffers an 8-byte word store; it becomes visible at commit. In
-// fallback mode the store executes immediately, as on a real RTM fallback
-// path (ordinary locked code).
+// fallback mode the store executes immediately, once no hardware commit
+// holds its line, as on a real RTM fallback path (ordinary locked code).
 //
 //pmem:volatile transactional stores are made durable by the caller's commit persist after Run returns, never inside the region
 func (tx *Tx) Store8(off uint64, v uint64) {
 	if tx.fallback {
+		tx.r.waitUnlocked(off / pmem.LineSize)
 		tx.r.arena.Write8(off, v)
 		return
 	}
@@ -416,14 +422,13 @@ func (tx *Tx) LoadLine(off uint64, dst *[pmem.LineSize]byte) {
 func (tx *Tx) StoreLine(off uint64, src *[pmem.LineSize]byte) {
 	lineOff := off &^ uint64(pmem.LineSize-1)
 	if tx.fallback {
+		tx.r.waitUnlocked(lineOff / pmem.LineSize)
 		tx.r.arena.WriteLine(lineOff, src)
 		return
 	}
 	w := tx.lineWriteFor(lineOff/pmem.LineSize, true)
 	w.mask = 0xff
-	for i := uint64(0); i < pmem.WordsPerLine; i++ {
-		w.words[i] = getWord(src[i*pmem.WordSize:])
-	}
+	w.words = lineWords(src)
 	tx.checkCapacity()
 }
 
@@ -572,10 +577,64 @@ func (r *Region) Run(body func(*Tx)) error {
 
 // RunOutcome is Run plus execution diagnostics.
 func (r *Region) RunOutcome(body func(*Tx)) (Outcome, error) {
-	var out Outcome
 	tx := txPool.Get().(*Tx)
 	defer txPool.Put(tx)
-	var jitter uint64 // lazily seeded per-Run backoff RNG state
+	return r.exec(&txn{}, tx, body)
+}
+
+// The line ops are the three fixed-footprint transactions the tree's slot
+// arrays need, each the exact transaction Run performs for the matching
+// body — same TL2 version checks, fallback subscription, injection, retry
+// loop, capacity rule and Stats — without Run's pooled Tx, read and write
+// sets, closure and recover. No abort of theirs is explicit, so they return
+// nothing.
+
+// LoadLine atomically reads the 64-byte line containing off into dst, as
+// Run(func(tx *Tx) { tx.LoadLine(off, dst) }) does.
+func (r *Region) LoadLine(off uint64, dst *[pmem.LineSize]byte) {
+	r.exec(&txn{op: opLoad, off: off, buf: dst}, nil, nil)
+}
+
+// StoreLine atomically stores src over the 64-byte line containing off, as
+// Run(func(tx *Tx) { tx.StoreLine(off, src) }) does.
+func (r *Region) StoreLine(off uint64, src *[pmem.LineSize]byte) {
+	r.exec(&txn{op: opStore, off: off, buf: src}, nil, nil)
+}
+
+// CopyLine atomically copies the line containing from over the line
+// containing to, as Run(func(tx *Tx) { tx.LoadLine(from, &l);
+// tx.StoreLine(to, &l) }) does: two lines of footprint when they differ.
+func (r *Region) CopyLine(from, to uint64) {
+	r.exec(&txn{op: opCopy, off: from, to: to}, nil, nil)
+}
+
+// txnOp names the body a txn carries.
+type txnOp uint8
+
+const (
+	opRun   txnOp = iota // Run's body in its Tx
+	opLoad               // LoadLine(off, buf)
+	opStore              // StoreLine(off, buf)
+	opCopy               // CopyLine(off, to)
+)
+
+// txn is one line op as exec drives it. A Run body and its Tx travel as
+// exec's own arguments instead: the Tx escapes into the body, and a field
+// beside buf would drag the caller's line buffer to the heap with it.
+type txn struct {
+	op  txnOp
+	off uint64
+	to  uint64
+	buf *[pmem.LineSize]byte
+}
+
+// exec is the one retry loop behind Run and the line ops: spurious-abort
+// injection, fallback subscription, jittered backoff on conflicts, no retry
+// after a capacity or persist abort, and after MaxRetries (or at once under
+// ForceFallback) the body under the fallback lock.
+func (r *Region) exec(t *txn, tx *Tx, body func(*Tx)) (Outcome, error) {
+	var out Outcome
+	var jitter uint64 // lazily seeded per-transaction backoff RNG state
 	for attempt := 0; attempt < r.cfg.MaxRetries && !r.cfg.ForceFallback; attempt++ {
 		// Spurious-abort injection: the attempt dies before the body runs,
 		// as a real transaction dies to an interrupt mid-flight. Retried
@@ -589,9 +648,8 @@ func (r *Region) RunOutcome(body func(*Tx)) (Outcome, error) {
 		}
 		// Subscribe to the fallback lock: wait while held, remember the seq.
 		seq := r.waitFallbackFree()
-		tx.reset(r, false, seq)
 		out.Attempts++
-		cause, ok := r.attempt(tx, body)
+		cause, ok := r.hwAttempt(t, tx, body, seq)
 		if ok {
 			r.stats.commits.Add(1)
 			return out, nil
@@ -612,22 +670,71 @@ func (r *Region) RunOutcome(body func(*Tx)) (Outcome, error) {
 		}
 		break // capacity/persist: retrying cannot help
 	}
-	// Fallback path: global lock, direct execution, persists allowed.
 	out.Fallback = true
 	r.stats.fallbacks.Add(1)
+	return out, r.fallback(t, tx, body)
+}
+
+// hwAttempt makes one hardware attempt of t under fallback sequence seq.
+func (r *Region) hwAttempt(t *txn, tx *Tx, body func(*Tx), seq uint64) (AbortCause, bool) {
+	switch t.op {
+	case opLoad:
+		line := t.off / pmem.LineSize
+		v, ok := r.readLine(seq, line, t.buf)
+		// Read-only commit: the subscription and the read still hold.
+		return AbortConflict, ok && r.fallbackSeq.Load() == seq && atomic.LoadUint64(&r.locks[line]) == v
+	case opStore:
+		w := lineWords(t.buf)
+		return AbortConflict, r.commitLine(seq, t.off/pmem.LineSize, &w, nil)
+	case opCopy:
+		var buf [pmem.LineSize]byte
+		from, to := t.off/pmem.LineSize, t.to/pmem.LineSize
+		v, ok := r.readLine(seq, from, &buf)
+		if !ok {
+			return AbortConflict, false
+		}
+		if to != from && r.cfg.MaxLines < 2 {
+			return AbortCapacity, false
+		}
+		w := lineWords(&buf)
+		return AbortConflict, r.commitLine(seq, to, &w, &readEnt{from, v})
+	}
+	tx.reset(r, false, seq)
+	return r.attempt(tx, body)
+}
+
+// fallback runs t under the fallback lock: direct execution, persists
+// allowed.
+//
+//pmem:volatile the fallback path's stores are made durable by the caller's commit persist after the transaction returns, as on the hardware path
+func (r *Region) fallback(t *txn, tx *Tx, body func(*Tx)) error {
 	r.acquireFallback()
 	defer r.releaseFallback()
-	tx.reset(r, true, 0)
-	cause, ok := r.attempt(tx, body)
-	if !ok {
-		if cause == AbortExplicit {
-			r.stats.explicitAborts.Add(1)
-			return out, ErrExplicitAbort
+	switch t.op {
+	case opLoad:
+		r.waitUnlocked(t.off / pmem.LineSize)
+		r.arena.ReadLine(t.off, t.buf)
+	case opStore:
+		r.waitUnlocked(t.off / pmem.LineSize)
+		r.arena.WriteLine(t.off, t.buf)
+	case opCopy:
+		var buf [pmem.LineSize]byte
+		r.waitUnlocked(t.off / pmem.LineSize)
+		r.arena.ReadLine(t.off, &buf)
+		r.waitUnlocked(t.to / pmem.LineSize)
+		r.arena.WriteLine(t.to, &buf)
+	default:
+		tx.reset(r, true, 0)
+		if cause, ok := r.attempt(tx, body); !ok {
+			if cause == AbortExplicit {
+				r.stats.explicitAborts.Add(1)
+				return ErrExplicitAbort
+			}
+			panic("htm: fallback transaction aborted with " + cause.String())
 		}
-		panic("htm: fallback transaction aborted with " + cause.String())
 	}
 	r.stats.commits.Add(1)
-	return out, nil
+	return nil
 }
 
 // attempt runs body inside tx, converting abort panics into (cause, false).
@@ -646,6 +753,68 @@ func (r *Region) attempt(tx *Tx, body func(*Tx)) (cause AbortCause, ok bool) {
 		return 0, true
 	}
 	return AbortConflict, false
+}
+
+// readLine is a line op's transactional read of line: Tx.trackRead, the
+// load and Tx.postReadValidate for a read set of one. It returns the
+// version read, or false on a conflict.
+func (r *Region) readLine(seq, line uint64, dst *[pmem.LineSize]byte) (uint64, bool) {
+	if r.fallbackSeq.Load() != seq {
+		return 0, false
+	}
+	v := atomic.LoadUint64(&r.locks[line])
+	if v&1 != 0 {
+		return 0, false
+	}
+	r.arena.ReadLine(line*pmem.LineSize, dst)
+	return v, atomic.LoadUint64(&r.locks[line]) == v
+}
+
+// commitLine is Tx.commit for a write set of one line and a read set of at
+// most rd: lock the line — from the version read when it is the line read,
+// else from its current unlocked version — re-check the subscription and a
+// read of another line, store w, and release with the version bumped.
+// False on a conflict, the lock restored.
+//
+//pmem:volatile commit drains the write buffer to cache lines; durability is the caller's commit persist after the transaction returns (a flush here would have aborted it, §2.2)
+func (r *Region) commitLine(seq, line uint64, w *[pmem.WordsPerLine]uint64, rd *readEnt) bool {
+	other := rd != nil && rd.line != line
+	var v uint64
+	if rd != nil && !other {
+		v = rd.ver
+	} else if v = atomic.LoadUint64(&r.locks[line]); v&1 != 0 {
+		return false
+	}
+	if !atomic.CompareAndSwapUint64(&r.locks[line], v, v|1) {
+		return false
+	}
+	if r.fallbackSeq.Load() != seq || other && atomic.LoadUint64(&r.locks[rd.line]) != rd.ver {
+		atomic.StoreUint64(&r.locks[line], v)
+		return false
+	}
+	r.arena.WriteLineWords(line*pmem.LineSize, w)
+	atomic.StoreUint64(&r.locks[line], v+2)
+	return true
+}
+
+// waitUnlocked spins until no hardware commit holds line. The fallback path
+// calls it before each load and store: a commit that passed its
+// subscription check before the fallback lock was taken is still writing
+// its lines, and a fallback store landing among its words would leave a
+// line mixing the two (on real RTM that store aborts the transaction
+// instead). Once the lock is held, no later commit gets past the check.
+func (r *Region) waitUnlocked(line uint64) {
+	for i := 0; atomic.LoadUint64(&r.locks[line])&1 != 0; i++ {
+		spinYield(i)
+	}
+}
+
+// lineWords is the line b as the eight words a commit stores.
+func lineWords(b *[pmem.LineSize]byte) (w [pmem.WordsPerLine]uint64) {
+	for i := range w {
+		w[i] = getWord(b[i*pmem.WordSize:])
+	}
+	return w
 }
 
 func (r *Region) waitFallbackFree() uint64 {

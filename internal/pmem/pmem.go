@@ -227,6 +227,10 @@ type Heap struct {
 	lat   atomic.Pointer[latency]
 	hooks atomic.Pointer[Hooks]
 
+	// Every store and persist increments the counters, and every access
+	// reads committedW, lat or hooks: the pads give the counters lines of
+	// their own, so two writers do not bounce the line every reader needs.
+	_     [64]byte
 	stats struct {
 		persists     atomic.Uint64
 		linesFlushed atomic.Uint64
@@ -237,6 +241,7 @@ type Heap struct {
 		crashImages  atomic.Uint64
 		evictedLines atomic.Uint64
 	}
+	_ [64]byte
 
 	allocMu sync.Mutex
 	// freed is the overflow for a full class table: size (bytes) -> free
