@@ -21,8 +21,12 @@ endef
 build:
 	$(GO) build ./...
 
+# go vet plus a formatting gate: any .go file gofmt would rewrite (the
+# benchmark's git-ignored build tree aside) fails the target.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l $$(find . -name '*.go' -not -path './.bench_build/*')); \
+		test -z "$$out" || { echo "gofmt -l lists:"; echo "$$out"; exit 1; }
 
 # rnvet: the repo's own pass suite (persistcheck, htmsafe, lockflush,
 # fencecheck, undolog, atomicfield, lockorder, spinblock) machine-checks the
@@ -105,19 +109,23 @@ heapcheck:
 	$(call run-tests,,./internal/core,Corrupt)
 	$(call run-tests,,./internal/analysis,UndoLog)
 
-# Leaf-image gate: a compaction and a split commit through the slot-array
-# line and persist exactly their expected ranges (a compaction the moved
-# entries and one slot line, or nothing; a split the right leaf's live
-# prefix, the link, the trimmed slot line, then a compaction), a split
-# crashed after its link recovers through the trim rule, a split on a full
-# arena persists nothing on retry, and the tree crash explorer (splits and
-# a compaction, both slot modes) stays at zero violations. The slot-array
+# Leaf-image gate: a compaction persists nothing and frees exactly the log
+# entries the slot array does not reference, a split persists exactly the
+# right leaf's live prefix, the link and the trimmed slot line, leaves at
+# most half live never split on updates (two persists each), a crash
+# between a reused entry's persist and its publish recovers the old value,
+# entry reuse at capacity 8 never hands a reader a value written for
+# another key (under the race detector), a split crashed after its link
+# recovers through the trim rule, a split on a full arena persists nothing
+# on retry, and the tree crash explorer (splits and a compaction, both slot
+# modes) stays at zero violations. The slot-array
 # transactions: each HTM line op leaves the bytes and Stats of the Run body
 # it replaces and allocates nothing, no reader of a line op sees a torn
 # line under the race detector, and the htm and pmem counter blocks keep a
 # line of padding from the fields every access reads.
 treecheck:
-	$(call run-tests,,./internal/core,CompactionFlushesLiveLines|SplitFlushesLiveLines|SplitCrashAtTrimRecovers|InsertOOMMidSplitRetrySafe)
+	$(call run-tests,,./internal/core,CompactionPersistsNothing|SplitPersistsThreeRanges|UpdateOnlyNeverSplits|CrashBeforeReusedEntryPublish|SplitCrashAtTrimRecovers|InsertOOMMidSplitRetrySafe)
+	$(call run-tests,-race,./internal/core,ReuseStressSmallLeaves)
 	$(call run-tests,,./internal/fault,ExploreTreeAllSites)
 	$(call run-tests,,./internal/htm,LineOpsMatchRun|LineOpsAllocateNothing|RegionCounterLayout)
 	$(call run-tests,-race,./internal/htm,LineOpsNoTornLines)

@@ -9,9 +9,9 @@ package atomicfield
 import "sync/atomic"
 
 type stats struct {
-	hits  uint64          // atomic by address: &s.hits
-	words []uint64        // atomic by element address: &s.words[i]
-	seq   atomic.Uint64   // declared atomic value type
+	hits  uint64        // atomic by address: &s.hits
+	words []uint64      // atomic by element address: &s.words[i]
+	seq   atomic.Uint64 // declared atomic value type
 	fps   [4]atomic.Uint64
 }
 
@@ -27,18 +27,18 @@ func atomicUses(s *stats) {
 }
 
 func plainReadWrite(s *stats) uint64 {
-	s.hits = 0 // want `field atomicfield\.stats\.hits mixes atomic and plain access: plain write here`
-	s.hits++   // want `field atomicfield\.stats\.hits mixes atomic and plain access: plain write here`
+	s.hits = 0    // want `field atomicfield\.stats\.hits mixes atomic and plain access: plain write here`
+	s.hits++      // want `field atomicfield\.stats\.hits mixes atomic and plain access: plain write here`
 	return s.hits // want `field atomicfield\.stats\.hits mixes atomic and plain access: plain read here`
 }
 
 func plainElements(s *stats) uint64 {
-	s.words[1] = 3 // want `field atomicfield\.stats\.words mixes atomic and plain access: plain element write here`
+	s.words[1] = 3    // want `field atomicfield\.stats\.words mixes atomic and plain access: plain element write here`
 	return s.words[2] // want `field atomicfield\.stats\.words mixes atomic and plain access: plain element read here`
 }
 
 func aliasAndCopy(s *stats, dst []uint64) {
-	_ = s.words[1:2] // want `field atomicfield\.stats\.words mixes atomic and plain access: aliasing slice of atomic words here`
+	_ = s.words[1:2]   // want `field atomicfield\.stats\.words mixes atomic and plain access: aliasing slice of atomic words here`
 	copy(dst, s.words) // want `field atomicfield\.stats\.words mixes atomic and plain access: bulk copy over atomic words here`
 }
 
@@ -51,7 +51,7 @@ func escapedAddresses(s *stats) {
 }
 
 func declaredAtomicPlain(s *stats) {
-	_ = s.seq // want `field atomicfield\.stats\.seq mixes atomic and plain access: plain read \(value copy of atomic type\) here`
+	_ = s.seq               // want `field atomicfield\.stats\.seq mixes atomic and plain access: plain read \(value copy of atomic type\) here`
 	s.seq = atomic.Uint64{} // want `field atomicfield\.stats\.seq mixes atomic and plain access: plain write here`
 }
 
@@ -63,7 +63,7 @@ func arrayReset(s *stats) {
 }
 
 func packageLevel() uint64 {
-	global = 9 // want `field atomicfield\.global mixes atomic and plain access: plain write here`
+	global = 9    // want `field atomicfield\.global mixes atomic and plain access: plain write here`
 	return global // want `field atomicfield\.global mixes atomic and plain access: plain read here`
 }
 

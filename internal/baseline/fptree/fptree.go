@@ -65,7 +65,7 @@ func Fingerprint(key uint64) uint8 {
 const noHighKey = ^uint64(0)
 
 type leafMeta struct {
-	off  uint64
+	off uint64
 	// mu is the whole-leaf lock, held across persists and splits (the
 	// coupled design the paper's §4.2 decouples). Outermost in fptree:
 	//
@@ -73,7 +73,7 @@ type leafMeta struct {
 	//rnvet:lockorder fptree.leafMeta.mu<inner.Index.mu
 	//rnvet:lockorder fptree.leafMeta.mu<pmem.Heap.allocMu
 	mu   sync2.SpinLock
-	ver  atomic.Uint64  // bumped by every modify; finds validate it
+	ver  atomic.Uint64 // bumped by every modify; finds validate it
 	high atomic.Uint64
 	next atomic.Pointer[leafMeta]
 	id   uint64

@@ -85,11 +85,7 @@ func BulkLoad(arena *pmem.Arena, opts Options, records []tree.KV) (*Tree, error)
 
 	// Volatile state: metas, bounds, chain, index — same walk recovery uses.
 	t.region = htm.NewRegion(arena, opts.HTM)
-	err := t.walkChain(false, func(m *leafMeta, s *slotArray) {
-		m.nlogs.Store(uint32(s.n))
-		m.plogs = uint32(s.n)
-	})
-	if err != nil {
+	if err := t.walkChain(false); err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -7,10 +7,11 @@ import (
 )
 
 // CheckInvariants validates the structural invariants of a quiescent tree:
-// sorted slot arrays referencing allocated log entries, strictly increasing
-// keys across the leaf chain, a well-formed inner index, and agreement
-// between index lookups and leaf contents. Intended for tests and the crash
-// fuzzer; not safe to run concurrently with mutations.
+// sorted slot arrays naming no log entry the free-entry mask offers for
+// allocation, strictly increasing keys across the leaf chain, a well-formed
+// inner index, and agreement between index lookups and leaf contents.
+// Intended for tests and the crash fuzzer; not safe to run concurrently
+// with mutations.
 func (t *Tree) CheckInvariants() error {
 	if err := t.ix.Validate(); err != nil {
 		return fmt.Errorf("inner index: %w", err)
@@ -26,14 +27,14 @@ func (t *Tree) CheckInvariants() error {
 		if s.n > t.capacity-1 {
 			return fmt.Errorf("leaf %#x: %d active entries exceeds capacity-1", m.off, s.n)
 		}
-		nlogs := m.nlogs.Load()
-		if nlogs > uint32(t.capacity) {
-			return fmt.Errorf("leaf %#x: nlogs %d exceeds capacity", m.off, nlogs)
+		free := m.free.Load()
+		if free>>t.capacity != 0 {
+			return fmt.Errorf("leaf %#x: free mask %#x names entries past capacity %d", m.off, free, t.capacity)
 		}
 		high := m.high.Load()
 		for i := 0; i < s.n; i++ {
-			if uint32(s.idx[i]) >= nlogs {
-				return fmt.Errorf("leaf %#x: slot %d references unallocated log %d (nlogs=%d)", m.off, i, s.idx[i], nlogs)
+			if free&(1<<s.idx[i]) != 0 {
+				return fmt.Errorf("leaf %#x: slot %d names free log %d", m.off, i, s.idx[i])
 			}
 			k := t.arena.Read8(kvEntryOff(m.off, int(s.idx[i])))
 			if haveLast && k <= lastKey {

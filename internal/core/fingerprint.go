@@ -10,9 +10,9 @@ package core
 // makes it coherent under the tree's concurrency protocol without any
 // locking on the read side:
 //
-//   - A log entry is write-once between splits (§4.2): once published by a
-//     slot array, its key never changes until a split/compaction rewrites
-//     the log area — and those run under SplitBit and bump the leaf
+//   - A log entry is write-once between compactions (§4.2): once published
+//     by a slot array, its key never changes until a compaction frees it
+//     for reuse — and compactions run under SplitBit and bump the leaf
 //     version, which the reader's existing version validation catches.
 //   - Writers store the entry's fingerprint (under the leaf lock) BEFORE
 //     publishing the slot line that references it, so any entry a reader

@@ -13,19 +13,19 @@ import (
 
 // Leaf node layout (Figure 1), one cache line per row:
 //
-//	line 0  header   : next (8B, persistent) | nlogs | plogs | minKey (clean-shutdown only)
+//	line 0  header   : next (8B, persistent) | unused | unused | minKey (clean-shutdown only)
 //	line 1  pslot    : persistent slot array — slot[0]=count, slot[1..]=order
 //	line 2  tslot    : transient slot array (dual-slot-array design, §4.3)
 //	line 3+ KV logs  : 16-byte (key,value) entries, 4 per line
 //
-// nlogs/plogs/minKey in the header are only meaningful after a clean
-// shutdown (Close); crash recovery recomputes them from the slot array and
-// logs (§5.4).
+// minKey in the header is only meaningful after a clean shutdown (Close);
+// crash recovery recomputes it from the slot array and logs (§5.4). The
+// paper's nlogs and plogs header words are a DRAM free-entry mask here
+// (leafMeta.free), derived from the slot array on every reopen, so words
+// 8 and 16 are unused.
 const (
-	hdrNextOff  = 0  // persistent next-leaf pointer
-	hdrNlogsOff = 8  // clean-shutdown nlogs
-	hdrPlogsOff = 16 // clean-shutdown plogs
-	hdrMinOff   = 24 // clean-shutdown min key (index separator)
+	hdrNextOff = 0  // persistent next-leaf pointer
+	hdrMinOff  = 24 // clean-shutdown min key (index separator)
 
 	pslotOff = pmem.LineSize     // persistent slot array line
 	tslotOff = 2 * pmem.LineSize // transient slot array line

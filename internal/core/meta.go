@@ -28,12 +28,13 @@ type leafMeta struct {
 	//rnvet:lockorder core.leafMeta.vl<inner.Index.mu
 	vl sync2.VersionLock
 
-	// nlogs is the allocation cursor: log entries [0, nlogs) are taken.
-	// Advanced lock-free with CAS (Algorithm 2).
-	nlogs atomic.Uint32
-	// plogs is the number of log entries consumed by completed operations;
-	// updated under the leaf lock (Algorithm 1 line 13).
-	plogs uint32
+	// free is the free-entry mask, standing in for the paper's nlogs and
+	// plogs: bit i is set while log entry i may be allocated. allocEntry
+	// claims the lowest set bit with one CAS (Algorithm 2); only a
+	// compaction sets bits, to the entries the persistent slot array does
+	// not reference (compactInPlace), which is also how every recovery path
+	// derives it.
+	free atomic.Uint64
 	// pins counts writers currently in their unlocked window (log entry
 	// allocated, KV bytes being written/flushed). A split waits for pins to
 	// drain before compacting the log area, so in-flight writers never race

@@ -9,11 +9,11 @@ import (
 	"rntree/internal/tree"
 )
 
-// Close performs a clean shutdown: it persists the transient per-leaf
-// bookkeeping (nlogs, plogs, min key) into the leaf headers along with the
-// transient slot arrays, and arms the clean-shutdown flag. A tree closed
-// this way can be reopened with the cheap Reconstruct path; a tree that
-// crashed needs CrashRecover (§5.4 and Figure 7 distinguish the two).
+// Close performs a clean shutdown: it persists each leaf's min key into its
+// header along with the transient slot arrays, and arms the clean-shutdown
+// flag. A tree closed this way can be reopened with the cheap Reconstruct
+// path; a tree that crashed needs CrashRecover (§5.4 and Figure 7
+// distinguish the two).
 // The tree must be quiescent (no concurrent operations); Close checks and
 // panics on misuse, because silently snapshotting a tree with writers in
 // flight would certify a torn image as a clean shutdown.
@@ -27,8 +27,6 @@ func (t *Tree) Close() {
 		if s.n > 0 {
 			minKey = t.arena.Read8(kvEntryOff(m.off, int(s.idx[0])))
 		}
-		t.arena.Write8(m.off+hdrNlogsOff, uint64(m.nlogs.Load()))
-		t.arena.Write8(m.off+hdrPlogsOff, uint64(m.plogs))
 		t.arena.Write8(m.off+hdrMinOff, minKey)
 		t.arena.Persist(m.off, pmem.LineSize)
 		// The transient slot array is normally never flushed; make it valid
@@ -76,8 +74,8 @@ func Open(a *pmem.Arena, opts Options) (*Tree, error) {
 }
 
 // Reconstruct is the fast reopen path after a clean shutdown: it walks the
-// persistent leaf chain, trusts the per-leaf bookkeeping persisted by Close,
-// and rebuilds the volatile internal nodes (§5.4 "reconstruction").
+// persistent leaf chain, trusts the min keys persisted by Close, and
+// rebuilds the volatile internal nodes (§5.4 "reconstruction").
 func Reconstruct(a *pmem.Arena, opts Options) (*Tree, error) {
 	t, err := openCommon(a, opts)
 	if err != nil {
@@ -87,11 +85,7 @@ func Reconstruct(a *pmem.Arena, opts Options) (*Tree, error) {
 		return nil, fmt.Errorf("core: arena was not cleanly closed; use CrashRecover")
 	}
 	t.useHeaderMin = true // Close persisted each leaf's min key for us
-	err = t.walkChain(false, func(m *leafMeta, s *slotArray) {
-		m.nlogs.Store(uint32(a.Read8(m.off + hdrNlogsOff)))
-		m.plogs = uint32(a.Read8(m.off + hdrPlogsOff))
-	})
-	if err != nil {
+	if err := t.walkChain(false); err != nil {
 		return nil, err
 	}
 	// Disarm the clean flag: from now on only a new Close certifies the
@@ -102,33 +96,16 @@ func Reconstruct(a *pmem.Arena, opts Options) (*Tree, error) {
 }
 
 // CrashRecover reopens a tree after a crash: it walks the leaf chain,
-// trimming the one overlap an interrupted split can leave (trimOverlap) and
-// recomputing the transient bookkeeping from the persistent slot arrays and
-// logs — the paper's "crash recovery", measurably slower than
-// reconstruction (Figure 7).
+// trimming the one overlap an interrupted split can leave (trimOverlap),
+// rebuilding the transient slot arrays and deriving the volatile state from
+// the persistent slot arrays and logs — the paper's "crash recovery",
+// measurably slower than reconstruction (Figure 7).
 func CrashRecover(a *pmem.Arena, opts Options) (*Tree, error) {
 	t, err := openCommon(a, opts)
 	if err != nil {
 		return nil, err
 	}
-	err = t.walkChain(true, func(m *leafMeta, s *slotArray) {
-		// Recompute nlogs: "scan the slot array to find the max index of
-		// log entries" (§6.2.6). Orphaned allocations past the last
-		// referenced slot are discarded.
-		nlogs := uint32(0)
-		for i := 0; i < s.n; i++ {
-			if uint32(s.idx[i])+1 > nlogs {
-				nlogs = uint32(s.idx[i]) + 1
-			}
-		}
-		m.nlogs.Store(nlogs)
-		m.plogs = nlogs
-		// Rebuild the transient slot array from the persistent one.
-		var line [pmem.LineSize]byte
-		a.ReadLine(m.off+pslotOff, &line)
-		a.WriteLine(m.off+tslotOff, &line) //pmem:volatile the transient slot array is a volatile mirror, rebuilt from pslot on every recovery
-	})
-	if err != nil {
+	if err := t.walkChain(true); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -216,15 +193,16 @@ func (t *Tree) trimOverlap(off uint64, s *slotArray, keys *[MaxLeafCapacity]uint
 	return nil
 }
 
-// walkChain scans the persistent leaf chain, creating leafMetas, wiring the
-// DRAM next pointers and key bounds, and collecting the index pairs; crash
-// recovery also trims split overlaps (trimOverlap). The per-leaf callback
-// fills in tree-state-specific bookkeeping. Like every pointer recovery
-// reads from the media, a leaf pointer is followed only if it is a block
-// the allocator could have handed out, and the walk is bounded by the
-// number of leaves the allocated space can hold, so a garbage or cyclic
-// chain is an error, not a panic or a hang.
-func (t *Tree) walkChain(trim bool, fill func(m *leafMeta, s *slotArray)) error {
+// walkChain scans the persistent leaf chain, creating leafMetas with their
+// free-entry masks and fingerprints, wiring the DRAM next pointers and key
+// bounds, and collecting the index pairs; after a crash it also trims split
+// overlaps (trimOverlap) and rebuilds each transient slot array from the
+// persistent one, which Close or BulkLoad otherwise left equal. Like every
+// pointer recovery reads from the media, a leaf pointer is followed only if
+// it is a block the allocator could have handed out, and the walk is
+// bounded by the number of leaves the allocated space can hold, so a
+// garbage or cyclic chain is an error, not a panic or a hang.
+func (t *Tree) walkChain(crashed bool) error {
 	a := t.arena
 	var pairs []inner.Pair
 	var prev *leafMeta
@@ -240,11 +218,16 @@ func (t *Tree) walkChain(trim bool, fill func(m *leafMeta, s *slotArray)) error 
 		}
 		budget--
 		s, err := t.readSlot(off, &keys)
-		if err == nil && trim {
+		if err == nil && crashed {
 			err = t.trimOverlap(off, &s, &keys)
 		}
 		if err != nil {
 			return err
+		}
+		if crashed {
+			var line [pmem.LineSize]byte
+			a.ReadLine(off+pslotOff, &line)
+			a.WriteLine(off+tslotOff, &line) //pmem:volatile the transient slot array is a volatile mirror, rebuilt from pslot on every recovery
 		}
 		m := newLeafMeta(off, 0)
 		t.metas.add(m)
@@ -254,10 +237,11 @@ func (t *Tree) walkChain(trim bool, fill func(m *leafMeta, s *slotArray)) error 
 		if prev != nil {
 			prev.next.Store(m)
 		}
-		fill(m, &s)
-		// Rebuild the DRAM fingerprint filter from the persistent slot
-		// array and logs — the filter is volatile and every reopen path
-		// (Reconstruct, CrashRecover, BulkLoad) funnels through here.
+		// Rebuild the DRAM free-entry mask and fingerprint filter from the
+		// persistent slot array and logs — both are volatile and every
+		// reopen path (Reconstruct, CrashRecover, BulkLoad) funnels through
+		// here.
+		t.compactInPlace(m, &s)
 		for i := 0; i < s.n; i++ {
 			m.setFp(int(s.idx[i]), fpHash(keys[i]))
 		}

@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rntree/internal/pmem"
+	"rntree/internal/tree"
 )
 
 // persistRec is one persistent instruction as the BeforePersist hook saw it.
@@ -26,11 +29,11 @@ func linesOf(off, size uint64) uint64 { return (off+size-1)/pmem.LineSize - off/
 // runSplit fills a fresh tree's single leaf with n keys, inserted in
 // descending key order when desc is set (so the smallest keys sit at the
 // highest log indices) and each updated `updates` times (so the log holds
-// orphans), then runs splitLocked on the leaf and returns the leaf, the
+// orphans), then runs splitLocked on the leaf and returns the tree, the
 // persists it issued and the pmem stats delta.
-func runSplit(t *testing.T, opts Options, n, updates int, desc bool) (m *leafMeta, recs []persistRec, d pmem.Stats) {
+func runSplit(t *testing.T, opts Options, n, updates int, desc bool) (tr *Tree, recs []persistRec, d pmem.Stats) {
 	t.Helper()
-	tr := newTree(t, opts, 4)
+	tr = newTree(t, opts, 4)
 	key := func(i int) uint64 { return uint64(10 * (i + 1)) }
 	for i := 0; i < n; i++ {
 		k := key(i)
@@ -52,7 +55,7 @@ func runSplit(t *testing.T, opts Options, n, updates int, desc bool) (m *leafMet
 		t.Fatalf("setup split the leaf already (%d leaves)", tr.LeafCount())
 	}
 	a := tr.arena
-	m = tr.head
+	m := tr.head
 	a.SetHooks(&pmem.Hooks{BeforePersist: func(off, size uint64) {
 		recs = append(recs, persistRec{off, size})
 	}})
@@ -73,7 +76,7 @@ func runSplit(t *testing.T, opts Options, n, updates int, desc bool) (m *leafMet
 	if got != n {
 		t.Fatalf("tree holds %d keys after the split, want %d", got, n)
 	}
-	return m, recs, pmem.Stats{
+	return tr, recs, pmem.Stats{
 		Persists:     after.Persists - before.Persists,
 		LinesFlushed: after.LinesFlushed - before.LinesFlushed,
 	}
@@ -86,42 +89,54 @@ func checkPersists(t *testing.T, got, want []persistRec) {
 	}
 }
 
-// A §5.2.3 compaction of n live entries that all sit at log index n or
-// above (each key updated once) moves them into logs 0..n-1 and commits
-// through the slot line: two persists, the moved range and the slot line.
-// When every live entry already sits below n it persists nothing.
-func TestCompactionFlushesLiveLines(t *testing.T) {
+// A §5.2.3 compaction of a leaf at most half live, its log full of orphans
+// or not, issues no persist: it only offers for allocation exactly the log
+// entries the slot array does not reference, and CheckInvariants catches a
+// mask that offers a live one.
+func TestCompactionPersistsNothing(t *testing.T) {
 	bothVariants(t, func(t *testing.T, opts Options) {
-		for _, n := range []int{1, 3, 16, 31} {
-			m, recs, d := runSplit(t, opts, n, 1, false)
-			moved := m.off + kvOff
-			checkPersists(t, recs, []persistRec{
-				{moved, uint64(n) * kvEntrySize},
-				{m.off + pmem.LineSize, pmem.LineSize},
-			})
-			lines := linesOf(moved, uint64(n)*kvEntrySize) + 1
-			if d.Persists != 2 || d.LinesFlushed != lines {
-				t.Fatalf("n=%d: %d persists / %d lines, want 2 / %d", n, d.Persists, d.LinesFlushed, lines)
-			}
-		}
-		for _, n := range []int{0, 3, 31} {
-			if _, recs, d := runSplit(t, opts, n, 0, false); d.Persists != 0 {
-				t.Fatalf("n=%d, nothing to move: persists %v, want none", n, recs)
+		for _, n := range []int{0, 1, 3, 16, 31, 32} {
+			for _, updates := range []int{0, 1} {
+				tr, recs, _ := runSplit(t, opts, n, updates, false)
+				if len(recs) != 0 || tr.LeafCount() != 1 {
+					t.Fatalf("n=%d updates=%d: persists %v, %d leaves; want none, 1 leaf", n, updates, recs, tr.LeafCount())
+				}
+				m := tr.head
+				var line [pmem.LineSize]byte
+				tr.arena.ReadLine(m.off+pslotOff, &line)
+				var want uint64
+				for e := 0; e < tr.capacity; e++ {
+					want |= 1 << e
+				}
+				for i := 0; i < int(line[0]); i++ {
+					want &^= 1 << line[1+i]
+				}
+				if got := m.free.Load(); got != want || int(line[0]) != n {
+					t.Fatalf("n=%d updates=%d: %d slots, free mask %#x, want %d slots, %#x", n, updates, line[0], got, n, want)
+				}
+				if n > 0 {
+					// CheckInvariants rejects a slot naming a free entry.
+					m.free.Store(want | 1<<line[1])
+					if err := tr.CheckInvariants(); err == nil {
+						t.Fatalf("n=%d updates=%d: CheckInvariants accepts a free entry in slot 0", n, updates)
+					}
+				}
 			}
 		}
 	})
 }
 
-// A split in two of n entries, inserted in descending order so the lower
-// half sits at the top of the log, persists the right leaf's live prefix,
-// the old leaf's next pointer (the link), the slot line trimmed to the
-// lower half, the lower half moved below index n/2 and the slot line that
-// commits the move: 5 tree persists. The right leaf's Alloc adds the
-// allocator's one-word bump-mark flip in the heap header.
-func TestSplitFlushesLiveLines(t *testing.T) {
+// A split in two of n entries persists the right leaf's live prefix, the
+// old leaf's next pointer (the link) and the slot line trimmed to the lower
+// half: 3 tree persists. The lower half stays where it sits in the log, at
+// the top here (descending inserts), and compacts for free. The right
+// leaf's Alloc adds the allocator's one-word bump-mark flip in the heap
+// header. A leaf exactly half live compacts instead, allocating nothing.
+func TestSplitPersistsThreeRanges(t *testing.T) {
 	bothVariants(t, func(t *testing.T, opts Options) {
-		for _, n := range []int{32, 37, 62} {
-			m, recs, d := runSplit(t, opts, n, 0, true)
+		for _, n := range []int{33, 37, 62} {
+			tr, recs, d := runSplit(t, opts, n, 0, true)
+			m := tr.head
 			var leafRecs, alloc []persistRec
 			for _, r := range recs {
 				if r.off < pmem.DataStart {
@@ -135,18 +150,19 @@ func TestSplitFlushesLiveLines(t *testing.T) {
 			}
 			right := m.next.Load().off
 			half := n / 2
-			slot, moved := m.off+pmem.LineSize, m.off+kvOff
 			checkPersists(t, leafRecs, []persistRec{
 				{right, liveBytes(n - half)},
 				{m.off, pmem.WordSize},
-				{slot, pmem.LineSize},
-				{moved, uint64(half) * kvEntrySize},
-				{slot, pmem.LineSize},
+				{m.off + pmem.LineSize, pmem.LineSize},
 			})
-			lines := linesOf(right, liveBytes(n-half)) + 1 + 1 + linesOf(moved, uint64(half)*kvEntrySize) + 1 + 1
-			if d.Persists != 5+1 || d.LinesFlushed != lines {
-				t.Fatalf("n=%d: %d persists / %d lines, want 6 / %d", n, d.Persists, d.LinesFlushed, lines)
+			lines := linesOf(right, liveBytes(n-half)) + 1 + 1 + 1
+			if d.Persists != 3+1 || d.LinesFlushed != lines {
+				t.Fatalf("n=%d: %d persists / %d lines, want 4 / %d", n, d.Persists, d.LinesFlushed, lines)
 			}
+		}
+		tr, recs, _ := runSplit(t, opts, DefaultLeafCapacity/2, 0, true)
+		if len(recs) != 0 || tr.LeafCount() != 1 {
+			t.Fatalf("n=32: persists %v, %d leaves; want a compaction: none, 1 leaf", recs, tr.LeafCount())
 		}
 	})
 }
@@ -240,6 +256,190 @@ func TestSplitCrashAtTrimRecovers(t *testing.T) {
 				t.Fatalf("seed %d: second recovery issued %d persists or changed the image", seed, p)
 			}
 			check("second recovery", rec2)
+		}
+	})
+}
+
+// Leaves at most half live never split on updates: neither bulk-loaded
+// leaves (half full) nor leaves that are all split halves (ascending
+// inserts of 63+31j keys split every leaf at 63 into 31 and 32). Three
+// updates of every key keep the leaf count, cost exactly the paper's two
+// persists each, and leave the tree checking.
+func TestUpdateOnlyNeverSplits(t *testing.T) {
+	const n = 63 + 31*40
+	bulk := func(t *testing.T, opts Options) *Tree {
+		recs := make([]tree.KV, n)
+		for i := range recs {
+			recs[i] = tree.KV{Key: uint64(i), Value: uint64(i)}
+		}
+		tr, err := BulkLoad(pmem.New(pmem.Config{Size: 16 << 20}), opts, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	split := func(t *testing.T, opts Options) *Tree {
+		tr := newTree(t, opts, 16)
+		for i := uint64(0); i < n; i++ {
+			if err := tr.Insert(i, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tr
+	}
+	for _, c := range []struct {
+		name  string
+		build func(*testing.T, Options) *Tree
+	}{{"bulk", bulk}, {"split", split}} {
+		build := c.build
+		t.Run(c.name, func(t *testing.T) {
+			bothVariants(t, func(t *testing.T, opts Options) {
+				tr := build(t, opts)
+				leaves := tr.LeafCount()
+				p0 := tr.Arena().Stats().Persists
+				for round := uint64(1); round <= 3; round++ {
+					for i := uint64(0); i < n; i++ {
+						if err := tr.Update(i, round<<32|i); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if got := tr.LeafCount(); got != leaves {
+					t.Fatalf("updates alone changed the leaf count %d -> %d", leaves, got)
+				}
+				if p := tr.Arena().Stats().Persists - p0; p != 2*3*n {
+					t.Fatalf("%d persists for %d updates, want 2 each", p, 3*n)
+				}
+				if err := tr.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				for i := uint64(0); i < n; i++ {
+					if v, ok := tr.Find(i); !ok || v != 3<<32|i {
+						t.Fatalf("key %d reads (%#x, %v), want %#x", i, v, ok, 3<<32|i)
+					}
+				}
+			})
+		})
+	}
+}
+
+// A compaction frees the entry that held key 10's original value; the next
+// update, of key 50, reuses it. A crash after that entry's persist and
+// before the slot publish recovers key 50's old value, and key 10 keeps
+// its newest one.
+func TestCrashBeforeReusedEntryPublish(t *testing.T) {
+	bothVariants(t, func(t *testing.T, opts Options) {
+		for seed := int64(0); seed < 4; seed++ {
+			a := pmem.New(pmem.Config{Size: 4 << 20})
+			tr, err := New(a, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[uint64]uint64{}
+			for i := uint64(1); i <= 10; i++ {
+				if err := tr.Insert(10*i, i); err != nil {
+					t.Fatal(err)
+				}
+				want[10*i] = i
+			}
+			// Key 10 sits in log 0; its updates take logs 10..62, and the
+			// publish that leaves one entry free compacts the leaf.
+			for v := uint64(100); v < 153; v++ {
+				if err := tr.Update(10, v); err != nil {
+					t.Fatal(err)
+				}
+				want[10] = v
+			}
+			m := tr.head
+			if f := m.free.Load(); f&1 == 0 || tr.LeafCount() != 1 {
+				t.Fatalf("log 0 not freed by a compaction (free %#x, %d leaves)", f, tr.LeafCount())
+			}
+			var img []uint64
+			rng := rand.New(rand.NewSource(seed))
+			a.SetHooks(&pmem.Hooks{AfterPersist: func(off, size uint64) {
+				if img == nil && off == kvEntryOff(m.off, 0) && size == kvEntrySize {
+					img = a.CrashImage(rng, 0.5)
+				}
+			}})
+			if err := tr.Update(50, 999); err != nil {
+				t.Fatal(err)
+			}
+			a.SetHooks(nil)
+			if img == nil {
+				t.Fatal("the update of key 50 did not reuse log 0")
+			}
+			rec, err := CrashRecover(reboot(t, img), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rec.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			got := map[uint64]uint64{}
+			rec.Scan(0, 0, func(k, v uint64) bool { got[k] = v; return true })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: recovered %v, want %v", seed, got, want)
+			}
+		}
+	})
+}
+
+// Reuse stress under the race detector: at capacity 8 a leaf compacts
+// every few updates, so log entries are freed and rewritten while readers
+// probe them. Every value carries its key in the high half; a reader that
+// ever returns a value not written for its key read a reused entry
+// unvalidated, or a writer's bytes landed in an entry reallocated under it.
+func TestReuseStressSmallLeaves(t *testing.T) {
+	bothVariants(t, func(t *testing.T, opts Options) {
+		opts.LeafCapacity = 8
+		tr := newTree(t, opts, 16)
+		const keys = 64
+		for k := uint64(0); k < keys; k++ {
+			if err := tr.Insert(k, k<<32); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(seed))
+				for i := uint64(1); i <= 20000 && !stop.Load(); i++ {
+					k := uint64(r.Intn(keys))
+					if err := tr.Upsert(k, k<<32|i); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(int64(w + 1))
+		}
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(seed))
+				for i := 0; i < 20000 && !stop.Load(); i++ {
+					k := uint64(r.Intn(keys))
+					if v, ok := tr.Find(k); !ok || v>>32 != k {
+						stop.Store(true)
+						t.Errorf("Find(%d) = (%#x, %v): not a value written for the key", k, v, ok)
+						return
+					}
+					tr.Scan(k, 4, func(sk, v uint64) bool {
+						if v>>32 != sk {
+							stop.Store(true)
+							t.Errorf("Scan yields (%d, %#x): not a value written for the key", sk, v)
+						}
+						return true
+					})
+				}
+			}(int64(w + 10))
+		}
+		wg.Wait()
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

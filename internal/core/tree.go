@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 
@@ -182,20 +183,20 @@ func (t *Tree) leafFor(key uint64) *leafMeta {
 	return t.metas.get(t.ix.Seek(key))
 }
 
-// allocEntry implements Algorithm 2: lock-free log-entry allocation with a
-// CAS on nlogs. It fails when the leaf's log area is exhausted or the leaf
-// is being split.
+// allocEntry implements Algorithm 2: lock-free log-entry allocation, one
+// CAS clearing the lowest bit of the free-entry mask. It fails when no entry
+// is free or the leaf is being split.
 func (t *Tree) allocEntry(m *leafMeta) (int, bool) {
 	for {
 		if m.vl.IsSplitting() {
 			return 0, false
 		}
-		n := m.nlogs.Load()
-		if int(n) >= t.capacity {
+		f := m.free.Load()
+		if f == 0 {
 			return 0, false
 		}
-		if m.nlogs.CompareAndSwap(n, n+1) {
-			return int(n), true
+		if m.free.CompareAndSwap(f, f&(f-1)) {
+			return bits.TrailingZeros64(f), true
 		}
 	}
 }
@@ -265,8 +266,8 @@ const (
 func (t *Tree) Insert(key, value uint64) error { return t.modify(key, value, modeInsert) }
 
 // Update rewrites the value of an existing key (conditional). Like insert it
-// appends a fresh log entry and repoints the slot array; the obsolete entry
-// is reclaimed at the next split (§5.2.3).
+// takes a free log entry and repoints the slot array; the obsolete entry is
+// freed by the next compaction (§5.2.3).
 func (t *Tree) Update(key, value uint64) error { return t.modify(key, value, modeUpdate) }
 
 // Upsert writes the key unconditionally.
@@ -322,7 +323,7 @@ func (t *Tree) modify(key, value uint64, mode int) error {
 		}
 		if m.vl.Version() != v || key >= m.high.Load() {
 			// A split intervened while we were flushing; our log entry is
-			// orphaned (never referenced) and will be discarded by the next
+			// orphaned (never referenced) and was freed by that split's
 			// compaction. Retry from the root (Algorithm 1 line 5).
 			m.vl.Unlock()
 			t.splitRetries.Add(1)
@@ -351,7 +352,7 @@ func (t *Tree) modify(key, value uint64, mode int) error {
 			// normally prevents this state must have failed on a full
 			// arena. Publishing n == capacity would be silently clamped by
 			// the next decode, dropping the highest slot. Leave our log
-			// entry orphaned (reclaimed by the next compaction), split or
+			// entry orphaned (freed by the next compaction), split or
 			// surface the typed failure, and retry.
 			m.vl.Unlock()
 			if err := t.forceSplit(m); err != nil {
@@ -371,9 +372,8 @@ func (t *Tree) modify(key, value uint64, mode int) error {
 		// this entry must already find its fingerprint (fingerprint.go).
 		m.setFp(entry, fpHash(key))
 		t.publishSlot(m, &ns) //rnvet:ignore lockflush §4.2 step 4: the slot-array publish IS the commit and must flush under the leaf lock (one line: a bounded stall that yields or polls, never parks)
-		m.plogs++
 		var splitErr error
-		if int(m.plogs) >= t.capacity-1 {
+		if bits.OnesCount64(m.free.Load()) <= 1 {
 			splitErr = t.splitLocked(m) //rnvet:ignore lockflush,spinblock a split commits through the slot line, so it must run under the leaf lock like any modify; pmem locks never wait on tree locks, so the allocator park is bounded
 			if errors.Is(splitErr, tree.ErrFull) {
 				// The record above is already committed; this split is
@@ -391,7 +391,7 @@ func (t *Tree) modify(key, value uint64, mode int) error {
 }
 
 // Remove deletes key by rewriting the slot array only — a single persistent
-// instruction; the log entry itself is reclaimed at the next split (§5.2.3).
+// instruction; the log entry itself is freed by the next compaction (§5.2.3).
 func (t *Tree) Remove(key uint64) error {
 	for {
 		m := t.leafFor(key)

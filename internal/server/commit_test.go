@@ -406,8 +406,12 @@ func goroutineDump() string {
 // boxes are all reused. So does a batch of durable PUTs, held on the durable
 // FIFO until a replica's ack releases it: no goroutine, timer, channel or
 // slice per batch. A committer's batch is one partition's, so kv commits it
-// on the committer's goroutine whatever the keys are; they are fresh for the
-// reason kv's TestCommitAllocs gives.
+// on the committer's goroutine whatever the keys are. These runs' keys are
+// fresh, so they split tree leaves now and then, which AllocsPerRun's
+// integer average hides. Overwrites split a leaf only while it is more than
+// half live, once: after a warm-up that takes every leaf they touch through
+// a compaction or split, batches of eight overwrites split nothing, so
+// their allocations are counted exactly.
 func TestCommitterAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -436,7 +440,7 @@ func TestCommitterAllocs(t *testing.T) {
 	cn, _ := sinkConnFor(t, srv, true)
 	c := srv.committers[0]
 	seq := uint64(0)
-	enqueue := func(durable bool) mutation {
+	enqueue := func(durable bool, key uint64) mutation {
 		box, _ := payloadPool.Get().(*[]byte)
 		if box == nil {
 			box = new([]byte)
@@ -446,7 +450,7 @@ func TestCommitterAllocs(t *testing.T) {
 		}
 		*box = (*box)[:64]
 		seq++
-		binary.BigEndian.PutUint64(*box, seq)
+		binary.BigEndian.PutUint64(*box, key)
 		cn.sem <- struct{}{}
 		cn.inflight.Add(1)
 		srv.globalInflight.Add(1)
@@ -455,9 +459,9 @@ func TestCommitterAllocs(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		for _, n := range []int{1, 8} {
 			got := testing.AllocsPerRun(200, func() {
-				first := enqueue(durable)
+				first := enqueue(durable, seq+1)
 				for i := 1; i < n; i++ {
-					c.q <- enqueue(durable)
+					c.q <- enqueue(durable, seq+1)
 				}
 				c.commit(first)
 				if durable {
@@ -481,6 +485,36 @@ func TestCommitterAllocs(t *testing.T) {
 	}
 	if w, f := srv.replWaits.Load(), srv.replWaitFails.Load(); w != 201*9 || f != 0 {
 		t.Errorf("%d durable PUTs held, %d timed out; want %d and 0", w, f, 201*9)
+	}
+
+	// Non-durable overwrites of the first 64 keys. The warm-up updates each
+	// 64 times, more than any leaf has free log entries, then collects, so
+	// no cycle begun by earlier allocations empties the pools mid-count.
+	over := uint64(0)
+	overwrite := func() {
+		first := enqueue(false, over%64+1)
+		over++
+		for i := 1; i < 8; i++ {
+			c.q <- enqueue(false, over%64+1)
+			over++
+		}
+		c.commit(first)
+		cn.w.AwaitBacklog(0, nil)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < 64*64/8; i++ {
+		overwrite()
+	}
+	runtime.GC()
+	overwrite()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 200; i++ {
+		overwrite()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("200 batches of eight overwrites: %d allocs, want 0", n)
 	}
 }
 

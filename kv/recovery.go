@@ -198,7 +198,7 @@ func (p *kvPart) recount() {
 	p.tree.Scan(0, 0, func(_, off uint64) bool {
 		seen := map[string]bool{}
 		for off != 0 {
-			kind, key, next := p.readRecordMeta(off)
+			kind, key, next := p.readRecordMeta(off, nil)
 			if l := p.readLSN(off); l > maxLSN {
 				maxLSN = l
 			}

@@ -565,14 +565,19 @@ func (p *kvPart) readRecord(off uint64) (kind int, key, val []byte, next uint64)
 }
 
 // readRecordMeta decodes kind, key and next of the record at off, skipping
-// the value copy (chain walks for accounting don't need it).
-func (p *kvPart) readRecordMeta(off uint64) (kind int, key []byte, next uint64) {
+// the value copy (chain walks for accounting don't need it). The key is
+// read into buf when it fits there, else into a new slice.
+func (p *kvPart) readRecordMeta(off uint64, buf []byte) (kind int, key []byte, next uint64) {
 	hdr := p.arena.Read8(off)
 	kind = int(hdr & 0xff)
 	keyLen := int(hdr >> 8 & 0xffffff)
 	next = p.arena.Read8(off + 8)
 	kp := (uint64(keyLen) + 7) &^ 7
-	kb := make([]byte, kp)
+	kb := buf
+	if uint64(cap(kb)) < kp {
+		kb = make([]byte, kp)
+	}
+	kb = kb[:kp]
 	p.arena.ReadRange(off+recHdrSize, kp, kb)
 	return kind, kb[:keyLen], next
 }
@@ -586,8 +591,9 @@ func (p *kvPart) readLSN(off uint64) uint64 { return p.arena.Read8(off + recLSNO
 // not whatever happens to sit at the chain head, which may belong to a
 // colliding key — is what a new append shadows.
 func (p *kvPart) chainFindKind(head uint64, key []byte) int {
+	var buf [64]byte // keys up to 64 bytes are compared from the stack
 	for off := head; off != 0; {
-		kind, rkey, next := p.readRecordMeta(off)
+		kind, rkey, next := p.readRecordMeta(off, buf[:])
 		if bytes.Equal(rkey, key) {
 			return kind
 		}
