@@ -29,7 +29,7 @@ vet:
 		test -z "$$out" || { echo "gofmt -l lists:"; echo "$$out"; exit 1; }
 
 # rnvet: the repo's own pass suite (persistcheck, htmsafe, lockflush,
-# fencecheck, undolog, atomicfield, lockorder, spinblock) machine-checks the
+# fencecheck, atomicfield, lockorder, spinblock) machine-checks the
 # NVM-persistence, HTM-safety and cross-package concurrency invariants over
 # every production package. See DESIGN.md §11 and §16.
 lint:
@@ -40,7 +40,7 @@ lint:
 # FIND bugs — `lint` alone only proves the tree is clean), plus the
 # annotation-grammar and directive-parsing tests.
 lint-fixtures:
-	$(GO) test ./internal/analysis -run 'TestPersistCheck|TestHTMSafe|TestLockFlush|TestFenceCheck|TestUndoLog|TestAtomicField|TestLockOrder|TestSpinBlock|TestAnnotations|TestParseLockOrder|TestDirectivePasses|TestByName' -count=1
+	$(GO) test ./internal/analysis -run 'TestPersistCheck|TestHTMSafe|TestLockFlush|TestFenceCheck|TestAtomicField|TestLockOrder|TestSpinBlock|TestAnnotations|TestParseLockOrder|TestDirectivePasses|TestByName' -count=1
 
 test:
 	$(GO) test ./...
@@ -91,23 +91,23 @@ replcheck:
 	$(call run-tests,-race,./internal/server,Repl|Durable|Drain|Failover|AckAtDrain)
 	$(call run-tests,,./internal/fault,Repl|Failover|PrimaryKill|ReplicaKill|Promotion|LostWriteCaught)
 
-# Heap gate: the persistent allocator's crash matrix (every allocator-
-# metadata persist site, including the segment-append cutover, plus a
-# crash inside the kv reopen of a rebooted image), the heap unit tests
-# with Recover's typed-error table, the simulator against its two-image
-# reference model, a streamed range stored once, writers sharing lines
-# twenty times under the race detector, the kv growth and OOM-retry tests,
-# compaction freeing its chunks under live readers, the garbage-pointer and
-# superseded-format images kv and core recovery must reject, and the rnvet
-# undolog fixture that machine-checks the UndoBegin/MetaWrite8/UndoCommit
-# protocol.
+# Heap gate: the allocator's crash matrix (every bump and segment-append
+# persist site, plus a crash inside the kv reopen of a rebooted image), the
+# heap unit tests with Recover's typed-error table and MarkLive's
+# rejections, the allocator's cost test (Free and a free-space Alloc persist
+# nothing, a bump persists its one mark word, no Go allocations), an Alloc
+# that does not rescan a free fragment no request fits, the simulator against its two-image reference model, a streamed range stored
+# once, writers sharing lines twenty times under the race detector, the kv
+# growth and OOM-retry tests, compaction freeing its chunks under live
+# readers, the garbage-pointer and superseded-format images kv and core
+# recovery must reject, and 300 crash/recover cycles each of a core tree and
+# a kv store whose heaps must count in use exactly what the owners reach.
 heapcheck:
 	$(call run-tests,,./internal/fault,ExploreHeap|ExploreKVReopen)
-	$(call run-tests,,./internal/pmem,Heap|Grow|Undo|Free|Recover|BadHeap|TwoImageModel|StreamStoredOnce)
+	$(call run-tests,,./internal/pmem,Heap|Grow|Free|Recover|BadHeap|AllocatorCosts|AllocSkips|TwoImageModel|StreamStoredOnce)
 	$(call run-tests,-race -count=20,./internal/pmem,SharedLine)
-	$(call run-tests,,./kv,Grow|OOM|Garbage|CompactFreesAfterReaders)
-	$(call run-tests,,./internal/core,Corrupt)
-	$(call run-tests,,./internal/analysis,UndoLog)
+	$(call run-tests,,./kv,Grow|OOM|Garbage|CompactFreesAfterReaders|CrashCycle)
+	$(call run-tests,,./internal/core,Corrupt|CrashCycle)
 
 # Leaf-image gate: a compaction persists nothing and frees exactly the log
 # entries the slot array does not reference, a split persists exactly the

@@ -1,8 +1,8 @@
 // Command rnvet is the repository's invariant checker: a multichecker over
 // the internal/analysis pass suite that machine-checks the NVM-persistence,
 // HTM-safety and cross-package concurrency rules the paper's designs depend
-// on (persistcheck, htmsafe, lockflush, fencecheck, undolog, atomicfield,
-// lockorder, spinblock — see DESIGN.md §11 and §16, or run `rnvet -list`).
+// on (persistcheck, htmsafe, lockflush, fencecheck, atomicfield, lockorder,
+// spinblock — see DESIGN.md §11 and §16, or run `rnvet -list`).
 //
 // Usage:
 //

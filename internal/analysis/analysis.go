@@ -14,9 +14,6 @@
 //   - fencecheck: no redundant fences (a fence with nothing unordered to
 //     order) and no unfenced commit flushes (an EvictLine that is never
 //     followed by an ordering fence).
-//   - undolog: multi-word allocator-metadata updates (MetaWrite8) stay
-//     inside a matched UndoBegin/UndoCommit window, so a crash anywhere
-//     rolls the heap's metadata back to a consistent state (DESIGN.md §14).
 //   - atomicfield: a struct field or package-level word accessed through
 //     sync/atomic anywhere in the program must never also be read or
 //     written plainly — mixed access on the packed protocol words (version
@@ -147,7 +144,7 @@ func Run(prog *Program, analyzers []*Analyzer) []Diagnostic {
 
 // All returns the full rnvet suite in its canonical order.
 func All() []*Analyzer {
-	return []*Analyzer{PersistCheck, HTMSafe, LockFlush, FenceCheck, UndoLog, AtomicField, LockOrder, SpinBlock}
+	return []*Analyzer{PersistCheck, HTMSafe, LockFlush, FenceCheck, AtomicField, LockOrder, SpinBlock}
 }
 
 // ByName resolves a comma-separated pass list ("persistcheck,htmsafe").

@@ -28,10 +28,6 @@ func TestFenceCheck(t *testing.T) {
 	analysistest.Run(t, fixture("fence"), analysis.FenceCheck)
 }
 
-func TestUndoLog(t *testing.T) {
-	analysistest.Run(t, fixture("undolog"), analysis.UndoLog)
-}
-
 func TestAtomicField(t *testing.T) {
 	analysistest.Run(t, fixture("atomicfield"), analysis.AtomicField)
 }

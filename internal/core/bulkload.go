@@ -85,7 +85,7 @@ func BulkLoad(arena *pmem.Arena, opts Options, records []tree.KV) (*Tree, error)
 
 	// Volatile state: metas, bounds, chain, index — same walk recovery uses.
 	t.region = htm.NewRegion(arena, opts.HTM)
-	if err := t.walkChain(false); err != nil {
+	if err := t.walkChain(walkBulkLoad); err != nil {
 		return nil, err
 	}
 	return t, nil

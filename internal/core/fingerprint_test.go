@@ -148,7 +148,8 @@ func TestFingerprintRecovery(t *testing.T) {
 		}
 	}
 	tr.Close()
-	tr2, err := Open(a, Options{})
+	a2 := reboot(t, a.CrashImage(nil, 0))
+	tr2, err := Open(a2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestFingerprintRecovery(t *testing.T) {
 		}
 	}
 	// Crash: reopen without Close.
-	tr3, err := CrashRecover(a, Options{})
+	tr3, err := CrashRecover(reboot(t, a2.CrashImage(nil, 0)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,10 @@ func WasCleanShutdown(a *pmem.Arena) bool {
 }
 
 // Open reopens a tree from an arena, choosing Reconstruct after a clean
-// shutdown and CrashRecover otherwise.
+// shutdown and CrashRecover otherwise. Like both, it reports the leaves it
+// walks to the heap (MarkLive), so the arena must come straight from
+// pmem.Recover with no Alloc or Free since: any other arena — a New one, or
+// one reopened after Close without a reboot — panics.
 func Open(a *pmem.Arena, opts Options) (*Tree, error) {
 	if WasCleanShutdown(a) {
 		return Reconstruct(a, opts)
@@ -75,7 +78,8 @@ func Open(a *pmem.Arena, opts Options) (*Tree, error) {
 
 // Reconstruct is the fast reopen path after a clean shutdown: it walks the
 // persistent leaf chain, trusts the min keys persisted by Close, and
-// rebuilds the volatile internal nodes (§5.4 "reconstruction").
+// rebuilds the volatile internal nodes (§5.4 "reconstruction"). The arena
+// must come straight from pmem.Recover, as for Open.
 func Reconstruct(a *pmem.Arena, opts Options) (*Tree, error) {
 	t, err := openCommon(a, opts)
 	if err != nil {
@@ -84,8 +88,7 @@ func Reconstruct(a *pmem.Arena, opts Options) (*Tree, error) {
 	if a.Read8(rootCleanOff) == 0 {
 		return nil, fmt.Errorf("core: arena was not cleanly closed; use CrashRecover")
 	}
-	t.useHeaderMin = true // Close persisted each leaf's min key for us
-	if err := t.walkChain(false); err != nil {
+	if err := t.walkChain(walkReconstruct); err != nil {
 		return nil, err
 	}
 	// Disarm the clean flag: from now on only a new Close certifies the
@@ -99,13 +102,14 @@ func Reconstruct(a *pmem.Arena, opts Options) (*Tree, error) {
 // trimming the one overlap an interrupted split can leave (trimOverlap),
 // rebuilding the transient slot arrays and deriving the volatile state from
 // the persistent slot arrays and logs — the paper's "crash recovery",
-// measurably slower than reconstruction (Figure 7).
+// measurably slower than reconstruction (Figure 7). The arena must come
+// straight from pmem.Recover, as for Open.
 func CrashRecover(a *pmem.Arena, opts Options) (*Tree, error) {
 	t, err := openCommon(a, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := t.walkChain(true); err != nil {
+	if err := t.walkChain(walkCrashed); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -193,38 +197,44 @@ func (t *Tree) trimOverlap(off uint64, s *slotArray, keys *[MaxLeafCapacity]uint
 	return nil
 }
 
+// walkMode says which path built the chain walkChain walks.
+type walkMode int
+
+const (
+	walkBulkLoad    walkMode = iota // BulkLoad just allocated and wrote it
+	walkReconstruct                 // reopened after Close
+	walkCrashed                     // reopened after a crash
+)
+
 // walkChain scans the persistent leaf chain, creating leafMetas with their
 // free-entry masks and fingerprints, wiring the DRAM next pointers and key
 // bounds, and collecting the index pairs; after a crash it also trims split
 // overlaps (trimOverlap) and rebuilds each transient slot array from the
-// persistent one, which Close or BulkLoad otherwise left equal. Like every
-// pointer recovery reads from the media, a leaf pointer is followed only if
-// it is a block the allocator could have handed out, and the walk is
-// bounded by the number of leaves the allocated space can hold, so a
-// garbage or cyclic chain is an error, not a panic or a hang.
-func (t *Tree) walkChain(crashed bool) error {
+// persistent one, which Close or BulkLoad otherwise left equal. On a reopen
+// every leaf is reported to the heap (MarkLive) before it is read: a leaf
+// pointer the allocator could not have handed out, or one naming a block
+// already reported — a cycle, an alias — is an error, not a panic or a
+// hang, and every leaf the walk does not reach is free space afterwards.
+func (t *Tree) walkChain(mode walkMode) error {
 	a := t.arena
 	var pairs []inner.Pair
 	var prev *leafMeta
 	var prevIndexed *leafMeta
 	var keys [MaxLeafCapacity]uint64
-	budget := a.Bump() / t.lsize
 	for off := a.Read8(rootHeadOff); off != pmem.NullOff; off = a.Read8(off + hdrNextOff) {
-		if !a.Allocated(off, t.lsize) {
-			return fmt.Errorf("core: leaf pointer %#x is not a block the allocator handed out", off)
+		if mode != walkBulkLoad {
+			if err := a.MarkLive(off, t.lsize); err != nil {
+				return fmt.Errorf("core: leaf pointer: %w", err)
+			}
 		}
-		if budget == 0 {
-			return fmt.Errorf("core: leaf chain does not terminate")
-		}
-		budget--
 		s, err := t.readSlot(off, &keys)
-		if err == nil && crashed {
+		if err == nil && mode == walkCrashed {
 			err = t.trimOverlap(off, &s, &keys)
 		}
 		if err != nil {
 			return err
 		}
-		if crashed {
+		if mode == walkCrashed {
 			var line [pmem.LineSize]byte
 			a.ReadLine(off+pslotOff, &line)
 			a.WriteLine(off+tslotOff, &line) //pmem:volatile the transient slot array is a volatile mirror, rebuilt from pslot on every recovery
@@ -250,7 +260,7 @@ func (t *Tree) walkChain(crashed bool) error {
 			// header (§5.4: "retrieves the greatest key in each leaf");
 			// crash recovery re-derives it from the slot array and logs.
 			minKey := keys[0]
-			if t.useHeaderMin {
+			if mode == walkReconstruct {
 				minKey = a.Read8(off + hdrMinOff)
 			}
 			pairs = append(pairs, inner.Pair{Sep: minKey, Leaf: m.id})

@@ -60,8 +60,8 @@ func (t *Tree) splitLocked(m *leafMeta) error {
 	if s.n > t.capacity/2 {
 		// The right leaf comes first, so on a full arena the split fails
 		// having persisted nothing and a retried insert pays nothing either.
-		// A crash between this Alloc and the link leaks the block, as a
-		// crash between any Alloc and its publish does.
+		// A crash before the link leaves the block unreached, so the next
+		// open's walk does not report it and it is free space again.
 		right, err := t.arena.Alloc(t.lsize)
 		if err != nil {
 			m.vl.UnsetSplit()

@@ -72,9 +72,6 @@ type Tree struct {
 	lsize    uint64
 	dual     bool
 	flushCS  bool
-	// useHeaderMin lets reconstruction take leaf separators from the
-	// clean-shutdown header instead of dereferencing slot arrays and logs.
-	useHeaderMin bool
 
 	// readRetries counts wasted read attempts (leaf locked or version
 	// changed mid-read) — the reader/writer contention metric of §6.3.

@@ -445,16 +445,14 @@ func (t *ForestTarget) Recover(imgs [][]uint64) (Model, error) {
 // ---------------------------------------------------------------------------
 // pmem heap allocator target
 
-// HeapTarget drives the persistent heap allocator directly: each op
-// allocates, updates, or frees a pattern-filled block linked into a tiny
-// persistent directory rooted in the arena root line. The geometry is
-// sized so the workload crosses several segment-append cutovers, and the
-// deletes/reinserts push blocks through the persistent size-class free
-// lists — so every allocator-metadata persist site (undo-log arm, the
-// MetaWrite8 window, commit flips, bump advances, the grow cutover)
-// becomes a crash point. pmem.Recover rejects an image whose allocator
-// metadata CheckHeap does not accept, so every admissible image must get
-// through it.
+// HeapTarget drives the heap allocator directly: each op allocates,
+// updates, or frees a pattern-filled block linked into a tiny persistent
+// directory rooted in the arena root line. The geometry is sized so the
+// workload crosses several segment-append cutovers — so every allocator
+// persist site (bump advances, the grow cutover) becomes a crash point —
+// and the deletes/reinserts reuse freed blocks, which persist nothing.
+// Recovery reports the directory's blocks (MarkLive), so a directory that
+// aliases a block or points past the mark fails it.
 type HeapTarget struct {
 	u64Model
 	arena *pmem.Arena
@@ -477,7 +475,7 @@ const (
 )
 
 // heapBlockSize derives a block's size from its key, so Free needs no
-// persisted size field and the workload spreads over four size classes.
+// persisted size field and the workload spreads over four block sizes.
 func heapBlockSize(k uint64) uint64 { return (1 + k%4) * 2048 }
 
 func (t *HeapTarget) Name() string { return "heap" }
@@ -540,7 +538,7 @@ func (t *HeapTarget) Apply(op Op) error {
 			return fmt.Errorf("heap target: delete of absent key %d", op.K)
 		}
 		// Unlink first (single-word commit point), then return the block
-		// to the allocator's persistent free lists.
+		// to the allocator's volatile free space.
 		a.Write8(linkOff, a.Read8(off+heapBlkNextOff))
 		a.Persist(linkOff, 8)
 		a.Free(off, heapBlockSize(op.K))
@@ -553,8 +551,6 @@ func (t *HeapTarget) Recover(imgs [][]uint64) (Model, error) {
 	if len(imgs) != 1 {
 		return nil, fmt.Errorf("heap target: %d images, want 1", len(imgs))
 	}
-	// Recover rolls back an interrupted allocator update and fails on
-	// metadata CheckHeap rejects.
 	a, err := pmem.Recover(imgs[0], pmem.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("heap target: %v", err)
@@ -563,6 +559,9 @@ func (t *HeapTarget) Recover(imgs [][]uint64) (Model, error) {
 	for off := a.Read8(heapDirOff); off != pmem.NullOff; off = a.Read8(off + heapBlkNextOff) {
 		k := a.Read8(off + heapBlkKeyOff)
 		size := heapBlockSize(k)
+		if err := a.MarkLive(off, size); err != nil {
+			return nil, fmt.Errorf("heap target: block of key %d: %v", k, err)
+		}
 		for w := uint64(heapBlkPatOff); w < size; w += 8 {
 			if v := a.Read8(off + w); v != k^w {
 				return nil, fmt.Errorf("heap target: block %#x (key %d) pattern torn at +%d: %#x", off, k, w, v)
@@ -575,8 +574,8 @@ func (t *HeapTarget) Recover(imgs [][]uint64) (Model, error) {
 
 // HeapWorkload crosses at least two segment-append cutovers on the way in
 // (20 blocks averaging 5 KiB against a 64 KiB first segment), then frees
-// six blocks across all four size classes and reinserts into exactly those
-// classes, so the persistent free-list push/pop paths crash too.
+// six blocks across all four sizes and reinserts blocks of exactly those
+// sizes, so reinserts are served from free space.
 func HeapWorkload() []Op {
 	var ops []Op
 	for i := uint64(0); i < 20; i++ {

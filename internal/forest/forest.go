@@ -204,12 +204,15 @@ func Open(imgs [][]uint64, opts Options) (*Forest, error) {
 }
 
 // OpenArenas recovers a forest over already-rebooted arenas, one per
-// partition in partition order. Each partition recovers independently —
-// reconstruction after a clean shutdown, the split-overlap trim plus chain
-// rebuild after a crash — and its forest superblock is verified against the set:
-// right magic, matching partition count, matching position. The kv layer
+// partition in partition order. Each partition's forest superblock is
+// reported to the heap (MarkLive) and verified against the set — right
+// magic, matching partition count, matching position — and then its tree
+// recovers independently: reconstruction after a clean shutdown, the
+// split-overlap trim plus chain rebuild after a crash. The kv layer
 // and the fault explorer use this entry point so they keep hold of the
-// arenas (persist hooks, their own structures in them).
+// arenas (persist hooks, their own structures in them). Each arena must
+// come straight from pmem.Recover, with no Alloc or Free since (see
+// pmem.Heap.MarkLive).
 func OpenArenas(arenas []*pmem.Arena, opts Options) (*Forest, error) {
 	n := len(arenas)
 	if n < 1 || n > MaxPartitions || bits.OnesCount(uint(n)) != 1 {
@@ -217,16 +220,12 @@ func OpenArenas(arenas []*pmem.Arena, opts Options) (*Forest, error) {
 	}
 	f := &Forest{parts: make([]*Partition, n), mask: uint64(n - 1)}
 	for i, a := range arenas {
-		t, err := core.Open(a, opts.Tree)
-		if err != nil {
-			return nil, fmt.Errorf("forest: partition %d: %w", i, err)
-		}
 		sbOff := a.Read8(rootForestOff)
 		if sbOff == pmem.NullOff {
 			return nil, fmt.Errorf("forest: partition %d: arena has no forest superblock", i)
 		}
-		if !a.Allocated(sbOff, pmem.LineSize) {
-			return nil, fmt.Errorf("forest: partition %d: superblock pointer %#x is not a block the allocator handed out", i, sbOff)
+		if err := a.MarkLive(sbOff, pmem.LineSize); err != nil {
+			return nil, fmt.Errorf("forest: partition %d: superblock pointer: %w", i, err)
 		}
 		if m := a.Read8(sbOff + sbMagicOff); m != forestMagic {
 			return nil, fmt.Errorf("forest: partition %d: bad superblock magic %#x", i, m)
@@ -236,6 +235,10 @@ func OpenArenas(arenas []*pmem.Arena, opts Options) (*Forest, error) {
 		}
 		if ix := a.Read8(sbOff + sbIndexOff); ix != uint64(i) {
 			return nil, fmt.Errorf("forest: image at position %d belongs to partition %d", i, ix)
+		}
+		t, err := core.Open(a, opts.Tree)
+		if err != nil {
+			return nil, fmt.Errorf("forest: partition %d: %w", i, err)
 		}
 		f.parts[i] = &Partition{arena: a, tree: t, sbOff: sbOff}
 	}

@@ -1,21 +1,16 @@
-// Heap format: segment headers, the crash-consistent allocator and growth.
+// Heap format: segment headers, the allocator and growth.
 //
 // Every arena carries one persistent header per segment (the go-pmem
-// runtime's pArena pattern): identity and geometry, and — in segment 0 —
-// the allocator metadata (bump mark, size-class free lists) plus a small
-// undo log. This is the only allocator the package has: no space is handed
-// out without persisted metadata, so a recovered image never hands out the
-// same block twice. The device is addressed by byte offset, so every
-// persisted pointer is an offset and an image is position-independent by
-// construction: there is no mapping address to record.
-//
-// Allocator updates follow the undo-log discipline from
-// "Transactions on Red-black and AVL trees in NVRAM": single-word updates
-// flip atomically (MetaFlip8); multi-word updates persist their old values
-// into the undo area and arm a status word before mutating (UndoBegin /
-// MetaWrite8 / UndoCommit), so recovery can always roll an interrupted
-// update back to the pre-operation state. rnvet's undolog pass enforces the
-// pairing statically.
+// runtime's pArena pattern): identity and geometry, and in segment 0 the
+// two allocator words that are persisted, the segment count and the bump
+// mark. Each changes by a single-word flip (MetaFlip8), so no allocator
+// update needs a log. Free space below the mark is volatile: a per-line
+// in-use bitmap that Alloc and Free keep and that Recover rebuilds from the
+// blocks the owners report on open (MarkLive), so a block a crash left
+// unlinked is free again instead of leaked. The device is addressed by byte
+// offset, so every persisted pointer is an offset and an image is
+// position-independent by construction: there is no mapping address to
+// record.
 //
 // Segment header layout (hdrSize bytes; at offset RootSize in segment 0,
 // at the segment base otherwise):
@@ -24,18 +19,14 @@
 //	        nsegs (segment 0 only), reserved
 //	line 1: three reserved words (written zero, never read), then
 //	        bump (segment 0 only)
-//	line 2+3: size-class table, classCount × (blockSize, headOff) pairs;
-//	        free blocks thread the list through their first word
-//	line 4: undo log: status (armed record count), then
-//	        undoRecs × (address, old value) records
-//	lines 5-7: reserved
+//	lines 2-7: unread (earlier builds kept size-class free lists and an
+//	        undo log in lines 2-4)
 package pmem
 
 import (
 	"errors"
 	"fmt"
-	"os"
-	"strings"
+	"math"
 	"sync/atomic"
 )
 
@@ -66,14 +57,6 @@ const (
 	hdrRsvd1Off    = 72 // earlier builds kept a mapping address here, so
 	hdrRsvd2Off    = 80 // recovery ignores rather than validates them
 	hdrBumpOff     = 88
-	hdrClassOff    = 2 * LineSize
-	hdrUndoOff     = 4 * LineSize
-
-	// classCount size classes of (blockSize, headOff) pairs fill two lines.
-	classCount = 8
-	// undoRecs (address, old value) records plus the status word fill the
-	// undo line.
-	undoRecs = 3
 
 	// minHeapSize is the smallest initial segment: root line, header and
 	// one data line. minGrowSize is the smallest appended segment.
@@ -88,10 +71,6 @@ const (
 	// allocation.
 	maxRecoverBytes = 1 << 36
 )
-
-// testBinary reports whether this process is a `go test` binary; free
-// checking is on under tests and off otherwise.
-var testBinary = strings.HasSuffix(os.Args[0], ".test")
 
 // Segments returns the number of committed segments (1 for fixed arenas).
 func (h *Heap) Segments() int { return int(h.Read8(seg0HdrOff + hdrNsegsOff)) }
@@ -131,6 +110,13 @@ func (h *Heap) hdrBase(si int) uint64 {
 // dataStart returns the first allocatable offset of segment si.
 func (h *Heap) dataStart(si int) uint64 { return h.hdrBase(si) + hdrSize }
 
+// reserveHeader marks segment si's lines below its data region in use, so
+// no free-space run reaches into a header.
+func (h *Heap) reserveHeader(si int) {
+	base, _ := h.segSpan(si)
+	h.setUsed(base, h.dataStart(si)-base, true)
+}
+
 // ---------------------------------------------------------------------------
 // Formatting
 
@@ -168,110 +154,15 @@ func (h *Heap) formatSeg(si int) {
 }
 
 // ---------------------------------------------------------------------------
-// Undo-logged metadata updates
+// Allocation
 
-// MetaFlip8 atomically updates one word of persistent allocator metadata.
-// A single aligned word is the simulated hardware's atomic write unit, so a
-// flip is crash-consistent without an undo window: recovery observes either
-// the old or the new value, both well-formed. Multi-word updates must use
-// UndoBegin/MetaWrite8/UndoCommit instead (rnvet's undolog pass enforces
-// this).
+// MetaFlip8 atomically updates one word of persistent allocator metadata
+// (the bump mark, nsegs). A single aligned word is the simulated hardware's
+// atomic write unit, so recovery observes either the old or the new value,
+// both well-formed.
 func (h *Heap) MetaFlip8(off, v uint64) {
 	h.Write8(off, v)
 	h.Persist(off, WordSize)
-}
-
-// UndoBegin opens an undo window over the given metadata words: their
-// current values are persisted into the segment-0 undo log, then the status
-// word arms the log. If the process crashes anywhere before UndoCommit,
-// recovery rolls every logged word back to its pre-window value. At most
-// undoRecs words fit one window.
-func (h *Heap) UndoBegin(addrs ...uint64) {
-	if len(addrs) == 0 || len(addrs) > undoRecs {
-		panic(fmt.Sprintf("pmem: UndoBegin with %d records (max %d)", len(addrs), undoRecs))
-	}
-	ub := uint64(seg0HdrOff + hdrUndoOff)
-	for i, addr := range addrs {
-		h.Write8(ub+8+uint64(i)*16, addr)
-		h.Write8(ub+16+uint64(i)*16, h.Read8(addr))
-	}
-	// Records first, then the arming flip: the status word must never be
-	// durable before the old values it points at.
-	h.Persist(ub, LineSize)
-	h.Write8(ub, uint64(len(addrs)))
-	h.Persist(ub, WordSize)
-}
-
-// MetaWrite8 stores and persists one metadata word inside an open undo
-// window. Calling it outside a window is a discipline violation (undolog
-// pass); the write would not be rolled back after a crash.
-func (h *Heap) MetaWrite8(off, v uint64) {
-	h.Write8(off, v)
-	h.Persist(off, WordSize)
-}
-
-// UndoCommit closes the window: the multi-word update is complete, so the
-// log is disarmed and recovery will keep the new values.
-func (h *Heap) UndoCommit() {
-	h.Write8(seg0HdrOff+hdrUndoOff, 0)
-	h.Persist(seg0HdrOff+hdrUndoOff, WordSize)
-}
-
-// undoRecover rolls back an interrupted metadata update: if the status word
-// is armed, every logged word is restored (newest first) and the log
-// disarmed. Idempotent — crashing inside undoRecover re-runs it. A status
-// word or a record address no UndoBegin could have persisted is an error,
-// returned before the first rollback write.
-func (h *Heap) undoRecover() error {
-	ub := uint64(seg0HdrOff + hdrUndoOff)
-	n := h.Read8(ub)
-	if n == 0 {
-		return nil
-	}
-	if n > undoRecs {
-		return fmt.Errorf("undo status %d exceeds %d records", n, undoRecs)
-	}
-	for i := uint64(0); i < n; i++ {
-		if addr := h.Read8(ub + 8 + i*16); addr%WordSize != 0 || addr >= h.Size() {
-			return fmt.Errorf("undo record %d: address %#x outside the heap", i, addr)
-		}
-	}
-	for i := n; i > 0; i-- {
-		h.MetaFlip8(h.Read8(ub+8+(i-1)*16), h.Read8(ub+16+(i-1)*16))
-	}
-	h.MetaFlip8(ub, 0)
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Persistent allocation
-
-// findClass returns the class-table index holding blocks of exactly size
-// bytes, or -1.
-func (h *Heap) findClass(size uint64) int {
-	for i := 0; i < classCount; i++ {
-		if h.Read8(seg0HdrOff+hdrClassOff+uint64(i)*16) == size {
-			return i
-		}
-	}
-	return -1
-}
-
-// claimClass returns a class index for size: an exact match, or the first
-// empty slot (claimed by the caller's free). -1 when the table is full of
-// other sizes.
-func (h *Heap) claimClass(size uint64) int {
-	empty := -1
-	for i := 0; i < classCount; i++ {
-		cs := h.Read8(seg0HdrOff + hdrClassOff + uint64(i)*16)
-		if cs == size {
-			return i
-		}
-		if cs == 0 && empty < 0 {
-			empty = i
-		}
-	}
-	return empty
 }
 
 // ErrOutOfMemory is returned by Alloc when the heap is exhausted and cannot
@@ -279,33 +170,24 @@ func (h *Heap) claimClass(size uint64) int {
 var ErrOutOfMemory = errors.New("pmem: arena out of memory")
 
 // Alloc reserves size bytes (rounded up to whole lines) of heap space and
-// returns its byte offset: it pops the size class, else the volatile
-// overflow list, else bumps — growing by one segment, up to MaxSegments,
-// when the committed space is exhausted. The allocation is crash-consistent:
-// the bump mark and size-class free lists live in segment 0's header and
-// every update is persisted before Alloc returns, so a recovered image never
-// hands out the same block twice.
+// returns its byte offset: the lowest run of free lines below the bump mark
+// that fits (not looked for when a request no larger found none since the
+// last Free), else a bump allocation — growing by one segment, up to
+// MaxSegments, when the committed space is exhausted. Only a bump persists
+// anything: its one-word mark flip, before the block is handed out. A crash
+// before the caller links the block does not leak it: no owner reports it
+// at the next open, so it is free space again.
 func (h *Heap) Alloc(size uint64) (uint64, error) {
-	size = (size + LineSize - 1) &^ uint64(LineSize-1)
+	size = lines(size)
 	h.allocMu.Lock()
 	defer h.allocMu.Unlock()
-	if ci := h.findClass(size); ci >= 0 {
-		headOff := seg0HdrOff + hdrClassOff + uint64(ci)*16 + 8
-		if head := h.Read8(headOff); head != 0 {
-			// Single-word pop: the head flips to the block's stored next
-			// pointer; either value is a well-formed list after a crash.
-			h.MetaFlip8(headOff, h.Read8(head))
-			h.noteAllocated(head, size)
-			h.stats.allocs.Add(1)
-			return head, nil
+	h.marking = false
+	if n := size / LineSize; n < h.noFit {
+		if off, ok := h.fitFree(n); ok {
+			h.take(off, size)
+			return off, nil
 		}
-	}
-	if lst := h.freed[size]; len(lst) > 0 {
-		off := lst[len(lst)-1]
-		h.freed[size] = lst[:len(lst)-1]
-		h.noteAllocated(off, size)
-		h.stats.allocs.Add(1)
-		return off, nil
+		h.noFit = n
 	}
 	for {
 		off, needGrow, err := h.fitBump(size)
@@ -319,13 +201,103 @@ func (h *Heap) Alloc(size uint64) (uint64, error) {
 			continue
 		}
 		// The bump mark is persisted before the block is handed out, so a
-		// recovered heap never re-allocates it. A crash between this flip
-		// and the caller linking the block leaks it: one block per crash.
+		// recovered heap never re-allocates it while an owner reports it.
 		h.MetaFlip8(seg0HdrOff+hdrBumpOff, off+size)
-		h.noteAllocated(off, size)
-		h.stats.allocs.Add(1)
+		h.take(off, size)
 		return off, nil
 	}
+}
+
+// lines rounds size up to whole lines, one at least.
+func lines(size uint64) uint64 { return max(LineSize, (size+LineSize-1)&^uint64(LineSize-1)) }
+
+// take hands out [off, off+size) (allocMu held).
+func (h *Heap) take(off, size uint64) {
+	h.setUsed(off, size, true)
+	h.inUse += size
+	h.stats.allocs.Add(1)
+}
+
+// fitFree returns the lowest run of n free lines below the bump mark
+// (allocMu held) and moves hint to the first free line it passes. Segment
+// headers are in use, so a run never spans two segments.
+func (h *Heap) fitFree(n uint64) (uint64, bool) {
+	end := h.Read8(seg0HdrOff+hdrBumpOff) / LineSize
+	first, run := end, uint64(0)
+	for l := h.hint; l < end; l++ {
+		switch w := h.used[l/64]; {
+		case w == ^uint64(0):
+			l |= 63 // a whole word of lines in use
+			run = 0
+		case h.isUsed(l):
+			run = 0
+		default:
+			first = min(first, l)
+			if run++; run == n {
+				h.hint = first
+				return (l + 1 - n) * LineSize, true
+			}
+		}
+	}
+	h.hint = first
+	return 0, false
+}
+
+// setUsed sets or clears the in-use bits of [off, off+size).
+func (h *Heap) setUsed(off, size uint64, used bool) {
+	for l := off / LineSize; l < (off+size)/LineSize; l++ {
+		if used {
+			h.used[l/64] |= 1 << (l % 64)
+		} else {
+			h.used[l/64] &^= 1 << (l % 64)
+		}
+	}
+}
+
+// isUsed reports whether line l is in use.
+func (h *Heap) isUsed(l uint64) bool { return h.used[l/64]>>(l%64)&1 != 0 }
+
+// inUseAny reports whether any line of [off, off+size) is in use.
+func (h *Heap) inUseAny(off, size uint64) bool {
+	for l := off / LineSize; l < (off+size)/LineSize; l++ {
+		if h.isUsed(l) {
+			return true
+		}
+	}
+	return false
+}
+
+// InUse returns the bytes handed out (or reported live since Recover) and
+// not freed.
+func (h *Heap) InUse() uint64 {
+	h.allocMu.Lock()
+	defer h.allocMu.Unlock()
+	return h.inUse
+}
+
+// MarkLive reports [off, off+size) (size rounded up to whole lines) as a
+// block an owner reached on its open-time walk. Recover leaves the heap's
+// free space unknown until then: the first Alloc or Free after Recover makes
+// every line below the bump mark that no MarkLive reported free space, and
+// a MarkLive after that panics. A block that Allocated rejects or that
+// overlaps a block already reported is an error, so recovery walks that
+// report what they follow reject a cyclic or aliasing image.
+func (h *Heap) MarkLive(off, size uint64) error {
+	size = lines(size)
+	h.allocMu.Lock()
+	defer h.allocMu.Unlock()
+	if !h.marking {
+		panic("pmem: MarkLive after the first Alloc or Free")
+	}
+	if !h.Allocated(off, size) {
+		return fmt.Errorf("block [%#x,%#x) is not one the allocator handed out", off, off+size)
+	}
+	if h.inUseAny(off, size) {
+		return fmt.Errorf("block [%#x,%#x) overlaps a block already reported", off, off+size)
+	}
+	h.setUsed(off, size, true)
+	h.inUse += size
+	return nil
 }
 
 // Bump returns the persisted allocation mark: every block ever handed out
@@ -339,8 +311,8 @@ func (h *Heap) Bump() uint64 {
 // Allocated reports whether [off, off+size) can be a block Alloc handed out:
 // line-aligned, at or above DataStart and ending at or below the persisted
 // mark. Recovery code puts every pointer it reads from the media through it
-// before dereferencing, so a hostile image is an error and not a panic in
-// the bounds check.
+// (or MarkLive) before dereferencing, so a hostile image is an error and not
+// a panic in the bounds check.
 func (h *Heap) Allocated(off, size uint64) bool {
 	mark := h.Read8(seg0HdrOff + hdrBumpOff)
 	return off%LineSize == 0 && off >= DataStart && size <= mark && off <= mark-size
@@ -363,8 +335,8 @@ func (h *Heap) fitBump(size uint64) (off uint64, needGrow bool, err error) {
 		}
 		if off+size > end {
 			// The tail of segment si is too small: advance to the next
-			// segment (the skipped tail is internal fragmentation). A block
-			// larger than a whole grown segment's data region can never fit.
+			// segment. A block larger than a whole grown segment's data
+			// region can never fit.
 			if si+1 >= h.maxSegs || size > h.growSize-hdrSize {
 				return 0, false, ErrOutOfMemory
 			}
@@ -375,32 +347,29 @@ func (h *Heap) fitBump(size uint64) (off uint64, needGrow bool, err error) {
 	}
 }
 
-// Free returns a block (size rounded up to whole lines) to the allocator by
-// pushing it onto its persistent size-class list, claiming a class slot if
-// needed. The three metadata words (class size, class head, block link)
-// change under one undo window, so a crash mid-free rolls back to the
-// pre-free state instead of leaving a half-linked list. When the class table
-// is full of other sizes the block joins the volatile overflow list, which a
-// crash leaks — bounded by the number of distinct block sizes beyond
-// classCount. Under a `go test` binary an overlapping or double free panics.
+// Free returns a block (size rounded up to whole lines) to the allocator's
+// volatile free space; it persists nothing. A block outside one segment's
+// data region, or holding a line that is not in use — a double or
+// overlapping free — panics.
 func (h *Heap) Free(off, size uint64) {
-	size = (size + LineSize - 1) &^ uint64(LineSize-1)
+	size = lines(size)
 	h.allocMu.Lock()
 	defer h.allocMu.Unlock()
-	h.checkFree(off, size)
-	h.stats.frees.Add(1)
-	ci := h.claimClass(size)
-	if ci < 0 {
-		h.freed[size] = append(h.freed[size], off)
-		return
+	h.marking = false
+	si := h.segIndex(off)
+	if _, end := h.segSpan(si); off%LineSize != 0 || off+size > h.Size() || off < h.dataStart(si) || off+size > end {
+		panic(fmt.Sprintf("pmem: Free(%d, %d) outside allocatable space (size %d)", off, size, h.Size()))
 	}
-	sizeOff := seg0HdrOff + hdrClassOff + uint64(ci)*16
-	headOff := sizeOff + 8
-	h.UndoBegin(sizeOff, headOff, off)
-	h.MetaWrite8(off, h.Read8(headOff)) // thread the list through the block
-	h.MetaWrite8(sizeOff, size)         // claim (or re-assert) the class
-	h.MetaWrite8(headOff, off)          // publish the block
-	h.UndoCommit()
+	for l := off; l < off+size; l += LineSize {
+		if !h.isUsed(l / LineSize) {
+			panic(fmt.Sprintf("pmem: double or overlapping free of line %d in Free(%d, %d)", l, off, size))
+		}
+	}
+	h.setUsed(off, size, false)
+	h.inUse -= size
+	h.hint = min(h.hint, off/LineSize)
+	h.noFit = math.MaxUint64
+	h.stats.frees.Add(1)
 }
 
 // growLocked appends and commits one segment (allocMu held). The new
@@ -416,6 +385,7 @@ func (h *Heap) growLocked() error {
 	h.committedW.Store(end / WordSize)
 	h.formatSeg(n)
 	h.MetaFlip8(seg0HdrOff+hdrNsegsOff, uint64(n+1))
+	h.reserveHeader(n)
 	return nil
 }
 
@@ -428,58 +398,6 @@ func (h *Heap) Grow() error {
 }
 
 // ---------------------------------------------------------------------------
-// Free checking (debug)
-
-// checkFree validates a Free against the currently-free line set (allocMu
-// held): out-of-range, overlapping and double frees panic. Lines the heap
-// recovered as free are tracked too (rebuildFreeLines).
-func (h *Heap) checkFree(off, size uint64) {
-	if !h.freeCheck {
-		return
-	}
-	if off%LineSize != 0 || off < RootSize || size == 0 || off+size > h.Size() {
-		panic(fmt.Sprintf("pmem: Free(%d, %d) outside allocatable space (size %d)", off, size, h.Size()))
-	}
-	for l := off; l < off+size; l += LineSize {
-		if _, dup := h.freeLines[l]; dup {
-			panic(fmt.Sprintf("pmem: double or overlapping free of line %d in Free(%d, %d)", l, off, size))
-		}
-	}
-	for l := off; l < off+size; l += LineSize {
-		h.freeLines[l] = struct{}{}
-	}
-}
-
-// noteAllocated removes a handed-out block's lines from the free set.
-func (h *Heap) noteAllocated(off, size uint64) {
-	if !h.freeCheck {
-		return
-	}
-	for l := off; l < off+size; l += LineSize {
-		delete(h.freeLines, l)
-	}
-}
-
-// rebuildFreeLines reseeds the debug free set from the persistent class
-// lists after recovery.
-func (h *Heap) rebuildFreeLines() {
-	if !h.freeCheck {
-		return
-	}
-	for i := 0; i < classCount; i++ {
-		size := h.Read8(seg0HdrOff + hdrClassOff + uint64(i)*16)
-		if size == 0 {
-			continue
-		}
-		for off := h.Read8(seg0HdrOff + hdrClassOff + uint64(i)*16 + 8); off != 0; off = h.Read8(off) {
-			for l := off; l < off+size; l += LineSize {
-				h.freeLines[l] = struct{}{}
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Recovery and invariants
 
 // ErrBadHeap is returned (wrapped with the reason) by Recover for an image
@@ -487,13 +405,14 @@ func (h *Heap) rebuildFreeLines() {
 var ErrBadHeap = errors.New("pmem: image is not a recoverable heap")
 
 // Recover constructs a rebooted heap from a crash image: the cache image
-// equals the captured state, all lines clean. Geometry, bump mark
-// and size-class free lists come from the persisted allocator metadata; an
-// armed undo log is rolled back, and an appended-but-uncommitted trailing
-// segment (crash inside Grow before the nsegs cutover) is discarded. Of cfg
-// only Latency is used. An image with a missing magic, implausible geometry,
-// fewer bytes than its header commits, a garbage undo log or allocator
-// metadata CheckHeap rejects fails with ErrBadHeap; img is never written.
+// equals the captured state, all lines clean. Geometry and the bump mark
+// come from the persisted header, and an appended-but-uncommitted trailing
+// segment (crash inside Grow before the nsegs cutover) is discarded. Free
+// space is not persisted: the owners report the blocks their open-time walks
+// reach (MarkLive), and the first Alloc or Free makes the rest free. Of cfg
+// only Latency is used. An image with a missing magic, implausible
+// geometry, fewer bytes than its header commits or a header CheckHeap
+// rejects fails with ErrBadHeap; img is never written.
 func Recover(img []uint64, cfg Config) (*Arena, error) {
 	bad := func(format string, args ...any) (*Arena, error) {
 		return nil, fmt.Errorf("%w: %s", ErrBadHeap, fmt.Sprintf(format, args...))
@@ -533,21 +452,18 @@ func Recover(img []uint64, cfg Config) (*Arena, error) {
 		atomic.StoreUint64(&h.lines[w], ^uint64(0)) // every imaged line clean
 	}
 	h.committedW.Store(committed / WordSize)
-	if err := h.undoRecover(); err != nil {
-		return bad("%v", err)
-	}
 	if err := h.CheckHeap(); err != nil {
 		return bad("%v", err)
 	}
-	h.rebuildFreeLines()
+	for si := 0; si < int(nsegs); si++ {
+		h.reserveHeader(si)
+	}
+	h.marking = true
 	return h, nil
 }
 
 // CheckHeap validates the persistent allocator metadata: segment headers
-// coherent, bump mark inside the committed space, undo log disarmed or
-// well-formed, free lists acyclic with line-aligned in-bounds blocks below
-// the bump mark and no block on two lists. Intended for recovery and the
-// fault explorer.
+// coherent and the bump mark inside the committed space.
 func (h *Heap) CheckHeap() error {
 	nsegs := h.Segments()
 	if nsegs < 1 || nsegs > h.maxSegs {
@@ -569,46 +485,6 @@ func (h *Heap) CheckHeap() error {
 	bump := h.Read8(seg0HdrOff + hdrBumpOff)
 	if bump%LineSize != 0 || bump < h.dataStart(0) || bump > h.Size() {
 		return fmt.Errorf("bump %d outside [%d, %d]", bump, h.dataStart(0), h.Size())
-	}
-	if n := h.Read8(seg0HdrOff + hdrUndoOff); n > undoRecs {
-		return fmt.Errorf("undo status %d exceeds %d records", n, undoRecs)
-	}
-	seen := make(map[uint64]bool)
-	maxSteps := h.Size() / LineSize
-	for i := 0; i < classCount; i++ {
-		size := h.Read8(seg0HdrOff + hdrClassOff + uint64(i)*16)
-		head := h.Read8(seg0HdrOff + hdrClassOff + uint64(i)*16 + 8)
-		if size == 0 {
-			if head != 0 {
-				return fmt.Errorf("class %d: head %d with zero size", i, head)
-			}
-			continue
-		}
-		if size%LineSize != 0 {
-			return fmt.Errorf("class %d: unaligned size %d", i, size)
-		}
-		steps := uint64(0)
-		for off := head; off != 0; off = h.Read8(off) {
-			if steps++; steps > maxSteps {
-				return fmt.Errorf("class %d: free list cycle", i)
-			}
-			si := h.segIndex(off)
-			_, end := h.segSpan(si)
-			if si >= nsegs || off%LineSize != 0 || off < h.dataStart(si) || off+size > end {
-				return fmt.Errorf("class %d: block [%d,%d) outside segment %d data", i, off, off+size, si)
-			}
-			// The mark is global and monotone: every block ever handed out
-			// ends at or below it, whichever segment hosts it.
-			if off+size > bump {
-				return fmt.Errorf("class %d: block [%d,%d) above bump %d", i, off, off+size, bump)
-			}
-			for l := off; l < off+size; l += LineSize {
-				if seen[l] {
-					return fmt.Errorf("class %d: line %d on two free blocks", i, l)
-				}
-				seen[l] = true
-			}
-		}
 	}
 	return nil
 }

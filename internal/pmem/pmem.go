@@ -16,8 +16,9 @@
 // A crash is modelled by CrashImage: every line's durable content, or for a
 // random subset of dirty lines (uncontrolled cache eviction) its cache
 // content. Recover builds a fresh arena whose cache image equals a crash
-// image, as after a reboot, with the allocator state the image persisted
-// (heap.go); an image that holds no such state is ErrBadHeap.
+// image, as after a reboot, with the geometry and bump mark the image
+// persisted (heap.go); an image that holds no such state is ErrBadHeap. Free
+// space is rebuilt from the blocks the owners report (MarkLive).
 //
 // All word accesses use sync/atomic so concurrent tree code is data-race
 // free by construction; the synchronization *semantics* (who may see what)
@@ -26,6 +27,7 @@ package pmem
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"runtime"
@@ -215,8 +217,8 @@ type Config struct {
 // at full capacity up front (an mmap-like reservation, resident where touched)
 // so hot-path loads and stores never take a segment lookup; Size() reports the
 // committed prefix and accesses beyond it panic. Every segment carries a
-// persistent header (see heap.go) and Alloc/Free maintain crash-consistent
-// free lists through the undo log in segment 0's header.
+// persistent header (see heap.go); free space is volatile, rebuilt on every
+// Recover from the blocks the owners report (MarkLive).
 type Heap struct {
 	cache []uint64 // CPU-visible image; a clean line's durable content
 	nvm   []uint64 // a dirty line's durable content (pre-image), same offsets
@@ -243,20 +245,27 @@ type Heap struct {
 	}
 	_ [64]byte
 
+	// The volatile allocator state, under allocMu: one in-use bit per line
+	// (segment headers included), the bytes handed out, the lowest line
+	// that may be free, the smallest run length (in lines) that free space
+	// below the mark could not fit since the last Free, and whether
+	// Recover is still waiting for the owners' MarkLive reports. A free
+	// fragment smaller than every request (a segment tail a bump skipped,
+	// a hole recovery left) pins hint, so without noFit every Alloc would
+	// rescan from it to the mark; with it, requests that long or longer
+	// bump straight away, and free space a later bump skips waits for the
+	// next Free or open (TestAllocSkipsUnfittableFreeSpace).
 	allocMu sync.Mutex
-	// freed is the overflow for a full class table: size (bytes) -> free
-	// offsets of sizes no header class holds. Volatile; a crash leaks them.
-	freed map[uint64][]uint64
+	used    []uint64
+	inUse   uint64
+	hint    uint64
+	noFit   uint64
+	marking bool
 
 	// Geometry, as persisted in the segment headers.
 	seg0Size uint64 // bytes of the initial segment
 	growSize uint64 // bytes of each appended segment
 	maxSegs  int
-
-	// Debug overlap/double-free checking on Free: on under a `go test`
-	// binary, off otherwise.
-	freeCheck bool
-	freeLines map[uint64]struct{} // line offsets currently on a free list
 }
 
 // Arena is the heap's historical name; the tree, forest and kv layers — and
@@ -285,6 +294,7 @@ func New(cfg Config) *Heap {
 	h := newHeap(size, grow, maxSegs, cfg.Latency)
 	h.committedW.Store(size / WordSize)
 	h.formatSeg0()
+	h.reserveHeader(0)
 	// Formatting is construction, not workload: hand out clean stats.
 	h.ResetStats()
 	return h
@@ -298,16 +308,12 @@ func newHeap(seg0, grow uint64, maxSegs int, lat LatencyModel) *Heap {
 		cache: make([]uint64, capacity/WordSize),
 		nvm:   make([]uint64, capacity/WordSize),
 		lines: make([]uint64, (capacity/LineSize+31)/32),
-		freed: make(map[uint64][]uint64),
+		used:  make([]uint64, (capacity/LineSize+63)/64),
+		noFit: math.MaxUint64,
 
 		seg0Size: seg0,
 		growSize: grow,
 		maxSegs:  maxSegs,
-
-		freeCheck: testBinary,
-	}
-	if h.freeCheck {
-		h.freeLines = make(map[uint64]struct{})
 	}
 	h.SetLatency(lat)
 	return h

@@ -174,11 +174,12 @@ func TestOpenGarbageSuperblock(t *testing.T) {
 
 // TestOpenGarbageTreePointers: the pointers the layers under kv follow on the
 // way in — the tree's head-leaf and reserved root words, a leaf's next, the
-// forest superblock word, the heap's undo status — hold hostile values in
-// one image of a two-partition store. Open must answer ErrCorrupt (the heap's
-// own rejections are ErrBadHeap underneath): no panic in the arena's bounds
-// check, no leaf walk that never returns, and the images it was handed are
-// not written.
+// forest superblock word — hold hostile values in one image of a
+// two-partition store, and so do two pointers that name a block another
+// owner reports: a leaf's next naming the forest superblock line, the value
+// log's first chunk pointer naming a leaf. Open must answer ErrCorrupt: no
+// panic in the arena's bounds check, no leaf walk that never returns, and
+// the images it was handed are not written.
 func TestOpenGarbageTreePointers(t *testing.T) {
 	s, err := New(Options{ArenaSize: 1 << 20, ChunkSize: 512, Partitions: 2})
 	if err != nil {
@@ -190,22 +191,22 @@ func TestOpenGarbageTreePointers(t *testing.T) {
 		}
 	}
 	// Root-line words 0, 1 and 6 (internal/core: head leaf, a reserved word
-	// that must be zero; internal/forest: superblock) and the undo line of
-	// the heap header.
-	const treeHeadOff, treeResvOff, forestSbOff, heapUndoOff = 0, 8, 48, pmem.RootSize + 4*pmem.LineSize
-	leaf := s.parts[1].arena.Read8(treeHeadOff)
+	// that must be zero; internal/forest: superblock).
+	const treeHeadOff, treeResvOff, forestSbOff = 0, 8, 48
+	p := &s.parts[1]
+	leaf := p.arena.Read8(treeHeadOff)
 	rows := []struct {
 		name   string
 		off, v uint64
-		heap   bool
 	}{
-		{"tree root head", treeHeadOff, 1 << 40, false},
-		{"tree root head", treeHeadOff, 12345, false},
-		{"tree reserved root word", treeResvOff, 1 << 40, false},
-		{"first leaf's next", leaf, 1 << 40, false},
-		{"first leaf's next", leaf, leaf, false},
-		{"forest superblock pointer", forestSbOff, 1 << 40, false},
-		{"heap undo status", heapUndoOff, 7, true},
+		{"tree root head", treeHeadOff, 1 << 40},
+		{"tree root head", treeHeadOff, 12345},
+		{"tree reserved root word", treeResvOff, 1 << 40},
+		{"first leaf's next", leaf, 1 << 40},
+		{"first leaf's next", leaf, leaf},
+		{"first leaf's next", leaf, p.arena.Read8(forestSbOff)},
+		{"forest superblock pointer", forestSbOff, 1 << 40},
+		{"first chunk pointer", p.headOff, leaf},
 	}
 	imgs := s.Snapshot()
 	if _, err := Open(imgs, Options{}); err != nil {
@@ -220,8 +221,8 @@ func TestOpenGarbageTreePointers(t *testing.T) {
 			_, err := Open(in, Options{})
 			return err
 		})
-		if !errors.Is(err, ErrCorrupt) || errors.Is(err, pmem.ErrBadHeap) != r.heap {
-			t.Errorf("%s: Open returned %v, want ErrCorrupt (ErrBadHeap underneath: %v)", tag, err, r.heap)
+		if !errors.Is(err, ErrCorrupt) || errors.Is(err, pmem.ErrBadHeap) {
+			t.Errorf("%s: Open returned %v, want ErrCorrupt (no ErrBadHeap underneath)", tag, err)
 		}
 		if !reflect.DeepEqual(in, want) {
 			t.Errorf("%s: Open wrote to the images it was handed", tag)

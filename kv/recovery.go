@@ -42,7 +42,8 @@ func Open(imgs [][]uint64, opts Options) (*Store, error) {
 // OpenArenas is Open on already-recovered arenas: the caller keeps
 // ownership of the arenas, so persist hooks installed on them observe the
 // recovery persists — the entry point the fault-injection explorer uses to
-// crash *inside* recovery.
+// crash *inside* recovery. Each arena must come straight from
+// pmem.Recover, with no Alloc or Free since (see pmem.Heap.MarkLive).
 func OpenArenas(arenas []*pmem.Arena, opts Options) (*Store, error) {
 	opts.normalize()
 	if err := opts.checkPartitions(len(arenas)); err != nil {
@@ -86,10 +87,12 @@ func openPartitioned(arenas []*pmem.Arena, opts Options) (*Store, error) {
 }
 
 // openPart rebuilds one partition's value-log state from its persisted
-// superblock. Every offset read from the media is checked before it is
-// dereferenced — a block the allocator could have handed out
-// (pmem.Arena.Allocated) — so a hostile image yields ErrCorrupt, never a
-// panic or a hang.
+// superblock. Every block it reaches — superblock, chain-head line,
+// replication-state line, each chunk — is reported to the heap
+// (pmem.Arena.MarkLive) before it is dereferenced, which rejects a block the
+// allocator could not have handed out or one already reported: a hostile
+// image yields ErrCorrupt, never a panic or a hang, and the first chunk
+// allocation below frees whatever no owner reached.
 func openPart(p *kvPart, idx, parts int) error {
 	a := p.arena
 	corrupt := func(format string, args ...any) error {
@@ -98,10 +101,9 @@ func openPart(p *kvPart, idx, parts int) error {
 	if err := a.CheckHeap(); err != nil {
 		return corrupt("%v", err)
 	}
-	limit := a.Bump()
 	sb := a.Read8(rootStoreOff)
-	if !a.Allocated(sb, sbSize) {
-		return corrupt("store superblock pointer %#x", sb)
+	if err := a.MarkLive(sb, sbSize); err != nil {
+		return corrupt("store superblock pointer: %v", err)
 	}
 	if magic := a.Read8(sb + sbMagicOff); magic != storeMagic {
 		if magic>>16 == storeMagic>>16 {
@@ -120,11 +122,11 @@ func openPart(p *kvPart, idx, parts int) error {
 		return fmt.Errorf("%w: partition %d: %d value-log shards per partition, this build reads only 1",
 			ErrUnsupportedFormat, idx, logs)
 	}
-	if chunkSz < 2*pmem.LineSize || chunkSz%pmem.LineSize != 0 || chunkSz > limit {
+	if chunkSz < 2*pmem.LineSize || chunkSz%pmem.LineSize != 0 || chunkSz > a.Bump() {
 		return corrupt("chunk size %d", chunkSz)
 	}
-	if !a.Allocated(head, pmem.LineSize) {
-		return corrupt("chain-head pointer %#x", head)
+	if err := a.MarkLive(head, pmem.LineSize); err != nil {
+		return corrupt("chain-head pointer: %v", err)
 	}
 	if r0, r1 := a.Read8(sb+sbReserved0Off), a.Read8(sb+sbReserved1Off); r0 != 0 || r1 != 0 {
 		return corrupt("reserved superblock words %#x, %#x not null", r0, r1)
@@ -136,21 +138,17 @@ func openPart(p *kvPart, idx, parts int) error {
 		return corrupt("arena belongs at position %d", got)
 	}
 	// The replication-state line (kv/repl.go) hangs off the root line too.
-	if r := a.Read8(rootReplOff); r != pmem.NullOff && !a.Allocated(r, pmem.LineSize) {
-		return corrupt("replication-state pointer %#x", r)
+	if r := a.Read8(rootReplOff); r != pmem.NullOff {
+		if err := a.MarkLive(r, pmem.LineSize); err != nil {
+			return corrupt("replication-state pointer: %v", err)
+		}
 	}
 	p.sbOff, p.chunkSz, p.headOff = sb, chunkSz, head
-	// Chunks are disjoint, so the chain holds at most limit/chunkSz of them;
-	// a walk that outlasts that budget is a cycle.
-	budget := limit / chunkSz
+	// A chunk reported twice is a cycle or an alias.
 	for c := a.Read8(head); c != pmem.NullOff; c = a.Read8(c + chunkNextOff) {
-		if !a.Allocated(c, chunkSz) {
-			return corrupt("chunk pointer %#x", c)
+		if err := a.MarkLive(c, chunkSz); err != nil {
+			return corrupt("chunk pointer: %v", err)
 		}
-		if budget == 0 {
-			return corrupt("chunk chain does not terminate")
-		}
-		budget--
 	}
 	if err := p.checkHeapRecord(); err != nil {
 		return corrupt("%v", err)

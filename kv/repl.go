@@ -215,8 +215,9 @@ func (s *Store) ReplState() (epoch uint64, role uint8) {
 // 8-byte word, so the update is a single atomic persist: a crash during a
 // promotion observes either the old epoch/role or the new, never a mix.
 // The first call allocates the state line (line persisted before the root
-// word references it; a crash between the two merely leaks the line and
-// reads back as never-replicated, i.e. epoch 0).
+// word references it; a crash between the two reads back as
+// never-replicated, i.e. epoch 0, and the unreached line is free space at
+// the next open).
 func (s *Store) SetReplState(epoch uint64, role uint8) error {
 	if epoch >= 1<<56 {
 		return fmt.Errorf("kv: replication epoch %d overflows the packed state word", epoch)

@@ -453,8 +453,9 @@ func (s *Store) Clock() clock.Clock { return s.clk }
 
 // newChunk links a fresh log chunk at the head of the partition's persistent
 // chain. The chunk's next pointer is persisted before the head references
-// it, so a crash in between merely leaks the fresh chunk. Caller holds p.mu
-// (or the store is not yet published).
+// it; a crash in between leaves the chunk unreached, and the next open's
+// chain walk does not report it, so it is free space again. Caller holds
+// p.mu (or the store is not yet published).
 func (p *kvPart) newChunk() error {
 	off, err := p.arena.Alloc(p.chunkSz)
 	if err != nil {
