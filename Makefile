@@ -99,14 +99,17 @@ replcheck:
 # that does not rescan a free fragment no request fits, the simulator against its two-image reference model, a streamed range stored
 # once, writers sharing lines twenty times under the race detector, the kv
 # growth and OOM-retry tests, compaction freeing its chunks under live
-# readers, the garbage-pointer and superseded-format images kv and core
-# recovery must reject, and 300 crash/recover cycles each of a core tree and
-# a kv store whose heaps must count in use exactly what the owners reach.
+# readers, the garbage images kv and core recovery must reject (every word
+# of the one-line heap header, kv superblock and forest binding read and
+# checked), the exact persists of a kv Close and of the Open after it, and
+# 300 crash/recover cycles each of a core tree and a kv store whose heaps
+# must count in use exactly what the owners reach.
 heapcheck:
 	$(call run-tests,,./internal/fault,ExploreHeap|ExploreKVReopen)
 	$(call run-tests,,./internal/pmem,Heap|Grow|Free|Recover|BadHeap|AllocatorCosts|AllocSkips|TwoImageModel|StreamStoredOnce)
 	$(call run-tests,-race -count=20,./internal/pmem,SharedLine)
-	$(call run-tests,,./kv,Grow|OOM|Garbage|CompactFreesAfterReaders|CrashCycle)
+	$(call run-tests,,./kv,Grow|OOM|Garbage|CompactFreesAfterReaders|CrashCycle|CloseOpenPersists)
+	$(call run-tests,,./internal/forest,OpenRejectsBadImageSets)
 	$(call run-tests,,./internal/core,Corrupt|CrashCycle)
 
 # Leaf-image gate: a compaction persists nothing and frees exactly the log

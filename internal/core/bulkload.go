@@ -77,7 +77,6 @@ func BulkLoad(arena *pmem.Arena, opts Options, records []tree.KV) (*Tree, error)
 	}
 
 	arena.Write8(rootHeadOff, offs[0])
-	arena.Write8(rootResvOff, 0)
 	arena.Write8(rootMagicOff, rootMagic)
 	arena.Write8(rootCapOff, uint64(t.capacity))
 	arena.Write8(rootCleanOff, 0)

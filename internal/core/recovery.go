@@ -121,9 +121,6 @@ func openCommon(a *pmem.Arena, opts Options) (*Tree, error) {
 	if a.Read8(rootMagicOff) != rootMagic {
 		return nil, fmt.Errorf("core: arena does not contain an RNTree (bad magic)")
 	}
-	if w := a.Read8(rootResvOff); w != 0 {
-		return nil, fmt.Errorf("core: reserved root word holds %#x, want 0", w)
-	}
 	opts.LeafCapacity = int(a.Read8(rootCapOff))
 	if err := opts.normalize(); err != nil {
 		return nil, err

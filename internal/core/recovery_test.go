@@ -232,9 +232,9 @@ func TestRecoveryPreservesLeafCapacity(t *testing.T) {
 // trim pass reads to find a leaf's successor — holds a value no allocation
 // produced: beyond the arena, misaligned, inside the heap header, above the
 // allocation mark, or the word's own block (a cycle only the step budget
-// stops). The reserved root word holds anything but zero, and the slot
-// lines the trim pass compares (a leaf's and its successor's) hold a count
-// past capacity-1, a log index past the capacity, or keys out of order.
+// stops). The slot lines the trim pass compares (a leaf's and its
+// successor's) hold a count past capacity-1, a log index past the capacity,
+// or keys out of order.
 // Both reopen paths must return an error: no panic in the arena's bounds
 // check, no endless walk.
 func TestOpenCorruptPointers(t *testing.T) {
@@ -264,7 +264,6 @@ func TestOpenCorruptPointers(t *testing.T) {
 	}
 	words := []word{
 		{"root head", rootHeadOff, 1 << 50},
-		{"reserved root word", rootResvOff, 1 << 50},
 		{"first leaf's next", head + hdrNextOff, head},
 		{"second leaf's next", second + hdrNextOff, second},
 	}

@@ -18,10 +18,10 @@ import (
 const rootMagic = 0x524e_5452_4545_0001 // "RNTREE" v1
 
 // Root line layout (arena offset 0, the paper's "well-known static address
-// for starting the recovery", §5.4).
+// for starting the recovery", §5.4). Word 1 is free; words 5-7 belong to the
+// layers above (kv store superblock, forest binding, replication state).
 const (
 	rootHeadOff  = 0  // offset of the left-most leaf
-	rootResvOff  = 8  // reserved, zero (recovery rejects anything else)
 	rootMagicOff = 16 // format magic
 	rootCapOff   = 24 // leaf capacity
 	rootCleanOff = 32 // non-zero after a clean shutdown (Close)
@@ -106,7 +106,6 @@ func New(arena *pmem.Arena, opts Options) (*Tree, error) {
 	arena.Zero(headOff, t.lsize)
 	arena.Persist(headOff, t.lsize)
 	arena.Write8(rootHeadOff, headOff)
-	arena.Write8(rootResvOff, 0)
 	arena.Write8(rootMagicOff, rootMagic)
 	arena.Write8(rootCapOff, uint64(opts.LeafCapacity))
 	arena.Write8(rootCleanOff, 0)

@@ -379,7 +379,7 @@ func (t *CachedKVTarget) Recover(imgs [][]uint64) (Model, error) {
 // ForestTarget drives a two-partition forest.Forest with a small leaf
 // capacity: crash sites land inside one partition's mutation while the
 // other partition's arena is quiescent, and recovery must reassemble the
-// whole forest from the multi-arena image set (superblock checks included).
+// whole forest from the multi-arena image set (binding checks included).
 type ForestTarget struct {
 	u64Model
 	DualSlot bool
@@ -459,7 +459,7 @@ type HeapTarget struct {
 }
 
 const (
-	heapSeg0Size = 1 << 16
+	heapInitSize = 1 << 16
 	heapGrowSize = 1 << 14
 	heapMaxSegs  = 8
 	// heapDirOff is the root-line word heading the block directory (the
@@ -482,7 +482,7 @@ func (t *HeapTarget) Name() string { return "heap" }
 
 func (t *HeapTarget) Reset() ([]*pmem.Arena, Model, error) {
 	t.arena = pmem.New(pmem.Config{
-		Size:        heapSeg0Size,
+		Size:        heapInitSize,
 		GrowSize:    heapGrowSize,
 		MaxSegments: heapMaxSegs,
 	})

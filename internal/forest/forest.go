@@ -11,10 +11,10 @@
 // per-tree ordered iterators through a k-way heap, preserving the global
 // key order the single tree provides.
 //
-// Each partition's arena carries a forest superblock (partition count and
-// this partition's index) reachable from the root line, so recovery can
-// verify that a set of crash images really is one coherent forest, in the
-// right order, before recovering every partition independently.
+// Each partition's root line binds its arena to the forest (partition count
+// and this partition's index in one word), so recovery can verify that a set
+// of crash images really is one coherent forest, in the right order, before
+// recovering every partition independently.
 package forest
 
 import (
@@ -27,20 +27,10 @@ import (
 	"rntree/internal/tree"
 )
 
-// rootForestOff is the root-line word (see internal/core's root layout:
-// words 0-4 belong to the tree, word 5 to the kv store) holding the offset
-// of this arena's forest superblock, or NullOff for a standalone tree.
+// rootForestOff is the root-line word (see internal/core's root layout)
+// binding the arena to its forest: count<<32 | index, the partition count
+// and this partition's index. Zero is a standalone tree.
 const rootForestOff = 48
-
-// forestMagic marks a forest superblock line ("RNFRST" v1).
-const forestMagic = 0x524e_4652_5354_0001
-
-// Forest superblock line layout (one line per partition arena).
-const (
-	sbMagicOff = 0  // format magic
-	sbCountOff = 8  // total partitions in the forest
-	sbIndexOff = 16 // this partition's index
-)
 
 // MaxPartitions bounds the fan-out; enough to saturate any thread count the
 // benchmarks use while keeping the merge heap small.
@@ -58,7 +48,11 @@ type Options struct {
 	// GrowSize is the size of each appended segment (default: ArenaSize).
 	GrowSize uint64
 	// MaxSegments caps a partition at ArenaSize +
-	// (MaxSegments-1)*GrowSize bytes (default 8). 1 disables growth.
+	// (MaxSegments-1)*GrowSize bytes (default 8). 1 disables growth. Each
+	// partition's simulated device is allocated in DRAM at that full
+	// capacity, twice (cache and media images), by New, BulkLoad and every
+	// Open: at the defaults 2 × 8 × ArenaSize bytes of Go heap per
+	// partition, whatever it holds.
 	MaxSegments int
 	// Latency is the persistent-instruction cost model applied to every
 	// partition arena.
@@ -98,7 +92,6 @@ func (o *Options) arenaConfig() pmem.Config {
 type Partition struct {
 	arena *pmem.Arena
 	tree  *core.Tree
-	sbOff uint64
 }
 
 // Arena returns the partition's private persistent arena.
@@ -141,7 +134,7 @@ func (f *Forest) Partitions() int { return len(f.parts) }
 func (f *Forest) Partition(i int) *Partition { return f.parts[i] }
 
 // New creates an empty forest: one fresh arena and tree per partition, each
-// stamped with a forest superblock.
+// bound to the forest by its root line.
 func New(opts Options) (*Forest, error) {
 	return BulkLoad(opts, nil)
 }
@@ -172,19 +165,9 @@ func BulkLoad(opts Options, records []tree.KV) (*Forest, error) {
 		if err != nil {
 			return nil, err
 		}
-		sbOff, err := a.Alloc(pmem.LineSize)
-		if err != nil {
-			return nil, tree.ErrFull
-		}
-		a.Write8(sbOff+sbMagicOff, forestMagic)
-		a.Write8(sbOff+sbCountOff, uint64(opts.Partitions))
-		a.Write8(sbOff+sbIndexOff, uint64(i))
-		a.Persist(sbOff, pmem.LineSize)
-		// Root pointer flip is the commit point: the superblock is durable
-		// before anything references it.
-		a.Write8(rootForestOff, sbOff)
+		a.Write8(rootForestOff, uint64(opts.Partitions)<<32|uint64(i))
 		a.Persist(0, pmem.RootSize)
-		f.parts[i] = &Partition{arena: a, tree: t, sbOff: sbOff}
+		f.parts[i] = &Partition{arena: a, tree: t}
 	}
 	return f, nil
 }
@@ -204,14 +187,13 @@ func Open(imgs [][]uint64, opts Options) (*Forest, error) {
 }
 
 // OpenArenas recovers a forest over already-rebooted arenas, one per
-// partition in partition order. Each partition's forest superblock is
-// reported to the heap (MarkLive) and verified against the set — right
-// magic, matching partition count, matching position — and then its tree
-// recovers independently: reconstruction after a clean shutdown, the
-// split-overlap trim plus chain rebuild after a crash. The kv layer
-// and the fault explorer use this entry point so they keep hold of the
-// arenas (persist hooks, their own structures in them). Each arena must
-// come straight from pmem.Recover, with no Alloc or Free since (see
+// partition in partition order. Each partition's binding word is verified
+// against the set — matching partition count, matching position — and then
+// its tree recovers independently: reconstruction after a clean shutdown,
+// the split-overlap trim plus chain rebuild after a crash. The kv layer and
+// the fault explorer use this entry point so they keep hold of the arenas
+// (persist hooks, their own structures in them). Each arena must come
+// straight from pmem.Recover, with no Alloc or Free since (see
 // pmem.Heap.MarkLive).
 func OpenArenas(arenas []*pmem.Arena, opts Options) (*Forest, error) {
 	n := len(arenas)
@@ -220,27 +202,19 @@ func OpenArenas(arenas []*pmem.Arena, opts Options) (*Forest, error) {
 	}
 	f := &Forest{parts: make([]*Partition, n), mask: uint64(n - 1)}
 	for i, a := range arenas {
-		sbOff := a.Read8(rootForestOff)
-		if sbOff == pmem.NullOff {
-			return nil, fmt.Errorf("forest: partition %d: arena has no forest superblock", i)
-		}
-		if err := a.MarkLive(sbOff, pmem.LineSize); err != nil {
-			return nil, fmt.Errorf("forest: partition %d: superblock pointer: %w", i, err)
-		}
-		if m := a.Read8(sbOff + sbMagicOff); m != forestMagic {
-			return nil, fmt.Errorf("forest: partition %d: bad superblock magic %#x", i, m)
-		}
-		if c := a.Read8(sbOff + sbCountOff); c != uint64(n) {
-			return nil, fmt.Errorf("forest: partition %d: superblock says %d partitions, opening %d", i, c, n)
-		}
-		if ix := a.Read8(sbOff + sbIndexOff); ix != uint64(i) {
-			return nil, fmt.Errorf("forest: image at position %d belongs to partition %d", i, ix)
+		switch w := a.Read8(rootForestOff); {
+		case w == 0:
+			return nil, fmt.Errorf("forest: partition %d: arena holds a standalone tree", i)
+		case w>>32 != uint64(n):
+			return nil, fmt.Errorf("forest: partition %d: arena belongs to a forest of %d partitions, opening %d", i, w>>32, n)
+		case w&(1<<32-1) != uint64(i):
+			return nil, fmt.Errorf("forest: image at position %d belongs to partition %d", i, w&(1<<32-1))
 		}
 		t, err := core.Open(a, opts.Tree)
 		if err != nil {
 			return nil, fmt.Errorf("forest: partition %d: %w", i, err)
 		}
-		f.parts[i] = &Partition{arena: a, tree: t, sbOff: sbOff}
+		f.parts[i] = &Partition{arena: a, tree: t}
 	}
 	return f, nil
 }
@@ -403,21 +377,11 @@ func (f *Forest) Depth() int {
 }
 
 // CheckInvariants validates every partition's tree invariants plus the
-// forest-level ones: superblock integrity and that every stored key routes
-// to the partition holding it.
+// forest-level one: every stored key routes to the partition holding it.
 func (f *Forest) CheckInvariants() error {
 	for i, p := range f.parts {
 		if err := p.tree.CheckInvariants(); err != nil {
 			return fmt.Errorf("partition %d: %w", i, err)
-		}
-		if m := p.arena.Read8(p.sbOff + sbMagicOff); m != forestMagic {
-			return fmt.Errorf("partition %d: superblock magic %#x", i, m)
-		}
-		if c := p.arena.Read8(p.sbOff + sbCountOff); c != uint64(len(f.parts)) {
-			return fmt.Errorf("partition %d: superblock count %d, have %d partitions", i, c, len(f.parts))
-		}
-		if ix := p.arena.Read8(p.sbOff + sbIndexOff); ix != uint64(i) {
-			return fmt.Errorf("partition %d: superblock index %d", i, ix)
 		}
 		var routeErr error
 		p.tree.Scan(0, 0, func(k, _ uint64) bool {

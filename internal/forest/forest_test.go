@@ -3,10 +3,12 @@ package forest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"rntree/internal/core"
+	"rntree/internal/pmem"
 	"rntree/internal/tree"
 	"rntree/internal/tree/treetest"
 )
@@ -427,6 +429,11 @@ func verifyContents(t *testing.T, f *Forest, n uint64) {
 	}
 }
 
+// TestOpenRejectsBadImageSets: an image set that is not one forest in
+// partition order — reordered, partial, not a power of two, a standalone
+// tree, or a root line whose binding word names the wrong count or position
+// or is garbage — is an error, never a panic, and the images are not
+// written.
 func TestOpenRejectsBadImageSets(t *testing.T) {
 	f := mustNew(t, 4, true)
 	for k := uint64(0); k < 100; k++ {
@@ -450,13 +457,35 @@ func TestOpenRejectsBadImageSets(t *testing.T) {
 	if _, err := Open(imgs[:3], testOpts(4, true)); err == nil {
 		t.Fatal("3-image set accepted")
 	}
-	// A bare single-tree arena has no forest superblock.
-	st := mustNew(t, 1, true)
-	bare := st.Partition(0).Arena().CrashImage(nil, 0)
-	// Clear the forest pointer to simulate a pre-forest image.
-	bare[48/8] = 0
-	if _, err := Open([][]uint64{bare}, testOpts(1, true)); err == nil {
-		t.Fatal("arena without forest superblock accepted")
+	// Hostile binding words: a standalone tree (0), another forest's count,
+	// an index past the set, all ones.
+	const n = 4
+	for _, c := range []struct {
+		name string
+		v    uint64
+	}{
+		{"standalone tree", 0},
+		{"wrong count", 2*n<<32 | 1},
+		{"index >= n", n<<32 | n},
+		{"all ones", ^uint64(0)},
+	} {
+		bad := append([][]uint64(nil), imgs...)
+		bad[1] = append([]uint64(nil), imgs[1]...)
+		bad[1][rootForestOff/pmem.WordSize] = c.v
+		before := append([]uint64(nil), bad[1]...)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("binding word %s (%#x): Open panicked: %v", c.name, c.v, r)
+				}
+			}()
+			if _, err := Open(bad, testOpts(n, true)); err == nil {
+				t.Errorf("binding word %s (%#x) accepted", c.name, c.v)
+			}
+		}()
+		if !slices.Equal(bad[1], before) {
+			t.Errorf("binding word %s: Open wrote to the image", c.name)
+		}
 	}
 	// The original, correctly ordered set still opens.
 	if _, err := Open(imgs, testOpts(4, true)); err != nil {

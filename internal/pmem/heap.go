@@ -12,15 +12,11 @@
 // position-independent by construction: there is no mapping address to
 // record.
 //
-// Segment header layout (hdrSize bytes; at offset RootSize in segment 0,
-// at the segment base otherwise):
-//
-//	line 0: magic, ordinal, segSize, seg0Size, growSize, maxSegs,
-//	        nsegs (segment 0 only), reserved
-//	line 1: three reserved words (written zero, never read), then
-//	        bump (segment 0 only)
-//	lines 2-7: unread (earlier builds kept size-class free lists and an
-//	        undo log in lines 2-4)
+// Segment header layout (one line; at offset RootSize in segment 0, at the
+// segment base otherwise): magic and ordinal, then in segment 0 only its
+// size, the initial-segment size (the two must agree), grow size, maxSegs,
+// nsegs and the bump mark. A grown segment's header holds its magic and
+// ordinal alone: recovery takes the geometry from segment 0.
 package pmem
 
 import (
@@ -32,13 +28,13 @@ import (
 
 const (
 	// heapMagic0/heapMagicN identify a formatted initial/grown segment.
-	heapMagic0 = 0x524e484541503030 // "RNHEAP00"
-	heapMagicN = 0x524e484541503031 // "RNHEAP01"
+	heapMagic0 = 0x524e484541503130 // "RNHEAP10"
+	heapMagicN = 0x524e484541503131 // "RNHEAP11"
 
 	// seg0HdrOff is the header position in segment 0 (past the root line).
 	seg0HdrOff = RootSize
 	// hdrSize is the per-segment header footprint in bytes.
-	hdrSize = 8 * LineSize
+	hdrSize = LineSize
 	// DataStart is the first allocatable offset of segment 0: everything
 	// below it is the root line and the header. Code that addresses raw
 	// lines without allocating them stays at or above it, so the image it
@@ -49,14 +45,11 @@ const (
 	hdrMagicOff    = 0
 	hdrOrdinalOff  = 8
 	hdrSegSizeOff  = 16
-	hdrSeg0SizeOff = 24
+	hdrInitSizeOff = 24
 	hdrGrowSizeOff = 32
 	hdrMaxSegsOff  = 40
 	hdrNsegsOff    = 48
-	hdrRsvd0Off    = 64 // +64/+72/+80 reserved: written zero, never read —
-	hdrRsvd1Off    = 72 // earlier builds kept a mapping address here, so
-	hdrRsvd2Off    = 80 // recovery ignores rather than validates them
-	hdrBumpOff     = 88
+	hdrBumpOff     = 56
 
 	// minHeapSize is the smallest initial segment: root line, header and
 	// one data line. minGrowSize is the smallest appended segment.
@@ -77,9 +70,6 @@ func (h *Heap) Segments() int { return int(h.Read8(seg0HdrOff + hdrNsegsOff)) }
 
 // GrowSize returns the size in bytes of each appended segment.
 func (h *Heap) GrowSize() uint64 { return h.growSize }
-
-// Seg0Size returns the size in bytes of the initial segment.
-func (h *Heap) Seg0Size() uint64 { return h.seg0Size }
 
 // segIndex maps a byte offset to its segment ordinal.
 func (h *Heap) segIndex(off uint64) int {
@@ -126,13 +116,10 @@ func (h *Heap) formatSeg0() {
 	h.Write8(hb+hdrMagicOff, heapMagic0)
 	h.Write8(hb+hdrOrdinalOff, 0)
 	h.Write8(hb+hdrSegSizeOff, h.seg0Size)
-	h.Write8(hb+hdrSeg0SizeOff, h.seg0Size)
+	h.Write8(hb+hdrInitSizeOff, h.seg0Size)
 	h.Write8(hb+hdrGrowSizeOff, h.growSize)
 	h.Write8(hb+hdrMaxSegsOff, uint64(h.maxSegs))
 	h.Write8(hb+hdrNsegsOff, 1)
-	h.Write8(hb+hdrRsvd0Off, 0)
-	h.Write8(hb+hdrRsvd1Off, 0)
-	h.Write8(hb+hdrRsvd2Off, 0)
 	h.Write8(hb+hdrBumpOff, h.dataStart(0))
 	h.Persist(hb, hdrSize)
 }
@@ -143,13 +130,6 @@ func (h *Heap) formatSeg(si int) {
 	hb := h.hdrBase(si)
 	h.Write8(hb+hdrMagicOff, heapMagicN)
 	h.Write8(hb+hdrOrdinalOff, uint64(si))
-	h.Write8(hb+hdrSegSizeOff, h.growSize)
-	h.Write8(hb+hdrSeg0SizeOff, h.seg0Size)
-	h.Write8(hb+hdrGrowSizeOff, h.growSize)
-	h.Write8(hb+hdrMaxSegsOff, uint64(h.maxSegs))
-	h.Write8(hb+hdrRsvd0Off, 0)
-	h.Write8(hb+hdrRsvd1Off, 0)
-	h.Write8(hb+hdrRsvd2Off, 0)
 	h.Persist(hb, hdrSize)
 }
 
@@ -425,7 +405,7 @@ func Recover(img []uint64, cfg Config) (*Arena, error) {
 	if m := rd(seg0HdrOff + hdrMagicOff); m != heapMagic0 {
 		return bad("magic %#x", m)
 	}
-	seg0 := rd(seg0HdrOff + hdrSeg0SizeOff)
+	seg0 := rd(seg0HdrOff + hdrInitSizeOff)
 	grow := rd(seg0HdrOff + hdrGrowSizeOff)
 	maxSegs := rd(seg0HdrOff + hdrMaxSegsOff)
 	nsegs := rd(seg0HdrOff + hdrNsegsOff)

@@ -121,7 +121,7 @@ func TestRecoverBadHeap(t *testing.T) {
 		{"zeroed image", func(img []uint64) []uint64 { return make([]uint64, len(img)) }},
 		{"empty image", func([]uint64) []uint64 { return nil }},
 		{"foreign magic", poke(hdr+hdrMagicOff, 0x524e545245453031)},
-		{"seg0 != segSize", poke(hdr+hdrSeg0SizeOff, 1<<17)},
+		{"seg0 != segSize", poke(hdr+hdrInitSizeOff, 1<<17)},
 		{"nsegs > maxSegs", poke(hdr+hdrNsegsOff, 5)},
 		{"nsegs huge", poke(hdr+hdrNsegsOff, 1<<62)},
 		{"grow size zero", poke(hdr+hdrGrowSizeOff, 0)},
@@ -405,11 +405,9 @@ func TestZeroChargesStoreLatency(t *testing.T) {
 // scribble over them. Recovery of such an image is ErrBadHeap or a heap whose
 // metadata checks out — never a panic in the capacity arithmetic or an
 // absurd allocation — and when it recovers the data outside the clobbered
-// word still reads back. The words no code reads (the three retired
-// mapping-address words, the spare word of line 0, lines 5-7) must not
-// decide: whatever they hold, the image recovers. Regression for a makeslice
-// overflow when a garbage hdrMaxSegsOff/hdrGrowSizeOff claimed a near-2^64
-// capacity.
+// word still reads back. Every word of the one-line header is read: each
+// one rejects at least one hostile value. Regression for a makeslice overflow when a garbage
+// hdrMaxSegsOff/hdrGrowSizeOff claimed a near-2^64 capacity.
 func TestRecoverGarbageHeader(t *testing.T) {
 	hostile := []uint64{
 		0xffffffffffffffff, // all-ones: overflow bait for the capacity product
@@ -417,11 +415,9 @@ func TestRecoverGarbageHeader(t *testing.T) {
 		1 << 62,            // huge but line-aligned: passes the %LineSize checks
 		0,                  // zero: trips the nsegs/maxSegs >= 1 floor instead
 	}
-	unread := func(off uint64) bool {
-		return off == 56 || off == hdrRsvd0Off || off == hdrRsvd1Off || off == hdrRsvd2Off || off >= 5*LineSize
-	}
 	const probe = uint64(DataStart) + 256 // user word clear of the header
 	for word := uint64(0); word < hdrSize/WordSize; word++ {
+		rejected := false
 		for _, v := range hostile {
 			h := newTestHeap(t, 1<<16, 4096, 4)
 			h.Write8(probe, 0xfeedface)
@@ -431,9 +427,10 @@ func TestRecoverGarbageHeader(t *testing.T) {
 			h.Persist(off, 8)
 			r, err := Recover(h.CrashImage(nil, 0), Config{})
 			if err != nil {
-				if !errors.Is(err, ErrBadHeap) || unread(word*WordSize) {
+				if !errors.Is(err, ErrBadHeap) {
 					t.Fatalf("header word %d = %#x: Recover returned %v", word, v, err)
 				}
+				rejected = true
 				continue
 			}
 			if err := r.CheckHeap(); err != nil {
@@ -442,6 +439,9 @@ func TestRecoverGarbageHeader(t *testing.T) {
 			if got := r.Read8(probe); got != 0xfeedface {
 				t.Fatalf("header word %d = %#x: probe read %#x after recovery", word, v, got)
 			}
+		}
+		if !rejected {
+			t.Errorf("header word %d: no hostile value rejected, so recovery does not read it", word)
 		}
 	}
 }

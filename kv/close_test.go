@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"rntree/internal/pmem"
 )
 
 // TestCloseDuringConcurrentPuts is the server-drain regression: Close
@@ -122,6 +124,58 @@ func TestCheckpointReopens(t *testing.T) {
 	}
 	if s2.Len() != 500 {
 		t.Fatalf("reopened %d keys, want 500", s2.Len())
+	}
+}
+
+// TestCloseOpenPersists counts the persists of a clean shutdown and of the
+// reopen after it, per partition. Close persists only the index's clean
+// state: two lines per leaf and the clean flag. Opening the clean image
+// persists the clean flag's disarm and the fresh chunk appends continue in:
+// its next pointer, the superblock's newest-chunk word, and the bump mark
+// when the chunk is bumped rather than taken from free space.
+func TestCloseOpenPersists(t *testing.T) {
+	s, err := New(Options{ArenaSize: 8 << 20, MaxSegments: 1, ChunkSize: 1 << 12, Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := make([]uint64, len(s.parts))
+	for i := range s.parts {
+		before[i] = s.parts[i].arena.Stats().Persists
+	}
+	imgs, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range s.parts {
+		p := &s.parts[i]
+		if got, want := p.arena.Stats().Persists-before[i], 2*uint64(p.tree.LeafCount())+1; got != want {
+			t.Errorf("partition %d: Close persisted %d times, want %d", i, got, want)
+		}
+	}
+	arenas := make([]*pmem.Arena, len(imgs))
+	bumps := make([]uint64, len(imgs))
+	for i, img := range imgs {
+		if arenas[i], err = pmem.Recover(img, pmem.Config{}); err != nil {
+			t.Fatal(err)
+		}
+		before[i], bumps[i] = arenas[i].Stats().Persists, arenas[i].Bump()
+	}
+	if _, err := OpenArenas(arenas, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range arenas {
+		want := uint64(3)
+		if a.Bump() != bumps[i] {
+			want++
+		}
+		if got := a.Stats().Persists - before[i]; got != want {
+			t.Errorf("partition %d: Open persisted %d times, want %d", i, got, want)
+		}
 	}
 }
 

@@ -79,7 +79,7 @@ func (s *Store) Compact() error {
 //
 // Crash safety: the fresh chunks are stacked on top of the old chain, so
 // at every instant the whole chain — old records still referenced by
-// not-yet-rewritten hashes included — is reachable from the chain-head line
+// not-yet-rewritten hashes included — is reachable from the newest-chunk word
 // and therefore allocator-protected across a crash. Only after every hash
 // is repointed is the chain cut (one persisted pointer write).
 //

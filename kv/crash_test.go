@@ -21,7 +21,7 @@ func TestCrashFuzzDurableStore(t *testing.T) {
 // TestCrashFuzzCollisionChains re-runs the crash fuzzer with a degenerate
 // hash (every key lands in one of seven chains) so that crash points land
 // inside multi-key hash-chain updates, and with tiny chunks so they also
-// land inside newChunk's chunk-link and chain-head persists.
+// land inside newChunk's chunk-link and newest-chunk persists.
 func TestCrashFuzzCollisionChains(t *testing.T) {
 	crashFuzzStore(t, Options{ArenaSize: 64 << 20, MaxSegments: 1, ChunkSize: 1 << 12}, collide(7))
 }

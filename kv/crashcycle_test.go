@@ -13,8 +13,7 @@ import (
 // TestCrashCycleFreeSpace runs one two-partition store through 300
 // crash/recover cycles, each cut at a seeded random persist site of puts,
 // deletes and compactions. After every recovery each heap counts in use
-// exactly the blocks its owners reach — forest superblock, kv superblock,
-// chain-head line, chunks, leaves — and handing out every free line below
+// exactly the blocks its owners reach — kv superblock, chunks, leaves — and handing out every free line below
 // the mark and scribbling over it leaves the store equal to the model: a
 // crash leaks no chunk, and a compaction's freed chunks come back.
 func TestCrashCycleFreeSpace(t *testing.T) {
@@ -88,7 +87,7 @@ func TestCrashCycleFreeSpace(t *testing.T) {
 			for off := p.arena.Read8(p.headOff); off != pmem.NullOff; off = p.arena.Read8(off + chunkNextOff) {
 				chunks++
 			}
-			want := pmem.LineSize + sbSize + pmem.LineSize + chunks*p.chunkSz + uint64(p.tree.LeafCount())*leafBytes
+			want := sbSize + chunks*p.chunkSz + uint64(p.tree.LeafCount())*leafBytes
 			if got := p.arena.InUse(); got != want {
 				t.Fatalf("cycle %d: partition %d counts %d bytes in use, its owners reach %d", c, i, got, want)
 			}

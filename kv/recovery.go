@@ -2,6 +2,7 @@ package kv
 
 import (
 	"fmt"
+	"slices"
 
 	"rntree/internal/forest"
 	"rntree/internal/pmem"
@@ -9,20 +10,18 @@ import (
 
 // Open recovers a store from a snapshot (one image per partition arena, in
 // partition order): every partition's tree index is rebuilt via crash
-// recovery, its superblock, chain-head line and chunk chain are validated,
-// and appends continue in a fresh chunk (the tail of the pre-crash chunk is
-// sacrificed, as in any bump-allocated log).
+// recovery, its superblock and chunk chain are validated, and appends
+// continue in a fresh chunk (the tail of the pre-crash chunk is sacrificed,
+// as in any bump-allocated log).
 //
 // The store geometry — chunk size, partition count — is read from the
-// persisted superblocks, not from opts, so opening with different Options
-// than the store was created with is safe. The one exception is a non-zero
-// opts.Partitions that differs from the number of images: that fails with
-// ErrPartitionCount before any image is looked at — a store is never
-// repartitioned on the way in. An image whose superblock magic is not the
-// current format's, or whose partitions hold more than one value log (a
-// geometry older builds could write), fails with ErrUnsupportedFormat; one
-// whose persisted pointers or geometry cannot belong to a store fails with
-// ErrCorrupt. Open never repairs, and rejects before its first write.
+// images, not from opts, so opening with different Options than the store
+// was created with is safe. The one exception is a non-zero opts.Partitions
+// that differs from the number of images: that fails with ErrPartitionCount
+// before any image is looked at — a store is never repartitioned on the way
+// in. An image in any other format, or whose persisted pointers or geometry
+// cannot belong to a store, fails with ErrCorrupt. Open never repairs, and
+// rejects before its first write.
 func Open(imgs [][]uint64, opts Options) (*Store, error) {
 	opts.normalize()
 	if err := opts.checkPartitions(len(imgs)); err != nil {
@@ -66,7 +65,7 @@ func (o Options) checkPartitions(images int) error {
 }
 
 // openPartitioned recovers a partition-complete store: the forest layer
-// verifies the arena set (count, order, per-partition forest superblocks),
+// verifies the arena set (count and order, from each root line's binding),
 // then each partition's value-log state is rebuilt independently from its
 // own kv superblock.
 func openPartitioned(arenas []*pmem.Arena, opts Options) (*Store, error) {
@@ -78,64 +77,36 @@ func openPartitioned(arenas []*pmem.Arena, opts Options) (*Store, error) {
 	s := opts.store(f)
 	for i := range s.parts {
 		p := &s.parts[i]
-		if err := openPart(p, i, len(arenas)); err != nil {
+		if err := openPart(p, i); err != nil {
 			return nil, err
 		}
-		p.recount()
 	}
 	return s, nil
 }
 
 // openPart rebuilds one partition's value-log state from its persisted
-// superblock. Every block it reaches — superblock, chain-head line,
-// replication-state line, each chunk — is reported to the heap
-// (pmem.Arena.MarkLive) before it is dereferenced, which rejects a block the
-// allocator could not have handed out or one already reported: a hostile
-// image yields ErrCorrupt, never a panic or a hang, and the first chunk
-// allocation below frees whatever no owner reached.
-func openPart(p *kvPart, idx, parts int) error {
+// superblock. Every block it reaches — superblock, replication-state line,
+// each chunk — is reported to the heap (pmem.Arena.MarkLive) before it is
+// dereferenced, which rejects a block the allocator could not have handed
+// out or one already reported, and every record the index reaches must lie
+// in one of those chunks (recount): a hostile image yields ErrCorrupt, never
+// a panic or a hang, and the first chunk allocation below frees whatever no
+// owner reached.
+func openPart(p *kvPart, idx int) error {
 	a := p.arena
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("%w: partition %d: %s", ErrCorrupt, idx, fmt.Sprintf(format, args...))
-	}
-	if err := a.CheckHeap(); err != nil {
-		return corrupt("%v", err)
 	}
 	sb := a.Read8(rootStoreOff)
 	if err := a.MarkLive(sb, sbSize); err != nil {
 		return corrupt("store superblock pointer: %v", err)
 	}
 	if magic := a.Read8(sb + sbMagicOff); magic != storeMagic {
-		if magic>>16 == storeMagic>>16 {
-			return fmt.Errorf("%w: partition %d: superblock magic %#x, this build reads only %#x",
-				ErrUnsupportedFormat, idx, magic, uint64(storeMagic))
-		}
 		return corrupt("bad superblock magic %#x", magic)
 	}
 	chunkSz := a.Read8(sb + sbChunkSzOff)
-	head := a.Read8(sb + sbHeadOff)
-	switch logs := a.Read8(sb + sbLogsOff); {
-	case logs == 1:
-	case logs == 0 || logs > 64 || logs&(logs-1) != 0: // nothing any build wrote
-		return corrupt("value-log count %d", logs)
-	default: // 2, 4 … 64: a build that sharded the log inside a partition
-		return fmt.Errorf("%w: partition %d: %d value-log shards per partition, this build reads only 1",
-			ErrUnsupportedFormat, idx, logs)
-	}
 	if chunkSz < 2*pmem.LineSize || chunkSz%pmem.LineSize != 0 || chunkSz > a.Bump() {
 		return corrupt("chunk size %d", chunkSz)
-	}
-	if err := a.MarkLive(head, pmem.LineSize); err != nil {
-		return corrupt("chain-head pointer: %v", err)
-	}
-	if r0, r1 := a.Read8(sb+sbReserved0Off), a.Read8(sb+sbReserved1Off); r0 != 0 || r1 != 0 {
-		return corrupt("reserved superblock words %#x, %#x not null", r0, r1)
-	}
-	if got := a.Read8(sb + sbPartsOff); got != uint64(parts) {
-		return corrupt("superblock says %d partitions, opening %d", got, parts)
-	}
-	if got := a.Read8(sb + sbPartIdxOff); got != uint64(idx) {
-		return corrupt("arena belongs at position %d", got)
 	}
 	// The replication-state line (kv/repl.go) hangs off the root line too.
 	if r := a.Read8(rootReplOff); r != pmem.NullOff {
@@ -143,45 +114,19 @@ func openPart(p *kvPart, idx, parts int) error {
 			return corrupt("replication-state pointer: %v", err)
 		}
 	}
-	p.sbOff, p.chunkSz, p.headOff = sb, chunkSz, head
+	p.chunkSz, p.headOff = chunkSz, sb+sbHeadOff
 	// A chunk reported twice is a cycle or an alias.
-	for c := a.Read8(head); c != pmem.NullOff; c = a.Read8(c + chunkNextOff) {
+	var chunks []uint64
+	for c := a.Read8(p.headOff); c != pmem.NullOff; c = a.Read8(c + chunkNextOff) {
 		if err := a.MarkLive(c, chunkSz); err != nil {
 			return corrupt("chunk pointer: %v", err)
 		}
+		chunks = append(chunks, c)
 	}
-	if err := p.checkHeapRecord(); err != nil {
+	if err := p.recount(chunks); err != nil {
 		return corrupt("%v", err)
 	}
-	if err := p.newChunk(); err != nil {
-		return err
-	}
-	// The heap record may be stale relative to the heap headers (growth
-	// after the last clean Close); bring it current.
-	p.refreshHeapLine()
-	return nil
-}
-
-// checkHeapRecord validates the superblock's heap record against the
-// arena's authoritative segment headers. Pure validation: it writes nothing.
-func (p *kvPart) checkHeapRecord() error {
-	a := p.arena
-	sb := p.sbOff
-	if heap := a.Read8(sb + sbHeapOff); heap != 1 {
-		return fmt.Errorf("superblock heap flag %d, want 1", heap)
-	}
-	if rec := a.Read8(sb + sbSeg0SzOff); rec != a.Seg0Size() {
-		return fmt.Errorf("superblock records segment-0 size %d, heap has %d", rec, a.Seg0Size())
-	}
-	if rec := a.Read8(sb + sbGrowSzOff); rec != a.GrowSize() {
-		return fmt.Errorf("superblock records grow size %d, heap has %d", rec, a.GrowSize())
-	}
-	// The heap can only have grown since the record was written (a grow
-	// that crashed before its cutover is truncated by recovery).
-	if rec := a.Read8(sb + sbNsegsOff); rec > uint64(a.Segments()) {
-		return fmt.Errorf("superblock records %d segments, heap committed only %d", rec, a.Segments())
-	}
-	return nil
+	return p.newChunk()
 }
 
 // recount rebuilds the partition's live counter exactly by walking every
@@ -189,13 +134,32 @@ func (p *kvPart) checkHeapRecord() error {
 // Compact re-derives them), and recovers the partition's LSN counter as the
 // max LSN over all reachable records — the durable replication watermark: a
 // record whose tree publish did not survive the crash is unreachable, so a
-// replica resubscribing from this watermark re-receives it. Runs
-// single-threaded inside Open.
-func (p *kvPart) recount() {
+// replica resubscribing from this watermark re-receives it. Every record it
+// reaches must lie whole inside one of chunks, the log's chain: a record
+// anywhere else sits in space the next allocation hands out again. It writes
+// nothing to the arena; runs single-threaded inside Open.
+func (p *kvPart) recount(chunks []uint64) error {
+	slices.Sort(chunks)
+	inChunk := func(off, size uint64) bool {
+		i, _ := slices.BinarySearch(chunks, off+1) // chunks[i-1] is the last base <= off
+		return i > 0 && off%pmem.WordSize == 0 && off >= chunks[i-1]+chunkHdrSize &&
+			size <= p.chunkSz && off-chunks[i-1] <= p.chunkSz-size
+	}
+	hops := uint64(len(chunks)) * p.chunkSz / recHdrSize // records the chain can hold
 	maxLSN := uint64(0)
+	var err error
 	p.tree.Scan(0, 0, func(_, off uint64) bool {
 		seen := map[string]bool{}
-		for off != 0 {
+		for ; off != 0; hops-- {
+			if hops == 0 || !inChunk(off, recHdrSize) {
+				err = fmt.Errorf("record %#x is not in the value log's chain", off)
+				return false
+			}
+			hdr := p.arena.Read8(off)
+			if !inChunk(off, recSize(int(hdr>>8&0xffffff), int(hdr>>32))) {
+				err = fmt.Errorf("record %#x runs past its chunk", off)
+				return false
+			}
 			kind, key, next := p.readRecordMeta(off, nil)
 			if l := p.readLSN(off); l > maxLSN {
 				maxLSN = l
@@ -213,4 +177,5 @@ func (p *kvPart) recount() {
 	if maxLSN > p.lsn.Load() {
 		p.lsn.Store(maxLSN)
 	}
+	return err
 }

@@ -15,16 +15,15 @@
 // Hash collisions are handled with per-hash record chains that store full
 // keys.
 //
-// A partition owns exactly one value log: the partition superblock roots a
-// persisted chain-head line that heads the log's chunk chain, with one
-// volatile append cursor and one lock, held by every commit from LSN
-// assignment to the commit hook — so a partition's log order is its LSN
-// order, and partitions (Options.Partitions) are the only unit of write
-// parallelism. The superblock binds the value log to its index partition —
-// geometry, partition count and partition index are all persisted per
-// arena — so recovery can rebuild every partition independently and verify
-// a set of crash images really is one store. Reads are lock-free on every
-// path.
+// A partition owns exactly one value log: the partition superblock's
+// newest-chunk word heads the log's chunk chain, with one volatile append
+// cursor and one lock, held by every commit from LSN assignment to the
+// commit hook — so a partition's log order is its LSN order, and partitions
+// (Options.Partitions) are the only unit of write parallelism. Each arena
+// holds its own superblock and the forest binds it to its partition, so
+// recovery rebuilds every partition independently after the forest has
+// verified that a set of crash images really is one store. Reads are
+// lock-free on every path.
 //
 // Space from overwritten and deleted records is reclaimed by Compact,
 // which rewrites live records into fresh chunks and frees the old ones once
@@ -66,15 +65,11 @@ var (
 	// is reclaimed by Delete+Compact), and never corrupts the store.
 	ErrFull = errors.New("kv: store is full")
 	// ErrCorrupt is returned by Open when an image is not a store this
-	// package could have written: a superblock, chain-head or chunk-chain
-	// word that is out of bounds, misaligned, cyclic or inconsistent with
-	// the heap. It wraps the detail. Open rejects such an image untouched;
-	// there is no repair.
+	// package could have written: a heap, index or superblock it does not
+	// recognise, or a superblock or chunk-chain word that is out of bounds,
+	// misaligned, cyclic or inconsistent with the heap. It wraps the detail.
+	// Open rejects such an image untouched; there is no repair.
 	ErrCorrupt = errors.New("kv: corrupt store image")
-	// ErrUnsupportedFormat is returned by Open for an image written in a
-	// superblock format other than the current one, or by a build that still
-	// split a partition's value log into several shards.
-	ErrUnsupportedFormat = errors.New("kv: unsupported store format")
 	// ErrPartitionCount is returned by Open when Options.Partitions names a
 	// count other than the one the images hold. Open does not repartition:
 	// copying the live pairs into a new store would restart every
@@ -97,37 +92,16 @@ const (
 	// tree for layers above it) holding the store superblock offset.
 	rootStoreOff = 40
 
-	// storeMagic identifies the one superblock format: two lines, the first
-	// holding the value-log geometry and the arena's partition binding, the
-	// second the heap record. Any other magic is rejected by Open. v5 is v4
-	// with routed keys, which a v4 image may hold in another partition.
-	storeMagic = 0x524e_4b56_0005 // "RNKV" v5
+	// storeMagic identifies the one superblock format, a single line. Any
+	// other magic is rejected by Open.
+	storeMagic = 0x524e_4b56_0006 // "RNKV" v6
 
-	// Superblock first line. Words 32 and 40 are reserved: written null,
-	// and a non-null value is a format error.
-	sbMagicOff     = 0
-	sbChunkSzOff   = 8  // persisted log chunk size
-	sbLogsOff      = 16 // value logs in this partition: always 1
-	sbHeadOff      = 24 // offset of the chain-head line (word 0: newest chunk)
-	sbReserved0Off = 32 // reserved, null
-	sbReserved1Off = 40 // reserved, null
-	sbPartsOff     = 48 // total partitions in the store
-	sbPartIdxOff   = 56 // this arena's partition index
+	// Superblock words.
+	sbMagicOff   = 0
+	sbChunkSzOff = 8  // persisted log chunk size
+	sbHeadOff    = 16 // newest chunk of the value log (NullOff: none yet)
 
-	// Superblock second line: the heap record. The segment headers
-	// (internal/pmem) stay authoritative — recovery reads geometry from
-	// them before any kv code runs — so these words are a cross-check.
-	// nsegs is refreshed on clean Close and on every Open, so after a
-	// crash it may lag the heap's committed count (never lead it). Word 96
-	// is retired: earlier builds kept a second encoding of sbHeadOff
-	// there, so it is written null and never read.
-	sbHeapOff    = 64 // always 1: the partition arena is heap-formatted
-	sbSeg0SzOff  = 72 // heap segment-0 size in bytes
-	sbGrowSzOff  = 80 // heap grow-segment size in bytes
-	sbNsegsOff   = 88 // committed segments when the line was last written
-	sbRetiredOff = 96 // retired, written null
-
-	sbSize = 2 * pmem.LineSize
+	sbSize = pmem.LineSize
 
 	// chunk header (one line); records start at chunkHdrSize
 	chunkNextOff = 0
@@ -178,7 +152,13 @@ type Options struct {
 	GrowSize uint64
 	// MaxSegments caps each partition at its initial size plus
 	// (MaxSegments-1)*GrowSize bytes (default 8; 1 disables growth, making
-	// exhaustion surface as ErrFull).
+	// exhaustion surface as ErrFull). Each partition's simulated device is
+	// allocated in DRAM at that full capacity, twice (cache and media
+	// images), by New and by every Open, whatever the store holds: with the
+	// default GrowSize that is 2 × MaxSegments × ArenaSize bytes of Go heap
+	// per store. Untouched pages cost no RSS until the Go runtime recycles
+	// them; nine Opens of a 4-partition store of ArenaSize 256 MiB at the
+	// default 8 segments reached 7.8 GB RSS.
 	MaxSegments int
 	// ChunkSize is the value-log chunk size (default 1 MiB). Persisted in
 	// the superblock at creation; Open always uses the persisted value, so
@@ -234,13 +214,12 @@ func (o Options) forestOpts(partitions int) forest.Options {
 
 // kvPart is one partition of the store: the partition arena and tree (owned
 // by the forest) plus the arena's value log — a persisted chunk-chain head
-// (one line), a volatile append cursor, and the lock every writer of the
-// partition commits under.
+// (the superblock's newest-chunk word), a volatile append cursor, and the
+// lock every writer of the partition commits under.
 type kvPart struct {
 	arena *pmem.Arena
 	tree  *core.Tree
 
-	sbOff   uint64
 	chunkSz uint64
 
 	// mu is the partition's one writer lock. A commit holds it from LSN
@@ -250,7 +229,7 @@ type kvPart struct {
 	// its barrier snapshot, Compact for the rewrite, Update across its step.
 	// Readers never take it.
 	mu      sync.Mutex
-	headOff uint64 // arena offset of the chain-head line (word 0: newest chunk)
+	headOff uint64 // arena offset of the superblock's newest-chunk word
 	chunk   uint64 // current chunk base
 	used    uint64 // bytes used in the current chunk (volatile)
 
@@ -359,7 +338,7 @@ func New(opts Options) (*Store, error) {
 	}
 	s := opts.store(f)
 	for i := range s.parts {
-		if err := s.initPart(&s.parts[i], i, opts); err != nil {
+		if err := s.parts[i].initPart(opts.ChunkSize); err != nil {
 			return nil, err
 		}
 	}
@@ -376,56 +355,22 @@ func (o Options) store(f *forest.Forest) *Store {
 	return s
 }
 
-// initPart formats partition i's kv state: chain-head line, superblock, root
-// pointer, and the log's first chunk.
-func (s *Store) initPart(p *kvPart, idx int, opts Options) error {
+// initPart formats a partition's kv state: superblock, root pointer, and the
+// log's first chunk.
+func (p *kvPart) initPart(chunkSz uint64) error {
 	a := p.arena
 	sb, err := a.Alloc(sbSize)
 	if err != nil {
 		return err
 	}
-	head, err := a.Alloc(pmem.LineSize)
-	if err != nil {
-		return err
-	}
-	p.sbOff, p.chunkSz, p.headOff = sb, opts.ChunkSize, head
-	a.Write8(head, pmem.NullOff)
-	a.Persist(head, pmem.LineSize)
+	p.chunkSz, p.headOff = chunkSz, sb+sbHeadOff
 	a.Write8(sb+sbMagicOff, storeMagic)
-	a.Write8(sb+sbChunkSzOff, opts.ChunkSize)
-	a.Write8(sb+sbLogsOff, 1)
-	a.Write8(sb+sbHeadOff, head)
-	a.Write8(sb+sbReserved0Off, pmem.NullOff)
-	a.Write8(sb+sbReserved1Off, pmem.NullOff)
-	a.Write8(sb+sbPartsOff, uint64(len(s.parts)))
-	a.Write8(sb+sbPartIdxOff, uint64(idx))
-	p.writeHeapLine()
+	a.Write8(sb+sbChunkSzOff, chunkSz)
+	a.Write8(sb+sbHeadOff, pmem.NullOff)
 	a.Persist(sb, sbSize)
 	a.Write8(rootStoreOff, sb)
 	a.Persist(rootStoreOff, 8)
 	return p.newChunk()
-}
-
-// writeHeapLine fills (without persisting) the superblock's heap record
-// from the arena's current state. Callers persist the superblock line(s)
-// themselves; refreshHeapLine is the persist-it-now variant used on clean
-// shutdown and after recovery, when the heap may have grown since the line
-// was last written.
-//
-//pmem:volatile every caller persists the line: initPart persists the whole fresh superblock before the root flip, refreshHeapLine persists immediately
-func (p *kvPart) writeHeapLine() {
-	a := p.arena
-	sb := p.sbOff
-	a.Write8(sb+sbHeapOff, 1)
-	a.Write8(sb+sbSeg0SzOff, a.Seg0Size())
-	a.Write8(sb+sbGrowSzOff, a.GrowSize())
-	a.Write8(sb+sbNsegsOff, uint64(a.Segments()))
-	a.Write8(sb+sbRetiredOff, pmem.NullOff)
-}
-
-func (p *kvPart) refreshHeapLine() {
-	p.writeHeapLine()
-	p.arena.Persist(p.sbOff+sbHeapOff, pmem.LineSize)
 }
 
 // Snapshot captures the durable state, one image per partition arena in
@@ -775,12 +720,6 @@ func (s *Store) Close() error {
 		return ErrClosed
 	}
 	s.closed.Store(true)
-	// The heap may have grown since the superblock's heap record was last
-	// written; refresh it so a clean image carries the current segment
-	// count and chain-head address.
-	for i := range s.parts {
-		s.parts[i].refreshHeapLine()
-	}
 	s.f.Close()
 	return nil
 }

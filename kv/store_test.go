@@ -278,8 +278,8 @@ func TestPartitionedStore(t *testing.T) {
 		t.Fatalf("recovered LiveKeys = %d, want %d", got, len(want))
 	}
 
-	// Reordered or incomplete image sets must be rejected, and the store
-	// must notice its own superblock mismatch, not just the forest's.
+	// Reordered or incomplete image sets must be rejected: each root line's
+	// forest binding names its partition and the partition count.
 	imgs[0], imgs[1] = imgs[1], imgs[0]
 	if _, err := Open(imgs, Options{}); err == nil {
 		t.Fatal("reordered image set accepted")
