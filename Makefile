@@ -62,14 +62,15 @@ bench-kv:
 # race detector (the pipelined writer, committer, and drain paths are all
 # concurrent) — all of them ("Test" selects every test, "Fuzz" the decoders'
 # seed corpora), with the shared frame writer's tests (coalescing, Close
-# delivers, one error callback, the backlog drains), the client's
+# delivers, one error callback, the backlog drains) and the whole-frame test
+# both readers batch by, the client's
 # reconnect-without-stale-frames test, and the server's cross-verb
 # write-order and two-goroutines-per-connection tests named so a rename
 # drops out loudly — kv's hot-key cache tests (every commit route
 # invalidates, routed keys never fill, a hit allocates nothing), plus a
 # short fuzz smoke of each wire decoder on top of the committed seed corpus.
 servercheck:
-	$(call run-tests,-race,./internal/wire,Test|Fuzz|WriterCoalesces|WriterCloseDelivers|WriterErrorOnce|WriterBacklog)
+	$(call run-tests,-race,./internal/wire,Test|Fuzz|WriterCoalesces|WriterCloseDelivers|WriterErrorOnce|WriterBacklog|FrameBuffered)
 	$(call run-tests,-race,./client,Test|ReconnectNoStaleFrames)
 	$(GO) test -race ./internal/drain/...
 	$(call run-tests,-race,./internal/server,Test|SameKeyWriteOrder|ConnGoroutines)
@@ -79,15 +80,20 @@ servercheck:
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzReadFrame -fuzztime=3s
 
 # Replication gate: the repl node/subscriber/applier under the race
-# detector, the kv LSN/apply/backlog layer, the server's ship+drain and
-# client-failover end-to-end tests, and the replicated fault targets (the
-# pair crashed whole, the primary killed at every persist site, the replica
-# killed mid-apply, a crash inside the promotion cutover) with the test
-# that shows the survivor check catches a lost write. Zero
-# acked-durable-write loss or the target fails.
+# detector, with the applier's ack ahead of a partial frame named; the kv
+# LSN/apply/backlog layer, with the group apply's tests named: a crash at
+# every persist site of a batch recovers a downward-closed watermark, records
+# at or below the watermark are skipped, runs split at a repeated hash, a bad
+# record fails the batch before anything applies, ErrFull mid-run leaves the
+# watermark at the last published record, and a warm batch allocates
+# nothing; the server's ship+drain and client-failover end-to-end tests, and
+# the replicated fault targets (the pair crashed whole, the primary killed at
+# every persist site, the replica killed mid-apply, a crash inside the
+# promotion cutover) with the test that shows the survivor check catches a
+# lost write. Zero acked-durable-write loss or the target fails.
 replcheck:
-	$(GO) test -race ./internal/repl/...
-	$(call run-tests,,./kv,Repl|CommitHook)
+	$(call run-tests,-race,./internal/repl,Test|ApplierAcksBeforePartialFrame)
+	$(call run-tests,,./kv,Repl|CommitHook|ReplApplyCrashPrefix|ReplApplySkipsApplied|ReplApplyRunSplit|ReplApplyRejectsBeforeApplying|ReplApplyFullMidRun|ReplApplyAllocs)
 	$(call run-tests,-race,./internal/server,Repl|Durable|Drain|Failover|AckAtDrain)
 	$(call run-tests,,./internal/fault,Repl|Failover|PrimaryKill|ReplicaKill|Promotion|LostWriteCaught)
 
@@ -101,15 +107,16 @@ replcheck:
 # growth and OOM-retry tests, compaction freeing its chunks under live
 # readers, the garbage images kv and core recovery must reject (every word
 # of the one-line heap header, kv superblock and forest binding read and
-# checked), the exact persists of a kv Close and of the Open after it, and
-# 300 crash/recover cycles each of a core tree and a kv store whose heaps
-# must count in use exactly what the owners reach.
+# checked), the exact persists of a kv Close and of the Open after it, of a
+# forest format (its trees' alone), an Open record walk whose allocations do
+# not grow with the records, and 300 crash/recover cycles each of a core tree
+# and a kv store whose heaps must count in use exactly what the owners reach.
 heapcheck:
 	$(call run-tests,,./internal/fault,ExploreHeap|ExploreKVReopen)
 	$(call run-tests,,./internal/pmem,Heap|Grow|Free|Recover|BadHeap|AllocatorCosts|AllocSkips|TwoImageModel|StreamStoredOnce)
 	$(call run-tests,-race -count=20,./internal/pmem,SharedLine)
-	$(call run-tests,,./kv,Grow|OOM|Garbage|CompactFreesAfterReaders|CrashCycle|CloseOpenPersists)
-	$(call run-tests,,./internal/forest,OpenRejectsBadImageSets)
+	$(call run-tests,,./kv,Grow|OOM|Garbage|CompactFreesAfterReaders|CrashCycle|CloseOpenPersists|RecountAllocsFlat)
+	$(call run-tests,,./internal/forest,OpenRejectsBadImageSets|FormatPersistsOnlyTheTrees)
 	$(call run-tests,,./internal/core,Corrupt|CrashCycle)
 
 # Leaf-image gate: a compaction persists nothing and frees exactly the log

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rntree/internal/pmem"
+	"rntree/kv"
 )
 
 // Machine-wide crash of the replicated pair: every persist site on either
@@ -110,7 +111,7 @@ func (t *lossyPrimaryKill) Reset() ([]*pmem.Arena, Model, error) {
 		if shipped++; shipped == 8 {
 			return
 		}
-		if err := replica.ReplApply(part, lsn, kind, key, val); err != nil {
+		if err := replica.ReplApply([]kv.ReplRecord{{Part: part, LSN: lsn, Kind: kind, Key: key, Val: val}}); err != nil {
 			panic(err)
 		}
 	})

@@ -155,6 +155,9 @@ func BulkLoad(opts Options, records []tree.KV) (*Forest, error) {
 	f := &Forest{parts: make([]*Partition, opts.Partitions), mask: mask}
 	for i := range f.parts {
 		a := pmem.New(opts.arenaConfig())
+		// The binding word is written first: the root-line persist that
+		// commits the tree commits it too.
+		a.Write8(rootForestOff, uint64(opts.Partitions)<<32|uint64(i))
 		var t *core.Tree
 		var err error
 		if len(records) == 0 {
@@ -165,8 +168,6 @@ func BulkLoad(opts Options, records []tree.KV) (*Forest, error) {
 		if err != nil {
 			return nil, err
 		}
-		a.Write8(rootForestOff, uint64(opts.Partitions)<<32|uint64(i))
-		a.Persist(0, pmem.RootSize)
 		f.parts[i] = &Partition{arena: a, tree: t}
 	}
 	return f, nil

@@ -646,3 +646,25 @@ func TestResetStatsReachesTreeRegions(t *testing.T) {
 		}
 	}
 }
+
+// Formatting a forest persists exactly what formatting its trees persists:
+// the binding word rides each tree's root-line persist.
+func TestFormatPersistsOnlyTheTrees(t *testing.T) {
+	const parts = 4
+	opts := testOpts(parts, false)
+	if err := opts.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	a := pmem.New(opts.arenaConfig())
+	base := a.Stats().Persists
+	if _, err := core.New(a, opts.Tree); err != nil {
+		t.Fatal(err)
+	}
+	want := a.Stats().Persists - base
+	f := mustNew(t, parts, false)
+	for i := 0; i < parts; i++ {
+		if got := f.Partition(i).Arena().Stats().Persists - base; got != want {
+			t.Errorf("partition %d: format issued %d persists, its tree's format alone %d", i, got, want)
+		}
+	}
+}

@@ -240,7 +240,7 @@ func TestReplicaCatchUpObjectPrefix(t *testing.T) {
 		applied := 0
 		for part := 0; part < pst.Partitions(); part++ {
 			err := pst.ReplBacklog(part, 0, func(lsn uint64, kind uint8, key, val []byte) bool {
-				if err := rst.ReplApply(part, lsn, kind, key, val); err != nil {
+				if err := rst.ReplApply([]kv.ReplRecord{{Part: part, LSN: lsn, Kind: kind, Key: key, Val: val}}); err != nil {
 					t.Fatalf("apply partition %d lsn %d: %v", part, lsn, err)
 				}
 				robj.OnReplApply(kind, key, val)

@@ -37,11 +37,13 @@ func (c *ApplierConfig) normalize() {
 
 // RunApplier runs the replica side of the replication stream: dial the
 // primary, handshake (HELLO: roles and epochs), subscribe from this store's
-// durable per-partition watermarks, then apply the record stream and ack —
-// the cumulative watermark vector — whenever the inbound stream drains: the
-// burst the last read returned is applied and persisted and nothing more is
-// buffered. A lone record is acked at once, a burst once, and the 64 KiB
-// reader bounds how far an ack can trail; there is no ack counter or timer.
+// durable per-partition watermarks, then apply the record stream a burst at
+// a time and ack each — the cumulative watermark vector. A burst is one
+// frame and every further frame already whole in the reader, applied with
+// one ReplApply; so after it no whole frame is buffered, and a partial one
+// does not hold back the ack of the records before it. A lone record is
+// acked at once, a burst once, and the 64 KiB reader bounds how far an ack
+// can trail; there is no ack counter or timer.
 // Connection loss reconnects with jittered backoff and resubscribes from
 // the durable watermarks — records shipped twice are skipped by ReplApply's
 // LSN idempotency, so crash-reconnect loses nothing and duplicates nothing.
@@ -164,41 +166,65 @@ func (n *Node) applyStream(cfg ApplierConfig, stopc <-chan struct{}) error {
 	}
 
 	// ackv holds the durable watermarks (ReplApply returned ⇒ applied and
-	// persisted).
+	// persisted). recs and vals are the burst's records and the one scratch
+	// buffer their keys and values are copied into, both reused: the frame
+	// buffer is overwritten by the next frame.
 	ackv := n.st.ReplLSNs()
 	ackSeq := uint64(2)
+	var recs []Record
+	var vals []byte
 	for {
-		resp, buf, err = readResp(buf)
-		if err != nil {
-			select {
-			case <-stopc:
-				return nil
-			default:
-			}
-			return err
-		}
-		if resp.Op != wire.OpReplRecord || resp.Status != wire.StatusOK {
-			return fmt.Errorf("repl: unexpected frame on subscription (op %d, status %d)", resp.Op, resp.Status)
-		}
-		part := int(resp.ReplPart)
-		if part < 0 || part >= len(ackv) {
-			return fmt.Errorf("repl: record for partition %d, store has %d", part, len(ackv))
-		}
-		if err := n.st.ReplApply(part, resp.ReplLSN, resp.ReplKind, resp.Key, resp.Val); err != nil {
-			return err
-		}
-		n.applied.Add(1)
-		if hook := n.applyHook.Load(); hook != nil {
-			(*hook)(resp.ReplKind, resp.Key, resp.Val)
-		}
-		if resp.ReplLSN > ackv[part] {
-			ackv[part] = resp.ReplLSN
-		}
-		if br.Buffered() == 0 {
-			ackSeq++
-			if err := writeReq(wire.Request{ID: ackSeq, Op: wire.OpReplAck, ReplLSNs: ackv}); err != nil {
+		recs, vals = recs[:0], vals[:0]
+		// A burst is one frame read, blocking if it must, and every further
+		// frame already whole in the reader's buffer.
+		for len(recs) == 0 || wire.FrameBuffered(br) {
+			resp, buf, err = readResp(buf)
+			if err != nil {
+				select {
+				case <-stopc:
+					return nil
+				default:
+				}
 				return err
 			}
+			if resp.Op != wire.OpReplRecord || resp.Status != wire.StatusOK {
+				return fmt.Errorf("repl: unexpected frame on subscription (op %d, status %d)", resp.Op, resp.Status)
+			}
+			part := int(resp.ReplPart)
+			if part < 0 || part >= len(ackv) {
+				return fmt.Errorf("repl: record for partition %d, store has %d", part, len(ackv))
+			}
+			// An append that moves vals leaves the earlier records' slices on
+			// the old array, whose bytes stay as they were copied.
+			k := len(vals)
+			vals = append(append(vals, resp.Key...), resp.Val...)
+			v := k + len(resp.Key)
+			recs = append(recs, Record{Part: part, LSN: resp.ReplLSN, Kind: resp.ReplKind,
+				Key: vals[k:v:v], Val: vals[v:len(vals):len(vals)]})
+		}
+		err := n.st.ReplApply(recs)
+		// The hook runs for each record the store now holds, in order: on an
+		// error, those at or below their partition's watermark.
+		hook := n.applyHook.Load()
+		for i := range recs {
+			r := &recs[i]
+			if err != nil && r.LSN > n.st.ReplLSN(r.Part) {
+				continue
+			}
+			n.applied.Add(1)
+			if hook != nil {
+				(*hook)(r.Kind, r.Key, r.Val)
+			}
+			ackv[r.Part] = max(ackv[r.Part], r.LSN)
+		}
+		clear(recs) // drop the references into old scratch arrays
+		if err != nil {
+			return err
+		}
+		// No whole frame is buffered, so the burst is applied: ack it.
+		ackSeq++
+		if err := writeReq(wire.Request{ID: ackSeq, Op: wire.OpReplAck, ReplLSNs: ackv}); err != nil {
+			return err
 		}
 	}
 }

@@ -29,7 +29,8 @@ func NewLink(primary, replica *kv.Store) *Link {
 		if l.err != nil {
 			return
 		}
-		if err := replica.ReplApply(part, lsn, kind, key, val); err != nil {
+		rec := [1]Record{{Part: part, LSN: lsn, Kind: kind, Key: key, Val: val}}
+		if err := replica.ReplApply(rec[:]); err != nil {
 			l.err = err
 		}
 	})
@@ -57,7 +58,8 @@ func CatchUp(primary, replica *kv.Store) error {
 		var fail error
 		err := primary.ReplBacklog(part, replica.ReplLSN(part),
 			func(lsn uint64, kind uint8, key, val []byte) bool {
-				if err := replica.ReplApply(part, lsn, kind, key, val); err != nil {
+				rec := [1]Record{{Part: part, LSN: lsn, Kind: kind, Key: key, Val: val}}
+				if err := replica.ReplApply(rec[:]); err != nil {
 					fail = err
 					return false
 				}

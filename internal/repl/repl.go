@@ -11,13 +11,14 @@
 //     reachable backlog above its cursor — the log IS the retransmit buffer,
 //     so there is no separate ship buffer to overflow or persist.
 //   - A replica runs an applier loop (applier.go) against the primary's
-//     network address: it applies shipped records with kv.Store.ReplApply
-//     (idempotent by LSN watermark) and acks its durable per-partition
+//     network address: it applies each burst of shipped records it has
+//     buffered with one kv.Store.ReplApply (idempotent by LSN watermark, a
+//     group commit per partition) and acks its durable per-partition
 //     watermarks back.
 //
 // Durability handshake: a record acked by a replica has been applied AND
-// persisted there (ReplApply returns after the record and its index publish
-// are durable), so once Node.DurableLSN(part) reaches a record's LSN the
+// persisted there (ReplApply returns after the records and their index
+// publishes are durable), so once Node.DurableLSN(part) reaches a record's LSN the
 // write survives the loss of either node. The node tells one installed hook
 // (SetDurableHook) each time a partition's watermark rises; the serving layer
 // answers its wait-for-replica-durable PUTs from it.
@@ -57,15 +58,10 @@ var ErrDurableTimeout = errors.New("repl: timed out waiting for replica durabili
 // error: the subscriber is flagged lagging and heals from the log backlog.
 const subQueueCap = 1024
 
-// Record is one replicated log record. Key and Val are only valid until the
-// Subscribe transport that receives them returns.
-type Record struct {
-	Part int
-	LSN  uint64
-	Kind uint8 // kv.ReplPut or kv.ReplDelete
-	Key  []byte
-	Val  []byte
-}
+// Record is one replicated log record, the unit kv.Store.ReplApply applies.
+// Key and Val are only valid until the Subscribe transport that receives
+// them returns.
+type Record = kv.ReplRecord
 
 // Node is one replication participant wrapped around a kv.Store.
 type Node struct {

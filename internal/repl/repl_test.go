@@ -1,13 +1,16 @@
 package repl
 
 import (
+	"bufio"
 	"fmt"
+	"net"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"rntree/internal/clock"
+	"rntree/internal/wire"
 	"rntree/kv"
 )
 
@@ -277,7 +280,7 @@ func TestAsyncTailLossBound(t *testing.T) {
 			return fmt.Errorf("transport died")
 		}
 		n++
-		return r.ReplApply(rec.Part, rec.LSN, rec.Kind, rec.Key, rec.Val)
+		return r.ReplApply([]Record{rec})
 	}
 	for i := 0; i < total; i++ {
 		if err := p.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -390,5 +393,92 @@ func TestFenceLease(t *testing.T) {
 	}
 	if n.Fenced() {
 		t.Fatal("fenced immediately after promotion")
+	}
+}
+
+// The applier applies every frame already whole in its reader as one burst
+// and acks it at once, even when part of the next frame is buffered behind
+// it: the ack never waits for bytes the primary has not sent.
+func TestApplierAcksBeforePartialFrame(t *testing.T) {
+	st := newStore(t)
+	n, err := NewNode(st, Replica)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan error, 1)
+	go func() { done <- n.RunApplier(ApplierConfig{Addr: ln.Addr().String()}) }()
+	defer func() {
+		n.Close()
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}()
+	c, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(c)
+	read := func(op uint8) wire.Request {
+		t.Helper()
+		payload, err := wire.ReadFrame(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := wire.DecodeRequest(payload)
+		if err != nil || req.Op != op {
+			t.Fatalf("read %s, %v; want %s", wire.OpName(req.Op), err, wire.OpName(op))
+		}
+		return req
+	}
+	frame := func(resp wire.Response) []byte {
+		t.Helper()
+		b, err := wire.AppendResponse(nil, resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	send := func(b []byte) {
+		t.Helper()
+		if _, err := c.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := read(wire.OpReplHello)
+	send(frame(wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK, ReplRole: Primary, ReplEpoch: 1}))
+	req = read(wire.OpReplSubscribe)
+	send(frame(wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK}))
+
+	var burst []byte
+	want := make([]uint64, st.Partitions())
+	record := func(i int) []byte {
+		key := []byte(fmt.Sprintf("k%d", i))
+		part := st.PartitionOf(key)
+		want[part]++
+		return frame(wire.Response{Op: wire.OpReplRecord, Status: wire.StatusOK,
+			ReplPart: uint32(part), ReplLSN: want[part], ReplKind: kv.ReplPut, Key: key, Val: []byte("v")})
+	}
+	for i := 0; i < 6; i++ {
+		burst = append(burst, record(i)...)
+	}
+	acked := slices.Clone(want)
+	last := record(6)
+	send(append(burst, last[:len(last)-2]...))
+	if got := read(wire.OpReplAck).ReplLSNs; !slices.Equal(got, acked) {
+		t.Fatalf("ack of the burst %v, want %v", got, acked)
+	}
+	send(last[len(last)-2:])
+	if got := read(wire.OpReplAck).ReplLSNs; !slices.Equal(got, want) {
+		t.Fatalf("ack after the partial frame completed %v, want %v", got, want)
+	}
+	if !slices.Equal(st.ReplLSNs(), want) {
+		t.Fatalf("store watermarks %v, want %v", st.ReplLSNs(), want)
 	}
 }

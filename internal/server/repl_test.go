@@ -258,7 +258,7 @@ func TestDurablePutPersistCount(t *testing.T) {
 		t.Errorf("durable PUT issued %d persists on the primary, a plain PUT issues %d", primary, want)
 	}
 	if want := twin(func(st *kv.Store, r shipped) error {
-		return st.ReplApply(r.part, r.lsn, kv.ReplPut, r.key, []byte("durable-val"))
+		return st.ReplApply([]kv.ReplRecord{{Part: r.part, LSN: r.lsn, Kind: kv.ReplPut, Key: r.key, Val: []byte("durable-val")}})
 	}); replica != want {
 		t.Errorf("durable PUT issued %d persists on the replica, one apply commit issues %d", replica, want)
 	}

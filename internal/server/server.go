@@ -664,7 +664,7 @@ func (cn *conn) readLoop() {
 	br := bufio.NewReaderSize(cn.c, readBatchBytes)
 	var armed time.Time
 	for {
-		if len(cn.out) >= readBatchBytes || !frameBuffered(br) {
+		if len(cn.out) >= readBatchBytes || !wire.FrameBuffered(br) {
 			cn.flush()
 		}
 		if !cn.w.AwaitBacklog(maxBacklog, &cn.drainF) || cn.drainF.Load() {
@@ -708,16 +708,6 @@ func (cn *conn) readLoop() {
 		}
 		cn.route(payload, box)
 	}
-}
-
-// frameBuffered reports whether br already holds the next frame whole, so
-// that reading it cannot block.
-func frameBuffered(br *bufio.Reader) bool {
-	if br.Buffered() < 4 {
-		return false
-	}
-	hdr, _ := br.Peek(4)
-	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(hdr))
 }
 
 // flush hands the reader's collected responses to the writer.

@@ -412,6 +412,16 @@ func ReadFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
+// FrameBuffered reports whether r already holds the next frame whole, so
+// that ReadFrame reading it cannot block.
+func FrameBuffered(r *bufio.Reader) bool {
+	if r.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := r.Peek(4)
+	return r.Buffered()-4 >= int(binary.BigEndian.Uint32(hdr))
+}
+
 // --- decoding ---------------------------------------------------------
 
 // cursor walks a payload, failing cleanly on truncation.

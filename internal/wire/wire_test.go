@@ -181,6 +181,41 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 	}
 }
 
+// chunks is a reader that returns one chunk per Read, the way a socket
+// hands over whatever has arrived.
+type chunks [][]byte
+
+func (c *chunks) Read(p []byte) (int, error) {
+	if len(*c) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, (*c)[0])
+	if (*c)[0] = (*c)[0][n:]; len((*c)[0]) == 0 {
+		*c = (*c)[1:]
+	}
+	return n, nil
+}
+
+// FrameBuffered holds only for a next frame that is whole in the buffer:
+// not for part of a header, nor for a header and part of its payload.
+func TestFrameBuffered(t *testing.T) {
+	frame, err := AppendRequest(nil, Request{ID: 9, Op: OpPut, Key: []byte("k"), Val: []byte("v")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []int{0, 2, 4, len(frame) - 1, len(frame)} {
+		first := append(append([]byte{}, frame...), frame[:cut]...)
+		c := chunks{first, frame[cut:]}
+		br := bufio.NewReader(&c)
+		if _, err := ReadFrame(br, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := FrameBuffered(br), cut == len(frame); got != want {
+			t.Fatalf("%d bytes of the next frame buffered: FrameBuffered %v, want %v", cut, got, want)
+		}
+	}
+}
+
 func TestAppendRequestRejectsOversized(t *testing.T) {
 	big := make([]byte, MaxFrame)
 	if _, err := AppendRequest(nil, Request{ID: 1, Op: OpPut, Key: []byte("k"), Val: big}); err != ErrFrameTooLarge {

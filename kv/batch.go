@@ -271,8 +271,9 @@ func (s *Store) commitPart(pi int, muts []Mutation) {
 // present here. ReplApply is the one caller with shipped entries, and passes
 // no hook. Every published flat key is invalidated in the hot-key cache
 // before the hook fires for it and before commitLocked returns (cache.go).
-// With all set (an Update step), an entry that cannot be appended ends the
-// batch: nothing is published and no hook fires, and the records already
+// With all set (an Update step, a ReplApply run), an entry that cannot be
+// appended ends the batch: nothing is published, no hook fires, every entry
+// not failed before carries the append's error, and the records already
 // appended stay unreachable — their LSNs burned, their space Compact's.
 // A tree publish that fails under all ends the publishes instead: the hashes
 // before it stay published, and the hook fires for their entries alone.
@@ -282,7 +283,7 @@ func (s *Store) commitLocked(pi int, muts []Mutation, hook CommitHook, all bool)
 	var sp persistSpan
 	ents := p.batchEnts[:0]
 	kinds := p.batchKinds[:0]
-	failed := false
+	var failed error // under all, the append error that ends the batch
 
 	for i := range muts {
 		m := &muts[i]
@@ -331,7 +332,7 @@ func (s *Store) commitLocked(pi int, muts []Mutation, hook CommitHook, all bool)
 		if err != nil {
 			m.Err = err
 			if all {
-				failed = true
+				failed = err
 				break
 			}
 			continue
@@ -365,7 +366,14 @@ func (s *Store) commitLocked(pi int, muts []Mutation, hook CommitHook, all bool)
 			e.dead++
 		}
 	}
-	if failed {
+	if failed != nil {
+		// Nothing is published: every entry the batch did not fail already
+		// fails with the append.
+		for i := range muts {
+			if m := &muts[i]; m.Part == pi && m.Err == nil {
+				m.Err = failed
+			}
+		}
 		p.park(ents, kinds)
 		return
 	}

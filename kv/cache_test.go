@@ -150,14 +150,14 @@ func TestCacheCommitRoutesInvalidate(t *testing.T) {
 		fill(t, s, "k", "old")
 		part := s.PartitionOf([]byte("k"))
 		lsn := s.parts[part].lsn.Load()
-		if err := s.ReplApply(part, lsn+1, ReplPut, []byte("k"), []byte("new")); err != nil {
+		if err := s.ReplApply([]ReplRecord{{Part: part, LSN: lsn + 1, Kind: ReplPut, Key: []byte("k"), Val: []byte("new")}}); err != nil {
 			t.Fatal(err)
 		}
 		wantGet(t, s, "k", "new")
 		if _, err := s.Get([]byte("k")); err != nil { // resident again
 			t.Fatal(err)
 		}
-		if err := s.ReplApply(part, lsn+2, ReplDelete, []byte("k"), nil); err != nil {
+		if err := s.ReplApply([]ReplRecord{{Part: part, LSN: lsn + 2, Kind: ReplDelete, Key: []byte("k")}}); err != nil {
 			t.Fatal(err)
 		}
 		wantGet(t, s, "k", "")

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -148,8 +149,13 @@ func (p *kvPart) recount(chunks []uint64) error {
 	hops := uint64(len(chunks)) * p.chunkSz / recHdrSize // records the chain can hold
 	maxLSN := uint64(0)
 	var err error
+	var buf [64]byte // keys up to 64 bytes are read onto the stack
+	// seen holds the keys of the current hash chain already counted, back to
+	// back, each ending at its entry of ends; both are reused across chains.
+	var seen []byte
+	var ends []int
 	p.tree.Scan(0, 0, func(_, off uint64) bool {
-		seen := map[string]bool{}
+		seen, ends = seen[:0], ends[:0]
 		for ; off != 0; hops-- {
 			if hops == 0 || !inChunk(off, recHdrSize) {
 				err = fmt.Errorf("record %#x is not in the value log's chain", off)
@@ -160,12 +166,13 @@ func (p *kvPart) recount(chunks []uint64) error {
 				err = fmt.Errorf("record %#x runs past its chunk", off)
 				return false
 			}
-			kind, key, next := p.readRecordMeta(off, nil)
+			kind, key, next := p.readRecordMeta(off, buf[:])
 			if l := p.readLSN(off); l > maxLSN {
 				maxLSN = l
 			}
-			if !seen[string(key)] {
-				seen[string(key)] = true
+			if !chainSeen(seen, ends, key) {
+				seen = append(seen, key...)
+				ends = append(ends, len(seen))
 				if kind == recPut {
 					p.live.Add(1)
 				}
@@ -178,4 +185,17 @@ func (p *kvPart) recount(chunks []uint64) error {
 		p.lsn.Store(maxLSN)
 	}
 	return err
+}
+
+// chainSeen reports whether key is one of the keys packed into seen, the
+// i-th ending at ends[i].
+func chainSeen(seen []byte, ends []int, key []byte) bool {
+	start := 0
+	for _, end := range ends {
+		if bytes.Equal(seen[start:end], key) {
+			return true
+		}
+		start = end
+	}
+	return false
 }

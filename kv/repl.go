@@ -3,8 +3,10 @@ package kv
 import (
 	"container/heap"
 	"fmt"
+	"math/bits"
 	"sort"
 
+	"rntree/internal/forest"
 	"rntree/internal/pmem"
 )
 
@@ -28,50 +30,120 @@ func (s *Store) ReplLSNs() []uint64 {
 	return out
 }
 
-// ReplApply applies one shipped record to a replica store through the same
-// commit routine as a local mutation (record append + persist, then tree
-// publish), keeping the LSN it was shipped with. It is idempotent: an LSN at
-// or below the partition's watermark has already been applied — possibly
-// before a crash the shipper doesn't know about — and is skipped, which is
-// what makes duplicate shipping across reconnects and failovers safe. LSN
-// gaps are accepted (a primary can burn an LSN on a failed append). The
-// commit hook is NOT fired.
-func (s *Store) ReplApply(part int, lsn uint64, kind uint8, key, val []byte) error {
-	if part < 0 || part >= len(s.parts) {
-		return fmt.Errorf("kv: ReplApply: partition %d out of range [0,%d)", part, len(s.parts))
-	}
-	if kind != ReplPut && kind != ReplDelete {
-		return fmt.Errorf("kv: ReplApply: bad record kind %d", kind)
-	}
-	if len(key) == 0 {
-		return ErrEmptyKey
+// ReplRecord is one shipped log record: the partition it commits to, its LSN
+// there, its kind (ReplPut or ReplDelete) and its key and value bytes.
+type ReplRecord struct {
+	Part int
+	LSN  uint64
+	Kind uint8
+	Key  []byte
+	Val  []byte
+}
+
+// ReplApply applies a batch of shipped records to a replica store through the
+// same commit routine as a local mutation, keeping the LSNs they were shipped
+// with. Every record is validated and routed before anything is applied: a
+// bad partition, kind or key, or a key that routes elsewhere (a geometry
+// mismatch), fails the whole batch untouched. Then the partitions are applied
+// in sequence, on the caller's goroutine, each under its partition lock.
+//
+// An LSN at or below the partition's watermark, or at or below an earlier
+// record of the batch, has already been applied — possibly before a crash the
+// shipper doesn't know about — and is skipped, which is what makes duplicate
+// shipping across reconnects and failovers safe. LSN gaps are accepted (a
+// primary can burn an LSN on a failed append). The rest commit in runs of
+// distinct key hashes: one span persist for a run's records, then one tree
+// publish per hash in LSN order, then the watermark moves to the run's last
+// record. So a crash anywhere recovers a watermark (recount's maximum
+// reachable LSN) below which every shipped LSN is reachable: a hash repeated
+// inside a run could publish a later LSN before an earlier one.
+//
+// The first error ends the apply, with each partition's watermark at its last
+// published record. Key and Val are borrowed for the call only. The commit
+// hook is NOT fired.
+func (s *Store) ReplApply(recs []ReplRecord) error {
+	var parts [forest.MaxPartitions / 64]uint64 // the partitions recs name
+	for i := range recs {
+		r := &recs[i]
+		switch {
+		case r.Part < 0 || r.Part >= len(s.parts):
+			return fmt.Errorf("kv: ReplApply: partition %d out of range [0,%d)", r.Part, len(s.parts))
+		case r.Kind != ReplPut && r.Kind != ReplDelete:
+			return fmt.Errorf("kv: ReplApply: bad record kind %d", r.Kind)
+		case len(r.Key) == 0:
+			return ErrEmptyKey
+		}
+		if _, part := s.locate(r.Key); part != r.Part {
+			return fmt.Errorf("kv: ReplApply: key routes to partition %d, record says %d (geometry mismatch)", part, r.Part)
+		}
+		parts[r.Part/64] |= 1 << (r.Part % 64)
 	}
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	m := [1]Mutation{{Key: key, Val: val, Delete: kind == ReplDelete, LSN: lsn, shipped: true}}
-	s.route(&m[0])
-	if m[0].Part != part {
-		return fmt.Errorf("kv: ReplApply: key routes to partition %d, record says %d (geometry mismatch)", m[0].Part, part)
+	for w, set := range parts {
+		for ; set != 0; set &= set - 1 {
+			if err := s.replApplyPart(w*64+bits.TrailingZeros64(set), recs); err != nil {
+				return err
+			}
+		}
 	}
-	p := &s.parts[part]
-	// The partition lock makes watermark-check + apply atomic against
-	// concurrent appliers and a promotion racing in local writes.
+	return nil
+}
+
+// replApplyPart is ReplApply for the records of recs routed to partition pi.
+// The partition lock makes watermark check and apply atomic against
+// concurrent appliers and a promotion racing in local writes.
+func (s *Store) replApplyPart(pi int, recs []ReplRecord) error {
+	p := &s.parts[pi]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if lsn <= p.lsn.Load() {
-		return nil
+	muts := p.replMuts[:0]
+	defer func() { clear(muts); p.replMuts = muts[:0] }()
+	last := p.lsn.Load()
+	for i := range recs {
+		r := &recs[i]
+		if r.Part != pi || r.LSN <= last {
+			continue
+		}
+		last = r.LSN
+		muts = append(muts, Mutation{Key: r.Key, Val: r.Val, Delete: r.Kind == ReplDelete, LSN: r.LSN, shipped: true})
+		s.route(&muts[len(muts)-1])
 	}
-	s.commitLocked(part, m[:], nil, false)
-	if m[0].Err == nil {
-		// The record is durable and reachable: the watermark advance is
-		// recoverable (recount re-derives it from this record), so the
-		// volatile counter can move.
-		p.lsn.Store(lsn)
+	for run := muts; len(run) > 0; {
+		n := distinctRun(run)
+		s.commitLocked(pi, run[:n], nil, true)
+		// Under all, the published records are the run's prefix without an
+		// error: durable and reachable, so the watermark advance is
+		// recoverable (recount re-derives it from them).
+		ok := 0
+		for ok < n && run[ok].Err == nil {
+			ok++
+		}
+		if ok > 0 {
+			p.lsn.Store(run[ok-1].LSN)
+		}
+		if ok < n {
+			return run[ok].Err
+		}
+		run = run[n:]
 	}
-	return m[0].Err
+	return nil
+}
+
+// distinctRun returns the length of the longest prefix of muts whose key
+// hashes are distinct.
+func distinctRun(muts []Mutation) int {
+	for n := 1; n < len(muts); n++ {
+		for j := range muts[:n] {
+			if muts[j].hash == muts[n].hash {
+				return n
+			}
+		}
+	}
+	return len(muts)
 }
 
 // Bounds on what one ReplBacklog pass may buffer. A lagging subscriber's

@@ -91,7 +91,7 @@ func TestReplApplyIdempotent(t *testing.T) {
 	part := r.PartitionOf(key)
 	apply := func(lsn uint64, kind uint8, val string) {
 		t.Helper()
-		if err := r.ReplApply(part, lsn, kind, key, []byte(val)); err != nil {
+		if err := r.ReplApply([]ReplRecord{{Part: part, LSN: lsn, Kind: kind, Key: key, Val: []byte(val)}}); err != nil {
 			t.Fatalf("apply lsn %d: %v", lsn, err)
 		}
 	}
@@ -113,14 +113,14 @@ func TestReplApplyIdempotent(t *testing.T) {
 		t.Fatalf("after shipped delete: %v", err)
 	}
 	// Bad inputs are rejected.
-	if err := r.ReplApply(part, 9, 99, key, nil); err == nil {
+	if err := r.ReplApply([]ReplRecord{{Part: part, LSN: 9, Kind: 99, Key: key}}); err == nil {
 		t.Fatal("bad kind accepted")
 	}
-	if err := r.ReplApply(len(want(r)), 9, ReplPut, key, nil); err == nil {
+	if err := r.ReplApply([]ReplRecord{{Part: len(want(r)), LSN: 9, Kind: ReplPut, Key: key}}); err == nil {
 		t.Fatal("out-of-range partition accepted")
 	}
 	wrong := (part + 1) % r.Partitions()
-	if err := r.ReplApply(wrong, 9, ReplPut, key, []byte("v")); err == nil {
+	if err := r.ReplApply([]ReplRecord{{Part: wrong, LSN: 9, Kind: ReplPut, Key: key, Val: []byte("v")}}); err == nil {
 		t.Fatal("mis-routed record accepted")
 	}
 }
@@ -288,7 +288,7 @@ func TestReplBacklogConverges(t *testing.T) {
 	}
 	for part := 0; part < src.Partitions(); part++ {
 		err := src.ReplBacklog(part, 0, func(lsn uint64, kind uint8, key, val []byte) bool {
-			if err := dst.ReplApply(part, lsn, kind, key, val); err != nil {
+			if err := dst.ReplApply([]ReplRecord{{Part: part, LSN: lsn, Kind: kind, Key: key, Val: val}}); err != nil {
 				t.Fatalf("apply: %v", err)
 			}
 			return true

@@ -245,10 +245,12 @@ type kvPart struct {
 	// batchEnts/batchKinds are commitLocked's per-batch scratch, guarded by mu
 	// and reused across batches so a commit allocates nothing of its own.
 	// Entries reference caller key slices only for the duration of one
-	// commitLocked call. tx is Update's, reused the same way.
+	// commitLocked call. tx is Update's and replMuts ReplApply's, reused the
+	// same way.
 	batchEnts  []batchEntry
 	batchKinds []batchKeyKind
 	tx         Tx
+	replMuts   []Mutation
 
 	// lsn is the partition's log sequence counter: the highest LSN assigned
 	// (primary) or applied (replica), written under mu and read lock-free.
