@@ -102,9 +102,15 @@ replcheck:
 # heap unit tests with Recover's typed-error table and MarkLive's
 # rejections, the allocator's cost test (Free and a free-space Alloc persist
 # nothing, a bump persists its one mark word, no Go allocations), an Alloc
-# that does not rescan a free fragment no request fits, the simulator against its two-image reference model, a streamed range stored
-# once, writers sharing lines twenty times under the race detector, the kv
-# growth and OOM-retry tests, compaction freeing its chunks under live
+# that does not rescan a free fragment no request fits, the simulator
+# against its two-image reference model, a streamed range stored once, the
+# pre-image pool's rules (a fresh or zero line takes no slot, no pool makes
+# more slots than its peak of dirty lines), twenty runs under the race
+# detector each of writers sharing lines, crash images and durable reads
+# racing captures, streams and flushes on other lines (never another line's
+# slot), and a stream into a dirty line racing its flush; the kv growth and
+# OOM-retry tests, a full store that reopens and a Range that allocates
+# nothing per record, compaction freeing its chunks under live
 # readers, the garbage images kv and core recovery must reject (every word
 # of the one-line heap header, kv superblock and forest binding read and
 # checked), the exact persists of a kv Close and of the Open after it, of a
@@ -113,9 +119,9 @@ replcheck:
 # and a kv store whose heaps must count in use exactly what the owners reach.
 heapcheck:
 	$(call run-tests,,./internal/fault,ExploreHeap|ExploreKVReopen)
-	$(call run-tests,,./internal/pmem,Heap|Grow|Free|Recover|BadHeap|AllocatorCosts|AllocSkips|TwoImageModel|StreamStoredOnce)
-	$(call run-tests,-race -count=20,./internal/pmem,SharedLine)
-	$(call run-tests,,./kv,Grow|OOM|Garbage|CompactFreesAfterReaders|CrashCycle|CloseOpenPersists|RecountAllocsFlat)
+	$(call run-tests,,./internal/pmem,Heap|Grow|Free|Recover|BadHeap|AllocatorCosts|AllocSkips|TwoImageModel|StreamStoredOnce|FreshLineTakesNoSlot|SlotsBoundedByPeakDirty)
+	$(call run-tests,-race -count=20,./internal/pmem,SharedLine|CrashImageRacesPool|StreamRacesFlush)
+	$(call run-tests,,./kv,Grow|OOM|Garbage|CompactFreesAfterReaders|CrashCycle|CloseOpenPersists|RecountAllocsFlat|FullStoreReopens|RangeAllocsFlat)
 	$(call run-tests,,./internal/forest,OpenRejectsBadImageSets|FormatPersistsOnlyTheTrees)
 	$(call run-tests,,./internal/core,Corrupt|CrashCycle)
 

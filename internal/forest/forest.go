@@ -49,10 +49,10 @@ type Options struct {
 	GrowSize uint64
 	// MaxSegments caps a partition at ArenaSize +
 	// (MaxSegments-1)*GrowSize bytes (default 8). 1 disables growth. Each
-	// partition's simulated device is allocated in DRAM at that full
-	// capacity, twice (cache and media images), by New, BulkLoad and every
-	// Open: at the defaults 2 × 8 × ArenaSize bytes of Go heap per
-	// partition, whatever it holds.
+	// partition's simulated device is reserved in DRAM at that full
+	// capacity by New, BulkLoad and every Open: the cache image and as much
+	// again for dirty lines' pre-images, so at the defaults about 2 × 8 ×
+	// ArenaSize bytes of Go heap per partition, whatever it holds.
 	MaxSegments int
 	// Latency is the persistent-instruction cost model applied to every
 	// partition arena.

@@ -1,6 +1,7 @@
 package obj
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -35,9 +36,9 @@ func (o *Store) scan(sweep bool) image {
 			im.expiry[string(name)] = int64(binary.LittleEndian.Uint64(value))
 		case !sweep:
 		case tag == tagHeader:
-			im.headers[string(name)] = value
+			im.headers[string(name)] = bytes.Clone(value)
 		case tag == tagField:
-			im.fields = append(im.fields, key)
+			im.fields = append(im.fields, bytes.Clone(key))
 		}
 		return true
 	})

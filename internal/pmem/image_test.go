@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -218,8 +217,8 @@ func TestSharedLineConcurrentPersist(t *testing.T) {
 }
 
 // TestStreamStoredOnce pins that a streamed range over clean lines is held
-// once: WriteStream and PersistStream leave its nvm words untouched (zero),
-// while the words are durable through the cache image.
+// once: WriteStream and PersistStream take no pre-image slot, while the words
+// are durable through the cache image.
 func TestStreamStoredOnce(t *testing.T) {
 	a := newTest(t, 64<<10)
 	off := uint64(16 << 10)
@@ -234,12 +233,12 @@ func TestStreamStoredOnce(t *testing.T) {
 		if i < uint64(len(src))/WordSize {
 			want = getWord(src[i*WordSize:])
 		}
-		if nv := atomic.LoadUint64(&a.nvm[off/WordSize+i]); nv != 0 {
-			t.Fatalf("streamed word %d copied into the nvm array (%#x)", i, nv)
-		}
 		if img[off/WordSize+i] != want || a.NVMRead8(off+i*WordSize) != want {
 			t.Fatalf("streamed word %d not durable: image %#x, NVMRead8 %#x, want %#x",
 				i, img[off/WordSize+i], a.NVMRead8(off+i*WordSize), want)
 		}
+	}
+	if made := slotsMade(a); made != [nPools]uint32{} {
+		t.Fatalf("streaming into fresh lines took pre-image slots: %v", made)
 	}
 }

@@ -5,7 +5,8 @@
 // The simulator keeps one image of the arena, the cache image: what
 // load/store instructions observe. What survives a crash is a clean line's
 // cache content and a dirty line's pre-image: its content when last clean,
-// saved at the same offsets of the nvm array by the store that dirtied it.
+// saved by the store that dirtied it into a slot of a pool that holds
+// dirty lines only (a zero pre-image, a fresh line's, takes no slot).
 //
 // Ordinary writes mutate only the cache image. Persist — the paper's
 // "persistent instruction", a CLWB-per-line followed by a fence — marks the
@@ -213,15 +214,18 @@ type Config struct {
 //
 // A heap is an ordered set of segments sharing one contiguous offset space:
 // the initial segment spans [0, Size) and each Grow appends a GrowSize
-// segment at the current committed end. The cache and nvm arrays are reserved
-// at full capacity up front (an mmap-like reservation, resident where touched)
-// so hot-path loads and stores never take a segment lookup; Size() reports the
-// committed prefix and accesses beyond it panic. Every segment carries a
-// persistent header (see heap.go); free space is volatile, rebuilt on every
-// Recover from the blocks the owners report (MarkLive).
+// segment at the current committed end. The cache image and the pre-image
+// slots are reserved at full capacity up front (an mmap-like reservation,
+// resident where touched) so hot-path loads and stores never take a segment
+// lookup or allocate; Size() reports the committed prefix and accesses beyond
+// it panic. Slots are reused last-freed first, so the resident ones track the
+// peak count of dirty lines, not every line ever re-dirtied. Every segment
+// carries a persistent header (see heap.go); free space is volatile, rebuilt
+// on every Recover from the blocks the owners report (MarkLive).
 type Heap struct {
 	cache []uint64 // CPU-visible image; a clean line's durable content
-	nvm   []uint64 // a dirty line's durable content (pre-image), same offsets
+	slots []uint64 // pre-image slots, a line each; a free slot's word 0 links the next
+	pre   []uint32 // per line: slot+1 of a dirty line's pre-image, 0 a zero one
 	lines []uint64 // two state bits per line, 32 lines a word
 
 	committedW atomic.Uint64 // committed size in words (Size()/WordSize)
@@ -244,6 +248,8 @@ type Heap struct {
 		evictedLines atomic.Uint64
 	}
 	_ [64]byte
+
+	pools [nPools]slotPool
 
 	// The volatile allocator state, under allocMu: one in-use bit per line
 	// (segment headers included), the bytes handed out, the lowest line
@@ -300,23 +306,82 @@ func New(cfg Config) *Heap {
 	return h
 }
 
-// newHeap reserves the images of a heap of the given geometry at full
-// capacity; nothing is committed or formatted yet.
+// newHeap reserves the cache image and the pre-image slots of a heap of the
+// given geometry at full capacity; nothing is committed or formatted yet.
 func newHeap(seg0, grow uint64, maxSegs int, lat LatencyModel) *Heap {
 	capacity := seg0 + uint64(maxSegs-1)*grow
+	nLines := capacity / LineSize
 	h := &Heap{
 		cache: make([]uint64, capacity/WordSize),
-		nvm:   make([]uint64, capacity/WordSize),
-		lines: make([]uint64, (capacity/LineSize+31)/32),
-		used:  make([]uint64, (capacity/LineSize+63)/64),
+		pre:   make([]uint32, nLines),
+		lines: make([]uint64, (nLines+31)/32),
+		used:  make([]uint64, (nLines+63)/64),
 		noFit: math.MaxUint64,
 
 		seg0Size: seg0,
 		growSize: grow,
 		maxSegs:  maxSegs,
 	}
+	nSlots := uint64(0)
+	for k := range h.pools {
+		// Lines are dealt to the pools a 32-line group at a time.
+		rem := nLines % (32 * nPools)
+		n := nLines/(32*nPools)*32 + min(rem-min(rem, 32*uint64(k)), 32)
+		if h.pools[k].lines = uint32(n); n > 0 {
+			nSlots = max(nSlots, (n-1)*nPools+uint64(k)+1)
+		}
+	}
+	h.slots = make([]uint64, nSlots*WordsPerLine)
 	h.SetLatency(lat)
 	return h
+}
+
+// nPools is the number of pre-image slot pools. Line l draws from pool
+// l/32%nPools, so writers of different leaves rarely share a free list.
+const nPools = 16
+
+// slotPool is one lock-free pool of pre-image slots. Pool k owns slots k,
+// k+nPools, …, one per line dealt to it, so a capture never runs out. head
+// is the free list, a tag bumped on every change (so a stale pop cannot
+// succeed) over slot+1 of its top, 0 when empty; made counts the slots ever
+// handed out, taken in order only when the free list is empty.
+type slotPool struct {
+	head  atomic.Uint64 // tag<<32 | slot+1
+	made  atomic.Uint32
+	lines uint32 // lines dealt to the pool: its slot budget
+	_     [48]byte
+}
+
+// takeSlot hands out a free slot (as slot+1) of line's pool.
+func (a *Arena) takeSlot(line uint64) uint32 {
+	k := line / 32 % nPools
+	p := &a.pools[k]
+	for {
+		if h := p.head.Load(); uint32(h) != 0 {
+			next := atomic.LoadUint64(&a.slots[uint64(uint32(h)-1)*WordsPerLine])
+			if p.head.CompareAndSwap(h, (h>>32+1)<<32|next) {
+				return uint32(h)
+			}
+		} else if m := p.made.Load(); m < p.lines {
+			if p.made.CompareAndSwap(m, m+1) {
+				return m*nPools + uint32(k) + 1
+			}
+		} else {
+			runtime.Gosched() // every slot is held or on its way back
+		}
+	}
+}
+
+// giveSlot returns slot s (as slot+1) to line's pool.
+func (a *Arena) giveSlot(line uint64, s uint32) {
+	p := &a.pools[line/32%nPools]
+	for {
+		h := p.head.Load()
+		atomic.StoreUint64(&a.slots[uint64(s-1)*WordsPerLine], h&math.MaxUint32)
+		if p.head.CompareAndSwap(h, (h>>32+1)<<32|uint64(s)) {
+			return
+		}
+	}
 }
 
 // latency is an installed cost model and the drain lanes it prices: one
@@ -392,9 +457,9 @@ func (a *Arena) wordIndex(off uint64) uint64 {
 
 // Line states, two bits per line in a.lines.
 const (
-	fresh     = iota // never stored to since the heap was made: cache, nvm zero
-	capturing        // a store is saving the clean line's pre-image
-	dirty            // stored to since its last flush: durable content in nvm
+	fresh     = iota // never stored to since the heap was made: zero, no slot
+	capturing        // held: a dirty line's pre-image slot is being used or changed
+	dirty            // stored to since its last flush: durable content is its pre-image
 	clean            // durable content is the cache line
 )
 
@@ -417,9 +482,10 @@ func (a *Arena) swapState(line, from, to uint64) bool {
 }
 
 // markDirty makes line dirty before a store lands in it, first saving a clean
-// line's words as its pre-image (a fresh line's is zero already). Of two
-// writers of one clean line (tree log entries share lines) one saves and the
-// other waits: a save taken after its store would record its unpersisted word.
+// line's words as its pre-image (a fresh line's is zero, so it takes no slot).
+// Of two writers of one clean line (tree log entries share lines) one saves
+// and the other waits: a save taken after its store would record its
+// unpersisted word.
 func (a *Arena) markDirty(line uint64) {
 	for {
 		switch st := a.state(line); {
@@ -427,26 +493,76 @@ func (a *Arena) markDirty(line uint64) {
 			return
 		case st == capturing:
 			runtime.Gosched()
-		case a.swapState(line, st, capturing):
-			for i := line * WordsPerLine; st == clean && i < (line+1)*WordsPerLine; i++ {
-				atomic.StoreUint64(&a.nvm[i], atomic.LoadUint64(&a.cache[i]))
+		case st == fresh && a.swapState(line, fresh, dirty):
+			return
+		case st == clean && a.swapState(line, clean, capturing):
+			var w [WordsPerLine]uint64
+			nz := uint64(0)
+			for i := range w {
+				w[i] = atomic.LoadUint64(&a.cache[line*WordsPerLine+uint64(i)])
+				nz |= w[i]
 			}
+			s := uint32(0)
+			if nz != 0 {
+				s = a.takeSlot(line)
+				for i, v := range w {
+					atomic.StoreUint64(&a.slots[uint64(s-1)*WordsPerLine+uint64(i)], v)
+				}
+			}
+			atomic.StoreUint32(&a.pre[line], s)
 			a.swapState(line, capturing, dirty)
 			return
 		}
 	}
 }
 
-// settle, after a store that left line undirtied, waits out a save under way
-// (it may predate the store), marks a fresh line clean and reports dirty.
-func (a *Arena) settle(line uint64) bool {
-	st := a.state(line)
-	for ; st < dirty; st = a.state(line) {
-		if !a.swapState(line, fresh, clean) {
+// hold moves a dirty line to capturing, waiting out any other holder, and
+// reports false once the line is fresh or clean. The holder alone may use the
+// line's slot, and ends its hold by storing the line's next state.
+func (a *Arena) hold(line uint64) bool {
+	for {
+		switch a.state(line) {
+		case dirty:
+			if a.swapState(line, dirty, capturing) {
+				return true
+			}
+		case capturing:
 			runtime.Gosched()
+		default:
+			return false
 		}
 	}
-	return st == dirty
+}
+
+// preWord returns word i of held line's pre-image.
+func (a *Arena) preWord(line, i uint64) uint64 {
+	if s := atomic.LoadUint32(&a.pre[line]); s != 0 {
+		return atomic.LoadUint64(&a.slots[uint64(s-1)*WordsPerLine+i%WordsPerLine])
+	}
+	return 0
+}
+
+// streamPre, after streamed words src landed in line's cache from word i on,
+// writes them into a dirty line's pre-image too, waiting out a save under way
+// (it may predate the store); a fresh line becomes clean.
+func (a *Arena) streamPre(line, i uint64, src []byte) {
+	for !a.hold(line) {
+		if a.state(line) == clean || a.swapState(line, fresh, clean) {
+			return
+		}
+	}
+	s := atomic.LoadUint32(&a.pre[line])
+	if s == 0 {
+		s = a.takeSlot(line)
+		for w := uint64(0); w < WordsPerLine; w++ {
+			atomic.StoreUint64(&a.slots[uint64(s-1)*WordsPerLine+w], 0)
+		}
+		atomic.StoreUint32(&a.pre[line], s)
+	}
+	for w := uint64(0); w < uint64(len(src))/WordSize; w++ {
+		atomic.StoreUint64(&a.slots[uint64(s-1)*WordsPerLine+(i+w)%WordsPerLine], getWord(src[w*WordSize:]))
+	}
+	a.swapState(line, capturing, dirty)
 }
 
 // forDirty calls f on each dirty line below nLines, in order, a word at a time.
@@ -661,10 +777,9 @@ func (a *Arena) WriteStream(off uint64, src []byte) {
 		if s := atomic.LoadUint64(&a.lines[l/32]); s == ^uint64(0) || (s^s>>1)&0x5555555555555555 == 0 &&
 			atomic.CompareAndSwapUint64(&a.lines[l/32], s, ^uint64(0)) {
 			l |= 31 // the word's 32 lines were fresh or clean and now are clean
-		} else if a.settle(l) {
-			for i := max(l*WordsPerLine, base); i < min((l+1)*WordsPerLine, base+n); i++ {
-				atomic.StoreUint64(&a.nvm[i], getWord(src[(i-base)*WordSize:]))
-			}
+		} else {
+			i, j := max(l*WordsPerLine, base), min((l+1)*WordsPerLine, base+n)
+			a.streamPre(l, i, src[(i-base)*WordSize:(j-base)*WordSize])
 		}
 	}
 	a.stats.wordsWritten.Add(n)
@@ -683,9 +798,9 @@ var nativeLittleEndian = func() bool {
 func (a *Arena) Write8Stream(off uint64, v uint64) {
 	i := a.wordIndex(off)
 	atomic.StoreUint64(&a.cache[i], v)
-	if a.settle(off / LineSize) {
-		atomic.StoreUint64(&a.nvm[i], v)
-	}
+	var w [WordSize]byte
+	putWord(w[:], v)
+	a.streamPre(off/LineSize, i, w[:])
 	a.stats.wordsWritten.Add(1)
 }
 
@@ -712,15 +827,21 @@ func (a *Arena) Fence() {
 }
 
 // flushLine writes one line back by marking it clean: its cache content becomes
-// its durable content. Writers may flush log entries that share a line
+// its durable content, and its pre-image slot goes back to the pool once the
+// line has left the hold. Writers may flush log entries that share a line
 // concurrently ("multiple threads can flush logs in parallel", §4.2); each
-// one's words are in the cache before its flush.
+// one's words are in the cache before its flush, and a save under way may
+// predate the caller's store, so the flush waits it out.
 func (a *Arena) flushLine(line uint64) {
 	if line*WordsPerLine >= uint64(len(a.cache)) {
 		panic(fmt.Sprintf("pmem: persist beyond arena (line %d)", line))
 	}
-	for !a.swapState(line, dirty, clean) && a.state(line) == capturing {
-		runtime.Gosched() // a save under way may predate the caller's store
+	if a.hold(line) {
+		s := atomic.LoadUint32(&a.pre[line])
+		a.swapState(line, capturing, clean)
+		if s != 0 {
+			a.giveSlot(line, s)
+		}
 	}
 }
 
@@ -752,16 +873,20 @@ func (a *Arena) DirtyLines() []uint64 {
 func (a *Arena) CrashImage(rng *rand.Rand, evictProb float64) []uint64 {
 	cw := a.committedW.Load()
 	img := make([]uint64, cw)
-	//rnvet:ignore atomicfield snapshot contract (doc above): no store or Persist mid-flight on interesting lines, and a torn word is a legal crash state
-	copy(img, a.cache[:cw])
+	for i := range img {
+		img[i] = atomic.LoadUint64(&a.cache[i])
+	}
 	a.stats.crashImages.Add(1)
 	a.forDirty(cw/WordsPerLine, func(l uint64) {
 		if evictProb > 0 && rng.Float64() < evictProb {
 			a.stats.evictedLines.Add(1) // evicted: its cache content stands
 			return
 		}
-		for i := l * WordsPerLine; i < (l+1)*WordsPerLine; i++ {
-			img[i] = atomic.LoadUint64(&a.nvm[i])
+		if a.hold(l) {
+			for i := l * WordsPerLine; i < (l+1)*WordsPerLine; i++ {
+				img[i] = a.preWord(l, i)
+			}
+			a.swapState(l, capturing, dirty)
 		}
 	})
 	return img
@@ -807,11 +932,13 @@ func (a *Arena) Zero(off, size uint64) {
 // NVMRead8 reads a word's durable content (what a crash would preserve).
 // Intended for tests and recovery verification on quiesced arenas.
 func (a *Arena) NVMRead8(off uint64) uint64 {
-	i := a.wordIndex(off)
-	if a.state(off/LineSize) == dirty {
-		return atomic.LoadUint64(&a.nvm[i])
+	i, line := a.wordIndex(off), off/LineSize
+	if !a.hold(line) {
+		return atomic.LoadUint64(&a.cache[i])
 	}
-	return atomic.LoadUint64(&a.cache[i])
+	v := a.preWord(line, i)
+	a.swapState(line, capturing, dirty)
+	return v
 }
 
 func putWord(b []byte, v uint64) {

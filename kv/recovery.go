@@ -11,9 +11,11 @@ import (
 
 // Open recovers a store from a snapshot (one image per partition arena, in
 // partition order): every partition's tree index is rebuilt via crash
-// recovery, its superblock and chunk chain are validated, and appends
-// continue in a fresh chunk (the tail of the pre-crash chunk is sacrificed,
-// as in any bump-allocated log).
+// recovery, its superblock and chunk chain are validated, and the first
+// append allocates a fresh chunk (the tail of the pre-crash chunk is
+// sacrificed, as in any bump-allocated log). Open itself allocates nothing on
+// the log path, so a store that filled its arena reopens: its reads succeed
+// and its writes fail with ErrFull as before the crash.
 //
 // The store geometry — chunk size, partition count — is read from the
 // images, not from opts, so opening with different Options than the store
@@ -91,8 +93,9 @@ func openPartitioned(arenas []*pmem.Arena, opts Options) (*Store, error) {
 // dereferenced, which rejects a block the allocator could not have handed
 // out or one already reported, and every record the index reaches must lie
 // in one of those chunks (recount): a hostile image yields ErrCorrupt, never
-// a panic or a hang, and the first chunk allocation below frees whatever no
-// owner reached.
+// a panic or a hang. The partition's open chunk is left full, so the first
+// append's chunk allocation, the heap's first, frees whatever no owner
+// reached.
 func openPart(p *kvPart, idx int) error {
 	a := p.arena
 	corrupt := func(format string, args ...any) error {
@@ -127,7 +130,8 @@ func openPart(p *kvPart, idx int) error {
 	if err := p.recount(chunks); err != nil {
 		return corrupt("%v", err)
 	}
-	return p.newChunk()
+	p.used = chunkSz
+	return nil
 }
 
 // recount rebuilds the partition's live counter exactly by walking every

@@ -311,17 +311,16 @@ func TestReplApplyFullMidRun(t *testing.T) {
 			if got := storeContents(r); !strMapsEqual(got, want) {
 				t.Fatalf("%d keys, want the %d of the records at or below watermark %d", len(got), len(want), wm)
 			}
-			// Recovery's watermark is recount's maximum reachable LSN. (A
-			// store whose arena is full cannot be reopened to read it: Open
-			// appends a fresh log chunk.)
-			p := &r.parts[0]
-			p.lsn.Store(0)
-			p.live.Store(0)
-			if err := p.recount(chunkChain(p)); err != nil {
-				t.Fatal(err)
+			// The full store reopens, at the same watermark and contents.
+			o, err := Open(r.Snapshot(), Options{})
+			if err != nil {
+				t.Fatalf("reopening the full store: %v", err)
 			}
-			if got := p.lsn.Load(); got != wm {
+			if got := o.ReplLSN(0); got != wm {
 				t.Fatalf("recovered watermark %d, want %d", got, wm)
+			}
+			if got := storeContents(o); !strMapsEqual(got, want) {
+				t.Fatalf("reopened %d keys, want %d", len(got), len(want))
 			}
 		})
 	}

@@ -153,12 +153,13 @@ type Options struct {
 	// MaxSegments caps each partition at its initial size plus
 	// (MaxSegments-1)*GrowSize bytes (default 8; 1 disables growth, making
 	// exhaustion surface as ErrFull). Each partition's simulated device is
-	// allocated in DRAM at that full capacity, twice (cache and media
-	// images), by New and by every Open, whatever the store holds: with the
-	// default GrowSize that is 2 × MaxSegments × ArenaSize bytes of Go heap
-	// per store. Untouched pages cost no RSS until the Go runtime recycles
-	// them; nine Opens of a 4-partition store of ArenaSize 256 MiB at the
-	// default 8 segments reached 7.8 GB RSS.
+	// reserved in DRAM at that full capacity by New and by every Open,
+	// whatever the store holds: the cache image, and as much again for the
+	// pre-images of dirty lines (resident only as many as are dirty at
+	// once). With the default GrowSize that is about 2 × MaxSegments ×
+	// ArenaSize bytes of Go heap per store. Untouched pages cost no RSS until
+	// the Go runtime recycles them; nine Opens of a 4-partition store of
+	// ArenaSize 256 MiB at the default 8 segments reached 7.8 GB RSS.
 	MaxSegments int
 	// ChunkSize is the value-log chunk size (default 1 MiB). Persisted in
 	// the superblock at creation; Open always uses the persisted value, so
@@ -530,6 +531,22 @@ func (p *kvPart) readRecordMeta(off uint64, buf []byte) (kind int, key []byte, n
 	return kind, kb[:keyLen], next
 }
 
+// readValue reads the value of the record at off into buf, grown when too
+// small, and returns it (nil when empty) with the buffer.
+func (p *kvPart) readValue(off uint64, buf []byte) (val, grown []byte) {
+	hdr := p.arena.Read8(off)
+	kp, valLen := (hdr>>8&0xffffff+7)&^7, hdr>>32
+	vp := (valLen + 7) &^ 7
+	if vp == 0 {
+		return nil, buf
+	}
+	if uint64(cap(buf)) < vp {
+		buf = make([]byte, vp)
+	}
+	p.arena.ReadRange(off+recHdrSize+kp, vp, buf[:vp])
+	return buf[:valLen], buf
+}
+
 // readLSN reads the persisted LSN of the record at off.
 func (p *kvPart) readLSN(off uint64) uint64 { return p.arena.Read8(off + recLSNOff) }
 
@@ -628,9 +645,10 @@ func (s *Store) Delete(key []byte) error {
 
 // Range calls fn for every live key/value pair (hash order within each
 // partition, partition by partition — unordered with respect to the
-// original keys). fn must not mutate the store: it runs inside the
-// partition's reader section, which Compact waits out under the partition
-// lock.
+// original keys). key and value are valid only until fn returns: Range
+// reads the next pair into the same memory, so fn copies what it keeps. fn
+// must not mutate the store: it runs inside the partition's reader section,
+// which Compact waits out under the partition lock.
 func (s *Store) Range(fn func(key, value []byte) bool) {
 	for i := range s.parts {
 		if !s.parts[i].rangeLive(fn) {
@@ -643,16 +661,23 @@ func (s *Store) Range(fn func(key, value []byte) bool) {
 func (p *kvPart) rangeLive(fn func(key, value []byte) bool) bool {
 	defer p.readers.exit(p.readers.enter(0))
 	stopped := false
+	var buf [64]byte // keys up to 64 bytes are read into this one buffer
+	// seen and ends are recount's: the keys of the current chain already
+	// met, reused across chains, as is the value buffer.
+	var seen, vbuf []byte
+	var ends []int
 	p.tree.Scan(0, 0, func(_, off uint64) bool {
-		// Walk the chain newest-first, reporting the first (newest)
-		// record per distinct key.
-		seen := map[string]bool{}
+		// Walk the chain newest-first: a key's first record is its newest,
+		// and only if it is a put is its value read and reported.
+		seen, ends = seen[:0], ends[:0]
 		for off != 0 {
-			kind, key, val, next := p.readRecord(off)
-			if !seen[string(key)] {
-				seen[string(key)] = true
+			kind, key, next := p.readRecordMeta(off, buf[:])
+			if !chainSeen(seen, ends, key) {
+				seen = append(seen, key...)
+				ends = append(ends, len(seen))
 				if kind == recPut {
-					if !fn(key, val) {
+					var val []byte
+					if val, vbuf = p.readValue(off, vbuf); !fn(key, val) {
 						stopped = true
 						return false
 					}
