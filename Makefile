@@ -66,15 +66,19 @@ bench-kv:
 # both readers batch by, the client's
 # reconnect-without-stale-frames test, and the server's cross-verb
 # write-order and two-goroutines-per-connection tests named so a rename
-# drops out loudly — kv's hot-key cache tests (every commit route
-# invalidates, routed keys never fill, a hit allocates nothing), plus a
-# short fuzz smoke of each wire decoder on top of the committed seed corpus.
+# drops out loudly — the reader's GETs allocating nothing, kv's hot-key
+# cache tests (every commit route invalidates, routed keys never fill, no
+# read path allocates, and a reused slot never hands a reader a torn or
+# stale value, at -race -count=20), plus a short fuzz smoke of each wire
+# decoder on top of the committed seed corpus.
 servercheck:
 	$(call run-tests,-race,./internal/wire,Test|Fuzz|WriterCoalesces|WriterCloseDelivers|WriterErrorOnce|WriterBacklog|FrameBuffered)
 	$(call run-tests,-race,./client,Test|ReconnectNoStaleFrames)
 	$(GO) test -race ./internal/drain/...
 	$(call run-tests,-race,./internal/server,Test|SameKeyWriteOrder|ConnGoroutines)
-	$(call run-tests,,./kv,CacheBasic|CacheBounded|CacheCommitRoutesInvalidate|CacheRoutedKeysNeverFill|CacheGetAllocs)
+	$(call run-tests,,./internal/server,ReaderGetAllocs)
+	$(call run-tests,,./kv,CacheBasic|CacheBounded|CacheIndexChurn|CacheCommitRoutesInvalidate|CacheRoutedKeysNeverFill|CacheGetAllocs)
+	$(call run-tests,-race -count=20,./kv,CacheSlotReuseNoTornValues)
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=3s
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzDecodeResponse -fuzztime=3s
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzReadFrame -fuzztime=3s

@@ -151,8 +151,12 @@ func (t *Tree) addMeta(m *leafMeta) {
 // ReadRetries reports how many read attempts were wasted on root restarts.
 func (t *Tree) ReadRetries() uint64 { return t.readRetries.Load() }
 
+// leafFor seeks the index before it loads the leaf list: a split adds its
+// leaf to the list before the index names it, so a list loaded first could
+// predate the leaf the seek returns.
 func (t *Tree) leafFor(key uint64) *leafMeta {
-	return (*t.metas.Load())[t.ix.Seek(key)]
+	id := t.ix.Seek(key)
+	return (*t.metas.Load())[id]
 }
 
 func (t *Tree) entryOff(m *leafMeta, i int) uint64 {

@@ -109,8 +109,13 @@ func ParseInternalKey(k []byte) (tag byte, name []byte, ok bool) {
 // objKey builds the key of one of name's records. Callers on hot paths keep
 // what it returns for the rest of the step.
 func objKey(name []byte, tag byte, rest []byte) []byte {
-	k := kv.AppendRoute(make([]byte, 0, 4+len(name)+len(rest)), name)
-	return append(append(k, tag), rest...)
+	return appendObjKey(make([]byte, 0, 4+len(name)+len(rest)), name, tag, rest)
+}
+
+// appendObjKey appends the key of one of name's records to dst; a read builds
+// its keys this way in a stack buffer.
+func appendObjKey(dst, name []byte, tag byte, rest []byte) []byte {
+	return append(append(kv.AppendRoute(dst, name), tag), rest...)
 }
 
 func headerKey(name []byte) []byte       { return objKey(name, tagHeader, nil) }

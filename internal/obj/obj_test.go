@@ -121,9 +121,11 @@ func TestHSetPersistCount(t *testing.T) {
 
 // TestHSetHGetAllocs pins the typed hot path's allocations at most where they
 // were before every write became one kv step: a fresh HSET 6, an overwrite
-// of a field of an eight-field hash 9, an HGET 6 (the counts of the build
-// with a stripe lock per name and two commits per fresh field). The step
-// itself allocates nothing (kv's TestCommitAllocs).
+// of a field of an eight-field hash 9 (the counts of the build with a stripe
+// lock per name and two commits per fresh field). The step itself allocates
+// nothing (kv's TestCommitAllocs). A read builds its keys and reads the header
+// in stack buffers: HGET allocates only the value it returns, and nothing at
+// all into a reused buffer.
 func TestHSetHGetAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -138,6 +140,7 @@ func TestHSetHGetAllocs(t *testing.T) {
 		names[i] = []byte(fmt.Sprintf("n%d", i))
 	}
 	next := 0
+	var buf []byte
 	for _, c := range []struct {
 		what string
 		max  float64
@@ -145,7 +148,12 @@ func TestHSetHGetAllocs(t *testing.T) {
 	}{
 		{"fresh HSET", 6, func() error { next++; return o.HSet(names[next], field, val) }},
 		{"HSET overwrite", 9, func() error { return o.HSet(name, field, val) }},
-		{"HGET", 6, func() error { _, err := o.HGet(name, field); return err }},
+		{"HGET", 1, func() error { _, err := o.HGet(name, field); return err }},
+		{"HGET into a reused buffer", 0, func() error {
+			var err error
+			buf, err = o.AppendHGet(buf[:0], name, field)
+			return err
+		}},
 	} {
 		if got := testing.AllocsPerRun(200, func() {
 			if err := c.f(); err != nil {

@@ -53,16 +53,17 @@ func (o *Store) dropExpiry(tx *kv.Tx, name []byte) error {
 }
 
 // open reads the encoded header hv of name (header key hk) for a typed write
-// of type typ; reaped says the step has just reaped the name, whose object is
-// then gone. A first write (hv == nil) starts from nothing — after dropping
-// an unexpired expiry record still under the absent name (the tail of a
-// removal cut short after its header delete), so the new object does not
-// inherit the old one's deadline.
-func (o *Store) open(tx *kv.Tx, name, hk []byte, typ byte, reaped bool) (hv []byte, err error) {
+// of type typ, appending it to buf (the caller's stack buffer: the writes
+// built from hv copy it); reaped says the step has just reaped the name,
+// whose object is then gone. A first write (hv == nil) starts from nothing —
+// after dropping an unexpired expiry record still under the absent name (the
+// tail of a removal cut short after its header delete), so the new object
+// does not inherit the old one's deadline.
+func (o *Store) open(tx *kv.Tx, name, hk []byte, typ byte, reaped bool, buf []byte) (hv []byte, err error) {
 	if reaped {
 		return nil, nil
 	}
-	hv, err = o.st.Get(hk)
+	hv, err = o.st.AppendGet(buf, hk)
 	switch {
 	case err == nil:
 		return hv, typed(hv, typ)
@@ -82,7 +83,8 @@ func (o *Store) HSet(name, field, val []byte) error {
 	fresh := false
 	_, err := o.write(name, func(tx *kv.Tx, reaped bool) error {
 		hk := headerKey(name)
-		hv, err := o.open(tx, name, hk, TypeHash, reaped)
+		var hb [128]byte
+		hv, err := o.open(tx, name, hk, TypeHash, reaped, hb[:0])
 		if err != nil {
 			return err
 		}
@@ -98,23 +100,30 @@ func (o *Store) HSet(name, field, val []byte) error {
 	return err
 }
 
-// HGet reads field from hash name. The header is read first: a record it
-// does not list is not part of the object, whatever is on media.
-func (o *Store) HGet(name, field []byte) ([]byte, error) {
+// HGet reads field from hash name, into a new slice the caller owns.
+func (o *Store) HGet(name, field []byte) ([]byte, error) { return o.AppendHGet(nil, name, field) }
+
+// AppendHGet appends field of hash name to dst and returns the extended
+// buffer; on error it returns dst unchanged. The header is read first: a
+// record it does not list is not part of the object, whatever is on media.
+// Both keys and the header are built and read in stack buffers, so a caller
+// that reuses dst reads without allocating.
+func (o *Store) AppendHGet(dst, name, field []byte) ([]byte, error) {
 	if err := checkName(name, field); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if o.Expired(name) {
-		return nil, kv.ErrNotFound
+		return dst, kv.ErrNotFound
 	}
-	hv, err := o.st.Get(headerKey(name))
+	var kb, hb [128]byte
+	hv, err := o.st.AppendGet(hb[:0], appendObjKey(kb[:0], name, tagHeader, nil))
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if !headerLists(hv, TypeHash, field) {
-		return nil, kv.ErrNotFound
+		return dst, kv.ErrNotFound
 	}
-	return o.st.Get(fieldKey(name, field))
+	return o.st.AppendGet(dst, appendObjKey(kb[:0], name, tagField, field))
 }
 
 // HDel removes field from hash name; deleting the last field removes the
@@ -129,7 +138,8 @@ func (o *Store) SAdd(name, member []byte) error {
 	}
 	_, err := o.write(name, func(tx *kv.Tx, reaped bool) error {
 		hk := headerKey(name)
-		hv, err := o.open(tx, name, hk, TypeSet, reaped)
+		var hb [128]byte
+		hv, err := o.open(tx, name, hk, TypeSet, reaped, hb[:0])
 		if err != nil || headerLists(hv, TypeSet, member) {
 			return err
 		}
@@ -178,7 +188,8 @@ func (o *Store) removeElem(name, elem []byte, typ byte) error {
 	}
 	_, err := o.write(name, func(tx *kv.Tx, reaped bool) error {
 		hk := headerKey(name)
-		hv, err := o.open(tx, name, hk, typ, reaped)
+		var hb [128]byte
+		hv, err := o.open(tx, name, hk, typ, reaped, hb[:0])
 		if err != nil {
 			return err
 		}

@@ -253,7 +253,7 @@ func TestObjReapedKeyNotServedFromCache(t *testing.T) {
 		if err := st.Put(key, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		if _, status, msg := srv.get(key); status != wire.StatusOK { // fills
+		if _, status, msg := srv.get(nil, key); status != wire.StatusOK { // fills
 			t.Fatalf("GET before expiry: status %d %s", status, msg)
 		}
 		deadline := clk.Now().Add(time.Millisecond)
@@ -275,7 +275,7 @@ func TestObjReapedKeyNotServedFromCache(t *testing.T) {
 			default:
 			}
 			lapsed := !clk.Now().Before(deadline)
-			if _, status, _ := srv.get(key); lapsed && status == wire.StatusOK {
+			if _, status, _ := srv.get(nil, key); lapsed && status == wire.StatusOK {
 				served = true
 			}
 		}

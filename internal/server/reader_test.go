@@ -41,11 +41,11 @@ func routeFrame(cn *conn, payload []byte) {
 }
 
 // TestReaderServedAllocs: a request the reader serves leaves no garbage of
-// the server's making. A PING and a GET that hits allocate nothing; a GET
-// that goes to the store allocates what kv.Store.Get allocates for that key
-// (the value it returns) and nothing more, and a miss that fills the cache
-// adds only the cache's own key string. A typed read allocates what its
-// object-layer call allocates on its own.
+// the server's making. A PING and every GET and HGET allocate nothing — the
+// value is copied into the connection's scratch, whether from the cache or
+// the store — so a miss that fills costs only the Put that emptied the
+// cache. SMEMBERS and TTL allocate what their object-layer call allocates on
+// its own.
 func TestReaderServedAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -58,8 +58,6 @@ func TestReaderServedAllocs(t *testing.T) {
 	if err := st.Put(key, make([]byte, 512)); err != nil {
 		t.Fatal(err)
 	}
-	storeGet := testing.AllocsPerRun(200, func() { st.Get(key) })
-	storeMiss := testing.AllocsPerRun(200, func() { st.Get(absent) })
 
 	o, err := obj.Attach(st, obj.Options{})
 	if err != nil {
@@ -75,7 +73,6 @@ func TestReaderServedAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	objHGet := testing.AllocsPerRun(200, func() { o.HGet(hash, field) })
 	objSMembers := testing.AllocsPerRun(200, func() { o.SMembers(set) })
 	objTTL := testing.AllocsPerRun(200, func() { o.TTL(hash) })
 
@@ -109,10 +106,10 @@ func TestReaderServedAllocs(t *testing.T) {
 	}{
 		{"PING", cached, ping, nil, 0},
 		{"GET hit", cached, get, nil, 0},
-		{"GET, no cache", plain, get, nil, storeGet},
-		{"GET miss, key absent", cached, getAbsent, nil, storeMiss},
-		{"GET miss and fill", cached, get, func() { cachedSt.Put(key, val) }, storeGet + 1 + storePut},
-		{"HGET", typed, hget, nil, objHGet},
+		{"GET, no cache", plain, get, nil, 0},
+		{"GET miss, key absent", cached, getAbsent, nil, 0},
+		{"GET miss and fill", cached, get, func() { cachedSt.Put(key, val) }, storePut},
+		{"HGET", typed, hget, nil, 0},
 		{"SMEMBERS", typed, smembers, nil, objSMembers},
 		{"TTL", typed, ttl, nil, objTTL},
 	} {
@@ -133,6 +130,54 @@ func TestReaderServedAllocs(t *testing.T) {
 	}
 	if n := cached.requests.Load() + plain.requests.Load() + typed.requests.Load(); n != 8*202 {
 		t.Errorf("requests = %d, want every routed request counted (%d)", n, 8*202)
+	}
+}
+
+// TestReaderGetAllocs: GETs through a cache far smaller than the keys they
+// read cost the reader nothing once warm — a hit, a miss that evicts (over
+// sixteen times the cache's capacity of distinct keys, so slot and index
+// churn would show) and a NotFound alike. The cache reuses its slots, the
+// store copies each value once into the connection's scratch, and the
+// response is encoded from there.
+func TestReaderGetAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	st, err := kv.New(kv.Options{ArenaSize: 64 << 20, MaxSegments: 1, Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(st, Config{Cache: CacheConfig{Enable: true, MaxEntries: 64, Shards: 4}})
+	gets := make([][]byte, 16*64)
+	for i := range gets {
+		key := []byte(fmt.Sprintf("key-%05d", i))
+		if err := st.Put(key, bytes.Repeat([]byte{byte(i)}, 100+i%200)); err != nil {
+			t.Fatal(err)
+		}
+		gets[i] = framePayload(t, wire.Request{ID: uint64(i), Op: wire.OpGet, Key: key})
+	}
+	absent := framePayload(t, wire.Request{ID: 1, Op: wire.OpGet, Key: []byte("absent")})
+	cn, _ := sinkConnFor(t, srv, true)
+	for _, row := range []struct {
+		what string
+		f    func()
+	}{
+		{"GET hit", func() { routeFrame(cn, gets[0]) }},
+		{"GET miss", func() {
+			for _, g := range gets {
+				routeFrame(cn, g)
+			}
+		}},
+		{"GET NotFound", func() { routeFrame(cn, absent) }},
+	} {
+		row.f() // warm-up: the pooled box, cn.out, cn.val and the slots
+		if got := testing.AllocsPerRun(20, row.f); got != 0 {
+			t.Errorf("%s: %v allocs, want 0", row.what, got)
+		}
+	}
+	cs := srv.Stats().Cache
+	if cs.Hits < 21 || cs.Evictions < 20*uint64(len(gets))/2 {
+		t.Errorf("cache saw %d hits and %d evictions: the cases did not run as named", cs.Hits, cs.Evictions)
 	}
 }
 

@@ -527,6 +527,10 @@ type conn struct {
 	// out collects the reader's own responses (PING, GET, rejections) until
 	// flush hands them to the writer; only the reader touches it.
 	out []byte
+	// val is the reader's scratch for the value of a GET or HGET: the store
+	// copies the value into it, and serve encodes it into out before the next
+	// request reuses it.
+	val []byte
 
 	// Replication ship stream (repl.go): non-nil sub marks this as a
 	// replica connection; shipSeq numbers the unsolicited record frames and
@@ -760,9 +764,10 @@ func (cn *conn) serve(req wire.Request) {
 	switch req.Op {
 	case wire.OpPing:
 	case wire.OpGet:
-		resp.Val, resp.Status, resp.Msg = s.get(req.Key)
+		cn.val, resp.Status, resp.Msg = s.get(cn.val[:0], req.Key)
+		resp.Val = cn.val
 	case wire.OpHGet, wire.OpSMembers, wire.OpTTL:
-		s.readObj(req, &resp)
+		cn.val = s.readObj(req, &resp, cn.val[:0])
 	case wire.OpScan:
 		resp.Pairs = cn.scan(req)
 	case wire.OpStats:
@@ -793,22 +798,28 @@ func (cn *conn) serve(req wire.Request) {
 		resp.Status, resp.Msg = wire.StatusErr, fmt.Sprintf("unhandled op %s", wire.OpName(req.Op))
 	}
 	cn.out = appendResponse(cn.out, resp)
+	if cap(cn.val) > maxValScratch {
+		cn.val = nil // one huge value does not pin its buffer to the connection
+	}
 }
 
+// maxValScratch is the largest value buffer a connection keeps between reads.
+const maxValScratch = 64 << 10
+
 // get is the one flat read: object-layer gates, then the store (through its
-// hot-key cache, if installed). The value may be shared with the cache; the
-// caller only encodes it.
-func (s *Server) get(key []byte) (val []byte, status uint8, msg string) {
+// hot-key cache, if installed), which appends the value to dst — the
+// reader's scratch, so a GET allocates nothing here.
+func (s *Server) get(dst, key []byte) (val []byte, status uint8, msg string) {
 	if o := s.obj; o != nil {
 		if obj.IsInternalKey(key) {
-			return nil, wire.StatusErr, errReservedKey
+			return dst, wire.StatusErr, errReservedKey
 		}
 		// An expired name is masked until its reap publishes.
 		if o.Expired(key) {
-			return nil, wire.StatusNotFound, ""
+			return dst, wire.StatusNotFound, ""
 		}
 	}
-	val, err := s.st.Get(key)
+	val, err := s.st.AppendGet(dst, key)
 	status, msg = statusOf(err)
 	return val, status, msg
 }
@@ -897,23 +908,26 @@ func (cn *conn) submit(req wire.Request, payload []byte, box *[]byte) bool {
 }
 
 // readObj serves a typed read. Like a flat GET it takes no lock a writer
-// holds: an expiry lookup in DRAM, then kv reads.
-func (s *Server) readObj(req wire.Request, resp *wire.Response) {
+// holds: an expiry lookup in DRAM, then kv reads. An HGET's value is appended
+// to dst, the reader's scratch, which readObj returns.
+func (s *Server) readObj(req wire.Request, resp *wire.Response, dst []byte) []byte {
 	o := s.obj
 	if o == nil {
 		resp.Status, resp.Msg = wire.StatusErr, errObjDisabled
-		return
+		return dst
 	}
 	var err error
 	switch req.Op {
 	case wire.OpHGet:
-		resp.Val, err = o.HGet(req.Key, req.Field)
+		dst, err = o.AppendHGet(dst, req.Key, req.Field)
+		resp.Val = dst
 	case wire.OpSMembers:
 		resp.Members, err = o.SMembers(req.Key)
 	case wire.OpTTL:
 		resp.TTL, err = o.TTL(req.Key)
 	}
 	resp.Status, resp.Msg = statusOf(err)
+	return dst
 }
 
 // scan collects up to ScanMax live pairs with the given key prefix. The

@@ -308,14 +308,14 @@ func (s *Store) commitLocked(pi int, muts []Mutation, hook CommitHook, all bool)
 			if known != nil {
 				prevKind = known.kind
 			} else {
-				prevKind = p.chainFindKind(head, m.Key)
+				prevKind, _ = p.chainFind(head, m.Key)
 			}
 		} else if oldHead, existed := p.tree.Find(m.hash); existed {
 			// The newest record for this key — not whatever sits at the chain
 			// head, which may belong to a colliding key — is what the append
 			// shadows.
 			head = oldHead
-			prevKind = p.chainFindKind(oldHead, m.Key)
+			prevKind, _ = p.chainFind(oldHead, m.Key)
 		}
 		kind, val := recPut, m.Val
 		if m.Delete {
@@ -414,7 +414,7 @@ func (s *Store) commitLocked(pi int, muts []Mutation, hook CommitHook, all bool)
 				continue
 			}
 			if c != nil && cacheable(m.Key) {
-				c.invalidate(m.Key)
+				c.invalidate(m.hash, m.Key)
 			}
 			switch {
 			case hook == nil:
@@ -499,7 +499,7 @@ func (s *Store) Update(route []byte, fn func(tx *Tx) error) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	pi := s.f.PartitionFor(s.hash(route))
+	pi := s.f.PartitionFor(s.keyHash(route))
 	p := &s.parts[pi]
 	p.mu.Lock()
 	defer p.mu.Unlock()

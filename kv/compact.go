@@ -1,6 +1,10 @@
 package kv
 
-import "rntree/internal/pmem"
+import (
+	"bytes"
+
+	"rntree/internal/pmem"
+)
 
 // liveRec is one record Compact carries over. Kind and LSN are
 // preserved verbatim: a rewritten record is the same logical commit, so its
@@ -21,13 +25,16 @@ type liveRec struct {
 // delete.
 func (p *kvPart) collectLive(off uint64, keepTombs bool) []liveRec {
 	var live []liveRec
-	seen := map[string]bool{}
+	var buf [64]byte // keys up to 64 bytes are read into this one buffer
+	var seen []byte  // the chain's keys met so far, the i-th ending at ends[i]
+	var ends []int
 	for off != 0 {
-		kind, key, val, next := p.readRecord(off)
-		if !seen[string(key)] {
-			seen[string(key)] = true
+		kind, key, next := p.readRecordMeta(off, buf[:])
+		if !chainSeen(seen, ends, key) {
+			seen = append(seen, key...)
+			ends = append(ends, len(seen))
 			if kind == recPut || keepTombs {
-				live = append(live, liveRec{kind, p.readLSN(off), key, val})
+				live = append(live, liveRec{kind, p.readLSN(off), bytes.Clone(key), p.appendValue(nil, off)})
 			}
 		}
 		off = next

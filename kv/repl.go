@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"bytes"
 	"container/heap"
 	"fmt"
 	"math/bits"
@@ -253,11 +254,12 @@ func (s *Store) ReplBacklog(part int, from uint64, fn func(lsn uint64, kind uint
 // whether the budget dropped any.
 func (p *kvPart) collectBacklog(h *backlogHeap, from, target uint64) (truncated bool) {
 	defer p.readers.exit(p.readers.enter(0))
+	var buf [64]byte // keys up to 64 bytes are read into this one buffer
 	p.tree.Scan(0, 0, func(_, off uint64) bool {
 		for off != 0 {
 			if l := p.readLSN(off); l > from && l <= target {
-				kind, key, val, next := p.readRecord(off)
-				if h.add(backlogRec{l, uint8(kind), key, val}) {
+				kind, key, next := p.readRecordMeta(off, buf[:])
+				if h.add(backlogRec{l, uint8(kind), bytes.Clone(key), p.appendValue(nil, off)}) {
 					truncated = true
 				}
 				off = next

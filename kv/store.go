@@ -36,6 +36,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -270,8 +271,10 @@ type kvPart struct {
 //rnvet:lockorder repl.Node.mu<kv.Store.closeMu<kv.kvPart.mu<core.leafMeta.vl
 //rnvet:lockorder kv.Store.closeMu<kv.Store.replStMu<pmem.Heap.allocMu
 type Store struct {
-	f     *forest.Forest
-	hash  func([]byte) uint64 // Hash, overridable by tests to force collisions
+	f *forest.Forest
+	// hash, when set, replaces Hash; tests set it to force collisions. It
+	// sees a copy of the key (keyHash), so no key escapes through the call.
+	hash  func([]byte) uint64
 	parts []kvPart
 	clk   clock.Clock
 
@@ -351,7 +354,7 @@ func New(opts Options) (*Store, error) {
 // store wraps forest f in a Store on the options' clock, with each forest
 // partition's arena and tree; the caller formats or recovers the value logs.
 func (o Options) store(f *forest.Forest) *Store {
-	s := &Store{f: f, hash: Hash, parts: make([]kvPart, f.Partitions()), clk: o.Clock}
+	s := &Store{f: f, parts: make([]kvPart, f.Partitions()), clk: o.Clock}
 	for i := range s.parts {
 		s.parts[i].arena, s.parts[i].tree = f.Partition(i).Arena(), f.Partition(i).Tree()
 	}
@@ -435,13 +438,21 @@ func AppendRoute(dst, route []byte) []byte {
 // locate returns key's index hash and the partition that holds its record
 // and the tree slot pointing at it.
 func (s *Store) locate(key []byte) (h uint64, part int) {
-	h = s.hash(key)
+	h = s.keyHash(key)
 	if len(key) >= 3 && key[0] == RouteByte {
 		if end := 3 + int(binary.LittleEndian.Uint16(key[1:])); end <= len(key) {
-			return h, s.f.PartitionFor(s.hash(key[3:end]))
+			return h, s.f.PartitionFor(s.keyHash(key[3:end]))
 		}
 	}
 	return h, s.f.PartitionFor(h)
+}
+
+// keyHash is key's index hash: Hash, or the test override called on a copy.
+func (s *Store) keyHash(key []byte) uint64 {
+	if s.hash != nil {
+		return s.hash(bytes.Clone(key))
+	}
+	return Hash(key)
 }
 
 // PartitionOf returns the index, in [0, Partitions()), of the partition
@@ -493,26 +504,6 @@ func streamPadded(a *pmem.Arena, off uint64, b []byte) {
 	a.WriteStream(split, tail[:(n+7)&^7])
 }
 
-// readRecord decodes the record at off.
-func (p *kvPart) readRecord(off uint64) (kind int, key, val []byte, next uint64) {
-	hdr := p.arena.Read8(off)
-	kind = int(hdr & 0xff)
-	keyLen := int(hdr >> 8 & 0xffffff)
-	valLen := int(hdr >> 32)
-	next = p.arena.Read8(off + 8)
-	kp := (uint64(keyLen) + 7) &^ 7
-	kb := make([]byte, kp)
-	p.arena.ReadRange(off+recHdrSize, kp, kb)
-	key = kb[:keyLen]
-	vp := (uint64(valLen) + 7) &^ 7
-	if vp > 0 {
-		vb := make([]byte, vp)
-		p.arena.ReadRange(off+recHdrSize+kp, vp, vb)
-		val = vb[:valLen]
-	}
-	return kind, key, val, next
-}
-
 // readRecordMeta decodes kind, key and next of the record at off, skipping
 // the value copy (chain walks for accounting don't need it). The key is
 // read into buf when it fits there, else into a new slice.
@@ -531,59 +522,64 @@ func (p *kvPart) readRecordMeta(off uint64, buf []byte) (kind int, key []byte, n
 	return kind, kb[:keyLen], next
 }
 
-// readValue reads the value of the record at off into buf, grown when too
-// small, and returns it (nil when empty) with the buffer.
-func (p *kvPart) readValue(off uint64, buf []byte) (val, grown []byte) {
+// appendValue appends the value of the record at off to dst, which grows by
+// exactly its length: the mirror of streamPadded. The words up to the line
+// holding the padded last word go straight into dst; that line's share (at
+// most 64 bytes) comes through a stack copy. Splitting at a line boundary
+// charges exactly the lines of one ReadRange of the padded value.
+func (p *kvPart) appendValue(dst []byte, off uint64) []byte {
 	hdr := p.arena.Read8(off)
-	kp, valLen := (hdr>>8&0xffffff+7)&^7, hdr>>32
-	vp := (valLen + 7) &^ 7
-	if vp == 0 {
-		return nil, buf
+	off += recHdrSize + (hdr>>8&0xffffff+7)&^7
+	n := hdr >> 32
+	vp := (n + 7) &^ 7
+	split := off + vp // word-aligned: all of it straight into dst
+	if n%8 != 0 {
+		split = max(off, (off+vp-8)&^(pmem.LineSize-1))
 	}
-	if uint64(cap(buf)) < vp {
-		buf = make([]byte, vp)
+	l := len(dst)
+	dst = slices.Grow(dst, int(n))
+	if split > off {
+		dst = dst[:l+int(split-off)]
+		p.arena.ReadRange(off, split-off, dst[l:])
 	}
-	p.arena.ReadRange(off+recHdrSize+kp, vp, buf[:vp])
-	return buf[:valLen], buf
+	if rest := off + n - split; rest > 0 {
+		var tail [pmem.LineSize]byte
+		tp := off + vp - split
+		p.arena.ReadRange(split, tp, tail[:tp])
+		dst = append(dst, tail[:rest]...)
+	}
+	return dst
 }
 
 // readLSN reads the persisted LSN of the record at off.
 func (p *kvPart) readLSN(off uint64) uint64 { return p.arena.Read8(off + recLSNOff) }
 
-// chainFindKind walks a hash chain from head and returns the kind of the
-// newest record for key, or 0 if the chain holds no record for it. This is
-// how mutations count precisely: the newest record for the mutated key —
-// not whatever happens to sit at the chain head, which may belong to a
+// chainFind walks a hash chain from head and returns the kind and offset of
+// the newest record for key, or 0, 0 if the chain holds no record for it.
+// This is how mutations count precisely: the newest record for the mutated
+// key — not whatever happens to sit at the chain head, which may belong to a
 // colliding key — is what a new append shadows.
-func (p *kvPart) chainFindKind(head uint64, key []byte) int {
+func (p *kvPart) chainFind(head uint64, key []byte) (kind int, off uint64) {
 	var buf [64]byte // keys up to 64 bytes are compared from the stack
-	for off := head; off != 0; {
+	for off = head; off != 0; {
 		kind, rkey, next := p.readRecordMeta(off, buf[:])
 		if bytes.Equal(rkey, key) {
-			return kind
+			return kind, off
 		}
 		off = next
 	}
-	return 0
+	return 0, 0
 }
 
-// lookup walks the hash chain for key. Returns the newest matching record.
-func (s *Store) lookup(key []byte) (kind int, val []byte, ok bool) {
-	h, pi := s.locate(key)
-	p := &s.parts[pi]
-	defer p.readers.exit(p.readers.enter(h))
-	off, found := p.tree.Find(h)
+// find returns the offset of key's newest record, of index hash h, and
+// whether it is a put. The caller is in the partition's reader section.
+func (p *kvPart) find(h uint64, key []byte) (off uint64, ok bool) {
+	head, found := p.tree.Find(h)
 	if !found {
-		return 0, nil, false
+		return 0, false
 	}
-	for off != 0 {
-		k, rkey, rval, next := p.readRecord(off)
-		if bytes.Equal(rkey, key) {
-			return k, rval, true
-		}
-		off = next
-	}
-	return 0, nil, false
+	kind, off := p.chainFind(head, key)
+	return off, kind == recPut
 }
 
 // Put stores key → value (insert or overwrite). Puts on different
@@ -600,38 +596,51 @@ func (s *Store) PutEx(key, value []byte) (part int, lsn uint64, err error) {
 	return m[0].Part, m[0].LSN, m[0].Err
 }
 
-// Get returns the value stored under key. Lock-free. With a hot-key cache
-// installed (SetCache), a flat key's value may be shared with the cache, so
-// the caller must not modify it.
-func (s *Store) Get(key []byte) ([]byte, error) {
+// Get returns the value stored under key, in a new slice the caller owns.
+// Lock-free.
+func (s *Store) Get(key []byte) ([]byte, error) { return s.AppendGet(nil, key) }
+
+// AppendGet appends the value stored under key to dst and returns the
+// extended buffer; on error it returns dst unchanged. Lock-free. The value is
+// copied once, from the value log or from the hot-key cache (SetCache), so a
+// caller that reuses dst reads without allocating.
+func (s *Store) AppendGet(dst, key []byte) ([]byte, error) {
+	h, pi := s.locate(key)
 	c := s.cache.Load()
 	if c == nil || !cacheable(key) {
-		return s.get(key)
+		return s.appendGet(dst, key, h, pi)
 	}
-	if val, ok := c.get(key); ok {
-		return val, nil
+	sh := c.shard(h)
+	if out, ok := c.get(sh, dst, h, key); ok {
+		return out, nil
 	}
-	epoch := c.fillEpoch(key) // before the store read: see cache.go
-	val, err := s.get(key)
+	epoch := sh.epoch.Load() // before the store read: see cache.go
+	out, err := s.appendGet(dst, key, h, pi)
 	if err == nil {
-		c.commitFill(key, val, epoch)
+		c.commitFill(sh, h, key, out[len(dst):], epoch)
 	}
-	return val, err
+	return out, err
 }
 
-// get is Get from the store itself.
-func (s *Store) get(key []byte) ([]byte, error) {
-	kind, val, ok := s.lookup(key)
-	if !ok || kind == recDelete {
-		return nil, ErrNotFound
+// appendGet is AppendGet from the store itself, for key of index hash h in
+// partition pi.
+func (s *Store) appendGet(dst, key []byte, h uint64, pi int) ([]byte, error) {
+	p := &s.parts[pi]
+	defer p.readers.exit(p.readers.enter(h))
+	off, ok := p.find(h, key)
+	if !ok {
+		return dst, ErrNotFound
 	}
-	return val, nil
+	return p.appendValue(dst, off), nil
 }
 
 // Has reports whether key is present. Lock-free.
 func (s *Store) Has(key []byte) bool {
-	kind, _, ok := s.lookup(key)
-	return ok && kind != recDelete
+	h, pi := s.locate(key)
+	p := &s.parts[pi]
+	defer p.readers.exit(p.readers.enter(h))
+	_, ok := p.find(h, key)
+	return ok
 }
 
 // Delete removes key (tombstone append; reclaimed by Compact), or returns
@@ -664,7 +673,7 @@ func (p *kvPart) rangeLive(fn func(key, value []byte) bool) bool {
 	var buf [64]byte // keys up to 64 bytes are read into this one buffer
 	// seen and ends are recount's: the keys of the current chain already
 	// met, reused across chains, as is the value buffer.
-	var seen, vbuf []byte
+	var seen, val []byte
 	var ends []int
 	p.tree.Scan(0, 0, func(_, off uint64) bool {
 		// Walk the chain newest-first: a key's first record is its newest,
@@ -676,8 +685,7 @@ func (p *kvPart) rangeLive(fn func(key, value []byte) bool) bool {
 				seen = append(seen, key...)
 				ends = append(ends, len(seen))
 				if kind == recPut {
-					var val []byte
-					if val, vbuf = p.readValue(off, vbuf); !fn(key, val) {
+					if val = p.appendValue(val[:0], off); !fn(key, val) {
 						stopped = true
 						return false
 					}

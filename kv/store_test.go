@@ -19,6 +19,30 @@ func newStore(t testing.TB) *Store {
 	return s
 }
 
+// TestAppendGetExact: AppendGet appends exactly the value, whatever its
+// length and wherever its padded last word falls in a line, and leaves dst's
+// bytes alone; on error it returns dst unchanged.
+func TestAppendGetExact(t *testing.T) {
+	s := newStore(t)
+	for n := 0; n <= 200; n++ {
+		key := []byte(fmt.Sprintf("key-%03d", n))
+		val := make([]byte, n)
+		for i := range val {
+			val[i] = byte(n + 7*i)
+		}
+		if err := s.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.AppendGet([]byte("dst:"), key)
+		if err != nil || string(got) != "dst:"+string(val) {
+			t.Fatalf("AppendGet(%s) = %q, %v; want dst: and %d value bytes", key, got, err, n)
+		}
+	}
+	if got, err := s.AppendGet([]byte("dst:"), []byte("absent")); err != ErrNotFound || string(got) != "dst:" {
+		t.Fatalf("AppendGet(absent) = %q, %v", got, err)
+	}
+}
+
 func TestPutGetDelete(t *testing.T) {
 	s := newStore(t)
 	if err := s.Put([]byte("hello"), []byte("world")); err != nil {
